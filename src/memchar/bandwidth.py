@@ -421,10 +421,6 @@ class BandwidthSeries:
     saturation_index: int
 
     @property
-    def values_gbps(self) -> tuple[float, ...]:
-        return tuple(r.bandwidth_gbps for r in self.records)
-
-    @property
     def saturation_label(self) -> str:
         return self.labels[self.saturation_index]
 

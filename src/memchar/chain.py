@@ -18,19 +18,24 @@ whose state is seeded through one splitmix64 scramble of the user seed:
 
 Both formulas are pinned so chains are reproducible across implementations
 and languages for equal (size, alignment, seed).
+
+A :class:`ChainBuffer` is a frozen, hashable spec whose successor table is
+built on first read, once per spec, so a caller that needs only the element
+count (the simulated backend) never shuffles.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "ChainBuffer",
     "ChainError",
     "ChainReport",
     "Xorshift64",
+    "chain_spec",
     "generate_chain",
     "verify_chain",
 ]
@@ -71,12 +76,10 @@ class Xorshift64:
 
 @dataclass(frozen=True)
 class ChainBuffer:
-    """A generated chain: successor table plus the allocation parameters.
+    """The parameters that fix a chain; equal specs hash equal.
 
     ``successors[i]`` is the element index the i-th element points at; byte
-    offsets are ``index * stride_alignment``.  ``region`` is an opaque handle
-    to backing memory when a native backend materialized the chain, else
-    None (the simulated backend never allocates).
+    offsets are ``index * stride_alignment``.  Built on first access.
     """
 
     element_count: int
@@ -84,8 +87,10 @@ class ChainBuffer:
     total_bytes: int
     seed: int
     huge_pages: bool
-    successors: array
-    region: Optional[object] = field(default=None, compare=False)
+
+    @cached_property
+    def successors(self) -> array:
+        return _sattolo(self.element_count, self.seed)
 
     def offset_of(self, index: int) -> int:
         return index * self.stride_alignment
@@ -104,7 +109,14 @@ class ChainBuffer:
         return "\n".join(lines)
 
 
-def _validate_params(total_bytes: int, stride_alignment: int) -> int:
+def chain_spec(
+    total_bytes: int,
+    stride_alignment: int = 512,
+    seed: int = 0,
+    huge_pages: bool = True,
+) -> ChainBuffer:
+    """Validate the parameters of a chain over ``total_bytes /
+    stride_alignment`` slots; its successor table is not built."""
     if stride_alignment < 64 or stride_alignment & (stride_alignment - 1):
         raise ChainError(
             f"stride_alignment must be a power of two >= 64, got {stride_alignment}"
@@ -117,21 +129,17 @@ def _validate_params(total_bytes: int, stride_alignment: int) -> int:
         raise ChainError(
             f"total_bytes ({total_bytes}) must be a multiple of the alignment"
         )
-    return total_bytes // stride_alignment
+    return ChainBuffer(
+        element_count=total_bytes // stride_alignment,
+        stride_alignment=stride_alignment,
+        total_bytes=total_bytes,
+        seed=seed,
+        huge_pages=huge_pages,
+    )
 
 
-def generate_chain(
-    total_bytes: int,
-    stride_alignment: int = 512,
-    seed: int = 0,
-    huge_pages: bool = True,
-) -> ChainBuffer:
-    """Build a single-cycle chain over ``total_bytes / stride_alignment`` slots.
-
-    Identical (total_bytes, stride_alignment, seed) inputs produce byte
-    identical successor tables.
-    """
-    n = _validate_params(total_bytes, stride_alignment)
+def _sattolo(n: int, seed: int) -> array:
+    """Sattolo's shuffle of ``range(n)`` driven by the pinned xorshift."""
     perm = list(range(n))
     if n > 1:
         # Inlined Xorshift64.next(); this loop dominates generation time.
@@ -145,15 +153,24 @@ def generate_chain(
             j = s % i
             perm[i], perm[j] = perm[j], perm[i]
             i -= 1
-    succ = array("q", perm)
-    return ChainBuffer(
-        element_count=n,
-        stride_alignment=stride_alignment,
-        total_bytes=total_bytes,
-        seed=seed,
-        huge_pages=huge_pages,
-        successors=succ,
-    )
+    return array("q", perm)
+
+
+def generate_chain(
+    total_bytes: int,
+    stride_alignment: int = 512,
+    seed: int = 0,
+    huge_pages: bool = True,
+) -> ChainBuffer:
+    """Build a single-cycle chain over ``total_bytes / stride_alignment`` slots.
+
+    Identical (total_bytes, stride_alignment, seed) inputs produce byte
+    identical successor tables.  Unlike :func:`chain_spec`, the table is
+    built before this returns.
+    """
+    chain = chain_spec(total_bytes, stride_alignment, seed, huge_pages)
+    chain.successors
+    return chain
 
 
 @dataclass(frozen=True)

@@ -177,9 +177,7 @@ def cmd_latency(args) -> int:
     state = args.state
     protocol = model.protocol
     sizes = harness.level_dataset_bytes(graph, args.level, policy.sizes_per_level)
-    chains = [
-        chain_mod.generate_chain(sz, alignment, args.seed, huge) for sz in sizes
-    ]
+    chains = [chain_mod.chain_spec(sz, alignment, args.seed, huge) for sz in sizes]
     records = []
     for placement in placements:
         helper = None

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .chain import ChainBuffer
-from .coherence import CoherenceScript, Protocol
+from .coherence import CoherenceScript
 from .topology import GraphKind, Placement, TopologyGraph
 
 __all__ = [
@@ -387,6 +387,3 @@ def auto_helper(graph: TopologyGraph, owner: int, requester: int) -> int:
             return c
     raise HarnessError("no third core available for helper")
 
-
-def legal_states(protocol: Protocol) -> tuple:
-    return tuple(s for s in protocol.states)

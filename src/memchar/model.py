@@ -380,32 +380,6 @@ class LatencyModel:
             "clean_shared_ram_beyond": self.clean_shared_ram_beyond,
         }
 
-    def with_params(self, **updates) -> "LatencyModel":
-        """Copy with replaced base entries / link costs (fit application)."""
-        base = dict(self.base)
-        base.update(updates.pop("base", {}))
-        link_costs = dict(self.link_costs)
-        for k, v in updates.pop("link_costs_ns", {}).items():
-            link_costs[k] = LinkCost(v, "ns")
-        if updates:
-            raise ModelError(f"unknown model updates: {sorted(updates)}")
-        return LatencyModel(
-            graph=self.graph,
-            protocol=self.protocol,
-            base=base,
-            state_classes=self.state_classes,
-            link_costs=link_costs,
-            frequencies=self.frequencies,
-            numa_class_by_extra_hops=self.numa_class_by_extra_hops,
-            remote_anchor_extra_hops=self.remote_anchor_extra_hops,
-            triple_base=self.triple_base,
-            ccx_penalty=self.ccx_penalty,
-            mesh_gradient_levels=self.mesh_gradient_levels,
-            mesh_gradient_classes=self.mesh_gradient_classes,
-            clean_shared_ram_beyond=self.clean_shared_ram_beyond,
-            name=self.name,
-        )
-
 
 def load_model(doc: dict, graph: TopologyGraph) -> LatencyModel:
     link_costs = {

@@ -8,9 +8,10 @@ environment metadata).  Transparent huge pages are requested with
 ``madvise(MADV_HUGEPAGE)``; if unavailable, measurement proceeds with the
 flag recorded as off.
 
-The C kernels are compiled once per machine into a cache directory with the
-system compiler; when no compiler or no x86-64 is available every entry
-point raises :class:`BackendUnavailable` so callers can degrade cleanly.
+The C kernels are compiled with the system compiler into a cache directory,
+named after a hash of their inputs, and loaded by :func:`load_kernels`; when
+no compiler or no x86-64 is available every entry point raises
+:class:`BackendUnavailable` so callers can degrade cleanly.
 
 Orchestration follows the measurement listing: workers are pinned threads
 synchronized by barriers; the owner (and helper) touch the buffer to set the
@@ -22,13 +23,15 @@ from __future__ import annotations
 
 import ctypes
 import ctypes.util
+import hashlib
 import mmap
 import os
 import platform
 import shutil
 import subprocess
-import tempfile
 import threading
+import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -42,6 +45,24 @@ __all__ = ["BackendUnavailable", "PinningError", "NativeBackend", "build_kernels
 
 _SRC = Path(__file__).parent / "native_src" / "kernels.c"
 MADV_HUGEPAGE = 14
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-msse2")
+# Tried first; dropped when the compiler rejects it (mc_read256 is then absent).
+_AVX_CFLAGS = ("-mavx2",)
+
+_u64, _ptr = ctypes.c_uint64, ctypes.c_void_p
+# (restype, argtypes) of every exported kernel in kernels.c.
+KERNEL_SIGNATURES = {
+    "mc_timer_overhead": (_u64, ()),
+    "mc_tsc": (_u64, ()),
+    "mc_chase": (_u64, (_ptr, _u64, _ptr)),
+    "mc_touch": (_u64, (_ptr, _u64, _u64)),
+    "mc_write_touch": (None, (_ptr, _u64, _u64, ctypes.c_char)),
+    "mc_clflush": (None, (_ptr, _u64, _u64)),
+    "mc_read128": (_u64, (_ptr, _u64, _u64, _ptr)),
+    "mc_read256": (_u64, (_ptr, _u64, _u64, _ptr)),
+    "mc_triad": (_u64, (_ptr, _ptr, _ptr, ctypes.c_double, _u64, ctypes.c_int)),
+    "mc_has_avx512": (ctypes.c_int, ()),
+}
 
 
 class BackendUnavailable(BackendError):
@@ -59,28 +80,65 @@ def _cache_dir() -> Path:
     return d
 
 
+def _compiler_identity(cc: str) -> str:
+    res = subprocess.run([cc, "--version"], capture_output=True, text=True)
+    return f"{os.path.realpath(shutil.which(cc) or cc)}\n{res.stdout}"
+
+
+def _kernel_path(cc: str) -> Path:
+    """Cache path named after a sha256 of everything the build depends on."""
+    inputs = (_SRC.read_bytes(), _AVX_CFLAGS + _CFLAGS, _compiler_identity(cc))
+    key = hashlib.sha256(repr(inputs).encode()).hexdigest()
+    return _cache_dir() / f"memchar_kernels-{key[:16]}.so"
+
+
 def build_kernels(force: bool = False) -> Path:
-    """Compile the C kernels; returns the shared-object path."""
+    """Compile the C kernels unless a build from the same inputs is cached;
+    returns the shared-object path."""
     if platform.machine() not in ("x86_64", "AMD64"):
         raise BackendUnavailable(f"native backend needs x86-64, got {platform.machine()}")
     cc = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
     if cc is None:
         raise BackendUnavailable("no C compiler found for the native kernels")
-    out = _cache_dir() / "memchar_kernels.so"
-    if out.exists() and not force:
-        return out
-    cmd = [cc, "-O2", "-shared", "-fPIC", "-msse2", str(_SRC), "-o", str(out)]
     try:
-        cmd_avx = cmd[:]
-        cmd_avx.insert(1, "-mavx2")
-        res = subprocess.run(cmd_avx, capture_output=True, text=True)
-        if res.returncode != 0:
+        out = _kernel_path(cc)
+        if out.exists() and not force:
+            return out
+        # Compile beside the target and rename, so a partial build is never loaded.
+        tmp = out.with_name(f"{out.name}.{os.getpid()}.tmp")
+        for flags in (_AVX_CFLAGS + _CFLAGS, _CFLAGS):
+            cmd = [cc, *flags, str(_SRC), "-o", str(tmp)]
             res = subprocess.run(cmd, capture_output=True, text=True)
-        if res.returncode != 0:
-            raise BackendUnavailable(f"kernel compile failed: {res.stderr[-400:]}")
-    except FileNotFoundError as exc:
-        raise BackendUnavailable(f"compiler not runnable: {exc}") from exc
+            if res.returncode == 0:
+                break
+    except OSError as exc:
+        raise BackendUnavailable(f"cannot build the native kernels: {exc}") from exc
+    if res.returncode != 0:
+        tmp.unlink(missing_ok=True)
+        raise BackendUnavailable(f"kernel compile failed: {res.stderr[-400:]}")
+    os.replace(tmp, out)
     return out
+
+
+def load_kernels() -> ctypes.CDLL:
+    """Build (or reuse) the kernels and declare every signature."""
+    lib = ctypes.CDLL(str(build_kernels()))
+    for name, (restype, argtypes) in KERNEL_SIGNATURES.items():
+        fn = getattr(lib, name, None)  # absent when built without AVX
+        if fn is not None:
+            fn.restype = restype
+            fn.argtypes = argtypes
+    return lib
+
+
+def _tsc_mhz(lib) -> float:
+    """TSC ticks per microsecond over a short sleep window."""
+    t0 = time.perf_counter_ns()
+    c0 = lib.mc_tsc()
+    time.sleep(0.05)
+    c1 = lib.mc_tsc()
+    t1 = time.perf_counter_ns()
+    return (c1 - c0) * 1000.0 / max(1, t1 - t0)
 
 
 def _load_libnuma():
@@ -130,11 +188,24 @@ class _Region:
         # mmap regions are reclaimed with the object
 
 
-def _pin_current_thread(core: int):
+def _pin_current_thread(core: int) -> set:
+    """Pin the calling thread to ``core``; returns its previous mask."""
     try:
+        before = os.sched_getaffinity(0)
         os.sched_setaffinity(0, {core})
     except (AttributeError, OSError, ValueError) as exc:
         raise PinningError(f"cannot pin to core {core}: {exc}") from exc
+    return before
+
+
+@contextmanager
+def _pinned(core: int):
+    """Pin the calling thread for the block, then restore its mask."""
+    before = _pin_current_thread(core)
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, before)
 
 
 class NativeBackend:
@@ -149,33 +220,12 @@ class NativeBackend:
         flush_levels=frozenset({"L1", "L2", "L3"}),
     ):
         self.topology = topology
-        self.lib = ctypes.CDLL(str(build_kernels()))
-        self.lib.mc_timer_overhead.restype = ctypes.c_uint64
-        self.lib.mc_chase.restype = ctypes.c_uint64
-        self.lib.mc_chase.argtypes = [ctypes.c_void_p, ctypes.c_uint64, ctypes.c_void_p]
-        self.lib.mc_touch.restype = ctypes.c_uint64
-        self.lib.mc_touch.argtypes = [ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64]
-        self.lib.mc_write_touch.argtypes = [
-            ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_char,
-        ]
-        self.lib.mc_clflush.argtypes = [ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64]
+        self.lib = load_kernels()
         self.libnuma = _load_libnuma()
         # Operator-pinned frequency; the backend never adjusts clocks.
-        self.frequency_mhz = frequency_mhz or self._tsc_mhz_estimate()
+        self.frequency_mhz = frequency_mhz or _tsc_mhz(self.lib)
         self.flush_levels = frozenset(flush_levels)
         self._scratch: Optional[_Region] = None
-
-    def _tsc_mhz_estimate(self) -> float:
-        """TSC ticks per microsecond over a short sleep window."""
-        import time
-
-        self.lib.mc_tsc.restype = ctypes.c_uint64
-        t0 = time.perf_counter_ns()
-        c0 = self.lib.mc_tsc()
-        time.sleep(0.05)
-        c1 = self.lib.mc_tsc()
-        t1 = time.perf_counter_ns()
-        return (c1 - c0) * 1000.0 / max(1, (t1 - t0))
 
     def time_empty(self) -> float:
         return float(self.lib.mc_timer_overhead())
@@ -191,10 +241,11 @@ class NativeBackend:
         )
         base = region.addr
         align = chain.stride_alignment
+        succ = chain.successors  # built here on a spec's first materialization
         arr_t = ctypes.c_uint64 * 1
         for idx in range(chain.element_count):
             slot = arr_t.from_address(base + idx * align)
-            slot[0] = base + chain.successors[idx] * align
+            slot[0] = base + succ[idx] * align
         return region
 
     def _flush(self, requester_core: int):
@@ -241,16 +292,16 @@ class NativeBackend:
         )
         if same_core:
             # Local placement: one pinned thread prepares and measures.
-            _pin_current_thread(placement.requester)
-            self._flush(placement.requester)
-            for rep in range(policy.inner_repeats):
-                self._apply_script(script, region, chain, pin=False)
-                if policy.warmup and rep == 0:
-                    self.lib.mc_touch(region.addr, region.nbytes, chain.stride_alignment)
-                    self._chase(region, chain.element_count)
+            with _pinned(placement.requester):
+                self._flush(placement.requester)
+                for rep in range(policy.inner_repeats):
                     self._apply_script(script, region, chain, pin=False)
-                elapsed = self._chase(region, chain.element_count)
-                results.append(ChaseTiming(float(elapsed), chain.element_count))
+                    if policy.warmup and rep == 0:
+                        self.lib.mc_touch(region.addr, region.nbytes, chain.stride_alignment)
+                        self._chase(region, chain.element_count)
+                        self._apply_script(script, region, chain, pin=False)
+                    elapsed = self._chase(region, chain.element_count)
+                    results.append(ChaseTiming(float(elapsed), chain.element_count))
             return results
 
         ready = threading.Barrier(2, timeout=60)
@@ -277,15 +328,15 @@ class NativeBackend:
         worker = threading.Thread(target=preparer, daemon=True)
         worker.start()
         try:
-            _pin_current_thread(placement.requester)
-            self._flush(placement.requester)
-            if policy.warmup:
-                self.lib.mc_touch(region.addr, region.nbytes, chain.stride_alignment)
-            for _ in range(policy.inner_repeats):
-                ready.wait()
-                done.wait()  # state prepared on the owner/helper cores
-                elapsed = self._chase(region, chain.element_count)
-                results.append(ChaseTiming(float(elapsed), chain.element_count))
+            with _pinned(placement.requester):
+                self._flush(placement.requester)
+                if policy.warmup:
+                    self.lib.mc_touch(region.addr, region.nbytes, chain.stride_alignment)
+                for _ in range(policy.inner_repeats):
+                    ready.wait()
+                    done.wait()  # state prepared on the owner/helper cores
+                    elapsed = self._chase(region, chain.element_count)
+                    results.append(ChaseTiming(float(elapsed), chain.element_count))
         except threading.BrokenBarrierError:
             pass
         finally:
@@ -346,29 +397,8 @@ class NativeBandwidthBackend:
 
     def __init__(self, topology: TopologyGraph, frequency_mhz: Optional[float] = None):
         self.topology = topology
-        self.lib = ctypes.CDLL(str(build_kernels()))
-        for fn in ("mc_read128", "mc_read256"):
-            if hasattr(self.lib, fn):
-                getattr(self.lib, fn).restype = ctypes.c_uint64
-                getattr(self.lib, fn).argtypes = [
-                    ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_void_p,
-                ]
-        self.lib.mc_triad.restype = ctypes.c_uint64
-        self.lib.mc_triad.argtypes = [
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_double, ctypes.c_uint64, ctypes.c_int,
-        ]
-        self.lib.mc_tsc.restype = ctypes.c_uint64
-        if frequency_mhz is None:
-            import time
-
-            t0 = time.perf_counter_ns()
-            c0 = self.lib.mc_tsc()
-            time.sleep(0.05)
-            c1 = self.lib.mc_tsc()
-            t1 = time.perf_counter_ns()
-            frequency_mhz = (c1 - c0) * 1000.0 / max(1, t1 - t0)
-        self.frequency_mhz = frequency_mhz
+        self.lib = load_kernels()
+        self.frequency_mhz = frequency_mhz or _tsc_mhz(self.lib)
 
     def _kernel_fn(self, kernel_name: str):
         fn = {"read128": "mc_read128", "read256": "mc_read256"}.get(kernel_name)
@@ -387,14 +417,14 @@ class NativeBandwidthBackend:
         fn = self._kernel_fn(kernel_name)
         reps = max(1, (64 << 20) // dataset_bytes)
         if len(cores) == 1:
-            _pin_current_thread(cores[0])
-            region = _Region(dataset_bytes, None, None, False)
-            self.lib.mc_write_touch(region.addr, dataset_bytes, 64, b"\x01")
-            check = ctypes.c_uint64()
-            best = min(
-                fn(region.addr, dataset_bytes, reps, ctypes.byref(check))
-                for _ in range(3)
-            )
+            with _pinned(cores[0]):
+                region = _Region(dataset_bytes, None, None, False)
+                self.lib.mc_write_touch(region.addr, dataset_bytes, 64, b"\x01")
+                check = ctypes.c_uint64()
+                best = min(
+                    fn(region.addr, dataset_bytes, reps, ctypes.byref(check))
+                    for _ in range(3)
+                )
             elapsed, total = best, dataset_bytes * reps
         else:
             results = []
@@ -416,8 +446,6 @@ class NativeBandwidthBackend:
                 t.join()
             elapsed = max(results)  # aggregate elapsed = slowest worker
             total = dataset_bytes * reps * len(cores)
-        from .bandwidth import SimBandwidthBackend  # level classification helper
-
         level = "RAM"
         caches = self.topology.caches
         if dataset_bytes <= caches.get("l1_kib", 0) * 1024:
@@ -437,15 +465,15 @@ class NativeBandwidthBackend:
         import numpy as np
 
         cores = tuple(core_set)
-        _pin_current_thread(cores[0])
         n = array_bytes // 8
-        a = np.zeros(n)
-        b = np.random.default_rng(1).standard_normal(n)
-        c = np.random.default_rng(2).standard_normal(n)
-        ticks = self.lib.mc_triad(
-            a.ctypes.data, b.ctypes.data, c.ctypes.data,
-            TRIAD_SCALAR, n, 1 if nontemporal else 0,
-        )
+        with _pinned(cores[0]):
+            a = np.zeros(n)
+            b = np.random.default_rng(1).standard_normal(n)
+            c = np.random.default_rng(2).standard_normal(n)
+            ticks = self.lib.mc_triad(
+                a.ctypes.data, b.ctypes.data, c.ctypes.data,
+                TRIAD_SCALAR, n, 1 if nontemporal else 0,
+            )
         verify_triad(a, b, c, TRIAD_SCALAR, sample_fraction=0.01)
         return BandwidthRecord.from_raw(
             "triad-nt" if nontemporal else "triad",

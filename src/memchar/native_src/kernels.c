@@ -2,7 +2,8 @@
  *
  * Timing uses rdtsc serialized with mfence+lfence on both sides; the chase
  * loop is a dependent-load walk (mov (%rbx),%rbx equivalent) unrolled 8x.
- * Built once per machine by the Python side with: cc -O2 -shared -fPIC.
+ * Built by native.build_kernels with cc -O2 -shared -fPIC, and cached under
+ * a hash of this file, the flags and the compiler.
  */
 
 #include <stdint.h>

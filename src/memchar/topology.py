@@ -175,10 +175,6 @@ class Placement:
     forwarder_node: Optional[int] = None
     label: str = ""
 
-    @property
-    def is_triple(self) -> bool:
-        return self.forwarder_node is not None
-
 
 class TopologyGraph:
     """Immutable annotated machine graph.

@@ -1,13 +1,13 @@
 """Pointer-chase chain generation and validation."""
 
 import math
-from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memchar.chain import ChainError, Xorshift64, generate_chain, verify_chain
+from memchar import chain as chain_mod
+from memchar.chain import ChainError, Xorshift64, chain_spec, generate_chain, verify_chain
 
 
 class TestGenerate:
@@ -59,39 +59,60 @@ class TestGenerate:
         assert sorted(int(x) for x in lines) == [512 * i for i in range(8)]
 
 
+class TestSpec:
+    def test_equal_specs_are_equal_hash_equal_and_key_dicts(self):
+        a = chain_spec(1 << 16, 512, seed=4, huge_pages=False)
+        b = chain_spec(1 << 16, 512, seed=4, huge_pages=False)
+        assert a == b and hash(a) == hash(b)
+        # Building one table changes neither equality nor the hash.
+        c = generate_chain(1 << 16, 512, seed=4, huge_pages=False)
+        assert c == a and hash(c) == hash(a)
+        regions = {a: "region"}
+        assert regions[b] == "region" and regions[c] == "region"
+        assert chain_spec(1 << 16, 512, seed=5, huge_pages=False) not in regions
+        assert chain_spec(1 << 16, 512, seed=4, huge_pages=True) not in regions
+
+    def test_spec_validates_like_generate(self):
+        for total, align in ((4096, 48), (4096, 96), (256, 512), (4096 + 64, 128)):
+            with pytest.raises(ChainError):
+                chain_spec(total, align)
+        assert chain_spec(8192, 128).element_count == 64
+
+    def test_successors_built_once_on_first_access(self, monkeypatch):
+        calls = []
+        sattolo = chain_mod._sattolo
+
+        def counting(n, seed):
+            calls.append((n, seed))
+            return sattolo(n, seed)
+
+        monkeypatch.setattr(chain_mod, "_sattolo", counting)
+        spec = chain_spec(1 << 14, 512, seed=21)
+        assert calls == []
+        first = spec.successors
+        assert spec.successors is first
+        assert verify_chain(spec).ok
+        assert calls == [(32, 21)]
+        assert first.tobytes() == generate_chain(1 << 14, 512, seed=21).successor_bytes()
+        assert len(calls) == 2  # generate_chain builds its own spec's table, eagerly
+
+
 class TestVerify:
     def test_corrupted_pointer_detected(self):
         c = generate_chain(1 << 14, 512, seed=21)
-        succ = array("q", c.successors)
+        succ = c.successors
         # Route the second element straight back to the start: the walk
         # revisits element 0 at step 2 instead of step n.
         succ[succ[0]] = 0
-        corrupted = type(c)(
-            element_count=c.element_count,
-            stride_alignment=c.stride_alignment,
-            total_bytes=c.total_bytes,
-            seed=c.seed,
-            huge_pages=c.huge_pages,
-            successors=succ,
-        )
-        report = verify_chain(corrupted)
+        report = verify_chain(c)
         assert not report.ok
         assert report.first_revisit_index == 2
         assert report.first_revisit_index < c.element_count
 
     def test_out_of_range_counts_as_violation(self):
         c = generate_chain(4096, 512, seed=1)
-        succ = array("q", c.successors)
-        succ[3] = 10_000
-        bad = type(c)(
-            element_count=c.element_count,
-            stride_alignment=c.stride_alignment,
-            total_bytes=c.total_bytes,
-            seed=c.seed,
-            huge_pages=c.huge_pages,
-            successors=succ,
-        )
-        assert verify_chain(bad).alignment_violations == 1
+        c.successors[3] = 10_000
+        assert verify_chain(c).alignment_violations == 1
 
     @given(
         exp=st.integers(min_value=9, max_value=17),

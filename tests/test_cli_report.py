@@ -181,6 +181,24 @@ class TestCli:
         for r in rs.records:
             assert r.latency_cycles == be.predict_placement(r.placement, "S", "L3")
 
+    def test_sim_sweep_never_builds_successor_tables(self, tmp_path, monkeypatch):
+        import memchar.chain
+
+        def no_shuffle(n, seed):
+            raise AssertionError("the simulated backend built a successor table")
+
+        monkeypatch.setattr(memchar.chain, "_sattolo", no_shuffle)
+        code = main([
+            "latency", "--topology", "rome_2s", "--backend", "sim",
+            "--scope", "intra_socket", "--state", "M", "--level", "RAM",
+            "--out", str(tmp_path / "run"),
+        ])
+        assert code == 0
+        rs = ResultSet.from_csv(tmp_path / "run" / "results.csv")
+        assert len(rs.records) == len(
+            enumerate_placements(load_fixture_model("rome_2s").graph, "intra_socket")
+        )
+
     def test_config_error_leaves_no_partial_files(self, tmp_path):
         out = tmp_path / "bad"
         code = main([
