@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .chain import ChainBuffer
 from .coherence import (
     Action,
     CacheEvent,

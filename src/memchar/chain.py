@@ -19,6 +19,12 @@ whose state is seeded through one splitmix64 scramble of the user seed:
 Both formulas are pinned so chains are reproducible across implementations
 and languages for equal (size, alignment, seed).
 
+The shuffle runs in C (``mc_sattolo`` in the native kernels), fed the state
+that :func:`_splitmix64` scrambled here, so the seeding stays in one place.
+:func:`_sattolo_py` is the same shuffle in Python: the reference the C table
+is checked against byte for byte, and the path taken where the kernels are
+unavailable (no x86-64 or no C compiler).
+
 A :class:`ChainBuffer` is a frozen, hashable spec whose successor table is
 built on first read, once per spec, so a caller that needs only the element
 count (the simulated backend) never shuffles.
@@ -70,9 +76,6 @@ class Xorshift64:
         self.state = s
         return s
 
-    def below(self, bound: int) -> int:
-        return self.next() % bound
-
 
 @dataclass(frozen=True)
 class ChainBuffer:
@@ -98,15 +101,6 @@ class ChainBuffer:
     def successor_bytes(self) -> bytes:
         """Byte-exact image of the successor table (determinism checks)."""
         return self.successors.tobytes()
-
-    def dump_offsets(self) -> str:
-        """Chain order as a text offset list, for debugging."""
-        lines = []
-        idx = 0
-        for _ in range(self.element_count):
-            lines.append(str(self.offset_of(idx)))
-            idx = self.successors[idx]
-        return "\n".join(lines)
 
 
 def chain_spec(
@@ -139,7 +133,22 @@ def chain_spec(
 
 
 def _sattolo(n: int, seed: int) -> array:
-    """Sattolo's shuffle of ``range(n)`` driven by the pinned xorshift."""
+    """Sattolo's shuffle of ``range(n)`` driven by the pinned xorshift; in C
+    when the native kernels load, else in Python."""
+    from .native import BackendUnavailable, load_kernels
+
+    try:
+        lib = load_kernels()
+    except BackendUnavailable:
+        return _sattolo_py(n, seed)
+    perm = array("q", [0]) * n
+    lib.mc_sattolo(perm.buffer_info()[0], n, Xorshift64(seed).state)
+    return perm
+
+
+def _sattolo_py(n: int, seed: int) -> array:
+    """Reference shuffle: the same table as ``mc_sattolo``, one swap at a
+    time."""
     perm = list(range(n))
     if n > 1:
         # Inlined Xorshift64.next(); this loop dominates generation time.

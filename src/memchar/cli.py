@@ -214,7 +214,7 @@ def cmd_latency(args) -> int:
             "sizes_per_level": policy.sizes_per_level,
             "reducer": policy.reducer,
         },
-        args={"triples": args.triples},
+        args={"triples": args.triples, "freq": args.freq},
     )
     rs = ResultSet(records=records, manifest=manifest)
     rs.to_csv(out / "results.csv")
@@ -391,7 +391,7 @@ def cmd_replay(args) -> int:
             sizes=manifest.policy.get("sizes_per_level"),
             reducer=manifest.policy.get("reducer"),
             triples=manifest.args.get("triples", False),
-            freq=None,
+            freq=manifest.args.get("freq"),
         )
         return cmd_latency(ns)
     if manifest.command == "bandwidth":

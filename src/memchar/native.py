@@ -32,8 +32,11 @@ import subprocess
 import threading
 import time
 from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .backends import BackendError
 from .chain import ChainBuffer
@@ -61,6 +64,7 @@ KERNEL_SIGNATURES = {
     "mc_read128": (_u64, (_ptr, _u64, _u64, _ptr)),
     "mc_read256": (_u64, (_ptr, _u64, _u64, _ptr)),
     "mc_triad": (_u64, (_ptr, _ptr, _ptr, ctypes.c_double, _u64, ctypes.c_int)),
+    "mc_sattolo": (None, (_ptr, _u64, _u64)),
     "mc_has_avx512": (ctypes.c_int, ()),
 }
 
@@ -120,9 +124,14 @@ def build_kernels(force: bool = False) -> Path:
     return out
 
 
+@cache
 def load_kernels() -> ctypes.CDLL:
-    """Build (or reuse) the kernels and declare every signature."""
-    lib = ctypes.CDLL(str(build_kernels()))
+    """Build (or reuse) the kernels and declare every signature, once per
+    process; a failed build raises and is tried again on the next call."""
+    try:
+        lib = ctypes.CDLL(str(build_kernels()))
+    except OSError as exc:
+        raise BackendUnavailable(f"cannot load the native kernels: {exc}") from exc
     for name, (restype, argtypes) in KERNEL_SIGNATURES.items():
         fn = getattr(lib, name, None)  # absent when built without AVX
         if fn is not None:
@@ -239,13 +248,13 @@ class NativeBackend:
             self.libnuma,
             chain.huge_pages,
         )
-        base = region.addr
         align = chain.stride_alignment
-        succ = chain.successors  # built here on a spec's first materialization
-        arr_t = ctypes.c_uint64 * 1
-        for idx in range(chain.element_count):
-            slot = arr_t.from_address(base + idx * align)
-            slot[0] = base + succ[idx] * align
+        # Built here on a spec's first materialization; viewed, not copied.
+        succ = np.frombuffer(chain.successors, dtype=np.int64)
+        words = np.ctypeslib.as_array(
+            (ctypes.c_uint64 * (region.nbytes // 8)).from_address(region.addr)
+        )
+        words[:: align // 8][: chain.element_count] = succ * align + region.addr
         return region
 
     def _flush(self, requester_core: int):
@@ -462,7 +471,6 @@ class NativeBandwidthBackend:
 
     def run_triad(self, array_bytes: int, core_set, nontemporal: bool):
         from .bandwidth import BandwidthRecord, TRIAD_SCALAR, verify_triad
-        import numpy as np
 
         cores = tuple(core_set)
         n = array_bytes // 8

@@ -67,25 +67,28 @@ void mc_clflush(volatile char *buf, uint64_t bytes, uint64_t stride) {
     _mm_mfence();
 }
 
-/* Streaming read kernels: `burst` registers worth of loads per iteration.
- * Returns elapsed ticks for `reps` sweeps over `bytes`. */
+/* Streaming read kernels: `burst` registers worth of loads per iteration,
+ * ORed into 4 independent accumulators so the loop is bound by the loads,
+ * not by one OR dependency chain.  Returns elapsed ticks for `reps` sweeps
+ * over `bytes`. */
 uint64_t mc_read128(const char *buf, uint64_t bytes, uint64_t reps, uint64_t *check) {
-    __m128i acc = _mm_setzero_si128();
+    __m128i a0 = _mm_setzero_si128(), a1 = a0, a2 = a0, a3 = a0;
     uint64_t t0 = fenced_tsc();
     for (uint64_t r = 0; r < reps; r++) {
         const char *p = buf, *end = buf + bytes;
         for (; p + 8 * 16 <= end; p += 8 * 16) {
-            acc = _mm_or_si128(acc, _mm_load_si128((const __m128i *)(p + 0 * 16)));
-            acc = _mm_or_si128(acc, _mm_load_si128((const __m128i *)(p + 1 * 16)));
-            acc = _mm_or_si128(acc, _mm_load_si128((const __m128i *)(p + 2 * 16)));
-            acc = _mm_or_si128(acc, _mm_load_si128((const __m128i *)(p + 3 * 16)));
-            acc = _mm_or_si128(acc, _mm_load_si128((const __m128i *)(p + 4 * 16)));
-            acc = _mm_or_si128(acc, _mm_load_si128((const __m128i *)(p + 5 * 16)));
-            acc = _mm_or_si128(acc, _mm_load_si128((const __m128i *)(p + 6 * 16)));
-            acc = _mm_or_si128(acc, _mm_load_si128((const __m128i *)(p + 7 * 16)));
+            a0 = _mm_or_si128(a0, _mm_load_si128((const __m128i *)(p + 0 * 16)));
+            a1 = _mm_or_si128(a1, _mm_load_si128((const __m128i *)(p + 1 * 16)));
+            a2 = _mm_or_si128(a2, _mm_load_si128((const __m128i *)(p + 2 * 16)));
+            a3 = _mm_or_si128(a3, _mm_load_si128((const __m128i *)(p + 3 * 16)));
+            a0 = _mm_or_si128(a0, _mm_load_si128((const __m128i *)(p + 4 * 16)));
+            a1 = _mm_or_si128(a1, _mm_load_si128((const __m128i *)(p + 5 * 16)));
+            a2 = _mm_or_si128(a2, _mm_load_si128((const __m128i *)(p + 6 * 16)));
+            a3 = _mm_or_si128(a3, _mm_load_si128((const __m128i *)(p + 7 * 16)));
         }
     }
     uint64_t t1 = fenced_tsc();
+    __m128i acc = _mm_or_si128(_mm_or_si128(a0, a1), _mm_or_si128(a2, a3));
     uint64_t tmp[2];
     _mm_storeu_si128((__m128i *)tmp, acc);
     *check = tmp[0] ^ tmp[1];
@@ -95,30 +98,31 @@ uint64_t mc_read128(const char *buf, uint64_t bytes, uint64_t reps, uint64_t *ch
 #if defined(__AVX2__) || defined(__AVX__)
 __attribute__((target("avx")))
 uint64_t mc_read256(const char *buf, uint64_t bytes, uint64_t reps, uint64_t *check) {
-    __m256d acc = _mm256_setzero_pd();
+    __m256d a0 = _mm256_setzero_pd(), a1 = a0, a2 = a0, a3 = a0;
     uint64_t t0 = fenced_tsc();
     for (uint64_t r = 0; r < reps; r++) {
         const char *p = buf, *end = buf + bytes;
         for (; p + 16 * 32 <= end; p += 16 * 32) {
-            acc = _mm256_or_pd(acc, _mm256_load_pd((const double *)(p + 0 * 32)));
-            acc = _mm256_or_pd(acc, _mm256_load_pd((const double *)(p + 1 * 32)));
-            acc = _mm256_or_pd(acc, _mm256_load_pd((const double *)(p + 2 * 32)));
-            acc = _mm256_or_pd(acc, _mm256_load_pd((const double *)(p + 3 * 32)));
-            acc = _mm256_or_pd(acc, _mm256_load_pd((const double *)(p + 4 * 32)));
-            acc = _mm256_or_pd(acc, _mm256_load_pd((const double *)(p + 5 * 32)));
-            acc = _mm256_or_pd(acc, _mm256_load_pd((const double *)(p + 6 * 32)));
-            acc = _mm256_or_pd(acc, _mm256_load_pd((const double *)(p + 7 * 32)));
-            acc = _mm256_or_pd(acc, _mm256_load_pd((const double *)(p + 8 * 32)));
-            acc = _mm256_or_pd(acc, _mm256_load_pd((const double *)(p + 9 * 32)));
-            acc = _mm256_or_pd(acc, _mm256_load_pd((const double *)(p + 10 * 32)));
-            acc = _mm256_or_pd(acc, _mm256_load_pd((const double *)(p + 11 * 32)));
-            acc = _mm256_or_pd(acc, _mm256_load_pd((const double *)(p + 12 * 32)));
-            acc = _mm256_or_pd(acc, _mm256_load_pd((const double *)(p + 13 * 32)));
-            acc = _mm256_or_pd(acc, _mm256_load_pd((const double *)(p + 14 * 32)));
-            acc = _mm256_or_pd(acc, _mm256_load_pd((const double *)(p + 15 * 32)));
+            a0 = _mm256_or_pd(a0, _mm256_load_pd((const double *)(p + 0 * 32)));
+            a1 = _mm256_or_pd(a1, _mm256_load_pd((const double *)(p + 1 * 32)));
+            a2 = _mm256_or_pd(a2, _mm256_load_pd((const double *)(p + 2 * 32)));
+            a3 = _mm256_or_pd(a3, _mm256_load_pd((const double *)(p + 3 * 32)));
+            a0 = _mm256_or_pd(a0, _mm256_load_pd((const double *)(p + 4 * 32)));
+            a1 = _mm256_or_pd(a1, _mm256_load_pd((const double *)(p + 5 * 32)));
+            a2 = _mm256_or_pd(a2, _mm256_load_pd((const double *)(p + 6 * 32)));
+            a3 = _mm256_or_pd(a3, _mm256_load_pd((const double *)(p + 7 * 32)));
+            a0 = _mm256_or_pd(a0, _mm256_load_pd((const double *)(p + 8 * 32)));
+            a1 = _mm256_or_pd(a1, _mm256_load_pd((const double *)(p + 9 * 32)));
+            a2 = _mm256_or_pd(a2, _mm256_load_pd((const double *)(p + 10 * 32)));
+            a3 = _mm256_or_pd(a3, _mm256_load_pd((const double *)(p + 11 * 32)));
+            a0 = _mm256_or_pd(a0, _mm256_load_pd((const double *)(p + 12 * 32)));
+            a1 = _mm256_or_pd(a1, _mm256_load_pd((const double *)(p + 13 * 32)));
+            a2 = _mm256_or_pd(a2, _mm256_load_pd((const double *)(p + 14 * 32)));
+            a3 = _mm256_or_pd(a3, _mm256_load_pd((const double *)(p + 15 * 32)));
         }
     }
     uint64_t t1 = fenced_tsc();
+    __m256d acc = _mm256_or_pd(_mm256_or_pd(a0, a1), _mm256_or_pd(a2, a3));
     double tmp[4];
     _mm256_storeu_pd(tmp, acc);
     *check = (uint64_t)tmp[0] ^ (uint64_t)tmp[3];
@@ -152,6 +156,24 @@ uint64_t mc_triad(double *a, const double *b, const double *c, double s,
     }
     uint64_t t1 = fenced_tsc();
     return t1 - t0;
+}
+
+/* Sattolo's shuffle of 0..n-1 into `perm`, driven by the pinned xorshift
+ * from `state` (already seeded by chain.py's splitmix64 scramble).  Produces
+ * the same table as chain._sattolo_py. */
+void mc_sattolo(int64_t *perm, uint64_t n, uint64_t state) {
+    uint64_t s = state;
+    for (uint64_t i = 0; i < n; i++)
+        perm[i] = (int64_t)i;
+    for (uint64_t i = n - 1; n > 1 && i > 0; i--) {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        uint64_t j = s % i;
+        int64_t t = perm[i];
+        perm[i] = perm[j];
+        perm[j] = t;
+    }
 }
 
 int mc_has_avx512(void) {

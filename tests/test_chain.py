@@ -52,12 +52,6 @@ class TestGenerate:
         c = generate_chain(32768, 256, seed=8)
         assert all(c.offset_of(i) % 256 == 0 for i in range(c.element_count))
 
-    def test_dump_offsets_lists_every_element_once(self):
-        c = generate_chain(4096, 512, seed=11)
-        lines = c.dump_offsets().splitlines()
-        assert len(lines) == c.element_count
-        assert sorted(int(x) for x in lines) == [512 * i for i in range(8)]
-
 
 class TestSpec:
     def test_equal_specs_are_equal_hash_equal_and_key_dicts(self):
@@ -95,6 +89,49 @@ class TestSpec:
         assert calls == [(32, 21)]
         assert first.tobytes() == generate_chain(1 << 14, 512, seed=21).successor_bytes()
         assert len(calls) == 2  # generate_chain builds its own spec's table, eagerly
+
+
+SHUFFLE_SEEDS = (0, 1, 7, -3, 2**63 + 5, 2**64 - 1)
+
+
+class TestShuffle:
+    @pytest.fixture
+    def lib(self):
+        from memchar import native
+
+        try:
+            return native.load_kernels()
+        except native.BackendUnavailable as exc:
+            pytest.skip(f"native kernels unavailable: {exc}")
+
+    def test_c_table_is_byte_identical_to_the_reference(self, lib):
+        for n in (1, 2, 3, 7, 48, 2048, 107520):
+            for seed in SHUFFLE_SEEDS:
+                assert (
+                    chain_mod._sattolo(n, seed).tobytes()
+                    == chain_mod._sattolo_py(n, seed).tobytes()
+                ), (n, seed)
+        # One seed at 1 Mi elements; the reference takes about a second.
+        assert (
+            chain_mod._sattolo(1 << 20, 7).tobytes()
+            == chain_mod._sattolo_py(1 << 20, 7).tobytes()
+        )
+
+    def test_reference_is_the_fallback_without_kernels(self, monkeypatch):
+        from memchar import native
+
+        expected = generate_chain(1 << 16, 64, seed=13).successor_bytes()
+        refused = []
+
+        def unavailable():
+            refused.append(True)
+            raise native.BackendUnavailable("no C compiler found")
+
+        monkeypatch.setattr(native, "load_kernels", unavailable)
+        fallback = generate_chain(1 << 16, 64, seed=13)
+        assert refused == [True]
+        assert fallback.successor_bytes() == expected
+        assert verify_chain(fallback).ok
 
 
 class TestVerify:

@@ -226,6 +226,21 @@ class TestCli:
                      "--out", str(again)]) == 0
         assert (first / "results.csv").read_bytes() == (again / "results.csv").read_bytes()
 
+    def test_replay_keeps_the_operator_frequency(self, tmp_path, monkeypatch):
+        import memchar.cli
+
+        first = tmp_path / "a"
+        assert main([
+            "latency", "--topology", "rome_2s", "--backend", "sim",
+            "--scope", "local", "--state", "M", "--level", "L1",
+            "--freq", "2250", "--out", str(first),
+        ]) == 0
+        replayed = []
+        monkeypatch.setattr(memchar.cli, "cmd_latency", lambda ns: replayed.append(ns) or 0)
+        assert main(["replay", "--manifest", str(first / "manifest.json"),
+                     "--out", str(tmp_path / "b")]) == 0
+        assert [ns.freq for ns in replayed] == [2250.0]
+
     def test_bandwidth_cli(self, tmp_path):
         code = main([
             "bandwidth", "--topology", "rome_2s", "--kernel", "read256",

@@ -1,12 +1,16 @@
-"""Native backend pieces that need neither a compiler nor x86 hardware."""
+"""Native backend pieces that need no quiet x86 host, so they run ungated;
+tests that need the compiled kernels skip where they cannot be built."""
 
 import ctypes
 import os
 import re
 
+import numpy as np
 import pytest
 
 from memchar import native
+from memchar.chain import chain_spec
+from memchar.topology import fixture_path, load_topology_file
 
 C_TYPES = {
     "uint64_t": ctypes.c_uint64,
@@ -46,6 +50,55 @@ class TestKernelTable:
             name: (restype, tuple(argtypes))
             for name, (restype, argtypes) in native.KERNEL_SIGNATURES.items()
         }
+
+
+def _kernels_or_skip():
+    try:
+        return native.load_kernels()
+    except native.BackendUnavailable as exc:
+        pytest.skip(f"native kernels unavailable: {exc}")
+
+
+class TestLoader:
+    def test_one_library_per_process(self):
+        assert _kernels_or_skip() is native.load_kernels()
+
+    def test_failed_build_is_not_cached(self, tmp_path, monkeypatch):
+        builds = []
+
+        def not_a_library(force=False):
+            builds.append(force)
+            path = tmp_path / "kernels.so"
+            path.write_text("not an ELF file\n")
+            return path
+
+        native.load_kernels.cache_clear()
+        monkeypatch.setattr(native, "build_kernels", not_a_library)
+        for _ in range(2):
+            with pytest.raises(native.BackendUnavailable):
+                native.load_kernels()
+        assert len(builds) == 2
+
+
+class TestMaterialize:
+    @pytest.mark.parametrize("align", [64, 512])
+    def test_every_slot_points_at_its_successor_and_gaps_stay_zero(self, align):
+        _kernels_or_skip()
+        graph = load_topology_file(fixture_path("single_core.json"))
+        backend = native.NativeBackend(graph, frequency_mhz=1000.0)
+        chain = chain_spec(1 << 16, align, seed=5, huge_pages=False)
+        region = backend.materialize_chain(chain, home_node=0)
+        try:
+            words = np.ctypeslib.as_array(
+                (ctypes.c_uint64 * (region.nbytes // 8)).from_address(region.addr)
+            ).copy()
+        finally:
+            region.close()
+        slots = np.arange(chain.element_count) * (align // 8)
+        expected = [region.addr + s * align for s in chain.successors]
+        assert words[slots].tolist() == expected
+        words[slots] = 0
+        assert not words.any()
 
 
 class TestKernelCache:
