@@ -102,7 +102,8 @@ class SimulatedBackend:
     """Protocol-simulator-backed measurement: deterministic and exact.
 
     For each point the backend (1) replays the flush + state-preparation
-    script on a fresh protocol model and verifies the target state, (2) has
+    script from an all-Invalid line on the protocol model of the point's home
+    node (built once per home node) and verifies the target state, (2) has
     the requester perform one read to learn which agent supplies the data,
     cross-checking the latency model's expectation, and (3) charges every
     chase access ``model.predict(...)`` cycles.  The zero-cost timer makes
@@ -118,6 +119,8 @@ class SimulatedBackend:
         self.frequency_mhz = model.core_mhz
         self.last_trace = None
         self.last_source = None
+        # One per home node: the simulator only reads a ProtocolModel.
+        self._protocol_models: dict[int, ProtocolModel] = {}
 
     def time_empty(self) -> float:
         return 0.0
@@ -125,9 +128,12 @@ class SimulatedBackend:
     # -- internals ---------------------------------------------------------
 
     def _protocol_model(self, placement: Placement) -> ProtocolModel:
-        return ProtocolModel.from_topology(
-            self.graph, self.model.protocol, home_node=placement.home_node
-        )
+        home = placement.home_node
+        if home not in self._protocol_models:
+            self._protocol_models[home] = ProtocolModel.from_topology(
+                self.graph, self.model.protocol, home_node=home
+            )
+        return self._protocol_models[home]
 
     def _forwarder_arg(self, placement: Placement) -> Optional[int]:
         if placement.owner == placement.requester:
@@ -183,10 +189,3 @@ class SimulatedBackend:
                 outer.append([timing] * policy.inner_repeats)
             grid.append(outer)
         return grid
-
-    def flush_state(self, plan) -> dict:
-        """Flush-plan effect in simulator terms: the line leaves the
-        targeted levels (a fresh all-Invalid map)."""
-        from .coherence import initial_state_map
-
-        return initial_state_map()

@@ -205,8 +205,42 @@ def verify_chain(buffer: ChainBuffer) -> ChainReport:
 
     A valid chain first revisits an element exactly at step ``element_count``
     (landing back on the start) having touched every element once.  The check
-    is a plain walk, independent of how the chain was built.
+    is a plain walk, independent of how the chain was built: in C
+    (``mc_chain_walk``) after a numpy range check when the native kernels
+    load, else :func:`_verify_chain_py`.
     """
+    import numpy as np
+
+    from .native import BackendUnavailable, load_kernels
+
+    n = buffer.element_count
+    succ = buffer.successors
+    if n < 1 or len(succ) != n:
+        # Sizes the C walk cannot take safely; the reference reports them.
+        return _verify_chain_py(buffer)
+    try:
+        lib = load_kernels()
+    except BackendUnavailable:
+        return _verify_chain_py(buffer)
+    s = np.frombuffer(succ, dtype=np.int64)
+    violations = int(np.count_nonzero((s < 0) | (s >= n)))
+    if violations:
+        return ChainReport(n, 0, 0, violations)
+    first_seen = array("q", [0]) * n
+    cycle_length = array("Q", [0])
+    step = lib.mc_chain_walk(
+        succ.buffer_info()[0], n, first_seen.buffer_info()[0], cycle_length.buffer_info()[0]
+    )
+    return ChainReport(
+        element_count=n,
+        cycle_length=cycle_length[0],
+        first_revisit_index=step,
+        alignment_violations=0,
+    )
+
+
+def _verify_chain_py(buffer: ChainBuffer) -> ChainReport:
+    """Reference walk: the same report as the C walk, one step at a time."""
     n = buffer.element_count
     succ = buffer.successors
     violations = sum(1 for s in succ if not 0 <= s < n)

@@ -33,7 +33,6 @@ __all__ = [
     "PolicyError",
     "MeasurementPolicy",
     "SampleStats",
-    "TimerSample",
     "ChaseTiming",
     "MeasurementRecord",
     "FlushPlan",
@@ -100,25 +99,6 @@ def policy_from_env(**overrides) -> tuple[MeasurementPolicy, int, bool]:
     )
     policy = MeasurementPolicy(flush_levels=flush, **overrides)
     return policy, alignment, huge
-
-
-@dataclass(frozen=True)
-class TimerSample:
-    """One serialized timestamp pair from a backend timer."""
-
-    start_tsc: int
-    end_tsc: int
-    serialized: bool = True
-
-    def __post_init__(self):
-        if self.end_tsc < self.start_tsc:
-            raise HarnessError(
-                f"timer not monotonic: end {self.end_tsc} < start {self.start_tsc}"
-            )
-
-    @property
-    def elapsed(self) -> int:
-        return self.end_tsc - self.start_tsc
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,7 @@ KERNEL_SIGNATURES = {
     "mc_read256": (_u64, (_ptr, _u64, _u64, _ptr)),
     "mc_triad": (_u64, (_ptr, _ptr, _ptr, ctypes.c_double, _u64, ctypes.c_int)),
     "mc_sattolo": (None, (_ptr, _u64, _u64)),
+    "mc_chain_walk": (_u64, (_ptr, _u64, _ptr, _ptr)),
     "mc_has_avx512": (ctypes.c_int, ()),
 }
 
@@ -140,8 +141,10 @@ def load_kernels() -> ctypes.CDLL:
     return lib
 
 
+@cache
 def _tsc_mhz(lib) -> float:
-    """TSC ticks per microsecond over a short sleep window."""
+    """TSC ticks per microsecond over a short sleep window, measured once per
+    process (the kernels are loaded once, so ``lib`` is always the same)."""
     t0 = time.perf_counter_ns()
     c0 = lib.mc_tsc()
     time.sleep(0.05)

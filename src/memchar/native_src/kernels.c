@@ -176,6 +176,29 @@ void mc_sattolo(int64_t *perm, uint64_t n, uint64_t state) {
     }
 }
 
+/* Walk the successor table `succ` of `n` elements from element 0 until an
+ * element is reached a second time.  `first_seen` (n slots, caller-owned
+ * scratch) records the step at which each element was first reached.
+ * Returns the step of the first revisit and stores the length of the cycle
+ * it closes in *cycle_length.  Every entry of `succ` must lie in [0, n);
+ * chain.verify_chain checks that first.  Same walk as chain._verify_chain_py. */
+uint64_t mc_chain_walk(const int64_t *succ, uint64_t n, int64_t *first_seen,
+                       uint64_t *cycle_length) {
+    for (uint64_t i = 1; i < n; i++)
+        first_seen[i] = -1;
+    first_seen[0] = 0;
+    uint64_t idx = 0, step = 0;
+    for (;;) {
+        idx = (uint64_t)succ[idx];
+        step++;
+        if (first_seen[idx] >= 0) {
+            *cycle_length = step - (uint64_t)first_seen[idx];
+            return step;
+        }
+        first_seen[idx] = (int64_t)step;
+    }
+}
+
 int mc_has_avx512(void) {
 #if defined(__AVX512F__)
     return 1;

@@ -181,6 +181,18 @@ class TopologyGraph:
 
     Built by :func:`load_topology`; do not mutate after construction.  Safe
     to share read-only between concurrent workers.
+
+    Per-graph facts are computed once and memoized on the graph, which is
+    sound only because it is never mutated:
+
+    * at construction, the sorted core list, the cores of each NUMA node and
+      of each L3 domain, each core's L3-domain id and each node's memory
+      controller, so :attr:`cores`, :meth:`cores_of_node`,
+      :meth:`cores_of_ccx`, :meth:`first_core_of_node`,
+      :meth:`l3_domain_of_core` and :meth:`memory_controller` are lookups
+      (list results are fresh copies a caller may change);
+    * on the first route query, the costed adjacency :func:`if_path` walks,
+      and per source node, the shortest-path tree it reads routes from.
     """
 
     def __init__(
@@ -213,7 +225,37 @@ class TopologyGraph:
         self._core_by_id = {
             n.core_index: n for n in nodes.values() if n.role is NodeRole.CORE
         }
+        self._cores = tuple(sorted(self._core_by_id))
+        self._cores_by_node: dict[int, list[int]] = {}
+        self._cores_by_ccx: dict[tuple, list[int]] = {}
+        self._l3_domain: dict[int, str] = {}
+        for c in self._cores:
+            n = self._core_by_id[c]
+            self._cores_by_node.setdefault(n.numa_node, []).append(c)
+            self._cores_by_ccx.setdefault(self._ccx_key(n), []).append(c)
+            if kind is GraphKind.MESH_2D:
+                # Mesh L3 slices are shared per NUMA node (per SNC under SNC mode).
+                self._l3_domain[c] = f"l3.snc{n.numa_node}"
+                continue
+            for e in self._adj[n.id]:
+                other = nodes[e.other(n.id)]
+                if other.role is NodeRole.L3_DOMAIN:
+                    self._l3_domain[c] = other.id
+                    break
+        self._mc_by_node: dict[int, TopoNode] = {}
+        for n in nodes.values():
+            if n.role is NodeRole.MEMORY_CONTROLLER:
+                self._mc_by_node.setdefault(n.numa_node, n)
+        # Routing memos, built on the first route query (see if_path).
+        self._route_adj: Optional[dict[str, list]] = None
+        self._route_trees: dict[str, dict[str, tuple[str, LinkClass]]] = {}
         self._validate()
+
+    def _ccx_key(self, n: TopoNode) -> tuple:
+        """Cores with equal keys share an L3 domain (CCX, or SNC on a mesh)."""
+        if self.kind is GraphKind.CHIPLET_IF:
+            return (n.socket, n.numa_node, n.ccd, n.ccx)
+        return (n.numa_node,)
 
     # -- queries ----------------------------------------------------------
 
@@ -225,24 +267,14 @@ class TopologyGraph:
 
     @property
     def cores(self) -> list[int]:
-        return sorted(self._core_by_id)
+        return list(self._cores)
 
     def cores_of_node(self, numa_node: int) -> list[int]:
-        return sorted(
-            c for c, n in self._core_by_id.items() if n.numa_node == numa_node
-        )
+        return list(self._cores_by_node.get(numa_node, ()))
 
     def cores_of_ccx(self, core_id: int) -> list[int]:
         """All cores sharing the given core's L3 domain (CCX or SNC)."""
-        me = self.core(core_id)
-        if self.kind is GraphKind.CHIPLET_IF:
-            return sorted(
-                c
-                for c, n in self._core_by_id.items()
-                if (n.socket, n.numa_node, n.ccd, n.ccx)
-                == (me.socket, me.numa_node, me.ccd, me.ccx)
-            )
-        return self.cores_of_node(me.numa_node)
+        return list(self._cores_by_ccx[self._ccx_key(self.core(core_id))])
 
     @property
     def numa_nodes(self) -> list[int]:
@@ -263,24 +295,20 @@ class TopologyGraph:
         return self.core(core_id).numa_node
 
     def memory_controller(self, numa_node: int) -> TopoNode:
-        for n in self.nodes.values():
-            if n.role is NodeRole.MEMORY_CONTROLLER and n.numa_node == numa_node:
-                return n
-        raise TopologyError(f"no memory controller for NUMA node {numa_node}")
+        try:
+            return self._mc_by_node[numa_node]
+        except KeyError:
+            raise TopologyError(f"no memory controller for NUMA node {numa_node}") from None
 
     def l3_domain_of_core(self, core_id: int) -> str:
-        me = self.core(core_id)
-        if self.kind is GraphKind.MESH_2D:
-            # Mesh L3 slices are shared per NUMA node (per SNC under SNC mode).
-            return f"l3.snc{me.numa_node}"
-        for e in self._adj[me.id]:
-            other = self.nodes[e.other(me.id)]
-            if other.role is NodeRole.L3_DOMAIN:
-                return other.id
-        raise TopologyError(f"core {core_id} has no L3 domain")
+        self.core(core_id)
+        try:
+            return self._l3_domain[core_id]
+        except KeyError:
+            raise TopologyError(f"core {core_id} has no L3 domain") from None
 
     def first_core_of_node(self, numa_node: int) -> int:
-        cores = self.cores_of_node(numa_node)
+        cores = self._cores_by_node.get(numa_node)
         if not cores:
             raise TopologyError(f"NUMA node {numa_node} has no cores")
         return cores[0]
@@ -661,7 +689,8 @@ def if_path(graph: TopologyGraph, a: TopoNode | str, b: TopoNode | str) -> Path:
     Uses per-link-class costs; ties broken by lexicographic node id so output
     is deterministic.  A path crossing sockets traverses exactly one xGMI
     edge; CCX-to-CCX paths always pass the I/O die (the graph has no direct
-    CCX-CCX edges by construction).
+    CCX-CCX edges by construction).  The route is read from the source's
+    shortest-path tree, searched once per graph and source.
     """
     if graph.kind is not GraphKind.CHIPLET_IF:
         raise ScopeError("if_path requires a chiplet_if graph")
@@ -669,39 +698,58 @@ def if_path(graph: TopologyGraph, a: TopoNode | str, b: TopoNode | str) -> Path:
     nb = graph.nodes[b] if isinstance(b, str) else b
     if na.id == nb.id:
         return Path(nodes=(na.id,), link_classes=())
-
-    import heapq
-
-    def edge_cost(e: TopoEdge) -> float:
-        return graph.link_cost_cycles(e.link_class)[0]
-
-    dist: dict[str, float] = {na.id: 0.0}
-    prev: dict[str, tuple[str, TopoEdge]] = {}
-    heap: list[tuple[float, str]] = [(0.0, na.id)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u == nb.id:
-            break
-        if d > dist.get(u, float("inf")):
-            continue
-        for e in sorted(graph._adj[u], key=lambda e: e.other(u)):
-            v = e.other(u)
-            nd = d + edge_cost(e) + 1e-9  # epsilon prefers fewer hops on ties
-            if nd < dist.get(v, float("inf")) - 1e-12:
-                dist[v] = nd
-                prev[v] = (u, e)
-                heapq.heappush(heap, (nd, v))
-    if nb.id not in prev and na.id != nb.id:
+    prev = graph._route_trees.get(na.id)
+    if prev is None:
+        prev = graph._route_trees[na.id] = _shortest_path_tree(graph, na.id)
+    if nb.id not in prev:
         raise RouteError(f"no route from {na.id} to {nb.id} (malformed graph)")
     rev_nodes = [nb.id]
     rev_classes = []
     cur = nb.id
     while cur != na.id:
-        p, e = prev[cur]
-        rev_classes.append(e.link_class)
+        p, link_class = prev[cur]
+        rev_classes.append(link_class)
         rev_nodes.append(p)
         cur = p
     return Path(nodes=tuple(reversed(rev_nodes)), link_classes=tuple(reversed(rev_classes)))
+
+
+def _shortest_path_tree(graph: TopologyGraph, source: str) -> dict[str, tuple[str, LinkClass]]:
+    """Dijkstra from ``source`` over the whole graph: each reached node's
+    (predecessor, link class).
+
+    A node's predecessor is fixed when the node is settled, and the search
+    settles nodes in the same order whether or not it stops at a target, so
+    every route equals the one a search stopping at its target finds.
+    """
+    import heapq
+
+    if graph._route_adj is None:
+        # Neighbours in lexicographic id order, the tie-break; edge costs
+        # looked up once per graph.  Each entry carries the (predecessor,
+        # link class) pair a tree stores, shared by every tree.
+        graph._route_adj = {
+            u: [
+                (e.other(u), graph.link_cost_cycles(e.link_class)[0], (u, e.link_class))
+                for e in sorted(edges, key=lambda e: e.other(u))
+            ]
+            for u, edges in graph._adj.items()
+        }
+    adj = graph._route_adj
+    dist: dict[str, float] = {source: 0.0}
+    prev: dict[str, tuple[str, LinkClass]] = {}
+    heap: list[tuple[float, str]] = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist.get(u, float("inf")):
+            continue
+        for v, cost, hop in adj[u]:
+            nd = d + cost + 1e-9  # epsilon prefers fewer hops on ties
+            if nd < dist.get(v, float("inf")) - 1e-12:
+                dist[v] = nd
+                prev[v] = hop
+                heapq.heappush(heap, (nd, v))
+    return prev
 
 
 def core_path(graph: TopologyGraph, core_a: int, core_b: int) -> Path:

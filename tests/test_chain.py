@@ -1,6 +1,7 @@
 """Pointer-chase chain generation and validation."""
 
 import math
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -94,16 +95,17 @@ class TestSpec:
 SHUFFLE_SEEDS = (0, 1, 7, -3, 2**63 + 5, 2**64 - 1)
 
 
+@pytest.fixture
+def lib():
+    from memchar import native
+
+    try:
+        return native.load_kernels()
+    except native.BackendUnavailable as exc:
+        pytest.skip(f"native kernels unavailable: {exc}")
+
+
 class TestShuffle:
-    @pytest.fixture
-    def lib(self):
-        from memchar import native
-
-        try:
-            return native.load_kernels()
-        except native.BackendUnavailable as exc:
-            pytest.skip(f"native kernels unavailable: {exc}")
-
     def test_c_table_is_byte_identical_to_the_reference(self, lib):
         for n in (1, 2, 3, 7, 48, 2048, 107520):
             for seed in SHUFFLE_SEEDS:
@@ -162,6 +164,53 @@ class TestVerify:
         report = verify_chain(c)
         assert report.ok
         assert report.cycle_length == c.element_count
+
+
+def chain_with(successors: list[int]):
+    """A 64-byte-aligned chain whose successor table is ``successors``."""
+    c = chain_spec(64 * len(successors), 64)
+    c.successors[:] = array("q", successors)
+    return c
+
+
+class TestVerifyInC:
+    """``verify_chain`` walks in C; ``_verify_chain_py`` is the reference."""
+
+    def test_c_report_equals_the_reference(self, lib):
+        chains = [
+            generate_chain(64 * n, 64, seed=s) for n in (1, 2, 3, 1000, 1 << 16) for s in (0, 7)
+        ]
+        chains += [
+            chain_with([0, 2, 3, 1]),  # self-loop at the start
+            chain_with([1, 2, 2, 0]),  # self-loop further on
+            chain_with([1, 0, 3, 2]),  # 2-cycle
+            chain_with([1, 2, 3, 4, 2, 0]),  # rho: tail 0-1, cycle 2-3-4
+            chain_with([1, 6, 3, -1, 0, 2]),  # two entries out of range
+            chain_with([1, 2, 3, 2**62]),
+        ]
+        for c in chains:
+            assert verify_chain(c) == chain_mod._verify_chain_py(c), list(c.successors)[:8]
+        assert verify_chain(chains[-3]) == chain_mod.ChainReport(6, 3, 5, 0)
+        assert verify_chain(chains[-2]).alignment_violations == 2
+
+    def test_reference_is_the_fallback_without_kernels(self, monkeypatch):
+        from memchar import native
+
+        reference = chain_mod._verify_chain_py
+        walked = []
+
+        def unavailable():
+            raise native.BackendUnavailable("no C compiler found")
+
+        def counting(buffer):
+            walked.append(buffer.element_count)
+            return reference(buffer)
+
+        monkeypatch.setattr(native, "load_kernels", unavailable)
+        monkeypatch.setattr(chain_mod, "_verify_chain_py", counting)
+        c = chain_with([1, 2, 3, 4, 2, 0])
+        assert verify_chain(c) == reference(c)
+        assert walked == [6]
 
 
 class TestGenerator:

@@ -80,6 +80,29 @@ class TestLoader:
         assert len(builds) == 2
 
 
+class TestTscRate:
+    def test_backends_share_one_measurement(self, monkeypatch):
+        reads = []
+
+        class Kernels:
+            def mc_tsc(self):
+                reads.append(True)
+                return 1000 * len(reads)
+
+        kernels = Kernels()
+        monkeypatch.setattr(native, "load_kernels", lambda: kernels)
+        monkeypatch.setattr(native, "_load_libnuma", lambda: None)
+        graph = load_topology_file(fixture_path("single_core.json"))
+        latency = native.NativeBackend(graph)
+        bandwidth = native.NativeBandwidthBackend(graph)
+        assert len(reads) == 2  # one measurement: a start and an end read
+        assert latency.frequency_mhz == bandwidth.frequency_mhz > 0
+        # An operator-set frequency still wins, and measures nothing.
+        assert native.NativeBackend(graph, frequency_mhz=2500.0).frequency_mhz == 2500.0
+        assert native.NativeBandwidthBackend(graph, frequency_mhz=2600.0).frequency_mhz == 2600.0
+        assert len(reads) == 2
+
+
 class TestMaterialize:
     @pytest.mark.parametrize("align", [64, 512])
     def test_every_slot_points_at_its_successor_and_gaps_stay_zero(self, align):

@@ -1,17 +1,22 @@
 """Topology loading, routing, and placement enumeration."""
 
+import heapq
 import json
+import random
 
 import pytest
 
+from memchar import topology as topology_mod
 from memchar.topology import (
     GraphKind,
     LinkClass,
     NodeRole,
+    Path,
     PlacementScope,
     RouteError,
     SchemaError,
     ScopeError,
+    TopologyError,
     core_path,
     enumerate_placements,
     enumerate_triples,
@@ -241,6 +246,117 @@ class TestIfPath:
         p = if_path(g, g.core(0).id, g.memory_controller(1).id)
         assert p.count(LinkClass.IF_REPEATER_HOP) == 2
         assert p.switch_count(g) == 2
+        for a in g.nodes:
+            for b in g.nodes:
+                assert if_path(g, a, b) == reference_if_path(g, a, b), (a, b)
+
+    def test_memoized_routes_equal_a_fresh_search(self, rome):
+        cores = [rome.core(c).id for c in rome.cores]
+        targets = [(c, rome.memory_controller(n).id) for c in cores for n in rome.numa_nodes]
+        rng = random.Random(11)
+        targets += [(rng.choice(cores), rng.choice(cores)) for _ in range(300)]
+        for a, b in targets:
+            got, want = if_path(rome, a, b), reference_if_path(rome, a, b)
+            assert got == want, (a, b)
+            assert got.switch_count(rome) == want.switch_count(rome)
+
+    def test_one_tree_search_per_source(self, monkeypatch):
+        g = load_topology_file(fixture_path("rome_2s.json"))
+        searched = []
+        search = topology_mod._shortest_path_tree
+
+        def counting(graph, source):
+            searched.append(source)
+            return search(graph, source)
+
+        monkeypatch.setattr(topology_mod, "_shortest_path_tree", counting)
+        for _ in range(2):
+            for n in g.numa_nodes:
+                extra_switch_hops(g, 0, n)
+                extra_switch_hops(g, 5, n)
+        assert searched == ["core0", "core5"]
+
+
+def reference_if_path(graph, a: str, b: str) -> Path:
+    """Fresh Dijkstra from ``a`` that stops at ``b`` and keeps nothing: the
+    reference the memoized routes of ``if_path`` must equal."""
+    if a == b:
+        return Path(nodes=(a,), link_classes=())
+    adj = {n: [] for n in graph.nodes}
+    for e in graph.edges:
+        adj[e.a].append(e)
+        adj[e.b].append(e)
+    dist = {a: 0.0}
+    prev = {}
+    heap = [(0.0, a)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u == b:
+            break
+        if d > dist.get(u, float("inf")):
+            continue
+        for e in sorted(adj[u], key=lambda e: e.other(u)):
+            v = e.other(u)
+            nd = d + graph.link_cost_cycles(e.link_class)[0] + 1e-9
+            if nd < dist.get(v, float("inf")) - 1e-12:
+                dist[v] = nd
+                prev[v] = (u, e.link_class)
+                heapq.heappush(heap, (nd, v))
+    nodes, classes = [b], []
+    while nodes[-1] != a:
+        u, link_class = prev[nodes[-1]]
+        nodes.append(u)
+        classes.append(link_class)
+    return Path(nodes=tuple(reversed(nodes)), link_classes=tuple(reversed(classes)))
+
+
+class TestIndexedQueries:
+    @pytest.mark.parametrize("name", ["rome_2s", "clx_2s"])
+    def test_every_query_equals_its_definition(self, name):
+        g = load_topology_file(fixture_path(f"{name}.json"))
+        core_nodes = {n.core_index: n for n in g.nodes.values() if n.role is NodeRole.CORE}
+        assert g.cores == sorted(core_nodes)
+        for node in g.numa_nodes:
+            cores = sorted(c for c, n in core_nodes.items() if n.numa_node == node)
+            assert g.cores_of_node(node) == cores
+            assert g.first_core_of_node(node) == cores[0]
+            assert g.memory_controller(node) == next(
+                n for n in g.nodes.values()
+                if n.role is NodeRole.MEMORY_CONTROLLER and n.numa_node == node
+            )
+        for c, me in core_nodes.items():
+            if g.kind is GraphKind.CHIPLET_IF:
+                def domain(n):
+                    return (n.socket, n.numa_node, n.ccd, n.ccx)
+                (l3,) = [
+                    e.other(me.id) for e in g.edges
+                    if me.id in (e.a, e.b)
+                    and g.nodes[e.other(me.id)].role is NodeRole.L3_DOMAIN
+                ]
+            else:
+                def domain(n):
+                    return n.numa_node
+                l3 = f"l3.snc{me.numa_node}"
+            assert g.cores_of_ccx(c) == sorted(
+                d for d, n in core_nodes.items() if domain(n) == domain(me)
+            )
+            assert g.l3_domain_of_core(c) == l3
+        absent = max(g.numa_nodes) + 1
+        assert g.cores_of_node(absent) == []
+        for query in (g.first_core_of_node, g.memory_controller):
+            with pytest.raises(TopologyError):
+                query(absent)
+        for query in (g.cores_of_ccx, g.l3_domain_of_core):
+            with pytest.raises(TopologyError):
+                query(max(g.cores) + 1)
+
+    def test_returned_lists_are_copies(self):
+        g = load_topology_file(fixture_path("rome_2s.json"))
+        before = (g.cores, g.cores_of_node(1), g.cores_of_ccx(4), g.first_core_of_node(1))
+        for got in (g.cores, g.cores_of_node(1), g.cores_of_ccx(4)):
+            got.reverse()
+            got.append(-1)
+        assert (g.cores, g.cores_of_node(1), g.cores_of_ccx(4), g.first_core_of_node(1)) == before
 
 
 class TestPlacements:
