@@ -1,10 +1,11 @@
-"""Golden-output gate: simulated latency sweeps write the same bytes.
+"""Golden-output gate: simulated sweeps write the same bytes.
 
-``golden_sim_sha256.json`` holds the sha256 of ``results.csv`` for a fixed
-set of simulated sweeps at seed 7, recorded before the per-graph memos in
-``topology`` and ``backends`` were added.  A refactor of the simulated path
-must leave every hash unchanged; a deliberate output change re-records the
-file and says why.
+``golden_sim_sha256.json`` holds the sha256 of the result CSV for a fixed
+set of simulated runs at seed 7: latency sweeps (``results.csv``), with one
+non-default sampling shape, and bandwidth read ladders and triads
+(``bandwidth.csv``).  A refactor of the simulated path must leave every
+hash unchanged; a deliberate output change re-records the file and says
+why.
 """
 
 import contextlib
@@ -19,6 +20,11 @@ from memchar.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_sim_sha256.json")
 TOPOLOGY_STATES = {"rome_2s": "MOESI", "clx_2s": "MESIF"}
+# One single-core set and one set spanning both sockets per topology.
+CORE_SETS = {
+    "rome_2s": ("0", "0,1,64,65 --cross-socket"),
+    "clx_2s": ("0", "0,1,20,21 --cross-socket"),
+}
 
 SWEEPS = [
     f"latency --topology {topo} --state {state} --level {level} --scope all_pairs --seed 7"
@@ -31,13 +37,26 @@ SWEEPS = [
     for scope in ("intra_socket", "inter_socket")
 ] + [
     "latency --topology rome_2s --state M --level L2 --triples --seed 7",
+    "latency --topology rome_2s --state O --level L3 --scope all_pairs --seed 7"
+    " --outer 3 --inner 5 --sizes 2 --reducer max",
+] + [
+    f"bandwidth --topology {topo} --kernel {kernel} --level {level} --cores {cores}"
+    for topo, core_sets in CORE_SETS.items()
+    for kernel in ("read128", "read256", "read512")
+    for level in ("L1", "RAM")
+    for cores in core_sets
+] + [
+    f"triad --topology {topo} --cores 0,1 --bytes 1048576 {nt}"
+    for topo in TOPOLOGY_STATES
+    for nt in ("--nt", "--no-nt")
 ]
 
 
 def results_sha256(argv: str, out: Path) -> str:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv.split() + ["--out", str(out)]) == 0
-    return hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+    name = "results.csv" if argv.startswith("latency") else "bandwidth.csv"
+    return hashlib.sha256((out / name).read_bytes()).hexdigest()
 
 
 def test_golden_covers_every_sweep():
