@@ -4,33 +4,33 @@ Every backend exposes the same narrow surface the harness drives:
 
 * ``name`` and ``frequency_mhz``
 * ``time_empty()`` -- one run of the timing routine with zero accesses
-* ``run_point(chains, script, placement, policy)`` -- raw
-  :class:`~memchar.harness.ChaseTiming` grid shaped (outer, sizes, inner)
+* ``run_point(chains, script, placement, policy)`` -- one float64 array of
+  the elapsed cycles of each chase, shaped (outer, sizes, inner); the
+  harness knows each chain's access count
 
 The simulated backend replays the coherence script on the protocol
 simulator, checks the resulting state and data source against the latency
-model's expectation, and synthesizes exact timings from ``model.predict``.
-The synthetic backend charges a configurable cost per access plus a timer
-overhead, for algebra-oracle tests.  The native backend lives in
-:mod:`memchar.native`.
+model's expectation, and fills the array with one broadcast of
+``model.predict`` times each chain's access count.  The synthetic backend
+charges a configurable cost per access plus a timer overhead, for
+algebra-oracle tests.  The native backend lives in :mod:`memchar.native`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from .coherence import (
     Action,
     CacheEvent,
     CoherenceScript,
-    CoherenceState,
     ProtocolModel,
     apply_event,
-    simulate,
     verify_script,
 )
-from .harness import ChaseTiming, MeasurementPolicy
+from .harness import MeasurementPolicy
 from .model import LatencyModel
 from .topology import Placement
 
@@ -51,11 +51,7 @@ class ScriptPlacementError(BackendError):
 
 
 class SyntheticBackend:
-    """Deterministic fake clock: `overhead + cost_per_access * n` per chase.
-
-    ``jitter`` (optional callable sample_index -> extra cycles) models noise
-    for fuzzing the overhead-subtraction algebra.
-    """
+    """Deterministic fake clock: `overhead + cost_per_access * n` per chase."""
 
     name = "synthetic"
 
@@ -64,38 +60,20 @@ class SyntheticBackend:
         cost_per_access: float = 10.0,
         timer_overhead: float = 0.0,
         frequency_mhz: float = 1000.0,
-        jitter=None,
     ):
         self.cost_per_access = cost_per_access
         self.timer_overhead = timer_overhead
         self.frequency_mhz = frequency_mhz
-        self.jitter = jitter
-        self._sample_idx = 0
 
     def time_empty(self) -> float:
         return self.timer_overhead
 
     def run_point(self, chains, script, placement, policy: MeasurementPolicy):
-        grid = []
-        for _ in range(policy.outer_repeats):
-            outer = []
-            for chain in chains:
-                inner = []
-                for _ in range(policy.inner_repeats):
-                    extra = self.jitter(self._sample_idx) if self.jitter else 0.0
-                    self._sample_idx += 1
-                    n = chain.element_count
-                    inner.append(
-                        ChaseTiming(
-                            elapsed_cycles=self.timer_overhead
-                            + self.cost_per_access * n
-                            + extra,
-                            accesses=n,
-                        )
-                    )
-                outer.append(inner)
-            grid.append(outer)
-        return grid
+        n = np.array([c.element_count for c in chains], dtype=np.float64)[:, None]
+        return np.broadcast_to(
+            self.timer_overhead + self.cost_per_access * n,
+            (policy.outer_repeats, len(chains), policy.inner_repeats),
+        )
 
 
 class SimulatedBackend:
@@ -180,12 +158,7 @@ class SimulatedBackend:
         per_access = self.predict_placement(
             placement, script.target_state, script.target_level
         )
-        grid = []
-        for _ in range(policy.outer_repeats):
-            outer = []
-            for chain in chains:
-                n = chain.element_count
-                timing = ChaseTiming(elapsed_cycles=per_access * n, accesses=n)
-                outer.append([timing] * policy.inner_repeats)
-            grid.append(outer)
-        return grid
+        n = np.array([c.element_count for c in chains], dtype=np.float64)[:, None]
+        return np.broadcast_to(
+            per_access * n, (policy.outer_repeats, len(chains), policy.inner_repeats)
+        )

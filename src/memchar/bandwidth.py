@@ -185,17 +185,15 @@ def verify_triad(
     Raises :class:`TriadVerificationError` with the first failing index.
     """
     n = len(a)
-    if sample_fraction >= 1.0:
-        idx = np.arange(n)
-    else:
-        step = max(1, int(round(1.0 / sample_fraction)))
-        idx = np.arange(0, n, step)
-    expected = b[idx] + s * c[idx]
-    bad = np.nonzero(a[idx] != expected)[0]
+    step = 1 if sample_fraction >= 1.0 else max(1, int(round(1.0 / sample_fraction)))
+    checked = a[::step]
+    expected = s * c[:n:step]
+    expected += b[:n:step]
+    bad = np.flatnonzero(checked != expected)
     if len(bad):
-        i = int(idx[bad[0]])
+        i = int(bad[0]) * step
         raise TriadVerificationError(i, float(b[i] + s * c[i]), float(a[i]))
-    return len(idx)
+    return len(checked)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import chain as chain_mod
 from . import harness
@@ -34,7 +35,6 @@ from .coherence import CoherenceError, Protocol, plan_state
 from .harness import MeasurementPolicy, PolicyError, policy_from_env
 from .model import (
     FitObservation,
-    LatencyMatrix,
     ModelError,
     fit,
     load_fixture_model,
@@ -530,11 +530,18 @@ _CONFIG_ERRORS = (
 )
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
+    """Run one subcommand.  The parser is built on the first call and reused:
+    parsing fills a fresh namespace from the parser's defaults each time."""
     from .native import PinningError
 
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except TriadVerificationError as exc:

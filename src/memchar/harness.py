@@ -12,8 +12,11 @@ A reported point aggregates ``outer_repeats x sizes_per_level x
 inner_repeats`` samples (default 10x4x3 = 120); the default reducer is the
 minimum, with median recommended for noisy remote-L1 configurations.
 
-Backends supply raw timings; the overhead/normalization algebra lives here
-so the same arithmetic applies to native, synthetic, and simulated runs.
+Backends supply raw timings: ``run_point`` returns one float64 array of
+elapsed cycles per chase, shaped (outer, sizes, inner).  The
+overhead/normalization algebra and the reduction live here, as numpy
+operations on that array, so the same arithmetic applies to native,
+synthetic, and simulated runs.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .chain import ChainBuffer
 from .coherence import CoherenceScript
@@ -33,7 +38,6 @@ __all__ = [
     "PolicyError",
     "MeasurementPolicy",
     "SampleStats",
-    "ChaseTiming",
     "MeasurementRecord",
     "FlushPlan",
     "aggregate",
@@ -102,14 +106,6 @@ def policy_from_env(**overrides) -> tuple[MeasurementPolicy, int, bool]:
 
 
 @dataclass(frozen=True)
-class ChaseTiming:
-    """Raw timing of one chase: elapsed cycles over `accesses` loads."""
-
-    elapsed_cycles: float
-    accesses: int
-
-
-@dataclass(frozen=True)
 class SampleStats:
     minimum: float
     maximum: float
@@ -117,43 +113,36 @@ class SampleStats:
     count: int
 
 
-def _median_lower(sorted_vals: Sequence[float]) -> float:
-    # Lower-of-two-middles for even counts.
-    return sorted_vals[(len(sorted_vals) - 1) // 2]
+def _sample_grid(samples, policy: MeasurementPolicy) -> np.ndarray:
+    """``samples`` as a float64 array of the policy's (outer, sizes, inner)
+    shape; empty, ragged or misshapen input is rejected."""
+    try:
+        grid = np.asarray(samples, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise AggregationError("ragged sample set") from None
+    if grid.size == 0:
+        raise AggregationError("empty sample set")
+    shape = (policy.outer_repeats, policy.sizes_per_level, policy.inner_repeats)
+    if grid.shape != shape:
+        raise AggregationError(
+            f"sample shape {grid.shape} != policy (outer, sizes, inner) {shape}"
+        )
+    return grid
 
 
 def aggregate(samples, policy: MeasurementPolicy) -> SampleStats:
     """Reduce an (outer x sizes x inner) sample matrix.
 
-    The min/max/median statistics are global over all samples; shapes that
-    disagree with the policy are rejected.
+    The min/max/median statistics are global over all samples; the median
+    is the lower of the two middles for even counts.  Shapes that disagree
+    with the policy are rejected.
     """
-    flat: list[float] = []
-    if not samples:
-        raise AggregationError("empty sample set")
-    if len(samples) != policy.outer_repeats:
-        raise AggregationError(
-            f"outer dimension {len(samples)} != policy outer_repeats {policy.outer_repeats}"
-        )
-    for outer in samples:
-        if len(outer) != policy.sizes_per_level:
-            raise AggregationError(
-                f"sizes dimension {len(outer)} != policy sizes_per_level {policy.sizes_per_level}"
-            )
-        for inner in outer:
-            if len(inner) != policy.inner_repeats:
-                raise AggregationError(
-                    f"inner dimension {len(inner)} != policy inner_repeats {policy.inner_repeats}"
-                )
-            flat.extend(inner)
-    if not flat:
-        raise AggregationError("empty sample set")
-    ordered = sorted(flat)
+    ordered = np.sort(_sample_grid(samples, policy), axis=None)
     return SampleStats(
-        minimum=ordered[0],
-        maximum=ordered[-1],
-        median=_median_lower(ordered),
-        count=len(ordered),
+        minimum=float(ordered[0]),
+        maximum=float(ordered[-1]),
+        median=float(ordered[(ordered.size - 1) // 2]),
+        count=ordered.size,
     )
 
 
@@ -244,21 +233,12 @@ def measure_latency(
     _validate_placement(placement, script)
 
     overhead = calibrate_overhead(backend, policy.calibration_repeats)
-    raw = backend.run_point(chains, script, placement, policy)
-
-    samples_matrix: list[list[list[float]]] = []
-    for outer in raw:
-        outer_row = []
-        for per_size in outer:
-            inner_row = []
-            for timing in per_size:
-                per_access = max(0.0, timing.elapsed_cycles - overhead) / timing.accesses
-                inner_row.append(per_access)
-            outer_row.append(inner_row)
-        samples_matrix.append(outer_row)
-
-    stats = aggregate(samples_matrix, policy)
-    flat = tuple(v for outer in samples_matrix for row in outer for v in row)
+    elapsed = _sample_grid(backend.run_point(chains, script, placement, policy), policy)
+    excess = elapsed - overhead
+    accesses = np.array([c.element_count for c in chains], dtype=np.float64)[:, None]
+    # max(0, e - o) / n per sample: np.maximum would keep a -0.0, max() does not.
+    samples = np.where(excess > 0.0, excess, 0.0) / accesses
+    stats = aggregate(samples, policy)
     return MeasurementRecord(
         placement=placement,
         state=script.target_state.value,
@@ -269,7 +249,7 @@ def measure_latency(
         min_cycles=stats.minimum,
         max_cycles=stats.maximum,
         median_cycles=stats.median,
-        samples=flat,
+        samples=tuple(samples.ravel().tolist()),
         frequency_mhz=backend.frequency_mhz,
         backend=backend.name,
         alignment=chains[0].stride_alignment,

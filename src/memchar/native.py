@@ -41,7 +41,7 @@ import numpy as np
 from .backends import BackendError
 from .chain import ChainBuffer
 from .coherence import Action, CoherenceScript, WorkerRole
-from .harness import ChaseTiming, FlushPlan, MeasurementPolicy, flush_plan
+from .harness import FlushPlan, MeasurementPolicy, flush_plan
 from .topology import Placement, TopologyGraph
 
 __all__ = ["BackendUnavailable", "PinningError", "NativeBackend", "build_kernels"]
@@ -280,24 +280,17 @@ class NativeBackend:
         regions = {
             c: self.materialize_chain(c, placement.home_node) for c in chains
         }
-        grid = []
         try:
-            for _ in range(policy.outer_repeats):
-                outer = []
-                for chain in chains:
-                    outer.append(
-                        self._measure_one(
-                            chain, regions[chain], script, placement, policy
-                        )
-                    )
-                grid.append(outer)
+            return np.array([
+                [self._measure_one(c, regions[c], script, placement, policy) for c in chains]
+                for _ in range(policy.outer_repeats)
+            ], dtype=np.float64)
         finally:
             for r in regions.values():
                 r.close()
-        return grid
 
     def _measure_one(self, chain, region, script, placement, policy):
-        results: list[ChaseTiming] = []
+        results: list[float] = []
         errors: list[BaseException] = []
         same_core = all(
             c == placement.requester for c in script.worker_cores.values()
@@ -313,7 +306,7 @@ class NativeBackend:
                         self._chase(region, chain.element_count)
                         self._apply_script(script, region, chain, pin=False)
                     elapsed = self._chase(region, chain.element_count)
-                    results.append(ChaseTiming(float(elapsed), chain.element_count))
+                    results.append(float(elapsed))
             return results
 
         ready = threading.Barrier(2, timeout=60)
@@ -348,7 +341,7 @@ class NativeBackend:
                     ready.wait()
                     done.wait()  # state prepared on the owner/helper cores
                     elapsed = self._chase(region, chain.element_count)
-                    results.append(ChaseTiming(float(elapsed), chain.element_count))
+                    results.append(float(elapsed))
         except threading.BrokenBarrierError:
             pass
         finally:

@@ -82,7 +82,12 @@ def _f(x: float) -> str:
 
 
 def _join_f(values) -> str:
-    return ";".join(_f(v) for v in values)
+    """``;``-joined reprs, each distinct value formatted once.  Equal floats
+    share one repr, except 0.0 and -0.0, which take the per-value path."""
+    text = {v: _f(v) for v in set(values)}
+    if 0.0 in text:
+        return ";".join(map(_f, values))
+    return ";".join(map(text.__getitem__, values))
 
 
 def _join_i(values) -> str:

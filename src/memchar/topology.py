@@ -14,6 +14,7 @@ route/placement queries are pure functions over the loaded graph.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -180,7 +181,9 @@ class TopologyGraph:
     """Immutable annotated machine graph.
 
     Built by :func:`load_topology`; do not mutate after construction.  Safe
-    to share read-only between concurrent workers.
+    to share read-only between concurrent workers.  :func:`load_topology_file`
+    shares one graph per distinct file content for the life of the process,
+    so its indices and routing trees are paid for once per process.
 
     Per-graph facts are computed once and memoized on the graph, which is
     sound only because it is never mutated:
@@ -629,9 +632,21 @@ def load_topology(doc: dict | str) -> TopologyGraph:
     )
 
 
+_GRAPHS_BY_SHA256: dict[str, TopologyGraph] = {}
+
+
 def load_topology_file(path: str | Path) -> TopologyGraph:
-    with open(path) as f:
-        return load_topology(json.load(f))
+    """The graph of a topology file, one per distinct file content per
+    process: the same bytes give the same (immutable) graph, with its
+    indices and route memos; an edited file hashes differently and is
+    loaded fresh."""
+    with open(path, "rb") as f:
+        data = f.read()
+    key = hashlib.sha256(data).hexdigest()
+    graph = _GRAPHS_BY_SHA256.get(key)
+    if graph is None:
+        graph = _GRAPHS_BY_SHA256[key] = load_topology(json.loads(data))
+    return graph
 
 
 def serialize_topology(graph: TopologyGraph) -> str:

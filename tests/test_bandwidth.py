@@ -133,6 +133,18 @@ class TestTriad:
             verify_triad(a, b, c, 3.0)
         assert err.value.index == 7
 
+    @pytest.mark.parametrize("fraction,first_bad", [(1.0, 250), (0.01, 700)])
+    def test_verify_reports_first_checked_bad_index(self, fraction, first_bad):
+        # A sampled check reads every 100th element: 250 and 301 are skipped.
+        b = np.arange(1000.0)
+        c = np.ones(1000)
+        a = b + 3.0 * c
+        a[[250, 301, 700, 900]] = -1.0
+        with pytest.raises(TriadVerificationError, match="expected") as err:
+            verify_triad(a, b, c, 3.0, sample_fraction=fraction)
+        assert err.value.index == first_bad
+        assert f"expected {b[first_bad] + 3.0}, got -1.0" in str(err.value)
+
     def test_sampled_verification(self):
         n = 1000
         b = np.zeros(n)

@@ -51,6 +51,19 @@ class TestResultSet:
         again = ResultSet.from_csv(path)
         assert again.records == rs.records
 
+    def test_joined_floats_equal_per_value_reprs(self):
+        from memchar.results import _join_f
+
+        cases = [
+            (),
+            (7.5,) * 120,
+            (0.1, 0.2, 0.1, 1e300, float("inf"), 0.2),
+            (0.0, -0.0, 3.0, -0.0, 0.0),
+            (float("nan"), 1.0, float("nan")),
+        ]
+        for values in cases:
+            assert _join_f(values) == ";".join(repr(float(v)) for v in values)
+
     def test_schema_header_is_fixed(self, rome_records, tmp_path):
         rs = ResultSet(records=list(rome_records))
         path = tmp_path / "r.csv"
@@ -208,6 +221,23 @@ class TestCli:
         ])
         assert code == 2
         assert not (out / "results.csv").exists()
+
+    def test_one_parser_and_no_state_between_calls(self, tmp_path, monkeypatch):
+        import memchar.cli
+
+        built = []
+        build = memchar.cli.build_parser
+        monkeypatch.setattr(memchar.cli, "_PARSER", None)
+        monkeypatch.setattr(memchar.cli, "build_parser", lambda: built.append(1) or build())
+        base = ["latency", "--topology", "rome_2s", "--scope", "same_ccx", "--level", "L2",
+                "--outer", "1", "--inner", "1", "--sizes", "1"]
+        assert main(base + ["--reducer", "max", "--out", str(tmp_path / "a")]) == 0
+        assert main(base + ["--out", str(tmp_path / "b")]) == 0
+        assert built == [1]
+        policies = [
+            RunManifest.load(tmp_path / run / "manifest.json").policy for run in "ab"
+        ]
+        assert [p["reducer"] for p in policies] == ["max", "min"]
 
     def test_unknown_topology_is_config_error(self, tmp_path):
         assert main(["topo", "--topology", "no_such_system"]) == 2

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -139,6 +140,64 @@ class TestSyntheticOracle:
         rec = measure_latency([chain], script, placement, ONE, be)
         assert rec.latency_cycles >= 0.0
         assert rec.latency_cycles == 3.0
+
+
+class _Replay:
+    """Backend whose chases took the given elapsed cycles."""
+
+    name = "replay"
+    frequency_mhz = 1000.0
+
+    def __init__(self, elapsed, overhead=0.0):
+        self.elapsed = elapsed
+        self.overhead = overhead
+
+    def time_empty(self):
+        return self.overhead
+
+    def run_point(self, chains, script, placement, policy):
+        return self.elapsed
+
+
+class TestSampleArray:
+    POLICY = MeasurementPolicy(inner_repeats=3, outer_repeats=4, sizes_per_level=2)
+    CHAINS = [chain_spec(64 * 7, 64, seed=1), chain_spec(64 * 13, 64, seed=1)]
+    SCRIPT = plan_state("M", "MOESI", owner=0, requester=0)
+    LOCAL = Placement(0, 0, 0, label="local")
+
+    def test_samples_equal_the_per_sample_loop(self):
+        # Reference: max(0, e - o) / n per sample, as plain Python floats;
+        # elapsed at, below and just above the overhead, and a -0.0.
+        rng = random.Random(5)
+        for _ in range(20):
+            overhead = rng.choice((0.0, 50.0))
+            elapsed = [
+                [[rng.choice((overhead, -0.0, 49.0, 50.5, rng.uniform(0, 3000)))
+                  for _ in range(3)] for _ in range(2)]
+                for _ in range(4)
+            ]
+            rec = measure_latency(self.CHAINS, self.SCRIPT, self.LOCAL, self.POLICY,
+                                  _Replay(elapsed, overhead))
+            want = [
+                max(0.0, e - overhead) / c.element_count
+                for outer in elapsed for c, row in zip(self.CHAINS, outer) for e in row
+            ]
+            assert list(map(repr, rec.samples)) == list(map(repr, want))
+            ordered = sorted(want)
+            assert (rec.min_cycles, rec.max_cycles, rec.median_cycles) == (
+                ordered[0], ordered[-1], ordered[(len(ordered) - 1) // 2]
+            )
+
+    @pytest.mark.parametrize("shape", [(4, 1, 3), (4, 2), (1, 4, 2, 3), (3, 2, 4)])
+    def test_misshapen_backend_grid_rejected(self, shape):
+        # (4, 1, 3) would broadcast against the two chains' access counts.
+        with pytest.raises(AggregationError, match="shape"):
+            measure_latency(self.CHAINS, self.SCRIPT, self.LOCAL, self.POLICY,
+                            _Replay(np.ones(shape)))
+
+    def test_ragged_samples_rejected(self):
+        with pytest.raises(AggregationError, match="ragged"):
+            aggregate([[[1.0]], [[2.0, 3.0]]], ONE)
 
 
 class TestSimulatedMeasurements:

@@ -55,6 +55,18 @@ class TestLoad:
         l3s = [n for n in rome.nodes.values() if n.role is NodeRole.L3_DOMAIN]
         assert len(l3s) == 32
 
+    def test_file_graph_shared_until_the_file_changes(self, tmp_path):
+        path = tmp_path / "topo.json"
+        doc = json.loads(fixture_path("single_core.json").read_text())
+        path.write_text(json.dumps(doc))
+        first = load_topology_file(path)
+        assert load_topology_file(path) is first
+        doc["caches"]["l2_kib"] *= 2
+        path.write_text(json.dumps(doc))
+        edited = load_topology_file(path)
+        assert edited is not first
+        assert edited.caches["l2_kib"] == 2 * first.caches["l2_kib"]
+
     def test_single_core_degenerate(self, single):
         assert len(single.cores) == 1
         interconnect = [
@@ -261,7 +273,7 @@ class TestIfPath:
             assert got.switch_count(rome) == want.switch_count(rome)
 
     def test_one_tree_search_per_source(self, monkeypatch):
-        g = load_topology_file(fixture_path("rome_2s.json"))
+        g = load_topology(json.loads(fixture_path("rome_2s.json").read_text()))
         searched = []
         search = topology_mod._shortest_path_tree
 
