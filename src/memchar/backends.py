@@ -11,9 +11,8 @@ Every backend exposes the same narrow surface the harness drives:
 The simulated backend replays the coherence script on the protocol
 simulator, checks the resulting state and data source against the latency
 model's expectation, and fills the array with one broadcast of
-``model.predict`` times each chain's access count.  The synthetic backend
-charges a configurable cost per access plus a timer overhead, for
-algebra-oracle tests.  The native backend lives in :mod:`memchar.native`.
+``model.predict`` times each chain's access count.  The native backend
+lives in :mod:`memchar.native`.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .topology import Placement
 __all__ = [
     "BackendError",
     "ScriptPlacementError",
-    "SyntheticBackend",
     "SimulatedBackend",
 ]
 
@@ -48,32 +46,6 @@ class BackendError(Exception):
 
 class ScriptPlacementError(BackendError):
     """The script does not produce the state the placement was asked for."""
-
-
-class SyntheticBackend:
-    """Deterministic fake clock: `overhead + cost_per_access * n` per chase."""
-
-    name = "synthetic"
-
-    def __init__(
-        self,
-        cost_per_access: float = 10.0,
-        timer_overhead: float = 0.0,
-        frequency_mhz: float = 1000.0,
-    ):
-        self.cost_per_access = cost_per_access
-        self.timer_overhead = timer_overhead
-        self.frequency_mhz = frequency_mhz
-
-    def time_empty(self) -> float:
-        return self.timer_overhead
-
-    def run_point(self, chains, script, placement, policy: MeasurementPolicy):
-        n = np.array([c.element_count for c in chains], dtype=np.float64)[:, None]
-        return np.broadcast_to(
-            self.timer_overhead + self.cost_per_access * n,
-            (policy.outer_repeats, len(chains), policy.inner_repeats),
-        )
 
 
 class SimulatedBackend:

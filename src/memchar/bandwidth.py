@@ -14,7 +14,7 @@ bandwidth is the capped sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -77,10 +77,6 @@ class ThroughputKernel:
     @property
     def width_bits(self) -> int:
         return int(self.isa_width[1:])
-
-    @property
-    def bytes_per_iteration(self) -> int:
-        return self.width_bits // 8 * self.burst_registers
 
     @property
     def name(self) -> str:

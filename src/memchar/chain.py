@@ -95,13 +95,6 @@ class ChainBuffer:
     def successors(self) -> array:
         return _sattolo(self.element_count, self.seed)
 
-    def offset_of(self, index: int) -> int:
-        return index * self.stride_alignment
-
-    def successor_bytes(self) -> bytes:
-        """Byte-exact image of the successor table (determinism checks)."""
-        return self.successors.tobytes()
-
 
 def chain_spec(
     total_bytes: int,

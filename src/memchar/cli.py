@@ -6,16 +6,20 @@ measurements (simulated or native backend), ``model-fit``/``model-predict``
 drive the analytic latency model, ``report`` renders result CSVs as SVG
 figures, and ``replay`` re-executes a stored manifest.
 
-Every measurement run writes a ``manifest.json`` next to its results; on
-the simulated backend a replayed manifest reproduces the CSVs byte for
-byte.  Exit codes: 0 ok, 2 configuration, 3 pinning/affinity, 4 backend,
-5 verification failure.
+Every ``latency``, ``bandwidth``, ``triad`` and ``model-fit`` run writes a
+``manifest.json`` next to its results: the subcommand's argv as parsed plus
+the ``MEMCHAR_*`` variables then in effect.  ``replay`` re-parses that argv
+with the same parser and runs it under the recorded variables; on the
+simulated backend it reproduces the CSVs byte for byte.  Exit codes: 0 ok,
+2 configuration, 3 pinning/affinity, 4 backend, 5 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -31,18 +35,17 @@ from .bandwidth import (
     run_throughput,
     run_triad,
 )
-from .coherence import CoherenceError, Protocol, plan_state
+from .coherence import CoherenceError, plan_state
 from .harness import MeasurementPolicy, PolicyError, policy_from_env
 from .model import (
     FitObservation,
     ModelError,
     fit,
-    load_fixture_model,
     load_model_file,
     ram_hop_template,
     remote_socket_template,
 )
-from .plots import PlotError, emit_plot
+from .plots import emit_plot
 from .results import ResultError, ResultSet, RunManifest
 from .topology import (
     PlacementScope,
@@ -196,29 +199,7 @@ def cmd_latency(args) -> int:
         )
 
     out = _out_dir(args)
-    manifest = RunManifest(
-        command="latency",
-        topology=args.topology,
-        model=args.model,
-        backend=args.backend,
-        out_dir=str(out),
-        seed=args.seed,
-        scope=args.scope,
-        state=state,
-        level=args.level,
-        alignment=alignment,
-        huge_pages=huge,
-        policy={
-            "inner_repeats": policy.inner_repeats,
-            "outer_repeats": policy.outer_repeats,
-            "sizes_per_level": policy.sizes_per_level,
-            "reducer": policy.reducer,
-        },
-        args={"triples": args.triples, "freq": args.freq},
-    )
-    rs = ResultSet(records=records, manifest=manifest)
-    rs.to_csv(out / "results.csv")
-    manifest.save(out / "manifest.json")
+    ResultSet(records=records).to_csv(out / "results.csv")
     print(f"{len(records)} records -> {out / 'results.csv'}")
     return EXIT_OK
 
@@ -245,18 +226,7 @@ def cmd_bandwidth(args) -> int:
         for sz in sizes
     ]
     out = _out_dir(args)
-    manifest = RunManifest(
-        command="bandwidth",
-        topology=args.topology,
-        backend=args.backend,
-        out_dir=str(out),
-        level=args.level,
-        args={"kernel": args.kernel, "cores": cores, "bytes": args.bytes,
-              "cross_socket": args.cross_socket, "outer": args.outer},
-    )
-    rs = ResultSet(records=records, manifest=manifest)
-    rs.to_csv(out / "bandwidth.csv")
-    manifest.save(out / "manifest.json")
+    ResultSet(records=records).to_csv(out / "bandwidth.csv")
     print(f"{len(records)} records -> {out / 'bandwidth.csv'}")
     return EXIT_OK
 
@@ -267,16 +237,7 @@ def cmd_triad(args) -> int:
     cores = _parse_cores(args.cores)
     record = run_triad(args.bytes, cores, args.nontemporal, backend)
     out = _out_dir(args)
-    manifest = RunManifest(
-        command="triad",
-        topology=args.topology,
-        backend=args.backend,
-        out_dir=str(out),
-        args={"cores": cores, "bytes": args.bytes, "nontemporal": args.nontemporal},
-    )
-    rs = ResultSet(records=[record], manifest=manifest)
-    rs.to_csv(out / "bandwidth.csv")
-    manifest.save(out / "manifest.json")
+    ResultSet(records=[record]).to_csv(out / "bandwidth.csv")
     print(
         f"triad {record.bandwidth_gbps:.1f} GB/s on {len(cores)} cores "
         f"-> {out / 'bandwidth.csv'}"
@@ -334,15 +295,6 @@ def cmd_model_fit(args) -> int:
         json.dumps(result.params, indent=1, sort_keys=True) + "\n"
     )
     (out / "residuals.txt").write_text(result.report())
-    manifest = RunManifest(
-        command="model-fit",
-        topology=args.topology,
-        model=args.model,
-        backend="sim",
-        out_dir=str(out),
-        args={"input": str(args.input), "template": args.template},
-    )
-    manifest.save(out / "manifest.json")
     print(result.report())
     return EXIT_OK
 
@@ -372,52 +324,38 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _environment(values: dict):
+    """Run the body with each variable in ``values`` set, or unset where its
+    value is None; the previous values come back afterwards."""
+
+    def apply(env):
+        for name, value in env.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+    saved = {name: os.environ.get(name) for name in values}
+    apply(values)
+    try:
+        yield
+    finally:
+        apply(saved)
+
+
 def cmd_replay(args) -> int:
     manifest = RunManifest.load(args.manifest)
-    out = args.out or manifest.out_dir
-    if manifest.command == "latency":
-        ns = argparse.Namespace(
-            topology=manifest.topology,
-            model=manifest.model,
-            backend=manifest.backend,
-            scope=manifest.scope,
-            state=manifest.state,
-            level=manifest.level,
-            seed=manifest.seed,
-            alignment=manifest.alignment,
-            out=out,
-            outer=manifest.policy.get("outer_repeats"),
-            inner=manifest.policy.get("inner_repeats"),
-            sizes=manifest.policy.get("sizes_per_level"),
-            reducer=manifest.policy.get("reducer"),
-            triples=manifest.args.get("triples", False),
-            freq=manifest.args.get("freq"),
-        )
-        return cmd_latency(ns)
-    if manifest.command == "bandwidth":
-        ns = argparse.Namespace(
-            topology=manifest.topology,
-            backend=manifest.backend,
-            kernel=manifest.args["kernel"],
-            cores=",".join(str(c) for c in manifest.args["cores"]),
-            bytes=manifest.args.get("bytes"),
-            level=manifest.level,
-            cross_socket=manifest.args.get("cross_socket", False),
-            outer=manifest.args.get("outer"),
-            out=out,
-        )
-        return cmd_bandwidth(ns)
-    if manifest.command == "triad":
-        ns = argparse.Namespace(
-            topology=manifest.topology,
-            backend=manifest.backend,
-            cores=",".join(str(c) for c in manifest.args["cores"]),
-            bytes=manifest.args["bytes"],
-            nontemporal=manifest.args.get("nontemporal", True),
-            out=out,
-        )
-        return cmd_triad(ns)
-    raise CliError(f"manifest command {manifest.command!r} cannot be replayed")
+    if manifest.command not in _REPLAYABLE:
+        raise CliError(f"manifest command {manifest.command!r} cannot be replayed")
+    # argparse keeps the last --out, so an override is simply appended.
+    argv = manifest.argv + (["--out", args.out] if args.out is not None else [])
+    with _environment(manifest.environment):
+        try:
+            ns = _parser().parse_args(argv)
+        except SystemExit:
+            raise ResultError(f"{args.manifest}: stored argv does not parse") from None
+        return _run(ns, argv)
 
 
 # ---------------------------------------------------------------------------
@@ -530,20 +468,40 @@ _CONFIG_ERRORS = (
 )
 
 
+# Subcommands whose argv and environment are saved as ``manifest.json`` in
+# their output directory, and the ones replay re-runs.
+_RECORDED = ("latency", "bandwidth", "triad", "model-fit")
+_REPLAYABLE = ("latency", "bandwidth", "triad")
+
 _PARSER: Optional[argparse.ArgumentParser] = None
 
 
-def main(argv=None) -> int:
-    """Run one subcommand.  The parser is built on the first call and reused:
-    parsing fills a fresh namespace from the parser's defaults each time."""
-    from .native import PinningError
-
+def _parser() -> argparse.ArgumentParser:
+    """The one parser, built on first use.  Parsing fills a fresh namespace
+    from the parser's defaults each time, so no state carries over."""
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    return _PARSER
+
+
+def _run(args, argv: list) -> int:
+    """Run the parsed subcommand; a recorded one that succeeds saves its
+    manifest."""
+    code = args.func(args)
+    if code == EXIT_OK and args.command in _RECORDED:
+        RunManifest.record(argv).save(Path(args.out) / "manifest.json")
+    return code
+
+
+def main(argv=None) -> int:
+    """Run one subcommand."""
+    from .native import PinningError
+
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args, argv)
     except TriadVerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY

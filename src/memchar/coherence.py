@@ -22,7 +22,7 @@ the trace (shadow-tag mediation; see README notes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -46,8 +46,6 @@ __all__ = [
     "apply_event",
     "simulate",
     "plan_state",
-    "check_single_owner",
-    "transition_table",
 ]
 
 
@@ -244,11 +242,6 @@ def _ownership_holder(state_map: StateMap):
         if v.state in OWNERSHIP_STATES:
             return k, v
     return None
-
-
-def check_single_owner(state_map: StateMap) -> bool:
-    """At most one cache system-wide holds the line in M, E, O, or F."""
-    return sum(1 for _, v in _holders(state_map) if v.state in OWNERSHIP_STATES) <= 1
 
 
 def _next_value(state_map: StateMap) -> int:
@@ -516,10 +509,6 @@ class CoherenceScript:
     def helper(self) -> Optional[int]:
         return self.worker_cores.get(WorkerRole.HELPER_M)
 
-    @property
-    def uses_helper(self) -> bool:
-        return any(s.worker is WorkerRole.HELPER_M for s in self.steps)
-
 
 _HELPER_STATES = frozenset({CoherenceState.S, CoherenceState.F, CoherenceState.O})
 
@@ -685,81 +674,3 @@ def verify_script(script: CoherenceScript, model: ProtocolModel) -> SimResult:
     if req is not None and req != owner and result.entry(req) is not None:
         raise CoherenceError(f"line leaked into requester core {req}")
     return result
-
-
-# ---------------------------------------------------------------------------
-# Documentation export
-
-
-def transition_table(protocol: Protocol | str) -> str:
-    """Render the two-cache transition table as diffable text.
-
-    Rows enumerate (cache A state, cache B state) configurations; columns
-    show the outcome of each local action by A.  Generated by driving the
-    simulator itself, so the table is the implementation.
-    """
-    protocol = Protocol(protocol)
-    model = ProtocolModel.make(protocol, cores=(0, 1), cores_per_domain=1)
-    states = protocol.states
-    lines = [
-        f"{protocol.value} two-cache transitions (A acts; entries are A,B after)",
-        "line value in home memory unless a dirty holder exists",
-        "",
-        f"{'A':>2} {'B':>2} | {'read':>6} {'write':>6} {'flush':>6}",
-        "-" * 34,
-    ]
-
-    def seed(state_a: CoherenceState, state_b: CoherenceState) -> Optional[StateMap]:
-        for attempt in _seed_scripts(protocol, state_a, state_b):
-            m = initial_state_map()
-            for core, action in attempt:
-                m = protocol_step(model, m, CacheEvent(core, action))
-            if _config_of(m) == (state_a, state_b):
-                return m
-        return None
-
-    def _config_of(m: StateMap) -> tuple[CoherenceState, CoherenceState]:
-        def st(c):
-            e = m.get(("core", c))
-            return e.state if e is not None else CoherenceState.I
-
-        return st(0), st(1)
-
-    for sa in states:
-        for sb in states:
-            m = seed(sa, sb)
-            if m is None:
-                continue
-            cells = []
-            for action in (Action.READ, Action.WRITE, Action.FLUSH):
-                after = protocol_step(model, m, CacheEvent(0, action))
-                ra, rb = _config_of(after)
-                cells.append(f"{ra.value},{rb.value}")
-            lines.append(
-                f"{sa.value:>2} {sb.value:>2} | {cells[0]:>6} {cells[1]:>6} {cells[2]:>6}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def _seed_scripts(protocol, sa, sb):
-    """Event sequences that may realize (A-state, B-state) on two cores."""
-    R, W, FL = Action.READ, Action.WRITE, Action.FLUSH
-    seqs = [
-        [],
-        [(0, R)],
-        [(0, W)],
-        [(1, R)],
-        [(1, W)],
-        [(0, W), (1, R)],
-        [(1, W), (0, R)],
-        [(0, R), (1, R)],
-        [(1, R), (0, R)],
-        [(0, W), (0, FL), (1, R)],
-        [(0, W), (1, R), (0, FL)],
-        [(1, W), (0, R), (1, FL)],
-        [(0, R), (1, R), (0, FL)],
-        [(1, R), (0, R), (1, FL)],
-        [(0, W), (0, FL)],
-        [(1, W), (1, FL)],
-    ]
-    return seqs

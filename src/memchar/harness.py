@@ -15,21 +15,21 @@ minimum, with median recommended for noisy remote-L1 configurations.
 Backends supply raw timings: ``run_point`` returns one float64 array of
 elapsed cycles per chase, shaped (outer, sizes, inner).  The
 overhead/normalization algebra and the reduction live here, as numpy
-operations on that array, so the same arithmetic applies to native,
-synthetic, and simulated runs.
+operations on that array, so the same arithmetic applies to native and
+simulated runs alike.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 
 from .chain import ChainBuffer
 from .coherence import CoherenceScript
-from .topology import GraphKind, Placement, TopologyGraph
+from .topology import Placement, TopologyGraph
 
 __all__ = [
     "LEVELS",
@@ -55,6 +55,8 @@ LEVELS = ("L1", "L2", "L3", "RAM")
 ENV_ALIGNMENT = "MEMCHAR_ALIGNMENT"
 ENV_HUGEPAGES = "MEMCHAR_HUGEPAGES"
 ENV_FLUSH = {"L1": "MEMCHAR_FLUSH_L1", "L2": "MEMCHAR_FLUSH_L2", "L3": "MEMCHAR_FLUSH_L3"}
+# Every variable policy_from_env reads; a run's manifest records each.
+ENV_VARS = (ENV_ALIGNMENT, ENV_HUGEPAGES, *ENV_FLUSH.values())
 
 
 class HarnessError(Exception):
@@ -88,10 +90,6 @@ class MeasurementPolicy:
             raise PolicyError(f"unknown reducer {self.reducer!r}")
         if not self.flush_levels <= {"L1", "L2", "L3"}:
             raise PolicyError(f"flush_levels must be within L1/L2/L3")
-
-    @property
-    def total_samples(self) -> int:
-        return self.outer_repeats * self.sizes_per_level * self.inner_repeats
 
 
 def policy_from_env(**overrides) -> tuple[MeasurementPolicy, int, bool]:
@@ -182,10 +180,6 @@ class MeasurementRecord:
     def __post_init__(self):
         if self.latency_cycles < 0:
             raise HarnessError("latency must be non-negative after overhead subtraction")
-
-    @property
-    def latency_ns(self) -> float:
-        return cycles_to_ns(self.latency_cycles, self.frequency_mhz)
 
 
 def calibrate_overhead(backend, repeats: int = 10) -> float:

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .topology import (
     GraphKind,
     LinkClass,
     TopologyGraph,
-    core_path,
     extra_switch_hops,
     load_topology_file,
     mesh_hops,
@@ -145,20 +143,6 @@ class LatencyModel:
         if lc.unit == "uncore_cycles":
             return lc.value * self.core_mhz / self.frequencies["uncore_mhz"]
         return self.link_cost_ns(link_class) * self.core_mhz / 1000.0
-
-    def mesh_hop_uncore_cycles(self) -> float:
-        lc = self.link_costs["mesh_hop"]
-        if lc.unit == "uncore_cycles":
-            return lc.value
-        return self.link_cost_ns("mesh_hop") * self.frequencies["uncore_mhz"] / 1000.0
-
-    def conversion_report(self) -> dict[str, float]:
-        """Frequency-domain conversion factors applied at predict time."""
-        out = {"core_mhz": self.core_mhz}
-        for name in self.link_costs:
-            out[f"{name}_ns_per_direction"] = self.link_cost_ns(name)
-            out[f"{name}_core_cycles_per_direction"] = self.link_cost_core_cycles(name)
-        return out
 
     # -- classification ------------------------------------------------------
 
@@ -356,29 +340,6 @@ class LatencyModel:
         ) and locality != "local":
             return "l3"
         return "cache"
-
-    # -- serialization -------------------------------------------------------
-
-    def to_document(self) -> dict:
-        return {
-            "name": self.name,
-            "protocol": self.protocol.value,
-            "frequencies": self.frequencies,
-            "base_cycles": self.base,
-            "state_classes": self.state_classes,
-            "link_costs": {
-                k: {"value": v.value, "unit": v.unit} for k, v in self.link_costs.items()
-            },
-            "numa_class_by_extra_hops": {
-                str(k): v for k, v in self.numa_class_by_extra_hops.items()
-            },
-            "remote_anchor_extra_hops": self.remote_anchor_extra_hops,
-            "triple_base_cycles": self.triple_base,
-            "ccx_penalty_cycles": self.ccx_penalty,
-            "mesh_gradient_levels": sorted(self.mesh_gradient_levels),
-            "mesh_gradient_classes": sorted(self.mesh_gradient_classes),
-            "clean_shared_ram_beyond": self.clean_shared_ram_beyond,
-        }
 
 
 def load_model(doc: dict, graph: TopologyGraph) -> LatencyModel:

@@ -40,8 +40,8 @@ import numpy as np
 
 from .backends import BackendError
 from .chain import ChainBuffer
-from .coherence import Action, CoherenceScript, WorkerRole
-from .harness import FlushPlan, MeasurementPolicy, flush_plan
+from .coherence import Action, CoherenceScript
+from .harness import MeasurementPolicy, flush_plan
 from .topology import Placement, TopologyGraph
 
 __all__ = ["BackendUnavailable", "PinningError", "NativeBackend", "build_kernels"]

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .bandwidth import BandwidthRecord
 from .harness import MeasurementRecord
 
 __all__ = ["PlotError", "PlotData", "emit_plot", "build_plot_data"]
@@ -53,13 +52,6 @@ class PlotData:
             for ylab, row in zip(self.y_labels, self.highs):
                 lines.append("\t".join([f"{ylab}:high"] + [repr(v) for v in row]))
         return "\n".join(lines) + "\n"
-
-    def all_numbers(self) -> list[float]:
-        out = [v for row in self.values for v in row]
-        for grid in (self.lows, self.highs):
-            if grid is not None:
-                out.extend(v for row in grid for v in row)
-        return out
 
 
 def _field_of(record, name: str):

@@ -4,22 +4,24 @@ Cycles are the primary unit everywhere; nanoseconds are derived at read
 time, never stored.  Column layouts are fixed per schema version so result
 files diff cleanly across runs; any column change bumps the version.
 
-Every run writes a manifest copy alongside its results; replaying a
-manifest on the simulated backend reproduces the CSV byte for byte.
-Floats are serialized with ``repr`` (shortest round-trip form), so
-parse(write(x)) is the identity.
+Every run writes a manifest alongside its results.  A manifest is the
+run's inputs and nothing else: the subcommand's argv as parsed and the
+``MEMCHAR_*`` variables then in effect.  Replay re-parses that argv under
+those variables, so on the simulated backend it reproduces the CSVs byte
+for byte.  Floats are serialized with ``repr`` (shortest round-trip form),
+so parse(write(x)) is the identity.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+import os
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
 
 from .bandwidth import BandwidthRecord
-from .harness import MeasurementRecord
+from .harness import ENV_VARS, MeasurementRecord
 from .topology import Placement
 
 __all__ = [
@@ -96,22 +98,13 @@ def _join_i(values) -> str:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Everything needed to reproduce a run's result files."""
+    """A run's inputs: ``argv``, the subcommand's argv as parsed (``--out``
+    included), and ``environment``, each ``MEMCHAR_*`` variable's value then
+    in effect (``None`` where it was unset).  Replay re-parses ``argv`` under
+    ``environment``."""
 
-    command: str
-    topology: str
-    backend: str
-    out_dir: str = ""
-    model: Optional[str] = None
-    seed: int = 0
-    scope: Optional[str] = None
-    state: Optional[str] = None
-    level: Optional[str] = None
-    alignment: int = 512
-    huge_pages: bool = True
-    policy: dict = field(default_factory=dict)
-    args: dict = field(default_factory=dict)
-    schema_version: int = SCHEMA_VERSION
+    argv: list
+    environment: dict
 
     _COMMANDS = (
         "topo",
@@ -124,32 +117,48 @@ class RunManifest:
     )
 
     def __post_init__(self):
-        if self.command not in self._COMMANDS:
-            raise ResultError(f"unknown manifest command {self.command!r}")
+        argv, env = self.argv, self.environment
+        if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv)):
+            raise ResultError(f"manifest argv must be a non-empty list of strings, got {argv!r}")
+        if argv[0] not in self._COMMANDS:
+            raise ResultError(f"unknown manifest command {argv[0]!r}")
+        if not isinstance(env, dict) or set(env) != set(ENV_VARS) or not all(
+            v is None or isinstance(v, str) for v in env.values()
+        ):
+            raise ResultError(
+                f"manifest environment must map each of {', '.join(ENV_VARS)} "
+                f"to a string or null, got {env!r}"
+            )
 
-    def to_json(self) -> str:
-        doc = {k: v for k, v in asdict(self).items()}
-        return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    @classmethod
+    def record(cls, argv) -> "RunManifest":
+        """The manifest of ``argv`` run under the current environment."""
+        return cls(list(argv), {name: os.environ.get(name) for name in ENV_VARS})
+
+    @property
+    def command(self) -> str:
+        return self.argv[0]
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json())
+        doc = {"argv": self.argv, "environment": self.environment}
+        Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
-        doc = json.loads(Path(path).read_text())
-        return cls(**doc)
+        try:
+            doc = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as exc:
+            raise ResultError(f"{path}: unreadable manifest: {exc}") from None
+        if not isinstance(doc, dict) or set(doc) != {"argv", "environment"}:
+            raise ResultError(f"{path}: a manifest holds exactly the keys argv and environment")
+        return cls(doc["argv"], doc["environment"])
 
 
 @dataclass
 class ResultSet:
-    """Append-only collection of records plus its manifest."""
+    """A list of latency or bandwidth records and its CSV form."""
 
     records: list
-    manifest: Optional[RunManifest] = None
-    schema_version: int = SCHEMA_VERSION
-
-    def append(self, record) -> None:
-        self.records.append(record)
 
     @property
     def kind(self) -> str:
@@ -266,7 +275,7 @@ class ResultSet:
             w.writerows(rows)
 
     @classmethod
-    def from_csv(cls, path: str | Path, manifest: Optional[RunManifest] = None) -> "ResultSet":
+    def from_csv(cls, path: str | Path) -> "ResultSet":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             try:
@@ -282,4 +291,4 @@ class ResultSet:
                     f"{path}: unknown result schema (header {header[:4]}...)"
                 )
             records = [build(dict(zip(cols, row))) for row in reader]
-        return cls(records=records, manifest=manifest)
+        return cls(records=records)

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 __all__ = [
     "GraphKind",
@@ -37,7 +37,6 @@ __all__ = [
     "RouteError",
     "load_topology",
     "load_topology_file",
-    "serialize_topology",
     "mesh_route",
     "if_path",
     "enumerate_placements",
@@ -315,12 +314,6 @@ class TopologyGraph:
         if not cores:
             raise TopologyError(f"NUMA node {numa_node} has no cores")
         return cores[0]
-
-    def upi_tile(self, socket: int) -> TopoNode:
-        for n in self.nodes.values():
-            if n.role is NodeRole.UPI_PORT and n.socket == socket:
-                return n
-        raise TopologyError(f"socket {socket} has no UPI tile")
 
     def link_cost_cycles(self, link_class: LinkClass) -> tuple[float, str]:
         return self.link_costs.get(link_class, DEFAULT_LINK_COSTS[link_class])
@@ -647,11 +640,6 @@ def load_topology_file(path: str | Path) -> TopologyGraph:
     if graph is None:
         graph = _GRAPHS_BY_SHA256[key] = load_topology(json.loads(data))
     return graph
-
-
-def serialize_topology(graph: TopologyGraph) -> str:
-    """Serialize back to the source document; load(serialize(g)) == g."""
-    return json.dumps(graph.to_document(), indent=2, sort_keys=True)
 
 
 def fixture_path(name: str) -> Path:

@@ -31,7 +31,6 @@ from memchar.coherence import (
     Protocol,
     ProtocolModel,
     apply_event,
-    check_single_owner,
     initial_state_map,
     plan_state,
     verify_script,
@@ -61,6 +60,7 @@ from memchar.topology import (
     load_topology_file,
     mesh_hops,
 )
+from oracles import check_single_owner
 
 ONE = MeasurementPolicy(inner_repeats=1, outer_repeats=1, sizes_per_level=1)
 
@@ -144,7 +144,7 @@ def test_03_chain_validity_sweep():
                 assert report.cycle_length == chain.element_count
                 assert report.first_revisit_index == chain.element_count
                 twin = generate_chain(size, alignment, seed=seed)
-                assert chain.successor_bytes() == twin.successor_bytes()
+                assert chain.successors.tobytes() == twin.successors.tobytes()
                 checked += 1
     note(3, f"{checked} chains: single cycles, deterministic byte-for-byte")
 
@@ -196,7 +196,9 @@ def test_06_mesh_worst_case(clx):
     tiles = [n for n in g.nodes.values() if n.socket == 0 and n.row is not None]
     worst = max(mesh_hops(g, a.id, b.id) for a in tiles for b in tiles)
     assert worst == 9
-    overhead_uncore = worst * 2.0 * clx.mesh_hop_uncore_cycles()
+    mesh_hop = clx.link_costs["mesh_hop"]
+    assert (mesh_hop.value, mesh_hop.unit) == (1.0, "uncore_cycles")
+    overhead_uncore = worst * 2.0 * mesh_hop.value
     assert overhead_uncore == 18.0
     note(6, "worst-case 9 hops -> 18 uncore cycles, exact")
 

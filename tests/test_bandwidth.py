@@ -40,11 +40,6 @@ class TestKernels:
         assert KERNELS["read256"].burst_registers == 16
         assert KERNELS["read512"].burst_registers == 32
 
-    def test_bytes_per_iteration(self):
-        assert KERNELS["read128"].bytes_per_iteration == 128
-        assert KERNELS["read256"].bytes_per_iteration == 512
-        assert KERNELS["read512"].bytes_per_iteration == 2048
-
     def test_wrong_burst_rejected(self):
         with pytest.raises(BandwidthError, match="burst"):
             ThroughputKernel("w256", 8)

@@ -33,9 +33,9 @@ class TestGenerate:
     def test_determinism_is_byte_exact(self):
         a = generate_chain(1 << 18, 512, seed=99)
         b = generate_chain(1 << 18, 512, seed=99)
-        assert a.successor_bytes() == b.successor_bytes()
+        assert a.successors.tobytes() == b.successors.tobytes()
         c = generate_chain(1 << 18, 512, seed=100)
-        assert a.successor_bytes() != c.successor_bytes()
+        assert a.successors.tobytes() != c.successors.tobytes()
 
     def test_alignment_must_be_pow2_and_at_least_64(self):
         with pytest.raises(ChainError):
@@ -51,7 +51,7 @@ class TestGenerate:
 
     def test_offsets_are_aligned(self):
         c = generate_chain(32768, 256, seed=8)
-        assert all(c.offset_of(i) % 256 == 0 for i in range(c.element_count))
+        assert all(s * c.stride_alignment % 256 == 0 for s in c.successors)
 
 
 class TestSpec:
@@ -88,7 +88,7 @@ class TestSpec:
         assert spec.successors is first
         assert verify_chain(spec).ok
         assert calls == [(32, 21)]
-        assert first.tobytes() == generate_chain(1 << 14, 512, seed=21).successor_bytes()
+        assert first.tobytes() == generate_chain(1 << 14, 512, seed=21).successors.tobytes()
         assert len(calls) == 2  # generate_chain builds its own spec's table, eagerly
 
 
@@ -122,7 +122,7 @@ class TestShuffle:
     def test_reference_is_the_fallback_without_kernels(self, monkeypatch):
         from memchar import native
 
-        expected = generate_chain(1 << 16, 64, seed=13).successor_bytes()
+        expected = generate_chain(1 << 16, 64, seed=13).successors.tobytes()
         refused = []
 
         def unavailable():
@@ -132,7 +132,7 @@ class TestShuffle:
         monkeypatch.setattr(native, "load_kernels", unavailable)
         fallback = generate_chain(1 << 16, 64, seed=13)
         assert refused == [True]
-        assert fallback.successor_bytes() == expected
+        assert fallback.successors.tobytes() == expected
         assert verify_chain(fallback).ok
 
 

@@ -1,6 +1,7 @@
 """Result persistence, plot emission, and the command-line front end."""
 
 import json
+import os
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from memchar.bandwidth import BandwidthRecord
 from memchar.chain import generate_chain
 from memchar.cli import main
 from memchar.coherence import plan_state
-from memchar.harness import MeasurementPolicy, measure_latency
+from memchar.harness import ENV_VARS, MeasurementPolicy, measure_latency
 from memchar.model import load_fixture_model
 from memchar.plots import PlotError, build_plot_data, emit_plot
 from memchar.results import (
@@ -86,19 +87,23 @@ class TestResultSet:
         with pytest.raises(ResultError, match="schema"):
             ResultSet.from_csv(p)
 
-    def test_manifest_round_trip(self, tmp_path):
-        m = RunManifest(
-            command="latency", topology="rome_2s", backend="sim",
-            scope="same_ccx", state="M", level="L2", seed=9,
-            policy={"outer_repeats": 2},
-        )
+    def test_manifest_round_trip(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MEMCHAR_ALIGNMENT", "1024")
+        monkeypatch.delenv("MEMCHAR_HUGEPAGES", raising=False)
+        m = RunManifest.record([
+            "latency", "--topology", "rome_2s", "--scope", "same_ccx", "--seed", "9",
+            "--outer", "2",
+        ])
+        assert m.command == "latency"
+        assert m.environment["MEMCHAR_ALIGNMENT"] == "1024"
+        assert m.environment["MEMCHAR_HUGEPAGES"] is None
         p = tmp_path / "manifest.json"
         m.save(p)
         assert RunManifest.load(p) == m
 
     def test_manifest_command_validated(self):
         with pytest.raises(ResultError):
-            RunManifest(command="destroy", topology="x", backend="sim")
+            RunManifest(["destroy", "--topology", "x"], dict.fromkeys(ENV_VARS))
 
 
 class TestPlots:
@@ -115,7 +120,8 @@ class TestPlots:
         source_numbers = {r.latency_cycles for r in rome_records}
         source_numbers |= {r.min_cycles for r in rome_records}
         source_numbers |= {r.max_cycles for r in rome_records}
-        for v in data.all_numbers():
+        grids = [data.values, data.lows or [], data.highs or []]
+        for v in (v for grid in grids for row in grid for v in row):
             assert v in source_numbers
 
     def test_heatmap_has_per_cell_annotations(self, rome_records, tmp_path):
@@ -234,10 +240,11 @@ class TestCli:
         assert main(base + ["--reducer", "max", "--out", str(tmp_path / "a")]) == 0
         assert main(base + ["--out", str(tmp_path / "b")]) == 0
         assert built == [1]
-        policies = [
-            RunManifest.load(tmp_path / run / "manifest.json").policy for run in "ab"
+        reducers = [
+            {r.reducer for r in ResultSet.from_csv(tmp_path / run / "results.csv").records}
+            for run in "ab"
         ]
-        assert [p["reducer"] for p in policies] == ["max", "min"]
+        assert reducers == [{"max"}, {"min"}]
 
     def test_unknown_topology_is_config_error(self, tmp_path):
         assert main(["topo", "--topology", "no_such_system"]) == 2
@@ -266,10 +273,98 @@ class TestCli:
             "--freq", "2250", "--out", str(first),
         ]) == 0
         replayed = []
-        monkeypatch.setattr(memchar.cli, "cmd_latency", lambda ns: replayed.append(ns) or 0)
+        latency = memchar.cli.cmd_latency
+        # A parser built after the patch dispatches to the capturing command.
+        monkeypatch.setattr(memchar.cli, "_PARSER", None)
+        monkeypatch.setattr(memchar.cli, "cmd_latency",
+                            lambda ns: replayed.append(ns) or latency(ns))
         assert main(["replay", "--manifest", str(first / "manifest.json"),
                      "--out", str(tmp_path / "b")]) == 0
         assert [ns.freq for ns in replayed] == [2250.0]
+
+    def test_replay_runs_under_the_recorded_environment(self, tmp_path, monkeypatch):
+        first, again = tmp_path / "a", tmp_path / "b"
+        monkeypatch.setenv("MEMCHAR_HUGEPAGES", "0")
+        monkeypatch.setenv("MEMCHAR_ALIGNMENT", "1024")
+        assert main([
+            "latency", "--topology", "rome_2s", "--scope", "same_ccx", "--level", "L3",
+            "--outer", "1", "--inner", "1", "--sizes", "2", "--out", str(first),
+        ]) == 0
+        monkeypatch.delenv("MEMCHAR_HUGEPAGES")
+        monkeypatch.delenv("MEMCHAR_ALIGNMENT")
+        assert main(["replay", "--manifest", str(first / "manifest.json"),
+                     "--out", str(again)]) == 0
+        records = ResultSet.from_csv(first / "results.csv").records
+        assert {(r.huge_pages, r.alignment) for r in records} == {(False, 1024)}
+        assert (first / "results.csv").read_bytes() == (again / "results.csv").read_bytes()
+        assert "MEMCHAR_HUGEPAGES" not in os.environ
+        assert "MEMCHAR_ALIGNMENT" not in os.environ
+
+    @pytest.mark.parametrize("argv", [
+        ["bandwidth", "--topology", "clx_2s", "--kernel", "read512", "--cores", "0,1",
+         "--level", "L1"],
+        ["triad", "--topology", "rome_2s", "--cores", "0,4", "--bytes", str(1 << 20),
+         "--no-nt"],
+    ], ids=["bandwidth-L1", "triad-no-nt"])
+    def test_bandwidth_replay_is_byte_identical(self, argv, tmp_path):
+        first, again = tmp_path / "a", tmp_path / "b"
+        assert main(argv + ["--out", str(first)]) == 0
+        assert main(["replay", "--manifest", str(first / "manifest.json"),
+                     "--out", str(again)]) == 0
+        assert (first / "bandwidth.csv").read_bytes() == (again / "bandwidth.csv").read_bytes()
+
+    def test_replay_without_out_rewrites_the_recorded_directory(self, tmp_path):
+        run = tmp_path / "run"
+        argv = ["triad", "--topology", "rome_2s", "--bytes", str(1 << 20), "--out", str(run)]
+        assert main(argv) == 0
+        before = (run / "bandwidth.csv").read_bytes()
+        (run / "bandwidth.csv").unlink()
+        assert main(["replay", "--manifest", str(run / "manifest.json")]) == 0
+        assert (run / "bandwidth.csv").read_bytes() == before
+        assert RunManifest.load(run / "manifest.json").argv == argv
+
+    OLD_MANIFEST = {
+        "command": "latency", "topology": "rome_2s", "backend": "sim", "out_dir": "x",
+        "model": None, "seed": 0, "scope": "same_ccx", "state": "M", "level": "L2",
+        "alignment": 512, "huge_pages": True, "policy": {}, "args": {},
+        "schema_version": 1,
+    }
+    UNSET = dict.fromkeys(ENV_VARS)
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        "[]",
+        json.dumps({"argv": ["latency", "--topology", "rome_2s"]}),
+        json.dumps({"argv": ["triad"], "environment": UNSET, "extra": 1}),
+        json.dumps(OLD_MANIFEST),
+        json.dumps({"argv": "latency --topology rome_2s", "environment": UNSET}),
+        json.dumps({"argv": [], "environment": UNSET}),
+        json.dumps({"argv": ["latency", 7], "environment": UNSET}),
+        json.dumps({"argv": ["destroy"], "environment": UNSET}),
+        json.dumps({"argv": ["triad", "--bytes", "64", "--bogus"], "environment": UNSET}),
+        json.dumps({"argv": ["triad", "--topology", "rome_2s", "--bytes", "64"],
+                    "environment": {"MEMCHAR_HUGEPAGES": "0"}}),
+        None,
+    ], ids=["invalid-json", "not-an-object", "missing-key", "unknown-key", "pre-argv-format",
+            "argv-string", "argv-empty", "argv-non-string", "unknown-command",
+            "argv-does-not-parse", "environment-incomplete", "no-file"])
+    def test_malformed_manifest_is_config_error(self, text, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["replay", "--manifest", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_only_measurement_manifests_replay(self, tmp_path, capsys):
+        from memchar.topology import fixture_path
+
+        run = tmp_path / "fit"
+        assert main(["model-fit", "--topology", "rome_2s",
+                     "--input", str(fixture_path("table2_rome.csv")), "--out", str(run)]) == 0
+        assert RunManifest.load(run / "manifest.json").command == "model-fit"
+        assert main(["replay", "--manifest", str(run / "manifest.json")]) == 2
+        assert "cannot be replayed" in capsys.readouterr().err
 
     def test_bandwidth_cli(self, tmp_path):
         code = main([

@@ -18,15 +18,14 @@ from memchar.coherence import (
     Protocol,
     ProtocolModel,
     WorkerRole,
-    check_single_owner,
     initial_state_map,
     plan_state,
     protocol_step,
     apply_event,
     simulate,
-    transition_table,
     verify_script,
 )
+from oracles import check_single_owner
 
 M, O, E, S, F, I = (
     CoherenceState.M,
@@ -50,6 +49,10 @@ def states_of(state_map, cores=(0, 1)):
         e = state_map.get(("core", c))
         out.append(e.state if e is not None else I)
     return tuple(out)
+
+
+def uses_helper(script):
+    return any(s.worker is WorkerRole.HELPER_M for s in script.steps)
 
 
 def run_events(model, events, state=None):
@@ -104,11 +107,11 @@ class TestPlanState:
         for st in (E, M, I):
             script = plan_state(st, Protocol.MESIF, owner=1, requester=0,
                                 helper=2 if st in (S, F, O) else None)
-            assert not script.uses_helper
+            assert not uses_helper(script)
         for proto, states in ((Protocol.MOESI, (O, S)), (Protocol.MESIF, (S, F))):
             for st in states:
                 script = plan_state(st, proto, owner=1, helper=2, requester=0)
-                assert script.uses_helper
+                assert uses_helper(script)
 
     @pytest.mark.parametrize("protocol,model", [(Protocol.MOESI, MOESI), (Protocol.MESIF, MESIF)])
     @pytest.mark.parametrize("level", ["L1", "L2", "L3", "RAM"])
@@ -351,11 +354,3 @@ class TestInvariantFuzz:
                 if action is Action.READ:
                     assert value_read == last_write
 
-
-class TestTransitionTableExport:
-    @pytest.mark.parametrize("protocol", [Protocol.MOESI, Protocol.MESIF])
-    def test_table_mentions_every_state(self, protocol):
-        text = transition_table(protocol)
-        for st in protocol.states:
-            assert f" {st.value} " in text or f"{st.value}," in text
-        assert "read" in text and "write" in text and "flush" in text

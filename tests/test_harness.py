@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memchar.backends import ScriptPlacementError, SimulatedBackend, SyntheticBackend
+from memchar.backends import ScriptPlacementError, SimulatedBackend
 from memchar.chain import chain_spec, generate_chain
 from memchar.coherence import plan_state
 from memchar.harness import (
@@ -26,6 +26,7 @@ from memchar.harness import (
 )
 from memchar.model import load_fixture_model
 from memchar.topology import Placement, enumerate_placements, fixture_path, load_topology_file
+from oracles import SyntheticBackend
 
 ONE = MeasurementPolicy(inner_repeats=1, outer_repeats=1, sizes_per_level=1)
 
@@ -115,7 +116,7 @@ class TestAggregate:
             assert stats.median == flat[(len(flat) - 1) // 2]
 
     def test_total_samples_invariant(self):
-        assert MeasurementPolicy().total_samples == 120
+        assert aggregate(np.ones((10, 4, 3)), MeasurementPolicy()).count == 120
 
 
 class TestSyntheticOracle:
@@ -207,7 +208,7 @@ class TestSimulatedMeasurements:
         script = plan_state("M", "MOESI", owner=0, requester=0, level="L1")
         rec = measure_latency([chain], script, Placement(0, 0, 0, label="local"), ONE, be)
         assert rec.latency_cycles == 4.0
-        assert rec.latency_ns == 2.0
+        assert cycles_to_ns(rec.latency_cycles, rec.frequency_mhz) == 2.0
 
     def test_local_ram_is_220_cycles(self, rome_model):
         be = SimulatedBackend(rome_model)
@@ -215,7 +216,7 @@ class TestSimulatedMeasurements:
         script = plan_state("I", "MOESI", owner=0, requester=0, level="RAM")
         rec = measure_latency([chain], script, Placement(0, 0, 0, label="local"), ONE, be)
         assert rec.latency_cycles == 220.0
-        assert rec.latency_ns == 110.0
+        assert cycles_to_ns(rec.latency_cycles, rec.frequency_mhz) == 110.0
 
     def test_record_metadata_round(self, rome_model):
         be = SimulatedBackend(rome_model)
@@ -225,12 +226,13 @@ class TestSimulatedMeasurements:
         rec = measure_latency(chains, script, Placement(0, 16, 1, label="numa_h1"), pol, be)
         assert rec.dataset_sizes == (8192, 16384)
         assert rec.dataset_bytes == 16384
-        assert len(rec.samples) == pol.total_samples
+        assert len(rec.samples) == pol.outer_repeats * pol.sizes_per_level * pol.inner_repeats
         assert rec.alignment == 512
         assert rec.seed == 5
         assert rec.backend == "simulated"
         # ns/cycles relation is exact
-        assert rec.latency_ns == rec.latency_cycles * 1000.0 / rec.frequency_mhz
+        ns = cycles_to_ns(rec.latency_cycles, rec.frequency_mhz)
+        assert ns == rec.latency_cycles * 1000.0 / rec.frequency_mhz
 
     def test_script_placement_mismatch_rejected(self, rome_model):
         be = SimulatedBackend(rome_model)

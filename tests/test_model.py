@@ -119,7 +119,9 @@ class TestPredict:
             mesh_hops(g, a.id, b.id) for a in tiles for b in tiles
         )
         assert worst == 9
-        per_hop_round_trip = 2.0 * clx.mesh_hop_uncore_cycles()
+        mesh_hop = clx.link_costs["mesh_hop"]
+        assert mesh_hop.unit == "uncore_cycles"
+        per_hop_round_trip = 2.0 * mesh_hop.value
         assert worst * per_hop_round_trip == 18.0
 
     def test_class_ordering_matches_published_tables(self, rome, clx):
@@ -151,9 +153,8 @@ class TestPredict:
                     assert values == sorted(values), (name, state, level, values)
 
     def test_conversion_factors_reported(self, rome):
-        rep = rome.conversion_report()
-        assert rep["core_mhz"] == 2000.0
-        assert rep["if_switch_hop_ns_per_direction"] == pytest.approx(29 / 12)
+        assert rome.core_mhz == 2000.0
+        assert rome.link_cost_ns("if_switch_hop") == pytest.approx(29 / 12)
 
 
 class TestFit:
