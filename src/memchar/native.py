@@ -39,6 +39,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .backends import BackendError
+from .bandwidth import (
+    TRIAD_SCALAR, BandwidthError, BandwidthRecord, triad_operands, verify_triad,
+)
 from .chain import ChainBuffer
 from .coherence import Action, CoherenceScript
 from .harness import MeasurementPolicy, flush_plan
@@ -412,8 +415,6 @@ class NativeBandwidthBackend:
         return getattr(self.lib, fn)
 
     def run_read(self, kernel_name: str, dataset_bytes: int, core_set):
-        from .bandwidth import BandwidthRecord
-
         cores = tuple(core_set)
         degraded_from = None
         if kernel_name == "read512":
@@ -466,14 +467,21 @@ class NativeBandwidthBackend:
         )
 
     def run_triad(self, array_bytes: int, core_set, nontemporal: bool):
-        from .bandwidth import BandwidthRecord, TRIAD_SCALAR, verify_triad
-
+        """One thread pinned to the one core of ``core_set`` runs the triad
+        over the closed-form operands of :func:`~memchar.bandwidth.triad_operands`;
+        1% of ``a`` is verified.  ``a`` is write-touched on that core before the
+        timer, so the kernel times no first-touch faults and the pages land on
+        the core's node."""
         cores = tuple(core_set)
+        if len(cores) != 1:
+            raise BandwidthError(
+                f"the native triad runs one thread, so it takes one core, got {len(cores)}"
+            )
         n = array_bytes // 8
         with _pinned(cores[0]):
-            a = np.zeros(n)
-            b = np.random.default_rng(1).standard_normal(n)
-            c = np.random.default_rng(2).standard_normal(n)
+            b, c = triad_operands(n)
+            a = np.empty(n)
+            a.fill(0.0)
             ticks = self.lib.mc_triad(
                 a.ctypes.data, b.ctypes.data, c.ctypes.data,
                 TRIAD_SCALAR, n, 1 if nontemporal else 0,

@@ -354,7 +354,9 @@ def test_10_bandwidth_fixtures():
 
 
 def test_11_triad_verification():
-    """a = b + s*c holds elementwise for all simulated sizes (native runs
+    """a = b + s*c holds for every element at every simulated size: the
+    simulated triad verifies its closed-form operands block by block, and
+    verify_triad checks arbitrary operands elementwise (native runs
     spot-check 1% and are covered by the gated smoke test)."""
     rome_bw = SimBandwidthBackend(load_topology_file(fixture_path("rome_2s.json")))
     for array_bytes in (8, 512, 4096, 1 << 20):

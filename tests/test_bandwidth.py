@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memchar import bandwidth
 from memchar.bandwidth import (
     KERNELS,
+    TRIAD_BLOCK,
     BandwidthError,
     BandwidthRecord,
     SimBandwidthBackend,
@@ -16,6 +18,7 @@ from memchar.bandwidth import (
     run_throughput,
     run_triad,
     scaling_series,
+    triad_operands,
     verify_triad,
 )
 from memchar.harness import MeasurementPolicy
@@ -172,6 +175,71 @@ class TestTriad:
     def test_triad_arrays_must_hold_an_element(self, rome_bw):
         with pytest.raises(BandwidthError):
             run_triad(4, [0], nontemporal=True, backend=rome_bw)
+
+
+class TestTriadOperands:
+    @pytest.mark.parametrize("n", [1, 2, 7, TRIAD_BLOCK + 1, (1 << 20) - 1, 1 << 20])
+    def test_closed_form_is_exact_and_distinct(self, n):
+        b, c = triad_operands(n)
+        i = np.arange(n)
+        assert b.dtype == c.dtype == np.float64
+        a = b + 3.0 * c
+        assert np.array_equal(a, 3 * n - 2 * i)
+        for values in (b, c, a):
+            assert len(np.unique(values)) == n
+
+    def test_block_is_a_slice_of_the_whole(self):
+        n = 1000
+        b, c = triad_operands(n)
+        bb, cc = triad_operands(n, 300, 450)
+        assert np.array_equal(bb, b[300:450])
+        assert np.array_equal(cc, c[300:450])
+
+
+class TestBlockedSimTriad:
+    @pytest.mark.parametrize(
+        "n", [1, TRIAD_BLOCK - 1, TRIAD_BLOCK, TRIAD_BLOCK + 1, 1 << 20]
+    )
+    def test_every_element_is_verified_once(self, rome_bw, monkeypatch, n):
+        real = bandwidth.verify_triad
+        blocks = []
+
+        def counting(a, b, c, s, **kw):
+            checked = real(a, b, c, s, **kw)
+            blocks.append((kw.get("offset", 0), checked))
+            return checked
+
+        monkeypatch.setattr(bandwidth, "verify_triad", counting)
+        run_triad(8 * n, [0], nontemporal=True, backend=rome_bw)
+        assert sum(checked for _, checked in blocks) == n
+        assert [start for start, _ in blocks] == list(range(0, n, TRIAD_BLOCK))
+
+    def test_bad_element_in_a_later_block_reports_its_global_index(
+        self, rome_bw, monkeypatch
+    ):
+        n = 3 * TRIAD_BLOCK + 1
+        bad = 2 * TRIAD_BLOCK + 5
+        real = bandwidth.verify_triad
+
+        def planting(a, b, c, s, offset=0, **kw):
+            if offset <= bad < offset + len(a):
+                a[bad - offset] = -1.0
+            return real(a, b, c, s, offset=offset, **kw)
+
+        monkeypatch.setattr(bandwidth, "verify_triad", planting)
+        with pytest.raises(TriadVerificationError) as err:
+            run_triad(8 * n, [0], nontemporal=False, backend=rome_bw)
+        assert err.value.index == bad
+        assert err.value.expected == 3 * n - 2 * bad
+        assert err.value.got == -1.0
+
+    def test_runs_without_random_inputs(self, rome_bw, monkeypatch):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("the triad draws no random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        rec = run_triad(8 << 20, [0, 4], nontemporal=True, backend=rome_bw)
+        assert rec.bytes_moved == 2 * 3 * (8 << 20)
 
 
 class TestScalingSeries:

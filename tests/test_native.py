@@ -2,6 +2,7 @@
 tests that need the compiled kernels skip where they cannot be built."""
 
 import ctypes
+import mmap
 import os
 import re
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from memchar import native
+from memchar.bandwidth import BandwidthError
 from memchar.chain import chain_spec
 from memchar.topology import fixture_path, load_topology_file
 
@@ -122,6 +124,63 @@ class TestMaterialize:
         assert words[slots].tolist() == expected
         words[slots] = 0
         assert not words.any()
+
+
+def _resident(addr: int, nbytes: int) -> np.ndarray:
+    """Residency flag of every page under ``[addr, addr + nbytes)``, by mincore(2)."""
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.mincore.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p)
+    start = addr - addr % mmap.PAGESIZE
+    pages = -(-(addr + nbytes - start) // mmap.PAGESIZE)
+    vec = (ctypes.c_ubyte * pages)()
+    if libc.mincore(start, pages * mmap.PAGESIZE, vec) != 0:
+        raise OSError(ctypes.get_errno(), "mincore failed")
+    return np.frombuffer(vec, dtype=np.uint8) & 1
+
+
+def _triad_backend():
+    graph = load_topology_file(fixture_path("single_core.json"))
+    return native.NativeBandwidthBackend(graph, frequency_mhz=1000.0)
+
+
+class TestTriad:
+    @pytest.mark.parametrize("nontemporal", [True, False])
+    def test_kernel_starts_on_resident_pages(self, monkeypatch, nontemporal):
+        """First-touch page faults happen before the timer, not inside it."""
+        lib = _kernels_or_skip()
+        backend = _triad_backend()
+        kernel = lib.mc_triad
+        resident = []
+
+        def watched(a, b, c, s, n, nt):
+            resident.extend(bool(_resident(p, 8 * n).all()) for p in (a, b, c))
+            return kernel(a, b, c, s, n, nt)
+
+        monkeypatch.setattr(lib, "mc_triad", watched)
+        array_bytes = 4 << 20
+        core = min(os.sched_getaffinity(0))
+        rec = backend.run_triad(array_bytes, [core], nontemporal)
+        assert resident == [True, True, True]
+        assert rec.bytes_moved == 3 * array_bytes
+
+    def test_runs_without_random_inputs(self, monkeypatch):
+        _kernels_or_skip()
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("the triad draws no random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        backend = _triad_backend()
+        core = min(os.sched_getaffinity(0))
+        for nontemporal in (True, False):
+            assert backend.run_triad(8 * 1001, [core], nontemporal).bytes_moved == 3 * 8 * 1001
+
+    def test_more_than_one_core_is_rejected(self, monkeypatch):
+        # One thread runs the kernel, so a wider core set would be mislabelled.
+        monkeypatch.setattr(native, "load_kernels", lambda: None)
+        backend = _triad_backend()
+        with pytest.raises(BandwidthError, match="one core"):
+            backend.run_triad(4096, [0, 1], nontemporal=True)
 
 
 class TestKernelCache:
