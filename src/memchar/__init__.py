@@ -22,7 +22,7 @@ from .harness import (
     aggregate,
     calibrate_overhead,
     cycles_to_ns,
-    flush_plan,
+    flush_scratch_bytes,
     measure_latency,
 )
 from .model import LatencyMatrix, LatencyModel, compare, fit, load_fixture_model
@@ -55,7 +55,7 @@ __all__ = [
     "cycles_to_ns",
     "enumerate_placements",
     "fit",
-    "flush_plan",
+    "flush_scratch_bytes",
     "generate_chain",
     "if_path",
     "load_fixture_model",

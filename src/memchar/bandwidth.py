@@ -41,6 +41,7 @@ __all__ = [
     "verify_triad",
     "triad_operands",
     "bandwidth_dataset_ladder",
+    "dataset_level",
     "TRIAD_SCALAR",
     "TRIAD_BLOCK",
 ]
@@ -219,6 +220,29 @@ def verify_triad(
     return len(checked)
 
 
+def _l3_domain_counts(topology: TopologyGraph, core_set) -> dict[str, int]:
+    """Cores of ``core_set`` per L3 domain."""
+    domains: dict[str, int] = {}
+    for c in core_set:
+        d = topology.l3_domain_of_core(c)
+        domains[d] = domains.get(d, 0) + 1
+    return domains
+
+
+def dataset_level(topology: TopologyGraph, dataset_bytes: int, core_set) -> str:
+    """Level that holds a per-core dataset of ``dataset_bytes`` when every
+    core of ``core_set`` streams its own copy: L1 and L2 are private, and an
+    L3 domain holds the copies of all the set's cores in it."""
+    if dataset_bytes <= topology.cache_bytes("L1"):
+        return "L1"
+    if dataset_bytes <= topology.cache_bytes("L2"):
+        return "L2"
+    share = max(_l3_domain_counts(topology, core_set).values(), default=1)
+    if dataset_bytes * share <= topology.cache_bytes("L3"):
+        return "L3"
+    return "RAM"
+
+
 # ---------------------------------------------------------------------------
 # Simulated backend
 
@@ -239,28 +263,6 @@ class SimBandwidthBackend:
         self.frequency_mhz = float(tables["frequency_mhz"])
         self.supported = list(tables.get("supported_kernels", sorted(KERNELS)))
 
-    # -- structure helpers ---------------------------------------------------
-
-    def _cache_bytes(self, key: str) -> int:
-        caches = self.topology.caches
-        mult = 1024 if key.endswith("kib") else 1024 * 1024
-        return int(caches[key] * mult)
-
-    def classify_level(self, dataset_bytes: int, core_set) -> str:
-        if dataset_bytes <= self._cache_bytes("l1_kib"):
-            return "L1"
-        if dataset_bytes <= self._cache_bytes("l2_kib"):
-            return "L2"
-        # L3 capacity is per domain, shared by the run's cores in that domain.
-        domains: dict[str, int] = {}
-        for c in core_set:
-            d = self.topology.l3_domain_of_core(c)
-            domains[d] = domains.get(d, 0) + 1
-        share = max(domains.values()) if domains else 1
-        if dataset_bytes * share <= self._cache_bytes("l3_mib"):
-            return "L3"
-        return "RAM"
-
     def resolve_kernel(self, kernel_name: str) -> tuple[str, Optional[str]]:
         """Widest supported kernel; (actual, degraded_from or None)."""
         if kernel_name in self.supported:
@@ -279,44 +281,45 @@ class SimBandwidthBackend:
         per_core_bpc = self.tables["read_b_per_cycle"][level][kernel_name]
         per_core_gbps = per_core_bpc * self.frequency_mhz / 1000.0
         caps = self.tables["shared_caps_gbps"]
-        g = self.topology
         if level in ("L1", "L2"):
             return per_core_gbps * len(core_set)
         if level == "L3":
             total = 0.0
-            domains: dict[str, int] = {}
-            for c in core_set:
-                d = g.l3_domain_of_core(c)
-                domains[d] = domains.get(d, 0) + 1
-            for d, n in sorted(domains.items()):
+            for _domain, n in sorted(_l3_domain_counts(self.topology, core_set).items()):
                 total += min(n * per_core_gbps, caps["l3_domain"])
             return total
-        # RAM: cap per die (chiplet), then per memory node, then per socket.
+        return self._memory_gbps(
+            core_set, per_core_gbps, caps.get("ram_ccd"), caps["ram_node"],
+            caps.get("ram_socket", float("inf")),
+        )
+
+    def _memory_gbps(self, core_set, per_core: float, ccd_cap, node_cap, socket_cap) -> float:
+        """Capped sum of ``per_core`` GB/s over the memory path: per compute
+        die (chiplet graphs with a ``ccd_cap``), then per memory node, then
+        per socket."""
+        g = self.topology
         per_node: dict[int, float] = {}
-        if g.kind is GraphKind.CHIPLET_IF and "ram_ccd" in caps:
+        if g.kind is GraphKind.CHIPLET_IF and ccd_cap is not None:
             per_die: dict[tuple, int] = {}
             for c in core_set:
                 n = g.core(c)
-                per_die[(n.socket, n.numa_node, n.ccd)] = (
-                    per_die.get((n.socket, n.numa_node, n.ccd), 0) + 1
-                )
-            for (sock, node, _ccd), n in sorted(per_die.items()):
-                die_bw = min(n * per_core_gbps, caps["ram_ccd"])
-                per_node[node] = per_node.get(node, 0.0) + die_bw
+                key = (n.socket, n.numa_node, n.ccd)
+                per_die[key] = per_die.get(key, 0) + 1
+            for (_sock, node, _ccd), n in sorted(per_die.items()):
+                per_node[node] = per_node.get(node, 0.0) + min(n * per_core, ccd_cap)
         else:
             for c in core_set:
                 node = g.node_of_core(c)
-                per_node[node] = per_node.get(node, 0.0) + per_core_gbps
+                per_node[node] = per_node.get(node, 0.0) + per_core
         per_socket: dict[int, float] = {}
         for node, bw in sorted(per_node.items()):
-            bw = min(bw, caps["ram_node"])
             sock = g.memory_controller(node).socket
-            per_socket[sock] = per_socket.get(sock, 0.0) + bw
-        return sum(min(bw, caps.get("ram_socket", float("inf"))) for bw in per_socket.values())
+            per_socket[sock] = per_socket.get(sock, 0.0) + min(bw, node_cap)
+        return sum(min(bw, socket_cap) for bw in per_socket.values())
 
     def run_read(self, kernel_name: str, dataset_bytes: int, core_set) -> BandwidthRecord:
         actual, degraded_from = self.resolve_kernel(kernel_name)
-        level = self.classify_level(dataset_bytes, core_set)
+        level = dataset_level(self.topology, dataset_bytes, core_set)
         gbps = self.read_rate_gbps(actual, level, core_set)
         flags = ("width_degraded",) if degraded_from else ()
         return BandwidthRecord.from_rate(
@@ -336,26 +339,10 @@ class SimBandwidthBackend:
     def triad_rate_gbps(self, core_set, nontemporal: bool) -> float:
         t = self.tables["triad_gbps"]
         per_core = t["per_core"] * (1.0 if nontemporal else 0.75)
-        g = self.topology
-        per_node: dict[int, float] = {}
-        if g.kind is GraphKind.CHIPLET_IF and "ccd_cap" in t:
-            per_die: dict[tuple, int] = {}
-            for c in core_set:
-                n = g.core(c)
-                key = (n.socket, n.numa_node, n.ccd)
-                per_die[key] = per_die.get(key, 0) + 1
-            for (sock, node, _), n in sorted(per_die.items()):
-                per_node[node] = per_node.get(node, 0.0) + min(n * per_core, t["ccd_cap"])
-        else:
-            for c in core_set:
-                node = g.node_of_core(c)
-                per_node[node] = per_node.get(node, 0.0) + per_core
-        per_socket: dict[int, float] = {}
-        for node, bw in sorted(per_node.items()):
-            bw = min(bw, t["node_cap"])
-            sock = g.memory_controller(node).socket
-            per_socket[sock] = per_socket.get(sock, 0.0) + bw
-        return sum(min(bw, t.get("socket_cap", float("inf"))) for bw in per_socket.values())
+        return self._memory_gbps(
+            core_set, per_core, t.get("ccd_cap"), t["node_cap"],
+            t.get("socket_cap", float("inf")),
+        )
 
     def run_triad(self, array_bytes: int, core_set, nontemporal: bool) -> BandwidthRecord:
         """Triad over closed-form operands, priced from the fixture tables.
@@ -493,10 +480,8 @@ def scaling_series(
 
 def bandwidth_dataset_ladder(topology: TopologyGraph, level: str) -> list[int]:
     """Per-level dataset presets: 1/4x, 1/2x, 1x, 2x of the level capacity."""
-    caches = topology.caches
-    key = {"L1": "l1_kib", "L2": "l2_kib", "L3": "l3_mib"}.get(level)
-    if key is None:
-        l3 = int(caches["l3_mib"] * 1024 * 1024)
+    if level == "RAM":
+        l3 = topology.cache_bytes("L3")
         return [2 * l3, 4 * l3, 8 * l3, 16 * l3]
-    cap = int(caches[key] * (1024 if key.endswith("kib") else 1024 * 1024))
+    cap = topology.cache_bytes(level)
     return [cap // 4, cap // 2, cap, 2 * cap]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -45,7 +46,7 @@ from .model import (
     ram_hop_template,
     remote_socket_template,
 )
-from .plots import emit_plot
+from .plots import PlotError, emit_plot
 from .results import ResultError, ResultSet, RunManifest
 from .topology import (
     PlacementScope,
@@ -153,14 +154,7 @@ def cmd_latency(args) -> int:
     policy, alignment, huge = _policy_from_args(args)
     if args.reducer is None and args.level == "L1" and args.scope != "local":
         # Remote-L1 samples are noisy; the median coincides with the mode.
-        policy = MeasurementPolicy(
-            inner_repeats=policy.inner_repeats,
-            outer_repeats=policy.outer_repeats,
-            sizes_per_level=policy.sizes_per_level,
-            reducer="median",
-            warmup=policy.warmup,
-            flush_levels=policy.flush_levels,
-        )
+        policy = dataclasses.replace(policy, reducer="median")
     if args.backend == "sim":
         backend = SimulatedBackend(model)
     else:
@@ -462,6 +456,7 @@ _CONFIG_ERRORS = (
     PolicyError,
     ModelError,
     CoherenceError,
+    PlotError,
     ResultError,
     chain_mod.ChainError,
     harness.HarnessError,

@@ -29,7 +29,6 @@ from typing import Iterable, Optional
 __all__ = [
     "CoherenceState",
     "Protocol",
-    "L3Policy",
     "Action",
     "WorkerRole",
     "CoherenceError",
@@ -92,11 +91,6 @@ class Protocol(str, Enum):
         )
 
 
-class L3Policy(str, Enum):
-    VICTIM_EXCLUSIVE = "victim_exclusive"
-    NON_INCLUSIVE = "non_inclusive"
-
-
 class Action(str, Enum):
     READ = "read"
     WRITE = "write"
@@ -131,28 +125,23 @@ class ProtocolModel:
     """Protocol plus the cache hierarchy it runs over.
 
     ``l3_domain_of`` maps core id to its shared-L3 domain id (a CCX on the
-    chiplet design, an SNC on the mesh).  MOESI pairs with a victim-exclusive
-    L3, MESIF with a non-inclusive one; mixing is rejected.
+    chiplet design, an SNC on the mesh).  The L2 is inclusive of L1, and the
+    protocol, given as a :class:`Protocol` or its name, fixes the L3 policy
+    (:attr:`l3_policy`).
     """
 
     protocol: Protocol
     cores: tuple[int, ...]
     l3_domain_of: dict[int, str]
     home_node: int = 0
-    l3_policy: L3Policy = L3Policy.VICTIM_EXCLUSIVE
-    l2_policy: str = "inclusive_of_l1"
+
+    @property
+    def l3_policy(self) -> str:
+        """MOESI runs over a victim-exclusive L3, MESIF over a non-inclusive one."""
+        return "victim_exclusive" if self.protocol is Protocol.MOESI else "non_inclusive"
 
     def __post_init__(self):
-        expected = (
-            L3Policy.VICTIM_EXCLUSIVE
-            if self.protocol is Protocol.MOESI
-            else L3Policy.NON_INCLUSIVE
-        )
-        if self.l3_policy is not expected:
-            raise CoherenceError(
-                f"{self.protocol.value} pairs with {expected.value} L3, "
-                f"got {self.l3_policy.value}"
-            )
+        object.__setattr__(self, "protocol", Protocol(self.protocol))
         missing = [c for c in self.cores if c not in self.l3_domain_of]
         if missing:
             raise CoherenceError(f"cores without an L3 domain: {missing}")
@@ -166,26 +155,14 @@ class ProtocolModel:
         home_node: int = 0,
     ) -> "ProtocolModel":
         """Synthetic model: consecutive cores grouped into L3 domains."""
-        protocol = Protocol(protocol)
         cores = tuple(cores)
         domains = {c: f"d{i // cores_per_domain}" for i, c in enumerate(cores)}
-        policy = (
-            L3Policy.VICTIM_EXCLUSIVE
-            if protocol is Protocol.MOESI
-            else L3Policy.NON_INCLUSIVE
-        )
-        return cls(protocol, cores, domains, home_node, policy)
+        return cls(protocol, cores, domains, home_node)
 
     @classmethod
     def from_topology(cls, graph, protocol: Protocol | str, home_node: int = 0):
-        protocol = Protocol(protocol)
         domains = {c: graph.l3_domain_of_core(c) for c in graph.cores}
-        policy = (
-            L3Policy.VICTIM_EXCLUSIVE
-            if protocol is Protocol.MOESI
-            else L3Policy.NON_INCLUSIVE
-        )
-        return cls(protocol, tuple(graph.cores), domains, home_node, policy)
+        return cls(protocol, tuple(graph.cores), domains, home_node)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 The measurement protocol, independent of backend:
 
 1. pin requester / owner (/ helper) workers per the placement,
-2. flush the requester's cache path,
+2. flush the policy's ``flush_levels`` (all of L1/L2/L3 unless a
+   ``MEMCHAR_FLUSH_L1/L2/L3`` variable is 0) from the requester's cache path
+   with a scratch sweep of :func:`flush_scratch_bytes` bytes,
 3. drive the line into the requested coherence state with a script,
 4. time serialized pointer chases over the chain,
 5. subtract the calibrated timing overhead and reduce the sample matrix.
@@ -39,11 +41,10 @@ __all__ = [
     "MeasurementPolicy",
     "SampleStats",
     "MeasurementRecord",
-    "FlushPlan",
     "aggregate",
     "calibrate_overhead",
     "cycles_to_ns",
-    "flush_plan",
+    "flush_scratch_bytes",
     "measure_latency",
     "level_dataset_bytes",
     "auto_helper",
@@ -57,6 +58,8 @@ ENV_HUGEPAGES = "MEMCHAR_HUGEPAGES"
 ENV_FLUSH = {"L1": "MEMCHAR_FLUSH_L1", "L2": "MEMCHAR_FLUSH_L2", "L3": "MEMCHAR_FLUSH_L3"}
 # Every variable policy_from_env reads; a run's manifest records each.
 ENV_VARS = (ENV_ALIGNMENT, ENV_HUGEPAGES, *ENV_FLUSH.values())
+# Timings of the empty timing routine whose minimum is a point's overhead.
+CALIBRATION_REPEATS = 10
 
 
 class HarnessError(Exception):
@@ -73,15 +76,14 @@ class PolicyError(HarnessError):
 
 @dataclass(frozen=True)
 class MeasurementPolicy:
-    """Sampling shape and reduction for one reported point."""
+    """Sampling shape, reduction and flushed cache levels for one reported
+    point."""
 
     inner_repeats: int = 3
     outer_repeats: int = 10
     sizes_per_level: int = 4
     reducer: str = "min"
-    warmup: bool = True
     flush_levels: frozenset = frozenset({"L1", "L2", "L3"})
-    calibration_repeats: int = 10
 
     def __post_init__(self):
         if min(self.inner_repeats, self.outer_repeats, self.sizes_per_level) < 1:
@@ -182,7 +184,7 @@ class MeasurementRecord:
             raise HarnessError("latency must be non-negative after overhead subtraction")
 
 
-def calibrate_overhead(backend, repeats: int = 10) -> float:
+def calibrate_overhead(backend, repeats: int = CALIBRATION_REPEATS) -> float:
     """Minimum over `repeats` runs of the timing routine with no accesses."""
     if repeats < 1:
         raise HarnessError("calibration needs at least one repeat")
@@ -226,7 +228,7 @@ def measure_latency(
         raise HarnessError("all chains of a point must share alignment and seed")
     _validate_placement(placement, script)
 
-    overhead = calibrate_overhead(backend, policy.calibration_repeats)
+    overhead = calibrate_overhead(backend)
     elapsed = _sample_grid(backend.run_point(chains, script, placement, policy), policy)
     excess = elapsed - overhead
     accesses = np.array([c.element_count for c in chains], dtype=np.float64)[:, None]
@@ -258,53 +260,15 @@ def measure_latency(
 # Cache flushing
 
 
-@dataclass(frozen=True)
-class FlushPlan:
-    """Scratch-traversal plan that displaces the targeted cache levels.
-
-    Touching a scratch region at least twice the summed capacities along the
-    requester's cache path evicts prior content; the inclusive L2 takes L1
-    content with it, and filling L2 spills the victims into L3.
-    """
-
-    levels: frozenset
-    scratch_bytes: int
-    stride: int
-    implied_levels: frozenset
-
-    @property
-    def actions(self) -> tuple:
-        if not self.levels:
-            return ()
-        return (("touch_scratch", self.scratch_bytes, self.stride),)
-
-
-def flush_plan(topology: TopologyGraph, levels) -> FlushPlan:
+def flush_scratch_bytes(topology: TopologyGraph, levels) -> int:
+    """Bytes of scratch a backend touches to displace ``levels``: twice the
+    summed capacities along the requester's cache path (0 for no levels).
+    The inclusive L2 takes L1 content with it, and filling L2 spills the
+    victims into L3."""
     levels = frozenset(levels)
     if not levels <= {"L1", "L2", "L3"}:
         raise HarnessError(f"flush levels must be within L1/L2/L3, got {sorted(levels)}")
-    if not levels:
-        return FlushPlan(levels, 0, 64, frozenset())
-    caches = topology.caches
-    needed = {"L1": "l1_kib", "L2": "l2_kib", "L3": "l3_mib"}
-    total = 0
-    for lv in sorted(levels):
-        key = needed[lv]
-        if key not in caches:
-            raise HarnessError(f"topology lacks cache size {key} needed to flush {lv}")
-        size = caches[key] * (1024 if key.endswith("kib") else 1024 * 1024)
-        total += int(size)
-    implied = set(levels)
-    if "L2" in levels:
-        implied.add("L1")  # inclusive L2: evicting L2 evicts L1 content
-    if "L2" in levels:
-        implied.add("L3")  # filling L2 spills victims into the victim L3
-    return FlushPlan(
-        levels=levels,
-        scratch_bytes=2 * total,
-        stride=64,
-        implied_levels=frozenset(implied),
-    )
+    return 2 * sum(topology.cache_bytes(lv) for lv in levels)
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +281,14 @@ _RAM_MULTIPLES = (2, 4, 8, 16)  # multiples of the L3 domain size
 
 def level_dataset_bytes(topology: TopologyGraph, level: str, count: int = 4) -> list[int]:
     """Power-of-two dataset ladder targeting one memory level."""
-    caches = topology.caches
     if level not in LEVELS:
         raise HarnessError(f"unknown level {level!r}")
     if level == "RAM":
-        l3 = int(caches["l3_mib"] * 1024 * 1024)
+        l3 = topology.cache_bytes("L3")
         sizes = [m * l3 for m in _RAM_MULTIPLES]
     else:
-        key = {"L1": "l1_kib", "L2": "l2_kib", "L3": "l3_mib"}[level]
-        cap = caches[key] * (1024 if key.endswith("kib") else 1024 * 1024)
-        sizes = [int(cap) // f for f in _LEVEL_FRACTIONS]
+        cap = topology.cache_bytes(level)
+        sizes = [cap // f for f in _LEVEL_FRACTIONS]
     return sizes[-count:] if count <= len(sizes) else sizes
 
 

@@ -16,7 +16,13 @@ no compiler or no x86-64 is available every entry point raises
 Orchestration follows the measurement listing: workers are pinned threads
 synchronized by barriers; the owner (and helper) touch the buffer to set the
 coherence state while the requester waits, then the requester times the
-chase.
+chase.  Before a point's chases the requester sweeps a scratch region that
+displaces the levels in the policy's ``flush_levels``
+(:func:`~memchar.harness.flush_scratch_bytes`; none when the
+``MEMCHAR_FLUSH_*`` variables are all 0), and the ``EVICT_L1``/``EVICT_L2``
+script steps sweep the same way for their one level.  Every size comes from
+:meth:`~memchar.topology.TopologyGraph.cache_bytes`, so a topology without
+cache sizes is rejected rather than guessed at.
 """
 
 from __future__ import annotations
@@ -40,11 +46,12 @@ import numpy as np
 
 from .backends import BackendError
 from .bandwidth import (
-    TRIAD_SCALAR, BandwidthError, BandwidthRecord, triad_operands, verify_triad,
+    TRIAD_SCALAR, BandwidthError, BandwidthRecord, dataset_level, triad_operands,
+    verify_triad,
 )
 from .chain import ChainBuffer
 from .coherence import Action, CoherenceScript
-from .harness import MeasurementPolicy, flush_plan
+from .harness import MeasurementPolicy, flush_scratch_bytes
 from .topology import Placement, TopologyGraph
 
 __all__ = ["BackendUnavailable", "PinningError", "NativeBackend", "build_kernels"]
@@ -228,18 +235,12 @@ class NativeBackend:
 
     name = "native"
 
-    def __init__(
-        self,
-        topology: TopologyGraph,
-        frequency_mhz: Optional[float] = None,
-        flush_levels=frozenset({"L1", "L2", "L3"}),
-    ):
+    def __init__(self, topology: TopologyGraph, frequency_mhz: Optional[float] = None):
         self.topology = topology
         self.lib = load_kernels()
         self.libnuma = _load_libnuma()
         # Operator-pinned frequency; the backend never adjusts clocks.
         self.frequency_mhz = frequency_mhz or _tsc_mhz(self.lib)
-        self.flush_levels = frozenset(flush_levels)
         self._scratch: Optional[_Region] = None
 
     def time_empty(self) -> float:
@@ -263,13 +264,16 @@ class NativeBackend:
         words[:: align // 8][: chain.element_count] = succ * align + region.addr
         return region
 
-    def _flush(self, requester_core: int):
-        plan = flush_plan(self.topology, self.flush_levels)
-        if not plan.actions:
+    def _flush(self, levels) -> None:
+        """Displace ``levels`` from the calling core's caches by sweeping a
+        scratch region sized by :func:`~memchar.harness.flush_scratch_bytes`;
+        no levels, no sweep."""
+        nbytes = flush_scratch_bytes(self.topology, levels)
+        if not nbytes:
             return
-        if self._scratch is None or self._scratch.nbytes < plan.scratch_bytes:
-            self._scratch = _Region(plan.scratch_bytes, None, None, False)
-        self.lib.mc_touch(self._scratch.addr, self._scratch.nbytes, plan.stride)
+        if self._scratch is None or self._scratch.nbytes < nbytes:
+            self._scratch = _Region(nbytes, None, None, False)
+        self.lib.mc_touch(self._scratch.addr, nbytes, 64)
 
     # -- measurement ---------------------------------------------------------
 
@@ -301,10 +305,10 @@ class NativeBackend:
         if same_core:
             # Local placement: one pinned thread prepares and measures.
             with _pinned(placement.requester):
-                self._flush(placement.requester)
+                self._flush(policy.flush_levels)
                 for rep in range(policy.inner_repeats):
                     self._apply_script(script, region, chain, pin=False)
-                    if policy.warmup and rep == 0:
+                    if rep == 0:
                         self.lib.mc_touch(region.addr, region.nbytes, chain.stride_alignment)
                         self._chase(region, chain.element_count)
                         self._apply_script(script, region, chain, pin=False)
@@ -337,9 +341,8 @@ class NativeBackend:
         worker.start()
         try:
             with _pinned(placement.requester):
-                self._flush(placement.requester)
-                if policy.warmup:
-                    self.lib.mc_touch(region.addr, region.nbytes, chain.stride_alignment)
+                self._flush(policy.flush_levels)
+                self.lib.mc_touch(region.addr, region.nbytes, chain.stride_alignment)
                 for _ in range(policy.inner_repeats):
                     ready.wait()
                     done.wait()  # state prepared on the owner/helper cores
@@ -381,15 +384,10 @@ class NativeBackend:
                 self.lib.mc_write_touch(region.addr + 8, region.nbytes - 8, stride, b"\x01")
             elif step.action is Action.FLUSH:
                 self.lib.mc_clflush(region.addr, region.nbytes, 64)
-            elif step.action in (Action.EVICT_L1, Action.EVICT_L2):
-                # Capacity eviction: displace with a scratch sweep sized to
-                # the level being vacated.
-                caches = self.topology.caches
-                kib = caches.get("l1_kib", 32) if step.action is Action.EVICT_L1 else caches.get("l2_kib", 512)
-                nbytes = 2 * int(kib) * 1024
-                if self._scratch is None or self._scratch.nbytes < nbytes:
-                    self._scratch = _Region(nbytes, None, None, False)
-                self.lib.mc_touch(self._scratch.addr, nbytes, 64)
+            elif step.action is Action.EVICT_L1:
+                self._flush({"L1"})  # capacity eviction of the level being vacated
+            elif step.action is Action.EVICT_L2:
+                self._flush({"L2"})
 
 
 class NativeBandwidthBackend:
@@ -416,6 +414,7 @@ class NativeBandwidthBackend:
 
     def run_read(self, kernel_name: str, dataset_bytes: int, core_set):
         cores = tuple(core_set)
+        level = dataset_level(self.topology, dataset_bytes, cores)
         degraded_from = None
         if kernel_name == "read512":
             # No AVX-512 kernel is compiled; degrade loudly, never silently.
@@ -452,14 +451,6 @@ class NativeBandwidthBackend:
                 t.join()
             elapsed = max(results)  # aggregate elapsed = slowest worker
             total = dataset_bytes * reps * len(cores)
-        level = "RAM"
-        caches = self.topology.caches
-        if dataset_bytes <= caches.get("l1_kib", 0) * 1024:
-            level = "L1"
-        elif dataset_bytes <= caches.get("l2_kib", 0) * 1024:
-            level = "L2"
-        elif dataset_bytes <= caches.get("l3_mib", 0) * 1024 * 1024:
-            level = "L3"
         flags = ("width_degraded",) if degraded_from else ()
         return BandwidthRecord.from_raw(
             kernel_name, dataset_bytes, cores, level, total, float(elapsed),

@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
+# Level -> (key in the document's ``caches``, bytes per unit of that key).
+_CACHE_KEYS = {"L1": ("l1_kib", 1 << 10), "L2": ("l2_kib", 1 << 10), "L3": ("l3_mib", 1 << 20)}
 
 
 class TopologyError(Exception):
@@ -318,6 +320,16 @@ class TopologyGraph:
     def link_cost_cycles(self, link_class: LinkClass) -> tuple[float, str]:
         return self.link_costs.get(link_class, DEFAULT_LINK_COSTS[link_class])
 
+    def cache_bytes(self, level: str) -> int:
+        """Capacity in bytes of ``level``: per core for L1 and L2, per L3
+        domain for L3.  The one reader of the document's ``caches`` sizes."""
+        key, unit = _CACHE_KEYS[level]
+        if key not in self.caches:
+            raise TopologyError(
+                f"topology '{self.name}' lacks cache size {key} needed for {level}"
+            )
+        return int(self.caches[key] * unit)
+
     # -- validation -------------------------------------------------------
 
     def _validate(self) -> None:
@@ -402,8 +414,9 @@ Common:
   socket_count    1 or 2
   frequencies     {"core_mhz": F, "fclk_mhz": F?, "uncore_mhz": F?}
   link_costs      {class: {"cycles": C, "domain": "core"|"fclk"|"uncore"}}
-  caches          {"l1_kib": K, "l2_kib": K, "l3_mib": M}   (per level;
-                  l3 is per L3 domain)
+  caches          {"l1_kib": K, "l2_kib": K, "l3_mib": M}   (L1 and L2
+                  per core, L3 per L3 domain; read through
+                  TopologyGraph.cache_bytes, which names a missing size)
   bandwidth       optional fixture tables for the simulated bandwidth
                   backend (see bandwidth module docs)
 

@@ -21,7 +21,7 @@ from memchar.results import (
     ResultSet,
     RunManifest,
 )
-from memchar.topology import Placement, enumerate_placements
+from memchar.topology import Placement, enumerate_placements, fixture_path
 
 ONE = MeasurementPolicy(inner_repeats=1, outer_repeats=1, sizes_per_level=1)
 
@@ -248,6 +248,26 @@ class TestCli:
 
     def test_unknown_topology_is_config_error(self, tmp_path):
         assert main(["topo", "--topology", "no_such_system"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["latency", "--model", "rome_2s_latency_model", "--level", "L2"],
+        ["bandwidth", "--level", "L1"],
+        ["bandwidth", "--bytes", "4096"],
+    ], ids=["latency", "bandwidth-level", "bandwidth-bytes"])
+    def test_topology_without_cache_sizes_is_config_error(self, argv, tmp_path, capsys):
+        doc = json.loads(fixture_path("rome_2s.json").read_text())
+        del doc["caches"]
+        topo = tmp_path / "no_caches.json"
+        topo.write_text(json.dumps(doc))
+        assert main(argv + ["--topology", str(topo), "--out", str(tmp_path / "run")]) == 2
+        assert "lacks cache size" in capsys.readouterr().err
+
+    def test_report_unknown_field_is_config_error(self, rome_records, tmp_path, capsys):
+        ResultSet(records=list(rome_records)).to_csv(tmp_path / "r.csv")
+        code = main(["report", "--input", str(tmp_path / "r.csv"), "--x", "nosuchfield",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "nosuchfield" in capsys.readouterr().err
 
     def test_replay_reproduces_csv_byte_identical(self, tmp_path):
         first = tmp_path / "a"

@@ -19,13 +19,15 @@ from memchar.harness import (
     auto_helper,
     calibrate_overhead,
     cycles_to_ns,
-    flush_plan,
+    flush_scratch_bytes,
     level_dataset_bytes,
     measure_latency,
     policy_from_env,
 )
 from memchar.model import load_fixture_model
-from memchar.topology import Placement, enumerate_placements, fixture_path, load_topology_file
+from memchar.topology import (
+    Placement, TopologyError, enumerate_placements, fixture_path, load_topology_file,
+)
 from oracles import SyntheticBackend
 
 ONE = MeasurementPolicy(inner_repeats=1, outer_repeats=1, sizes_per_level=1)
@@ -306,19 +308,11 @@ class TestSimulatedMeasurements:
 
 class TestFlushPlan:
     def test_empty_levels_empty_plan(self, rome):
-        plan = flush_plan(rome, set())
-        assert plan.actions == ()
-        assert plan.scratch_bytes == 0
+        assert flush_scratch_bytes(rome, set()) == 0
 
     def test_rome_full_flush_size(self, rome):
-        plan = flush_plan(rome, {"L1", "L2", "L3"})
         floor = 2 * (32 * 1024 + 512 * 1024 + 16 * 1024 * 1024)
-        assert plan.scratch_bytes >= floor
-
-    def test_inclusive_and_victim_implications(self, rome):
-        plan = flush_plan(rome, {"L2"})
-        assert "L1" in plan.implied_levels
-        assert "L3" in plan.implied_levels
+        assert flush_scratch_bytes(rome, {"L1", "L2", "L3"}) >= floor
 
     def test_unknown_cache_sizes_rejected(self, rome):
         doc = rome.to_document()
@@ -326,12 +320,12 @@ class TestFlushPlan:
         from memchar.topology import load_topology
 
         bare = load_topology(doc)
-        with pytest.raises(HarnessError, match="cache size"):
-            flush_plan(bare, {"L1"})
+        with pytest.raises(TopologyError, match="cache size"):
+            flush_scratch_bytes(bare, {"L1"})
 
     def test_bad_level_rejected(self, rome):
         with pytest.raises(HarnessError):
-            flush_plan(rome, {"L4"})
+            flush_scratch_bytes(rome, {"L4"})
 
 
 class TestEnvAndLadders:

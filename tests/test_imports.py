@@ -1,4 +1,5 @@
-"""Every module-level import in ``src/memchar`` is used or re-exported."""
+"""Every module-level import in ``src/memchar`` is used or re-exported, and
+only ``topology.py`` reads a topology's raw ``caches`` sizes."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,24 @@ def test_no_unused_module_imports(path):
 def test_scan_flags_an_unused_import():
     source = "import os\nfrom typing import Optional\n__all__ = ['Optional']\n"
     assert unused_imports(source) == ["line 1: os"]
+
+
+def caches_reads(source: str) -> list[int]:
+    """Lines that read an attribute named ``caches``."""
+    return sorted(
+        n.lineno for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and n.attr == "caches"
+    )
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "topology.py"),
+    ids=lambda p: p.name,
+)
+def test_cache_sizes_read_only_through_the_topology(path):
+    # Sizes come from TopologyGraph.cache_bytes, the one KiB/MiB conversion.
+    assert caches_reads(path.read_text()) == []
+
+
+def test_scan_flags_a_caches_read():
+    assert caches_reads("x = 1\nkib = graph.caches['l1_kib']\n") == [2]

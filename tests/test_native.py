@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from memchar import native
-from memchar.bandwidth import BandwidthError
+from memchar.bandwidth import BandwidthError, SimBandwidthBackend
 from memchar.chain import chain_spec
-from memchar.topology import fixture_path, load_topology_file
+from memchar.coherence import plan_state
+from memchar.harness import MeasurementPolicy, measure_latency
+from memchar.topology import Placement, fixture_path, load_topology_file
 
 C_TYPES = {
     "uint64_t": ctypes.c_uint64,
@@ -124,6 +126,47 @@ class TestMaterialize:
         assert words[slots].tolist() == expected
         words[slots] = 0
         assert not words.any()
+
+
+class TestFlushLevels:
+    @pytest.mark.parametrize("levels, swept", [
+        (frozenset(), None),
+        (frozenset({"L1"}), 2 * 32 * 1024),
+    ], ids=["none", "L1"])
+    def test_policy_levels_size_the_scratch_sweep(self, levels, swept):
+        _kernels_or_skip()
+        graph = load_topology_file(fixture_path("single_core.json"))
+        backend = native.NativeBackend(graph, frequency_mhz=1000.0)
+        policy = MeasurementPolicy(
+            inner_repeats=1, outer_repeats=1, sizes_per_level=1, flush_levels=levels
+        )
+        script = plan_state("M", "MOESI", owner=0, requester=0, level="L1")
+        chain = chain_spec(16 << 10, 512, seed=1, huge_pages=False)
+        measure_latency([chain], script, Placement(0, 0, 0, label="local"), policy, backend)
+        scratch = backend._scratch
+        assert (None if scratch is None else scratch.nbytes) == swept
+
+
+class TestReadLevel:
+    def test_labels_match_the_simulator(self, monkeypatch):
+        class Kernels:
+            def mc_write_touch(self, addr, nbytes, stride, value):
+                pass
+
+            def mc_read256(self, addr, nbytes, reps, check):
+                return 1000
+
+        monkeypatch.setattr(native, "load_kernels", Kernels)
+        monkeypatch.setattr(native, "_pin_current_thread", lambda core: os.sched_getaffinity(0))
+        graph = load_topology_file(fixture_path("rome_2s.json"))
+        native_bw = native.NativeBandwidthBackend(graph, frequency_mhz=1000.0)
+        sim_bw = SimBandwidthBackend(graph)
+        # One core's 8 MiB fits a 16 MiB L3 domain; four cores' copies do not.
+        cases = {((8 << 20), (0,)): "L3", ((8 << 20), (0, 1, 2, 3)): "RAM",
+                 ((256 << 10), (0, 1)): "L2"}
+        for (nbytes, cores), level in cases.items():
+            assert native_bw.run_read("read256", nbytes, cores).level == level
+            assert sim_bw.run_read("read256", nbytes, cores).level == level
 
 
 def _resident(addr: int, nbytes: int) -> np.ndarray:

@@ -66,6 +66,14 @@ class TestLoad:
         assert edited is not first
         assert edited.caches["l2_kib"] == 2 * first.caches["l2_kib"]
 
+    def test_cache_bytes_per_level(self, rome):
+        sizes = [rome.cache_bytes(level) for level in ("L1", "L2", "L3")]
+        assert sizes == [32 << 10, 512 << 10, 16 << 20]
+        doc = rome.to_document()
+        del doc["caches"]["l2_kib"]
+        with pytest.raises(TopologyError, match="lacks cache size l2_kib"):
+            load_topology(doc).cache_bytes("L2")
+
     def test_single_core_degenerate(self, single):
         assert len(single.cores) == 1
         interconnect = [
