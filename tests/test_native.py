@@ -5,6 +5,8 @@ import ctypes
 import mmap
 import os
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -147,17 +149,32 @@ class TestFlushLevels:
         assert (None if scratch is None else scratch.nbytes) == swept
 
 
+class FakeKernels:
+    """Kernel table stand-in: every kernel returns at once."""
+
+    def mc_timer_overhead(self):
+        return 10
+
+    def mc_touch(self, addr, nbytes, stride):
+        return 0
+
+    def mc_write_touch(self, addr, nbytes, stride, value):
+        pass
+
+    def mc_clflush(self, addr, nbytes, stride):
+        pass
+
+    def mc_chase(self, addr, count, sink):
+        return 1000
+
+    def mc_read256(self, addr, nbytes, reps, check):
+        return 1000
+
+
 class TestReadLevel:
     def test_labels_match_the_simulator(self, monkeypatch):
-        class Kernels:
-            def mc_write_touch(self, addr, nbytes, stride, value):
-                pass
-
-            def mc_read256(self, addr, nbytes, reps, check):
-                return 1000
-
-        monkeypatch.setattr(native, "load_kernels", Kernels)
-        monkeypatch.setattr(native, "_pin_current_thread", lambda core: os.sched_getaffinity(0))
+        monkeypatch.setattr(native, "load_kernels", FakeKernels)
+        monkeypatch.setattr(native, "_pin_current_thread", lambda core: None)
         graph = load_topology_file(fixture_path("rome_2s.json"))
         native_bw = native.NativeBandwidthBackend(graph, frequency_mhz=1000.0)
         sim_bw = SimBandwidthBackend(graph)
@@ -167,6 +184,48 @@ class TestReadLevel:
         for (nbytes, cores), level in cases.items():
             assert native_bw.run_read("read256", nbytes, cores).level == level
             assert sim_bw.run_read("read256", nbytes, cores).level == level
+
+
+class TestWorkerErrors:
+    """A worker's error reaches the caller at once, and every worker joins."""
+
+    def test_read_worker_that_cannot_pin_fails_the_read(self, monkeypatch):
+        def pin(core):
+            if core == 5:
+                raise native.PinningError(f"cannot pin to core {core}")
+
+        monkeypatch.setattr(native, "load_kernels", FakeKernels)
+        monkeypatch.setattr(native, "_pin_current_thread", pin)
+        backend = native.NativeBandwidthBackend(
+            load_topology_file(fixture_path("rome_2s.json")), frequency_mhz=1000.0
+        )
+        before = set(threading.enumerate())
+        start = time.monotonic()
+        with pytest.raises(native.PinningError, match="core 5"):
+            backend.run_read("read256", 16 << 10, [0, 5])
+        assert time.monotonic() - start < 5.0
+        assert set(threading.enumerate()) == before
+
+    def test_preparer_error_reaches_the_caller(self, monkeypatch):
+        class Failing(FakeKernels):
+            def mc_write_touch(self, addr, nbytes, stride, value):
+                raise RuntimeError("owner write failed")
+
+        chain = chain_spec(16 << 10, 512, seed=1, huge_pages=False)
+        chain.successors  # shuffled by the real kernels, before they are faked
+        monkeypatch.setattr(native, "load_kernels", Failing)
+        monkeypatch.setattr(native, "_load_libnuma", lambda: None)
+        monkeypatch.setattr(native, "_pin_current_thread", lambda core: None)
+        graph = load_topology_file(fixture_path("rome_2s.json"))
+        backend = native.NativeBackend(graph, frequency_mhz=1000.0)
+        policy = MeasurementPolicy(
+            inner_repeats=2, outer_repeats=1, sizes_per_level=1, flush_levels=frozenset()
+        )
+        script = plan_state("M", "MOESI", owner=0, requester=1, level="L1")
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="owner write failed"):
+            measure_latency([chain], script, Placement(1, 0, 0, label="x"), policy, backend)
+        assert set(threading.enumerate()) == before
 
 
 def _resident(addr: int, nbytes: int) -> np.ndarray:
@@ -248,13 +307,22 @@ class TestKernelCache:
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs sched_getaffinity")
 class TestPinning:
-    def test_mask_restored_after_block_and_after_error(self):
+    def test_caller_mask_unchanged_after_success_and_after_error(self, monkeypatch):
+        class Failing(FakeKernels):
+            def mc_read256(self, addr, nbytes, reps, check):
+                raise RuntimeError("read failed")
+
         before = os.sched_getaffinity(0)
         core = min(before)
-        with native._pinned(core):
-            assert os.sched_getaffinity(0) == {core}
+        graph = load_topology_file(fixture_path("single_core.json"))
+        monkeypatch.setattr(native, "load_kernels", FakeKernels)
+        native.NativeBandwidthBackend(graph, frequency_mhz=1000.0).run_read(
+            "read256", 16 << 10, [core]
+        )
         assert os.sched_getaffinity(0) == before
-        with pytest.raises(RuntimeError):
-            with native._pinned(core):
-                raise RuntimeError("measurement failed")
+        monkeypatch.setattr(native, "load_kernels", Failing)
+        with pytest.raises(RuntimeError, match="read failed"):
+            native.NativeBandwidthBackend(graph, frequency_mhz=1000.0).run_read(
+                "read256", 16 << 10, [core]
+            )
         assert os.sched_getaffinity(0) == before
