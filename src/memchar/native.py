@@ -2,12 +2,16 @@
 
 Implements the hardware contract behind the backend interface: serialized
 TSC timestamps, a dependent-load chase loop, core pinning via
-``sched_setaffinity``, and NUMA-bound allocation via libnuma when present.
-Without libnuma, :meth:`NativeBackend.materialize_chain` writes the chain on
-the caller's unpinned thread, so first touch places it on whichever node
-that thread runs on.  Transparent huge pages are requested with
-``madvise(MADV_HUGEPAGE)``; if unavailable, measurement proceeds with the
-flag recorded as off.
+``sched_setaffinity``, and NUMA-bound buffers backed by huge pages.
+
+Every buffer is one private anonymous mapping.  Before its first touch it
+gets ``madvise(MADV_HUGEPAGE)`` when huge pages are asked for, and libnuma's
+``mbind`` to the home node when libnuma is present.  It is private because
+shared anonymous memory is shmem, which gets huge pages only through
+``shmem_enabled``.  The ``huge_pages`` and ``numa_bound`` flags are the
+outcomes of those two calls, not the request.  Unbound,
+:meth:`NativeBackend.materialize_chain` writes the chain on the caller's
+unpinned thread, so first touch places it on that thread's node.
 
 The C kernels are compiled with the system compiler into a cache directory,
 named after a hash of their inputs, and loaded by :func:`load_kernels`; when
@@ -61,7 +65,7 @@ from .topology import Placement, TopologyGraph
 __all__ = ["BackendUnavailable", "PinningError", "NativeBackend", "build_kernels"]
 
 _SRC = Path(__file__).parent / "native_src" / "kernels.c"
-MADV_HUGEPAGE = 14
+MPOL_BIND = 2
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-msse2")
 # Tried first; dropped when the compiler rejects it (mc_read256 is then absent).
 _AVX_CFLAGS = ("-mavx2",)
@@ -175,43 +179,40 @@ def _load_libnuma():
         lib = ctypes.CDLL(path)
         if lib.numa_available() < 0:
             return None
-        lib.numa_alloc_onnode.restype = ctypes.c_void_p
-        lib.numa_alloc_onnode.argtypes = [ctypes.c_size_t, ctypes.c_int]
-        lib.numa_free.argtypes = [ctypes.c_void_p, ctypes.c_size_t]
+        lib.mbind.restype = ctypes.c_long
+        lib.mbind.argtypes = (_ptr, _u64, ctypes.c_int, _ptr, _u64, ctypes.c_uint)
         return lib
     except OSError:
         return None
 
 
 class _Region:
-    """Page-aligned buffer, optionally NUMA-bound and THP-advised."""
+    """Private anonymous mapping, advised and bound before its first touch.
+
+    Private, because a shared one is shmem and ignores ``MADV_HUGEPAGE``
+    unless ``shmem_enabled`` allows it.  ``huge_pages`` and ``numa_bound``
+    are outcomes: each is true only when its own call succeeded.
+    """
 
     def __init__(self, nbytes: int, numa_node: Optional[int], libnuma, huge: bool):
         self.nbytes = nbytes
-        self.libnuma = None
-        self.numa_bound = False
-        self.huge_pages = False
-        if libnuma is not None and numa_node is not None:
-            ptr = libnuma.numa_alloc_onnode(nbytes, numa_node)
-            if ptr:
-                self.addr = ptr
-                self.libnuma = libnuma
-                self.numa_bound = True
-                self._mm = None
-                return
-        self._mm = mmap.mmap(-1, nbytes)
-        if huge and hasattr(self._mm, "madvise"):
-            try:
-                self._mm.madvise(MADV_HUGEPAGE)
-                self.huge_pages = True
-            except OSError:
-                pass
+        self._mm = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
         self.addr = ctypes.addressof(ctypes.c_char.from_buffer(self._mm))
+        self.huge_pages = huge
+        if huge:
+            try:
+                self._mm.madvise(mmap.MADV_HUGEPAGE)
+            except OSError:
+                self.huge_pages = False
+        self.numa_bound = False
+        if libnuma is not None and numa_node is not None:
+            mask = (_u64 * (numa_node // 64 + 1))()
+            mask[-1] = 1 << numa_node % 64
+            bound = libnuma.mbind(self.addr, nbytes, MPOL_BIND, mask, 64 * len(mask) + 1, 0)
+            self.numa_bound = bound == 0
 
     def close(self):
-        if self.libnuma is not None:
-            self.libnuma.numa_free(self.addr, self.nbytes)
-        # mmap regions are reclaimed with the object
+        self._mm.close()
 
 
 def _pin_current_thread(core: int) -> None:
@@ -278,12 +279,7 @@ class NativeBackend:
     # -- memory ------------------------------------------------------------
 
     def materialize_chain(self, chain: ChainBuffer, home_node: int) -> _Region:
-        region = _Region(
-            chain.total_bytes,
-            home_node if self.libnuma else None,
-            self.libnuma,
-            chain.huge_pages,
-        )
+        region = _Region(chain.total_bytes, home_node, self.libnuma, chain.huge_pages)
         align = chain.stride_alignment
         # Built here on a spec's first materialization; viewed, not copied.
         succ = np.frombuffer(chain.successors, dtype=np.int64)
@@ -435,8 +431,12 @@ class NativeBandwidthBackend:
             region = _Region(dataset_bytes, None, None, False)
             self.lib.mc_write_touch(region.addr, dataset_bytes, 64, b"\x01")
             check = ctypes.c_uint64()
-            start.wait()
-            return min(fn(region.addr, dataset_bytes, reps, ctypes.byref(check)) for _ in range(3))
+            ticks = []
+            for _ in range(3):
+                start.wait()  # every worker starts each run together
+                ticks.append(fn(region.addr, dataset_bytes, reps, ctypes.byref(check)))
+            region.close()
+            return min(ticks)
 
         # The aggregate elapsed time is the slowest worker's.
         elapsed = max(_on_cores([(c, read) for c in cores], (start,)))

@@ -2,11 +2,13 @@
 tests that need the compiled kernels skip where they cannot be built."""
 
 import ctypes
+import errno
 import mmap
 import os
 import re
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +188,33 @@ class TestReadLevel:
             assert sim_bw.run_read("read256", nbytes, cores).level == level
 
 
+class TestReadStart:
+    def test_every_worker_waits_at_the_barrier_before_each_run(self, monkeypatch):
+        events = []
+
+        class Logged(threading.Barrier):
+            def wait(self, timeout=None):
+                events.append(("wait", threading.get_ident()))
+                return super().wait(timeout)
+
+        class Kernels(FakeKernels):
+            def mc_read256(self, addr, nbytes, reps, check):
+                events.append(("read", threading.get_ident()))
+                return 1000
+
+        monkeypatch.setattr(native, "load_kernels", Kernels)
+        monkeypatch.setattr(native, "_pin_current_thread", lambda core: None)
+        monkeypatch.setattr(threading, "Barrier", Logged)
+        backend = native.NativeBandwidthBackend(
+            load_topology_file(fixture_path("rome_2s.json")), frequency_mhz=1000.0
+        )
+        backend.run_read("read256", 16 << 10, [0, 1])
+        workers = {ident for _, ident in events}
+        assert len(workers) == 2
+        for worker in workers:
+            assert [kind for kind, ident in events if ident == worker] == ["wait", "read"] * 3
+
+
 class TestWorkerErrors:
     """A worker's error reaches the caller at once, and every worker joins."""
 
@@ -238,6 +267,100 @@ def _resident(addr: int, nbytes: int) -> np.ndarray:
     if libc.mincore(start, pages * mmap.PAGESIZE, vec) != 0:
         raise OSError(ctypes.get_errno(), "mincore failed")
     return np.frombuffer(vec, dtype=np.uint8) & 1
+
+
+def _thp_mode():
+    """The bracketed transparent-huge-page mode, or None where there is none."""
+    try:
+        text = Path("/sys/kernel/mm/transparent_hugepage/enabled").read_text()
+    except OSError:
+        return None
+    m = re.search(r"\[(\w+)\]", text)
+    return m and m.group(1)
+
+
+def _anon_huge_kb(addr: int) -> int:
+    """``AnonHugePages`` of the ``/proc/self/smaps`` mapping that holds ``addr``."""
+    inside = False
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            field = line.split()[0]
+            if re.fullmatch(r"[0-9a-f]+-[0-9a-f]+", field):
+                lo, hi = (int(x, 16) for x in field.split("-"))
+                inside = lo <= addr < hi
+            elif inside and field == "AnonHugePages:":
+                return int(line.split()[1])
+    raise LookupError(f"no mapping holds {addr:#x}")
+
+
+class FakeNuma:
+    """libnuma stand-in whose ``mbind`` returns ``result`` and records
+    (mode, first mask word, maxnode, flags, region still all zero)."""
+
+    def __init__(self, result: int):
+        self.result = result
+        self.calls = []
+
+    def mbind(self, addr, nbytes, mode, mask, maxnode, flags):
+        untouched = ctypes.string_at(addr, nbytes) == bytes(nbytes)
+        self.calls.append((mode, mask[0], maxnode, flags, untouched))
+        return self.result
+
+
+class TestRegion:
+    """Every native buffer is one private mapping whose flags are outcomes."""
+
+    @staticmethod
+    def materialize(monkeypatch, libnuma=None, huge=True, nbytes=64 << 10, home=0):
+        chain = chain_spec(nbytes, 512, seed=3, huge_pages=huge)
+        chain.successors  # shuffled by the real kernels, before they are faked
+        monkeypatch.setattr(native, "load_kernels", FakeKernels)
+        monkeypatch.setattr(native, "_load_libnuma", lambda: libnuma)
+        graph = load_topology_file(fixture_path("single_core.json"))
+        backend = native.NativeBackend(graph, frequency_mhz=1000.0)
+        return chain, backend.materialize_chain(chain, home_node=home)
+
+    @pytest.mark.skipif(
+        _thp_mode() in (None, "never"), reason="transparent huge pages are off on this host"
+    )
+    def test_huge_chain_is_backed_by_huge_pages(self, monkeypatch):
+        _, region = self.materialize(monkeypatch, nbytes=4 << 20)
+        try:
+            assert region.huge_pages
+            assert _anon_huge_kb(region.addr) > 0
+        finally:
+            region.close()
+
+    def test_chain_without_huge_pages_is_not_flagged(self, monkeypatch):
+        _, region = self.materialize(monkeypatch, huge=False)
+        region.close()
+        assert region.huge_pages is False
+
+    def test_failed_bind_is_recorded_and_the_chain_still_written(self, monkeypatch):
+        chain, region = self.materialize(monkeypatch, FakeNuma(-1), home=1)
+        try:
+            assert region.numa_bound is False
+            first = ctypes.c_uint64.from_address(region.addr).value
+            assert first == region.addr + chain.successors[0] * 512
+        finally:
+            region.close()
+
+    def test_bind_to_the_home_node_precedes_the_chain_write(self, monkeypatch):
+        numa = FakeNuma(0)
+        _, region = self.materialize(monkeypatch, numa, home=1)
+        region.close()
+        assert region.numa_bound is True
+        assert numa.calls == [(native.MPOL_BIND, 1 << 1, 65, 0, True)]
+
+    def test_close_unmaps_at_once_and_again_is_a_no_op(self):
+        region = native._Region(4 << 20, None, None, huge=False)
+        ctypes.memset(region.addr, 1, region.nbytes)
+        assert _resident(region.addr, region.nbytes).all()
+        region.close()
+        with pytest.raises(OSError) as exc:
+            _resident(region.addr, region.nbytes)
+        assert exc.value.errno == errno.ENOMEM
+        region.close()
 
 
 def _triad_backend():
