@@ -24,6 +24,7 @@ from .harness import (
     cycles_to_ns,
     flush_scratch_bytes,
     measure_latency,
+    measure_sweep,
 )
 from .model import LatencyMatrix, LatencyModel, compare, fit, load_fixture_model
 from .topology import (
@@ -61,6 +62,7 @@ __all__ = [
     "load_fixture_model",
     "load_topology",
     "measure_latency",
+    "measure_sweep",
     "mesh_route",
     "plan_state",
     "protocol_step",

@@ -4,15 +4,17 @@ Every backend exposes the same narrow surface the harness drives:
 
 * ``name`` and ``frequency_mhz``
 * ``time_empty()`` -- one run of the timing routine with zero accesses
-* ``run_point(chains, script, placement, policy)`` -- one float64 array of
-  the elapsed cycles of each chase, shaped (outer, sizes, inner); the
-  harness knows each chain's access count
+* ``run_sweep(chains, points, policy)`` -- the elapsed cycles of every
+  chase of every ``(script, placement)`` point, in order, as one float64
+  array shaped (points, outer, sizes, inner); the harness knows each
+  chain's access count
 
-The simulated backend replays the coherence script on the protocol
-simulator, checks the resulting state and data source against the latency
-model's expectation, and fills the array with one broadcast of
-``model.predict`` times each chain's access count.  The native backend
-lives in :mod:`memchar.native`.
+The simulated backend replays each point's coherence script on the protocol
+simulator and checks the resulting state and data source against the latency
+model's expectation, point by point, raising at the first point that fails.
+It then fills the whole array with one broadcast of each point's
+``model.predict`` times each chain's access count; ``run_point`` is its
+one-point sweep.  The native backend lives in :mod:`memchar.native`.
 """
 
 from __future__ import annotations
@@ -121,12 +123,18 @@ class SimulatedBackend:
             )
         return result
 
-    def run_point(self, chains, script, placement, policy: MeasurementPolicy):
-        self.prepare(script, placement)
-        per_access = self.predict_placement(
-            placement, script.target_state, script.target_level
-        )
+    def run_sweep(self, chains, points, policy: MeasurementPolicy):
+        per_access = []
+        for script, placement in points:
+            self.prepare(script, placement)
+            per_access.append(
+                self.predict_placement(placement, script.target_state, script.target_level)
+            )
         n = np.array([c.element_count for c in chains], dtype=np.float64)[:, None]
+        cycles = np.array(per_access, dtype=np.float64)[:, None, None, None] * n
         return np.broadcast_to(
-            per_access * n, (policy.outer_repeats, len(chains), policy.inner_repeats)
+            cycles, (len(points), policy.outer_repeats, len(chains), policy.inner_repeats)
         )
+
+    def run_point(self, chains, script, placement, policy: MeasurementPolicy):
+        return self.run_sweep(chains, [(script, placement)], policy)[0]

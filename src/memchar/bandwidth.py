@@ -213,9 +213,9 @@ def verify_triad(
     checked = a[::step]
     expected = s * c[:n:step]
     expected += b[:n:step]
-    bad = np.flatnonzero(checked != expected)
-    if len(bad):
-        i = int(bad[0]) * step
+    mismatch = checked != expected
+    if mismatch.any():
+        i = int(np.flatnonzero(mismatch)[0]) * step
         raise TriadVerificationError(offset + i, float(b[i] + s * c[i]), float(a[i]))
     return len(checked)
 
@@ -347,16 +347,22 @@ class SimBandwidthBackend:
     def run_triad(self, array_bytes: int, core_set, nontemporal: bool) -> BandwidthRecord:
         """Triad over closed-form operands, priced from the fixture tables.
 
-        The arithmetic runs in blocks of :data:`TRIAD_BLOCK` elements, and
-        every element is verified; a failure names its index in the whole
-        array.
+        The arithmetic runs in blocks of :data:`TRIAD_BLOCK` elements, in
+        three block buffers allocated once and refilled in place, and every
+        element is verified; a failure names its index in the whole array.
         """
         n = array_bytes // 8
         if n < 1:
             raise BandwidthError("triad arrays need at least one element")
+        size = min(n, TRIAD_BLOCK)
+        b_buf, c_buf, a_buf = np.arange(size, dtype=np.float64), np.empty(size), np.empty(size)
         for start in range(0, n, TRIAD_BLOCK):
-            b, c = triad_operands(n, start, min(n, start + TRIAD_BLOCK))
-            a = TRIAD_SCALAR * c
+            if start:
+                np.add(b_buf, TRIAD_BLOCK, out=b_buf)  # b[i] = i, as triad_operands
+            m = min(size, n - start)
+            b, c, a = b_buf[:m], c_buf[:m], a_buf[:m]
+            np.subtract(n, b, out=c)
+            np.multiply(c, TRIAD_SCALAR, out=a)
             a += b
             verify_triad(a, b, c, TRIAD_SCALAR, offset=start)
         gbps = self.triad_rate_gbps(core_set, nontemporal)

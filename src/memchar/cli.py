@@ -175,7 +175,7 @@ def cmd_latency(args) -> int:
     protocol = model.protocol
     sizes = harness.level_dataset_bytes(graph, args.level, policy.sizes_per_level)
     chains = [chain_mod.chain_spec(sz, alignment, args.seed, huge) for sz in sizes]
-    records = []
+    points = []
     for placement in placements:
         helper = None
         if state in ("O", "S", "F"):
@@ -188,9 +188,8 @@ def cmd_latency(args) -> int:
             level=args.level,
             requester=placement.requester,
         )
-        records.append(
-            harness.measure_latency(chains, script, placement, policy, backend)
-        )
+        points.append((script, placement))
+    records = harness.measure_sweep(chains, points, policy, backend)
 
     out = _out_dir(args)
     ResultSet(records=records).to_csv(out / "results.csv")

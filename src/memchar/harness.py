@@ -14,18 +14,21 @@ A reported point aggregates ``outer_repeats x sizes_per_level x
 inner_repeats`` samples (default 10x4x3 = 120); the default reducer is the
 minimum, with median recommended for noisy remote-L1 configurations.
 
-Backends supply raw timings: ``run_point`` returns one float64 array of
-elapsed cycles per chase, shaped (outer, sizes, inner).  The
-overhead/normalization algebra and the reduction live here, as numpy
-operations on that array, so the same arithmetic applies to native and
-simulated runs alike.
+A sweep is an ordered list of ``(script, placement)`` points over one set
+of chains.  :func:`measure_sweep` calibrates the timing overhead once per
+point, then makes one backend call, ``run_sweep``, which returns the raw
+timings of every point as one float64 array of elapsed cycles per chase,
+shaped (points, outer, sizes, inner).  The overhead/normalization algebra,
+the reduction and the conversion to Python floats run once over that
+array, as numpy operations, so the same arithmetic applies to native and
+simulated runs alike.  :func:`measure_latency` is the one-point sweep.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,6 +49,7 @@ __all__ = [
     "cycles_to_ns",
     "flush_scratch_bytes",
     "measure_latency",
+    "measure_sweep",
     "level_dataset_bytes",
     "auto_helper",
     "policy_from_env",
@@ -113,9 +117,10 @@ class SampleStats:
     count: int
 
 
-def _sample_grid(samples, policy: MeasurementPolicy) -> np.ndarray:
+def _sample_grid(samples, policy: MeasurementPolicy, points: Optional[int] = None):
     """``samples`` as a float64 array of the policy's (outer, sizes, inner)
-    shape; empty, ragged or misshapen input is rejected."""
+    shape, or (points, outer, sizes, inner) for a sweep; empty, ragged or
+    misshapen input is rejected."""
     try:
         grid = np.asarray(samples, dtype=np.float64)
     except (TypeError, ValueError):
@@ -123,11 +128,19 @@ def _sample_grid(samples, policy: MeasurementPolicy) -> np.ndarray:
     if grid.size == 0:
         raise AggregationError("empty sample set")
     shape = (policy.outer_repeats, policy.sizes_per_level, policy.inner_repeats)
+    axes = "(outer, sizes, inner)"
+    if points is not None:
+        shape, axes = (points, *shape), "(points, outer, sizes, inner)"
     if grid.shape != shape:
-        raise AggregationError(
-            f"sample shape {grid.shape} != policy (outer, sizes, inner) {shape}"
-        )
+        raise AggregationError(f"sample shape {grid.shape} != policy {axes} {shape}")
     return grid
+
+
+def _order_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(minimum, maximum, median) of each row of a (points, samples) array;
+    the median is the lower of the two middles for even counts."""
+    ordered = np.sort(samples, axis=1)
+    return ordered[:, 0], ordered[:, -1], ordered[:, (ordered.shape[1] - 1) // 2]
 
 
 def aggregate(samples, policy: MeasurementPolicy) -> SampleStats:
@@ -137,17 +150,11 @@ def aggregate(samples, policy: MeasurementPolicy) -> SampleStats:
     is the lower of the two middles for even counts.  Shapes that disagree
     with the policy are rejected.
     """
-    ordered = np.sort(_sample_grid(samples, policy), axis=None)
+    grid = _sample_grid(samples, policy)
+    lo, hi, mid = _order_stats(grid.reshape(1, -1))
     return SampleStats(
-        minimum=float(ordered[0]),
-        maximum=float(ordered[-1]),
-        median=float(ordered[(ordered.size - 1) // 2]),
-        count=ordered.size,
+        minimum=float(lo[0]), maximum=float(hi[0]), median=float(mid[0]), count=grid.size
     )
-
-
-def reduce_samples(stats: SampleStats, reducer: str) -> float:
-    return {"min": stats.minimum, "max": stats.maximum, "median": stats.median}[reducer]
 
 
 def cycles_to_ns(cycles: float, frequency_mhz: float) -> float:
@@ -209,14 +216,31 @@ def measure_latency(
     policy: MeasurementPolicy,
     backend,
 ) -> MeasurementRecord:
-    """Timed pointer chase for one placement/state/level point.
+    """Timed pointer chase for one placement/state/level point: the
+    one-point case of :func:`measure_sweep`.
 
-    ``chain`` is one buffer or one buffer per dataset size (the policy's
-    ``sizes_per_level`` must match).  Latency per access is
-    ``(elapsed - overhead) / element_count`` with the overhead taken as the
-    calibrated minimum; reduction follows the policy.
+    ``chain`` is one buffer or one buffer per dataset size.
     """
     chains = (chain,) if isinstance(chain, ChainBuffer) else tuple(chain)
+    return measure_sweep(chains, [(script, placement)], policy, backend)[0]
+
+
+def measure_sweep(
+    chains: Sequence[ChainBuffer],
+    points: Sequence[tuple[CoherenceScript, Placement]],
+    policy: MeasurementPolicy,
+    backend,
+) -> list[MeasurementRecord]:
+    """One record per ``(script, placement)`` point, in order, all timed
+    over the same chains, one per dataset size (the policy's
+    ``sizes_per_level`` must match).
+
+    Latency per access is ``(elapsed - overhead) / element_count`` with the
+    overhead taken as the point's calibrated minimum; reduction follows the
+    policy.  The backend times every point in one ``run_sweep`` call, and
+    the arithmetic runs once over the whole (points, outer, sizes, inner)
+    array.
+    """
     if len(chains) != policy.sizes_per_level:
         raise PolicyError(
             f"{len(chains)} chains given, policy expects sizes_per_level="
@@ -226,34 +250,44 @@ def measure_latency(
     seeds = {c.seed for c in chains}
     if len(alignments) != 1 or len(seeds) != 1:
         raise HarnessError("all chains of a point must share alignment and seed")
-    _validate_placement(placement, script)
+    for script, placement in points:
+        _validate_placement(placement, script)
+    if not points:
+        return []
 
-    overhead = calibrate_overhead(backend)
-    elapsed = _sample_grid(backend.run_point(chains, script, placement, policy), policy)
-    excess = elapsed - overhead
+    overheads = [calibrate_overhead(backend) for _ in points]
+    elapsed = _sample_grid(backend.run_sweep(chains, points, policy), policy, len(points))
+    excess = elapsed - np.array(overheads)[:, None, None, None]
     accesses = np.array([c.element_count for c in chains], dtype=np.float64)[:, None]
     # max(0, e - o) / n per sample: np.maximum would keep a -0.0, max() does not.
-    samples = np.where(excess > 0.0, excess, 0.0) / accesses
-    stats = aggregate(samples, policy)
-    return MeasurementRecord(
-        placement=placement,
-        state=script.target_state.value,
-        level=script.target_level,
-        dataset_bytes=max(c.total_bytes for c in chains),
-        dataset_sizes=tuple(c.total_bytes for c in chains),
-        latency_cycles=reduce_samples(stats, policy.reducer),
-        min_cycles=stats.minimum,
-        max_cycles=stats.maximum,
-        median_cycles=stats.median,
-        samples=tuple(samples.ravel().tolist()),
-        frequency_mhz=backend.frequency_mhz,
-        backend=backend.name,
-        alignment=chains[0].stride_alignment,
-        huge_pages=all(c.huge_pages for c in chains),
-        seed=chains[0].seed,
-        overhead_cycles=overhead,
-        reducer=policy.reducer,
-    )
+    samples = (np.where(excess > 0.0, excess, 0.0) / accesses).reshape(len(points), -1)
+    lows, highs, mids = (a.tolist() for a in _order_stats(samples))
+    reduced = {"min": lows, "max": highs, "median": mids}[policy.reducer]
+    rows = samples.tolist()
+    sizes = tuple(c.total_bytes for c in chains)
+    huge = all(c.huge_pages for c in chains)
+    return [
+        MeasurementRecord(
+            placement=placement,
+            state=script.target_state.value,
+            level=script.target_level,
+            dataset_bytes=max(sizes),
+            dataset_sizes=sizes,
+            latency_cycles=reduced[i],
+            min_cycles=lows[i],
+            max_cycles=highs[i],
+            median_cycles=mids[i],
+            samples=tuple(rows[i]),
+            frequency_mhz=backend.frequency_mhz,
+            backend=backend.name,
+            alignment=chains[0].stride_alignment,
+            huge_pages=huge,
+            seed=chains[0].seed,
+            overhead_cycles=overheads[i],
+            reducer=policy.reducer,
+        )
+        for i, (script, placement) in enumerate(points)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ affinity needs restoring.  A local point runs as one worker that prepares
 the state and times the chase.  A cross-core point runs a requester and a
 preparer: the preparer steps through the script on the owner (and helper)
 cores while the requester waits, then the requester times the chase.
+A sweep (:meth:`NativeBackend.run_sweep`) runs its points in order, each
+exactly as one point, with its own chain regions.
 Before a point's chases the requester sweeps a scratch region that displaces
 the levels in the policy's ``flush_levels``
 (:func:`~memchar.harness.flush_scratch_bytes`; none when the
@@ -320,6 +322,12 @@ class NativeBackend:
         finally:
             for r in regions.values():
                 r.close()
+
+    def run_sweep(self, chains, points, policy: MeasurementPolicy):
+        """Every point's :meth:`run_point` array, in order, stacked."""
+        return np.stack([
+            self.run_point(chains, script, placement, policy) for script, placement in points
+        ])
 
     def _measure_one(self, chain, region, script, placement, policy):
         requester = placement.requester

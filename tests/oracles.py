@@ -18,11 +18,11 @@ class SyntheticBackend:
     def time_empty(self):
         return self.timer_overhead
 
-    def run_point(self, chains, script, placement, policy):
+    def run_sweep(self, chains, points, policy):
         n = np.array([c.element_count for c in chains], dtype=np.float64)[:, None]
         return np.broadcast_to(
             self.timer_overhead + self.cost_per_access * n,
-            (policy.outer_repeats, len(chains), policy.inner_repeats),
+            (len(points), policy.outer_repeats, len(chains), policy.inner_repeats),
         )
 
 

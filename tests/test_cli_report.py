@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from memchar.backends import SimulatedBackend
+from memchar.backends import ScriptPlacementError, SimulatedBackend
 from memchar.bandwidth import BandwidthRecord
 from memchar.chain import generate_chain
 from memchar.cli import main
@@ -234,6 +234,28 @@ class TestCli:
         assert code == 2
         assert "at most 4 dataset sizes per level" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
+
+    def test_failing_point_stops_the_sweep_without_output(self, tmp_path, monkeypatch, capsys):
+        prepare = SimulatedBackend.prepare
+        calls = []
+
+        def failing_third(self, script, placement):
+            calls.append(placement)
+            if len(calls) == 3:
+                raise ScriptPlacementError("state preparation failed: planted")
+            return prepare(self, script, placement)
+
+        monkeypatch.setattr(SimulatedBackend, "prepare", failing_third)
+        out = tmp_path / "run"
+        code = main([
+            "latency", "--topology", "rome_2s", "--backend", "sim",
+            "--scope", "same_ccx", "--state", "M", "--level", "L2", "--out", str(out),
+        ])
+        assert code == 4
+        assert len(calls) == 3
+        assert "state preparation failed: planted" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+        assert not (out / "manifest.json").exists()
 
     def test_one_parser_and_no_state_between_calls(self, tmp_path, monkeypatch):
         import memchar.cli

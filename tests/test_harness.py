@@ -11,6 +11,8 @@ from memchar.backends import ScriptPlacementError, SimulatedBackend
 from memchar.chain import chain_spec, generate_chain
 from memchar.coherence import plan_state
 from memchar.harness import (
+    CALIBRATION_REPEATS,
+    LEVELS,
     AggregationError,
     HarnessError,
     MeasurementPolicy,
@@ -22,11 +24,13 @@ from memchar.harness import (
     flush_scratch_bytes,
     level_dataset_bytes,
     measure_latency,
+    measure_sweep,
     policy_from_env,
 )
 from memchar.model import load_fixture_model
 from memchar.topology import (
-    Placement, TopologyError, enumerate_placements, fixture_path, load_topology_file,
+    Placement, PlacementScope, ScopeError, TopologyError, enumerate_placements,
+    enumerate_triples, fixture_path, load_topology_file,
 )
 from oracles import SyntheticBackend
 
@@ -158,8 +162,8 @@ class _Replay:
     def time_empty(self):
         return self.overhead
 
-    def run_point(self, chains, script, placement, policy):
-        return self.elapsed
+    def run_sweep(self, chains, points, policy):
+        return [self.elapsed]
 
 
 class TestSampleArray:
@@ -303,6 +307,79 @@ class TestSimulatedMeasurements:
 
         for p in placements:
             assert record(shared, p) == record(SimulatedBackend(model), p), p
+
+
+def _sweeps(model):
+    """(state, level, placements) of every sweep the CLI can ask for on
+    ``model``'s graph: each protocol state x level x scope that enumerates,
+    plus the home/forwarder triples where the graph has them."""
+    scopes = []
+    for scope in PlacementScope:
+        try:
+            scopes.append(enumerate_placements(model.graph, scope))
+        except ScopeError:
+            pass
+    for placements in scopes:
+        for state in model.protocol.value:
+            for level in LEVELS:
+                yield state, level, placements
+    try:
+        yield "M", "L2", enumerate_triples(model.graph)
+    except ScopeError:
+        pass
+
+
+def _points(model, state, level, placements):
+    points = []
+    for p in placements:
+        helper = auto_helper(model.graph, p.owner, p.requester) if state in "OSF" else None
+        script = plan_state(state, model.protocol, owner=p.owner, helper=helper,
+                            level=level, requester=p.requester)
+        points.append((script, p))
+    return points
+
+
+class TestSweep:
+    @pytest.mark.parametrize("topology", ["rome_2s", "clx_2s"])
+    def test_sweep_records_equal_per_point_records(self, topology):
+        model = load_fixture_model(topology)
+        sweeps = list(_sweeps(model))
+        assert len(sweeps) >= 80
+        for state, level, placements in sweeps:
+            points = _points(model, state, level, placements)
+            local = all(p.requester == p.owner for _, p in points)
+            policy = MeasurementPolicy(reducer="median" if level == "L1" and not local else "min")
+            chains = [chain_spec(sz, 512, seed=7) for sz in level_dataset_bytes(model.graph, level)]
+            per_point = SimulatedBackend(model)
+            expected = [measure_latency(chains, s, p, policy, per_point) for s, p in points]
+            got = measure_sweep(chains, points, policy, SimulatedBackend(model))
+            assert got == expected, (state, level, placements[0].label)
+
+    def test_each_point_subtracts_its_own_calibration(self):
+        class Stepping:
+            """Calibration block i reads 100*i + 0..9; every chase 1000."""
+
+            name = "stepping"
+            frequency_mhz = 1000.0
+            calls = 0
+
+            def time_empty(self):
+                block, k = divmod(self.calls, CALIBRATION_REPEATS)
+                self.calls += 1
+                return 100.0 * block + k
+
+            def run_sweep(self, chains, points, policy):
+                return np.full((len(points), 1, 1, 1), 1000.0)
+
+        chain = chain_spec(64 * 10, 64, seed=1)
+        points = [(plan_state("M", "MOESI", owner=0, requester=0), Placement(0, 0, 0))] * 3
+        records = measure_sweep([chain], points, ONE, Stepping())
+        assert [r.overhead_cycles for r in records] == [0.0, 100.0, 200.0]
+        assert [r.samples for r in records] == [(100.0,), (90.0,), (80.0,)]
+
+    def test_empty_sweep_has_no_records(self, rome_model):
+        assert measure_sweep([chain_spec(8192, 512, seed=0)], [], ONE,
+                             SimulatedBackend(rome_model)) == []
 
 
 class TestFlushPlan:

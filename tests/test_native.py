@@ -257,6 +257,61 @@ class TestWorkerErrors:
         assert set(threading.enumerate()) == before
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs sched_getaffinity")
+class TestSweep:
+    def test_sweep_stacks_the_per_point_runs(self, monkeypatch):
+        class Kernels(FakeKernels):
+            def mc_chase(self, addr, count, sink):
+                return 100 + count
+
+        events = []
+
+        class Logged(native._Region):
+            def __init__(self, nbytes, *args):
+                super().__init__(nbytes, *args)
+                events.append(("open", nbytes))
+
+            def close(self):
+                events.append(("close", self.nbytes))
+                super().close()
+
+        chains = [chain_spec(nbytes, 512, seed=1, huge_pages=False)
+                  for nbytes in (16 << 10, 32 << 10)]
+        for c in chains:
+            c.successors  # shuffled by the real kernels, before they are faked
+        monkeypatch.setattr(native, "load_kernels", Kernels)
+        monkeypatch.setattr(native, "_load_libnuma", lambda: None)
+        monkeypatch.setattr(native, "_Region", Logged)
+        before = os.sched_getaffinity(0)
+        threads = set(threading.enumerate())
+        # A local point and, where the caller may run on two cores, a cross-core one.
+        a, b = min(before), max(before)
+        points = [
+            (plan_state("M", "MOESI", owner=a, requester=a, level="L1"),
+             Placement(a, a, 0, label="local")),
+            (plan_state("M", "MOESI", owner=b, requester=a, level="L1"),
+             Placement(a, b, 0, label="pair")),
+        ]
+        policy = MeasurementPolicy(
+            inner_repeats=2, outer_repeats=3, sizes_per_level=2, flush_levels=frozenset()
+        )
+        backend = native.NativeBackend(
+            load_topology_file(fixture_path("rome_2s.json")), frequency_mhz=1000.0
+        )
+        swept = backend.run_sweep(chains, points, policy)
+        assert os.sched_getaffinity(0) == before
+        assert set(threading.enumerate()) == threads
+        per_point = [
+            ("open", 16 << 10), ("open", 32 << 10), ("close", 16 << 10), ("close", 32 << 10)
+        ]
+        assert events == 2 * per_point
+        stacked = np.stack([backend.run_point(chains, s, p, policy) for s, p in points])
+        assert swept.shape == (2, 3, 2, 2)
+        assert swept.dtype == np.float64
+        np.testing.assert_array_equal(swept, stacked)
+        assert swept[0, 0, :, 0].tolist() == [100.0 + c.element_count for c in chains]
+
+
 def _resident(addr: int, nbytes: int) -> np.ndarray:
     """Residency flag of every page under ``[addr, addr + nbytes)``, by mincore(2)."""
     libc = ctypes.CDLL(None, use_errno=True)
