@@ -13,20 +13,18 @@ from .coherence import (
     Protocol,
     ProtocolModel,
     plan_state,
-    protocol_step,
     simulate,
 )
 from .harness import (
     MeasurementPolicy,
     MeasurementRecord,
-    aggregate,
     calibrate_overhead,
     cycles_to_ns,
     flush_scratch_bytes,
     measure_latency,
     measure_sweep,
 )
-from .model import LatencyMatrix, LatencyModel, compare, fit, load_fixture_model
+from .model import LatencyModel, compare, fit, load_fixture_model
 from .topology import (
     PlacementScope,
     TopologyGraph,
@@ -42,7 +40,6 @@ __all__ = [
     "ChainBuffer",
     "CoherenceScript",
     "CoherenceState",
-    "LatencyMatrix",
     "LatencyModel",
     "MeasurementPolicy",
     "MeasurementRecord",
@@ -50,7 +47,6 @@ __all__ = [
     "Protocol",
     "ProtocolModel",
     "TopologyGraph",
-    "aggregate",
     "calibrate_overhead",
     "compare",
     "cycles_to_ns",
@@ -65,7 +61,6 @@ __all__ = [
     "measure_sweep",
     "mesh_route",
     "plan_state",
-    "protocol_step",
     "simulate",
     "verify_chain",
 ]

@@ -1,8 +1,11 @@
 """Streaming-read throughput kernels and the triad benchmark.
 
-Read kernels issue bursts of SIMD loads; the burst depth is fixed per ISA
-width (8 x 128-bit, 16 x 256-bit, 32 x 512-bit registers) so the measured
-figure is bandwidth-bound rather than dependency-bound.  The triad mode
+Read kernels issue bursts of independent SIMD loads, so the measured figure
+is bandwidth-bound rather than dependency-bound; the burst depth of each
+width lives with the kernels in ``native_src/kernels.c``.  :data:`KERNELS`
+lists the read kernels once, widest first, and both backends pick the widest
+one they support at or below a request through :func:`resolve_kernel`,
+flagging a narrower pick ``width_degraded``.  The triad mode
 computes ``a[i] = b[i] + s*c[i]`` over three arrays and counts all three as
 moved bytes, with optional non-temporal stores.  Both backends take their
 triad inputs in closed form from :func:`triad_operands` (``b[i] = i``,
@@ -30,11 +33,11 @@ from .topology import GraphKind, TopologyGraph
 __all__ = [
     "BandwidthError",
     "TriadVerificationError",
-    "ThroughputKernel",
     "KERNELS",
     "BandwidthRecord",
     "BandwidthSeries",
     "SimBandwidthBackend",
+    "resolve_kernel",
     "run_throughput",
     "run_triad",
     "scaling_series",
@@ -52,8 +55,6 @@ TRIAD_SCALAR = 3.0
 TRIAD_BLOCK = 32 * 1024
 SATURATION_TOLERANCE = 0.05
 
-_BURST_BY_WIDTH = {"w128": 8, "w256": 16, "w512": 32}
-
 
 class BandwidthError(Exception):
     pass
@@ -69,39 +70,20 @@ class TriadVerificationError(BandwidthError):
         self.got = got
 
 
-@dataclass(frozen=True)
-class ThroughputKernel:
-    """One streaming-read kernel configuration."""
-
-    isa_width: str  # w128 | w256 | w512
-    burst_registers: int
-    access: str = "read"
-
-    def __post_init__(self):
-        if self.isa_width not in _BURST_BY_WIDTH:
-            raise BandwidthError(f"unknown ISA width {self.isa_width!r}")
-        expected = _BURST_BY_WIDTH[self.isa_width]
-        if self.burst_registers != expected:
-            raise BandwidthError(
-                f"{self.isa_width} uses {expected} burst registers, got {self.burst_registers}"
-            )
-        if self.access != "read":
-            raise BandwidthError("throughput kernels are read-only")
-
-    @property
-    def width_bits(self) -> int:
-        return int(self.isa_width[1:])
-
-    @property
-    def name(self) -> str:
-        return f"read{self.width_bits}"
+# Every streaming-read kernel, widest first; a backend runs the widest one
+# it supports at or below the request (:func:`resolve_kernel`).
+KERNELS = ("read512", "read256", "read128")
 
 
-KERNELS = {
-    "read128": ThroughputKernel("w128", 8),
-    "read256": ThroughputKernel("w256", 16),
-    "read512": ThroughputKernel("w512", 32),
-}
+def resolve_kernel(requested: str, supported) -> tuple[str, Optional[str]]:
+    """``(kernel, degraded_from)``: the widest kernel in ``supported`` at or
+    below ``requested``, and the request when that is narrower (else None)."""
+    if requested not in KERNELS:
+        raise BandwidthError(f"unknown kernel {requested!r}")
+    for kernel in KERNELS[KERNELS.index(requested):]:
+        if kernel in supported:
+            return kernel, None if kernel == requested else requested
+    raise BandwidthError(f"no supported kernel at or below {requested}")
 
 
 @dataclass(frozen=True)
@@ -261,19 +243,7 @@ class SimBandwidthBackend:
             )
         self.tables = tables
         self.frequency_mhz = float(tables["frequency_mhz"])
-        self.supported = list(tables.get("supported_kernels", sorted(KERNELS)))
-
-    def resolve_kernel(self, kernel_name: str) -> tuple[str, Optional[str]]:
-        """Widest supported kernel; (actual, degraded_from or None)."""
-        if kernel_name in self.supported:
-            return kernel_name, None
-        order = ["read512", "read256", "read128"]
-        if kernel_name not in order:
-            raise BandwidthError(f"unknown kernel {kernel_name!r}")
-        for cand in order[order.index(kernel_name) + 1 :]:
-            if cand in self.supported:
-                return cand, kernel_name
-        raise BandwidthError(f"no supported kernel at or below {kernel_name}")
+        self.supported = tuple(tables.get("supported_kernels", KERNELS))
 
     # -- read throughput -------------------------------------------------------
 
@@ -318,7 +288,7 @@ class SimBandwidthBackend:
         return sum(min(bw, socket_cap) for bw in per_socket.values())
 
     def run_read(self, kernel_name: str, dataset_bytes: int, core_set) -> BandwidthRecord:
-        actual, degraded_from = self.resolve_kernel(kernel_name)
+        actual, degraded_from = resolve_kernel(kernel_name, self.supported)
         level = dataset_level(self.topology, dataset_bytes, core_set)
         gbps = self.read_rate_gbps(actual, level, core_set)
         flags = ("width_degraded",) if degraded_from else ()
@@ -397,27 +367,21 @@ def _validate_core_set(topology: TopologyGraph, core_set, allow_cross_socket: bo
 
 
 def run_throughput(
-    kernel: ThroughputKernel | str,
+    kernel: str,
     dataset_bytes: int,
     core_set,
-    policy,
+    repeats: int,
     backend,
     allow_cross_socket: bool = False,
 ) -> BandwidthRecord:
-    """One streaming-read throughput point (max-reduced over repeats)."""
-    kernel_name = kernel if isinstance(kernel, str) else kernel.name
-    if kernel_name not in KERNELS:
-        raise BandwidthError(f"unknown kernel {kernel_name!r}")
+    """One streaming-read throughput point: the fastest of ``repeats`` runs."""
+    if repeats < 1:
+        raise BandwidthError(f"repeats must be positive, got {repeats}")
     if dataset_bytes <= 0:
         raise BandwidthError("dataset must be non-empty")
     cores = _validate_core_set(backend.topology, core_set, allow_cross_socket)
-    repeats = max(1, getattr(policy, "outer_repeats", 1))
-    best: Optional[BandwidthRecord] = None
-    for _ in range(repeats):
-        rec = backend.run_read(kernel_name, dataset_bytes, cores)
-        if best is None or rec.bandwidth_gbps > best.bandwidth_gbps:
-            best = rec
-    return best
+    runs = (backend.run_read(kernel, dataset_bytes, cores) for _ in range(repeats))
+    return max(runs, key=lambda rec: rec.bandwidth_gbps)
 
 
 def run_triad(

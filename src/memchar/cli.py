@@ -39,12 +39,12 @@ from .bandwidth import (
 from .coherence import CoherenceError, plan_state
 from .harness import MeasurementPolicy, PolicyError, policy_from_env
 from .model import (
+    SWITCH_HOP_BASES,
     FitObservation,
     ModelError,
     fit,
     load_model_file,
-    ram_hop_template,
-    remote_socket_template,
+    switch_hop_template,
 )
 from .plots import PlotError, emit_plot
 from .results import ResultError, ResultSet, RunManifest
@@ -96,6 +96,14 @@ def _load_graph_and_model(args):
             )
         model = load_model_file(candidate, graph)
     return graph, model
+
+
+def _input_file(name: str) -> Path:
+    """An existing ``--input`` file; anything else is a configuration error."""
+    p = Path(name)
+    if not p.is_file():
+        raise CliError(f"no such input file: {name}")
+    return p
 
 
 def _out_dir(args) -> Path:
@@ -204,9 +212,6 @@ def cmd_bandwidth(args) -> int:
     else:
         raise CliError("native bandwidth runs are driven via the API", EXIT_BACKEND)
     cores = _parse_cores(args.cores)
-    policy = MeasurementPolicy(
-        outer_repeats=args.outer or 1, inner_repeats=1, sizes_per_level=1, reducer="max"
-    )
     if args.bytes is not None:
         sizes = [args.bytes]
     elif args.level is not None:
@@ -214,7 +219,7 @@ def cmd_bandwidth(args) -> int:
     else:
         raise CliError("bandwidth needs --bytes or --level")
     records = [
-        run_throughput(args.kernel, sz, cores, policy, backend,
+        run_throughput(args.kernel, sz, cores, args.outer or 1, backend,
                        allow_cross_socket=args.cross_socket)
         for sz in sizes
     ]
@@ -245,8 +250,13 @@ def _observations_from_csv(path: Path, graph) -> list[FitObservation]:
         rows = list(_csv.DictReader(fh))
     if not rows:
         raise CliError(f"{path}: empty fit input")
+    anchors = "requester_node" in rows[0]
+    needed = ("home_node", "cycles") if anchors else ("level", "source_class", "cycles")
+    missing = [c for c in needed if c not in rows[0]]
+    if missing:
+        raise CliError(f"{path}: fit input lacks column(s) {', '.join(missing)}")
     obs = []
-    if "requester_node" in rows[0]:
+    if anchors:
         for r in rows:
             obs.append(
                 FitObservation(
@@ -276,13 +286,8 @@ def _observations_from_csv(path: Path, graph) -> list[FitObservation]:
 
 def cmd_model_fit(args) -> int:
     graph, _model = _load_graph_and_model(args)
-    obs = _observations_from_csv(Path(args.input), graph)
-    template = (
-        ram_hop_template(graph)
-        if args.template == "ram_hops"
-        else remote_socket_template(graph)
-    )
-    result = fit(template, obs)
+    obs = _observations_from_csv(_input_file(args.input), graph)
+    result = fit(switch_hop_template(graph, args.template), obs)
     out = _out_dir(args)
     (out / "fitted_params.json").write_text(
         json.dumps(result.params, indent=1, sort_keys=True) + "\n"
@@ -303,7 +308,7 @@ def cmd_model_predict(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rs = ResultSet.from_csv(Path(args.input))
+    rs = ResultSet.from_csv(_input_file(args.input))
     svg, txt = emit_plot(
         rs.records,
         kind=args.kind,
@@ -415,8 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("model-fit", help="least-squares hop-cost fit")
     common(p)
     p.add_argument("--input", required=True, help="anchor or published-table CSV")
-    p.add_argument("--template", choices=("ram_hops", "remote_socket"),
-                   default="ram_hops")
+    p.add_argument("--template", choices=tuple(SWITCH_HOP_BASES), default="ram_hops")
     p.set_defaults(func=cmd_model_fit)
 
     p = sub.add_parser("model-predict", help="one latency prediction")

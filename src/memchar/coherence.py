@@ -17,14 +17,21 @@ Shared/Forward requests).  The Forward designation follows the most recent
 reader.
 
 Core-to-core transfers within one L3 domain are routed via that domain in
-the trace (shadow-tag mediation; see README notes).
+the trace (shadow-tag mediation).
+
+A :class:`ProtocolModel` comes from a topology
+(:meth:`ProtocolModel.from_topology`: one L3 domain per CCX, or per SNC on
+the mesh).  :func:`apply_event` is the one transition function: it returns
+the new state map together with the read's source and the value read or
+written.  :func:`simulate` runs a script through it, and
+:func:`verify_script` checks that the script reached its target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional
 
 __all__ = [
     "CoherenceState",
@@ -41,7 +48,6 @@ __all__ = [
     "CoherenceScript",
     "ScriptStep",
     "initial_state_map",
-    "protocol_step",
     "apply_event",
     "simulate",
     "plan_state",
@@ -145,19 +151,6 @@ class ProtocolModel:
         missing = [c for c in self.cores if c not in self.l3_domain_of]
         if missing:
             raise CoherenceError(f"cores without an L3 domain: {missing}")
-
-    @classmethod
-    def make(
-        cls,
-        protocol: Protocol | str,
-        cores: Iterable[int],
-        cores_per_domain: int = 4,
-        home_node: int = 0,
-    ) -> "ProtocolModel":
-        """Synthetic model: consecutive cores grouped into L3 domains."""
-        cores = tuple(cores)
-        domains = {c: f"d{i // cores_per_domain}" for i, c in enumerate(cores)}
-        return cls(protocol, cores, domains, home_node)
 
     @classmethod
     def from_topology(cls, graph, protocol: Protocol | str, home_node: int = 0):
@@ -448,14 +441,6 @@ def apply_event(
     if event.action is Action.EVICT_L2:
         return _evict_l2(model, state_map, event.core), None, None
     raise CoherenceError(f"unknown action {event.action}")
-
-
-def protocol_step(
-    model: ProtocolModel, state_map: StateMap, event: CacheEvent
-) -> StateMap:
-    """Pure transition function; total over the event alphabet."""
-    new, _, _ = apply_event(model, state_map, event)
-    return new
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,15 @@ timings of every point as one float64 array of elapsed cycles per chase,
 shaped (points, outer, sizes, inner).  The overhead/normalization algebra,
 the reduction and the conversion to Python floats run once over that
 array, as numpy operations, so the same arithmetic applies to native and
-simulated runs alike.  :func:`measure_latency` is the one-point sweep.
+simulated runs alike.  That is the only place samples are reduced;
+:func:`measure_latency` is the one-point sweep.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -42,9 +43,7 @@ __all__ = [
     "AggregationError",
     "PolicyError",
     "MeasurementPolicy",
-    "SampleStats",
     "MeasurementRecord",
-    "aggregate",
     "calibrate_overhead",
     "cycles_to_ns",
     "flush_scratch_bytes",
@@ -100,7 +99,11 @@ class MeasurementPolicy:
 
 def policy_from_env(**overrides) -> tuple[MeasurementPolicy, int, bool]:
     """(policy, alignment, huge_pages) honoring the MEMCHAR_* variables."""
-    alignment = int(os.environ.get(ENV_ALIGNMENT, "512"))
+    raw = os.environ.get(ENV_ALIGNMENT, "512")
+    try:
+        alignment = int(raw)
+    except ValueError:
+        raise PolicyError(f"{ENV_ALIGNMENT}={raw!r} is not an integer") from None
     huge = os.environ.get(ENV_HUGEPAGES, "1") not in ("0", "off", "false")
     flush = frozenset(
         lv for lv, var in ENV_FLUSH.items() if os.environ.get(var, "1") not in ("0",)
@@ -109,30 +112,20 @@ def policy_from_env(**overrides) -> tuple[MeasurementPolicy, int, bool]:
     return policy, alignment, huge
 
 
-@dataclass(frozen=True)
-class SampleStats:
-    minimum: float
-    maximum: float
-    median: float
-    count: int
-
-
-def _sample_grid(samples, policy: MeasurementPolicy, points: Optional[int] = None):
-    """``samples`` as a float64 array of the policy's (outer, sizes, inner)
-    shape, or (points, outer, sizes, inner) for a sweep; empty, ragged or
-    misshapen input is rejected."""
+def _sample_grid(samples, policy: MeasurementPolicy, points: int) -> np.ndarray:
+    """``samples`` as a float64 array shaped (points, outer, sizes, inner)
+    by the policy; empty, ragged or misshapen input is rejected."""
     try:
         grid = np.asarray(samples, dtype=np.float64)
     except (TypeError, ValueError):
         raise AggregationError("ragged sample set") from None
     if grid.size == 0:
         raise AggregationError("empty sample set")
-    shape = (policy.outer_repeats, policy.sizes_per_level, policy.inner_repeats)
-    axes = "(outer, sizes, inner)"
-    if points is not None:
-        shape, axes = (points, *shape), "(points, outer, sizes, inner)"
+    shape = (points, policy.outer_repeats, policy.sizes_per_level, policy.inner_repeats)
     if grid.shape != shape:
-        raise AggregationError(f"sample shape {grid.shape} != policy {axes} {shape}")
+        raise AggregationError(
+            f"sample shape {grid.shape} != policy (points, outer, sizes, inner) {shape}"
+        )
     return grid
 
 
@@ -141,20 +134,6 @@ def _order_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     the median is the lower of the two middles for even counts."""
     ordered = np.sort(samples, axis=1)
     return ordered[:, 0], ordered[:, -1], ordered[:, (ordered.shape[1] - 1) // 2]
-
-
-def aggregate(samples, policy: MeasurementPolicy) -> SampleStats:
-    """Reduce an (outer x sizes x inner) sample matrix.
-
-    The min/max/median statistics are global over all samples; the median
-    is the lower of the two middles for even counts.  Shapes that disagree
-    with the policy are rejected.
-    """
-    grid = _sample_grid(samples, policy)
-    lo, hi, mid = _order_stats(grid.reshape(1, -1))
-    return SampleStats(
-        minimum=float(lo[0]), maximum=float(hi[0]), median=float(mid[0]), count=grid.size
-    )
 
 
 def cycles_to_ns(cycles: float, frequency_mhz: float) -> float:

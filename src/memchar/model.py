@@ -23,7 +23,6 @@ explicit rank check and disclosed ridge damping for near-singular systems.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,6 +36,7 @@ from .topology import (
     LinkClass,
     TopologyGraph,
     extra_switch_hops,
+    if_path,
     load_topology_file,
     mesh_hops,
     fixture_path,
@@ -44,7 +44,6 @@ from .topology import (
 
 __all__ = [
     "LatencyModel",
-    "LatencyMatrix",
     "ModelError",
     "FitError",
     "FitObservation",
@@ -57,8 +56,8 @@ __all__ = [
     "fit",
     "compare",
     "classify_values",
-    "ram_hop_template",
-    "remote_socket_template",
+    "SWITCH_HOP_BASES",
+    "switch_hop_template",
     "hop_cost_template",
 ]
 
@@ -377,66 +376,6 @@ def load_fixture_model(name: str) -> LatencyModel:
 
 
 # ---------------------------------------------------------------------------
-# Matrices
-
-
-@dataclass
-class LatencyMatrix:
-    """Axis-labeled latency matrix with measurement metadata."""
-
-    row_labels: list
-    col_labels: list
-    entries: np.ndarray
-    state: str = ""
-    level: str = ""
-    frequency_mhz: float = 0.0
-    row_axis: str = "requester"
-    col_axis: str = "home"
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=float)
-        if self.entries.shape != (len(self.row_labels), len(self.col_labels)):
-            raise ModelError(
-                f"matrix shape {self.entries.shape} does not match labels "
-                f"({len(self.row_labels)}x{len(self.col_labels)})"
-            )
-        if (self.entries <= 0).any():
-            raise ModelError("matrix entries must be positive")
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(
-                ["state", self.state, "level", self.level, "freq_mhz", repr(self.frequency_mhz)]
-            )
-            w.writerow([f"{self.row_axis}\\{self.col_axis}"] + [str(c) for c in self.col_labels])
-            for lbl, row in zip(self.row_labels, self.entries):
-                w.writerow([str(lbl)] + [repr(float(v)) for v in row])
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "LatencyMatrix":
-        with open(path, newline="") as f:
-            rows = list(csv.reader(f))
-        if len(rows) < 3 or rows[0][0] != "state":
-            raise ModelError(f"{path}: not a latency matrix CSV")
-        meta = rows[0]
-        axes = rows[1][0].split("\\")
-        col_labels = rows[1][1:]
-        row_labels = [r[0] for r in rows[2:]]
-        entries = np.array([[float(v) for v in r[1:]] for r in rows[2:]])
-        return cls(
-            row_labels=row_labels,
-            col_labels=col_labels,
-            entries=entries,
-            state=meta[1],
-            level=meta[3],
-            frequency_mhz=float(meta[5]),
-            row_axis=axes[0],
-            col_axis=axes[1] if len(axes) > 1 else "home",
-        )
-
-
-# ---------------------------------------------------------------------------
 # Fitting
 
 
@@ -548,33 +487,25 @@ def _core_ghz(graph: TopologyGraph) -> float:
     return graph.frequencies["core_mhz"] / 1000.0
 
 
-def ram_hop_template(graph: TopologyGraph) -> FitTemplate:
-    """cycles = base + 2 * extra_switch_hops * switch_ns * f_core."""
+# Base-term name of each switch-hop template: ``ram_hops`` fits the RAM rows
+# of one socket, ``remote_socket`` cross-socket observations.
+SWITCH_HOP_BASES = {"ram_hops": "base_ram_cycles", "remote_socket": "base_remote_cycles"}
+
+
+def _if_switch_term(graph: TopologyGraph) -> FitTerm:
+    """Round trip over the extra switches: 2 * hops * ns per hop * GHz."""
     ghz = _core_ghz(graph)
-    return FitTemplate(
-        name="ram_hops",
-        terms=(
-            FitTerm("base_ram_cycles", lambda o: 1.0),
-            FitTerm(
-                "if_switch_ns",
-                lambda o: 2.0 * extra_switch_hops(graph, o.requester, o.home) * ghz,
-            ),
-        ),
+    return FitTerm(
+        "if_switch_ns", lambda o: 2.0 * extra_switch_hops(graph, o.requester, o.home) * ghz
     )
 
 
-def remote_socket_template(graph: TopologyGraph) -> FitTemplate:
-    """Same parameterization, applied to cross-socket observations."""
-    ghz = _core_ghz(graph)
+def switch_hop_template(graph: TopologyGraph, name: str) -> FitTemplate:
+    """cycles = base + 2 * extra_switch_hops * switch_ns * f_core, with the
+    base term named after the template (:data:`SWITCH_HOP_BASES`)."""
     return FitTemplate(
-        name="remote_socket",
-        terms=(
-            FitTerm("base_remote_cycles", lambda o: 1.0),
-            FitTerm(
-                "if_switch_ns",
-                lambda o: 2.0 * extra_switch_hops(graph, o.requester, o.home) * ghz,
-            ),
-        ),
+        name=name,
+        terms=(FitTerm(SWITCH_HOP_BASES[name], lambda o: 1.0), _if_switch_term(graph)),
     )
 
 
@@ -583,8 +514,6 @@ def hop_cost_template(graph: TopologyGraph) -> FitTemplate:
     ghz = _core_ghz(graph)
 
     def xgmi_crossings(o: FitObservation) -> float:
-        from .topology import if_path
-
         p = if_path(graph, graph.core(o.requester).id, graph.memory_controller(o.home).id)
         return float(p.count(LinkClass.XGMI))
 
@@ -592,10 +521,7 @@ def hop_cost_template(graph: TopologyGraph) -> FitTemplate:
         name="hop_costs",
         terms=(
             FitTerm("base_cycles", lambda o: 1.0),
-            FitTerm(
-                "if_switch_ns",
-                lambda o: 2.0 * extra_switch_hops(graph, o.requester, o.home) * ghz,
-            ),
+            _if_switch_term(graph),
             FitTerm("xgmi_ns", lambda o: 2.0 * xgmi_crossings(o) * ghz),
         ),
     )

@@ -56,8 +56,8 @@ import numpy as np
 
 from .backends import BackendError
 from .bandwidth import (
-    TRIAD_SCALAR, BandwidthError, BandwidthRecord, dataset_level, triad_operands,
-    verify_triad,
+    KERNELS, TRIAD_SCALAR, BandwidthError, BandwidthRecord, dataset_level, resolve_kernel,
+    triad_operands, verify_triad,
 )
 from .chain import ChainBuffer
 from .coherence import Action, CoherenceScript
@@ -408,7 +408,9 @@ class NativeBandwidthBackend:
     Reports TSC-tick cycle counts; the bandwidth derives from the
     operator-pinned frequency, which this backend records but never sets.
     Used by the hardware-gated smoke checks; the simulated backend is the
-    regression surface.
+    regression surface.  ``supported`` holds the read kernels the loaded
+    library exports (``mc_<kernel>``); ``mc_read256`` is absent from a build
+    without AVX.
     """
 
     name = "native"
@@ -417,21 +419,13 @@ class NativeBandwidthBackend:
         self.topology = topology
         self.lib = load_kernels()
         self.frequency_mhz = frequency_mhz or _tsc_mhz(self.lib)
-
-    def _kernel_fn(self, kernel_name: str):
-        fn = {"read128": "mc_read128", "read256": "mc_read256"}.get(kernel_name)
-        if fn is None or not hasattr(self.lib, fn):
-            raise BackendUnavailable(f"kernel {kernel_name} not compiled on this host")
-        return getattr(self.lib, fn)
+        self.supported = tuple(k for k in KERNELS if hasattr(self.lib, f"mc_{k}"))
 
     def run_read(self, kernel_name: str, dataset_bytes: int, core_set):
         cores = tuple(core_set)
         level = dataset_level(self.topology, dataset_bytes, cores)
-        degraded_from = None
-        if kernel_name == "read512":
-            # No AVX-512 kernel is compiled; degrade loudly, never silently.
-            degraded_from, kernel_name = "read512", "read256"
-        fn = self._kernel_fn(kernel_name)
+        kernel_name, degraded_from = resolve_kernel(kernel_name, self.supported)
+        fn = getattr(self.lib, f"mc_{kernel_name}")
         reps = max(1, (64 << 20) // dataset_bytes)
         start = threading.Barrier(len(cores), timeout=120)
 

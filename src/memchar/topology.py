@@ -210,7 +210,6 @@ class TopologyGraph:
         caches: Optional[dict] = None,
         bandwidth: Optional[dict] = None,
         name: str = "",
-        source_doc: Optional[dict] = None,
     ):
         self.kind = kind
         self.socket_count = socket_count
@@ -221,7 +220,6 @@ class TopologyGraph:
         self.caches = dict(caches) if caches else {}
         self.bandwidth = dict(bandwidth) if bandwidth else {}
         self.name = name
-        self._source_doc = source_doc
         self._adj: dict[str, list[TopoEdge]] = {n: [] for n in nodes}
         for e in self.edges:
             self._adj[e.a].append(e)
@@ -392,13 +390,6 @@ class TopologyGraph:
         missing = sorted(set(self.nodes) - seen)
         if missing:
             raise SchemaError(f"graph is disconnected; unreachable nodes: {missing}")
-
-    # -- serialization ----------------------------------------------------
-
-    def to_document(self) -> dict:
-        if self._source_doc is None:
-            raise TopologyError("graph was not loaded from a document")
-        return json.loads(json.dumps(self._source_doc))
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +625,6 @@ def load_topology(doc: dict | str) -> TopologyGraph:
         caches=doc.get("caches"),
         bandwidth=doc.get("bandwidth"),
         name=doc.get("name", ""),
-        source_doc=doc,
     )
 
 
@@ -766,11 +756,6 @@ def _shortest_path_tree(graph: TopologyGraph, source: str) -> dict[str, tuple[st
                 prev[v] = hop
                 heapq.heappush(heap, (nd, v))
     return prev
-
-
-def core_path(graph: TopologyGraph, core_a: int, core_b: int) -> Path:
-    """Interconnect path between two cores (chiplet graphs)."""
-    return if_path(graph, graph.core(core_a).id, graph.core(core_b).id)
 
 
 def switch_hops_to_memory(graph: TopologyGraph, core_id: int, numa_node: int) -> int:

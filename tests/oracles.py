@@ -1,8 +1,16 @@
-"""Test oracles: a fake clock backend and the single-owner invariant."""
+"""Test oracles: fake clock backends, a synthetic protocol model and the
+single-owner invariant."""
 
 import numpy as np
 
-from memchar.coherence import OWNERSHIP_STATES
+from memchar.coherence import OWNERSHIP_STATES, ProtocolModel
+
+
+def protocol_model(protocol, cores, cores_per_domain=4, home_node=0) -> ProtocolModel:
+    """Synthetic model: consecutive cores grouped into L3 domains."""
+    cores = tuple(cores)
+    domains = {c: f"d{i // cores_per_domain}" for i, c in enumerate(cores)}
+    return ProtocolModel(protocol, cores, domains, home_node)
 
 
 class SyntheticBackend:
@@ -24,6 +32,24 @@ class SyntheticBackend:
             self.timer_overhead + self.cost_per_access * n,
             (len(points), policy.outer_repeats, len(chains), policy.inner_repeats),
         )
+
+
+class ReplayBackend:
+    """Backend whose sweep took the given elapsed cycles: ``elapsed`` is the
+    (points, outer, sizes, inner) array ``run_sweep`` returns as is."""
+
+    name = "replay"
+    frequency_mhz = 1000.0
+
+    def __init__(self, elapsed, overhead=0.0):
+        self.elapsed = elapsed
+        self.overhead = overhead
+
+    def time_empty(self):
+        return self.overhead
+
+    def run_sweep(self, chains, points, policy):
+        return self.elapsed
 
 
 def check_single_owner(state_map) -> bool:

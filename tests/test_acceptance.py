@@ -22,14 +22,13 @@ from memchar.bandwidth import (
     scaling_series,
     verify_triad,
 )
-from memchar.chain import generate_chain, verify_chain
+from memchar.chain import chain_spec, generate_chain, verify_chain
 from memchar.cli import main
 from memchar.coherence import (
     Action,
     CacheEvent,
     CoherenceState,
     Protocol,
-    ProtocolModel,
     apply_event,
     initial_state_map,
     plan_state,
@@ -37,9 +36,9 @@ from memchar.coherence import (
 )
 from memchar.harness import (
     MeasurementPolicy,
-    aggregate,
     auto_helper,
     measure_latency,
+    measure_sweep,
 )
 from memchar.model import (
     FitObservation,
@@ -47,8 +46,7 @@ from memchar.model import (
     fit,
     hop_cost_template,
     load_fixture_model,
-    ram_hop_template,
-    remote_socket_template,
+    switch_hop_template,
 )
 from memchar.results import ResultSet
 from memchar.topology import (
@@ -60,7 +58,7 @@ from memchar.topology import (
     load_topology_file,
     mesh_hops,
 )
-from oracles import check_single_owner
+from oracles import ReplayBackend, check_single_owner, protocol_model
 
 ONE = MeasurementPolicy(inner_repeats=1, outer_repeats=1, sizes_per_level=1)
 
@@ -84,7 +82,7 @@ def test_01_coherence_oracle_completeness(rome, clx):
     simulator, at every cache level, with zero failures."""
     checked = 0
     for protocol in (Protocol.MOESI, Protocol.MESIF):
-        model = ProtocolModel.make(protocol, cores=range(4), cores_per_domain=2)
+        model = protocol_model(protocol, cores=range(4), cores_per_domain=2)
         for state in protocol.states:
             for level in ("L1", "L2", "L3", "RAM"):
                 helper = 3 if state in (
@@ -108,7 +106,7 @@ def test_02_protocol_invariant_fuzzing():
     actions = list(Action)
     sequences = 0
     for protocol in (Protocol.MOESI, Protocol.MESIF):
-        model = ProtocolModel.make(protocol, cores=range(4), cores_per_domain=2)
+        model = protocol_model(protocol, cores=range(4), cores_per_domain=2)
         for _ in range(50_000):
             sequences += 1
             state = initial_state_map()
@@ -151,20 +149,23 @@ def test_03_chain_validity_sweep():
 
 def test_04_aggregation_matches_brute_force():
     """min/max/median reducers equal brute-force references on 1000 random
-    10x4x3 sample matrices (the 120-values-per-point shape)."""
+    10x4x3 sample matrices (the 120-values-per-point shape), reduced by
+    measure_sweep as the elapsed cycles of 1-element chains."""
     rng = random.Random(42)
     policy = MeasurementPolicy()
-    for _ in range(1000):
-        samples = [
-            [[rng.uniform(1.0, 500.0) for _ in range(3)] for _ in range(4)]
-            for _ in range(10)
-        ]
+    grids = [
+        [[[rng.uniform(1.0, 500.0) for _ in range(3)] for _ in range(4)] for _ in range(10)]
+        for _ in range(1000)
+    ]
+    chains = [chain_spec(64, 64, seed=0)] * policy.sizes_per_level
+    local = (plan_state("M", "MOESI", owner=0, requester=0), Placement(0, 0, 0, label="local"))
+    records = measure_sweep(chains, [local] * len(grids), policy, ReplayBackend(grids))
+    for samples, rec in zip(grids, records, strict=True):
         flat = sorted(v for outer in samples for row in outer for v in row)
-        stats = aggregate(samples, policy)
-        assert stats.count == 120
-        assert stats.minimum == min(flat)
-        assert stats.maximum == max(flat)
-        assert stats.median == flat[(120 - 1) // 2]
+        assert len(rec.samples) == 120
+        assert rec.min_cycles == min(flat)
+        assert rec.max_cycles == max(flat)
+        assert rec.median_cycles == flat[(120 - 1) // 2]
     note(4, "1000 random 10x4x3 matrices reduced identically to brute force")
 
 
@@ -183,7 +184,7 @@ def test_05_hop_cost_recovery(rome):
     assert sorted(o.cycles for o in obs) == [220.0, 230.0, 248.0, 255.0]
     hops = sorted(extra_switch_hops(rome.graph, 0, o.home) for o in obs)
     assert hops == [0, 1, 3, 4]
-    result = fit(ram_hop_template(rome.graph), obs)
+    result = fit(switch_hop_template(rome.graph, "ram_hops"), obs)
     cost = result.params["if_switch_ns"]
     assert 2.0 <= cost <= 2.5
     note(5, f"fitted per-switch per-direction cost {cost:.3f} ns in [2.0, 2.5]")
@@ -217,7 +218,7 @@ def test_07_intersocket_classes(rome):
             )
             for r in csv.DictReader(fh)
         ]
-    result = fit(remote_socket_template(g), anchors)
+    result = fit(switch_hop_template(g, "remote_socket"), anchors)
     preds = {
         (i, j): result.predict_observation(
             FitObservation(g.first_core_of_node(i), j, cycles=0.0)
@@ -332,15 +333,12 @@ def test_10_bandwidth_fixtures():
     saturation at 8 cores."""
     rome_bw = SimBandwidthBackend(load_topology_file(fixture_path("rome_2s.json")))
     clx_bw = SimBandwidthBackend(load_topology_file(fixture_path("clx_2s.json")))
-    pol = MeasurementPolicy(
-        inner_repeats=1, outer_repeats=1, sizes_per_level=1, reducer="max"
-    )
 
-    l1_rome = run_throughput("read256", 16 << 10, [0], pol, rome_bw)
+    l1_rome = run_throughput("read256", 16 << 10, [0], 1, rome_bw)
     assert l1_rome.bytes_per_cycle == 64.0
     assert l1_rome.bandwidth_gbps == 128.0
 
-    l1_clx = run_throughput("read512", 16 << 10, [0], pol, clx_bw)
+    l1_clx = run_throughput("read512", 16 << 10, [0], 1, clx_bw)
     assert l1_clx.bytes_per_cycle == 116.25
 
     plateau = run_triad(8 << 20, [0, 4, 8, 12], nontemporal=True, backend=rome_bw)

@@ -12,19 +12,16 @@ from memchar.bandwidth import (
     BandwidthError,
     BandwidthRecord,
     SimBandwidthBackend,
-    ThroughputKernel,
     TriadVerificationError,
     bandwidth_dataset_ladder,
+    resolve_kernel,
     run_throughput,
     run_triad,
     scaling_series,
     triad_operands,
     verify_triad,
 )
-from memchar.harness import MeasurementPolicy
 from memchar.topology import fixture_path, load_topology_file
-
-POL = MeasurementPolicy(inner_repeats=1, outer_repeats=1, sizes_per_level=1, reducer="max")
 
 
 @pytest.fixture(scope="module")
@@ -37,61 +34,82 @@ def clx_bw():
     return SimBandwidthBackend(load_topology_file(fixture_path("clx_2s.json")))
 
 
-class TestKernels:
-    def test_burst_configuration(self):
-        assert KERNELS["read128"].burst_registers == 8
-        assert KERNELS["read256"].burst_registers == 16
-        assert KERNELS["read512"].burst_registers == 32
+class TestResolveKernel:
+    def test_kernels_are_listed_once_widest_first(self):
+        assert KERNELS == ("read512", "read256", "read128")
 
-    def test_wrong_burst_rejected(self):
-        with pytest.raises(BandwidthError, match="burst"):
-            ThroughputKernel("w256", 8)
+    @pytest.mark.parametrize("requested, supported, resolved", [
+        ("read512", KERNELS, ("read512", None)),
+        ("read512", ("read128", "read256"), ("read256", "read512")),
+        ("read256", ("read128",), ("read128", "read256")),
+        ("read128", ("read512", "read128"), ("read128", None)),
+    ])
+    def test_widest_supported_at_or_below_the_request(self, requested, supported, resolved):
+        assert resolve_kernel(requested, supported) == resolved
 
-    def test_read_only(self):
-        with pytest.raises(BandwidthError, match="read-only"):
-            ThroughputKernel("w128", 8, access="write")
+    def test_unknown_kernel_rejected(self):
+        with pytest.raises(BandwidthError, match="unknown kernel"):
+            resolve_kernel("read1024", KERNELS)
+
+    def test_nothing_narrow_enough_rejected(self):
+        with pytest.raises(BandwidthError, match="at or below read256"):
+            resolve_kernel("read256", ("read512",))
 
 
 class TestReadThroughput:
     def test_rome_l1_avx_is_64_bytes_per_cycle(self, rome_bw):
-        rec = run_throughput("read256", 16 * 1024, [0], POL, rome_bw)
+        rec = run_throughput("read256", 16 * 1024, [0], 1, rome_bw)
         assert rec.level == "L1"
         assert rec.bytes_per_cycle == 64.0
         assert rec.bandwidth_gbps == 128.0
 
     def test_clx_l1_avx512_is_116_25(self, clx_bw):
-        rec = run_throughput("read512", 16 * 1024, [0], POL, clx_bw)
+        rec = run_throughput("read512", 16 * 1024, [0], 1, clx_bw)
         assert rec.bytes_per_cycle == 116.25
         assert rec.bandwidth_gbps == 186.0
 
+    def test_fastest_of_the_repeats_is_reported(self, rome_bw, monkeypatch):
+        rates = iter([10.0, 30.0, 20.0])
+        runs = []
+
+        def run_read(kernel, dataset_bytes, cores):
+            runs.append(kernel)
+            return BandwidthRecord.from_rate(kernel, dataset_bytes, cores, "L1",
+                                             next(rates), 1000.0, "fake")
+
+        monkeypatch.setattr(rome_bw, "run_read", run_read)
+        rec = run_throughput("read256", 16 * 1024, [0], 3, rome_bw)
+        assert runs == ["read256"] * 3
+        assert rec.bandwidth_gbps == 30.0
+
     def test_zero_dataset_is_an_error(self, rome_bw):
         with pytest.raises(BandwidthError, match="non-empty"):
-            run_throughput("read256", 0, [0], POL, rome_bw)
+            run_throughput("read256", 0, [0], 1, rome_bw)
 
     def test_cross_socket_rejected_in_single_node_mode(self, rome_bw):
         with pytest.raises(BandwidthError, match="crossing sockets"):
-            run_throughput("read256", 16 * 1024, [0, 64], POL, rome_bw)
+            run_throughput("read256", 16 * 1024, [0, 64], 1, rome_bw)
         rec = run_throughput(
-            "read256", 16 * 1024, [0, 64], POL, rome_bw, allow_cross_socket=True
+            "read256", 16 * 1024, [0, 64], 1, rome_bw, allow_cross_socket=True
         )
         assert rec.bandwidth_gbps == 256.0
 
     def test_width_degrades_with_flag(self, rome_bw):
-        rec = run_throughput("read512", 16 * 1024, [0], POL, rome_bw)
+        rec = run_throughput("read512", 16 * 1024, [0], 1, rome_bw)
         assert rec.kernel == "read256"
         assert rec.degraded_from == "read512"
         assert "width_degraded" in rec.flags
 
     def test_l3_domain_cap_binds(self, rome_bw):
         # 4 cores of one CCX: 4 x 46 GB/s capped at 151 GB/s.
-        rec = run_throughput("read256", 2 << 20, [0, 1, 2, 3], POL, rome_bw)
+        rec = run_throughput("read256", 2 << 20, [0, 1, 2, 3], 1, rome_bw)
         assert rec.level == "L3"
         assert rec.bandwidth_gbps == 151.0
         assert rec.bytes_per_cycle / 4 == pytest.approx(18.875)
 
     def test_ram_ccd_saturates_at_three_cores(self, rome_bw):
         rates = {
-            n: run_throughput("read256", 64 << 20, list(range(n)), POL, rome_bw).bandwidth_gbps
+            n: run_throughput("read256", 64 << 20, list(range(n)), 1, rome_bw).bandwidth_gbps
             for n in (1, 2, 3, 4)
         }
         assert rates[1] == 13.0
@@ -100,8 +118,8 @@ class TestReadThroughput:
         assert rates[4] == 38.0
 
     def test_second_ccd_raises_node_bandwidth_slightly(self, rome_bw):
-        one_ccd = run_throughput("read256", 64 << 20, list(range(8)), POL, rome_bw)
-        two_ccds = run_throughput("read256", 64 << 20, list(range(16)), POL, rome_bw)
+        one_ccd = run_throughput("read256", 64 << 20, list(range(8)), 1, rome_bw)
+        two_ccds = run_throughput("read256", 64 << 20, list(range(16)), 1, rome_bw)
         assert one_ccd.bandwidth_gbps == 38.0
         assert two_ccds.bandwidth_gbps == 40.0
 
@@ -110,7 +128,7 @@ class TestReadThroughput:
         cores = list(range(64))
         for _ in range(20):
             picked = sorted(rng.choice(cores, size=rng.integers(1, 12), replace=False).tolist())
-            rec = run_throughput("read256", 64 << 20, picked, POL, rome_bw)
+            rec = run_throughput("read256", 64 << 20, picked, 1, rome_bw)
             per_core = 6.5 * 2.0  # B/cycle x GHz
             assert rec.bandwidth_gbps <= per_core * len(picked) + 1e-9
             assert rec.bandwidth_gbps <= 160.0 + 1e-9

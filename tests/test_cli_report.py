@@ -298,6 +298,41 @@ class TestCli:
         assert code == 2
         assert "nosuchfield" in capsys.readouterr().err
 
+    def test_bad_alignment_variable_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MEMCHAR_ALIGNMENT", "abc")
+        code = main(["latency", "--topology", "rome_2s", "--scope", "local", "--level", "L1",
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "MEMCHAR_ALIGNMENT='abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header, missing", [
+        ("source_class,cycles", "level"),
+        ("requester_node,cycles", "home_node"),
+        ("a,b", "level, source_class, cycles"),
+    ])
+    def test_fit_input_without_its_columns_is_config_error(self, header, missing, tmp_path,
+                                                           capsys):
+        path = tmp_path / "fit.csv"
+        path.write_text(header + "\n" + ",".join("1" for _ in header.split(",")) + "\n")
+        code = main(["model-fit", "--topology", "rome_2s", "--input", str(path),
+                     "--out", str(tmp_path / "fit")])
+        assert code == 2
+        assert f"lacks column(s) {missing}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["report"], ["model-fit", "--topology", "rome_2s"]],
+                             ids=["report", "model-fit"])
+    def test_missing_input_file_is_config_error(self, argv, tmp_path, capsys):
+        code = main(argv + ["--input", str(tmp_path / "absent.csv"), "--out", str(tmp_path)])
+        assert code == 2
+        assert "no such input file" in capsys.readouterr().err
+
+    def test_non_positive_bandwidth_repeats_is_config_error(self, tmp_path, capsys):
+        code = main(["bandwidth", "--topology", "rome_2s", "--level", "L1", "--outer", "-2",
+                     "--out", str(tmp_path / "bw")])
+        assert code == 2
+        assert "repeats must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "bw" / "bandwidth.csv").exists()
+
     def test_replay_reproduces_csv_byte_identical(self, tmp_path):
         first = tmp_path / "a"
         again = tmp_path / "b"

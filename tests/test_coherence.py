@@ -16,16 +16,14 @@ from memchar.coherence import (
     CoherenceError,
     CoherenceState,
     Protocol,
-    ProtocolModel,
     WorkerRole,
     initial_state_map,
     plan_state,
-    protocol_step,
     apply_event,
     simulate,
     verify_script,
 )
-from oracles import check_single_owner
+from oracles import check_single_owner, protocol_model
 
 M, O, E, S, F, I = (
     CoherenceState.M,
@@ -36,11 +34,11 @@ M, O, E, S, F, I = (
     CoherenceState.I,
 )
 
-MOESI = ProtocolModel.make(Protocol.MOESI, cores=range(4), cores_per_domain=2)
-MESIF = ProtocolModel.make(Protocol.MESIF, cores=range(4), cores_per_domain=2)
+MOESI = protocol_model(Protocol.MOESI, cores=range(4), cores_per_domain=2)
+MESIF = protocol_model(Protocol.MESIF, cores=range(4), cores_per_domain=2)
 # Separate L3 domains per core: pure two-party protocol behavior.
-MOESI_SPLIT = ProtocolModel.make(Protocol.MOESI, cores=range(4), cores_per_domain=1)
-MESIF_SPLIT = ProtocolModel.make(Protocol.MESIF, cores=range(4), cores_per_domain=1)
+MOESI_SPLIT = protocol_model(Protocol.MOESI, cores=range(4), cores_per_domain=1)
+MESIF_SPLIT = protocol_model(Protocol.MESIF, cores=range(4), cores_per_domain=1)
 
 
 def states_of(state_map, cores=(0, 1)):
@@ -58,7 +56,7 @@ def uses_helper(script):
 def run_events(model, events, state=None):
     m = state if state is not None else initial_state_map()
     for core, action in events:
-        m = protocol_step(model, m, CacheEvent(core, action))
+        m = apply_event(model, m, CacheEvent(core, action))[0]
     return m
 
 
@@ -132,7 +130,7 @@ class TestPlanState:
     @pytest.mark.parametrize("requester", [0, 4], ids=["requester_is_owner", "requester_apart"])
     def test_every_helper_and_requester_placement(self, protocol, helper, requester):
         # Owner 0 shares domain d0 with core 1; core 2 sits in d1, core 4 in d2.
-        model = ProtocolModel.make(protocol, cores=range(6), cores_per_domain=2)
+        model = protocol_model(protocol, cores=range(6), cores_per_domain=2)
         failures = []
         for state, level in itertools.product(protocol.states, ("L1", "L2", "L3", "RAM")):
             script = plan_state(state, protocol, owner=0, requester=requester,
@@ -178,7 +176,7 @@ class TestProtocolStep:
             ("core", 0): _entry(F, 7),
             ("core", 1): _entry(S, 7),
         }
-        m = protocol_step(MESIF_SPLIT, state, CacheEvent(2, Action.READ))
+        m = apply_event(MESIF_SPLIT, state, CacheEvent(2, Action.READ))[0]
         assert states_of(m, (0, 1, 2)) == (S, S, F)
 
     def test_total_over_event_alphabet(self):
@@ -188,12 +186,12 @@ class TestProtocolStep:
             for _ in range(200):
                 core = random.choice(model.cores)
                 action = random.choice(list(Action))
-                m = protocol_step(model, m, CacheEvent(core, action))
+                m = apply_event(model, m, CacheEvent(core, action))[0]
                 assert check_single_owner(m)
 
     def test_unknown_core_rejected(self):
         with pytest.raises(CoherenceError, match="core 9"):
-            protocol_step(MOESI, initial_state_map(), CacheEvent(9, Action.READ))
+            apply_event(MOESI, initial_state_map(), CacheEvent(9, Action.READ))[0]
 
     def test_victim_eviction_moves_line_to_l3(self):
         m = run_events(MOESI, [(0, Action.READ), (0, Action.EVICT_L2)])
@@ -208,7 +206,7 @@ class TestProtocolStep:
     def test_flush_writes_back_dirty(self):
         m = run_events(MOESI, [(0, Action.WRITE)])
         value = m[("core", 0)].value
-        m = protocol_step(MOESI, m, CacheEvent(0, Action.FLUSH))
+        m = apply_event(MOESI, m, CacheEvent(0, Action.FLUSH))[0]
         assert m == {"mem": value}
 
     def test_two_cache_transitions_match_hand_table(self):
@@ -229,7 +227,7 @@ class TestProtocolStep:
         ]
         for seed, (core, action), expected in cases_moesi:
             m = run_events(MOESI_SPLIT, seed)
-            m = protocol_step(MOESI_SPLIT, m, CacheEvent(core, action))
+            m = apply_event(MOESI_SPLIT, m, CacheEvent(core, action))[0]
             assert states_of(m) == expected, (seed, action)
         cases_mesif = [
             ([], (0, R), (E, I)),
@@ -242,19 +240,19 @@ class TestProtocolStep:
         ]
         for seed, (core, action), expected in cases_mesif:
             m = run_events(MESIF_SPLIT, seed)
-            m = protocol_step(MESIF_SPLIT, m, CacheEvent(core, action))
+            m = apply_event(MESIF_SPLIT, m, CacheEvent(core, action))[0]
             assert states_of(m) == expected, (seed, action)
 
     def test_mesif_read_of_modified_updates_memory(self):
         m = run_events(MESIF_SPLIT, [(0, Action.WRITE)])
         value = m[("core", 0)].value
-        m = protocol_step(MESIF_SPLIT, m, CacheEvent(1, Action.READ))
+        m = apply_event(MESIF_SPLIT, m, CacheEvent(1, Action.READ))[0]
         assert m["mem"] == value
 
     def test_moesi_read_of_modified_keeps_memory_stale(self):
         m = run_events(MOESI_SPLIT, [(0, Action.WRITE)])
         value = m[("core", 0)].value
-        m = protocol_step(MOESI_SPLIT, m, CacheEvent(1, Action.READ))
+        m = apply_event(MOESI_SPLIT, m, CacheEvent(1, Action.READ))[0]
         assert m["mem"] != value
         assert m[("core", 0)].state is O
 

@@ -1,5 +1,6 @@
 """Measurement harness: calibration, aggregation, flushing, records."""
 
+import json
 import random
 
 import numpy as np
@@ -17,7 +18,6 @@ from memchar.harness import (
     HarnessError,
     MeasurementPolicy,
     PolicyError,
-    aggregate,
     auto_helper,
     calibrate_overhead,
     cycles_to_ns,
@@ -32,7 +32,7 @@ from memchar.topology import (
     Placement, PlacementScope, ScopeError, TopologyError, enumerate_placements,
     enumerate_triples, fixture_path, load_topology_file,
 )
-from oracles import SyntheticBackend
+from oracles import ReplayBackend, SyntheticBackend
 
 ONE = MeasurementPolicy(inner_repeats=1, outer_repeats=1, sizes_per_level=1)
 
@@ -69,19 +69,28 @@ class TestCalibration:
         assert calibrate_overhead(be, 10) == 30.0
 
 
+def reduce_grids(grids, policy=MeasurementPolicy()):
+    """measure_sweep's records for ``grids``, one sample grid per point, taken
+    as the elapsed cycles of 1-element chains with no timer overhead, so every
+    sample is its grid value."""
+    chains = [chain_spec(64, 64, seed=0)] * policy.sizes_per_level
+    script = plan_state("M", "MOESI", owner=0, requester=0)
+    points = [(script, Placement(0, 0, 0, label="local"))] * len(grids)
+    return measure_sweep(chains, points, policy, ReplayBackend(grids))
+
+
 class TestAggregate:
     def test_all_equal(self):
-        samples = [[[7.0] * 3 for _ in range(4)] for _ in range(10)]
-        stats = aggregate(samples, MeasurementPolicy())
-        assert (stats.minimum, stats.maximum, stats.median) == (7.0, 7.0, 7.0)
-        assert stats.count == 120
+        [rec] = reduce_grids([[[[7.0] * 3 for _ in range(4)] for _ in range(10)]])
+        assert (rec.min_cycles, rec.max_cycles, rec.median_cycles) == (7.0, 7.0, 7.0)
+        assert len(rec.samples) == 120
 
     def test_single_outlier(self):
         samples = [[[10.0] * 3 for _ in range(4)] for _ in range(10)]
         samples[3][2][1] = 100.0
-        stats = aggregate(samples, MeasurementPolicy())
-        assert stats.minimum == 10.0
-        assert stats.maximum == 100.0
+        [rec] = reduce_grids([samples])
+        assert rec.min_cycles == 10.0
+        assert rec.max_cycles == 100.0
 
     def test_bimodal_median_is_dominant_mode(self):
         # 80 samples at the mode, 40 high: the median lands on the mode.
@@ -91,38 +100,39 @@ class TestAggregate:
             [[flat[o * 12 + s * 3 + i] for i in range(3)] for s in range(4)]
             for o in range(10)
         ]
-        stats = aggregate(samples, MeasurementPolicy())
-        assert stats.median == 50.0
+        [rec] = reduce_grids([samples])
+        assert rec.median_cycles == 50.0
 
     def test_lower_of_two_middles(self):
         pol = MeasurementPolicy(inner_repeats=1, outer_repeats=2, sizes_per_level=1)
-        stats = aggregate([[[1.0]], [[2.0]]], pol)
-        assert stats.median == 1.0
+        [rec] = reduce_grids([[[[1.0]], [[2.0]]]], pol)
+        assert rec.median_cycles == 1.0
 
     def test_empty_rejected(self):
-        with pytest.raises(AggregationError):
-            aggregate([], MeasurementPolicy())
+        script = plan_state("M", "MOESI", owner=0, requester=0)
+        with pytest.raises(AggregationError, match="empty"):
+            measure_latency([chain_spec(64, 64, seed=0)], script,
+                            Placement(0, 0, 0, label="local"), ONE, ReplayBackend([]))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(AggregationError, match="outer"):
-            aggregate([[[1.0]]], MeasurementPolicy())
+            reduce_grids([[[[1.0]]]])
 
     def test_matches_brute_force_on_random_matrices(self):
         rng = random.Random(99)
-        pol = MeasurementPolicy()
-        for _ in range(50):
-            samples = [
-                [[rng.uniform(1, 1000) for _ in range(3)] for _ in range(4)]
-                for _ in range(10)
-            ]
+        grids = [
+            [[[rng.uniform(1, 1000) for _ in range(3)] for _ in range(4)] for _ in range(10)]
+            for _ in range(50)
+        ]
+        for samples, rec in zip(grids, reduce_grids(grids)):
             flat = sorted(v for o in samples for row in o for v in row)
-            stats = aggregate(samples, pol)
-            assert stats.minimum == flat[0]
-            assert stats.maximum == flat[-1]
-            assert stats.median == flat[(len(flat) - 1) // 2]
+            assert rec.min_cycles == flat[0]
+            assert rec.max_cycles == flat[-1]
+            assert rec.median_cycles == flat[(len(flat) - 1) // 2]
 
     def test_total_samples_invariant(self):
-        assert aggregate(np.ones((10, 4, 3)), MeasurementPolicy()).count == 120
+        [rec] = reduce_grids(np.ones((1, 10, 4, 3)))
+        assert len(rec.samples) == 120
 
 
 class TestSyntheticOracle:
@@ -149,23 +159,6 @@ class TestSyntheticOracle:
         assert rec.latency_cycles == 3.0
 
 
-class _Replay:
-    """Backend whose chases took the given elapsed cycles."""
-
-    name = "replay"
-    frequency_mhz = 1000.0
-
-    def __init__(self, elapsed, overhead=0.0):
-        self.elapsed = elapsed
-        self.overhead = overhead
-
-    def time_empty(self):
-        return self.overhead
-
-    def run_sweep(self, chains, points, policy):
-        return [self.elapsed]
-
-
 class TestSampleArray:
     POLICY = MeasurementPolicy(inner_repeats=3, outer_repeats=4, sizes_per_level=2)
     CHAINS = [chain_spec(64 * 7, 64, seed=1), chain_spec(64 * 13, 64, seed=1)]
@@ -184,7 +177,7 @@ class TestSampleArray:
                 for _ in range(4)
             ]
             rec = measure_latency(self.CHAINS, self.SCRIPT, self.LOCAL, self.POLICY,
-                                  _Replay(elapsed, overhead))
+                                  ReplayBackend([elapsed], overhead))
             want = [
                 max(0.0, e - overhead) / c.element_count
                 for outer in elapsed for c, row in zip(self.CHAINS, outer) for e in row
@@ -200,11 +193,12 @@ class TestSampleArray:
         # (4, 1, 3) would broadcast against the two chains' access counts.
         with pytest.raises(AggregationError, match="shape"):
             measure_latency(self.CHAINS, self.SCRIPT, self.LOCAL, self.POLICY,
-                            _Replay(np.ones(shape)))
+                            ReplayBackend([np.ones(shape)]))
 
     def test_ragged_samples_rejected(self):
         with pytest.raises(AggregationError, match="ragged"):
-            aggregate([[[1.0]], [[2.0, 3.0]]], ONE)
+            measure_latency(self.CHAINS[:1], self.SCRIPT, self.LOCAL, ONE,
+                            ReplayBackend([[[[1.0]], [[2.0, 3.0]]]]))
 
 
 class TestSimulatedMeasurements:
@@ -390,8 +384,8 @@ class TestFlushPlan:
         floor = 2 * (32 * 1024 + 512 * 1024 + 16 * 1024 * 1024)
         assert flush_scratch_bytes(rome, {"L1", "L2", "L3"}) >= floor
 
-    def test_unknown_cache_sizes_rejected(self, rome):
-        doc = rome.to_document()
+    def test_unknown_cache_sizes_rejected(self):
+        doc = json.loads(fixture_path("rome_2s.json").read_text())
         del doc["caches"]
         from memchar.topology import load_topology
 

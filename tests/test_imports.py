@@ -1,4 +1,5 @@
-"""Every module-level import in ``src/memchar`` is used or re-exported, and
+"""Every module-level import in ``src/memchar`` is used or re-exported, every
+module-level def and class there has a caller in ``src/`` or ``bench/``, and
 only ``topology.py`` reads a topology's raw ``caches`` sizes."""
 
 import ast
@@ -64,3 +65,79 @@ def test_cache_sizes_read_only_through_the_topology(path):
 
 def test_scan_flags_a_caches_read():
     assert caches_reads("x = 1\nkib = graph.caches['l1_kib']\n") == [2]
+
+
+BENCH = SRC.parent.parent / "bench"
+# Module-level names that nothing in src/ or bench/ calls yet, each kept for
+# the ROADMAP item that gives it a caller.  A name leaves once it has one.
+RESERVED = {
+    "scaling_series": "item 2: bandwidth --scaling prints the saturation series",
+    "compare": "item 3: a table run is checked against the paper's fixture table",
+    "hop_cost_template": "item 3: model-fit --template hop_cost, or deletion",
+    "verify_chain": "aim 3: the chain oracle the chain tests rest on",
+}
+
+
+def _is_all(node) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    )
+
+
+def unreferenced_defs(modules: dict, users=()) -> list[str]:
+    """``file: name`` of each module-level def or class of ``modules`` (file
+    name -> source) that neither those sources nor ``users`` name.  A name
+    counts as an identifier, an attribute, an imported name or a string
+    (``bench/spans.py`` patches by name); a def naming itself and
+    ``__all__`` do not count."""
+    trees = {name: ast.parse(src) for name, src in modules.items()}
+    names = set()
+    for tree in [*trees.values(), *(ast.parse(src) for src in users)]:
+        for stmt in tree.body:
+            if _is_all(stmt):
+                continue
+            found = set()
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.Name):
+                    found.add(n.id)
+                elif isinstance(n, ast.Attribute):
+                    found.add(n.attr)
+                elif isinstance(n, ast.alias):
+                    found.add(n.name.rpartition(".")[2])
+                elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                    found.add(n.value)
+            found.discard(getattr(stmt, "name", None))
+            names |= found
+    return [
+        f"{file}: {stmt.name}"
+        for file, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name not in names
+    ]
+
+
+@pytest.mark.skipif(not BENCH.is_dir(), reason="no bench/ directory")
+def test_every_src_def_has_a_caller_or_a_reserved_item():
+    modules = {p.name: p.read_text() for p in MODULES}
+    users = [p.read_text() for p in sorted(BENCH.glob("*.py"))]
+    unreferenced = unreferenced_defs(modules, users)
+    assert [n for n in unreferenced if n.partition(": ")[2] not in RESERVED] == []
+    # A reserved name that has found a caller leaves RESERVED.
+    assert sorted(n.partition(": ")[2] for n in unreferenced) == sorted(RESERVED)
+
+
+def test_scan_flags_a_def_with_no_caller():
+    modules = {
+        "m.py": (
+            "__all__ = ['used', 'unused', 'patched', 'Lonely']\n"
+            "def used(): pass\n"
+            "def unused(): return unused()\n"
+            "def patched(): pass\n"
+            "class Lonely: pass\n"
+            "class Base: pass\n"
+            "class Derived(Base): pass\n"
+        ),
+        "n.py": "from .m import used\nused()\nx = Derived\n",
+    }
+    users = ["patch(m, 'patched')\n"]
+    assert unreferenced_defs(modules, users) == ["m.py: unused", "m.py: Lonely"]

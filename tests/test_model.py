@@ -7,19 +7,18 @@ import numpy as np
 import pytest
 
 from memchar.model import (
+    SWITCH_HOP_BASES,
     FitError,
     FitObservation,
     FitTerm,
     FitTemplate,
-    LatencyMatrix,
     ModelError,
     classify_values,
     compare,
     fit,
     hop_cost_template,
     load_fixture_model,
-    ram_hop_template,
-    remote_socket_template,
+    switch_hop_template,
 )
 from memchar.topology import fixture_path
 
@@ -167,9 +166,17 @@ class TestFit:
             if r["source_class"] in homes
         ]
         assert sorted(o.cycles for o in obs) == [220, 230, 248, 255]
-        result = fit(ram_hop_template(rome.graph), obs)
+        result = fit(switch_hop_template(rome.graph, "ram_hops"), obs)
         assert 2.0 <= result.params["if_switch_ns"] <= 2.5
         assert result.params["if_switch_ns"] == pytest.approx(2.2)
+
+    @pytest.mark.parametrize("name", sorted(SWITCH_HOP_BASES))
+    def test_switch_hop_templates_differ_only_in_their_base_name(self, rome, name):
+        template = switch_hop_template(rome.graph, name)
+        assert template.name == name
+        assert [t.name for t in template.terms] == [SWITCH_HOP_BASES[name], "if_switch_ns"]
+        o = FitObservation(0, 3, cycles=0.0)
+        assert template.design_row(o) == switch_hop_template(rome.graph, "ram_hops").design_row(o)
 
     def test_single_observation_interpolates_exactly(self, rome):
         template = FitTemplate("base_only", (FitTerm("base", lambda o: 1.0),))
@@ -191,7 +198,8 @@ class TestFit:
 
     def test_underdetermined_rejected(self, rome):
         with pytest.raises(FitError, match="observations"):
-            fit(ram_hop_template(rome.graph), [FitObservation(0, 0, cycles=1.0)])
+            fit(switch_hop_template(rome.graph, "ram_hops"),
+                [FitObservation(0, 0, cycles=1.0)])
 
     def test_synthetic_round_trip(self, rome):
         rng = np.random.default_rng(5)
@@ -217,7 +225,7 @@ class TestFit:
         # equals the analytic coefficient.
         g = rome.graph
         obs = FitObservation(0, 3, cycles=0.0)
-        template = ram_hop_template(g)
+        template = switch_hop_template(g, "ram_hops")
         coeff = template.terms[1].coeff(obs)
         base = {"base_ram_cycles": 220.0, "if_switch_ns": 2.0}
         bumped = {"base_ram_cycles": 220.0, "if_switch_ns": 3.0}
@@ -232,7 +240,7 @@ class TestFit:
             FitObservation(0, h, cycles=c)
             for h, c in ((0, 220.0), (1, 230.0), (2, 248.0), (3, 255.0))
         ]
-        result = fit(ram_hop_template(rome.graph), obs)
+        result = fit(switch_hop_template(rome.graph, "ram_hops"), obs)
         text = result.report()
         assert "if_switch_ns" in text
         assert "residual" in text
@@ -265,7 +273,7 @@ class TestCompare:
                         cycles=float(row["cycles"]),
                     )
                 )
-        result = fit(remote_socket_template(g), anchors)
+        result = fit(switch_hop_template(g, "remote_socket"), anchors)
         preds = {
             (i, j): result.predict_observation(
                 FitObservation(g.first_core_of_node(i), j, cycles=0.0)
@@ -288,7 +296,7 @@ class TestCompare:
     def test_argmin_invariant_under_cost_scaling(self, rome):
         # Uniform scaling of all link costs keeps the fastest pair fastest.
         g = rome.graph
-        template = remote_socket_template(g)
+        template = switch_hop_template(g, "remote_socket")
         pairs = [(i, j) for i in range(4) for j in range(4, 8)]
 
         def argmin_for(scale):
@@ -301,30 +309,3 @@ class TestCompare:
             return {k for k, v in vals.items() if v == best}
 
         assert argmin_for(1.0) == argmin_for(4.0) == {(0, 6), (2, 4)}
-
-
-class TestMatrix:
-    def test_csv_round_trip(self, tmp_path):
-        m = LatencyMatrix(
-            row_labels=["0", "1"],
-            col_labels=["4", "5"],
-            entries=[[406.0, 417.5], [416.0, 436.0]],
-            state="I",
-            level="RAM",
-            frequency_mhz=2000.0,
-        )
-        path = tmp_path / "m.csv"
-        m.to_csv(path)
-        again = LatencyMatrix.from_csv(path)
-        assert again.row_labels == m.row_labels
-        assert again.col_labels == m.col_labels
-        assert (again.entries == m.entries).all()
-        assert (again.state, again.level, again.frequency_mhz) == ("I", "RAM", 2000.0)
-
-    def test_non_positive_entries_rejected(self):
-        with pytest.raises(ModelError, match="positive"):
-            LatencyMatrix(["a"], ["b"], [[0.0]])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ModelError, match="shape"):
-            LatencyMatrix(["a"], ["b", "c"], [[1.0]])

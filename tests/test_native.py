@@ -188,6 +188,47 @@ class TestReadLevel:
             assert sim_bw.run_read("read256", nbytes, cores).level == level
 
 
+class TestReadKernel:
+    """A native read runs the widest kernel the library exports at or below
+    the request, and flags a narrower one, as the simulator does."""
+
+    @staticmethod
+    def read(monkeypatch, kernels, kernel):
+        monkeypatch.setattr(native, "load_kernels", kernels)
+        monkeypatch.setattr(native, "_pin_current_thread", lambda core: None)
+        backend = native.NativeBandwidthBackend(
+            load_topology_file(fixture_path("rome_2s.json")), frequency_mhz=1000.0
+        )
+        return backend, backend.run_read(kernel, 16 << 10, [0])
+
+    def test_build_without_avx_degrades_read256_to_read128(self, monkeypatch):
+        class NoAvx:
+            """The kernels of a build without AVX: no ``mc_read256``."""
+
+            mc_write_touch = FakeKernels.mc_write_touch
+
+            def mc_read128(self, addr, nbytes, reps, check):
+                return 1000
+
+        backend, rec = self.read(monkeypatch, NoAvx, "read256")
+        assert (rec.kernel, rec.degraded_from, rec.flags) == (
+            "read128", "read256", ("width_degraded",)
+        )
+        assert backend.supported == ("read128",)
+
+    def test_read512_resolves_to_read256_on_the_declared_table(self, monkeypatch):
+        class Declared(FakeKernels):
+            """Every kernel of KERNEL_SIGNATURES, each returning at once."""
+
+        for name in native.KERNEL_SIGNATURES:
+            if not hasattr(Declared, name):
+                setattr(Declared, name, lambda self, *args: 1000)
+        _, rec = self.read(monkeypatch, Declared, "read512")
+        assert (rec.kernel, rec.degraded_from, rec.flags) == (
+            "read256", "read512", ("width_degraded",)
+        )
+
+
 class TestReadStart:
     def test_every_worker_waits_at_the_barrier_before_each_run(self, monkeypatch):
         events = []

@@ -17,7 +17,6 @@ from memchar.topology import (
     SchemaError,
     ScopeError,
     TopologyError,
-    core_path,
     enumerate_placements,
     enumerate_triples,
     extra_switch_hops,
@@ -28,6 +27,11 @@ from memchar.topology import (
     mesh_route,
     switch_hops_to_memory,
 )
+
+
+def fixture_doc(name):
+    """A fresh copy of a shipped topology document."""
+    return json.loads(fixture_path(f"{name}.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +73,7 @@ class TestLoad:
     def test_cache_bytes_per_level(self, rome):
         sizes = [rome.cache_bytes(level) for level in ("L1", "L2", "L3")]
         assert sizes == [32 << 10, 512 << 10, 16 << 20]
-        doc = rome.to_document()
+        doc = fixture_doc("rome_2s")
         del doc["caches"]["l2_kib"]
         with pytest.raises(TopologyError, match="lacks cache size l2_kib"):
             load_topology(doc).cache_bytes("L2")
@@ -102,39 +106,35 @@ class TestLoad:
         with pytest.raises(SchemaError, match="kind"):
             load_topology({"socket_count": 1, "frequencies": {"core_mhz": 1000}})
 
-    def test_duplicate_coordinates_rejected(self, clx):
-        doc = clx.to_document()
+    def test_duplicate_coordinates_rejected(self):
+        doc = fixture_doc("clx_2s")
         doc["sockets"][0]["tiles"].append({"row": 1, "col": 0, "core": 99})
         with pytest.raises(SchemaError, match=r"duplicate grid coordinate"):
             load_topology(doc)
 
-    def test_duplicate_core_rejected(self, rome):
-        doc = rome.to_document()
+    def test_duplicate_core_rejected(self):
+        doc = fixture_doc("rome_2s")
         doc["sockets"][0]["numa_nodes"][0]["ccds"][0]["ccxs"][0][0] = 5
         with pytest.raises(SchemaError, match="core id 5"):
             load_topology(doc)
 
-    def test_disconnected_graph_reports_nodes(self, rome):
-        doc = rome.to_document()
+    def test_disconnected_graph_reports_nodes(self):
+        doc = fixture_doc("rome_2s")
         doc["xgmi_links"] = []
         with pytest.raises(SchemaError, match="disconnected"):
             load_topology(doc)
 
-    def test_ccx_size_bounds(self, rome):
-        doc = rome.to_document()
+    def test_ccx_size_bounds(self):
+        doc = fixture_doc("rome_2s")
         doc["sockets"][0]["numa_nodes"][0]["ccds"][0]["ccxs"][0] = list(range(200, 206))
         with pytest.raises(SchemaError, match="1-4 cores"):
             load_topology(doc)
 
-    def test_switch_cost_floor(self, rome):
-        doc = rome.to_document()
+    def test_switch_cost_floor(self):
+        doc = fixture_doc("rome_2s")
         doc["link_costs"]["if_switch_hop"]["cycles"] = 1.0
         with pytest.raises(SchemaError, match=">= 2"):
             load_topology(doc)
-
-    def test_serialize_round_trip(self, rome, clx, single):
-        for g in (rome, clx, single):
-            assert load_topology(g.to_document()).to_document() == g.to_document()
 
 
 class TestMeshRoute:
@@ -226,15 +226,15 @@ class TestIfPath:
     def test_ccx_to_ccx_passes_io_die(self, rome):
         # No CCX reaches another CCX without a switch traversal.
         for owner in (4, 8, 16, 48):
-            p = core_path(rome, 0, owner)
+            p = if_path(rome, rome.core(0).id, rome.core(owner).id)
             assert p.switch_count(rome) >= 1
 
     def test_hop_symmetry(self, rome, clx):
         pairs = [(0, 20), (0, 70), (16, 112)]
         for a, b in pairs:
-            assert core_path(rome, a, b).switch_count(rome) == core_path(
-                rome, b, a
-            ).switch_count(rome)
+            ab = if_path(rome, rome.core(a).id, rome.core(b).id)
+            ba = if_path(rome, rome.core(b).id, rome.core(a).id)
+            assert ab.switch_count(rome) == ba.switch_count(rome)
         for a, b in ((0, 12), (1, 16), (5, 11)):
             assert len(mesh_route(clx, clx.core(a), clx.core(b))) == len(
                 mesh_route(clx, clx.core(b), clx.core(a))
