@@ -31,7 +31,7 @@ from .topology import (
     enumerate_placements,
     if_path,
     load_topology,
-    mesh_route,
+    mesh_hops,
 )
 
 __version__ = "0.1.0"
@@ -59,7 +59,7 @@ __all__ = [
     "load_topology",
     "measure_latency",
     "measure_sweep",
-    "mesh_route",
+    "mesh_hops",
     "plan_state",
     "simulate",
     "verify_chain",

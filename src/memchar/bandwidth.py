@@ -169,15 +169,15 @@ class BandwidthRecord:
         )
 
 
-def triad_operands(n: int, start: int = 0, stop: Optional[int] = None):
-    """Triad inputs ``b[i] = i`` and ``c[i] = n - i`` for ``start <= i < stop``
-    of an ``n``-element triad, as float64 arrays (``stop`` defaults to ``n``).
+def triad_operands(n: int):
+    """Triad inputs ``b[i] = i`` and ``c[i] = n - i`` of an ``n``-element
+    triad, as float64 arrays.
 
     Every value is an integer far below 2**53, so ``b + 3c = 3n - 2i`` is
     exact however it is computed, and no two elements of ``b``, of ``c`` or of the
     result are equal.
     """
-    b = np.arange(start, n if stop is None else stop, dtype=np.float64)
+    b = np.arange(n, dtype=np.float64)
     return b, n - b
 
 
@@ -384,17 +384,12 @@ def run_throughput(
     return max(runs, key=lambda rec: rec.bandwidth_gbps)
 
 
-def run_triad(
-    array_bytes: int,
-    core_set,
-    nontemporal: bool,
-    backend,
-    allow_cross_socket: bool = True,
-) -> BandwidthRecord:
-    """STREAM-style triad over three arrays of ``array_bytes`` each."""
+def run_triad(array_bytes: int, core_set, nontemporal: bool, backend) -> BandwidthRecord:
+    """STREAM-style triad over three arrays of ``array_bytes`` each; the
+    core set may span sockets."""
     if array_bytes < 8:
         raise BandwidthError("triad arrays need at least one 8-byte element")
-    cores = _validate_core_set(backend.topology, core_set, allow_cross_socket)
+    cores = _validate_core_set(backend.topology, core_set, allow_cross_socket=True)
     return backend.run_triad(array_bytes, cores, nontemporal)
 
 

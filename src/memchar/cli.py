@@ -27,7 +27,7 @@ from typing import Optional
 
 from . import chain as chain_mod
 from . import harness
-from .backends import BackendError, ScriptPlacementError, SimulatedBackend
+from .backends import BackendError, SimulatedBackend
 from .bandwidth import (
     BandwidthError,
     SimBandwidthBackend,
@@ -37,7 +37,7 @@ from .bandwidth import (
     run_triad,
 )
 from .coherence import CoherenceError, plan_state
-from .harness import MeasurementPolicy, PolicyError, policy_from_env
+from .harness import MeasurementPolicy, policy_from_env
 from .model import (
     SWITCH_HOP_BASES,
     FitObservation,
@@ -50,8 +50,6 @@ from .plots import PlotError, emit_plot
 from .results import ResultError, ResultSet, RunManifest
 from .topology import (
     PlacementScope,
-    SchemaError,
-    ScopeError,
     TopologyError,
     enumerate_placements,
     enumerate_triples,
@@ -72,12 +70,12 @@ class CliError(Exception):
         self.code = code
 
 
-def _resolve_input(name: str, suffix: str = ".json") -> Path:
+def _resolve_input(name: str) -> Path:
     p = Path(name)
     if p.exists():
         return p
     try:
-        return fixture_path(name if name.endswith(suffix) else name + suffix)
+        return fixture_path(name if name.endswith(".json") else name + ".json")
     except FileNotFoundError:
         raise CliError(f"no such topology/model: {name}") from None
 
@@ -133,8 +131,6 @@ def cmd_topo(args) -> int:
     for scope in PlacementScope:
         try:
             n = len(enumerate_placements(graph, scope))
-        except ScopeError:
-            n = "n/a"
         except TopologyError:
             n = "n/a"
         print(f"placements[{scope.value}]: {n}")
@@ -243,6 +239,17 @@ def cmd_triad(args) -> int:
     return EXIT_OK
 
 
+def _number(convert, row: dict, column: str, line: int, path: Path):
+    """``convert(row[column])``; a cell that is not a number is a
+    configuration error naming its line and column."""
+    try:
+        return convert(row[column])
+    except (TypeError, ValueError):
+        raise CliError(
+            f"{path}: line {line}, column {column}: {row[column]!r} is not a number"
+        ) from None
+
+
 def _observations_from_csv(path: Path, graph) -> list[FitObservation]:
     import csv as _csv
 
@@ -256,27 +263,30 @@ def _observations_from_csv(path: Path, graph) -> list[FitObservation]:
     if missing:
         raise CliError(f"{path}: fit input lacks column(s) {', '.join(missing)}")
     obs = []
+    # Line 1 is the header.
     if anchors:
-        for r in rows:
+        for line, r in enumerate(rows, start=2):
             obs.append(
                 FitObservation(
-                    requester=graph.first_core_of_node(int(r["requester_node"])),
-                    home=int(r["home_node"]),
-                    cycles=float(r["cycles"]),
+                    requester=graph.first_core_of_node(
+                        _number(int, r, "requester_node", line, path)
+                    ),
+                    home=_number(int, r, "home_node", line, path),
+                    cycles=_number(float, r, "cycles", line, path),
                 )
             )
         return obs
     # Published-table format: use the RAM rows of the local socket.
     class_to_home = {"local": 0, "numa1": 1, "numa2": 2, "numa3": 3}
     req = graph.first_core_of_node(graph.numa_nodes[0])
-    for r in rows:
+    for line, r in enumerate(rows, start=2):
         if r["level"] != "RAM" or r["source_class"] not in class_to_home:
             continue
         obs.append(
             FitObservation(
                 requester=req,
                 home=class_to_home[r["source_class"]],
-                cycles=float(r["cycles"]),
+                cycles=_number(float, r, "cycles", line, path),
             )
         )
     if not obs:
@@ -345,7 +355,7 @@ def _environment(values: dict):
 def cmd_replay(args) -> int:
     manifest = RunManifest.load(args.manifest)
     if manifest.command not in _REPLAYABLE:
-        raise CliError(f"manifest command {manifest.command!r} cannot be replayed")
+        raise ResultError(f"manifest command {manifest.command!r} cannot be replayed")
     # argparse keeps the last --out, so an override is simply appended.
     argv = manifest.argv + (["--out", args.out] if args.out is not None else [])
     with _environment(manifest.environment):
@@ -428,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--requester", type=int, required=True)
     p.add_argument("--home", type=int, required=True)
     p.add_argument("--forwarder", type=int, default=None)
-    p.add_argument("--state", default="M")
-    p.add_argument("--level", default="L2")
+    p.add_argument("--state", default="M", choices=list("MOESFI"))
+    p.add_argument("--level", default="L2", choices=("L1", "L2", "L3", "RAM"))
     p.set_defaults(func=cmd_model_predict)
 
     p = sub.add_parser("report", help="render a result CSV as SVG + plot data")
@@ -451,16 +461,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Failures of the run's inputs: exit 2 with "config error".  A failed triad
+# check (TriadVerificationError, a BandwidthError) is caught before them.
 _CONFIG_ERRORS = (
-    CliError,
-    SchemaError,
-    ScopeError,
     TopologyError,
-    PolicyError,
     ModelError,
     CoherenceError,
     PlotError,
     ResultError,
+    BandwidthError,
     chain_mod.ChainError,
     harness.HarnessError,
 )
@@ -506,12 +515,6 @@ def main(argv=None) -> int:
     except PinningError as exc:
         print(f"pinning/affinity error: {exc}", file=sys.stderr)
         return EXIT_PINNING
-    except ScriptPlacementError as exc:
-        print(f"backend error: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
-    except BandwidthError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

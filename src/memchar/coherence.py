@@ -6,8 +6,9 @@ two roles:
 
 * oracle for :func:`plan_state` -- every generated access script is proven
   to leave the line in the requested state at the requested level;
-* data-source model for the simulated measurement backend -- each read in a
-  trace records which cache level / domain supplied the data.
+* data-source model for the simulated measurement backend -- each read
+  returns which agent (core, L3 domain or home memory) and which level
+  supplied the data.
 
 Two protocols are modeled: MOESI over a victim-exclusive L3 (writebacks
 populate L3, dirty-shared lines stay dirty under Owned) and MESIF over a
@@ -16,15 +17,13 @@ shared lines leave a copy in the supplier's L3, which then answers
 Shared/Forward requests).  The Forward designation follows the most recent
 reader.
 
-Core-to-core transfers within one L3 domain are routed via that domain in
-the trace (shadow-tag mediation).
-
 A :class:`ProtocolModel` comes from a topology
 (:meth:`ProtocolModel.from_topology`: one L3 domain per CCX, or per SNC on
 the mesh).  :func:`apply_event` is the one transition function: it returns
 the new state map together with the read's source and the value read or
-written.  :func:`simulate` runs a script through it, and
-:func:`verify_script` checks that the script reached its target.
+written.  :func:`simulate` runs a script through it from the all-Invalid
+map and keeps only the final map, and :func:`verify_script` checks that
+the script reached its target.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ __all__ = [
     "CacheEntry",
     "CacheEvent",
     "ReadSource",
-    "StepTrace",
     "SimResult",
     "CoherenceScript",
     "ScriptStep",
@@ -77,24 +75,6 @@ class CoherenceState(str, Enum):
 class Protocol(str, Enum):
     MOESI = "MOESI"
     MESIF = "MESIF"
-
-    @property
-    def states(self) -> tuple[CoherenceState, ...]:
-        if self is Protocol.MOESI:
-            return (
-                CoherenceState.M,
-                CoherenceState.O,
-                CoherenceState.E,
-                CoherenceState.S,
-                CoherenceState.I,
-            )
-        return (
-            CoherenceState.M,
-            CoherenceState.E,
-            CoherenceState.S,
-            CoherenceState.F,
-            CoherenceState.I,
-        )
 
 
 class Action(str, Enum):
@@ -132,19 +112,14 @@ class ProtocolModel:
 
     ``l3_domain_of`` maps core id to its shared-L3 domain id (a CCX on the
     chiplet design, an SNC on the mesh).  The L2 is inclusive of L1, and the
-    protocol, given as a :class:`Protocol` or its name, fixes the L3 policy
-    (:attr:`l3_policy`).
+    protocol, given as a :class:`Protocol` or its name, fixes the L3 policy:
+    MOESI runs over a victim-exclusive L3, MESIF over a non-inclusive one.
     """
 
     protocol: Protocol
     cores: tuple[int, ...]
     l3_domain_of: dict[int, str]
     home_node: int = 0
-
-    @property
-    def l3_policy(self) -> str:
-        """MOESI runs over a victim-exclusive L3, MESIF over a non-inclusive one."""
-        return "victim_exclusive" if self.protocol is Protocol.MOESI else "non_inclusive"
 
     def __post_init__(self):
         object.__setattr__(self, "protocol", Protocol(self.protocol))
@@ -184,15 +159,6 @@ class ReadSource:
     kind: str  # "cache" | "l3" | "ram"
     supplier: object  # core id, domain id, or home node
     level: str  # L1 | L2 | L3 | RAM
-    routed_via: Optional[str] = None  # L3 domain mediating a same-domain transfer
-
-
-@dataclass(frozen=True)
-class StepTrace:
-    index: int
-    event: CacheEvent
-    source: Optional[ReadSource]  # set for reads
-    value: Optional[int]
 
 
 StateMap = dict  # {"mem": int, ("core", c): CacheEntry, ("l3", d): CacheEntry}
@@ -226,11 +192,10 @@ def _core_domain(model: ProtocolModel, core: int) -> str:
         raise CoherenceError(f"event core {core} not in model") from None
 
 
-def _source_for_supplier(model, key, entry: CacheEntry, requester: int) -> ReadSource:
+def _source_for_supplier(model, key, entry: CacheEntry) -> ReadSource:
     if key[0] == "l3":
         return ReadSource("l3", key[1], "L3")
     core = key[1]
-    same_domain = _core_domain(model, core) == _core_domain(model, requester)
     if model.protocol is Protocol.MOESI and entry.state in (
         CoherenceState.O,
         CoherenceState.S,
@@ -240,8 +205,7 @@ def _source_for_supplier(model, key, entry: CacheEntry, requester: int) -> ReadS
         level = "L2"  # clean-exclusive lines are fetched from the inclusive L2
     else:
         level = entry.innermost
-    routed = _core_domain(model, core) if same_domain else None
-    return ReadSource("cache", core, level, routed_via=routed)
+    return ReadSource("cache", core, level)
 
 
 def _install_shared_l3_copy(new: StateMap, model, supplier_core: int, value: int):
@@ -281,7 +245,7 @@ def _read_moesi(model: ProtocolModel, state_map: StateMap, core: int):
     owner = _ownership_holder(new)
     if owner is not None:
         key, entry = owner
-        source = _source_for_supplier(model, key, entry, core)
+        source = _source_for_supplier(model, key, entry)
         value = entry.value
         if entry.state in (CoherenceState.M, CoherenceState.O):
             # Dirty data stays dirty: the supplier keeps it as Owned.
@@ -301,7 +265,7 @@ def _read_moesi(model: ProtocolModel, state_map: StateMap, core: int):
             and _core_domain(model, k[1]) == _core_domain(model, core)
         ):
             new[own_key] = CacheEntry(CoherenceState.S, frozenset({"L1", "L2"}), v.value)
-            return new, _source_for_supplier(model, k, v, core), v.value
+            return new, _source_for_supplier(model, k, v), v.value
     value = new["mem"]
     shared_somewhere = any(v.state is CoherenceState.S for _, v in _holders(new))
     fill = CoherenceState.S if shared_somewhere else CoherenceState.E
@@ -327,7 +291,7 @@ def _read_mesif(model: ProtocolModel, state_map: StateMap, core: int):
     owner = _ownership_holder(new)
     if owner is not None and owner[1].state in (CoherenceState.M, CoherenceState.E):
         key, entry = owner
-        source = _source_for_supplier(model, key, entry, core)
+        source = _source_for_supplier(model, key, entry)
         value = entry.value
         if entry.state is CoherenceState.M:
             new["mem"] = value  # dirty data written back on downgrade
@@ -364,7 +328,7 @@ def _read_mesif(model: ProtocolModel, state_map: StateMap, core: int):
     if fwd is not None:
         key, entry = fwd
         value = entry.value
-        source = _source_for_supplier(model, key, entry, core)
+        source = _source_for_supplier(model, key, entry)
         demote_forward_holder()
         new[own_key] = CacheEntry(CoherenceState.F, frozenset({"L1", "L2"}), value)
         return new, source, value
@@ -565,8 +529,9 @@ def plan_state(
 
 @dataclass(frozen=True)
 class SimResult:
+    """The line's state map after a script."""
+
     state_map: StateMap
-    trace: tuple[StepTrace, ...]
 
     def entry(self, core: int) -> Optional[CacheEntry]:
         return self.state_map.get(("core", core))
@@ -587,12 +552,8 @@ class SimResult:
         return CoherenceState.I
 
 
-def simulate(
-    script: CoherenceScript,
-    model: ProtocolModel,
-    state_map: Optional[StateMap] = None,
-) -> SimResult:
-    """Run a script on the model; empty scripts leave the all-I map."""
+def simulate(script: CoherenceScript, model: ProtocolModel) -> SimResult:
+    """Run a script on the model from the all-I map; empty scripts leave it."""
     for role, core in script.worker_cores.items():
         if core not in model.l3_domain_of:
             raise CoherenceError(f"script worker {role.value} -> core {core} not in model")
@@ -600,15 +561,13 @@ def simulate(
         raise CoherenceError(
             f"script protocol {script.protocol.value} != model {model.protocol.value}"
         )
-    state = dict(state_map) if state_map is not None else initial_state_map()
-    trace: list[StepTrace] = []
-    for i, step in enumerate(script.steps):
+    state = initial_state_map()
+    for step in script.steps:
         core = script.worker_cores.get(step.worker)
         if core is None:
             raise CoherenceError(f"script references unmapped worker {step.worker.value}")
-        state, source, value = apply_event(model, state, CacheEvent(core, step.action))
-        trace.append(StepTrace(i, CacheEvent(core, step.action), source, value))
-    return SimResult(state_map=state, trace=tuple(trace))
+        state = apply_event(model, state, CacheEvent(core, step.action))[0]
+    return SimResult(state)
 
 
 def verify_script(script: CoherenceScript, model: ProtocolModel) -> SimResult:

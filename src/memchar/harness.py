@@ -170,11 +170,10 @@ class MeasurementRecord:
             raise HarnessError("latency must be non-negative after overhead subtraction")
 
 
-def calibrate_overhead(backend, repeats: int = CALIBRATION_REPEATS) -> float:
-    """Minimum over `repeats` runs of the timing routine with no accesses."""
-    if repeats < 1:
-        raise HarnessError("calibration needs at least one repeat")
-    return min(backend.time_empty() for _ in range(repeats))
+def calibrate_overhead(backend) -> float:
+    """Minimum over :data:`CALIBRATION_REPEATS` runs of the timing routine
+    with no accesses."""
+    return min(backend.time_empty() for _ in range(CALIBRATION_REPEATS))
 
 
 def _validate_placement(placement: Placement, script: CoherenceScript) -> None:

@@ -8,7 +8,11 @@ coherence-state class, locality class) plus per-hop link costs:
   crosses every hop twice), with intra-socket values carried as calibrated
   per-distance classes;
 * mesh graphs add a per-hop gradient between requester and owner tiles for
-  private-cache transfers (cost kept natively in uncore cycles).
+  private-cache (L1/L2) transfers of M/E lines (cost kept natively in uncore
+  cycles).
+
+Clock frequencies come from the graph, so a model document carries none: a
+model written for other clocks is rejected, not silently re-clocked.
 
 State classes collapse the pairs the source tables report jointly (M/E and
 O/S on the chiplet system; S/F on the mesh system, where M and E stay
@@ -65,6 +69,14 @@ LEVELS = ("L1", "L2", "L3", "RAM")
 
 RIDGE_LAMBDA = 1e-9
 
+# Mesh transfers that pay the per-hop gradient: private-cache levels, and the
+# state classes of M and E lines.
+MESH_GRADIENT_LEVELS = frozenset({"L1", "L2"})
+MESH_GRADIENT_CLASSES = frozenset({"M", "E", "ME"})
+# Keys a model document may no longer carry: clocks come from the topology,
+# and the mesh gradient's scope is fixed above.
+_RETIRED_KEYS = ("frequencies", "mesh_gradient_levels", "mesh_gradient_classes")
+
 
 class ModelError(Exception):
     pass
@@ -90,32 +102,24 @@ class LatencyModel:
         base: dict[str, float],
         state_classes: dict[str, dict[str, str]],
         link_costs: dict[str, LinkCost],
-        frequencies: Optional[dict[str, float]] = None,
         numa_class_by_extra_hops: Optional[dict[int, str]] = None,
         remote_anchor_extra_hops: int = 0,
         triple_base: Optional[dict[str, float]] = None,
         ccx_penalty: Optional[list[list[float]]] = None,
-        mesh_gradient_levels: Sequence[str] = ("L1", "L2"),
-        mesh_gradient_classes: Sequence[str] = ("M", "E", "ME"),
         clean_shared_ram_beyond: Optional[str] = None,
-        name: str = "",
     ):
         self.graph = graph
         self.protocol = Protocol(protocol)
         self.base = dict(base)
         self.state_classes = state_classes
         self.link_costs = dict(link_costs)
-        self.frequencies = dict(frequencies or graph.frequencies)
         self.numa_class_by_extra_hops = {
             int(k): v for k, v in (numa_class_by_extra_hops or {}).items()
         }
         self.remote_anchor_extra_hops = remote_anchor_extra_hops
         self.triple_base = dict(triple_base or {})
         self.ccx_penalty = ccx_penalty
-        self.mesh_gradient_levels = frozenset(mesh_gradient_levels)
-        self.mesh_gradient_classes = frozenset(mesh_gradient_classes)
         self.clean_shared_ram_beyond = clean_shared_ram_beyond
-        self.name = name
         for key, v in self.base.items():
             if v < 0:
                 raise ModelError(f"negative base latency for {key}")
@@ -124,7 +128,7 @@ class LatencyModel:
 
     @property
     def core_mhz(self) -> float:
-        return self.frequencies["core_mhz"]
+        return self.graph.frequencies["core_mhz"]
 
     def link_cost_ns(self, link_class: str) -> float:
         """Cost per traversal per direction, in nanoseconds."""
@@ -132,15 +136,15 @@ class LatencyModel:
         if lc.unit == "ns":
             return lc.value
         if lc.unit == "uncore_cycles":
-            return lc.value * 1000.0 / self.frequencies["uncore_mhz"]
+            return lc.value * 1000.0 / self.graph.frequencies["uncore_mhz"]
         if lc.unit == "fclk_cycles":
-            return lc.value * 1000.0 / self.frequencies["fclk_mhz"]
+            return lc.value * 1000.0 / self.graph.frequencies["fclk_mhz"]
         raise ModelError(f"unknown link cost unit {lc.unit}")
 
     def link_cost_core_cycles(self, link_class: str) -> float:
         lc = self.link_costs[link_class]
         if lc.unit == "uncore_cycles":
-            return lc.value * self.core_mhz / self.frequencies["uncore_mhz"]
+            return lc.value * self.core_mhz / self.graph.frequencies["uncore_mhz"]
         return self.link_cost_ns(link_class) * self.core_mhz / 1000.0
 
     # -- classification ------------------------------------------------------
@@ -160,12 +164,7 @@ class LatencyModel:
             return "local"
         a, b = g.core(requester), g.core(owner)
         if g.kind is GraphKind.CHIPLET_IF:
-            if (a.socket, a.numa_node, a.ccd, a.ccx) == (
-                b.socket,
-                b.numa_node,
-                b.ccd,
-                b.ccx,
-            ):
+            if g.l3_domain_of_core(requester) == g.l3_domain_of_core(owner):
                 return "same_ccx"
             if (a.socket, a.numa_node) == (b.socket, b.numa_node):
                 return "same_ccd"
@@ -288,8 +287,8 @@ class LatencyModel:
         else:
             if (
                 locality in ("same_snc", "other_snc")
-                and level in self.mesh_gradient_levels
-                and cls in self.mesh_gradient_classes
+                and level in MESH_GRADIENT_LEVELS
+                and cls in MESH_GRADIENT_CLASSES
             ):
                 value += self._mesh_gradient(requester, owner)
         return value
@@ -342,6 +341,12 @@ class LatencyModel:
 
 
 def load_model(doc: dict, graph: TopologyGraph) -> LatencyModel:
+    for key in _RETIRED_KEYS:
+        if key in doc:
+            raise ModelError(
+                f"model document carries '{key}': clocks come from the topology, "
+                "and the mesh gradient covers M/E lines at L1/L2"
+            )
     link_costs = {
         k: LinkCost(float(v["value"]), str(v["unit"]))
         for k, v in doc.get("link_costs", {}).items()
@@ -352,15 +357,11 @@ def load_model(doc: dict, graph: TopologyGraph) -> LatencyModel:
         base={k: float(v) for k, v in doc["base_cycles"].items()},
         state_classes=doc["state_classes"],
         link_costs=link_costs,
-        frequencies=doc.get("frequencies"),
         numa_class_by_extra_hops=doc.get("numa_class_by_extra_hops"),
         remote_anchor_extra_hops=int(doc.get("remote_anchor_extra_hops", 0)),
         triple_base=doc.get("triple_base_cycles"),
         ccx_penalty=doc.get("ccx_penalty_cycles"),
-        mesh_gradient_levels=doc.get("mesh_gradient_levels", ["L1", "L2"]),
-        mesh_gradient_classes=doc.get("mesh_gradient_classes", ["M", "E", "ME"]),
         clean_shared_ram_beyond=doc.get("clean_shared_ram_beyond"),
-        name=doc.get("name", ""),
     )
 
 

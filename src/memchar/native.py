@@ -117,7 +117,7 @@ def _kernel_path(cc: str) -> Path:
     return _cache_dir() / f"memchar_kernels-{key[:16]}.so"
 
 
-def build_kernels(force: bool = False) -> Path:
+def build_kernels() -> Path:
     """Compile the C kernels unless a build from the same inputs is cached;
     returns the shared-object path."""
     if platform.machine() not in ("x86_64", "AMD64"):
@@ -127,7 +127,7 @@ def build_kernels(force: bool = False) -> Path:
         raise BackendUnavailable("no C compiler found for the native kernels")
     try:
         out = _kernel_path(cc)
-        if out.exists() and not force:
+        if out.exists():
             return out
         # Compile beside the target and rename, so a partial build is never loaded.
         tmp = out.with_name(f"{out.name}.{os.getpid()}.tmp")

@@ -106,22 +106,10 @@ class RunManifest:
     argv: list
     environment: dict
 
-    _COMMANDS = (
-        "topo",
-        "latency",
-        "bandwidth",
-        "triad",
-        "model-fit",
-        "model-predict",
-        "report",
-    )
-
     def __post_init__(self):
         argv, env = self.argv, self.environment
         if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv)):
             raise ResultError(f"manifest argv must be a non-empty list of strings, got {argv!r}")
-        if argv[0] not in self._COMMANDS:
-            raise ResultError(f"unknown manifest command {argv[0]!r}")
         if not isinstance(env, dict) or set(env) != set(ENV_VARS) or not all(
             v is None or isinstance(v, str) for v in env.values()
         ):

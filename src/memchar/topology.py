@@ -5,7 +5,8 @@ Two graph kinds are supported:
 * ``chiplet_if`` -- compute dies hang off a central I/O die whose switches
   form the interconnect; sockets are joined by point-to-point links.
 * ``mesh_2d`` -- a per-socket grid of tiles (cores, memory controllers,
-  socket-link tiles) routed vertically first, then horizontally.
+  socket-link tiles); a route between two tiles of one socket takes as many
+  hops as their Manhattan distance (:func:`mesh_hops`).
 
 Graphs are loaded from JSON documents (see ``TOPOLOGY_SCHEMA_DOC`` and the
 fixtures shipped under ``memchar/fixtures``), validated, and frozen.  All
@@ -37,7 +38,7 @@ __all__ = [
     "RouteError",
     "load_topology",
     "load_topology_file",
-    "mesh_route",
+    "mesh_hops",
     "if_path",
     "enumerate_placements",
     "enumerate_triples",
@@ -99,15 +100,16 @@ class PlacementScope(str, Enum):
     ALL_PAIRS = "all_pairs"
 
 
-# Default per-traversal costs (cycles in the link's frequency domain).
+# Default per-traversal costs in cycles of the link's clock (FCLK for the
+# fabric links, uncore for mesh and UPI, none for local edges).
 # if_switch_hop must be >= 2 FCLK; if_repeater_hop is 1 FCLK.
 DEFAULT_LINK_COSTS = {
-    LinkClass.IF_SWITCH_HOP: (2.0, "fclk"),
-    LinkClass.IF_REPEATER_HOP: (1.0, "fclk"),
-    LinkClass.MESH_HOP: (1.0, "uncore"),
-    LinkClass.XGMI: (90.0, "fclk"),
-    LinkClass.UPI: (120.0, "uncore"),
-    LinkClass.LOCAL: (0.0, "core"),
+    LinkClass.IF_SWITCH_HOP: 2.0,
+    LinkClass.IF_REPEATER_HOP: 1.0,
+    LinkClass.MESH_HOP: 1.0,
+    LinkClass.XGMI: 90.0,
+    LinkClass.UPI: 120.0,
+    LinkClass.LOCAL: 0.0,
 }
 
 
@@ -128,13 +130,6 @@ class TopoNode:
     core_index: Optional[int] = None
     row: Optional[int] = None
     col: Optional[int] = None
-    frequency_domain: str = "core_clk"
-
-    @property
-    def grid(self) -> tuple[int, int]:
-        if self.row is None or self.col is None:
-            raise TopologyError(f"node {self.id} carries no grid coordinate")
-        return (self.row, self.col)
 
 
 @dataclass(frozen=True)
@@ -206,7 +201,7 @@ class TopologyGraph:
         nodes: dict[str, TopoNode],
         edges: list[TopoEdge],
         frequencies: dict[str, float],
-        link_costs: dict[LinkClass, tuple[float, str]],
+        link_costs: dict[LinkClass, float],
         caches: Optional[dict] = None,
         bandwidth: Optional[dict] = None,
         name: str = "",
@@ -229,21 +224,20 @@ class TopologyGraph:
         }
         self._cores = tuple(sorted(self._core_by_id))
         self._cores_by_node: dict[int, list[int]] = {}
-        self._cores_by_ccx: dict[tuple, list[int]] = {}
         self._l3_domain: dict[int, str] = {}
+        self._cores_by_l3: dict[str, list[int]] = {}
         for c in self._cores:
             n = self._core_by_id[c]
             self._cores_by_node.setdefault(n.numa_node, []).append(c)
-            self._cores_by_ccx.setdefault(self._ccx_key(n), []).append(c)
             if kind is GraphKind.MESH_2D:
                 # Mesh L3 slices are shared per NUMA node (per SNC under SNC mode).
                 self._l3_domain[c] = f"l3.snc{n.numa_node}"
-                continue
-            for e in self._adj[n.id]:
-                other = nodes[e.other(n.id)]
-                if other.role is NodeRole.L3_DOMAIN:
-                    self._l3_domain[c] = other.id
-                    break
+            else:
+                self._l3_domain[c] = next(
+                    e.other(n.id) for e in self._adj[n.id]
+                    if nodes[e.other(n.id)].role is NodeRole.L3_DOMAIN
+                )
+            self._cores_by_l3.setdefault(self._l3_domain[c], []).append(c)
         self._mc_by_node: dict[int, TopoNode] = {}
         for n in nodes.values():
             if n.role is NodeRole.MEMORY_CONTROLLER:
@@ -252,12 +246,6 @@ class TopologyGraph:
         self._route_adj: Optional[dict[str, list]] = None
         self._route_trees: dict[str, dict[str, tuple[str, LinkClass]]] = {}
         self._validate()
-
-    def _ccx_key(self, n: TopoNode) -> tuple:
-        """Cores with equal keys share an L3 domain (CCX, or SNC on a mesh)."""
-        if self.kind is GraphKind.CHIPLET_IF:
-            return (n.socket, n.numa_node, n.ccd, n.ccx)
-        return (n.numa_node,)
 
     # -- queries ----------------------------------------------------------
 
@@ -276,7 +264,7 @@ class TopologyGraph:
 
     def cores_of_ccx(self, core_id: int) -> list[int]:
         """All cores sharing the given core's L3 domain (CCX or SNC)."""
-        return list(self._cores_by_ccx[self._ccx_key(self.core(core_id))])
+        return list(self._cores_by_l3[self.l3_domain_of_core(core_id)])
 
     @property
     def numa_nodes(self) -> list[int]:
@@ -304,10 +292,7 @@ class TopologyGraph:
 
     def l3_domain_of_core(self, core_id: int) -> str:
         self.core(core_id)
-        try:
-            return self._l3_domain[core_id]
-        except KeyError:
-            raise TopologyError(f"core {core_id} has no L3 domain") from None
+        return self._l3_domain[core_id]
 
     def first_core_of_node(self, numa_node: int) -> int:
         cores = self._cores_by_node.get(numa_node)
@@ -315,7 +300,7 @@ class TopologyGraph:
             raise TopologyError(f"NUMA node {numa_node} has no cores")
         return cores[0]
 
-    def link_cost_cycles(self, link_class: LinkClass) -> tuple[float, str]:
+    def link_cost_cycles(self, link_class: LinkClass) -> float:
         return self.link_costs.get(link_class, DEFAULT_LINK_COSTS[link_class])
 
     def cache_bytes(self, level: str) -> int:
@@ -338,7 +323,7 @@ class TopologyGraph:
         self._check_roles()
         self._check_coordinates()
         self._check_connectivity()
-        sw_cost, _ = self.link_cost_cycles(LinkClass.IF_SWITCH_HOP)
+        sw_cost = self.link_cost_cycles(LinkClass.IF_SWITCH_HOP)
         if sw_cost < 2.0:
             raise SchemaError(
                 f"if_switch_hop cost must be >= 2 cycles, got {sw_cost}"
@@ -372,7 +357,10 @@ class TopologyGraph:
                 seen[key] = n.id
 
     def _check_connectivity(self) -> None:
-        # Every core must reach every memory controller.
+        # Every core must reach every memory controller.  Mesh edges are
+        # implicit (grid neighbours), so only chiplet graphs are walked.
+        if self.kind is GraphKind.MESH_2D:
+            return
         start = next(iter(self.nodes))
         seen = {start}
         stack = [start]
@@ -383,10 +371,6 @@ class TopologyGraph:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
-        if self.kind is GraphKind.MESH_2D:
-            # Mesh edges are implicit (grid neighbours); only check per-socket
-            # tiles share a socket id.
-            return
         missing = sorted(set(self.nodes) - seen)
         if missing:
             raise SchemaError(f"graph is disconnected; unreachable nodes: {missing}")
@@ -405,6 +389,8 @@ Common:
   socket_count    1 or 2
   frequencies     {"core_mhz": F, "fclk_mhz": F?, "uncore_mhz": F?}
   link_costs      {class: {"cycles": C, "domain": "core"|"fclk"|"uncore"}}
+                  (cycles of the link's clock; "domain" names that clock
+                  for the reader and is not read)
   caches          {"l1_kib": K, "l2_kib": K, "l3_mib": M}   (L1 and L2
                   per core, L3 per L3 domain; read through
                   TopologyGraph.cache_bytes, which names a missing size)
@@ -438,14 +424,14 @@ def _req(doc: dict, key: str, ctx: str):
     return doc[key]
 
 
-def _parse_link_costs(doc: dict) -> dict[LinkClass, tuple[float, str]]:
+def _parse_link_costs(doc: dict) -> dict[LinkClass, float]:
     costs = dict(DEFAULT_LINK_COSTS)
     for name, spec in doc.get("link_costs", {}).items():
         try:
             cls = LinkClass(name)
         except ValueError:
             raise SchemaError(f"link_costs: unknown link class '{name}'") from None
-        costs[cls] = (float(spec["cycles"]), str(spec.get("domain", "core")))
+        costs[cls] = float(spec["cycles"])
     return costs
 
 
@@ -463,30 +449,25 @@ def _load_chiplet(doc: dict) -> tuple[dict[str, TopoNode], list[TopoEdge]]:
         sid = int(_req(sock, "id", "socket"))
         prefix = f"s{sid}."
         for sw in sock.get("switches", []):
-            add(TopoNode(prefix + sw, NodeRole.IF_SWITCH, sid, frequency_domain="fclk"))
+            add(TopoNode(prefix + sw, NodeRole.IF_SWITCH, sid))
         for a, b in sock.get("switch_links", []):
             edges.append(TopoEdge(prefix + a, prefix + b, LinkClass.IF_SWITCH_HOP))
         for rp in sock.get("repeaters", []):
             rid = prefix + rp["id"]
-            add(TopoNode(rid, NodeRole.IF_REPEATER, sid, frequency_domain="fclk"))
+            add(TopoNode(rid, NodeRole.IF_REPEATER, sid))
             a, b = rp["between"]
             edges.append(TopoEdge(prefix + a, rid, LinkClass.IF_REPEATER_HOP))
             edges.append(TopoEdge(rid, prefix + b, LinkClass.IF_REPEATER_HOP))
         for port in sock.get("xgmi_ports", []):
             pid = prefix + port["id"]
-            add(TopoNode(pid, NodeRole.XGMI_PORT, sid, frequency_domain="fclk"))
+            add(TopoNode(pid, NodeRole.XGMI_PORT, sid))
             edges.append(TopoEdge(prefix + port["switch"], pid, LinkClass.LOCAL))
         for nd in _req(sock, "numa_nodes", f"socket {sid}"):
             nid = int(_req(nd, "id", "numa_node"))
             switch = nd.get("switch")
             sw_id = prefix + switch if switch else None
             mc_id = f"mc{nid}"
-            add(
-                TopoNode(
-                    mc_id, NodeRole.MEMORY_CONTROLLER, sid, numa_node=nid,
-                    frequency_domain="fclk",
-                )
-            )
+            add(TopoNode(mc_id, NodeRole.MEMORY_CONTROLLER, sid, numa_node=nid))
             ccds = _req(nd, "ccds", f"numa_node {nid}")
             for ccd_i, ccd in enumerate(ccds):
                 ccxs = _req(ccd, "ccxs", f"node {nid} ccd {ccd_i}")
@@ -504,7 +485,7 @@ def _load_chiplet(doc: dict) -> tuple[dict[str, TopoNode], list[TopoEdge]]:
                     add(
                         TopoNode(
                             l3_id, NodeRole.L3_DOMAIN, sid, numa_node=nid,
-                            ccd=ccd_i, ccx=ccx_i, frequency_domain="uncore_clk",
+                            ccd=ccd_i, ccx=ccx_i,
                         )
                     )
                     for c in core_ids:
@@ -572,15 +553,11 @@ def _load_mesh(doc: dict) -> tuple[dict[str, TopoNode], list[TopoEdge]]:
                 mc_node = int(tile["mc"])
                 nid = f"mc{mc_node}"
                 node = TopoNode(
-                    nid, NodeRole.MEMORY_CONTROLLER, sid, numa_node=mc_node,
-                    row=r, col=c, frequency_domain="uncore_clk",
+                    nid, NodeRole.MEMORY_CONTROLLER, sid, numa_node=mc_node, row=r, col=c,
                 )
             elif tile.get("upi"):
                 nid = f"s{sid}.upi"
-                node = TopoNode(
-                    nid, NodeRole.UPI_PORT, sid, row=r, col=c,
-                    frequency_domain="uncore_clk",
-                )
+                node = TopoNode(nid, NodeRole.UPI_PORT, sid, row=r, col=c)
             else:
                 raise SchemaError(f"socket {sid}: tile ({r},{c}) has no role")
             if nid in nodes:
@@ -657,14 +634,13 @@ def fixture_path(name: str) -> Path:
 # Routing
 
 
-def mesh_route(graph: TopologyGraph, a: TopoNode | str, b: TopoNode | str) -> Path:
-    """YX route between two tiles: strictly vertical first, then horizontal.
-
-    Hop count equals Manhattan distance.  Both tiles must sit on the same
+def mesh_hops(graph: TopologyGraph, a: TopoNode | str, b: TopoNode | str) -> int:
+    """Mesh hops between two tiles: their Manhattan distance, the length of
+    the vertical-then-horizontal route.  Both tiles must sit on the same
     socket's mesh; mesh routing is undefined across sockets.
     """
     if graph.kind is not GraphKind.MESH_2D:
-        raise ScopeError("mesh_route requires a mesh_2d graph")
+        raise ScopeError("mesh_hops requires a mesh_2d graph")
     na = graph.nodes[a] if isinstance(a, str) else a
     nb = graph.nodes[b] if isinstance(b, str) else b
     if na.socket != nb.socket:
@@ -672,21 +648,7 @@ def mesh_route(graph: TopologyGraph, a: TopoNode | str, b: TopoNode | str) -> Pa
             f"{na.id} and {nb.id} are on different sockets; "
             "mesh routing is undefined across sockets"
         )
-    r, c = na.grid
-    tr, tc = nb.grid
-    coords = []
-    step = 1 if tr >= r else -1
-    for rr in range(r + step, tr + step, step) if tr != r else []:
-        coords.append((rr, c))
-    step = 1 if tc >= c else -1
-    for cc in range(c + step, tc + step, step) if tc != c else []:
-        coords.append((tr, cc))
-    names = tuple([na.id] + [f"s{na.socket}.tile{r}x{c}" for (r, c) in coords[:-1]] + ([nb.id] if coords else []))
-    return Path(nodes=names, link_classes=tuple([LinkClass.MESH_HOP] * len(coords)))
-
-
-def mesh_hops(graph: TopologyGraph, a: TopoNode | str, b: TopoNode | str) -> int:
-    return len(mesh_route(graph, a, b))
+    return abs(na.row - nb.row) + abs(na.col - nb.col)
 
 
 def if_path(graph: TopologyGraph, a: TopoNode | str, b: TopoNode | str) -> Path:
@@ -736,7 +698,7 @@ def _shortest_path_tree(graph: TopologyGraph, source: str) -> dict[str, tuple[st
         # link class) pair a tree stores, shared by every tree.
         graph._route_adj = {
             u: [
-                (e.other(u), graph.link_cost_cycles(e.link_class)[0], (u, e.link_class))
+                (e.other(u), graph.link_cost_cycles(e.link_class), (u, e.link_class))
                 for e in sorted(edges, key=lambda e: e.other(u))
             ]
             for u, edges in graph._adj.items()
@@ -865,8 +827,9 @@ def enumerate_placements(graph: TopologyGraph, scope: PlacementScope | str) -> l
     return out
 
 
-def enumerate_triples(graph: TopologyGraph, socket: int = 0) -> list[Placement]:
-    """Home/forwarder placements for dirty-remote request-flow matrices.
+def enumerate_triples(graph: TopologyGraph) -> list[Placement]:
+    """Home/forwarder placements for dirty-remote request-flow matrices over
+    socket 0.
 
     The requester is the socket's first core.  When the forwarding node is
     the requester's own node, the owner is picked from another CCX so the
@@ -874,12 +837,12 @@ def enumerate_triples(graph: TopologyGraph, socket: int = 0) -> list[Placement]:
     """
     if graph.kind is not GraphKind.CHIPLET_IF:
         raise ScopeError("triples are defined on chiplet graphs")
-    req = graph.first_core_of_node(graph.numa_nodes_of_socket(socket)[0])
-    req_node = graph.node_of_core(req)
+    nodes = graph.numa_nodes_of_socket(0)
+    req = graph.first_core_of_node(nodes[0])
     req_ccx = set(graph.cores_of_ccx(req))
     out = []
-    for home in graph.numa_nodes_of_socket(socket):
-        for fwd in graph.numa_nodes_of_socket(socket):
+    for home in nodes:
+        for fwd in nodes:
             owner = graph.first_core_of_node(fwd)
             if owner in req_ccx:
                 candidates = [c for c in graph.cores_of_node(fwd) if c not in req_ccx]

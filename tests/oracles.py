@@ -1,9 +1,9 @@
-"""Test oracles: fake clock backends, a synthetic protocol model and the
-single-owner invariant."""
+"""Test oracles: fake clock backends, a synthetic protocol model, each
+protocol's states and the single-owner invariant."""
 
 import numpy as np
 
-from memchar.coherence import OWNERSHIP_STATES, ProtocolModel
+from memchar.coherence import OWNERSHIP_STATES, CoherenceState, ProtocolModel
 
 
 def protocol_model(protocol, cores, cores_per_domain=4, home_node=0) -> ProtocolModel:
@@ -50,6 +50,12 @@ class ReplayBackend:
 
     def run_sweep(self, chains, points, policy):
         return self.elapsed
+
+
+def protocol_states(protocol) -> tuple:
+    """The states of ``protocol``: M, O, E, S, I for MOESI and M, E, S, F, I
+    for MESIF."""
+    return tuple(s for s in CoherenceState if s.valid_for(protocol))
 
 
 def check_single_owner(state_map) -> bool:

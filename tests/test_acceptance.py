@@ -58,7 +58,7 @@ from memchar.topology import (
     load_topology_file,
     mesh_hops,
 )
-from oracles import ReplayBackend, check_single_owner, protocol_model
+from oracles import ReplayBackend, check_single_owner, protocol_model, protocol_states
 
 ONE = MeasurementPolicy(inner_repeats=1, outer_repeats=1, sizes_per_level=1)
 
@@ -83,7 +83,7 @@ def test_01_coherence_oracle_completeness(rome, clx):
     checked = 0
     for protocol in (Protocol.MOESI, Protocol.MESIF):
         model = protocol_model(protocol, cores=range(4), cores_per_domain=2)
-        for state in protocol.states:
+        for state in protocol_states(protocol):
             for level in ("L1", "L2", "L3", "RAM"):
                 helper = 3 if state in (
                     CoherenceState.S, CoherenceState.F, CoherenceState.O
@@ -264,7 +264,7 @@ def test_08_backend_equivalence(rome, clx):
                     seen.add(key)
                     placements.append(p)
         for placement in placements:
-            for state in model.protocol.states:
+            for state in protocol_states(model.protocol):
                 helper = None
                 if state.value in ("O", "S", "F"):
                     helper = auto_helper(graph, placement.owner, placement.requester)
@@ -276,7 +276,7 @@ def test_08_backend_equivalence(rome, clx):
                     record = measure_latency([chain], script, placement, ONE, backend)
                     expected = backend.predict_placement(placement, state, level)
                     assert record.latency_cycles == expected, (
-                        model.name, placement, state, level,
+                        graph.name, placement, state, level,
                     )
                     tuples += 1
     # Dirty three-party flows on the chiplet fixture.

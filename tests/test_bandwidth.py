@@ -206,13 +206,6 @@ class TestTriadOperands:
         for values in (b, c, a):
             assert len(np.unique(values)) == n
 
-    def test_block_is_a_slice_of_the_whole(self):
-        n = 1000
-        b, c = triad_operands(n)
-        bb, cc = triad_operands(n, 300, 450)
-        assert np.array_equal(bb, b[300:450])
-        assert np.array_equal(cc, c[300:450])
-
 
 class TestBlockedSimTriad:
     @pytest.mark.parametrize(

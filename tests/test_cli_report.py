@@ -1,5 +1,6 @@
 """Result persistence, plot emission, and the command-line front end."""
 
+import argparse
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -7,13 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from memchar.backends import ScriptPlacementError, SimulatedBackend
-from memchar.bandwidth import BandwidthRecord
+from memchar import cli
+from memchar.backends import BackendError, ScriptPlacementError, SimulatedBackend
+from memchar.bandwidth import BandwidthError, BandwidthRecord, TriadVerificationError
 from memchar.chain import generate_chain
-from memchar.cli import main
+from memchar.cli import CliError, main
 from memchar.coherence import plan_state
 from memchar.harness import ENV_VARS, MeasurementPolicy, measure_latency
 from memchar.model import load_fixture_model
+from memchar.native import PinningError
 from memchar.plots import PlotError, build_plot_data, emit_plot
 from memchar.results import (
     LATENCY_COLUMNS,
@@ -21,7 +24,7 @@ from memchar.results import (
     ResultSet,
     RunManifest,
 )
-from memchar.topology import Placement, enumerate_placements, fixture_path
+from memchar.topology import Placement, TopologyError, enumerate_placements, fixture_path
 
 ONE = MeasurementPolicy(inner_repeats=1, outer_repeats=1, sizes_per_level=1)
 
@@ -101,9 +104,13 @@ class TestResultSet:
         m.save(p)
         assert RunManifest.load(p) == m
 
-    def test_manifest_command_validated(self):
-        with pytest.raises(ResultError):
-            RunManifest(["destroy", "--topology", "x"], dict.fromkeys(ENV_VARS))
+    def test_manifest_command_validated(self, tmp_path):
+        # The parser owns the subcommand names: a manifest of any command
+        # loads, and replay refuses one it cannot re-run.
+        path = tmp_path / "manifest.json"
+        RunManifest(["destroy", "--topology", "x"], dict.fromkeys(ENV_VARS)).save(path)
+        with pytest.raises(ResultError, match="'destroy' cannot be replayed"):
+            cli.cmd_replay(argparse.Namespace(manifest=str(path), out=None))
 
 
 class TestPlots:
@@ -318,6 +325,53 @@ class TestCli:
                      "--out", str(tmp_path / "fit")])
         assert code == 2
         assert f"lacks column(s) {missing}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, where", [
+        ("level,source_class,cycles\nRAM,local,abc\n", "line 2, column cycles: 'abc'"),
+        ("requester_node,home_node,cycles\n0,1,300\n0,x,310\n", "line 3, column home_node: 'x'"),
+        ("requester_node,home_node,cycles\n1.5,0,300\n", "line 2, column requester_node: '1.5'"),
+        ("requester_node,home_node,cycles\n0,1\n", "line 2, column cycles: None"),
+    ], ids=["table-cycles", "anchor-home", "anchor-requester", "anchor-short-row"])
+    def test_fit_input_cell_that_is_not_a_number_is_config_error(self, text, where, tmp_path,
+                                                                 capsys):
+        path = tmp_path / "fit.csv"
+        path.write_text(text)
+        code = main(["model-fit", "--topology", "rome_2s", "--input", str(path),
+                     "--out", str(tmp_path / "fit")])
+        assert code == 2
+        assert f"{where} is not a number" in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
+
+    def test_model_predict_rejects_an_unknown_state_or_level(self, capsys):
+        for option, value in (("--state", "X"), ("--level", "L4")):
+            with pytest.raises(SystemExit) as exc:
+                main(["model-predict", "--topology", "rome_2s", "--requester", "0",
+                      "--home", "1", option, value])
+            assert exc.value.code == 2
+            assert f"argument {option}: invalid choice: '{value}'" in capsys.readouterr().err
+
+    FAILURES = [
+        (TriadVerificationError(3, 9.0, 8.0), 5, "verification failure: "),
+        (PinningError("core 9"), 3, "pinning/affinity error: "),
+        (CliError("bad", 4), 4, "error: "),
+        (TopologyError("t"), 2, "config error: "),
+        (BandwidthError("b"), 2, "config error: "),
+        (ResultError("r"), 2, "config error: "),
+        (BackendError("be"), 4, "backend error: "),
+        (ScriptPlacementError("sp"), 4, "backend error: "),
+        (PermissionError("perm"), 3, "pinning/affinity error: "),
+        (OSError("os"), 4, "backend error: "),
+    ]
+
+    @pytest.mark.parametrize("exc, code, prefix", FAILURES,
+                             ids=[type(exc).__name__ for exc, _, _ in FAILURES])
+    def test_exit_code_of_each_failure(self, exc, code, prefix, monkeypatch, capsys):
+        def fail(args, argv):
+            raise exc
+
+        monkeypatch.setattr(cli, "_run", fail)
+        assert main(["topo", "--topology", "rome_2s"]) == code
+        assert capsys.readouterr().err == f"{prefix}{exc}\n"
 
     @pytest.mark.parametrize("argv", [["report"], ["model-fit", "--topology", "rome_2s"]],
                              ids=["report", "model-fit"])

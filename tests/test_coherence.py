@@ -23,7 +23,7 @@ from memchar.coherence import (
     simulate,
     verify_script,
 )
-from oracles import check_single_owner, protocol_model
+from oracles import check_single_owner, protocol_model, protocol_states
 
 M, O, E, S, F, I = (
     CoherenceState.M,
@@ -114,7 +114,7 @@ class TestPlanState:
     @pytest.mark.parametrize("protocol,model", [(Protocol.MOESI, MOESI), (Protocol.MESIF, MESIF)])
     @pytest.mark.parametrize("level", ["L1", "L2", "L3", "RAM"])
     def test_totality_all_states_all_levels(self, protocol, model, level):
-        for state in protocol.states:
+        for state in protocol_states(protocol):
             helper = 3 if state in (O, S, F) else None
             script = plan_state(state, protocol, owner=1, helper=helper,
                                 requester=0, level=level)
@@ -132,7 +132,7 @@ class TestPlanState:
         # Owner 0 shares domain d0 with core 1; core 2 sits in d1, core 4 in d2.
         model = protocol_model(protocol, cores=range(6), cores_per_domain=2)
         failures = []
-        for state, level in itertools.product(protocol.states, ("L1", "L2", "L3", "RAM")):
+        for state, level in itertools.product(protocol_states(protocol), ("L1", "L2", "L3", "RAM")):
             script = plan_state(state, protocol, owner=0, requester=requester,
                                 helper=helper if state in (O, S, F) else None,
                                 level=level)

@@ -62,11 +62,11 @@ class TestCyclesToNs:
 
 class TestCalibration:
     def test_simulated_backend_has_zero_overhead(self, rome_model):
-        assert calibrate_overhead(SimulatedBackend(rome_model), 5) == 0.0
+        assert calibrate_overhead(SimulatedBackend(rome_model)) == 0.0
 
     def test_synthetic_timer_overhead_recovered(self):
         be = SyntheticBackend(cost_per_access=1.0, timer_overhead=30.0)
-        assert calibrate_overhead(be, 10) == 30.0
+        assert calibrate_overhead(be) == 30.0
 
 
 def reduce_grids(grids, policy=MeasurementPolicy()):

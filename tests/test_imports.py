@@ -1,8 +1,12 @@
 """Every module-level import in ``src/memchar`` is used or re-exported, every
-module-level def and class there has a caller in ``src/`` or ``bench/``, and
-only ``topology.py`` reads a topology's raw ``caches`` sizes."""
+module-level def and class there has a caller in ``src/`` or ``bench/``, every
+class member there has a reader in ``src/`` or ``bench/``, and only
+``topology.py`` reads a topology's raw ``caches`` sizes.  Also checks the
+line counter in ``tools/sloc.py``."""
 
 import ast
+import builtins
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -141,3 +145,162 @@ def test_scan_flags_a_def_with_no_caller():
     }
     users = ["patch(m, 'patched')\n"]
     assert unreferenced_defs(modules, users) == ["m.py: unused", "m.py: Lonely"]
+
+
+# Class members that nothing in src/ or bench/ reads yet, each kept for the
+# ROADMAP item that reads it.  A member leaves once it has a reader.
+RESERVED_MEMBERS = {
+    "BandwidthSeries.saturation_label": "item 2: bandwidth --scaling prints the saturation knee",
+    "CompareReport.render": "item 3: a table run prints its check against the fixture table",
+    "ReadSource.supplier": "item 7: the record names the agent that supplied the data",
+    "_Region.numa_bound": "item 7: the record gives the NUMA binding outcome",
+    "Xorshift64.next": "aim 3: the chain oracle, like verify_chain",
+    "ChainReport.ok": "aim 3: the chain oracle, like verify_chain",
+}
+
+
+def _exception_classes(classes) -> set:
+    """Names of the classes deriving, directly or through one another, from
+    a built-in exception."""
+
+    def is_exception(base, known):
+        name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+        builtin = getattr(builtins, name, None)
+        return name in known or (isinstance(builtin, type) and issubclass(builtin, BaseException))
+
+    known = set()
+    while True:
+        more = {c.name for c in classes if any(is_exception(b, known) for b in c.bases)}
+        if more <= known:
+            return known
+        known |= more
+
+
+def class_members(modules: dict) -> list:
+    """``(file, class, member)`` for each member of each module-level class of
+    ``modules`` (file name -> source): its methods and properties, its
+    annotated fields and the ``self.`` attributes its ``__init__`` sets.
+    Dunder methods and the members of exception classes are left out."""
+    classes = [
+        (file, stmt) for file, src in modules.items() for stmt in ast.parse(src).body
+        if isinstance(stmt, ast.ClassDef)
+    ]
+    exceptions = _exception_classes([c for _, c in classes])
+    out = []
+    for file, cls in classes:
+        if cls.name in exceptions:
+            continue
+        names = []
+        for stmt in cls.body:
+            if isinstance(stmt, ast.FunctionDef):
+                names.append(stmt.name)
+                if stmt.name == "__init__":
+                    names += [
+                        n.attr for n in ast.walk(stmt)
+                        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                        and isinstance(n.value, ast.Name) and n.value.id == "self"
+                    ]
+            elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                names.append(stmt.target.id)
+        out += [
+            (file, cls.name, name) for name in dict.fromkeys(names)
+            if not (name.startswith("__") and name.endswith("__"))
+        ]
+    return out
+
+
+def member_reads(sources) -> set:
+    """Attribute names that ``sources`` load, or give to ``getattr`` or
+    ``hasattr`` as a string."""
+    reads = set()
+    for src in sources:
+        for n in ast.walk(ast.parse(src)):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                reads.add(n.attr)
+            elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                  and n.func.id in ("getattr", "hasattr") and len(n.args) > 1
+                  and isinstance(n.args[1], ast.Constant)):
+                reads.add(n.args[1].value)
+    return reads
+
+
+def unread_members(modules: dict, users=()) -> list:
+    """``file: Class.member`` of each member of ``modules`` that neither those
+    sources nor ``users`` read."""
+    reads = member_reads([*modules.values(), *users])
+    return [
+        f"{file}: {cls}.{name}" for file, cls, name in class_members(modules)
+        if name not in reads
+    ]
+
+
+@pytest.mark.skipif(not BENCH.is_dir(), reason="no bench/ directory")
+def test_every_src_member_has_a_reader_or_a_reserved_item():
+    modules = {p.name: p.read_text() for p in MODULES}
+    users = [p.read_text() for p in sorted(BENCH.glob("*.py"))]
+    unread = [n.partition(": ")[2] for n in unread_members(modules, users)]
+    # A reserved member that has found a reader leaves RESERVED_MEMBERS.
+    assert sorted(unread) == sorted(RESERVED_MEMBERS)
+
+
+def test_scan_flags_a_member_with_no_reader():
+    modules = {
+        "m.py": (
+            "from dataclasses import dataclass\n"
+            "class Oops(ValueError):\n"
+            "    def hint(self): pass\n"
+            "class Worse(Oops):\n"
+            "    code: int = 2\n"
+            "@dataclass\n"
+            "class Point:\n"
+            "    x: int\n"
+            "    unread_field: int\n"
+            "    def __repr__(self): return 'p'\n"
+            "    def norm(self): return self.x\n"
+            "    def unread_method(self): pass\n"
+            "    @property\n"
+            "    def by_name(self): return 1\n"
+            "class Box:\n"
+            "    def __init__(self):\n"
+            "        self.size = 1\n"
+            "        self.unread_attr = 2\n"
+            "        self.unread_attr += 1\n"
+        ),
+        "n.py": "p.norm()\nprint(Box().size, getattr(p, 'by_name'))\n",
+    }
+    assert unread_members(modules) == [
+        "m.py: Point.unread_field", "m.py: Point.unread_method", "m.py: Box.unread_attr",
+    ]
+
+
+def _sloc_tool():
+    path = SRC.parent.parent / "tools" / "sloc.py"
+    spec = importlib.util.spec_from_file_location("sloc_tool", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sloc_counts_code_lines_only():
+    source = (
+        '"""Module docstring,\n'
+        'two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import os  # trailing comment\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        '    """Function docstring."""\n'
+        "    y = (x +\n"
+        "         1)\n"
+        '    s = """text\n'
+        'in a string"""\n'
+        "    return y, s\n"
+        "\n"
+        "class C:\n"
+        "    '''Class docstring.'''\n"
+        "    z = 1\n"
+    )
+    # import, def, the two lines of y and of s, return, class, z
+    assert _sloc_tool().sloc(source) == 9

@@ -1,6 +1,7 @@
 """Latency model: prediction, fitting, comparison."""
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from memchar.model import (
     fit,
     hop_cost_template,
     load_fixture_model,
+    load_model,
     switch_hop_template,
 )
 from memchar.topology import fixture_path
@@ -154,6 +156,33 @@ class TestPredict:
     def test_conversion_factors_reported(self, rome):
         assert rome.core_mhz == 2000.0
         assert rome.link_cost_ns("if_switch_hop") == pytest.approx(29 / 12)
+
+
+class TestLoadModel:
+    RETIRED = {
+        "frequencies": {"core_mhz": 3000.0, "uncore_mhz": 2400.0},
+        "mesh_gradient_levels": ["L1", "L2"],
+        "mesh_gradient_classes": ["M", "E", "ME"],
+    }
+
+    @pytest.mark.parametrize("key", sorted(RETIRED))
+    def test_retired_key_is_rejected(self, key, clx):
+        doc = json.loads(fixture_path("clx_2s_latency_model.json").read_text())
+        doc[key] = self.RETIRED[key]
+        with pytest.raises(ModelError, match=f"'{key}'"):
+            load_model(doc, clx.graph)
+
+    def test_retired_key_exits_2_from_the_cli(self, tmp_path, capsys):
+        from memchar.cli import main
+
+        doc = json.loads(fixture_path("rome_2s_latency_model.json").read_text())
+        doc["frequencies"] = {"core_mhz": 3000.0}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code = main(["model-predict", "--topology", "rome_2s", "--model", str(path),
+                     "--requester", "0", "--home", "1"])
+        assert code == 2
+        assert "config error: model document carries 'frequencies'" in capsys.readouterr().err
 
 
 class TestFit:

@@ -24,7 +24,7 @@ from memchar.topology import (
     if_path,
     load_topology,
     load_topology_file,
-    mesh_route,
+    mesh_hops,
     switch_hops_to_memory,
 )
 
@@ -140,7 +140,7 @@ class TestLoad:
 class TestMeshRoute:
     def test_identity_is_empty(self, clx):
         a = clx.core(0)
-        assert len(mesh_route(clx, a, a)) == 0
+        assert mesh_hops(clx, a, a) == 0
 
     def test_corner_to_corner_is_nine_hops(self, clx):
         # (0,0) -> (4,5) on the 6x6 grid
@@ -151,30 +151,20 @@ class TestMeshRoute:
             n for n in clx.nodes.values() if n.socket == 0 and n.row == 4 and n.col == 5
         )
         assert (upi.row, upi.col) == (0, 0)
-        assert len(mesh_route(clx, upi, target)) == 9
-
-    def test_vertical_then_horizontal(self, clx):
-        a = clx.core(0)  # (1, 0)
-        b = clx.core(19)  # (4, 5)
-        route = mesh_route(clx, a, b)
-        classes = set(route.link_classes)
-        assert classes == {LinkClass.MESH_HOP}
-        # Row changes must be exhausted before any column change.
-        rows = [a.row] + [int(n.split("tile")[1].split("x")[0]) for n in route.nodes[1:-1]]
-        assert rows == sorted(rows, key=lambda r: (r - a.row) * (1 if b.row >= a.row else -1))
+        assert mesh_hops(clx, upi, target) == 9
 
     def test_cross_socket_rejected(self, clx):
         with pytest.raises(RouteError, match="different sockets"):
-            mesh_route(clx, clx.core(0), clx.core(20))
+            mesh_hops(clx, clx.core(0), clx.core(20))
 
     def test_requires_mesh_graph(self, rome):
         with pytest.raises(ScopeError):
-            mesh_route(rome, rome.core(0), rome.core(1))
+            mesh_hops(rome, rome.core(0), rome.core(1))
 
     def test_all_pairs_match_manhattan_bfs_oracle(self, clx):
         # Independent oracle: BFS over the full grid graph; on a complete
         # grid the shortest path length is the Manhattan distance, and the
-        # YX route must achieve it.
+        # hop count must equal it.
         from collections import deque
 
         def bfs(start, goal, rows=6, cols=6):
@@ -193,8 +183,8 @@ class TestMeshRoute:
         tiles = [n for n in clx.nodes.values() if n.socket == 0 and n.row is not None]
         for a in tiles:
             for b in tiles:
-                got = len(mesh_route(clx, a, b))
-                assert got == bfs(a.grid, b.grid)
+                got = mesh_hops(clx, a, b)
+                assert got == bfs((a.row, a.col), (b.row, b.col))
                 assert got == abs(a.row - b.row) + abs(a.col - b.col)
 
 
@@ -236,8 +226,8 @@ class TestIfPath:
             ba = if_path(rome, rome.core(b).id, rome.core(a).id)
             assert ab.switch_count(rome) == ba.switch_count(rome)
         for a, b in ((0, 12), (1, 16), (5, 11)):
-            assert len(mesh_route(clx, clx.core(a), clx.core(b))) == len(
-                mesh_route(clx, clx.core(b), clx.core(a))
+            assert mesh_hops(clx, clx.core(a), clx.core(b)) == mesh_hops(
+                clx, clx.core(b), clx.core(a)
             )
 
     def test_repeater_links_costed(self):
@@ -316,7 +306,7 @@ def reference_if_path(graph, a: str, b: str) -> Path:
             continue
         for e in sorted(adj[u], key=lambda e: e.other(u)):
             v = e.other(u)
-            nd = d + graph.link_cost_cycles(e.link_class)[0] + 1e-9
+            nd = d + graph.link_cost_cycles(e.link_class) + 1e-9
             if nd < dist.get(v, float("inf")) - 1e-12:
                 dist[v] = nd
                 prev[v] = (u, e.link_class)
