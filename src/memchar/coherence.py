@@ -129,7 +129,7 @@ class ProtocolModel:
 
     @classmethod
     def from_topology(cls, graph, protocol: Protocol | str, home_node: int = 0):
-        domains = {c: graph.l3_domain_of_core(c) for c in graph.cores}
+        domains = graph.l3_domains
         return cls(protocol, tuple(graph.cores), domains, home_node)
 
 

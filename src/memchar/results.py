@@ -10,11 +10,18 @@ run's inputs and nothing else: the subcommand's argv as parsed and the
 those variables, so on the simulated backend it reproduces the CSVs byte
 for byte.  Floats are serialized with ``repr`` (shortest round-trip form),
 so parse(write(x)) is the identity.
+
+A result file is written with one ``open`` and one write.  Each row is
+its fields joined by commas; a row with a field that holds a comma, a
+quote, ``\r`` or ``\n`` is the one kind ``csv.writer`` would quote, and
+it goes through ``csv.writer``, so every file is the bytes ``csv.writer``
+gives.  A ``;``-joined float column formats each distinct value once.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -89,7 +96,21 @@ def _join_f(values) -> str:
     text = {v: _f(v) for v in set(values)}
     if 0.0 in text:
         return ";".join(map(_f, values))
+    if len(text) == 1:
+        return ";".join([*text.values()] * len(values))
     return ";".join(map(text.__getitem__, values))
+
+
+def _csv_line(fields: list[str]) -> str:
+    """One CSV row as ``csv.writer(lineterminator="\\n")`` writes it."""
+    line = ",".join(fields)
+    if line.count(",") == len(fields) - 1 and not (
+        '"' in line or "\r" in line or "\n" in line
+    ):
+        return line + "\n"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
 
 
 def _join_i(values) -> str:
@@ -257,10 +278,9 @@ class ResultSet:
             if self.kind == "bandwidth"
             else [self._latency_row(r) for r in self.records]
         )
+        text = "".join(map(_csv_line, [cols, *rows]))
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(cols)
-            w.writerows(rows)
+            fh.write(text)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ResultSet":

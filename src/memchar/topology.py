@@ -188,8 +188,9 @@ class TopologyGraph:
       of each L3 domain, each core's L3-domain id and each node's memory
       controller, so :attr:`cores`, :meth:`cores_of_node`,
       :meth:`cores_of_ccx`, :meth:`first_core_of_node`,
-      :meth:`l3_domain_of_core` and :meth:`memory_controller` are lookups
-      (list results are fresh copies a caller may change);
+      :meth:`l3_domain_of_core`, :attr:`l3_domains` and
+      :meth:`memory_controller` are lookups (list and dict results are
+      fresh copies a caller may change);
     * on the first route query, the costed adjacency :func:`if_path` walks,
       and per source node, the shortest-path tree it reads routes from.
     """
@@ -293,6 +294,11 @@ class TopologyGraph:
     def l3_domain_of_core(self, core_id: int) -> str:
         self.core(core_id)
         return self._l3_domain[core_id]
+
+    @property
+    def l3_domains(self) -> dict[int, str]:
+        """Every core's L3-domain id, as a fresh dict."""
+        return dict(self._l3_domain)
 
     def first_core_of_node(self, numa_node: int) -> int:
         cores = self._cores_by_node.get(numa_node)

@@ -1,12 +1,17 @@
 """Result persistence, plot emission, and the command-line front end."""
 
 import argparse
+import csv
+import dataclasses
+import io
 import json
 import os
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memchar import cli
 from memchar.backends import BackendError, ScriptPlacementError, SimulatedBackend
@@ -19,6 +24,7 @@ from memchar.model import load_fixture_model
 from memchar.native import PinningError
 from memchar.plots import PlotError, build_plot_data, emit_plot
 from memchar.results import (
+    BANDWIDTH_COLUMNS,
     LATENCY_COLUMNS,
     ResultError,
     ResultSet,
@@ -27,6 +33,8 @@ from memchar.results import (
 from memchar.topology import Placement, TopologyError, enumerate_placements, fixture_path
 
 ONE = MeasurementPolicy(inner_repeats=1, outer_repeats=1, sizes_per_level=1)
+# Text fields csv.writer must quote, and the empty field.
+_AWKWARD = st.lists(st.sampled_from([",", '"', "\r\n", "\n", "a", " "]), max_size=5).map("".join)
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +53,36 @@ def rome_records():
         )
         records.append(measure_latency([chain], script, p, ONE, be))
     return records
+
+
+def _awkward_result_sets(records, texts):
+    """A latency and a bandwidth result set whose text fields are ``texts``:
+    (label, backend, reducer) per record."""
+    latency = [
+        dataclasses.replace(
+            r, backend=backend, reducer=reducer,
+            placement=dataclasses.replace(r.placement, label=label),
+        )
+        for r, (label, backend, reducer) in zip(records, texts)
+    ]
+    bandwidth = [
+        BandwidthRecord.from_rate("read256", 16384, (0, 1), "L1", 128.0, 2000.0, backend)
+        for _, backend, _ in texts
+    ]
+    return ResultSet(latency), ResultSet(bandwidth)
+
+
+def _written_like_csv_writer(rs, path) -> bool:
+    rs.to_csv(path)
+    cols, row = (
+        (BANDWIDTH_COLUMNS, ResultSet._bandwidth_row) if rs.kind == "bandwidth"
+        else (LATENCY_COLUMNS, ResultSet._latency_row)
+    )
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(cols)
+    writer.writerows(map(row, rs.records))
+    return path.read_bytes() == expected.getvalue().encode()
 
 
 class TestResultSet:
@@ -67,6 +105,28 @@ class TestResultSet:
         ]
         for values in cases:
             assert _join_f(values) == ";".join(repr(float(v)) for v in values)
+
+    def test_joined_floats_keep_zero_signs_apart(self):
+        from memchar.results import _join_f
+
+        assert _join_f((0.0,) * 3) == "0.0;0.0;0.0"
+        assert _join_f((-0.0,) * 3) == "-0.0;-0.0;-0.0"
+        assert _join_f((0.0, -0.0, -0.0, 0.0)) == "0.0;-0.0;-0.0;0.0"
+        assert _join_f((-0.0, 2.5, 0.0)) == "-0.0;2.5;0.0"
+
+    @settings(max_examples=80, deadline=None)
+    @given(texts=st.lists(st.tuples(_AWKWARD, _AWKWARD, _AWKWARD), min_size=1, max_size=5))
+    def test_csv_bytes_equal_csv_writer_bytes(self, rome_records, tmp_path_factory, texts):
+        path = tmp_path_factory.mktemp("csv") / "r.csv"
+        for rs in _awkward_result_sets(rome_records, texts):
+            assert _written_like_csv_writer(rs, path)
+            assert ResultSet.from_csv(path).records == rs.records
+
+    def test_lone_carriage_return_is_written_like_csv_writer(self, rome_records, tmp_path):
+        # csv.writer leaves a lone \r unquoted and csv.reader reads it as a
+        # line end, so these files are not read back.
+        for rs in _awkward_result_sets(rome_records, [("\r", "a\rb", "\r,")]):
+            assert _written_like_csv_writer(rs, tmp_path / "r.csv")
 
     def test_schema_header_is_fixed(self, rome_records, tmp_path):
         rs = ResultSet(records=list(rome_records))

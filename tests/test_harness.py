@@ -1,5 +1,6 @@
 """Measurement harness: calibration, aggregation, flushing, records."""
 
+import dataclasses
 import json
 import random
 
@@ -10,7 +11,10 @@ from hypothesis import strategies as st
 
 from memchar.backends import ScriptPlacementError, SimulatedBackend
 from memchar.chain import chain_spec, generate_chain
-from memchar.coherence import plan_state
+from memchar.coherence import (
+    Action, CacheEvent, ProtocolModel, WorkerRole, apply_event, plan_state,
+    verify_script,
+)
 from memchar.harness import (
     CALIBRATION_REPEATS,
     LEVELS,
@@ -374,6 +378,119 @@ class TestSweep:
     def test_empty_sweep_has_no_records(self, rome_model):
         assert measure_sweep([chain_spec(8192, 512, seed=0)], [], ONE,
                              SimulatedBackend(rome_model)) == []
+
+
+def _replay_fresh(model, script, placement):
+    """The simulator's answer for one point on a fresh protocol model: the
+    probe read's source kind and the final map before that read."""
+    pmodel = ProtocolModel.from_topology(model.graph, model.protocol, placement.home_node)
+    final = verify_script(script, pmodel).state_map
+    _, source, _ = apply_event(pmodel, final, CacheEvent(placement.requester, Action.READ))
+    return source.kind, final
+
+
+def _relabel(state_map, cores, to_cores, l3_domain_of):
+    """``state_map`` with each of ``cores`` renamed to the matching one of
+    ``to_cores``, and each of their L3 domains likewise; both renamings
+    must be one-to-one."""
+    core_to = dict(zip(cores, to_cores))
+    dom_to = {l3_domain_of[a]: l3_domain_of[b] for a, b in zip(cores, to_cores)}
+    for mapping in (core_to, dom_to):
+        assert len(set(mapping.values())) == len(mapping)
+    assert [core_to[c] for c in cores] == list(to_cores)
+    assert [dom_to[l3_domain_of[c]] for c in cores] == [l3_domain_of[c] for c in to_cores]
+    renamed = {"core": core_to, "l3": dom_to}
+    return {k if k == "mem" else (k[0], renamed[k[0]][k[1]]): v for k, v in state_map.items()}
+
+
+class TestCoherenceClassMemo:
+    @pytest.mark.parametrize("topology", ["rome_2s", "clx_2s"])
+    def test_every_point_replays_like_the_first_of_its_class(self, topology):
+        model = load_fixture_model(topology)
+        backend = SimulatedBackend(model)
+        l3_domain_of = model.graph.l3_domains
+        first = {}
+        points = 0
+        for state, level, placements in _sweeps(model):
+            for script, p in _points(model, state, level, placements):
+                points += 1
+                kind, final = _replay_fresh(model, script, p)
+                cores = (p.requester, *script.worker_cores.values())
+                key = backend._class_key(script, p)
+                assert key is not None
+                if key not in first:
+                    first[key] = kind, final, cores
+                    continue
+                kind0, final0, cores0 = first[key]
+                assert kind == kind0, (state, level, p)
+                assert _relabel(final, cores, cores0, l3_domain_of) == final0, (state, level, p)
+        assert len(first) < points / 10
+
+    def test_a_sweep_replays_each_class_once(self, rome_model, monkeypatch):
+        import memchar.backends
+
+        replays = []
+        verify = memchar.backends.verify_script
+        monkeypatch.setattr(memchar.backends, "verify_script",
+                            lambda *a: replays.append(1) or verify(*a))
+        backend = SimulatedBackend(rome_model)
+        chains = [chain_spec(8192, 512, seed=0)]
+        for state in "MOS":
+            points = _points(rome_model, state, "L2",
+                             enumerate_placements(rome_model.graph, "all_pairs"))
+            del replays[:]
+            measure_sweep(chains, points, ONE, backend)
+            classes = {backend._class_key(s, p) for s, p in points}
+            assert len(replays) == len(classes) < len(points)
+            measure_sweep(chains, points, ONE, backend)
+            assert len(replays) == len(classes)
+
+    def test_same_cores_other_steps_are_replayed(self, rome_model):
+        backend = SimulatedBackend(rome_model)
+        placement = Placement(0, 1, 0)
+        script = plan_state("M", "MOESI", owner=1, level="L2", requester=0)
+        backend.prepare(script, placement)
+        no_write = dataclasses.replace(
+            script, steps=tuple(s for s in script.steps if s.action is not Action.WRITE)
+        )
+        assert backend._class_key(no_write, placement) != backend._class_key(script, placement)
+        for _ in range(2):
+            with pytest.raises(ScriptPlacementError, match="state preparation failed"):
+                backend.prepare(no_write, placement)
+
+    def test_same_steps_other_core_pattern_are_replayed(self):
+        # Requester 2 finds the shared line in the SNC's L3; the same steps
+        # with the requester on the owner's core hit its own L1.
+        model = load_fixture_model("clx_2s")
+        backend = SimulatedBackend(model)
+        script = plan_state("S", "MESIF", owner=0, helper=1, level="L1", requester=2)
+        backend.prepare(script, Placement(2, 0, 0))
+        local = dataclasses.replace(
+            script, worker_cores={**script.worker_cores, WorkerRole.REQUESTER_0: 0}
+        )
+        backend.prepare(local, Placement(0, 0, 0))
+        assert sorted(backend._source_kinds.values()) == ["cache", "l3"]
+
+    def test_a_failing_point_is_not_remembered(self):
+        model = load_fixture_model("rome_2s")
+        backend = SimulatedBackend(model)
+        placement = Placement(0, 1, 0)
+        script = plan_state("M", "MOESI", owner=1, level="L2", requester=0)
+        model.expected_source_kind = lambda *a: "l3"
+        with pytest.raises(ScriptPlacementError, match="from cache, model expects l3"):
+            backend.prepare(script, placement)
+        assert backend._source_kinds == {}
+        del model.expected_source_kind
+        backend.prepare(script, placement)
+        assert list(backend._source_kinds.values()) == ["cache"]
+
+    def test_a_core_outside_the_graph_is_reported_by_the_replay(self, rome_model):
+        backend = SimulatedBackend(rome_model)
+        script = plan_state("M", "MOESI", owner=999, level="L2", requester=0)
+        placement = Placement(0, 999, 0)
+        assert backend._class_key(script, placement) is None
+        with pytest.raises(ScriptPlacementError, match="core 999 not in model"):
+            backend.prepare(script, placement)
 
 
 class TestFlushPlan:
