@@ -12,14 +12,16 @@ Every backend exposes the same narrow surface the harness drives:
 The simulated backend checks every point, in order, raising at the first
 point that fails: the point's coherence script must reach its target state
 on the protocol simulator, and the data source of one read by the
-requester must be the kind the latency model expects.  The simulator's
-answer depends only on the point's coherence class (the script and the
-pattern of its cores and their L3 domains), so each class is replayed once
-per backend and later points of the class reuse its source kind; the
-comparison with the model still runs per point.  The backend then fills
-the whole array with one broadcast of each point's ``model.predict`` times
-each chain's access count; ``run_point`` is its one-point sweep.  The
-native backend lives in :mod:`memchar.native`.
+requester must be the kind the latency model expects.  The backend holds
+one protocol model for every point, since the simulator names home memory
+``"mem"`` whatever the home node.  The simulator's answer depends only on
+the point's coherence class (the script and the pattern of its cores and
+their L3 domains), so each class is replayed once per backend and later
+points of the class reuse its source kind; the comparison with the model
+still runs per point.  The backend then fills the whole array with one
+broadcast of each point's ``model.predict`` times each chain's access
+count; ``run_point`` is its one-point sweep.  The native backend lives in
+:mod:`memchar.native`.
 """
 
 from __future__ import annotations
@@ -59,17 +61,16 @@ class SimulatedBackend:
     """Protocol-simulator-backed measurement: deterministic and exact.
 
     For each point the backend (1) replays the flush + state-preparation
-    script from an all-Invalid line on the protocol model of the point's home
-    node and verifies the target state, (2) has the requester perform one
-    read to learn which kind of agent supplies the data, cross-checking the
-    latency model's expectation, and (3) charges every chase access
+    script from an all-Invalid line on its one protocol model and verifies the
+    target state, (2) has the requester perform one read to learn which
+    kind of agent supplies the data, cross-checking the latency model's
+    expectation, and (3) charges every chase access
     ``model.predict(...)`` cycles.  The zero-cost timer makes calibration
     return 0, so the harness algebra returns the prediction bit-for-bit.
 
     Steps (1) and (2) run once per coherence class for the life of the
     backend (see :meth:`_class_key`); only a replay that succeeds is kept,
-    and step (2)'s comparison runs for every point.  Protocol models are
-    built on a class's first replay, one per home node.
+    and step (2)'s comparison runs for every point.
     """
 
     name = "simulated"
@@ -79,7 +80,7 @@ class SimulatedBackend:
         self.graph = model.graph
         self.frequency_mhz = model.core_mhz
         self._l3_domain_of = self.graph.l3_domains
-        self._protocol_models: dict[int, ProtocolModel] = {}
+        self._protocol_model = ProtocolModel.from_topology(self.graph, model.protocol)
         # Probe source kind of each coherence class replayed so far.
         self._source_kinds: dict[tuple, str] = {}
 
@@ -87,14 +88,6 @@ class SimulatedBackend:
         return 0.0
 
     # -- internals ---------------------------------------------------------
-
-    def _protocol_model(self, placement: Placement) -> ProtocolModel:
-        home = placement.home_node
-        if home not in self._protocol_models:
-            self._protocol_models[home] = ProtocolModel.from_topology(
-                self.graph, self.model.protocol, home_node=home
-            )
-        return self._protocol_models[home]
 
     def _forwarder_arg(self, placement: Placement) -> Optional[int]:
         if placement.owner == placement.requester:
@@ -119,8 +112,8 @@ class SimulatedBackend:
         and which of their L3 domains are the same and in what ``str``
         order: the simulator only compares cores and domains for equality,
         except that MESIF breaks ties between L3 copies by ``str(domain)``.
-        The home node only names a RAM source's supplier, which
-        :meth:`prepare` never compares, so it is not part of the key.
+        The simulator does not see the home node, so it is not part of the
+        key.
         """
         cores = (placement.requester, *script.worker_cores.values())
         domains = [self._l3_domain_of.get(c) for c in cores]
@@ -139,15 +132,13 @@ class SimulatedBackend:
 
     def _replay(self, script: CoherenceScript, placement: Placement) -> str:
         """Source kind of the requester's read after ``script``."""
-        pmodel = self._protocol_model(placement)
         try:
-            result = verify_script(script, pmodel)
+            result = verify_script(script, self._protocol_model)
         except Exception as exc:
             raise ScriptPlacementError(f"state preparation failed: {exc}") from exc
         # One probe read by the requester: which agent answers?
-        _, source, _ = apply_event(
-            pmodel, result.state_map, CacheEvent(placement.requester, Action.READ)
-        )
+        probe = CacheEvent(placement.requester, Action.READ)
+        _, source, _ = apply_event(self._protocol_model, result.state_map, probe)
         return source.kind
 
     def prepare(self, script: CoherenceScript, placement: Placement) -> None:
@@ -156,7 +147,6 @@ class SimulatedBackend:
         kind = known or self._replay(script, placement)
         expected = self.model.expected_source_kind(
             placement.requester,
-            placement.home_node,
             self._forwarder_arg(placement),
             script.target_state,
             script.target_level,

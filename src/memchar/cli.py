@@ -36,7 +36,7 @@ from .bandwidth import (
     run_throughput,
     run_triad,
 )
-from .coherence import CoherenceError, plan_state
+from .coherence import HELPER_STATES, LEVELS, CoherenceError, CoherenceState, plan_state
 from .harness import MeasurementPolicy, policy_from_env
 from .model import (
     SWITCH_HOP_BASES,
@@ -56,6 +56,9 @@ from .topology import (
     fixture_path,
     load_topology_file,
 )
+
+# --state choices: every state's letter, in enum order (MOESFI).
+_STATES = [s.value for s in CoherenceState]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -175,14 +178,14 @@ def cmd_latency(args) -> int:
     if not placements:
         raise CliError(f"scope {args.scope!r} yields no placements")
 
-    state = args.state
+    state = CoherenceState(args.state)
     protocol = model.protocol
     sizes = harness.level_dataset_bytes(graph, args.level, policy.sizes_per_level)
     chains = [chain_mod.chain_spec(sz, alignment, args.seed, huge) for sz in sizes]
     points = []
     for placement in placements:
         helper = None
-        if state in ("O", "S", "F"):
+        if state in HELPER_STATES:
             helper = harness.auto_helper(graph, placement.owner, placement.requester)
         script = plan_state(
             state,
@@ -392,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=("sim", "native"), default="sim")
     p.add_argument("--scope", default="intra_socket",
                    choices=[s.value for s in PlacementScope])
-    p.add_argument("--state", default="M", choices=list("MOESFI"))
-    p.add_argument("--level", default="L2", choices=("L1", "L2", "L3", "RAM"))
+    p.add_argument("--state", default="M", choices=_STATES)
+    p.add_argument("--level", default="L2", choices=LEVELS)
     p.add_argument("--triples", action="store_true",
                    help="home/forwarder matrix instead of a scope")
     p.add_argument("--seed", type=int, default=0)
@@ -412,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", default="read256",
                    choices=("read128", "read256", "read512"))
     p.add_argument("--cores", default="0")
-    p.add_argument("--level", choices=("L1", "L2", "L3", "RAM"), default=None)
+    p.add_argument("--level", choices=LEVELS, default=None)
     p.add_argument("--bytes", type=int, default=None)
     p.add_argument("--cross-socket", dest="cross_socket", action="store_true")
     p.add_argument("--outer", type=int, default=None)
@@ -437,9 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--requester", type=int, required=True)
     p.add_argument("--home", type=int, required=True)
-    p.add_argument("--forwarder", type=int, default=None)
-    p.add_argument("--state", default="M", choices=list("MOESFI"))
-    p.add_argument("--level", default="L2", choices=("L1", "L2", "L3", "RAM"))
+    p.add_argument("--forwarder", type=int, default=None,
+                   help="core holding the line (default: the requester)")
+    p.add_argument("--state", default="M", choices=_STATES)
+    p.add_argument("--level", default="L2", choices=LEVELS)
     p.set_defaults(func=cmd_model_predict)
 
     p = sub.add_parser("report", help="render a result CSV as SVG + plot data")

@@ -19,11 +19,13 @@ reader.
 
 A :class:`ProtocolModel` comes from a topology
 (:meth:`ProtocolModel.from_topology`: one L3 domain per CCX, or per SNC on
-the mesh).  :func:`apply_event` is the one transition function: it returns
-the new state map together with the read's source and the value read or
-written.  :func:`simulate` runs a script through it from the all-Invalid
-map and keeps only the final map, and :func:`verify_script` checks that
-the script reached its target.
+the mesh).  One model serves every home node: to the simulator, home
+memory is the one agent ``"mem"``, which supplies every RAM read.
+:func:`apply_event` is the one transition function: it returns the new
+state map together with the read's source and the value read or written.
+:func:`simulate` runs a script through it from the all-Invalid map and
+keeps only the final map, and :func:`verify_script` checks that the
+script reached its target.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from enum import Enum
 from typing import Optional
 
 __all__ = [
+    "LEVELS",
+    "HELPER_STATES",
     "CoherenceState",
     "Protocol",
     "Action",
@@ -50,6 +54,9 @@ __all__ = [
     "simulate",
     "plan_state",
 ]
+
+
+LEVELS = ("L1", "L2", "L3", "RAM")
 
 
 class CoherenceError(Exception):
@@ -114,12 +121,13 @@ class ProtocolModel:
     chiplet design, an SNC on the mesh).  The L2 is inclusive of L1, and the
     protocol, given as a :class:`Protocol` or its name, fixes the L3 policy:
     MOESI runs over a victim-exclusive L3, MESIF over a non-inclusive one.
+    Home memory is one agent whatever the home node: a RAM read's supplier
+    is the state map's ``"mem"`` key.
     """
 
     protocol: Protocol
     cores: tuple[int, ...]
     l3_domain_of: dict[int, str]
-    home_node: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "protocol", Protocol(self.protocol))
@@ -128,9 +136,8 @@ class ProtocolModel:
             raise CoherenceError(f"cores without an L3 domain: {missing}")
 
     @classmethod
-    def from_topology(cls, graph, protocol: Protocol | str, home_node: int = 0):
-        domains = graph.l3_domains
-        return cls(protocol, tuple(graph.cores), domains, home_node)
+    def from_topology(cls, graph, protocol: Protocol | str):
+        return cls(protocol, tuple(graph.cores), graph.l3_domains)
 
 
 @dataclass(frozen=True)
@@ -157,7 +164,7 @@ class CacheEvent:
 @dataclass(frozen=True)
 class ReadSource:
     kind: str  # "cache" | "l3" | "ram"
-    supplier: object  # core id, domain id, or home node
+    supplier: object  # core id, domain id, or "mem" (home memory)
     level: str  # L1 | L2 | L3 | RAM
 
 
@@ -270,7 +277,7 @@ def _read_moesi(model: ProtocolModel, state_map: StateMap, core: int):
     shared_somewhere = any(v.state is CoherenceState.S for _, v in _holders(new))
     fill = CoherenceState.S if shared_somewhere else CoherenceState.E
     new[own_key] = CacheEntry(fill, frozenset({"L1", "L2"}), value)
-    return new, ReadSource("ram", model.home_node, "RAM"), value
+    return new, ReadSource("ram", "mem", "RAM"), value
 
 
 def _read_mesif(model: ProtocolModel, state_map: StateMap, core: int):
@@ -336,12 +343,12 @@ def _read_mesif(model: ProtocolModel, state_map: StateMap, core: int):
     if any(v.state is CoherenceState.S for _, v in holders):
         value = new["mem"]
         new[own_key] = CacheEntry(CoherenceState.F, frozenset({"L1", "L2"}), value)
-        return new, ReadSource("ram", model.home_node, "RAM"), value
+        return new, ReadSource("ram", "mem", "RAM"), value
 
     # Nobody holds it: exclusive fill from home memory.
     value = new["mem"]
     new[own_key] = CacheEntry(CoherenceState.E, frozenset({"L1", "L2"}), value)
-    return new, ReadSource("ram", model.home_node, "RAM"), value
+    return new, ReadSource("ram", "mem", "RAM"), value
 
 
 def _write(model: ProtocolModel, state_map: StateMap, core: int, value: int):
@@ -436,7 +443,8 @@ class CoherenceScript:
         return self.worker_cores.get(WorkerRole.HELPER_M)
 
 
-_HELPER_STATES = frozenset({CoherenceState.S, CoherenceState.F, CoherenceState.O})
+# States plan_state prepares with a helper core next to the owner.
+HELPER_STATES = frozenset({CoherenceState.S, CoherenceState.F, CoherenceState.O})
 
 
 def plan_state(
@@ -468,9 +476,9 @@ def plan_state(
     protocol = Protocol(protocol)
     if not state.valid_for(protocol):
         raise CoherenceError(f"state {state.value} is not part of {protocol.value}")
-    if level not in ("L1", "L2", "L3", "RAM"):
+    if level not in LEVELS:
         raise CoherenceError(f"unknown level {level!r}")
-    needs_helper = state in _HELPER_STATES
+    needs_helper = state in HELPER_STATES
     if needs_helper and helper is None:
         raise CoherenceError(f"state {state.value} requires a helper worker")
     if needs_helper and helper == owner:

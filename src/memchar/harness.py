@@ -34,7 +34,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .chain import ChainBuffer
-from .coherence import CoherenceScript
+from .coherence import LEVELS, CoherenceScript
 from .topology import Placement, TopologyGraph
 
 __all__ = [
@@ -53,8 +53,6 @@ __all__ = [
     "auto_helper",
     "policy_from_env",
 ]
-
-LEVELS = ("L1", "L2", "L3", "RAM")
 
 ENV_ALIGNMENT = "MEMCHAR_ALIGNMENT"
 ENV_HUGEPAGES = "MEMCHAR_HUGEPAGES"

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .coherence import CoherenceState, Protocol
+from .coherence import LEVELS, CoherenceState, Protocol
 from .topology import (
     GraphKind,
     LinkClass,
@@ -64,8 +64,6 @@ __all__ = [
     "switch_hop_template",
     "hop_cost_template",
 ]
-
-LEVELS = ("L1", "L2", "L3", "RAM")
 
 RIDGE_LAMBDA = 1e-9
 
@@ -185,6 +183,27 @@ class LatencyModel:
             return table[max(table)]
         raise ModelError(f"no distance class for {extra} extra switch hops")
 
+    def _holder_class(
+        self, requester: int, forwarder: Optional[int], state: CoherenceState, level: str
+    ) -> Optional[str]:
+        """Locality class of the core holding the line (the requester when
+        ``forwarder`` is None), or None when home memory answers: an Invalid
+        line, the RAM level, or a clean shared line beyond
+        ``clean_shared_ram_beyond`` (such lines are not forwarded past the
+        L3 domain)."""
+        if state is CoherenceState.I or level == "RAM":
+            return None
+        locality = self.locality_class(
+            requester, requester if forwarder is None else forwarder
+        )
+        if (
+            self.clean_shared_ram_beyond is not None
+            and state is CoherenceState.S
+            and locality not in ("local", self.clean_shared_ram_beyond)
+        ):
+            return None
+        return locality
+
     def _remote_snc_class(self, home: int) -> str:
         socket = self.graph.memory_controller(home).socket
         local_nodes = self.graph.numa_nodes_of_socket(socket)
@@ -239,10 +258,10 @@ class LatencyModel:
     ) -> float:
         """Predicted read latency in core cycles.
 
-        ``forwarder`` is the core holding the line; None means the line is
-        local to the requester (or, for matrix scopes, held by the home
-        node's first core).  A forwarder whose node differs from ``home``
-        selects the dirty three-party flow.
+        ``forwarder`` is the core holding the line; None means the requester
+        holds it, so ``home`` then matters only for an Invalid line or the
+        RAM level.  A forwarder whose node differs from ``home`` selects the
+        dirty three-party flow.
         """
         state = CoherenceState(state)
         if level not in LEVELS:
@@ -250,29 +269,15 @@ class LatencyModel:
         if not state.valid_for(self.protocol):
             raise ModelError(f"state {state.value} not valid under {self.protocol.value}")
         g = self.graph
-        if forwarder is not None and forwarder == requester:
+        if forwarder == requester:
             raise ModelError("illegal tuple: forwarder given for local access")
-        if forwarder is None:
-            owner = requester if level == "RAM" or state is CoherenceState.I else g.first_core_of_node(home)
-        else:
-            owner = forwarder
-
         if forwarder is not None and g.node_of_core(forwarder) != home:
             return self._predict_triple(requester, home, forwarder, state, level)
 
-        if state is CoherenceState.I or level == "RAM":
+        locality = self._holder_class(requester, forwarder, state, level)
+        if locality is None:
             return self._ram_cycles(requester, home)
-
-        locality = self.locality_class(requester, owner)
-        if (
-            self.clean_shared_ram_beyond is not None
-            and state is CoherenceState.S
-            and locality not in ("local", self.clean_shared_ram_beyond)
-        ):
-            # Clean shared lines are not forwarded beyond the L3 domain;
-            # home memory answers.
-            return self._ram_cycles(requester, home)
-
+        # Past this point a locality other than "local" has a forwarder.
         cls = self.state_class(level, state)
         value = self._base(level, cls, locality)
         if g.kind is GraphKind.CHIPLET_IF:
@@ -282,7 +287,7 @@ class LatencyModel:
                 and level in ("L1", "L2")
             ):
                 value += self.ccx_penalty[self._ccx_position(requester)][
-                    self._ccx_position(owner)
+                    self._ccx_position(forwarder)
                 ]
         else:
             if (
@@ -290,7 +295,7 @@ class LatencyModel:
                 and level in MESH_GRADIENT_LEVELS
                 and cls in MESH_GRADIENT_CLASSES
             ):
-                value += self._mesh_gradient(requester, owner)
+                value += self._mesh_gradient(requester, forwarder)
         return value
 
     def _predict_triple(
@@ -316,19 +321,13 @@ class LatencyModel:
             raise ModelError(f"no three-party base entry {key}") from None
 
     def expected_source_kind(
-        self, requester: int, home: int, forwarder: Optional[int], state: CoherenceState, level: str
+        self, requester: int, forwarder: Optional[int], state: CoherenceState, level: str
     ) -> str:
-        """Which memory agent should supply the data ("cache"|"l3"|"ram")."""
+        """Which memory agent should supply the data ("cache"|"l3"|"ram"),
+        for the holder :meth:`predict` charges."""
         state = CoherenceState(state)
-        if state is CoherenceState.I or level == "RAM":
-            return "ram"
-        owner = forwarder if forwarder is not None else requester
-        locality = self.locality_class(requester, owner)
-        if (
-            self.clean_shared_ram_beyond is not None
-            and state is CoherenceState.S
-            and locality not in ("local", self.clean_shared_ram_beyond)
-        ):
+        locality = self._holder_class(requester, forwarder, state, level)
+        if locality is None:
             return "ram"
         if level == "L3":
             return "l3"

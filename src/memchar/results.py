@@ -13,9 +13,11 @@ so parse(write(x)) is the identity.
 
 A result file is written with one ``open`` and one write.  Each row is
 its fields joined by commas; a row with a field that holds a comma, a
-quote, ``\r`` or ``\n`` is the one kind ``csv.writer`` would quote, and
-it goes through ``csv.writer``, so every file is the bytes ``csv.writer``
-gives.  A ``;``-joined float column formats each distinct value once.
+quote, ``\r`` or ``\n`` goes through ``csv.writer``, which quotes such a
+field, so every file is the bytes ``csv.writer`` gives, except that a
+field with a ``\r`` is always quoted: ``csv.writer`` with a ``\n`` line
+end leaves a lone ``\r`` bare, and ``csv.reader`` then ends the row
+there.  A ``;``-joined float column formats each distinct value once.
 """
 
 from __future__ import annotations
@@ -102,15 +104,18 @@ def _join_f(values) -> str:
 
 
 def _csv_line(fields: list[str]) -> str:
-    """One CSV row as ``csv.writer(lineterminator="\\n")`` writes it."""
+    """One CSV row as ``csv.writer(lineterminator="\\n")`` writes it, with
+    every field that holds a ``\\r`` quoted."""
     line = ",".join(fields)
     if line.count(",") == len(fields) - 1 and not (
         '"' in line or "\r" in line or "\n" in line
     ):
         return line + "\n"
+    # csv.writer quotes the characters of its line end: with "\r\n", a
+    # field holding a \r but no \n is quoted too.
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(fields)
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\r\n").writerow(fields)
+    return buf.getvalue()[:-2] + "\n"
 
 
 def _join_i(values) -> str:

@@ -6,11 +6,11 @@ import numpy as np
 from memchar.coherence import OWNERSHIP_STATES, CoherenceState, ProtocolModel
 
 
-def protocol_model(protocol, cores, cores_per_domain=4, home_node=0) -> ProtocolModel:
+def protocol_model(protocol, cores, cores_per_domain=4) -> ProtocolModel:
     """Synthetic model: consecutive cores grouped into L3 domains."""
     cores = tuple(cores)
     domains = {c: f"d{i // cores_per_domain}" for i, c in enumerate(cores)}
-    return ProtocolModel(protocol, cores, domains, home_node)
+    return ProtocolModel(protocol, cores, domains)
 
 
 class SyntheticBackend:

@@ -1,6 +1,7 @@
 """Result persistence, plot emission, and the command-line front end."""
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -31,6 +32,7 @@ from memchar.results import (
     RunManifest,
 )
 from memchar.topology import Placement, TopologyError, enumerate_placements, fixture_path
+from oracles import protocol_states
 
 ONE = MeasurementPolicy(inner_repeats=1, outer_repeats=1, sizes_per_level=1)
 # Text fields csv.writer must quote, and the empty field.
@@ -122,11 +124,20 @@ class TestResultSet:
             assert _written_like_csv_writer(rs, path)
             assert ResultSet.from_csv(path).records == rs.records
 
-    def test_lone_carriage_return_is_written_like_csv_writer(self, rome_records, tmp_path):
-        # csv.writer leaves a lone \r unquoted and csv.reader reads it as a
-        # line end, so these files are not read back.
-        for rs in _awkward_result_sets(rome_records, [("\r", "a\rb", "\r,")]):
-            assert _written_like_csv_writer(rs, tmp_path / "r.csv")
+    @pytest.mark.parametrize("text", ["\r", "a\rb", "\r,", "x\r\ry"])
+    def test_lone_carriage_return_round_trips_or_is_refused(self, rome_records, tmp_path,
+                                                           text):
+        # csv.writer leaves a lone \r unquoted, and csv.reader reads it as a
+        # line end: such a field is quoted, or the file is refused unwritten.
+        latency, bandwidth = _awkward_result_sets(rome_records, [(text, text, text)])
+        for i, rs in enumerate((latency, bandwidth)):
+            path = tmp_path / f"r{i}.csv"
+            try:
+                rs.to_csv(path)
+            except ResultError:
+                assert not path.exists()
+            else:
+                assert ResultSet.from_csv(path).records == rs.records
 
     def test_schema_header_is_fixed(self, rome_records, tmp_path):
         rs = ResultSet(records=list(rome_records))
@@ -252,6 +263,36 @@ class TestCli:
         rs = ResultSet.from_csv(tmp_path / "run" / "results.csv")
         assert len(rs.records) == 16
         assert (tmp_path / "run" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("topology", ["rome_2s", "clx_2s"])
+    def test_every_local_point_reads_core_0s_latency(self, topology, tmp_path):
+        # A line the requester holds costs the same on every core: each
+        # --scope local record, each diagonal point of the rome_2s same_ccx
+        # matrix and each prediction without a forwarder.
+        model = load_fixture_model(topology)
+        graph = model.graph
+
+        def sweep(scope, state, level):
+            out = tmp_path / f"{scope}-{state}-{level}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["latency", "--topology", topology, "--scope", scope,
+                             "--state", state, "--level", level, "--out", str(out)]) == 0
+            return ResultSet.from_csv(out / "results.csv").records
+
+        for state in protocol_states(model.protocol):
+            for level in ("L1", "L2", "L3"):
+                where = (state.value, level)
+                local = {r.placement.requester: r.latency_cycles
+                         for r in sweep("local", state.value, level)}
+                assert sorted(local) == sorted(graph.cores)
+                assert set(local.values()) == {local[0]}, where
+                if topology == "rome_2s":
+                    diagonal = [r.latency_cycles for r in sweep("same_ccx", state.value, level)
+                                if r.placement.requester == r.placement.owner]
+                    assert diagonal and set(diagonal) == {local[0]}, where
+                predicted = {model.predict(c, graph.node_of_core(c), None, state, level)
+                             for c in graph.cores}
+                assert predicted == {local[0]}, where
 
     def test_clx_shared_l3_all_pairs_matches_model(self, tmp_path):
         # MESIF S@L3 with the helper in the owner's L3 domain.

@@ -2,7 +2,8 @@
 
 ``golden_sim_sha256.json`` holds the sha256 of the result CSV for a fixed
 set of simulated runs at seed 7: latency sweeps (``results.csv``), with one
-non-default sampling shape, and bandwidth read ladders and triads
+non-default sampling shape and, for points whose requester holds the line,
+local and ``same_ccx`` sweeps, and bandwidth read ladders and triads
 (``bandwidth.csv``).  A refactor of the simulated path must leave every
 hash unchanged; a deliberate output change re-records the file and says
 why.
@@ -39,6 +40,12 @@ SWEEPS = [
     "latency --topology rome_2s --state M --level L2 --triples --seed 7",
     "latency --topology rome_2s --state O --level L3 --scope all_pairs --seed 7"
     " --outer 3 --inner 5 --sizes 2 --reducer max",
+] + [
+    f"latency --topology {topo} --state {state} --level {level} --scope local --seed 7"
+    for topo in TOPOLOGY_STATES
+    for state, level in (("M", "L1"), ("S", "L2"))
+] + [
+    "latency --topology rome_2s --state M --level L1 --scope same_ccx --seed 7",
 ] + [
     f"bandwidth --topology {topo} --kernel {kernel} --level {level} --cores {cores}"
     for topo, core_sets in CORE_SETS.items()

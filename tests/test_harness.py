@@ -383,7 +383,7 @@ class TestSweep:
 def _replay_fresh(model, script, placement):
     """The simulator's answer for one point on a fresh protocol model: the
     probe read's source kind and the final map before that read."""
-    pmodel = ProtocolModel.from_topology(model.graph, model.protocol, placement.home_node)
+    pmodel = ProtocolModel.from_topology(model.graph, model.protocol)
     final = verify_script(script, pmodel).state_map
     _, source, _ = apply_event(pmodel, final, CacheEvent(placement.requester, Action.READ))
     return source.kind, final
