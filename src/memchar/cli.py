@@ -36,7 +36,14 @@ from .bandwidth import (
     run_throughput,
     run_triad,
 )
-from .coherence import HELPER_STATES, LEVELS, CoherenceError, CoherenceState, plan_state
+from .coherence import (
+    HELPER_STATES,
+    LEVELS,
+    CoherenceError,
+    CoherenceScript,
+    CoherenceState,
+    plan_state,
+)
 from .harness import MeasurementPolicy, policy_from_env
 from .model import (
     SWITCH_HOP_BASES,
@@ -156,6 +163,33 @@ def _policy_from_args(args) -> tuple[MeasurementPolicy, int, bool]:
     return policy, alignment, huge
 
 
+def _latency_points(graph, placements, state: CoherenceState, protocol, level: str) -> list:
+    """One ``(script, placement)`` point per placement, with the helper
+    :func:`harness.auto_helper` picks for the states that need one.
+
+    ``plan_state`` runs once per pattern of equal cores (requester = owner,
+    helper = requester, helper = owner); the other placements with that
+    pattern get its script on their own cores.
+    """
+    planned: dict[tuple, CoherenceScript] = {}
+    points = []
+    for placement in placements:
+        requester, owner = placement.requester, placement.owner
+        helper = None
+        if state in HELPER_STATES:
+            helper = harness.auto_helper(graph, owner, requester)
+        pattern = (requester == owner, helper == requester, helper == owner)
+        script = planned.get(pattern)
+        if script is None:
+            script = planned[pattern] = plan_state(
+                state, protocol, owner=owner, helper=helper, level=level, requester=requester
+            )
+        else:
+            script = script.on_cores(owner, requester, helper)
+        points.append((script, placement))
+    return points
+
+
 def cmd_latency(args) -> int:
     graph, model = _load_graph_and_model(args)
     policy, alignment, huge = _policy_from_args(args)
@@ -178,24 +212,11 @@ def cmd_latency(args) -> int:
     if not placements:
         raise CliError(f"scope {args.scope!r} yields no placements")
 
-    state = CoherenceState(args.state)
-    protocol = model.protocol
     sizes = harness.level_dataset_bytes(graph, args.level, policy.sizes_per_level)
     chains = [chain_mod.chain_spec(sz, alignment, args.seed, huge) for sz in sizes]
-    points = []
-    for placement in placements:
-        helper = None
-        if state in HELPER_STATES:
-            helper = harness.auto_helper(graph, placement.owner, placement.requester)
-        script = plan_state(
-            state,
-            protocol,
-            owner=placement.owner,
-            helper=helper,
-            level=args.level,
-            requester=placement.requester,
-        )
-        points.append((script, placement))
+    points = _latency_points(
+        graph, placements, CoherenceState(args.state), model.protocol, args.level
+    )
     records = harness.measure_sweep(chains, points, policy, backend)
 
     out = _out_dir(args)

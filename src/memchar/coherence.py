@@ -442,6 +442,35 @@ class CoherenceScript:
     def helper(self) -> Optional[int]:
         return self.worker_cores.get(WorkerRole.HELPER_M)
 
+    def on_cores(
+        self, owner: int, requester: Optional[int], helper: Optional[int]
+    ) -> "CoherenceScript":
+        """This script's steps and target on other workers.  :func:`plan_state`'s
+        steps depend only on which of the requester, owner and helper are
+        the same core, so for workers with this script's pattern of equal
+        cores (and a helper just where it has one) this is the script
+        ``plan_state`` gives for them."""
+        return CoherenceScript(
+            self.steps,
+            self.target_state,
+            self.target_level,
+            self.protocol,
+            _worker_cores(owner, requester, helper),
+        )
+
+
+def _worker_cores(
+    owner: int, requester: Optional[int], helper: Optional[int]
+) -> dict[WorkerRole, int]:
+    """Role -> core: the owner, then the requester and the helper where
+    given."""
+    cores = {WorkerRole.OWNER_N: owner}
+    if requester is not None:
+        cores[WorkerRole.REQUESTER_0] = requester
+    if helper is not None:
+        cores[WorkerRole.HELPER_M] = helper
+    return cores
+
 
 # States plan_state prepares with a helper core next to the owner.
 HELPER_STATES = frozenset({CoherenceState.S, CoherenceState.F, CoherenceState.O})
@@ -484,11 +513,7 @@ def plan_state(
     if needs_helper and helper == owner:
         raise CoherenceError("helper must differ from owner")
 
-    cores: dict[WorkerRole, int] = {WorkerRole.OWNER_N: owner}
-    if requester is not None:
-        cores[WorkerRole.REQUESTER_0] = requester
-    if needs_helper:
-        cores[WorkerRole.HELPER_M] = helper
+    cores = _worker_cores(owner, requester, helper if needs_helper else None)
 
     O, H = WorkerRole.OWNER_N, WorkerRole.HELPER_M
     steps: list[ScriptStep] = []

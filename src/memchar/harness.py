@@ -21,7 +21,9 @@ timings of every point as one float64 array of elapsed cycles per chase,
 shaped (points, outer, sizes, inner).  The overhead/normalization algebra,
 the reduction and the conversion to Python floats run once over that
 array, as numpy operations, so the same arithmetic applies to native and
-simulated runs alike.  That is the only place samples are reduced;
+simulated runs alike.  A point whose minimum sample equals its maximum
+(every simulated point) gets its minimum repeated as its samples, with no
+per-sample conversion.  That is the only place samples are reduced;
 :func:`measure_latency` is the one-point sweep.
 """
 
@@ -239,7 +241,13 @@ def measure_sweep(
     samples = (np.where(excess > 0.0, excess, 0.0) / accesses).reshape(len(points), -1)
     lows, highs, mids = (a.tolist() for a in _order_stats(samples))
     reduced = {"min": lows, "max": highs, "median": mids}[policy.reducer]
-    rows = samples.tolist()
+    # No sample is -0.0 (see above), so a row whose ends are equal holds one
+    # value, bit for bit.
+    width = samples.shape[1]
+    rows = [
+        (lo,) * width if lo == hi else tuple(samples[i].tolist())
+        for i, (lo, hi) in enumerate(zip(lows, highs))
+    ]
     sizes = tuple(c.total_bytes for c in chains)
     huge = all(c.huge_pages for c in chains)
     return [
@@ -253,7 +261,7 @@ def measure_sweep(
             min_cycles=lows[i],
             max_cycles=highs[i],
             median_cycles=mids[i],
-            samples=tuple(rows[i]),
+            samples=rows[i],
             frequency_mhz=backend.frequency_mhz,
             backend=backend.name,
             alignment=chains[0].stride_alignment,

@@ -44,6 +44,7 @@ from .topology import (
     load_topology_file,
     mesh_hops,
     fixture_path,
+    switch_hops_to_memory,
 )
 
 __all__ = [
@@ -118,6 +119,11 @@ class LatencyModel:
         self.triple_base = dict(triple_base or {})
         self.ccx_penalty = ccx_penalty
         self.clean_shared_ram_beyond = clean_shared_ram_beyond
+        # Memos of pure functions of the graph and the parameters above:
+        # locality class per (requester, owner), switch hops per (core,
+        # NUMA node).  They live as long as the model, one CLI run.
+        self._localities: dict[tuple[int, int], str] = {}
+        self._switch_hops_memo: dict[tuple[int, int], int] = {}
         for key, v in self.base.items():
             if v < 0:
                 raise ModelError(f"negative base latency for {key}")
@@ -157,6 +163,12 @@ class LatencyModel:
             ) from None
 
     def locality_class(self, requester: int, owner: int) -> str:
+        locality = self._localities.get((requester, owner))
+        if locality is None:
+            locality = self._localities[requester, owner] = self._locality(requester, owner)
+        return locality
+
+    def _locality(self, requester: int, owner: int) -> str:
         g = self.graph
         if requester == owner:
             return "local"
@@ -173,8 +185,22 @@ class LatencyModel:
             return "remote_socket"
         return "same_snc" if a.numa_node == b.numa_node else "other_snc"
 
+    def _switch_hops(self, core: int, node: int) -> int:
+        hops = self._switch_hops_memo.get((core, node))
+        if hops is None:
+            hops = self._switch_hops_memo[core, node] = switch_hops_to_memory(
+                self.graph, core, node
+            )
+        return hops
+
+    def _extra_switch_hops(self, core: int, node: int) -> int:
+        """:func:`extra_switch_hops`, from memoized switch hops."""
+        return self._switch_hops(core, node) - self._switch_hops(
+            core, self.graph.node_of_core(core)
+        )
+
     def _numa_class(self, requester: int, node: int) -> str:
-        extra = extra_switch_hops(self.graph, requester, node)
+        extra = self._extra_switch_hops(requester, node)
         table = self.numa_class_by_extra_hops
         if extra in table:
             return table[extra]
@@ -183,7 +209,7 @@ class LatencyModel:
             return table[max(table)]
         raise ModelError(f"no distance class for {extra} extra switch hops")
 
-    def _holder_class(
+    def holder_class(
         self, requester: int, forwarder: Optional[int], state: CoherenceState, level: str
     ) -> Optional[str]:
         """Locality class of the core holding the line (the requester when
@@ -230,7 +256,7 @@ class LatencyModel:
                     else self._numa_class(requester, home)
                 )
                 return self._base("RAM", "any", cls)
-            extra = extra_switch_hops(g, requester, home)
+            extra = self._extra_switch_hops(requester, home)
             rt_switch = 2.0 * self.link_cost_core_cycles(LinkClass.IF_SWITCH_HOP.value)
             return self._base("RAM", "any", "remote_socket") + (
                 extra - self.remote_anchor_extra_hops
@@ -274,7 +300,7 @@ class LatencyModel:
         if forwarder is not None and g.node_of_core(forwarder) != home:
             return self._predict_triple(requester, home, forwarder, state, level)
 
-        locality = self._holder_class(requester, forwarder, state, level)
+        locality = self.holder_class(requester, forwarder, state, level)
         if locality is None:
             return self._ram_cycles(requester, home)
         # Past this point a locality other than "local" has a forwarder.
@@ -326,7 +352,7 @@ class LatencyModel:
         """Which memory agent should supply the data ("cache"|"l3"|"ram"),
         for the holder :meth:`predict` charges."""
         state = CoherenceState(state)
-        locality = self._holder_class(requester, forwarder, state, level)
+        locality = self.holder_class(requester, forwarder, state, level)
         if locality is None:
             return "ram"
         if level == "L3":

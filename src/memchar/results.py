@@ -17,7 +17,12 @@ quote, ``\r`` or ``\n`` goes through ``csv.writer``, which quotes such a
 field, so every file is the bytes ``csv.writer`` gives, except that a
 field with a ``\r`` is always quoted: ``csv.writer`` with a ``\n`` line
 end leaves a lone ``\r`` bare, and ``csv.reader`` then ends the row
-there.  A ``;``-joined float column formats each distinct value once.
+there.  A ``;``-joined float column formats each distinct value once, and
+a column of one repeated value (a simulated point's samples) formats it
+once and repeats the text.  The fields every record of a sweep shares
+(backend, state, level, sizes, frequency, reducer, alignment, huge pages,
+seed, overhead) are formatted once per run of records holding the same
+objects for them, which keeps 0.0 and -0.0 apart.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,14 +98,16 @@ def _f(x: float) -> str:
     return repr(float(x))
 
 
-def _join_f(values) -> str:
+def _join_f(values: tuple) -> str:
     """``;``-joined reprs, each distinct value formatted once.  Equal floats
     share one repr, except 0.0 and -0.0, which take the per-value path."""
+    first = values[0] if values else 0.0
+    if first != 0.0 and values.count(first) == len(values):
+        text = _f(first)
+        return (text + ";") * (len(values) - 1) + text
     text = {v: _f(v) for v in set(values)}
     if 0.0 in text:
         return ";".join(map(_f, values))
-    if len(text) == 1:
-        return ";".join([*text.values()] * len(values))
     return ";".join(map(text.__getitem__, values))
 
 
@@ -183,31 +191,55 @@ class ResultSet:
     # -- latency ----------------------------------------------------------
 
     @staticmethod
-    def _latency_row(r: MeasurementRecord) -> list[str]:
+    def _latency_row(r: MeasurementRecord, shared: tuple) -> list[str]:
+        """The row of ``r``, given the texts of the fields it shares with the
+        other records of its sweep (see :meth:`_latency_rows`)."""
+        backend, state, level, nbytes, mhz, reducer, sizes, alignment, huge, seed, overhead = (
+            shared
+        )
         p = r.placement
         return [
-            r.backend,
+            backend,
             str(p.requester),
             str(p.owner),
             str(p.home_node),
             "" if p.forwarder_node is None else str(p.forwarder_node),
-            r.state,
-            r.level,
-            str(r.dataset_bytes),
+            state,
+            level,
+            nbytes,
             _join_f(r.samples),
             _f(r.min_cycles),
             _f(r.max_cycles),
             _f(r.median_cycles),
-            _f(r.frequency_mhz),
+            mhz,
             _f(r.latency_cycles),
-            r.reducer,
-            _join_i(r.dataset_sizes),
-            str(r.alignment),
-            "1" if r.huge_pages else "0",
-            str(r.seed),
-            _f(r.overhead_cycles),
+            reducer,
+            sizes,
+            alignment,
+            huge,
+            seed,
+            overhead,
             p.label,
         ]
+
+    @classmethod
+    def _latency_rows(cls, records) -> list[list[str]]:
+        """Every record's row.  The fields every record of a sweep shares are
+        formatted again only where a record's values for them are not the
+        previous record's objects: the same object has the same text, and
+        0.0 and -0.0 stay apart."""
+        rows, values, texts = [], (), ()
+        for r in records:
+            mine = (r.backend, r.state, r.level, r.dataset_bytes, r.frequency_mhz, r.reducer,
+                    r.dataset_sizes, r.alignment, r.huge_pages, r.seed, r.overhead_cycles)
+            if not (values and all(map(operator.is_, mine, values))):
+                values = mine
+                texts = (r.backend, r.state, r.level, str(r.dataset_bytes),
+                         _f(r.frequency_mhz), r.reducer, _join_i(r.dataset_sizes),
+                         str(r.alignment), "1" if r.huge_pages else "0", str(r.seed),
+                         _f(r.overhead_cycles))
+            rows.append(cls._latency_row(r, texts))
+        return rows
 
     @staticmethod
     def _latency_record(row: dict) -> MeasurementRecord:
@@ -281,7 +313,7 @@ class ResultSet:
         rows = (
             [self._bandwidth_row(r) for r in self.records]
             if self.kind == "bandwidth"
-            else [self._latency_row(r) for r in self.records]
+            else self._latency_rows(self.records)
         )
         text = "".join(map(_csv_line, [cols, *rows]))
         with open(path, "w", newline="") as fh:

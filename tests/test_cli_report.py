@@ -38,6 +38,14 @@ ONE = MeasurementPolicy(inner_repeats=1, outer_repeats=1, sizes_per_level=1)
 # Text fields csv.writer must quote, and the empty field.
 _AWKWARD = st.lists(st.sampled_from([",", '"', "\r\n", "\n", "a", " "]), max_size=5).map("".join)
 
+# Sample rows: one value repeated, among them values whose reprs are easy to
+# get wrong, or any floats.
+_ROW_VALUES = st.sampled_from([0.0, -0.0, float("nan"), float("inf"), 5e-324, 220.0])
+_SAMPLE_ROWS = st.one_of(
+    st.builds(lambda v, n: (v,) * n, _ROW_VALUES, st.integers(1, 130)),
+    st.lists(st.one_of(_ROW_VALUES, st.floats()), min_size=1, max_size=130).map(tuple),
+)
+
 
 @pytest.fixture(scope="module")
 def rome_records():
@@ -76,14 +84,15 @@ def _awkward_result_sets(records, texts):
 
 def _written_like_csv_writer(rs, path) -> bool:
     rs.to_csv(path)
-    cols, row = (
-        (BANDWIDTH_COLUMNS, ResultSet._bandwidth_row) if rs.kind == "bandwidth"
-        else (LATENCY_COLUMNS, ResultSet._latency_row)
+    cols, rows = (
+        (BANDWIDTH_COLUMNS, map(ResultSet._bandwidth_row, rs.records))
+        if rs.kind == "bandwidth"
+        else (LATENCY_COLUMNS, ResultSet._latency_rows(rs.records))
     )
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(cols)
-    writer.writerows(map(row, rs.records))
+    writer.writerows(rows)
     return path.read_bytes() == expected.getvalue().encode()
 
 
@@ -115,6 +124,46 @@ class TestResultSet:
         assert _join_f((-0.0,) * 3) == "-0.0;-0.0;-0.0"
         assert _join_f((0.0, -0.0, -0.0, 0.0)) == "0.0;-0.0;-0.0;0.0"
         assert _join_f((-0.0, 2.5, 0.0)) == "-0.0;2.5;0.0"
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.lists(_SAMPLE_ROWS, min_size=1, max_size=6))
+    def test_sample_rows_write_each_value_s_repr(self, rome_records, tmp_path_factory, rows):
+        records = [dataclasses.replace(r, samples=row) for r, row in zip(rome_records, rows)]
+        path = tmp_path_factory.mktemp("csv") / "r.csv"
+        ResultSet(records).to_csv(path)
+        with open(path, newline="") as fh:
+            written = [line["samples"] for line in csv.DictReader(fh)]
+        assert written == [";".join(map(repr, row)) for row in rows]
+        back = ResultSet.from_csv(path).records
+        assert [list(map(repr, r.samples)) for r in back] == [list(map(repr, row)) for row in rows]
+
+    def test_sweep_fields_are_each_record_s_own(self, rome_records, tmp_path):
+        # Consecutive records whose shared fields differ, 0.0 against -0.0
+        # included, or are equal but other objects.
+        changes = [
+            {},
+            {"overhead_cycles": -0.0},
+            {"overhead_cycles": 0.0, "frequency_mhz": float("2500.5")},
+            {"frequency_mhz": float("2500.5"), "seed": 8, "reducer": "median"},
+            {"backend": "other", "state": "E", "level": "L3", "alignment": 64},
+            {"dataset_bytes": 4096, "dataset_sizes": (4096,), "huge_pages": False},
+            {},
+        ]
+        records = [dataclasses.replace(r, **c) for r, c in zip(rome_records, changes)]
+        path = tmp_path / "r.csv"
+        ResultSet(records).to_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row, r in zip(rows, records, strict=True):
+            assert row["overhead_cycles"] == repr(r.overhead_cycles)
+            assert row["freq_mhz"] == repr(r.frequency_mhz)
+            assert (row["backend"], row["state"], row["level"], row["reducer"]) == (
+                r.backend, r.state, r.level, r.reducer)
+            assert (row["bytes"], row["sizes"], row["alignment"], row["huge_pages"],
+                    row["seed"]) == (str(r.dataset_bytes), ";".join(map(str, r.dataset_sizes)),
+                                     str(r.alignment), "1" if r.huge_pages else "0",
+                                     str(r.seed))
+        assert ResultSet.from_csv(path).records == records
 
     @settings(max_examples=80, deadline=None)
     @given(texts=st.lists(st.tuples(_AWKWARD, _AWKWARD, _AWKWARD), min_size=1, max_size=5))

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memchar import cli
 from memchar.backends import ScriptPlacementError, SimulatedBackend
 from memchar.chain import chain_spec, generate_chain
 from memchar.coherence import (
-    Action, CacheEvent, ProtocolModel, WorkerRole, apply_event, plan_state,
+    Action, CacheEvent, CoherenceState, ProtocolModel, WorkerRole, apply_event, plan_state,
     verify_script,
 )
 from memchar.harness import (
@@ -191,6 +192,26 @@ class TestSampleArray:
             assert (rec.min_cycles, rec.max_cycles, rec.median_cycles) == (
                 ordered[0], ordered[-1], ordered[(len(ordered) - 1) // 2]
             )
+
+    def test_constant_and_mixed_rows_are_tuples_of_python_floats(self):
+        # A point whose every chase took v cycles per access, for values
+        # whose reprs are easy to get wrong, then a point with mixed samples.
+        values = (0.0, 5e-324, 220.0, float("inf"))
+        counts = [c.element_count for c in self.CHAINS]
+        constant = [[[[v * n] * 3 for n in counts]] * 4 for v in values]
+        mixed = [[[[1.0 + i + j for j in range(3)] for i in range(2)]] * 4]
+        points = [(self.SCRIPT, self.LOCAL)] * (len(values) + 1)
+        records = measure_sweep(self.CHAINS, points, self.POLICY,
+                                ReplayBackend(constant + mixed))
+        for rec, v in zip(records, values):
+            assert type(rec.samples) is tuple and len(rec.samples) == 24
+            assert all(type(x) is float for x in rec.samples)
+            assert list(map(repr, rec.samples)) == [repr(v)] * 24
+            assert (rec.min_cycles, rec.max_cycles, rec.median_cycles) == (v, v, v)
+        last = records[-1].samples
+        assert type(last) is tuple and all(type(x) is float for x in last)
+        assert last == tuple((1.0 + i + j) / n for i, n in enumerate(counts)
+                             for j in range(3)) * 4
 
     @pytest.mark.parametrize("shape", [(4, 1, 3), (4, 2), (1, 4, 2, 3), (3, 2, 4)])
     def test_misshapen_backend_grid_rejected(self, shape):
@@ -491,6 +512,120 @@ class TestCoherenceClassMemo:
         assert backend._class_key(script, placement) is None
         with pytest.raises(ScriptPlacementError, match="core 999 not in model"):
             backend.prepare(script, placement)
+
+
+def _direct_script(model, state, level, p):
+    helper = auto_helper(model.graph, p.owner, p.requester) if state in "OSF" else None
+    return plan_state(state, model.protocol, owner=p.owner, helper=helper, level=level,
+                      requester=p.requester)
+
+
+def _oracle_per_access(topology, state, level, placements):
+    """Each point's cycles per access, every point worked out alone: its own
+    plan_state script, a replay on a fresh protocol model, and the source
+    kind and prediction of a freshly loaded model; or, at the first point
+    that fails, (values so far, that point's error message)."""
+    values = []
+    for p in placements:
+        model = load_fixture_model(topology)
+        script = _direct_script(model, state, level, p)
+        try:
+            kind, _ = _replay_fresh(model, script, p)
+        except Exception as exc:
+            return values, f"state preparation failed: {exc}"
+        forwarder = None if p.owner == p.requester else p.owner
+        expected = model.expected_source_kind(p.requester, forwarder, script.target_state, level)
+        if kind != expected:
+            return values, (f"simulator sourced {state}@{level} from {kind}, "
+                            f"model expects {expected}")
+        values.append(model.predict(p.requester, p.home_node, forwarder, state, level))
+    return values, None
+
+
+class TestPerClassSweep:
+    POLICY = MeasurementPolicy(inner_repeats=2, outer_repeats=1, sizes_per_level=2)
+    CHAINS = [chain_spec(64 * 7, 64, seed=1), chain_spec(64 * 13, 64, seed=1)]
+
+    @pytest.mark.parametrize("topology", ["rome_2s", "clx_2s"])
+    def test_reused_scripts_equal_plan_state_scripts(self, topology):
+        model = load_fixture_model(topology)
+        for state, level, placements in _sweeps(model):
+            points = cli._latency_points(model.graph, placements, CoherenceState(state),
+                                         model.protocol, level)
+            assert [p for _, p in points] == placements
+            for script, p in points:
+                direct = _direct_script(model, state, level, p)
+                assert script == direct, (state, level, p)
+                assert list(script.worker_cores.items()) == list(direct.worker_cores.items())
+
+    @pytest.mark.parametrize("topology", ["rome_2s", "clx_2s"])
+    def test_sweep_values_equal_a_per_point_oracle(self, topology):
+        # One backend for every sweep, as if one run made them all.
+        model = load_fixture_model(topology)
+        backend = SimulatedBackend(model)
+        counts = [c.element_count for c in self.CHAINS]
+        for state, level, placements in _sweeps(model):
+            points = cli._latency_points(model.graph, placements, CoherenceState(state),
+                                         model.protocol, level)
+            values, failure = _oracle_per_access(topology, state, level, placements)
+            if failure is not None:
+                with pytest.raises(ScriptPlacementError) as err:
+                    backend.run_sweep(self.CHAINS, points, self.POLICY)
+                assert str(err.value) == failure
+                continue
+            got = backend.run_sweep(self.CHAINS, points, self.POLICY).tolist()
+            want = [[[[v * n] * 2 for n in counts]] for v in values]
+            assert got == want, (state, level, placements[0].label)
+
+    def test_a_known_class_is_checked_again_for_another_holder_locality(self):
+        # clx_2s M@L2: a holder in another SNC and one on the other socket
+        # are the same coherence class; the model disagrees on the second.
+        model = load_fixture_model("clx_2s")
+        backend = SimulatedBackend(model)
+        placements = [Placement(0, 10, 1), Placement(0, 20, 2)]
+        (first, p1), (second, p2) = cli._latency_points(
+            model.graph, placements, CoherenceState.M, model.protocol, "L2")
+        assert backend._class_key(first, p1) == backend._class_key(second, p2)
+        expected = model.expected_source_kind
+        model.expected_source_kind = lambda r, f, s, lv: (
+            "l3" if model.locality_class(r, f) == "remote_socket" else expected(r, f, s, lv))
+        backend.prepare(first, p1)
+        backend.prepare(first, p1)
+        with pytest.raises(ScriptPlacementError, match="from cache, model expects l3"):
+            backend.prepare(second, p2)
+
+    @pytest.mark.parametrize("topology", ["rome_2s", "clx_2s"])
+    def test_a_run_plans_and_replays_at_most_once_per_class(self, topology, tmp_path,
+                                                             monkeypatch):
+        import memchar.backends
+
+        calls = {"plan": 0, "verify": 0, "prepare": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(cli, "plan_state", counted("plan", cli.plan_state))
+        monkeypatch.setattr(memchar.backends, "verify_script",
+                            counted("verify", memchar.backends.verify_script))
+        monkeypatch.setattr(SimulatedBackend, "prepare",
+                            counted("prepare", SimulatedBackend.prepare))
+        model = load_fixture_model(topology)
+        placements = enumerate_placements(model.graph, "all_pairs")
+        keys = SimulatedBackend(model)
+        for state in model.protocol.value:
+            for level in LEVELS:
+                classes = {keys._class_key(_direct_script(model, state, level, p), p)
+                           for p in placements}
+                calls.update(plan=0, verify=0, prepare=0)
+                assert cli.main(["latency", "--topology", topology, "--state", state,
+                                 "--level", level, "--scope", "all_pairs",
+                                 "--out", str(tmp_path)]) == 0
+                assert 0 < calls["plan"] <= len(classes) < len(placements)
+                assert 0 < calls["verify"] <= len(classes)
+                assert calls["prepare"] == len(placements)
 
 
 class TestFlushPlan:
