@@ -54,7 +54,7 @@ from .model import (
     switch_hop_template,
 )
 from .plots import PlotError, emit_plot
-from .results import ResultError, ResultSet, RunManifest
+from .results import ResultError, ResultSet, RunManifest, write_output
 from .topology import (
     PlacementScope,
     TopologyError,
@@ -323,10 +323,9 @@ def cmd_model_fit(args) -> int:
     obs = _observations_from_csv(_input_file(args.input), graph)
     result = fit(switch_hop_template(graph, args.template), obs)
     out = _out_dir(args)
-    (out / "fitted_params.json").write_text(
-        json.dumps(result.params, indent=1, sort_keys=True) + "\n"
-    )
-    (out / "residuals.txt").write_text(result.report())
+    write_output(out / "fitted_params.json",
+                 json.dumps(result.params, indent=1, sort_keys=True) + "\n")
+    write_output(out / "residuals.txt", result.report())
     print(result.report())
     return EXIT_OK
 

@@ -44,7 +44,6 @@ from .topology import (
     load_topology_file,
     mesh_hops,
     fixture_path,
-    switch_hops_to_memory,
 )
 
 __all__ = [
@@ -119,11 +118,10 @@ class LatencyModel:
         self.triple_base = dict(triple_base or {})
         self.ccx_penalty = ccx_penalty
         self.clean_shared_ram_beyond = clean_shared_ram_beyond
-        # Memos of pure functions of the graph and the parameters above:
-        # locality class per (requester, owner), switch hops per (core,
-        # NUMA node).  They live as long as the model, one CLI run.
+        # Memo of a pure function of the graph and the parameters above:
+        # locality class per (requester, owner).  It lives as long as the
+        # model, one CLI run.
         self._localities: dict[tuple[int, int], str] = {}
-        self._switch_hops_memo: dict[tuple[int, int], int] = {}
         for key, v in self.base.items():
             if v < 0:
                 raise ModelError(f"negative base latency for {key}")
@@ -185,22 +183,8 @@ class LatencyModel:
             return "remote_socket"
         return "same_snc" if a.numa_node == b.numa_node else "other_snc"
 
-    def _switch_hops(self, core: int, node: int) -> int:
-        hops = self._switch_hops_memo.get((core, node))
-        if hops is None:
-            hops = self._switch_hops_memo[core, node] = switch_hops_to_memory(
-                self.graph, core, node
-            )
-        return hops
-
-    def _extra_switch_hops(self, core: int, node: int) -> int:
-        """:func:`extra_switch_hops`, from memoized switch hops."""
-        return self._switch_hops(core, node) - self._switch_hops(
-            core, self.graph.node_of_core(core)
-        )
-
     def _numa_class(self, requester: int, node: int) -> str:
-        extra = self._extra_switch_hops(requester, node)
+        extra = extra_switch_hops(self.graph, requester, node)
         table = self.numa_class_by_extra_hops
         if extra in table:
             return table[extra]
@@ -256,7 +240,7 @@ class LatencyModel:
                     else self._numa_class(requester, home)
                 )
                 return self._base("RAM", "any", cls)
-            extra = self._extra_switch_hops(requester, home)
+            extra = extra_switch_hops(self.graph, requester, home)
             rt_switch = 2.0 * self.link_cost_core_cycles(LinkClass.IF_SWITCH_HOP.value)
             return self._base("RAM", "any", "remote_socket") + (
                 extra - self.remote_anchor_extra_hops

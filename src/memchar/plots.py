@@ -4,6 +4,12 @@ Plots are derived artifacts; the plot-data text file written next to each
 SVG contains exactly the plotted numbers and is the contract downstream
 tooling should parse.  SVG output is deterministic text with no external
 dependencies.
+
+Both files are written with :func:`memchar.results.write_output`, which
+overwrites a file from a previous report in place instead of truncating
+it (on ext4 a truncating rewrite costs about ten times as much; see the
+``results`` module).  Nothing is fsynced, and a crash mid-write can leave
+the new text followed by the tail of the old file.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .harness import MeasurementRecord
+from .results import write_output
 
 __all__ = ["PlotError", "PlotData", "emit_plot", "build_plot_data"]
 
@@ -262,6 +269,6 @@ def emit_plot(
     base = Path(out_base)
     svg_path = base.with_suffix(".svg")
     txt_path = base.with_suffix(".txt")
-    svg_path.write_text(svg)
-    txt_path.write_text(data.to_text())
+    write_output(svg_path, svg)
+    write_output(txt_path, data.to_text())
     return svg_path, txt_path

@@ -11,7 +11,21 @@ those variables, so on the simulated backend it reproduces the CSVs byte
 for byte.  Floats are serialized with ``repr`` (shortest round-trip form),
 so parse(write(x)) is the identity.
 
-A result file is written with one ``open`` and one write.  Each row is
+Every output file the package writes (result CSVs, manifests, plots and
+their data, fit parameters and residuals) goes through
+:func:`write_output`, which overwrites the file in place: it opens without
+``O_TRUNC``, writes from offset 0 and cuts the file with ``ftruncate`` only
+when its size differs.  Runs are repeated into the same ``--out``, so most
+writes replace a file already on disk, and on ext4 a truncating open of
+one frees its blocks and makes ``close`` start writeback
+(``auto_da_alloc``).  Rewriting files of 0.6-2.5 KB on an ext4 root (2-vCPU
+KVM guest, median per file over 400 files, several runs) took 66-204 us
+truncating, 9-17 us in place, 87-242 us to unlink and create, and 251-490
+us through a temporary file and ``os.replace``.  Nothing is fsynced.  A
+crash mid-write can leave the new bytes followed by the tail of the old
+file, where a truncating write could leave a truncated file.
+
+A result file is written with one ``write_output`` call.  Each row is
 its fields joined by commas; a row with a field that holds a comma, a
 quote, ``\r`` or ``\n`` goes through ``csv.writer``, which quotes such a
 field, so every file is the bytes ``csv.writer`` gives, except that a
@@ -46,6 +60,7 @@ __all__ = [
     "ResultSet",
     "LATENCY_COLUMNS",
     "BANDWIDTH_COLUMNS",
+    "write_output",
 ]
 
 SCHEMA_VERSION = 1
@@ -92,6 +107,29 @@ BANDWIDTH_COLUMNS = [
 
 class ResultError(Exception):
     pass
+
+
+def write_output(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path``: the bytes ``open(path, "w",
+    newline="").write(text)`` leaves, UTF-8 encoded, without truncating
+    first.
+
+    The file is opened without ``O_TRUNC`` (created with mode 0o666 under
+    the umask, like ``open``), overwritten from offset 0, and cut with
+    ``ftruncate`` only when its size then differs.  Nothing is fsynced: a
+    crash mid-write can leave new bytes followed by the old file's tail,
+    where a truncating write would leave a truncated file.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        if os.fstat(fd).st_size != len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _f(x: float) -> str:
@@ -163,7 +201,7 @@ class RunManifest:
 
     def save(self, path: str | Path) -> None:
         doc = {"argv": self.argv, "environment": self.environment}
-        Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        write_output(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
@@ -315,9 +353,7 @@ class ResultSet:
             if self.kind == "bandwidth"
             else self._latency_rows(self.records)
         )
-        text = "".join(map(_csv_line, [cols, *rows]))
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        write_output(path, "".join(map(_csv_line, [cols, *rows])))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ResultSet":

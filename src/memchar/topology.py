@@ -155,12 +155,6 @@ class Path:
     def count(self, link_class: LinkClass) -> int:
         return sum(1 for c in self.link_classes if c is link_class)
 
-    def switch_count(self, graph: "TopologyGraph") -> int:
-        """Number of interconnect-switch nodes traversed."""
-        return sum(
-            1 for n in self.nodes if graph.nodes[n].role is NodeRole.IF_SWITCH
-        )
-
 
 @dataclass(frozen=True)
 class Placement:
@@ -192,7 +186,8 @@ class TopologyGraph:
       :meth:`memory_controller` are lookups (list and dict results are
       fresh copies a caller may change);
     * on the first route query, the costed adjacency :func:`if_path` walks,
-      and per source node, the shortest-path tree it reads routes from.
+      and per source node, the shortest-path tree that :func:`if_path` reads
+      routes from and :func:`switch_hops_to_memory` counts switches along.
     """
 
     def __init__(
@@ -657,8 +652,9 @@ def mesh_hops(graph: TopologyGraph, a: TopoNode | str, b: TopoNode | str) -> int
     return abs(na.row - nb.row) + abs(na.col - nb.col)
 
 
-def if_path(graph: TopologyGraph, a: TopoNode | str, b: TopoNode | str) -> Path:
-    """Minimum-cost route through the interconnect fabric.
+def if_path(graph: TopologyGraph, a: str, b: str) -> Path:
+    """Minimum-cost route through the interconnect fabric between two node
+    ids.
 
     Uses per-link-class costs; ties broken by lexicographic node id so output
     is deterministic.  A path crossing sockets traverses exactly one xGMI
@@ -666,26 +662,31 @@ def if_path(graph: TopologyGraph, a: TopoNode | str, b: TopoNode | str) -> Path:
     CCX-CCX edges by construction).  The route is read from the source's
     shortest-path tree, searched once per graph and source.
     """
-    if graph.kind is not GraphKind.CHIPLET_IF:
-        raise ScopeError("if_path requires a chiplet_if graph")
-    na = graph.nodes[a] if isinstance(a, str) else a
-    nb = graph.nodes[b] if isinstance(b, str) else b
-    if na.id == nb.id:
-        return Path(nodes=(na.id,), link_classes=())
-    prev = graph._route_trees.get(na.id)
-    if prev is None:
-        prev = graph._route_trees[na.id] = _shortest_path_tree(graph, na.id)
-    if nb.id not in prev:
-        raise RouteError(f"no route from {na.id} to {nb.id} (malformed graph)")
-    rev_nodes = [nb.id]
+    prev = _route_tree(graph, a, b)
+    rev_nodes = [b]
     rev_classes = []
-    cur = nb.id
-    while cur != na.id:
+    cur = b
+    while cur != a:
         p, link_class = prev[cur]
         rev_classes.append(link_class)
         rev_nodes.append(p)
         cur = p
     return Path(nodes=tuple(reversed(rev_nodes)), link_classes=tuple(reversed(rev_classes)))
+
+
+def _route_tree(
+    graph: TopologyGraph, source: str, target: str
+) -> dict[str, tuple[str, LinkClass]]:
+    """The memoized shortest-path tree of ``source``, checked to reach
+    ``target``."""
+    if graph.kind is not GraphKind.CHIPLET_IF:
+        raise ScopeError("if_path requires a chiplet_if graph")
+    prev = graph._route_trees.get(source)
+    if prev is None:
+        prev = graph._route_trees[source] = _shortest_path_tree(graph, source)
+    if target != source and target not in prev:
+        raise RouteError(f"no route from {source} to {target} (malformed graph)")
+    return prev
 
 
 def _shortest_path_tree(graph: TopologyGraph, source: str) -> dict[str, tuple[str, LinkClass]]:
@@ -727,9 +728,17 @@ def _shortest_path_tree(graph: TopologyGraph, source: str) -> dict[str, tuple[st
 
 
 def switch_hops_to_memory(graph: TopologyGraph, core_id: int, numa_node: int) -> int:
-    """Switches traversed from a core to a node's memory controller."""
-    p = if_path(graph, graph.core(core_id).id, graph.memory_controller(numa_node).id)
-    return p.switch_count(graph)
+    """Switches traversed from a core to a node's memory controller: the
+    switch nodes on the :func:`if_path` route, counted along the source's
+    route tree without building the route."""
+    source = graph.core(core_id).id
+    cur = graph.memory_controller(numa_node).id
+    prev = _route_tree(graph, source, cur)
+    switches = 0
+    while cur != source:
+        cur = prev[cur][0]
+        switches += graph.nodes[cur].role is NodeRole.IF_SWITCH
+    return switches
 
 
 def extra_switch_hops(graph: TopologyGraph, core_id: int, numa_node: int) -> int:

@@ -1,9 +1,10 @@
 """Test oracles: fake clock backends, a synthetic protocol model, each
-protocol's states and the single-owner invariant."""
+protocol's states, the single-owner invariant and a route's switch count."""
 
 import numpy as np
 
 from memchar.coherence import OWNERSHIP_STATES, CoherenceState, ProtocolModel
+from memchar.topology import NodeRole
 
 
 def protocol_model(protocol, cores, cores_per_domain=4) -> ProtocolModel:
@@ -61,3 +62,9 @@ def protocol_states(protocol) -> tuple:
 def check_single_owner(state_map) -> bool:
     """At most one cache system-wide holds the line in M, E, O, or F."""
     return sum(k != "mem" and v.state in OWNERSHIP_STATES for k, v in state_map.items()) <= 1
+
+
+def switch_count(graph, path) -> int:
+    """Interconnect-switch nodes on ``path`` (an ``if_path`` route): the
+    reference ``switch_hops_to_memory`` must equal."""
+    return sum(1 for n in path.nodes if graph.nodes[n].role is NodeRole.IF_SWITCH)

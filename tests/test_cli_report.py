@@ -7,6 +7,8 @@ import dataclasses
 import io
 import json
 import os
+import shutil
+import stat
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from memchar.results import (
     ResultError,
     ResultSet,
     RunManifest,
+    write_output,
 )
 from memchar.topology import Placement, TopologyError, enumerate_placements, fixture_path
 from oracles import protocol_states
@@ -94,6 +97,71 @@ def _written_like_csv_writer(rs, path) -> bool:
     writer.writerow(cols)
     writer.writerows(rows)
     return path.read_bytes() == expected.getvalue().encode()
+
+
+def _written_by_open(path, text):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+class TestWriteOutput:
+    """``write_output`` leaves the bytes a truncating text-mode write leaves."""
+
+    CASES = {
+        "new-file": (None, "backend,requester\nsim,0\n"),
+        "longer-file-before": ("x" * 5000 + "\n", "short\r\n"),
+        "shorter-file-before": ("a\n", "a longer line of text\n" * 300),
+        "equal-length-other-bytes": ("abcdef\n", "ghijkl\n"),
+        "empty-text": ("old contents\n", ""),
+        "non-ascii": ("some old text\n", "\u00b5s \u2264 1\n"),
+    }
+
+    @pytest.mark.parametrize("before, text", CASES.values(), ids=CASES.keys())
+    def test_bytes_equal_a_truncating_write(self, before, text, tmp_path):
+        ours, ref = tmp_path / "ours", tmp_path / "ref"
+        if before is not None:
+            ours.write_bytes(before.encode())
+            ref.write_bytes(before.encode())
+        write_output(ours, text)
+        _written_by_open(ref, text)
+        assert ours.read_bytes() == ref.read_bytes() == text.encode("utf-8")
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002, 0o000], ids=oct)
+    def test_mode_bits_equal_open_s(self, umask, tmp_path):
+        old = os.umask(umask)
+        try:
+            write_output(tmp_path / "ours", "x\n")
+            _written_by_open(tmp_path / "ref", "x\n")
+        finally:
+            os.umask(old)
+        modes = {stat.S_IMODE((tmp_path / n).stat().st_mode) for n in ("ours", "ref")}
+        assert modes == {0o666 & ~umask}
+        # An existing file keeps its mode.
+        (tmp_path / "ours").chmod(0o640)
+        write_output(tmp_path / "ours", "longer text\n")
+        assert stat.S_IMODE((tmp_path / "ours").stat().st_mode) == 0o640
+
+    def test_writes_through_a_symlink(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("the old and longer contents\n")
+        link.symlink_to(target)
+        write_output(link, "new\n")
+        assert link.is_symlink()
+        assert target.read_bytes() == b"new\n"
+        dangling = tmp_path / "dangling.csv"
+        dangling.symlink_to(tmp_path / "created.csv")
+        write_output(dangling, "made\n")
+        assert (tmp_path / "created.csv").read_bytes() == b"made\n"
+
+    @pytest.mark.parametrize("name, error", [
+        ("a-directory", IsADirectoryError), ("absent/out.csv", FileNotFoundError),
+    ], ids=["directory", "missing-parent"])
+    def test_errors_equal_open_s(self, name, error, tmp_path):
+        (tmp_path / "a-directory").mkdir()
+        with pytest.raises(error):
+            _written_by_open(tmp_path / name, "x")
+        with pytest.raises(error):
+            write_output(tmp_path / name, "x")
 
 
 class TestResultSet:
@@ -653,6 +721,61 @@ class TestCli:
         assert RunManifest.load(run / "manifest.json").command == "model-fit"
         assert main(["replay", "--manifest", str(run / "manifest.json")]) == 2
         assert "cannot be replayed" in capsys.readouterr().err
+
+    LATENCY = ("latency --topology rome_2s --scope {} --state M --level L2 "
+               "--outer 1 --inner 1 --sizes 1 --out {{out}}")
+    LADDER = "bandwidth --topology rome_2s --kernel read256 --cores 0,1,2,3 --level L1 --out {out}"
+    # (subcommand, a run giving longer files, a run giving shorter files of
+    # the same names); {in} holds an all_pairs and a same_ccx latency run.
+    RERUNS = [
+        ("latency", LATENCY.format("all_pairs"), LATENCY.format("same_ccx")),
+        ("bandwidth", LADDER, "bandwidth --topology rome_2s --cores 0 --bytes 16384 --out {out}"),
+        ("triad", LADDER, "triad --topology rome_2s --bytes 1048576 --out {out}"),
+        ("report",
+         "report --input {in}/all_pairs/results.csv --name fig --title a-longer-title "
+         "--out {out}",
+         "report --input {in}/same_ccx/results.csv --x owner --name fig --out {out}"),
+        ("replay",
+         "replay --manifest {in}/all_pairs/manifest.json --out {out}",
+         "replay --manifest {in}/same_ccx/manifest.json --out {out}"),
+        ("model-fit",
+         "model-fit --topology rome_2s --input {fixtures}/fig9a_rome_anchors.csv "
+         "--template remote_socket --out {out}",
+         "model-fit --topology rome_2s --input {fixtures}/table2_rome.csv --out {out}"),
+    ]
+
+    @pytest.mark.parametrize("long, short", [r[1:] for r in RERUNS],
+                             ids=[r[0] for r in RERUNS])
+    def test_rerun_into_the_same_directory_equals_a_fresh_run(self, long, short, tmp_path):
+        inputs, out = tmp_path / "in", tmp_path / "out"
+        for scope in ("all_pairs", "same_ccx"):
+            assert main(self.LATENCY.format(scope).format(out=inputs / scope).split()) == 0
+        names = {"in": inputs, "out": out, "fixtures": fixture_path("rome_2s.json").parent}
+
+        def run(argv):
+            out.mkdir(exist_ok=True)
+            assert main(argv.format(**names).split()) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        before = run(long)
+        rerun = run(short)
+        shutil.rmtree(out)
+        fresh = run(short)
+        assert rerun == fresh
+        # Every file shrank, so a stale tail of the first run would show.
+        assert all(len(fresh[name]) < len(before[name]) for name in fresh)
+
+    @pytest.mark.parametrize("argv, name", [
+        ("triad --topology rome_2s --bytes 1048576", "bandwidth.csv"),
+        ("triad --topology rome_2s --bytes 1048576", "manifest.json"),
+        ("model-fit --topology rome_2s --input {fixtures}/table2_rome.csv", "residuals.txt"),
+    ], ids=["csv", "manifest", "fit"])
+    def test_output_path_that_is_a_directory_is_backend_error(self, argv, name, tmp_path,
+                                                              capsys):
+        (tmp_path / name).mkdir()
+        argv = argv.format(fixtures=fixture_path("rome_2s.json").parent).split()
+        assert main(argv + ["--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().err.startswith("backend error: [Errno 21] Is a directory")
 
     def test_bandwidth_cli(self, tmp_path):
         code = main([

@@ -1,8 +1,9 @@
 """Every module-level import in ``src/memchar`` is used or re-exported, every
 module-level def and class there has a caller in ``src/`` or ``bench/``, every
-class member there has a reader in ``src/`` or ``bench/``, and only
-``topology.py`` reads a topology's raw ``caches`` sizes.  Also checks the
-line counter in ``tools/sloc.py``."""
+class member there has a reader in ``src/`` or ``bench/``, only
+``topology.py`` reads a topology's raw ``caches`` sizes, and only
+``results.write_output`` (and the kernel build) writes files.  Also checks
+the line counter in ``tools/sloc.py``."""
 
 import ast
 import builtins
@@ -70,6 +71,110 @@ def test_cache_sizes_read_only_through_the_topology(path):
 def test_scan_flags_a_caches_read():
     assert caches_reads("x = 1\nkib = graph.caches['l1_kib']\n") == [2]
 
+
+# Where src/ may write a file: the one output writer, and the kernel build,
+# which publishes its shared object with an atomic rename so that a
+# half-written library is never loaded.
+WRITERS = {"results.py": "write_output", "native.py": "build_kernels"}
+# os.open flags that do not write; any other flag, or one the scan cannot
+# name, counts as a write.
+READ_FLAGS = {"O_RDONLY", "O_CLOEXEC", "O_NOFOLLOW", "O_DIRECTORY", "O_NONBLOCK", "O_PATH"}
+
+
+def _argument(call, index: int, keyword: str):
+    for kw in call.keywords:
+        if kw.arg == keyword:
+            return kw.value
+    return call.args[index] if len(call.args) > index else None
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether ``call`` writes a file: ``write_text``/``write_bytes``, an
+    ``open`` whose mode writes (or cannot be read), or an ``os.open`` with a
+    write flag."""
+    f = call.func
+    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+    module = f.value.id if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) else None
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name == "open" and module == "os":
+        flags = _argument(call, 1, "flags")
+        named = {n.attr if isinstance(n, ast.Attribute) else n.id
+                 for n in ast.walk(flags) if isinstance(n, (ast.Attribute, ast.Name))}
+        return not named or bool(named - READ_FLAGS - {"os"})
+    if name in ("open", "fdopen"):
+        # open(file, mode), io.open and os.fdopen take the mode second,
+        # Path.open first.
+        on_object = isinstance(f, ast.Attribute) and module not in ("io", "os")
+        mode = _argument(call, 0 if on_object else 1, "mode")
+        if mode is None:
+            return False
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+            return True
+        return bool(set(mode.value) & set("wax+"))
+    return False
+
+
+def file_writes(source: str, file: str) -> list[str]:
+    """``file:line in scope`` of each call in ``source`` that writes a file,
+    outside the writer :data:`WRITERS` allows in ``file``."""
+    allowed = WRITERS.get(file)
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call) and _writes(child):
+                if not (allowed and (scope == allowed or scope.startswith(allowed + "."))):
+                    found.append(f"{file}:{child.lineno} in {scope or '<module>'}")
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_outputs_are_written_only_by_the_one_writer(path):
+    assert file_writes(path.read_text(), path.name) == []
+
+
+def test_the_writer_is_where_the_scan_finds_writes():
+    # Under another file name, nothing in results.py is exempt.
+    source = (SRC / "results.py").read_text()
+    assert [w.partition(" in ")[2] for w in file_writes(source, "writer.py")] == [
+        "write_output"
+    ]
+
+
+def test_scan_flags_each_kind_of_write():
+    source = (
+        "def f(p, fd, flags, m):\n"
+        "    p.write_text('x')\n"
+        "    p.write_bytes(b'x')\n"
+        "    open(p, 'w')\n"
+        "    open(p, mode='a')\n"
+        "    io.open(p, 'xb')\n"
+        "    open(p, 'r+')\n"
+        "    p.open('w')\n"
+        "    os.fdopen(fd, 'wb')\n"
+        "    os.open(p, os.O_WRONLY | os.O_CREAT)\n"
+        "    os.open(p, flags)\n"
+        "    open(p, m)\n"
+        "    open(p), open(p, 'rb'), p.open(), p.open(mode='r'), io.open(p, 'r')\n"
+        "    os.open(p, os.O_RDONLY | os.O_CLOEXEC)\n"
+        "class C:\n"
+        "    def save(self, p):\n"
+        "        open(p, 'w')\n"
+        "def write_output(p):\n"
+        "    os.open(p, os.O_WRONLY | os.O_CREAT)\n"
+        "    def inner():\n"
+        "        open(p, 'a')\n"
+    )
+    assert file_writes(source, "results.py") == [
+        *(f"results.py:{line} in f" for line in range(2, 13)), "results.py:17 in C.save",
+    ]
 
 BENCH = SRC.parent.parent / "bench"
 # Module-level names that nothing in src/ or bench/ calls yet, each kept for

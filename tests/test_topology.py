@@ -27,6 +27,7 @@ from memchar.topology import (
     mesh_hops,
     switch_hops_to_memory,
 )
+from oracles import switch_count
 
 
 def fixture_doc(name):
@@ -193,7 +194,7 @@ class TestIfPath:
         core = rome.core(0)
         l3 = rome.l3_domain_of_core(0)
         p = if_path(rome, core.id, l3)
-        assert p.switch_count(rome) == 0
+        assert switch_count(rome, p) == 0
         assert p.count(LinkClass.XGMI) == 0
 
     def test_fixture_hop_set(self, rome):
@@ -217,14 +218,14 @@ class TestIfPath:
         # No CCX reaches another CCX without a switch traversal.
         for owner in (4, 8, 16, 48):
             p = if_path(rome, rome.core(0).id, rome.core(owner).id)
-            assert p.switch_count(rome) >= 1
+            assert switch_count(rome, p) >= 1
 
     def test_hop_symmetry(self, rome, clx):
         pairs = [(0, 20), (0, 70), (16, 112)]
         for a, b in pairs:
             ab = if_path(rome, rome.core(a).id, rome.core(b).id)
             ba = if_path(rome, rome.core(b).id, rome.core(a).id)
-            assert ab.switch_count(rome) == ba.switch_count(rome)
+            assert switch_count(rome, ab) == switch_count(rome, ba)
         for a, b in ((0, 12), (1, 16), (5, 11)):
             assert mesh_hops(clx, clx.core(a), clx.core(b)) == mesh_hops(
                 clx, clx.core(b), clx.core(a)
@@ -254,7 +255,7 @@ class TestIfPath:
         g = load_topology(doc)
         p = if_path(g, g.core(0).id, g.memory_controller(1).id)
         assert p.count(LinkClass.IF_REPEATER_HOP) == 2
-        assert p.switch_count(g) == 2
+        assert switch_count(g, p) == switch_hops_to_memory(g, 0, 1) == 2
         for a in g.nodes:
             for b in g.nodes:
                 assert if_path(g, a, b) == reference_if_path(g, a, b), (a, b)
@@ -267,7 +268,15 @@ class TestIfPath:
         for a, b in targets:
             got, want = if_path(rome, a, b), reference_if_path(rome, a, b)
             assert got == want, (a, b)
-            assert got.switch_count(rome) == want.switch_count(rome)
+            assert switch_count(rome, got) == switch_count(rome, want)
+
+    def test_switch_hops_equal_the_route_s_switch_count(self, rome, clx):
+        for c in rome.cores:
+            for n in rome.numa_nodes:
+                route = if_path(rome, rome.core(c).id, rome.memory_controller(n).id)
+                assert switch_hops_to_memory(rome, c, n) == switch_count(rome, route), (c, n)
+        with pytest.raises(ScopeError, match="chiplet_if"):
+            switch_hops_to_memory(clx, 0, 0)
 
     def test_one_tree_search_per_source(self, monkeypatch):
         g = load_topology(json.loads(fixture_path("rome_2s.json").read_text()))
