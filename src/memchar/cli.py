@@ -345,7 +345,7 @@ def cmd_report(args) -> int:
     svg, txt = emit_plot(
         rs.records,
         kind=args.kind,
-        out_base=Path(args.out) / args.name,
+        out_base=_out_dir(args) / args.name,
         x=args.x,
         y=args.y,
         value=args.value,

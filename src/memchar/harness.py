@@ -22,15 +22,26 @@ shaped (points, outer, sizes, inner).  The overhead/normalization algebra,
 the reduction and the conversion to Python floats run once over that
 array, as numpy operations, so the same arithmetic applies to native and
 simulated runs alike.  A point whose minimum sample equals its maximum
-(every simulated point) gets its minimum repeated as its samples, with no
+(every simulated point) holds one value: every such point of a sweep with
+that value shares one ``(value,) * width`` samples tuple, and its minimum,
+maximum, median and reduced latency are that tuple's float, with no
 per-sample conversion.  That is the only place samples are reduced;
 :func:`measure_latency` is the one-point sweep.
+
+Records are built in one step each.  The fields every point of a sweep
+shares (sizes, frequency, backend, alignment, huge pages, seed, reducer)
+are gathered once into a dict in field order; each record is a bare
+``MeasurementRecord`` whose ``__dict__`` is that dict with the point's own
+fields filled in, then checked by ``__post_init__``.  It equals, hashes,
+prints and ``dataclasses.replace``-s like ``MeasurementRecord(**fields)``
+and stays frozen; the keyword constructor's 17 frozen attribute stores
+cost more than the sweep's numpy algebra.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence, Union
 
 import numpy as np
@@ -241,37 +252,49 @@ def measure_sweep(
     samples = (np.where(excess > 0.0, excess, 0.0) / accesses).reshape(len(points), -1)
     lows, highs, mids = (a.tolist() for a in _order_stats(samples))
     reduced = {"min": lows, "max": highs, "median": mids}[policy.reducer]
-    # No sample is -0.0 (see above), so a row whose ends are equal holds one
-    # value, bit for bit.
-    width = samples.shape[1]
-    rows = [
-        (lo,) * width if lo == hi else tuple(samples[i].tolist())
-        for i, (lo, hi) in enumerate(zip(lows, highs))
-    ]
     sizes = tuple(c.total_bytes for c in chains)
-    huge = all(c.huge_pages for c in chains)
-    return [
-        MeasurementRecord(
-            placement=placement,
-            state=script.target_state.value,
-            level=script.target_level,
-            dataset_bytes=max(sizes),
-            dataset_sizes=sizes,
-            latency_cycles=reduced[i],
-            min_cycles=lows[i],
-            max_cycles=highs[i],
-            median_cycles=mids[i],
-            samples=rows[i],
-            frequency_mhz=backend.frequency_mhz,
-            backend=backend.name,
-            alignment=chains[0].stride_alignment,
-            huge_pages=huge,
-            seed=chains[0].seed,
-            overhead_cycles=overheads[i],
-            reducer=policy.reducer,
-        )
-        for i, (script, placement) in enumerate(points)
-    ]
+    # Each record's __dict__ is the one MeasurementRecord(**fields) leaves:
+    # the sweep's shared fields, in field order, with the point's own filled
+    # in, made without the 17 frozen-dataclass attribute stores.
+    shared = dict.fromkeys(f.name for f in fields(MeasurementRecord))
+    shared.update(
+        dataset_bytes=max(sizes),
+        dataset_sizes=sizes,
+        frequency_mhz=backend.frequency_mhz,
+        backend=backend.name,
+        alignment=chains[0].stride_alignment,
+        huge_pages=all(c.huge_pages for c in chains),
+        seed=chains[0].seed,
+        reducer=policy.reducer,
+    )
+    width = samples.shape[1]
+    constant_rows: dict[float, tuple] = {}
+    records = []
+    for i, (script, placement) in enumerate(points):
+        lo = lows[i]
+        if lo == highs[i]:
+            # No sample is -0.0 (see above), so the row holds one value, bit
+            # for bit, and every point of that value shares one tuple.
+            row = constant_rows.get(lo) or constant_rows.setdefault(lo, (lo,) * width)
+            lo = hi = mid = value = row[0]
+        else:
+            row = tuple(samples[i].tolist())
+            hi, mid, value = highs[i], mids[i], reduced[i]
+        record = object.__new__(MeasurementRecord)
+        own = record.__dict__
+        own.update(shared)
+        own["placement"] = placement
+        own["state"] = script.target_state.value
+        own["level"] = script.target_level
+        own["latency_cycles"] = value
+        own["min_cycles"] = lo
+        own["max_cycles"] = hi
+        own["median_cycles"] = mid
+        own["samples"] = row
+        own["overhead_cycles"] = overheads[i]
+        record.__post_init__()
+        records.append(record)
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -257,7 +257,9 @@ def emit_plot(
     value: str = "latency_cycles",
     title: str = "",
 ) -> tuple[Path, Path]:
-    """Write <out_base>.svg and <out_base>.txt; returns both paths.
+    """Write <out_base>.svg and <out_base>.txt; returns both paths.  The
+    suffixes are appended, so a dot in the name stays (``fig.v2`` writes
+    ``fig.v2.svg``).
 
     The .txt plot-data file is authoritative: it holds exactly the numbers
     drawn in the figure.
@@ -267,8 +269,8 @@ def emit_plot(
     data = build_plot_data(records, kind, x=x, y=y, value=value, title=title)
     svg = _heatmap_svg(data) if kind == "heatmap" else _bars_svg(data)
     base = Path(out_base)
-    svg_path = base.with_suffix(".svg")
-    txt_path = base.with_suffix(".txt")
+    svg_path = base.with_name(base.name + ".svg")
+    txt_path = base.with_name(base.name + ".txt")
     write_output(svg_path, svg)
     write_output(txt_path, data.to_text())
     return svg_path, txt_path

@@ -26,17 +26,29 @@ crash mid-write can leave the new bytes followed by the tail of the old
 file, where a truncating write could leave a truncated file.
 
 A result file is written with one ``write_output`` call.  Each row is
-its fields joined by commas; a row with a field that holds a comma, a
-quote, ``\r`` or ``\n`` goes through ``csv.writer``, which quotes such a
-field, so every file is the bytes ``csv.writer`` gives, except that a
-field with a ``\r`` is always quoted: ``csv.writer`` with a ``\n`` line
-end leaves a lone ``\r`` bare, and ``csv.reader`` then ends the row
+its fields joined by commas.  Only text fields (backend, state, level,
+reducer, label, and the bandwidth kernel, flags and degraded-from) can
+hold a comma, a quote, ``\r`` or ``\n``; ``csv.writer`` quotes each such
+field on its own, so every file is the bytes ``csv.writer`` gives, except
+that a field with a ``\r`` is always quoted: ``csv.writer`` with a ``\n``
+line end leaves a lone ``\r`` bare, and ``csv.reader`` then ends the row
 there.  A ``;``-joined float column formats each distinct value once, and
 a column of one repeated value (a simulated point's samples) formats it
-once and repeats the text.  The fields every record of a sweep shares
-(backend, state, level, sizes, frequency, reducer, alignment, huge pages,
-seed, overhead) are formatted once per run of records holding the same
-objects for them, which keeps 0.0 and -0.0 apart.
+once and repeats the text.
+
+A latency file pays per row only for what differs per row.  The fields
+every record of a sweep shares (backend, state, level, sizes, frequency,
+reducer, alignment, huge pages, seed, overhead) are formatted once per run
+of records holding the same objects for them, which keeps 0.0 and -0.0
+apart.  Each distinct samples object is formatted once per file.  A row
+whose min, max, median and latency all equal its samples' one value (every
+simulated row) reuses one "value block", the text from ``samples`` through
+``overhead_cycles``, per samples object within such a run; a sweep from
+:func:`harness.measure_sweep` holds one samples tuple per distinct value,
+so its rows are the placement's ids, a cached block and the label.  Exact
+by construction: the block's value is never 0.0 (so 0.0 and -0.0 never
+share text) nor NaN, and only equal nonzero floats, which have one repr,
+reuse it.
 """
 
 from __future__ import annotations
@@ -164,6 +176,15 @@ def _csv_line(fields: list[str]) -> str:
     return buf.getvalue()[:-2] + "\n"
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as :func:`_csv_line` writes it in any row: ``csv.writer``
+    quotes each field on its own, and only a field holding a comma, a
+    quote, ``\\r`` or ``\\n``."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return _csv_line([text])[:-1]
+    return text
+
+
 def _join_i(values) -> str:
     return ";".join(str(int(v)) for v in values)
 
@@ -229,55 +250,59 @@ class ResultSet:
     # -- latency ----------------------------------------------------------
 
     @staticmethod
-    def _latency_row(r: MeasurementRecord, shared: tuple) -> list[str]:
-        """The row of ``r``, given the texts of the fields it shares with the
-        other records of its sweep (see :meth:`_latency_rows`)."""
-        backend, state, level, nbytes, mhz, reducer, sizes, alignment, huge, seed, overhead = (
-            shared
-        )
-        p = r.placement
-        return [
-            backend,
-            str(p.requester),
-            str(p.owner),
-            str(p.home_node),
-            "" if p.forwarder_node is None else str(p.forwarder_node),
-            state,
-            level,
-            nbytes,
-            _join_f(r.samples),
-            _f(r.min_cycles),
-            _f(r.max_cycles),
-            _f(r.median_cycles),
-            mhz,
-            _f(r.latency_cycles),
-            reducer,
-            sizes,
-            alignment,
-            huge,
-            seed,
-            overhead,
-            p.label,
-        ]
+    def _latency_lines(records) -> list[str]:
+        """Every record's CSV line (see the module docstring).
 
-    @classmethod
-    def _latency_rows(cls, records) -> list[list[str]]:
-        """Every record's row.  The fields every record of a sweep shares are
-        formatted again only where a record's values for them are not the
-        previous record's objects: the same object has the same text, and
-        0.0 and -0.0 stay apart."""
-        rows, values, texts = [], (), ()
+        The fields a sweep's records share are formatted once per run of
+        records holding the same objects for them; a samples object once
+        per file; and, per sweep, the "value block" of a row whose min,
+        max, median and latency equal its constant samples' value once per
+        samples object.  Per row, only the placement's ids are formatted.
+        """
+        lines = []
+        shared = None
+        samples_texts: dict[int, tuple] = {}  # id -> (samples, text, value)
+        labels: dict[str, str] = {}
         for r in records:
             mine = (r.backend, r.state, r.level, r.dataset_bytes, r.frequency_mhz, r.reducer,
                     r.dataset_sizes, r.alignment, r.huge_pages, r.seed, r.overhead_cycles)
-            if not (values and all(map(operator.is_, mine, values))):
-                values = mine
-                texts = (r.backend, r.state, r.level, str(r.dataset_bytes),
-                         _f(r.frequency_mhz), r.reducer, _join_i(r.dataset_sizes),
-                         str(r.alignment), "1" if r.huge_pages else "0", str(r.seed),
-                         _f(r.overhead_cycles))
-            rows.append(cls._latency_row(r, texts))
-        return rows
+            if not (shared and all(map(operator.is_, mine, shared))):
+                shared = mine
+                backend, state, level, reducer = map(
+                    _csv_field, (r.backend, r.state, r.level, r.reducer)
+                )
+                middle = f"{state},{level},{r.dataset_bytes},"
+                mhz = _f(r.frequency_mhz)
+                tail = (f"{reducer},{_join_i(r.dataset_sizes)},{r.alignment},"
+                        f"{1 if r.huge_pages else 0},{r.seed},{_f(r.overhead_cycles)},")
+                blocks: dict[int, str] = {}
+            samples = r.samples
+            known = samples_texts.get(id(samples))
+            if known is None:
+                value = samples[0] if samples else 0.0
+                # Equal nonzero floats share one text; -0.0 equals 0.0 but
+                # has its own, and NaN equals nothing, so neither gets a block.
+                if value == 0.0 or samples.count(value) != len(samples):
+                    value = None
+                known = samples_texts[id(samples)] = (samples, _join_f(samples), value)
+            _, text, value = known
+            if (value is not None and r.min_cycles == value and r.max_cycles == value
+                    and r.median_cycles == value and r.latency_cycles == value):
+                block = blocks.get(id(samples))
+                if block is None:
+                    v = _f(value)
+                    block = blocks[id(samples)] = f"{text},{v},{v},{v},{mhz},{v},{tail}"
+            else:
+                block = (f"{text},{_f(r.min_cycles)},{_f(r.max_cycles)},"
+                         f"{_f(r.median_cycles)},{mhz},{_f(r.latency_cycles)},{tail}")
+            p = r.placement
+            label = labels.get(p.label)
+            if label is None:
+                label = labels[p.label] = _csv_field(p.label)
+            forwarder = "" if p.forwarder_node is None else p.forwarder_node
+            lines.append(f"{backend},{p.requester},{p.owner},{p.home_node},{forwarder},"
+                         f"{middle}{block}{label}\n")
+        return lines
 
     @staticmethod
     def _latency_record(row: dict) -> MeasurementRecord:
@@ -347,13 +372,11 @@ class ResultSet:
     # -- files ----------------------------------------------------------------
 
     def to_csv(self, path: str | Path) -> None:
-        cols = BANDWIDTH_COLUMNS if self.kind == "bandwidth" else LATENCY_COLUMNS
-        rows = (
-            [self._bandwidth_row(r) for r in self.records]
-            if self.kind == "bandwidth"
-            else self._latency_rows(self.records)
-        )
-        write_output(path, "".join(map(_csv_line, [cols, *rows])))
+        if self.kind == "bandwidth":
+            lines = map(_csv_line, [BANDWIDTH_COLUMNS, *map(self._bandwidth_row, self.records)])
+        else:
+            lines = [_csv_line(LATENCY_COLUMNS), *self._latency_lines(self.records)]
+        write_output(path, "".join(lines))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ResultSet":

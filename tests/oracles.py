@@ -1,5 +1,6 @@
 """Test oracles: fake clock backends, a synthetic protocol model, each
-protocol's states, the single-owner invariant and a route's switch count."""
+protocol's states, the single-owner invariant, a route's switch count and
+a latency record's CSV fields."""
 
 import numpy as np
 
@@ -68,3 +69,32 @@ def switch_count(graph, path) -> int:
     """Interconnect-switch nodes on ``path`` (an ``if_path`` route): the
     reference ``switch_hops_to_memory`` must equal."""
     return sum(1 for n in path.nodes if graph.nodes[n].role is NodeRole.IF_SWITCH)
+
+
+def latency_csv_fields(r) -> list:
+    """The 21 ``LATENCY_COLUMNS`` fields of record ``r``, each read off the
+    record and formatted on its own: the row ``csv.writer`` is given."""
+    p = r.placement
+    return [
+        r.backend,
+        str(p.requester),
+        str(p.owner),
+        str(p.home_node),
+        "" if p.forwarder_node is None else str(p.forwarder_node),
+        r.state,
+        r.level,
+        str(r.dataset_bytes),
+        ";".join(repr(float(v)) for v in r.samples),
+        repr(float(r.min_cycles)),
+        repr(float(r.max_cycles)),
+        repr(float(r.median_cycles)),
+        repr(float(r.frequency_mhz)),
+        repr(float(r.latency_cycles)),
+        r.reducer,
+        ";".join(str(int(v)) for v in r.dataset_sizes),
+        str(r.alignment),
+        "1" if r.huge_pages else "0",
+        str(r.seed),
+        repr(float(r.overhead_cycles)),
+        p.label,
+    ]

@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 from memchar import cli
 from memchar.backends import BackendError, ScriptPlacementError, SimulatedBackend
 from memchar.bandwidth import BandwidthError, BandwidthRecord, TriadVerificationError
-from memchar.chain import generate_chain
+from memchar.chain import chain_spec, generate_chain
 from memchar.cli import CliError, main
-from memchar.coherence import plan_state
-from memchar.harness import ENV_VARS, MeasurementPolicy, measure_latency
+from memchar.coherence import CoherenceState, plan_state
+from memchar.harness import (
+    ENV_VARS, MeasurementPolicy, level_dataset_bytes, measure_latency, measure_sweep,
+)
 from memchar.model import load_fixture_model
 from memchar.native import PinningError
 from memchar.plots import PlotError, build_plot_data, emit_plot
@@ -35,7 +37,7 @@ from memchar.results import (
     write_output,
 )
 from memchar.topology import Placement, TopologyError, enumerate_placements, fixture_path
-from oracles import protocol_states
+from oracles import latency_csv_fields, protocol_states
 
 ONE = MeasurementPolicy(inner_repeats=1, outer_repeats=1, sizes_per_level=1)
 # Text fields csv.writer must quote, and the empty field.
@@ -68,6 +70,58 @@ def rome_records():
     return records
 
 
+@pytest.fixture(scope="module")
+def sweep_records():
+    """One simulated ``measure_sweep`` at the default policy: 120 samples a
+    row, one samples tuple per distinct value, local and remote points."""
+    model = load_fixture_model("rome_2s")
+    chains = [chain_spec(sz, 512, 7) for sz in level_dataset_bytes(model.graph, "L2")]
+    placements = enumerate_placements(model.graph, "all_pairs")[:12]
+    placements += enumerate_placements(model.graph, "local")[:4]
+    points = cli._latency_points(model.graph, placements, CoherenceState.M, model.protocol,
+                                 "L2")
+    records = measure_sweep(chains, points, MeasurementPolicy(), SimulatedBackend(model))
+    values = {r.samples[0] for r in records}
+    assert len({id(r.samples) for r in records}) == len(values) > 1
+    return records
+
+
+_ZERO = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def _edited_sweep(draw, records):
+    """``records`` with some rows edited: a samples tuple equal to the one
+    shared but another object, another record's tuple, a non-constant row,
+    a constant 0.0 or -0.0 row with each of min, max, median and latency
+    either zero, a constant row whose latency is another value, or another
+    overhead or frequency (a field the sweep shares); and some labels
+    awkward."""
+    out = []
+    for r in draw(st.lists(st.sampled_from(records), min_size=1, max_size=12)):
+        edit = draw(st.integers(0, 6))
+        if edit == 1:
+            r = dataclasses.replace(r, samples=tuple(list(r.samples)))
+        elif edit == 2 and out:
+            r = dataclasses.replace(r, samples=draw(st.sampled_from(out)).samples)
+        elif edit == 3:
+            r = dataclasses.replace(r, samples=draw(_SAMPLE_ROWS))
+        elif edit == 4:
+            zeros = {k: draw(_ZERO) for k in ("min_cycles", "max_cycles", "median_cycles",
+                                               "latency_cycles")}
+            r = dataclasses.replace(r, samples=(draw(_ZERO),) * len(r.samples), **zeros)
+        elif edit == 5:
+            r = dataclasses.replace(r, latency_cycles=r.latency_cycles + 1.0)
+        elif edit == 6:
+            field = draw(st.sampled_from(["overhead_cycles", "frequency_mhz"]))
+            r = dataclasses.replace(r, **{field: draw(st.sampled_from([0.0, -0.0, 2500.5]))})
+        if draw(st.booleans()):
+            r = dataclasses.replace(r, placement=dataclasses.replace(r.placement,
+                                                                     label=draw(_AWKWARD)))
+        out.append(r)
+    return out
+
+
 def _awkward_result_sets(records, texts):
     """A latency and a bandwidth result set whose text fields are ``texts``:
     (label, backend, reducer) per record."""
@@ -90,7 +144,7 @@ def _written_like_csv_writer(rs, path) -> bool:
     cols, rows = (
         (BANDWIDTH_COLUMNS, map(ResultSet._bandwidth_row, rs.records))
         if rs.kind == "bandwidth"
-        else (LATENCY_COLUMNS, ResultSet._latency_rows(rs.records))
+        else (LATENCY_COLUMNS, map(latency_csv_fields, rs.records))
     )
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
@@ -240,6 +294,15 @@ class TestResultSet:
         for rs in _awkward_result_sets(rome_records, texts):
             assert _written_like_csv_writer(rs, path)
             assert ResultSet.from_csv(path).records == rs.records
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_sweep_rows_equal_csv_writer_bytes(self, sweep_records, tmp_path_factory, data):
+        records = data.draw(_edited_sweep(sweep_records))
+        path = tmp_path_factory.mktemp("csv") / "r.csv"
+        rs = ResultSet(records)
+        assert _written_like_csv_writer(rs, path)
+        assert list(map(repr, ResultSet.from_csv(path).records)) == list(map(repr, records))
 
     @pytest.mark.parametrize("text", ["\r", "a\rb", "\r,", "x\r\ry"])
     def test_lone_carriage_return_round_trips_or_is_refused(self, rome_records, tmp_path,
@@ -834,6 +897,32 @@ class TestCli:
         assert code == 0
         assert (run / "fig.svg").exists()
         assert (run / "fig.txt").exists()
+
+    def _report(self, tmp_path, *args):
+        run = tmp_path / "run"
+        if not run.exists():
+            main(["latency", "--topology", "rome_2s", "--scope", "all_pairs", "--state", "M",
+                  "--level", "RAM", "--outer", "1", "--inner", "1", "--sizes", "1",
+                  "--out", str(run)])
+        return main(["report", "--input", str(run / "results.csv"), "--kind", "heatmap",
+                     "--x", "home", "--y", "requester", *args])
+
+    def test_report_creates_a_fresh_nested_out(self, tmp_path, capsys):
+        out = tmp_path / "not" / "yet" / "there"
+        assert self._report(tmp_path, "--out", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["plot.svg", "plot.txt"]
+        assert capsys.readouterr().out.split()[-2:] == [str(out / "plot.svg"),
+                                                        str(out / "plot.txt")]
+
+    def test_report_names_with_dots_keep_them(self, tmp_path):
+        out = tmp_path / "figs"
+        for name in ("fig.a", "fig.b"):
+            assert self._report(tmp_path, "--name", name, "--out", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "fig.a.svg", "fig.a.txt", "fig.b.svg", "fig.b.txt"]
+        texts = {p.name: p.read_text() for p in out.iterdir()}
+        assert texts["fig.a.svg"] == texts["fig.b.svg"]
+        assert texts["fig.a.txt"] == texts["fig.b.txt"]
 
     def test_triples_cli_matches_request_flow_matrix(self, tmp_path):
         code = main([

@@ -1,6 +1,8 @@
 """Measurement harness: calibration, aggregation, flushing, records."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import random
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memchar import cli
+from memchar import cli, harness
 from memchar.backends import ScriptPlacementError, SimulatedBackend
 from memchar.chain import chain_spec, generate_chain
 from memchar.coherence import (
@@ -22,6 +24,7 @@ from memchar.harness import (
     AggregationError,
     HarnessError,
     MeasurementPolicy,
+    MeasurementRecord,
     PolicyError,
     auto_helper,
     calibrate_overhead,
@@ -33,11 +36,13 @@ from memchar.harness import (
     policy_from_env,
 )
 from memchar.model import load_fixture_model
+from memchar.results import ResultSet
 from memchar.topology import (
     Placement, PlacementScope, ScopeError, TopologyError, enumerate_placements,
     enumerate_triples, fixture_path, load_topology_file,
 )
 from oracles import ReplayBackend, SyntheticBackend
+from test_golden import SWEEPS
 
 ONE = MeasurementPolicy(inner_repeats=1, outer_repeats=1, sizes_per_level=1)
 
@@ -399,6 +404,103 @@ class TestSweep:
     def test_empty_sweep_has_no_records(self, rome_model):
         assert measure_sweep([chain_spec(8192, 512, seed=0)], [], ONE,
                              SimulatedBackend(rome_model)) == []
+
+
+def _golden_latency_records(monkeypatch, tmp_path) -> dict:
+    """argv -> the records ``measure_sweep`` built, for every latency sweep
+    of the golden gate."""
+    built = []
+    real = harness.measure_sweep
+
+    def capture(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "measure_sweep", capture)
+    records = {}
+    for i, argv in enumerate(a for a in SWEEPS if a.startswith("latency")):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv.split() + ["--out", str(tmp_path / str(i))]) == 0
+        records[argv] = built.pop()
+    return records
+
+
+def _assert_built_like_the_constructor(record):
+    ref = MeasurementRecord(**{f.name: getattr(record, f.name)
+                               for f in dataclasses.fields(MeasurementRecord)})
+    assert type(record) is MeasurementRecord
+    assert record == ref and hash(record) == hash(ref) and repr(record) == repr(ref)
+    assert list(vars(record)) == list(vars(ref))
+    assert dataclasses.replace(record) == ref
+    assert dataclasses.replace(record, seed=1) == dataclasses.replace(ref, seed=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.latency_cycles = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del record.samples
+
+
+class TestRecordsBuiltInOneStep:
+    """``measure_sweep`` fills each record's fields in one step; the record
+    is the one the keyword constructor gives."""
+
+    def test_golden_sweeps_equal_constructed_records(self, monkeypatch, tmp_path):
+        sweeps = _golden_latency_records(monkeypatch, tmp_path)
+        assert len(sweeps) >= 40
+        for argv, records in sweeps.items():
+            assert records, argv
+            for r in records:
+                _assert_built_like_the_constructor(r)
+
+    def test_non_constant_sweep_equals_constructed_records(self):
+        rng = random.Random(11)
+        policy = MeasurementPolicy(inner_repeats=3, outer_repeats=2, sizes_per_level=2)
+        chains = [chain_spec(64 * 7, 64, seed=1), chain_spec(64 * 13, 64, seed=1)]
+        points = [(plan_state("M", "MOESI", owner=c, requester=0), Placement(0, c, 0))
+                  for c in range(6)]
+        elapsed = [[[[rng.uniform(0, 3000) for _ in range(3)] for _ in range(2)]
+                    for _ in range(2)] for _ in points]
+        records = measure_sweep(chains, points, policy, ReplayBackend(elapsed, 40.0))
+        assert all(len(set(r.samples)) > 1 for r in records)
+        for r in records:
+            _assert_built_like_the_constructor(r)
+
+    def test_negative_latency_is_rejected_as_the_constructor_rejects_it(self):
+        # Only a chain with a negative access count gets a sample below 0.
+        chain = dataclasses.replace(chain_spec(64 * 10, 64, seed=1), element_count=-10)
+        points = [(plan_state("M", "MOESI", owner=0, requester=0), Placement(0, 0, 0))]
+        with pytest.raises(HarnessError, match="non-negative"):
+            measure_sweep([chain], points, ONE, ReplayBackend([[[[100.0]]]]))
+
+    def test_negative_latency_read_back_is_rejected(self, rome_model, tmp_path):
+        script = plan_state("M", "MOESI", owner=0, requester=0, level="L1")
+        [record] = measure_sweep([chain_spec(8192, 512, seed=0)],
+                                 [(script, Placement(0, 0, 0, label="local"))], ONE,
+                                 SimulatedBackend(rome_model))
+        path = tmp_path / "r.csv"
+        ResultSet([record]).to_csv(path)
+        header, row = path.read_text().splitlines()
+        cells = row.split(",")
+        cells[header.split(",").index("latency_cycles")] = "-1.0"
+        path.write_text(f"{header}\n{','.join(cells)}\n")
+        with pytest.raises(HarnessError, match="non-negative"):
+            ResultSet.from_csv(path)
+
+    @pytest.mark.parametrize("topology", ["rome_2s", "clx_2s"])
+    def test_equal_values_share_one_samples_tuple(self, topology):
+        # Guards the sharing the CSV writer's per-object caches rely on.
+        model = load_fixture_model(topology)
+        chains = [chain_spec(sz, 512, seed=7) for sz in level_dataset_bytes(model.graph, "L2")]
+        for scope in ("local", "all_pairs"):
+            points = _points(model, "M", "L2", enumerate_placements(model.graph, scope))
+            records = measure_sweep(chains, points, MeasurementPolicy(),
+                                    SimulatedBackend(model))
+            by_value = {}
+            for r in records:
+                assert r.samples.count(r.samples[0]) == len(r.samples) == 120
+                assert by_value.setdefault(r.samples[0], r.samples) is r.samples
+            assert len({id(r.samples) for r in records}) == len(by_value)
+            if scope == "all_pairs":
+                assert len(by_value) > 1
 
 
 def _replay_fresh(model, script, placement):
