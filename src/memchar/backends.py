@@ -14,18 +14,15 @@ point that fails: the point's coherence script must reach its target state
 on the protocol simulator, and the data source of one read by the
 requester must be the kind the latency model expects.  The backend holds
 one protocol model for every point, since the simulator names home memory
-``"mem"`` whatever the home node.  That work is done per coherence class,
-not per point.  The simulator's answer depends only on the point's class
-(the script and the pattern of its cores and their L3 domains), so each
-class is replayed once per backend; the model's expected kind depends only
-on the class and the locality class of the core holding the line, so each
-such pair is compared once.  A later point of a known pair pays for its
-class key and two lookups, and only passing classes and pairs are
-remembered.  The backend then fills the whole array with one broadcast of
-each point's ``model.predict`` times each chain's access count; the model
-memoizes the locality class of each core pair and the switch hops of each
-(core, node) it has priced.  ``run_point`` is the one-point sweep.  The
-native backend lives in :mod:`memchar.native`.
+``"mem"`` whatever the home node.  The simulator's answer depends only on
+the point's coherence class (the script and the pattern of its cores and
+their L3 domains), so the backend keeps one memo, the source kind of each
+class it has replayed, and replays a class once; every point's kind is
+still compared with the model's.  The backend then fills the whole array
+with one broadcast of each point's ``model.predict`` times each chain's
+access count; the model memoizes the locality class of each core pair and
+the switch hops of each (core, node) it has priced.  ``run_point`` is the
+one-point sweep.  The native backend lives in :mod:`memchar.native`.
 """
 
 from __future__ import annotations
@@ -72,9 +69,9 @@ class SimulatedBackend:
     ``model.predict(...)`` cycles.  The zero-cost timer makes calibration
     return 0, so the harness algebra returns the prediction bit-for-bit.
 
-    Steps (1) and (2) run once per coherence class for the life of the
-    backend (see :meth:`_class_key`), and step (2)'s comparison once per
-    (class, holder locality) pair; only what passed is kept.
+    Step (1) and the read of step (2) run once per coherence class for the
+    life of the backend (see :meth:`_class_key`); only passing classes are
+    kept.
     """
 
     name = "simulated"
@@ -83,22 +80,15 @@ class SimulatedBackend:
         self.model = model
         self.graph = model.graph
         self.frequency_mhz = model.core_mhz
-        # Each core's L3 domain as its index in the domains' str order, so
-        # the ints compare like the domain ids.
-        domains = self.graph.l3_domains
-        index = {d: i for i, d in enumerate(sorted(set(domains.values())))}
-        self._domain_index = {core: index[d] for core, d in domains.items()}
         self._protocol_model = ProtocolModel.from_topology(self.graph, model.protocol)
         # A number per distinct step tuple, and per step tuple object seen
         # (each kept alive, so its id stays its own): steps are hashed once
         # per object, not once per point.
         self._step_numbers: dict[tuple, int] = {}
         self._steps_by_id: dict[int, tuple[tuple, int]] = {}
-        # Probe source kind of each coherence class replayed so far, and the
-        # (class, holder locality) pairs whose source kind the model agreed
-        # with; only passing points are remembered.
+        # Probe source kind of each coherence class replayed so far; only
+        # passing points are remembered.
         self._source_kinds: dict[tuple, str] = {}
-        self._checked: set[tuple] = set()
 
     def time_empty(self) -> float:
         return 0.0
@@ -139,7 +129,7 @@ class SimulatedBackend:
         key.
         """
         cores = (placement.requester, *script.worker_cores.values())
-        domains = tuple(map(self._domain_index.get, cores))
+        domains = tuple(map(self._protocol_model.l3_domain_of.get, cores))
         if None in domains:
             return None
         ranked = sorted(set(domains))
@@ -166,24 +156,17 @@ class SimulatedBackend:
 
     def prepare(self, script: CoherenceScript, placement: Placement) -> None:
         key = self._class_key(script, placement)
-        known = self._source_kinds.get(key)
-        kind = known or self._replay(script, placement)
-        forwarder = self._forwarder_arg(placement)
+        kind = self._source_kinds.get(key) or self._replay(script, placement)
         state, level = script.target_state, script.target_level
-        # The model's expected kind depends on the state, the level and the
-        # holder's locality class, so a passing (class, locality) pair holds
-        # for every point with it.
-        checked = (key, self.model.holder_class(placement.requester, forwarder, state, level))
-        if checked in self._checked:
-            return
-        expected = self.model.expected_source_kind(placement.requester, forwarder, state, level)
+        expected = self.model.expected_source_kind(
+            placement.requester, self._forwarder_arg(placement), state, level
+        )
         if kind != expected:
             raise ScriptPlacementError(
                 f"simulator sourced {state.value}@{level} from {kind}, model expects {expected}"
             )
         if key is not None:
             self._source_kinds[key] = kind
-            self._checked.add(checked)
 
     def run_sweep(self, chains, points, policy: MeasurementPolicy):
         per_access = []

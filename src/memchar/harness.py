@@ -28,6 +28,15 @@ maximum, median and reduced latency are that tuple's float, with no
 per-sample conversion.  That is the only place samples are reduced;
 :func:`measure_latency` is the one-point sweep.
 
+Shared work in a simulated sweep is created in two places and recognised
+in two.  The planner (``cli._latency_points``) gives every placement of
+one core pattern one step tuple, and :func:`measure_sweep` gives every
+point of one value one samples tuple and one float.  The simulated
+backend's class key numbers each step tuple object once, equal tuples
+sharing a number (so separately planned sweeps share classes), and the
+latency CSV writer keys each row's value block by the ids of its samples
+and value objects.
+
 Records are built in one step each.  The fields every point of a sweep
 shares (sizes, frequency, backend, alignment, huge pages, seed, reducer)
 are gathered once into a dict in field order; each record is a bare
@@ -47,7 +56,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .chain import ChainBuffer
-from .coherence import LEVELS, CoherenceScript
+from .coherence import LEVELS, CoherenceScript, WorkerRole
 from .topology import Placement, TopologyGraph
 
 __all__ = [
@@ -191,6 +200,12 @@ def _validate_placement(placement: Placement, script: CoherenceScript) -> None:
     if script.owner != placement.owner:
         raise HarnessError(
             f"script targets core {script.owner}, placement owner is {placement.owner}"
+        )
+    requester = script.worker_cores.get(WorkerRole.REQUESTER_0)
+    if requester is not None and requester != placement.requester:
+        raise HarnessError(
+            f"script prepares for requester {requester}, placement requester is "
+            f"{placement.requester}"
         )
     helper = script.helper
     if helper is not None and helper == placement.owner:

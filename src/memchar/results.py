@@ -32,23 +32,26 @@ hold a comma, a quote, ``\r`` or ``\n``; ``csv.writer`` quotes each such
 field on its own, so every file is the bytes ``csv.writer`` gives, except
 that a field with a ``\r`` is always quoted: ``csv.writer`` with a ``\n``
 line end leaves a lone ``\r`` bare, and ``csv.reader`` then ends the row
-there.  A ``;``-joined float column formats each distinct value once, and
-a column of one repeated value (a simulated point's samples) formats it
-once and repeats the text.
+there.  A ``;``-joined float column of one repeated nonzero value (a
+simulated point's samples) formats the value once and repeats the text.
 
-A latency file pays per row only for what differs per row.  The fields
-every record of a sweep shares (backend, state, level, sizes, frequency,
-reducer, alignment, huge pages, seed, overhead) are formatted once per run
-of records holding the same objects for them, which keeps 0.0 and -0.0
-apart.  Each distinct samples object is formatted once per file.  A row
-whose min, max, median and latency all equal its samples' one value (every
-simulated row) reuses one "value block", the text from ``samples`` through
-``overhead_cycles``, per samples object within such a run; a sweep from
-:func:`harness.measure_sweep` holds one samples tuple per distinct value,
-so its rows are the placement's ids, a cached block and the label.  Exact
-by construction: the block's value is never 0.0 (so 0.0 and -0.0 never
-share text) nor NaN, and only equal nonzero floats, which have one repr,
-reuse it.
+A latency file pays per row only for what differs per row, and it
+recognises shared work by object identity alone.  The fields every record
+of a sweep shares (backend, state, level, sizes, frequency, reducer,
+alignment, huge pages, seed, overhead) are formatted once per run of
+records holding the same objects for them.  Within such a run, the "value
+block", the text from ``samples`` through ``overhead_cycles``, is formatted
+once per combination of samples, min, max, median and latency objects,
+keyed by their ids.  :func:`harness.measure_sweep` gives every point of one
+value one samples tuple and one float, so a simulated sweep's rows are the
+placement's ids, a cached block and the label.  Exact by construction:
+identical objects format identically, and every record stays alive while
+its file is built, so no id is reused; no float is compared.
+
+Reading a result file checks it: a row whose field count differs from the
+header's, a cell that does not parse, or a row ``csv.reader`` refuses is a
+:class:`ResultError` naming the file, the line and, for a cell, the
+column.
 """
 
 from __future__ import annotations
@@ -149,16 +152,13 @@ def _f(x: float) -> str:
 
 
 def _join_f(values: tuple) -> str:
-    """``;``-joined reprs, each distinct value formatted once.  Equal floats
-    share one repr, except 0.0 and -0.0, which take the per-value path."""
+    """``;``-joined reprs.  A column of one repeated nonzero value formats
+    it once: equal nonzero floats share one repr, 0.0 and -0.0 do not."""
     first = values[0] if values else 0.0
     if first != 0.0 and values.count(first) == len(values):
         text = _f(first)
         return (text + ";") * (len(values) - 1) + text
-    text = {v: _f(v) for v in set(values)}
-    if 0.0 in text:
-        return ";".join(map(_f, values))
-    return ";".join(map(text.__getitem__, values))
+    return ";".join(map(_f, values))
 
 
 def _csv_line(fields: list[str]) -> str:
@@ -187,6 +187,23 @@ def _csv_field(text: str) -> str:
 
 def _join_i(values) -> str:
     return ";".join(str(int(v)) for v in values)
+
+
+def _ints(text: str) -> tuple:
+    return tuple(int(v) for v in text.split(";") if v)
+
+
+def _floats(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(";") if v)
+
+
+def _cell(row: dict, column: str, convert):
+    """``convert(row[column])``; a cell it cannot parse is a
+    :class:`ResultError` naming the column."""
+    try:
+        return convert(row[column])
+    except ValueError:
+        raise ResultError(f"column {column}: cannot parse {row[column]!r}") from None
 
 
 @dataclass(frozen=True)
@@ -250,19 +267,18 @@ class ResultSet:
     # -- latency ----------------------------------------------------------
 
     @staticmethod
-    def _latency_lines(records) -> list[str]:
+    def _latency_lines(records: list) -> list[str]:
         """Every record's CSV line (see the module docstring).
 
         The fields a sweep's records share are formatted once per run of
-        records holding the same objects for them; a samples object once
-        per file; and, per sweep, the "value block" of a row whose min,
-        max, median and latency equal its constant samples' value once per
-        samples object.  Per row, only the placement's ids are formatted.
+        records holding the same objects for them, and within that run the
+        value block once per combination of samples, min, max, median and
+        latency objects.  Per row, only the placement is formatted.
+        ``records`` holds every record until the lines are built, so an
+        object's id stays its own.
         """
         lines = []
         shared = None
-        samples_texts: dict[int, tuple] = {}  # id -> (samples, text, value)
-        labels: dict[str, str] = {}
         for r in records:
             mine = (r.backend, r.state, r.level, r.dataset_bytes, r.frequency_mhz, r.reducer,
                     r.dataset_sizes, r.alignment, r.huge_pages, r.seed, r.overhead_cycles)
@@ -275,61 +291,47 @@ class ResultSet:
                 mhz = _f(r.frequency_mhz)
                 tail = (f"{reducer},{_join_i(r.dataset_sizes)},{r.alignment},"
                         f"{1 if r.huge_pages else 0},{r.seed},{_f(r.overhead_cycles)},")
-                blocks: dict[int, str] = {}
-            samples = r.samples
-            known = samples_texts.get(id(samples))
-            if known is None:
-                value = samples[0] if samples else 0.0
-                # Equal nonzero floats share one text; -0.0 equals 0.0 but
-                # has its own, and NaN equals nothing, so neither gets a block.
-                if value == 0.0 or samples.count(value) != len(samples):
-                    value = None
-                known = samples_texts[id(samples)] = (samples, _join_f(samples), value)
-            _, text, value = known
-            if (value is not None and r.min_cycles == value and r.max_cycles == value
-                    and r.median_cycles == value and r.latency_cycles == value):
-                block = blocks.get(id(samples))
-                if block is None:
-                    v = _f(value)
-                    block = blocks[id(samples)] = f"{text},{v},{v},{v},{mhz},{v},{tail}"
-            else:
-                block = (f"{text},{_f(r.min_cycles)},{_f(r.max_cycles)},"
-                         f"{_f(r.median_cycles)},{mhz},{_f(r.latency_cycles)},{tail}")
+                blocks: dict[tuple, str] = {}
+            key = (id(r.samples), id(r.min_cycles), id(r.max_cycles), id(r.median_cycles),
+                   id(r.latency_cycles))
+            block = blocks.get(key)
+            if block is None:
+                block = blocks[key] = (
+                    f"{_join_f(r.samples)},{_f(r.min_cycles)},{_f(r.max_cycles)},"
+                    f"{_f(r.median_cycles)},{mhz},{_f(r.latency_cycles)},{tail}"
+                )
             p = r.placement
-            label = labels.get(p.label)
-            if label is None:
-                label = labels[p.label] = _csv_field(p.label)
             forwarder = "" if p.forwarder_node is None else p.forwarder_node
             lines.append(f"{backend},{p.requester},{p.owner},{p.home_node},{forwarder},"
-                         f"{middle}{block}{label}\n")
+                         f"{middle}{block}{_csv_field(p.label)}\n")
         return lines
 
     @staticmethod
     def _latency_record(row: dict) -> MeasurementRecord:
         placement = Placement(
-            requester=int(row["requester"]),
-            owner=int(row["owner"]),
-            home_node=int(row["home"]),
-            forwarder_node=int(row["forwarder"]) if row["forwarder"] else None,
+            requester=_cell(row, "requester", int),
+            owner=_cell(row, "owner", int),
+            home_node=_cell(row, "home", int),
+            forwarder_node=_cell(row, "forwarder", int) if row["forwarder"] else None,
             label=row["label"],
         )
         return MeasurementRecord(
             placement=placement,
             state=row["state"],
             level=row["level"],
-            dataset_bytes=int(row["bytes"]),
-            dataset_sizes=tuple(int(v) for v in row["sizes"].split(";") if v),
-            latency_cycles=float(row["latency_cycles"]),
-            min_cycles=float(row["min_cycles"]),
-            max_cycles=float(row["max_cycles"]),
-            median_cycles=float(row["median_cycles"]),
-            samples=tuple(float(v) for v in row["samples"].split(";") if v),
-            frequency_mhz=float(row["freq_mhz"]),
+            dataset_bytes=_cell(row, "bytes", int),
+            dataset_sizes=_cell(row, "sizes", _ints),
+            latency_cycles=_cell(row, "latency_cycles", float),
+            min_cycles=_cell(row, "min_cycles", float),
+            max_cycles=_cell(row, "max_cycles", float),
+            median_cycles=_cell(row, "median_cycles", float),
+            samples=_cell(row, "samples", _floats),
+            frequency_mhz=_cell(row, "freq_mhz", float),
             backend=row["backend"],
-            alignment=int(row["alignment"]),
+            alignment=_cell(row, "alignment", int),
             huge_pages=row["huge_pages"] == "1",
-            seed=int(row["seed"]),
-            overhead_cycles=float(row["overhead_cycles"]),
+            seed=_cell(row, "seed", int),
+            overhead_cycles=_cell(row, "overhead_cycles", float),
             reducer=row["reducer"],
         )
 
@@ -356,14 +358,14 @@ class ResultSet:
     def _bandwidth_record(row: dict) -> BandwidthRecord:
         return BandwidthRecord(
             kernel=row["kernel"],
-            dataset_bytes=int(row["bytes"]),
-            core_set=tuple(int(v) for v in row["cores"].split(";") if v),
+            dataset_bytes=_cell(row, "bytes", int),
+            core_set=_cell(row, "cores", _ints),
             level=row["level"],
-            bytes_moved=int(row["bytes_moved"]),
-            elapsed_cycles=float(row["elapsed_cycles"]),
-            bandwidth_gbps=float(row["bandwidth_gbps"]),
-            bytes_per_cycle=float(row["bytes_per_cycle"]),
-            frequency_mhz=float(row["freq_mhz"]),
+            bytes_moved=_cell(row, "bytes_moved", int),
+            elapsed_cycles=_cell(row, "elapsed_cycles", float),
+            bandwidth_gbps=_cell(row, "bandwidth_gbps", float),
+            bytes_per_cycle=_cell(row, "bytes_per_cycle", float),
+            frequency_mhz=_cell(row, "freq_mhz", float),
             backend=row["backend"],
             flags=tuple(v for v in row["flags"].split(";") if v),
             degraded_from=row["degraded_from"] or None,
@@ -394,5 +396,12 @@ class ResultSet:
                 raise ResultError(
                     f"{path}: unknown result schema (header {header[:4]}...)"
                 )
-            records = [build(dict(zip(cols, row))) for row in reader]
+            records = []
+            try:
+                for row in reader:
+                    if len(row) != len(cols):
+                        raise ResultError(f"{len(row)} fields, the header has {len(cols)}")
+                    records.append(build(dict(zip(cols, row))))
+            except (ResultError, csv.Error) as exc:
+                raise ResultError(f"{path}: line {reader.line_num}: {exc}") from None
         return cls(records=records)

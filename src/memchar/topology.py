@@ -773,21 +773,15 @@ def enumerate_placements(graph: TopologyGraph, scope: PlacementScope | str) -> l
             for j in ccx:
                 out.append(Placement(i, j, graph.node_of_core(j), label="same_ccx"))
     elif scope is PlacementScope.SAME_CCD:
+        # The first core of each other CCX on the anchor's CCD and node.
         anchor = graph.core(graph.cores[0])
-        for n in graph.nodes.values():
-            if (
-                n.role is NodeRole.CORE
-                and (n.socket, n.numa_node, n.ccd) == (anchor.socket, anchor.numa_node, anchor.ccd)
-                and n.ccx != anchor.ccx
-            ):
-                ccx_first = min(
-                    graph.cores_of_ccx(n.core_index)
-                )
-                if not any(p.owner == ccx_first for p in out):
-                    out.append(
-                        Placement(anchor.core_index, ccx_first, n.numa_node, label="same_ccd")
-                    )
-        out.sort(key=lambda p: p.owner)
+        firsts = {
+            min(graph.cores_of_ccx(c))
+            for c in graph.cores_of_node(anchor.numa_node)
+            if graph.core(c).ccd == anchor.ccd and graph.core(c).ccx != anchor.ccx
+        }
+        for c in sorted(firsts):
+            out.append(Placement(anchor.core_index, c, anchor.numa_node, label="same_ccd"))
     elif scope is PlacementScope.INTRA_SOCKET:
         anchor = graph.cores[0]
         if chiplet:

@@ -16,12 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memchar import cli
+from memchar import cli, harness
 from memchar.backends import BackendError, ScriptPlacementError, SimulatedBackend
 from memchar.bandwidth import BandwidthError, BandwidthRecord, TriadVerificationError
 from memchar.chain import chain_spec, generate_chain
 from memchar.cli import CliError, main
-from memchar.coherence import CoherenceState, plan_state
+from memchar.coherence import LEVELS, CoherenceState, plan_state
 from memchar.harness import (
     ENV_VARS, MeasurementPolicy, level_dataset_bytes, measure_latency, measure_sweep,
 )
@@ -36,7 +36,9 @@ from memchar.results import (
     RunManifest,
     write_output,
 )
-from memchar.topology import Placement, TopologyError, enumerate_placements, fixture_path
+from memchar.topology import (
+    Placement, PlacementScope, TopologyError, enumerate_placements, fixture_path,
+)
 from oracles import latency_csv_fields, protocol_states
 
 ONE = MeasurementPolicy(inner_repeats=1, outer_repeats=1, sizes_per_level=1)
@@ -139,8 +141,8 @@ def _awkward_result_sets(records, texts):
     return ResultSet(latency), ResultSet(bandwidth)
 
 
-def _written_like_csv_writer(rs, path) -> bool:
-    rs.to_csv(path)
+def _csv_writer_bytes(rs) -> bytes:
+    """The bytes ``csv.writer`` gives for the header and the records' fields."""
     cols, rows = (
         (BANDWIDTH_COLUMNS, map(ResultSet._bandwidth_row, rs.records))
         if rs.kind == "bandwidth"
@@ -150,7 +152,12 @@ def _written_like_csv_writer(rs, path) -> bool:
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(cols)
     writer.writerows(rows)
-    return path.read_bytes() == expected.getvalue().encode()
+    return expected.getvalue().encode()
+
+
+def _written_like_csv_writer(rs, path) -> bool:
+    rs.to_csv(path)
+    return path.read_bytes() == _csv_writer_bytes(rs)
 
 
 def _written_by_open(path, text):
@@ -586,6 +593,53 @@ class TestCli:
         assert code == 2
         assert "nosuchfield" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, edit, where", [
+        ("latency", lambda row: row[:5], "line 3: 5 fields, the header has 21"),
+        ("latency", lambda row: row + ["x"], "line 3: 22 fields, the header has 21"),
+        ("latency", lambda row: [row[0], "zero", *row[2:]],
+         "line 3: column requester: cannot parse 'zero'"),
+        ("latency", lambda row: [*row[:8], "1.0;x", *row[9:]],
+         "line 3: column samples: cannot parse '1.0;x'"),
+        ("bandwidth", lambda row: row[:4], "line 3: 4 fields, the header has 12"),
+        ("bandwidth", lambda row: row + [""], "line 3: 13 fields, the header has 12"),
+        ("bandwidth", lambda row: [*row[:4], "1e3", *row[5:]],
+         "line 3: column bytes: cannot parse '1e3'"),
+        ("bandwidth", lambda row: [*row[:2], "0;a", *row[3:]],
+         "line 3: column cores: cannot parse '0;a'"),
+    ], ids=["latency-short", "latency-long", "latency-requester", "latency-samples",
+            "bandwidth-short", "bandwidth-long", "bandwidth-bytes", "bandwidth-cores"])
+    def test_malformed_result_row_is_config_error(self, kind, edit, where, rome_records,
+                                                  tmp_path, capsys):
+        records = list(rome_records[:3]) if kind == "latency" else [
+            BandwidthRecord.from_rate("read256", 16384, (0, 1), "L1", 128.0, 2000.0, "sim")
+        ] * 3
+        path = tmp_path / "r.csv"
+        ResultSet(records).to_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[2] = edit(rows[2])
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        with pytest.raises(ResultError) as err:
+            ResultSet.from_csv(path)
+        assert str(err.value) == f"{path}: {where}"
+        code = main(["report", "--input", str(path), "--out", str(tmp_path / "fig")])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {path}: {where}\n"
+
+    def test_row_the_csv_reader_refuses_is_config_error(self, rome_records, tmp_path, capsys):
+        # 40,000 samples (--outer 100 --inner 100 --sizes 4) pass the csv
+        # module's field size limit.
+        records = [rome_records[0], dataclasses.replace(rome_records[1], samples=(4.0,) * 40000)]
+        path = tmp_path / "r.csv"
+        ResultSet(records).to_csv(path)
+        where = f"{path}: line 3: field larger than field limit ({csv.field_size_limit()})"
+        with pytest.raises(ResultError) as err:
+            ResultSet.from_csv(path)
+        assert str(err.value) == where
+        assert main(["report", "--input", str(path), "--out", str(tmp_path / "fig")]) == 2
+        assert capsys.readouterr().err == f"config error: {where}\n"
+
     def test_bad_alignment_variable_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MEMCHAR_ALIGNMENT", "abc")
         code = main(["latency", "--topology", "rome_2s", "--scope", "local", "--level", "L1",
@@ -923,6 +977,37 @@ class TestCli:
         texts = {p.name: p.read_text() for p in out.iterdir()}
         assert texts["fig.a.svg"] == texts["fig.b.svg"]
         assert texts["fig.a.txt"] == texts["fig.b.txt"]
+
+    @pytest.mark.parametrize("topology", ["rome_2s", "clx_2s"])
+    def test_every_latency_sweep_writes_csv_writer_bytes(self, topology, tmp_path,
+                                                         monkeypatch):
+        # Every scope the topology allows x every state x every level, and
+        # the triples matrix: each results.csv is the bytes csv.writer gives
+        # for the fields of the records the sweep built, and reads back as
+        # those records.
+        built = []
+        real = harness.measure_sweep
+        monkeypatch.setattr(harness, "measure_sweep", lambda *a: built.append(real(*a))
+                            or built[-1])
+        model = load_fixture_model(topology)
+        chiplet = topology == "rome_2s"
+        scopes = [s.value for s in PlacementScope
+                  if chiplet or s not in (PlacementScope.SAME_CCX, PlacementScope.SAME_CCD)]
+        runs = [["--scope", scope, "--state", state.value, "--level", level]
+                for scope in scopes
+                for state in protocol_states(model.protocol)
+                for level in LEVELS]
+        if chiplet:
+            runs.append(["--triples", "--state", "M", "--level", "L2"])
+        for i, args in enumerate(runs):
+            out = tmp_path / str(i)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["latency", "--topology", topology, *args, "--seed", "7",
+                             "--out", str(out)]) == 0, args
+            path = out / "results.csv"
+            records = built.pop()
+            assert path.read_bytes() == _csv_writer_bytes(ResultSet(records)), args
+            assert ResultSet.from_csv(path).records == records, args
 
     def test_triples_cli_matches_request_flow_matrix(self, tmp_path):
         code = main([

@@ -3,10 +3,10 @@
 ``golden_sim_sha256.json`` holds the sha256 of the result CSV for a fixed
 set of simulated runs at seed 7: latency sweeps (``results.csv``), with one
 non-default sampling shape and, for points whose requester holds the line,
-local and ``same_ccx`` sweeps, and bandwidth read ladders and triads
-(``bandwidth.csv``).  A refactor of the simulated path must leave every
-hash unchanged; a deliberate output change re-records the file and says
-why.
+local and ``same_ccx`` sweeps, with one ``same_ccd`` sweep, and bandwidth
+read ladders and triads (``bandwidth.csv``).  A refactor of the simulated
+path must leave every hash unchanged; a deliberate output change
+re-records the file and says why.
 """
 
 import contextlib
@@ -46,6 +46,7 @@ SWEEPS = [
     for state, level in (("M", "L1"), ("S", "L2"))
 ] + [
     "latency --topology rome_2s --state M --level L1 --scope same_ccx --seed 7",
+    "latency --topology rome_2s --state M --level L2 --scope same_ccd --seed 7",
 ] + [
     f"bandwidth --topology {topo} --kernel {kernel} --level {level} --cores {cores}"
     for topo, core_sets in CORE_SETS.items()

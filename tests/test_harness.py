@@ -271,6 +271,17 @@ class TestSimulatedMeasurements:
         with pytest.raises(HarnessError, match="targets core 3"):
             measure_latency([chain], script, Placement(0, 16, 1), ONE, be)
 
+    def test_script_for_another_requester_rejected(self, rome_model):
+        # The script flushes core 0 and prepares the line for it; core 64
+        # would read.
+        be = SimulatedBackend(rome_model)
+        chain = generate_chain(8192, 512, seed=0)
+        script = plan_state("M", "MOESI", owner=1, level="L2", requester=0)
+        with pytest.raises(HarnessError, match="requester 0, placement requester is 64"):
+            measure_latency([chain], script, Placement(64, 1, 0), ONE, be)
+        with pytest.raises(HarnessError, match="requester 0, placement requester is 1"):
+            measure_latency([chain], script, Placement(1, 1, 0, label="local"), ONE, be)
+
     def test_policy_chain_count_must_match(self, rome_model):
         be = SimulatedBackend(rome_model)
         chain = generate_chain(8192, 512, seed=0)
@@ -567,6 +578,30 @@ class TestCoherenceClassMemo:
             assert len(replays) == len(classes) < len(points)
             measure_sweep(chains, points, ONE, backend)
             assert len(replays) == len(classes)
+
+    @pytest.mark.parametrize("topology, state", [("rome_2s", "O"), ("clx_2s", "S")])
+    def test_a_sweep_planned_again_replays_nothing(self, topology, state, monkeypatch):
+        # Equal steps from separate plans share a class: a second sweep of
+        # the same topology, state, level and scope, planned afresh, hits
+        # the classes the first replayed.
+        import memchar.backends
+
+        replays = []
+        verify = memchar.backends.verify_script
+        monkeypatch.setattr(memchar.backends, "verify_script",
+                            lambda *a: replays.append(1) or verify(*a))
+        model = load_fixture_model(topology)
+        backend = SimulatedBackend(model)
+        chains = [chain_spec(8192, 512, seed=0)]
+        placements = enumerate_placements(model.graph, "all_pairs")
+        sweeps = [cli._latency_points(model.graph, placements, CoherenceState(state),
+                                      model.protocol, "L2") for _ in range(2)]
+        assert sweeps[0][0][0].steps is not sweeps[1][0][0].steps
+        measure_sweep(chains, sweeps[0], ONE, backend)
+        assert replays
+        del replays[:]
+        measure_sweep(chains, sweeps[1], ONE, backend)
+        assert replays == []
 
     def test_same_cores_other_steps_are_replayed(self, rome_model):
         backend = SimulatedBackend(rome_model)
