@@ -6,7 +6,7 @@ latency model, so every procedure is testable at desk scale and runnable
 natively on x86 servers.
 """
 
-from .chain import ChainBuffer, generate_chain, verify_chain
+from .chain import ChainBuffer, generate_chain
 from .coherence import (
     CoherenceScript,
     CoherenceState,
@@ -29,7 +29,6 @@ from .topology import (
     PlacementScope,
     TopologyGraph,
     enumerate_placements,
-    if_path,
     load_topology,
     mesh_hops,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "fit",
     "flush_scratch_bytes",
     "generate_chain",
-    "if_path",
     "load_fixture_model",
     "load_topology",
     "measure_latency",
@@ -62,5 +60,4 @@ __all__ = [
     "mesh_hops",
     "plan_state",
     "simulate",
-    "verify_chain",
 ]

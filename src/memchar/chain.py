@@ -20,14 +20,17 @@ Both formulas are pinned so chains are reproducible across implementations
 and languages for equal (size, alignment, seed).
 
 The shuffle runs in C (``mc_sattolo`` in the native kernels), fed the state
-that :func:`_splitmix64` scrambled here, so the seeding stays in one place.
+that :func:`_seed_state` scrambles here, so the seeding stays in one place.
 :func:`_sattolo_py` is the same shuffle in Python: the reference the C table
 is checked against byte for byte, and the path taken where the kernels are
 unavailable (no x86-64 or no C compiler).
 
 A :class:`ChainBuffer` is a frozen, hashable spec whose successor table is
 built on first read, once per spec, so a caller that needs only the element
-count (the simulated backend) never shuffles.
+count (the simulated backend) never shuffles.  Nothing here walks a table:
+Sattolo's shuffle yields one cycle by construction, and the walk that checks
+it (``tests/oracles.py``, through the kernels' ``mc_chain_walk``) is the
+test suite's.
 """
 
 from __future__ import annotations
@@ -36,15 +39,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
-__all__ = [
-    "ChainBuffer",
-    "ChainError",
-    "ChainReport",
-    "Xorshift64",
-    "chain_spec",
-    "generate_chain",
-    "verify_chain",
-]
+__all__ = ["ChainBuffer", "ChainError", "chain_spec", "generate_chain"]
 
 _MASK64 = (1 << 64) - 1
 # xorshift state must be nonzero; the one seed mapping to zero is remapped.
@@ -62,19 +57,9 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-class Xorshift64:
-    """The fixed shift-register generator used for chain construction."""
-
-    def __init__(self, seed: int):
-        self.state = _splitmix64(seed & _MASK64) or _ZERO_SEED_SUBST
-
-    def next(self) -> int:
-        s = self.state
-        s = (s ^ (s << 13)) & _MASK64
-        s ^= s >> 7
-        s = (s ^ (s << 17)) & _MASK64
-        self.state = s
-        return s
+def _seed_state(seed: int) -> int:
+    """The xorshift generator's first state for ``seed``."""
+    return _splitmix64(seed & _MASK64) or _ZERO_SEED_SUBST
 
 
 @dataclass(frozen=True)
@@ -135,7 +120,7 @@ def _sattolo(n: int, seed: int) -> array:
     except BackendUnavailable:
         return _sattolo_py(n, seed)
     perm = array("q", [0]) * n
-    lib.mc_sattolo(perm.buffer_info()[0], n, Xorshift64(seed).state)
+    lib.mc_sattolo(perm.buffer_info()[0], n, _seed_state(seed))
     return perm
 
 
@@ -144,8 +129,8 @@ def _sattolo_py(n: int, seed: int) -> array:
     time."""
     perm = list(range(n))
     if n > 1:
-        # Inlined Xorshift64.next(); this loop dominates generation time.
-        s = Xorshift64(seed).state
+        # The xorshift step, inlined: this loop dominates generation time.
+        s = _seed_state(seed)
         mask = _MASK64
         i = n - 1
         while i > 0:
@@ -173,86 +158,3 @@ def generate_chain(
     chain = chain_spec(total_bytes, stride_alignment, seed, huge_pages)
     chain.successors
     return chain
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    """Validation result for a chain buffer."""
-
-    element_count: int
-    cycle_length: int
-    first_revisit_index: int
-    alignment_violations: int
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.cycle_length == self.element_count
-            and self.first_revisit_index == self.element_count
-            and self.alignment_violations == 0
-        )
-
-
-def verify_chain(buffer: ChainBuffer) -> ChainReport:
-    """Traverse the successor table and report its cycle structure.
-
-    A valid chain first revisits an element exactly at step ``element_count``
-    (landing back on the start) having touched every element once.  The check
-    is a plain walk, independent of how the chain was built: in C
-    (``mc_chain_walk``) after a numpy range check when the native kernels
-    load, else :func:`_verify_chain_py`.
-    """
-    import numpy as np
-
-    from .native import BackendUnavailable, load_kernels
-
-    n = buffer.element_count
-    succ = buffer.successors
-    if n < 1 or len(succ) != n:
-        # Sizes the C walk cannot take safely; the reference reports them.
-        return _verify_chain_py(buffer)
-    try:
-        lib = load_kernels()
-    except BackendUnavailable:
-        return _verify_chain_py(buffer)
-    s = np.frombuffer(succ, dtype=np.int64)
-    violations = int(np.count_nonzero((s < 0) | (s >= n)))
-    if violations:
-        return ChainReport(n, 0, 0, violations)
-    first_seen = array("q", [0]) * n
-    cycle_length = array("Q", [0])
-    step = lib.mc_chain_walk(
-        succ.buffer_info()[0], n, first_seen.buffer_info()[0], cycle_length.buffer_info()[0]
-    )
-    return ChainReport(
-        element_count=n,
-        cycle_length=cycle_length[0],
-        first_revisit_index=step,
-        alignment_violations=0,
-    )
-
-
-def _verify_chain_py(buffer: ChainBuffer) -> ChainReport:
-    """Reference walk: the same report as the C walk, one step at a time."""
-    n = buffer.element_count
-    succ = buffer.successors
-    violations = sum(1 for s in succ if not 0 <= s < n)
-    if violations:
-        return ChainReport(n, 0, 0, violations)
-    # first_seen[e] = walk step at which element e was first reached, -1 if
-    # never.  A revisit must occur within n steps (pigeonhole).
-    first_seen = array("q", [-1]) * n
-    first_seen[0] = 0
-    idx = 0
-    step = 0
-    while True:
-        idx = succ[idx]
-        step += 1
-        if first_seen[idx] >= 0:
-            return ChainReport(
-                element_count=n,
-                cycle_length=step - first_seen[idx],
-                first_revisit_index=step,
-                alignment_violations=0,
-            )
-        first_seen[idx] = step

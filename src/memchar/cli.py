@@ -277,8 +277,11 @@ def _number(convert, row: dict, column: str, line: int, path: Path):
 def _observations_from_csv(path: Path, graph) -> list[FitObservation]:
     import csv as _csv
 
-    with open(path, newline="") as fh:
-        rows = list(_csv.DictReader(fh))
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            rows = list(_csv.DictReader(fh))
+        except UnicodeDecodeError as exc:
+            raise CliError(f"{path}: not UTF-8 text: {exc}") from None
     if not rows:
         raise CliError(f"{path}: empty fit input")
     anchors = "requester_node" in rows[0]

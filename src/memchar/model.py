@@ -40,7 +40,6 @@ from .topology import (
     LinkClass,
     TopologyGraph,
     extra_switch_hops,
-    if_path,
     load_topology_file,
     mesh_hops,
     fixture_path,
@@ -62,7 +61,6 @@ __all__ = [
     "classify_values",
     "SWITCH_HOP_BASES",
     "switch_hop_template",
-    "hop_cost_template",
 ]
 
 RIDGE_LAMBDA = 1e-9
@@ -356,13 +354,20 @@ def load_model(doc: dict, graph: TopologyGraph) -> LatencyModel:
                 f"model document carries '{key}': clocks come from the topology, "
                 "and the mesh gradient covers M/E lines at L1/L2"
             )
+    missing = [k for k in ("protocol", "base_cycles", "state_classes") if k not in doc]
+    if missing:
+        raise ModelError(f"model document lacks key(s) {', '.join(missing)}")
+    try:
+        protocol = Protocol(doc["protocol"])
+    except ValueError:
+        raise ModelError(f"model document names unknown protocol {doc['protocol']!r}") from None
     link_costs = {
         k: LinkCost(float(v["value"]), str(v["unit"]))
         for k, v in doc.get("link_costs", {}).items()
     }
     return LatencyModel(
         graph=graph,
-        protocol=Protocol(doc["protocol"]),
+        protocol=protocol,
         base={k: float(v) for k, v in doc["base_cycles"].items()},
         state_classes=doc["state_classes"],
         link_costs=link_costs,
@@ -375,8 +380,12 @@ def load_model(doc: dict, graph: TopologyGraph) -> LatencyModel:
 
 
 def load_model_file(path: str | Path, graph: TopologyGraph) -> LatencyModel:
-    with open(path) as f:
-        return load_model(json.load(f), graph)
+    with open(path, encoding="utf-8") as f:
+        try:
+            doc = json.load(f)
+        except ValueError as exc:
+            raise ModelError(f"{path}: not a JSON document: {exc}") from None
+    return load_model(doc, graph)
 
 
 def load_fixture_model(name: str) -> LatencyModel:
@@ -493,46 +502,24 @@ def fit(template: FitTemplate, observations: Sequence[FitObservation]) -> FitRes
     )
 
 
-def _core_ghz(graph: TopologyGraph) -> float:
-    return graph.frequencies["core_mhz"] / 1000.0
-
-
 # Base-term name of each switch-hop template: ``ram_hops`` fits the RAM rows
 # of one socket, ``remote_socket`` cross-socket observations.
 SWITCH_HOP_BASES = {"ram_hops": "base_ram_cycles", "remote_socket": "base_remote_cycles"}
 
 
-def _if_switch_term(graph: TopologyGraph) -> FitTerm:
-    """Round trip over the extra switches: 2 * hops * ns per hop * GHz."""
-    ghz = _core_ghz(graph)
-    return FitTerm(
-        "if_switch_ns", lambda o: 2.0 * extra_switch_hops(graph, o.requester, o.home) * ghz
-    )
-
-
 def switch_hop_template(graph: TopologyGraph, name: str) -> FitTemplate:
     """cycles = base + 2 * extra_switch_hops * switch_ns * f_core, with the
-    base term named after the template (:data:`SWITCH_HOP_BASES`)."""
+    base term named after the template (:data:`SWITCH_HOP_BASES`); the switch
+    term is the round trip over the extra switches."""
+    ghz = graph.frequencies["core_mhz"] / 1000.0
     return FitTemplate(
         name=name,
-        terms=(FitTerm(SWITCH_HOP_BASES[name], lambda o: 1.0), _if_switch_term(graph)),
-    )
-
-
-def hop_cost_template(graph: TopologyGraph) -> FitTemplate:
-    """Base plus switch and socket-link costs (socket-link counted per crossing)."""
-    ghz = _core_ghz(graph)
-
-    def xgmi_crossings(o: FitObservation) -> float:
-        p = if_path(graph, graph.core(o.requester).id, graph.memory_controller(o.home).id)
-        return float(p.count(LinkClass.XGMI))
-
-    return FitTemplate(
-        name="hop_costs",
         terms=(
-            FitTerm("base_cycles", lambda o: 1.0),
-            _if_switch_term(graph),
-            FitTerm("xgmi_ns", lambda o: 2.0 * xgmi_crossings(o) * ghz),
+            FitTerm(SWITCH_HOP_BASES[name], lambda o: 1.0),
+            FitTerm(
+                "if_switch_ns",
+                lambda o: 2.0 * extra_switch_hops(graph, o.requester, o.home) * ghz,
+            ),
         ),
     )
 

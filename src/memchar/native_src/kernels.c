@@ -181,7 +181,8 @@ void mc_sattolo(int64_t *perm, uint64_t n, uint64_t state) {
  * scratch) records the step at which each element was first reached.
  * Returns the step of the first revisit and stores the length of the cycle
  * it closes in *cycle_length.  Every entry of `succ` must lie in [0, n);
- * chain.verify_chain checks that first.  Same walk as chain._verify_chain_py. */
+ * the caller checks that first.  Only the test suite's chain oracle calls it
+ * (tests/oracles.py, beside the same walk in Python). */
 uint64_t mc_chain_walk(const int64_t *succ, uint64_t n, int64_t *first_seen,
                        uint64_t *cycle_length) {
     for (uint64_t i = 1; i < n; i++)

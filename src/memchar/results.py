@@ -51,7 +51,10 @@ its file is built, so no id is reused; no float is compared.
 Reading a result file checks it: a row whose field count differs from the
 header's, a cell that does not parse, or a row ``csv.reader`` refuses is a
 :class:`ResultError` naming the file, the line and, for a cell, the
-column.
+column; bytes that are not UTF-8, the encoding every file is written in,
+are one naming the file.  Any field the writer writes reads back, however
+long: the csv module's field limit is raised to the file's size for the
+read.
 """
 
 from __future__ import annotations
@@ -244,7 +247,7 @@ class RunManifest:
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
         try:
-            doc = json.loads(Path(path).read_text())
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise ResultError(f"{path}: unreadable manifest: {exc}") from None
         if not isinstance(doc, dict) or set(doc) != {"argv", "environment"}:
@@ -382,26 +385,36 @@ class ResultSet:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ResultSet":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
+        with open(path, newline="", encoding="utf-8") as fh:
+            # No field is longer than the file, and a latency row's samples
+            # can pass the csv module's default limit (131072 characters).
+            limit = csv.field_size_limit()
+            csv.field_size_limit(max(limit, os.fstat(fh.fileno()).st_size))
             try:
-                header = next(reader)
-            except StopIteration:
-                raise ResultError(f"{path}: empty result file") from None
-            if header == LATENCY_COLUMNS:
-                build, cols = cls._latency_record, LATENCY_COLUMNS
-            elif header == BANDWIDTH_COLUMNS:
-                build, cols = cls._bandwidth_record, BANDWIDTH_COLUMNS
-            else:
-                raise ResultError(
-                    f"{path}: unknown result schema (header {header[:4]}...)"
-                )
-            records = []
-            try:
-                for row in reader:
-                    if len(row) != len(cols):
-                        raise ResultError(f"{len(row)} fields, the header has {len(cols)}")
-                    records.append(build(dict(zip(cols, row))))
-            except (ResultError, csv.Error) as exc:
-                raise ResultError(f"{path}: line {reader.line_num}: {exc}") from None
-        return cls(records=records)
+                return cls(records=cls._read_records(csv.reader(fh), path))
+            except UnicodeDecodeError as exc:
+                raise ResultError(f"{path}: not UTF-8 text: {exc}") from None
+            finally:
+                csv.field_size_limit(limit)
+
+    @classmethod
+    def _read_records(cls, reader, path) -> list:
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ResultError(f"{path}: empty result file") from None
+        if header == LATENCY_COLUMNS:
+            build, cols = cls._latency_record, LATENCY_COLUMNS
+        elif header == BANDWIDTH_COLUMNS:
+            build, cols = cls._bandwidth_record, BANDWIDTH_COLUMNS
+        else:
+            raise ResultError(f"{path}: unknown result schema (header {header[:4]}...)")
+        records = []
+        try:
+            for row in reader:
+                if len(row) != len(cols):
+                    raise ResultError(f"{len(row)} fields, the header has {len(cols)}")
+                records.append(build(dict(zip(cols, row))))
+        except (ResultError, csv.Error) as exc:
+            raise ResultError(f"{path}: line {reader.line_num}: {exc}") from None
+        return records

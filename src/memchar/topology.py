@@ -8,9 +8,44 @@ Two graph kinds are supported:
   socket-link tiles); a route between two tiles of one socket takes as many
   hops as their Manhattan distance (:func:`mesh_hops`).
 
-Graphs are loaded from JSON documents (see ``TOPOLOGY_SCHEMA_DOC`` and the
-fixtures shipped under ``memchar/fixtures``), validated, and frozen.  All
+Graphs are loaded from JSON documents (the schema below, and the fixtures
+shipped under ``memchar/fixtures``), validated, and frozen.  All
 route/placement queries are pure functions over the loaded graph.
+
+The topology document (JSON); its field names are a stable contract.
+
+Common:
+  kind            "chiplet_if" | "mesh_2d"
+  name            free-form system name
+  socket_count    1 or 2
+  frequencies     {"core_mhz": F, "fclk_mhz": F?, "uncore_mhz": F?}
+  link_costs      {class: {"cycles": C, "domain": "core"|"fclk"|"uncore"}}
+                  (cycles of the link's clock; "domain" names that clock
+                  for the reader and is not read)
+  caches          {"l1_kib": K, "l2_kib": K, "l3_mib": M}   (L1 and L2
+                  per core, L3 per L3 domain; read through
+                  TopologyGraph.cache_bytes, which names a missing size)
+  bandwidth       optional fixture tables for the simulated bandwidth
+                  backend (see bandwidth module docs)
+
+kind=chiplet_if sockets entry:
+  {"id": S,
+   "switches": ["sw_a", ...],
+   "switch_links": [["sw_a","sw_b"], ...],
+   "repeaters": [{"id": "rp1", "between": ["sw_a","sw_b"]}, ...]?,
+   "xgmi_ports": [{"id": "xg1", "switch": "sw_x"}, ...],
+   "numa_nodes": [{"id": N, "switch": "sw_a" | null,
+                   "ccds": [{"ccxs": [[core ids], ...]}, ...]}, ...]}
+  plus top-level "xgmi_links": [["s0.xg1","s1.xg1"], ...]
+
+kind=mesh_2d sockets entry:
+  {"id": S,
+   "grid": {"rows": R, "cols": C},
+   "snc_cols": {"0": [cols...], "1": [cols...]},
+   "numa_base": first global NUMA id of this socket,
+   "tiles": [{"row": r, "col": c, "core": id} |
+             {"row": r, "col": c, "mc": numa_id} |
+             {"row": r, "col": c, "upi": true}, ...]}
 """
 
 from __future__ import annotations
@@ -31,7 +66,6 @@ __all__ = [
     "TopoEdge",
     "TopologyGraph",
     "Placement",
-    "Path",
     "TopologyError",
     "SchemaError",
     "ScopeError",
@@ -39,7 +73,6 @@ __all__ = [
     "load_topology",
     "load_topology_file",
     "mesh_hops",
-    "if_path",
     "enumerate_placements",
     "enumerate_triples",
     "fixture_path",
@@ -143,20 +176,6 @@ class TopoEdge:
 
 
 @dataclass(frozen=True)
-class Path:
-    """An ordered route: the node ids visited and the class of each hop."""
-
-    nodes: tuple[str, ...]
-    link_classes: tuple[LinkClass, ...]
-
-    def __len__(self) -> int:
-        return len(self.link_classes)
-
-    def count(self, link_class: LinkClass) -> int:
-        return sum(1 for c in self.link_classes if c is link_class)
-
-
-@dataclass(frozen=True)
 class Placement:
     """One measurement placement: who asks, who holds, where memory lives."""
 
@@ -185,9 +204,9 @@ class TopologyGraph:
       :meth:`l3_domain_of_core`, :attr:`l3_domains` and
       :meth:`memory_controller` are lookups (list and dict results are
       fresh copies a caller may change);
-    * on the first route query, the costed adjacency :func:`if_path` walks,
-      and per source node, the shortest-path tree that :func:`if_path` reads
-      routes from and :func:`switch_hops_to_memory` counts switches along.
+    * on the first route query, the costed adjacency the route search
+      walks, and per source node, the shortest-path tree that
+      :func:`switch_hops_to_memory` counts switches along.
     """
 
     def __init__(
@@ -238,7 +257,7 @@ class TopologyGraph:
         for n in nodes.values():
             if n.role is NodeRole.MEMORY_CONTROLLER:
                 self._mc_by_node.setdefault(n.numa_node, n)
-        # Routing memos, built on the first route query (see if_path).
+        # Routing memos, built on the first route query (see _route_tree).
         self._route_adj: Optional[dict[str, list]] = None
         self._route_trees: dict[str, dict[str, tuple[str, LinkClass]]] = {}
         self._validate()
@@ -379,44 +398,6 @@ class TopologyGraph:
 
 # ---------------------------------------------------------------------------
 # Loading
-
-
-TOPOLOGY_SCHEMA_DOC = """\
-Topology document (JSON). Field names are a stable contract.
-
-Common:
-  kind            "chiplet_if" | "mesh_2d"
-  name            free-form system name
-  socket_count    1 or 2
-  frequencies     {"core_mhz": F, "fclk_mhz": F?, "uncore_mhz": F?}
-  link_costs      {class: {"cycles": C, "domain": "core"|"fclk"|"uncore"}}
-                  (cycles of the link's clock; "domain" names that clock
-                  for the reader and is not read)
-  caches          {"l1_kib": K, "l2_kib": K, "l3_mib": M}   (L1 and L2
-                  per core, L3 per L3 domain; read through
-                  TopologyGraph.cache_bytes, which names a missing size)
-  bandwidth       optional fixture tables for the simulated bandwidth
-                  backend (see bandwidth module docs)
-
-kind=chiplet_if sockets entry:
-  {"id": S,
-   "switches": ["sw_a", ...],
-   "switch_links": [["sw_a","sw_b"], ...],
-   "repeaters": [{"id": "rp1", "between": ["sw_a","sw_b"]}, ...]?,
-   "xgmi_ports": [{"id": "xg1", "switch": "sw_x"}, ...],
-   "numa_nodes": [{"id": N, "switch": "sw_a" | null,
-                   "ccds": [{"ccxs": [[core ids], ...]}, ...]}, ...]}
-  plus top-level "xgmi_links": [["s0.xg1","s1.xg1"], ...]
-
-kind=mesh_2d sockets entry:
-  {"id": S,
-   "grid": {"rows": R, "cols": C},
-   "snc_cols": {"0": [cols...], "1": [cols...]},
-   "numa_base": first global NUMA id of this socket,
-   "tiles": [{"row": r, "col": c, "core": id} |
-             {"row": r, "col": c, "mc": numa_id} |
-             {"row": r, "col": c, "upi": true}, ...]}
-"""
 
 
 def _req(doc: dict, key: str, ctx: str):
@@ -619,7 +600,11 @@ def load_topology_file(path: str | Path) -> TopologyGraph:
     key = hashlib.sha256(data).hexdigest()
     graph = _GRAPHS_BY_SHA256.get(key)
     if graph is None:
-        graph = _GRAPHS_BY_SHA256[key] = load_topology(json.loads(data))
+        try:
+            doc = json.loads(data)
+        except ValueError as exc:
+            raise SchemaError(f"{path}: not a JSON document: {exc}") from None
+        graph = _GRAPHS_BY_SHA256[key] = load_topology(doc)
     return graph
 
 
@@ -652,35 +637,20 @@ def mesh_hops(graph: TopologyGraph, a: TopoNode | str, b: TopoNode | str) -> int
     return abs(na.row - nb.row) + abs(na.col - nb.col)
 
 
-def if_path(graph: TopologyGraph, a: str, b: str) -> Path:
-    """Minimum-cost route through the interconnect fabric between two node
-    ids.
-
-    Uses per-link-class costs; ties broken by lexicographic node id so output
-    is deterministic.  A path crossing sockets traverses exactly one xGMI
-    edge; CCX-to-CCX paths always pass the I/O die (the graph has no direct
-    CCX-CCX edges by construction).  The route is read from the source's
-    shortest-path tree, searched once per graph and source.
-    """
-    prev = _route_tree(graph, a, b)
-    rev_nodes = [b]
-    rev_classes = []
-    cur = b
-    while cur != a:
-        p, link_class = prev[cur]
-        rev_classes.append(link_class)
-        rev_nodes.append(p)
-        cur = p
-    return Path(nodes=tuple(reversed(rev_nodes)), link_classes=tuple(reversed(rev_classes)))
-
-
 def _route_tree(
     graph: TopologyGraph, source: str, target: str
 ) -> dict[str, tuple[str, LinkClass]]:
     """The memoized shortest-path tree of ``source``, checked to reach
-    ``target``."""
+    ``target``: the minimum-cost routes through the interconnect fabric from
+    ``source``, searched once per graph and source.
+
+    Uses per-link-class costs; ties broken by lexicographic node id so routes
+    are deterministic.  A route crossing sockets traverses exactly one xGMI
+    edge; CCX-to-CCX routes always pass the I/O die (the graph has no direct
+    CCX-CCX edges by construction).
+    """
     if graph.kind is not GraphKind.CHIPLET_IF:
-        raise ScopeError("if_path requires a chiplet_if graph")
+        raise ScopeError("fabric routes require a chiplet_if graph")
     prev = graph._route_trees.get(source)
     if prev is None:
         prev = graph._route_trees[source] = _shortest_path_tree(graph, source)
@@ -729,8 +699,8 @@ def _shortest_path_tree(graph: TopologyGraph, source: str) -> dict[str, tuple[st
 
 def switch_hops_to_memory(graph: TopologyGraph, core_id: int, numa_node: int) -> int:
     """Switches traversed from a core to a node's memory controller: the
-    switch nodes on the :func:`if_path` route, counted along the source's
-    route tree without building the route."""
+    switch nodes on the minimum-cost route, counted along the core's route
+    tree."""
     source = graph.core(core_id).id
     cur = graph.memory_controller(numa_node).id
     prev = _route_tree(graph, source, cur)

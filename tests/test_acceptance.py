@@ -22,7 +22,7 @@ from memchar.bandwidth import (
     scaling_series,
     verify_triad,
 )
-from memchar.chain import chain_spec, generate_chain, verify_chain
+from memchar.chain import chain_spec, generate_chain
 from memchar.cli import main
 from memchar.coherence import (
     Action,
@@ -44,7 +44,6 @@ from memchar.model import (
     FitObservation,
     classify_values,
     fit,
-    hop_cost_template,
     load_fixture_model,
     switch_hop_template,
 )
@@ -58,7 +57,14 @@ from memchar.topology import (
     load_topology_file,
     mesh_hops,
 )
-from oracles import ReplayBackend, check_single_owner, protocol_model, protocol_states
+from oracles import (
+    ReplayBackend,
+    check_single_owner,
+    hop_cost_template,
+    protocol_model,
+    protocol_states,
+    verify_chain,
+)
 
 ONE = MeasurementPolicy(inner_repeats=1, outer_repeats=1, sizes_per_level=1)
 

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from memchar import chain as chain_mod
-from memchar.chain import ChainError, Xorshift64, chain_spec, generate_chain, verify_chain
+from memchar.chain import ChainError, chain_spec, generate_chain
+from oracles import ChainReport, Xorshift64, verify_chain
 
 
 class TestGenerate:
@@ -174,7 +176,7 @@ def chain_with(successors: list[int]):
 
 
 class TestVerifyInC:
-    """``verify_chain`` walks in C; ``_verify_chain_py`` is the reference."""
+    """``verify_chain`` walks in C; ``verify_chain_py`` is the reference."""
 
     def test_c_report_equals_the_reference(self, lib):
         chains = [
@@ -189,14 +191,14 @@ class TestVerifyInC:
             chain_with([1, 2, 3, 2**62]),
         ]
         for c in chains:
-            assert verify_chain(c) == chain_mod._verify_chain_py(c), list(c.successors)[:8]
-        assert verify_chain(chains[-3]) == chain_mod.ChainReport(6, 3, 5, 0)
+            assert verify_chain(c) == oracles.verify_chain_py(c), list(c.successors)[:8]
+        assert verify_chain(chains[-3]) == ChainReport(6, 3, 5, 0)
         assert verify_chain(chains[-2]).alignment_violations == 2
 
     def test_reference_is_the_fallback_without_kernels(self, monkeypatch):
         from memchar import native
 
-        reference = chain_mod._verify_chain_py
+        reference = oracles.verify_chain_py
         walked = []
 
         def unavailable():
@@ -207,7 +209,7 @@ class TestVerifyInC:
             return reference(buffer)
 
         monkeypatch.setattr(native, "load_kernels", unavailable)
-        monkeypatch.setattr(chain_mod, "_verify_chain_py", counting)
+        monkeypatch.setattr(oracles, "verify_chain_py", counting)
         c = chain_with([1, 2, 3, 4, 2, 0])
         assert verify_chain(c) == reference(c)
         assert walked == [6]

@@ -9,9 +9,12 @@ import json
 import os
 import shutil
 import stat
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,7 +42,7 @@ from memchar.results import (
 from memchar.topology import (
     Placement, PlacementScope, TopologyError, enumerate_placements, fixture_path,
 )
-from oracles import latency_csv_fields, protocol_states
+from oracles import ReplayBackend, latency_csv_fields, protocol_states
 
 ONE = MeasurementPolicy(inner_repeats=1, outer_repeats=1, sizes_per_level=1)
 # Text fields csv.writer must quote, and the empty field.
@@ -52,6 +55,37 @@ _SAMPLE_ROWS = st.one_of(
     st.builds(lambda v, n: (v,) * n, _ROW_VALUES, st.integers(1, 130)),
     st.lists(st.one_of(_ROW_VALUES, st.floats()), min_size=1, max_size=130).map(tuple),
 )
+
+
+_MODEL_DOC = fixture_path("rome_2s_latency_model.json").read_text()
+
+
+def _write_utf8_inputs(directory: Path) -> None:
+    """Write a file for each reader of outside text into ``directory``:
+    ``results.csv``, a fit input ``fit.csv``, a latency model
+    ``model.json`` and ``manifest.json``, each valid UTF-8 holding one
+    non-ASCII ``é``."""
+    point = (plan_state("M", "MOESI", owner=0, requester=0), Placement(0, 0, 0, label="café"))
+    records = measure_sweep([chain_spec(64, 64)], [point], ONE,
+                            ReplayBackend(np.full((1, 1, 1, 1), 5.0)))
+    ResultSet(records).to_csv(directory / "results.csv")
+    (directory / "fit.csv").write_text("requester_node,home_node,cycles,note\n0,1,300,café\n",
+                                       encoding="utf-8")
+    model = {**json.loads(_MODEL_DOC), "comment": "café"}
+    (directory / "model.json").write_text(json.dumps(model, ensure_ascii=False),
+                                          encoding="utf-8")
+    manifest = {"argv": ["latency", "--out", "café"], "environment": dict.fromkeys(ENV_VARS)}
+    (directory / "manifest.json").write_text(json.dumps(manifest, ensure_ascii=False),
+                                             encoding="utf-8")
+
+
+# model-predict on a --model file, for the readers of model documents.
+PREDICT = ["model-predict", "--topology", "rome_2s", "--model", "{file}", "--requester", "0",
+           "--home", "1", "--state", "M", "--level", "L1"]
+
+
+def _argv(argv, file, out) -> list:
+    return [{"{file}": str(file), "{out}": str(out)}.get(a, a) for a in argv]
 
 
 @pytest.fixture(scope="module")
@@ -627,18 +661,83 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == f"config error: {path}: {where}\n"
 
-    def test_row_the_csv_reader_refuses_is_config_error(self, rome_records, tmp_path, capsys):
-        # 40,000 samples (--outer 100 --inner 100 --sizes 4) pass the csv
-        # module's field size limit.
-        records = [rome_records[0], dataclasses.replace(rome_records[1], samples=(4.0,) * 40000)]
+    def test_a_field_past_the_csv_module_s_limit_reads_back(self, tmp_path, capsys):
+        # --outer 100 --inner 100 --sizes 4: one field of 40,000 distinct
+        # samples, past the csv module's default limit of 131072 characters.
+        policy = MeasurementPolicy(outer_repeats=100, inner_repeats=100, sizes_per_level=4)
+        elapsed = np.arange(40000.0).reshape(1, 100, 4, 100) + 1000.0
+        point = (plan_state("M", "MOESI", owner=0, requester=0), Placement(0, 0, 0, label="local"))
+        records = measure_sweep([chain_spec(64, 64)] * 4, [point], policy, ReplayBackend(elapsed))
+        assert len(set(records[0].samples)) == 40000
         path = tmp_path / "r.csv"
         ResultSet(records).to_csv(path)
-        where = f"{path}: line 3: field larger than field limit ({csv.field_size_limit()})"
-        with pytest.raises(ResultError) as err:
-            ResultSet.from_csv(path)
-        assert str(err.value) == where
-        assert main(["report", "--input", str(path), "--out", str(tmp_path / "fig")]) == 2
-        assert capsys.readouterr().err == f"config error: {where}\n"
+        limit = csv.field_size_limit()
+        assert len(path.read_text().splitlines()[1]) > limit
+        assert ResultSet.from_csv(path).records == records
+        assert csv.field_size_limit() == limit
+        assert main(["report", "--input", str(path), "--out", str(tmp_path / "fig")]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("file, argv", [
+        ("results.csv", ["report", "--input", "{file}", "--out", "{out}"]),
+        ("fit.csv", ["model-fit", "--topology", "rome_2s", "--input", "{file}", "--out", "{out}"]),
+        ("model.json", PREDICT),
+        ("manifest.json", ["replay", "--manifest", "{file}", "--out", "{out}"]),
+    ], ids=["results", "fit-input", "model", "manifest"])
+    def test_input_that_is_not_utf8_is_config_error(self, file, argv, tmp_path, capsys):
+        _write_utf8_inputs(tmp_path)
+        path = tmp_path / file
+        path.write_bytes(path.read_bytes().replace("é".encode(), b"\xff\xfe"))
+        limit = csv.field_size_limit()
+        assert main(_argv(argv, path, tmp_path / "out")) == 2
+        assert "'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert csv.field_size_limit() == limit
+
+    def test_readers_decode_utf8_under_an_ascii_locale(self, tmp_path):
+        # The C locale with UTF-8 mode and locale coercion off makes open()'s
+        # default encoding ASCII.
+        _write_utf8_inputs(tmp_path)
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from memchar import cli, model, results, topology\n"
+            "d = Path(sys.argv[1])\n"
+            "g = topology.load_topology_file(topology.fixture_path('rome_2s.json'))\n"
+            "print(results.ResultSet.from_csv(d / 'results.csv').records[0].placement.label)\n"
+            "print(len(cli._observations_from_csv(d / 'fit.csv', g)))\n"
+            "print(model.load_model_file(d / 'model.json', g).protocol.value)\n"
+            "print(results.RunManifest.load(d / 'manifest.json').argv[-1])\n"
+        )
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONIOENCODING": "utf-8",
+               "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True)
+        assert done.stderr.decode() == ""
+        assert done.stdout.decode() == "café\n1\nMOESI\ncafé\n"
+
+    @pytest.mark.parametrize("file, text, argv, message", [
+        ("model.json", _MODEL_DOC[:200], PREDICT, "model.json: not a JSON document"),
+        ("model.json", _MODEL_DOC[:200],
+         ["latency", "--topology", "rome_2s", "--model", "{file}", "--out", "{out}"],
+         "model.json: not a JSON document"),
+        ("topo.json", fixture_path("rome_2s.json").read_text()[:200],
+         ["topo", "--topology", "{file}"], "topo.json: not a JSON document"),
+        ("model.json", "{}", PREDICT,
+         "model document lacks key(s) protocol, base_cycles, state_classes"),
+        ("model.json", json.dumps({**json.loads(_MODEL_DOC), "protocol": "XYZ"}), PREDICT,
+         "model document names unknown protocol 'XYZ'"),
+    ], ids=["truncated-model-predict", "truncated-model-latency", "truncated-topology",
+            "model-empty", "model-protocol"])
+    def test_malformed_topology_or_model_file_is_config_error(self, file, text, argv, message,
+                                                              tmp_path, capsys):
+        path = tmp_path / file
+        path.write_text(text)
+        assert main(_argv(argv, path, tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err, err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_alignment_variable_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MEMCHAR_ALIGNMENT", "abc")

@@ -6,7 +6,8 @@ non-default sampling shape and, for points whose requester holds the line,
 local and ``same_ccx`` sweeps, with one ``same_ccd`` sweep, and bandwidth
 read ladders and triads (``bandwidth.csv``).  A refactor of the simulated
 path must leave every hash unchanged; a deliberate output change
-re-records the file and says why.
+re-records the file and says why.  Each file also reads back: the records
+``ResultSet.from_csv`` gives write the same bytes again.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from memchar.cli import main
+from memchar.results import ResultSet
 
 GOLDEN = Path(__file__).with_name("golden_sim_sha256.json")
 TOPOLOGY_STATES = {"rome_2s": "MOESI", "clx_2s": "MESIF"}
@@ -60,11 +62,11 @@ SWEEPS = [
 ]
 
 
-def results_sha256(argv: str, out: Path) -> str:
+def run_sweep(argv: str, out: Path) -> Path:
+    """Run ``argv`` into ``out``; the path of its result file."""
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv.split() + ["--out", str(out)]) == 0
-    name = "results.csv" if argv.startswith("latency") else "bandwidth.csv"
-    return hashlib.sha256((out / name).read_bytes()).hexdigest()
+    return out / ("results.csv" if argv.startswith("latency") else "bandwidth.csv")
 
 
 def test_golden_covers_every_sweep():
@@ -73,4 +75,7 @@ def test_golden_covers_every_sweep():
 
 @pytest.mark.parametrize("argv", SWEEPS)
 def test_sweep_matches_golden(argv, tmp_path):
-    assert results_sha256(argv, tmp_path) == json.loads(GOLDEN.read_text())[argv]
+    path = run_sweep(argv, tmp_path / "run")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == json.loads(GOLDEN.read_text())[argv]
+    ResultSet.from_csv(path).to_csv(tmp_path / "reread.csv")
+    assert (tmp_path / "reread.csv").read_bytes() == path.read_bytes()

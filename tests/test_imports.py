@@ -1,13 +1,15 @@
 """Every module-level import in ``src/memchar`` is used or re-exported, every
-module-level def and class there has a caller in ``src/`` or ``bench/``, every
-class member there has a reader in ``src/`` or ``bench/``, only
-``topology.py`` reads a topology's raw ``caches`` sizes, and only
-``results.write_output`` (and the kernel build) writes files.  Also checks
-the line counter in ``tools/sloc.py``."""
+module-level def, class and constant there has a reader in ``src/`` or
+``bench/``, as has every class member, every name a module exports
+resolves, only ``topology.py`` reads a topology's raw ``caches`` sizes, and
+only ``results.write_output`` (and the kernel build) writes files.  Also
+checks the line counter in ``tools/sloc.py``."""
 
 import ast
 import builtins
+import importlib
 import importlib.util
+import types
 from pathlib import Path
 
 import pytest
@@ -182,8 +184,6 @@ BENCH = SRC.parent.parent / "bench"
 RESERVED = {
     "scaling_series": "item 2: bandwidth --scaling prints the saturation series",
     "compare": "item 3: a table run is checked against the paper's fixture table",
-    "hop_cost_template": "item 3: model-fit --template hop_cost, or deletion",
-    "verify_chain": "aim 3: the chain oracle the chain tests rest on",
 }
 
 
@@ -193,15 +193,24 @@ def _is_all(node) -> bool:
     )
 
 
-def unreferenced_defs(modules: dict, users=()) -> list[str]:
-    """``file: name`` of each module-level def or class of ``modules`` (file
-    name -> source) that neither those sources nor ``users`` name.  A name
-    counts as an identifier, an attribute, an imported name or a string
-    (``bench/spans.py`` patches by name); a def naming itself and
-    ``__all__`` do not count."""
-    trees = {name: ast.parse(src) for name, src in modules.items()}
+def _assigned(stmt) -> set:
+    """Names ``stmt`` binds if it is an assignment, else none."""
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return set()
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def _referenced_names(trees, users) -> set:
+    """Every name the statements of ``trees`` and ``users`` mention: an
+    identifier, an attribute, an imported name or a string
+    (``bench/spans.py`` patches by name).  A def or an assignment naming
+    what it binds, and ``__all__``, do not count."""
     names = set()
-    for tree in [*trees.values(), *(ast.parse(src) for src in users)]:
+    for tree in [*trees, *(ast.parse(src) for src in users)]:
         for stmt in tree.body:
             if _is_all(stmt):
                 continue
@@ -216,12 +225,36 @@ def unreferenced_defs(modules: dict, users=()) -> list[str]:
                 elif isinstance(n, ast.Constant) and isinstance(n.value, str):
                     found.add(n.value)
             found.discard(getattr(stmt, "name", None))
-            names |= found
+            names |= found - _assigned(stmt)
+    return names
+
+
+def unreferenced_defs(modules: dict, users=()) -> list[str]:
+    """``file: name`` of each module-level def or class of ``modules`` (file
+    name -> source) that neither those sources nor ``users`` name."""
+    trees = {name: ast.parse(src) for name, src in modules.items()}
+    names = _referenced_names(trees.values(), users)
     return [
         f"{file}: {stmt.name}"
         for file, tree in trees.items()
         for stmt in tree.body
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name not in names
+    ]
+
+
+def unread_constants(modules: dict, users=()) -> list[str]:
+    """``file: name`` of each name a module-level assignment of ``modules``
+    binds, ``__all__`` aside, that neither those sources nor ``users``
+    read."""
+    trees = {name: ast.parse(src) for name, src in modules.items()}
+    names = _referenced_names(trees.values(), users)
+    return [
+        f"{file}: {name}"
+        for file, tree in trees.items()
+        for stmt in tree.body
+        if not _is_all(stmt)
+        for name in sorted(_assigned(stmt))
+        if name not in names
     ]
 
 
@@ -233,6 +266,57 @@ def test_every_src_def_has_a_caller_or_a_reserved_item():
     assert [n for n in unreferenced if n.partition(": ")[2] not in RESERVED] == []
     # A reserved name that has found a caller leaves RESERVED.
     assert sorted(n.partition(": ")[2] for n in unreferenced) == sorted(RESERVED)
+
+
+# Module-level constants that nothing in src/ or bench/ reads yet, each kept
+# for the ROADMAP item that reads it.  A constant leaves once it has a reader.
+RESERVED_CONSTANTS = {
+    "SCHEMA_VERSION": "item 7: schema v2 bumps it with the columns it appends",
+}
+
+
+@pytest.mark.skipif(not BENCH.is_dir(), reason="no bench/ directory")
+def test_every_src_constant_has_a_reader_or_a_reserved_item():
+    modules = {p.name: p.read_text() for p in MODULES}
+    users = [p.read_text() for p in sorted(BENCH.glob("*.py"))]
+    unread = [n.partition(": ")[2] for n in unread_constants(modules, users)]
+    # A reserved constant that has found a reader leaves RESERVED_CONSTANTS.
+    assert sorted(unread) == sorted(RESERVED_CONSTANTS)
+
+
+def test_scan_flags_a_constant_with_no_reader():
+    modules = {
+        "m.py": (
+            "__all__ = ['A', 'B']\n"
+            "A = 1\n"
+            "B: int = 2\n"
+            "C, D = 3, 4\n"
+            "E = E_DOC = 5\n"
+            "_cache = {}\n"
+            "def f(): return _cache, C\n"
+        ),
+        "n.py": "from .m import A\n",
+    }
+    users = ["getattr(m, 'E')\n"]
+    assert unread_constants(modules, users) == ["m.py: B", "m.py: D", "m.py: E_DOC"]
+
+
+def unresolved_exports(module) -> list[str]:
+    """The names in ``module.__all__`` that ``module`` does not bind."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+@pytest.mark.parametrize(
+    "name", ["memchar", *(f"memchar.{p.stem}" for p in MODULES)], ids=lambda n: n,
+)
+def test_every_exported_name_resolves(name):
+    assert unresolved_exports(importlib.import_module(name)) == []
+
+
+def test_scan_flags_an_export_that_does_not_resolve():
+    module = types.ModuleType("m")
+    exec("__all__ = ['here', 'gone']\nhere = 1\n", module.__dict__)
+    assert unresolved_exports(module) == ["gone"]
 
 
 def test_scan_flags_a_def_with_no_caller():
@@ -259,8 +343,6 @@ RESERVED_MEMBERS = {
     "CompareReport.render": "item 3: a table run prints its check against the fixture table",
     "ReadSource.supplier": "item 7: the record names the agent that supplied the data",
     "_Region.numa_bound": "item 7: the record gives the NUMA binding outcome",
-    "Xorshift64.next": "aim 3: the chain oracle, like verify_chain",
-    "ChainReport.ok": "aim 3: the chain oracle, like verify_chain",
 }
 
 

@@ -17,12 +17,12 @@ from memchar.model import (
     classify_values,
     compare,
     fit,
-    hop_cost_template,
     load_fixture_model,
     load_model,
     switch_hop_template,
 )
 from memchar.topology import fixture_path
+from oracles import hop_cost_template
 
 
 @pytest.fixture(scope="module")

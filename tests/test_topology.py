@@ -1,8 +1,8 @@
 """Topology loading, routing, and placement enumeration."""
 
-import heapq
 import json
-import random
+import pathlib
+import typing
 
 import pytest
 
@@ -11,7 +11,6 @@ from memchar.topology import (
     GraphKind,
     LinkClass,
     NodeRole,
-    Path,
     PlacementScope,
     RouteError,
     SchemaError,
@@ -21,13 +20,12 @@ from memchar.topology import (
     enumerate_triples,
     extra_switch_hops,
     fixture_path,
-    if_path,
     load_topology,
     load_topology_file,
     mesh_hops,
     switch_hops_to_memory,
 )
-from oracles import switch_count
+from oracles import route, switch_count
 
 
 def fixture_doc(name):
@@ -78,6 +76,11 @@ class TestLoad:
         del doc["caches"]["l2_kib"]
         with pytest.raises(TopologyError, match="lacks cache size l2_kib"):
             load_topology(doc).cache_bytes("L2")
+
+    def test_fixture_path_is_annotated_as_a_pathlib_path(self):
+        # No name of the module shadows pathlib.Path in its annotations.
+        assert typing.get_type_hints(fixture_path)["return"] is pathlib.Path
+        assert isinstance(fixture_path("rome_2s.json"), pathlib.Path)
 
     def test_single_core_degenerate(self, single):
         assert len(single.cores) == 1
@@ -189,21 +192,33 @@ class TestMeshRoute:
                 assert got == abs(a.row - b.row) + abs(a.col - b.col)
 
 
-class TestIfPath:
+def tree_route(graph, a: str, b: str) -> tuple:
+    """``(nodes, link_classes)`` from ``a`` to ``b`` as read off the memoized
+    route tree of ``a``, in the form of :func:`oracles.route`."""
+    prev = topology_mod._route_tree(graph, a, b)
+    nodes, classes = [b], []
+    while nodes[-1] != a:
+        u, link_class = prev[nodes[-1]]
+        nodes.append(u)
+        classes.append(link_class)
+    return tuple(reversed(nodes)), tuple(reversed(classes))
+
+
+class TestFabricRoutes:
     def test_local_ccx_path_has_no_interconnect(self, rome):
         core = rome.core(0)
         l3 = rome.l3_domain_of_core(0)
-        p = if_path(rome, core.id, l3)
-        assert switch_count(rome, p) == 0
-        assert p.count(LinkClass.XGMI) == 0
+        nodes, classes = route(rome, core.id, l3)
+        assert switch_count(rome, nodes) == 0
+        assert classes.count(LinkClass.XGMI) == 0
 
     def test_fixture_hop_set(self, rome):
         assert [extra_switch_hops(rome, 0, n) for n in range(4)] == [0, 1, 3, 4]
 
     def test_cross_socket_uses_one_xgmi(self, rome):
         for home in range(4, 8):
-            p = if_path(rome, rome.core(0).id, rome.memory_controller(home).id)
-            assert p.count(LinkClass.XGMI) == 1
+            _, classes = route(rome, rome.core(0).id, rome.memory_controller(home).id)
+            assert classes.count(LinkClass.XGMI) == 1
 
     def test_node0_to_node6_is_minimal(self, rome):
         hops = {
@@ -217,14 +232,14 @@ class TestIfPath:
     def test_ccx_to_ccx_passes_io_die(self, rome):
         # No CCX reaches another CCX without a switch traversal.
         for owner in (4, 8, 16, 48):
-            p = if_path(rome, rome.core(0).id, rome.core(owner).id)
-            assert switch_count(rome, p) >= 1
+            nodes, _ = route(rome, rome.core(0).id, rome.core(owner).id)
+            assert switch_count(rome, nodes) >= 1
 
     def test_hop_symmetry(self, rome, clx):
         pairs = [(0, 20), (0, 70), (16, 112)]
         for a, b in pairs:
-            ab = if_path(rome, rome.core(a).id, rome.core(b).id)
-            ba = if_path(rome, rome.core(b).id, rome.core(a).id)
+            ab, _ = route(rome, rome.core(a).id, rome.core(b).id)
+            ba, _ = route(rome, rome.core(b).id, rome.core(a).id)
             assert switch_count(rome, ab) == switch_count(rome, ba)
         for a, b in ((0, 12), (1, 16), (5, 11)):
             assert mesh_hops(clx, clx.core(a), clx.core(b)) == mesh_hops(
@@ -253,28 +268,25 @@ class TestIfPath:
             "xgmi_links": [],
         }
         g = load_topology(doc)
-        p = if_path(g, g.core(0).id, g.memory_controller(1).id)
-        assert p.count(LinkClass.IF_REPEATER_HOP) == 2
-        assert switch_count(g, p) == switch_hops_to_memory(g, 0, 1) == 2
-        for a in g.nodes:
-            for b in g.nodes:
-                assert if_path(g, a, b) == reference_if_path(g, a, b), (a, b)
+        nodes, classes = route(g, g.core(0).id, g.memory_controller(1).id)
+        assert classes.count(LinkClass.IF_REPEATER_HOP) == 2
+        assert switch_count(g, nodes) == switch_hops_to_memory(g, 0, 1) == 2
+        for c in g.cores:
+            for n in g.numa_nodes:
+                a, b = g.core(c).id, g.memory_controller(n).id
+                assert tree_route(g, a, b) == route(g, a, b), (a, b)
 
     def test_memoized_routes_equal_a_fresh_search(self, rome):
-        cores = [rome.core(c).id for c in rome.cores]
-        targets = [(c, rome.memory_controller(n).id) for c in cores for n in rome.numa_nodes]
-        rng = random.Random(11)
-        targets += [(rng.choice(cores), rng.choice(cores)) for _ in range(300)]
-        for a, b in targets:
-            got, want = if_path(rome, a, b), reference_if_path(rome, a, b)
-            assert got == want, (a, b)
-            assert switch_count(rome, got) == switch_count(rome, want)
+        for c in rome.cores:
+            for n in rome.numa_nodes:
+                a, b = rome.core(c).id, rome.memory_controller(n).id
+                assert tree_route(rome, a, b) == route(rome, a, b), (a, b)
 
     def test_switch_hops_equal_the_route_s_switch_count(self, rome, clx):
         for c in rome.cores:
             for n in rome.numa_nodes:
-                route = if_path(rome, rome.core(c).id, rome.memory_controller(n).id)
-                assert switch_hops_to_memory(rome, c, n) == switch_count(rome, route), (c, n)
+                nodes, _ = route(rome, rome.core(c).id, rome.memory_controller(n).id)
+                assert switch_hops_to_memory(rome, c, n) == switch_count(rome, nodes), (c, n)
         with pytest.raises(ScopeError, match="chiplet_if"):
             switch_hops_to_memory(clx, 0, 0)
 
@@ -293,39 +305,6 @@ class TestIfPath:
                 extra_switch_hops(g, 0, n)
                 extra_switch_hops(g, 5, n)
         assert searched == ["core0", "core5"]
-
-
-def reference_if_path(graph, a: str, b: str) -> Path:
-    """Fresh Dijkstra from ``a`` that stops at ``b`` and keeps nothing: the
-    reference the memoized routes of ``if_path`` must equal."""
-    if a == b:
-        return Path(nodes=(a,), link_classes=())
-    adj = {n: [] for n in graph.nodes}
-    for e in graph.edges:
-        adj[e.a].append(e)
-        adj[e.b].append(e)
-    dist = {a: 0.0}
-    prev = {}
-    heap = [(0.0, a)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u == b:
-            break
-        if d > dist.get(u, float("inf")):
-            continue
-        for e in sorted(adj[u], key=lambda e: e.other(u)):
-            v = e.other(u)
-            nd = d + graph.link_cost_cycles(e.link_class) + 1e-9
-            if nd < dist.get(v, float("inf")) - 1e-12:
-                dist[v] = nd
-                prev[v] = (u, e.link_class)
-                heapq.heappush(heap, (nd, v))
-    nodes, classes = [b], []
-    while nodes[-1] != a:
-        u, link_class = prev[nodes[-1]]
-        nodes.append(u)
-        classes.append(link_class)
-    return Path(nodes=tuple(reversed(nodes)), link_classes=tuple(reversed(classes)))
 
 
 class TestIndexedQueries:
