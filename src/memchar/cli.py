@@ -6,18 +6,19 @@ measurements (simulated or native backend), ``model-fit``/``model-predict``
 drive the analytic latency model, ``report`` renders result CSVs as SVG
 figures, and ``replay`` re-executes a stored manifest.
 
-Every ``latency``, ``bandwidth``, ``triad`` and ``model-fit`` run writes a
-``manifest.json`` next to its results: the subcommand's argv as parsed plus
-the ``MEMCHAR_*`` variables then in effect.  ``replay`` re-parses that argv
-with the same parser and runs it under the recorded variables; on the
-simulated backend it reproduces the CSVs byte for byte.  Exit codes: 0 ok,
+A run is its argv: every setting is a flag, and the parser is the one
+reader of configuration.  Every ``latency``, ``bandwidth``, ``triad`` and
+``model-fit`` run writes a ``manifest.json`` next to its results holding
+the subcommand's argv as parsed.  ``replay`` re-parses that argv with the
+same parser; on the simulated backend it reproduces the CSVs byte for byte.
+The environment variables that once set latency options are refused by
+name, each pointing at the flag that replaced it.  Exit codes: 0 ok,
 2 configuration, 3 pinning/affinity, 4 backend, 5 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import os
@@ -44,7 +45,7 @@ from .coherence import (
     CoherenceState,
     plan_state,
 )
-from .harness import MeasurementPolicy, policy_from_env
+from .harness import MeasurementPolicy
 from .model import (
     SWITCH_HOP_BASES,
     FitObservation,
@@ -54,7 +55,7 @@ from .model import (
     switch_hop_template,
 )
 from .plots import PlotError, emit_plot
-from .results import ResultError, ResultSet, RunManifest, write_output
+from .results import ResultError, ResultSet, RunManifest, parse_cell, write_output
 from .topology import (
     PlacementScope,
     TopologyError,
@@ -147,20 +148,35 @@ def cmd_topo(args) -> int:
     return EXIT_OK
 
 
-def _policy_from_args(args) -> tuple[MeasurementPolicy, int, bool]:
-    overrides = {}
-    if args.outer is not None:
-        overrides["outer_repeats"] = args.outer
-    if args.inner is not None:
-        overrides["inner_repeats"] = args.inner
-    if args.sizes is not None:
-        overrides["sizes_per_level"] = args.sizes
-    if args.reducer is not None:
-        overrides["reducer"] = args.reducer
-    policy, alignment, huge = policy_from_env(**overrides)
-    if args.alignment is not None:
-        alignment = args.alignment
-    return policy, alignment, huge
+# Environment variables that set latency options before those were flags,
+# and the flag that replaced each.  A run that finds one set is refused, so
+# that it cannot silently run with other settings than the variable asked.
+_RETIRED_VARIABLES = {
+    "MEMCHAR_ALIGNMENT": "--alignment",
+    "MEMCHAR_HUGEPAGES": "--no-huge-pages",
+    "MEMCHAR_FLUSH_L1": "--flush",
+    "MEMCHAR_FLUSH_L2": "--flush",
+    "MEMCHAR_FLUSH_L3": "--flush",
+}
+
+
+def _refuse_retired_variables() -> None:
+    for name, flag in _RETIRED_VARIABLES.items():
+        if name in os.environ:
+            raise CliError(f"{name} is no longer read: a run's settings are its argv; "
+                           f"unset it and pass {flag}")
+
+
+def _policy_from_args(args) -> MeasurementPolicy:
+    overrides = {
+        name: value
+        for name, value in (("outer_repeats", args.outer), ("inner_repeats", args.inner),
+                            ("sizes_per_level", args.sizes), ("reducer", args.reducer))
+        if value is not None
+    }
+    # MeasurementPolicy rejects a level other than L1, L2 and L3.
+    flush = frozenset(level for level in args.flush.split(",") if level)
+    return MeasurementPolicy(flush_levels=flush, **overrides)
 
 
 def _latency_points(graph, placements, state: CoherenceState, protocol, level: str) -> list:
@@ -191,8 +207,9 @@ def _latency_points(graph, placements, state: CoherenceState, protocol, level: s
 
 
 def cmd_latency(args) -> int:
+    _refuse_retired_variables()
     graph, model = _load_graph_and_model(args)
-    policy, alignment, huge = _policy_from_args(args)
+    policy = _policy_from_args(args)
     if args.reducer is None and args.level == "L1" and args.scope != "local":
         # Remote-L1 samples are noisy; the median coincides with the mode.
         policy = dataclasses.replace(policy, reducer="median")
@@ -213,7 +230,8 @@ def cmd_latency(args) -> int:
         raise CliError(f"scope {args.scope!r} yields no placements")
 
     sizes = harness.level_dataset_bytes(graph, args.level, policy.sizes_per_level)
-    chains = [chain_mod.chain_spec(sz, alignment, args.seed, huge) for sz in sizes]
+    chains = [chain_mod.chain_spec(sz, args.alignment, args.seed, args.huge_pages)
+              for sz in sizes]
     points = _latency_points(
         graph, placements, CoherenceState(args.state), model.protocol, args.level
     )
@@ -263,17 +281,6 @@ def cmd_triad(args) -> int:
     return EXIT_OK
 
 
-def _number(convert, row: dict, column: str, line: int, path: Path):
-    """``convert(row[column])``; a cell that is not a number is a
-    configuration error naming its line and column."""
-    try:
-        return convert(row[column])
-    except (TypeError, ValueError):
-        raise CliError(
-            f"{path}: line {line}, column {column}: {row[column]!r} is not a number"
-        ) from None
-
-
 def _observations_from_csv(path: Path, graph) -> list[FitObservation]:
     import csv as _csv
 
@@ -296,10 +303,10 @@ def _observations_from_csv(path: Path, graph) -> list[FitObservation]:
             obs.append(
                 FitObservation(
                     requester=graph.first_core_of_node(
-                        _number(int, r, "requester_node", line, path)
+                        parse_cell(int, r, "requester_node", line, path)
                     ),
-                    home=_number(int, r, "home_node", line, path),
-                    cycles=_number(float, r, "cycles", line, path),
+                    home=parse_cell(int, r, "home_node", line, path),
+                    cycles=parse_cell(float, r, "cycles", line, path),
                 )
             )
         return obs
@@ -313,7 +320,7 @@ def _observations_from_csv(path: Path, graph) -> list[FitObservation]:
             FitObservation(
                 requester=req,
                 home=class_to_home[r["source_class"]],
-                cycles=_number(float, r, "cycles", line, path),
+                cycles=parse_cell(float, r, "cycles", line, path),
             )
         )
     if not obs:
@@ -358,38 +365,17 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-@contextlib.contextmanager
-def _environment(values: dict):
-    """Run the body with each variable in ``values`` set, or unset where its
-    value is None; the previous values come back afterwards."""
-
-    def apply(env):
-        for name, value in env.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-    saved = {name: os.environ.get(name) for name in values}
-    apply(values)
-    try:
-        yield
-    finally:
-        apply(saved)
-
-
 def cmd_replay(args) -> int:
     manifest = RunManifest.load(args.manifest)
     if manifest.command not in _REPLAYABLE:
         raise ResultError(f"manifest command {manifest.command!r} cannot be replayed")
     # argparse keeps the last --out, so an override is simply appended.
     argv = manifest.argv + (["--out", args.out] if args.out is not None else [])
-    with _environment(manifest.environment):
-        try:
-            ns = _parser().parse_args(argv)
-        except SystemExit:
-            raise ResultError(f"{args.manifest}: stored argv does not parse") from None
-        return _run(ns, argv)
+    try:
+        ns = _parser().parse_args(argv)
+    except SystemExit:
+        raise ResultError(f"{args.manifest}: stored argv does not parse") from None
+    return _run(ns, argv)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triples", action="store_true",
                    help="home/forwarder matrix instead of a scope")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alignment", type=int, default=None)
+    p.add_argument("--alignment", type=int, default=512)
+    p.add_argument("--no-huge-pages", dest="huge_pages", action="store_false",
+                   help="back the chains with base pages (default: ask for huge pages)")
+    p.add_argument("--flush", default="L1,L2,L3", metavar="LEVELS",
+                   help="comma list of the cache levels flushed before each point's "
+                        "chases, from L1, L2 and L3 (default: %(default)s; empty: none)")
     p.add_argument("--outer", type=int, default=None)
     p.add_argument("--inner", type=int, default=None)
     p.add_argument("--sizes", type=int, default=None)
@@ -502,8 +493,8 @@ _CONFIG_ERRORS = (
 )
 
 
-# Subcommands whose argv and environment are saved as ``manifest.json`` in
-# their output directory, and the ones replay re-runs.
+# Subcommands whose argv is saved as ``manifest.json`` in their output
+# directory, and the ones replay re-runs.
 _RECORDED = ("latency", "bandwidth", "triad", "model-fit")
 _REPLAYABLE = ("latency", "bandwidth", "triad")
 
@@ -524,7 +515,7 @@ def _run(args, argv: list) -> int:
     manifest."""
     code = args.func(args)
     if code == EXIT_OK and args.command in _RECORDED:
-        RunManifest.record(argv).save(Path(args.out) / "manifest.json")
+        RunManifest(list(argv)).save(Path(args.out) / "manifest.json")
     return code
 
 

@@ -3,9 +3,9 @@
 The measurement protocol, independent of backend:
 
 1. pin requester / owner (/ helper) workers per the placement,
-2. flush the policy's ``flush_levels`` (all of L1/L2/L3 unless a
-   ``MEMCHAR_FLUSH_L1/L2/L3`` variable is 0) from the requester's cache path
-   with a scratch sweep of :func:`flush_scratch_bytes` bytes,
+2. flush the policy's ``flush_levels`` (``latency --flush``, all of
+   L1/L2/L3 by default) from the requester's cache path with a scratch
+   sweep of :func:`flush_scratch_bytes` bytes,
 3. drive the line into the requested coherence state with a script,
 4. time serialized pointer chases over the chain,
 5. subtract the calibrated timing overhead and reduce the sample matrix.
@@ -49,7 +49,6 @@ cost more than the sweep's numpy algebra.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
 from typing import Sequence, Union
 
@@ -73,14 +72,8 @@ __all__ = [
     "measure_sweep",
     "level_dataset_bytes",
     "auto_helper",
-    "policy_from_env",
 ]
 
-ENV_ALIGNMENT = "MEMCHAR_ALIGNMENT"
-ENV_HUGEPAGES = "MEMCHAR_HUGEPAGES"
-ENV_FLUSH = {"L1": "MEMCHAR_FLUSH_L1", "L2": "MEMCHAR_FLUSH_L2", "L3": "MEMCHAR_FLUSH_L3"}
-# Every variable policy_from_env reads; a run's manifest records each.
-ENV_VARS = (ENV_ALIGNMENT, ENV_HUGEPAGES, *ENV_FLUSH.values())
 # Timings of the empty timing routine whose minimum is a point's overhead.
 CALIBRATION_REPEATS = 10
 
@@ -114,22 +107,9 @@ class MeasurementPolicy:
         if self.reducer not in ("min", "max", "median"):
             raise PolicyError(f"unknown reducer {self.reducer!r}")
         if not self.flush_levels <= {"L1", "L2", "L3"}:
-            raise PolicyError(f"flush_levels must be within L1/L2/L3")
-
-
-def policy_from_env(**overrides) -> tuple[MeasurementPolicy, int, bool]:
-    """(policy, alignment, huge_pages) honoring the MEMCHAR_* variables."""
-    raw = os.environ.get(ENV_ALIGNMENT, "512")
-    try:
-        alignment = int(raw)
-    except ValueError:
-        raise PolicyError(f"{ENV_ALIGNMENT}={raw!r} is not an integer") from None
-    huge = os.environ.get(ENV_HUGEPAGES, "1") not in ("0", "off", "false")
-    flush = frozenset(
-        lv for lv, var in ENV_FLUSH.items() if os.environ.get(var, "1") not in ("0",)
-    )
-    policy = MeasurementPolicy(flush_levels=flush, **overrides)
-    return policy, alignment, huge
+            raise PolicyError(
+                f"flush levels must be within L1/L2/L3, got {sorted(self.flush_levels)}"
+            )
 
 
 def _sample_grid(samples, policy: MeasurementPolicy, points: int) -> np.ndarray:

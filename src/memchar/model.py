@@ -361,10 +361,15 @@ def load_model(doc: dict, graph: TopologyGraph) -> LatencyModel:
         protocol = Protocol(doc["protocol"])
     except ValueError:
         raise ModelError(f"model document names unknown protocol {doc['protocol']!r}") from None
-    link_costs = {
-        k: LinkCost(float(v["value"]), str(v["unit"]))
-        for k, v in doc.get("link_costs", {}).items()
-    }
+    link_costs = {}
+    for k, v in doc.get("link_costs", {}).items():
+        try:
+            link_costs[k] = LinkCost(float(v["value"]), str(v["unit"]))
+        except (KeyError, TypeError, ValueError):
+            raise ModelError(
+                f"model link_costs entry {k!r} must be an object with a numeric "
+                f"'value' and a 'unit', got {v!r}"
+            ) from None
     return LatencyModel(
         graph=graph,
         protocol=protocol,

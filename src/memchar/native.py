@@ -29,9 +29,10 @@ A sweep (:meth:`NativeBackend.run_sweep`) runs its points in order, each
 exactly as one point, with its own chain regions.
 Before a point's chases the requester sweeps a scratch region that displaces
 the levels in the policy's ``flush_levels``
-(:func:`~memchar.harness.flush_scratch_bytes`; none when the
-``MEMCHAR_FLUSH_*`` variables are all 0), and the ``EVICT_L1``/``EVICT_L2``
-script steps sweep the same way for their one level.  Every size comes from
+(:func:`~memchar.harness.flush_scratch_bytes`).  Those levels come from the
+run's argv, ``latency --flush`` (none for ``--flush ""``), not from the
+environment.  The ``EVICT_L1``/``EVICT_L2`` script steps sweep the same way
+for their one level.  Every size comes from
 :meth:`~memchar.topology.TopologyGraph.cache_bytes`, so a topology without
 cache sizes is rejected rather than guessed at.
 """

@@ -4,11 +4,11 @@ Cycles are the primary unit everywhere; nanoseconds are derived at read
 time, never stored.  Column layouts are fixed per schema version so result
 files diff cleanly across runs; any column change bumps the version.
 
-Every run writes a manifest alongside its results.  A manifest is the
-run's inputs and nothing else: the subcommand's argv as parsed and the
-``MEMCHAR_*`` variables then in effect.  Replay re-parses that argv under
-those variables, so on the simulated backend it reproduces the CSVs byte
-for byte.  Floats are serialized with ``repr`` (shortest round-trip form),
+Every run writes a manifest alongside its results.  A run is its argv:
+every setting comes from a flag, none from the environment, so a manifest
+is the subcommand's argv as parsed and nothing else.  Replay re-parses
+that argv, so on the simulated backend it reproduces the CSVs byte for
+byte.  Floats are serialized with ``repr`` (shortest round-trip form),
 so parse(write(x)) is the identity.
 
 Every output file the package writes (result CSVs, manifests, plots and
@@ -51,10 +51,10 @@ its file is built, so no id is reused; no float is compared.
 Reading a result file checks it: a row whose field count differs from the
 header's, a cell that does not parse, or a row ``csv.reader`` refuses is a
 :class:`ResultError` naming the file, the line and, for a cell, the
-column; bytes that are not UTF-8, the encoding every file is written in,
-are one naming the file.  Any field the writer writes reads back, however
-long: the csv module's field limit is raised to the file's size for the
-read.
+column (:func:`parse_cell`, which the fit-input reader uses too); bytes
+that are not UTF-8, the encoding every file is written in, are one naming
+the file.  Any field the writer writes reads back, however long: the csv
+module's field limit is raised to the file's size for the read.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bandwidth import BandwidthRecord
-from .harness import ENV_VARS, MeasurementRecord
+from .harness import MeasurementRecord
 from .topology import Placement
 
 __all__ = [
@@ -79,6 +79,7 @@ __all__ = [
     "LATENCY_COLUMNS",
     "BANDWIDTH_COLUMNS",
     "write_output",
+    "parse_cell",
 ]
 
 SCHEMA_VERSION = 1
@@ -200,49 +201,36 @@ def _floats(text: str) -> tuple:
     return tuple(float(v) for v in text.split(";") if v)
 
 
-def _cell(row: dict, column: str, convert):
+def parse_cell(convert, row: dict, column: str, line: int, path):
     """``convert(row[column])``; a cell it cannot parse is a
-    :class:`ResultError` naming the column."""
+    :class:`ResultError` naming the file, the line and the column."""
     try:
         return convert(row[column])
-    except ValueError:
-        raise ResultError(f"column {column}: cannot parse {row[column]!r}") from None
+    except (TypeError, ValueError):
+        raise ResultError(
+            f"{path}: line {line}, column {column}: {row[column]!r} is not a number"
+        ) from None
 
 
 @dataclass(frozen=True)
 class RunManifest:
     """A run's inputs: ``argv``, the subcommand's argv as parsed (``--out``
-    included), and ``environment``, each ``MEMCHAR_*`` variable's value then
-    in effect (``None`` where it was unset).  Replay re-parses ``argv`` under
-    ``environment``."""
+    included).  A run takes every setting from its flags, so replay
+    re-parses ``argv`` and nothing else."""
 
     argv: list
-    environment: dict
 
     def __post_init__(self):
-        argv, env = self.argv, self.environment
+        argv = self.argv
         if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv)):
             raise ResultError(f"manifest argv must be a non-empty list of strings, got {argv!r}")
-        if not isinstance(env, dict) or set(env) != set(ENV_VARS) or not all(
-            v is None or isinstance(v, str) for v in env.values()
-        ):
-            raise ResultError(
-                f"manifest environment must map each of {', '.join(ENV_VARS)} "
-                f"to a string or null, got {env!r}"
-            )
-
-    @classmethod
-    def record(cls, argv) -> "RunManifest":
-        """The manifest of ``argv`` run under the current environment."""
-        return cls(list(argv), {name: os.environ.get(name) for name in ENV_VARS})
 
     @property
     def command(self) -> str:
         return self.argv[0]
 
     def save(self, path: str | Path) -> None:
-        doc = {"argv": self.argv, "environment": self.environment}
-        write_output(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        write_output(path, json.dumps({"argv": self.argv}, indent=1, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
@@ -250,9 +238,14 @@ class RunManifest:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise ResultError(f"{path}: unreadable manifest: {exc}") from None
-        if not isinstance(doc, dict) or set(doc) != {"argv", "environment"}:
-            raise ResultError(f"{path}: a manifest holds exactly the keys argv and environment")
-        return cls(doc["argv"], doc["environment"])
+        if isinstance(doc, dict) and "environment" in doc:
+            raise ResultError(
+                f"{path}: an older memchar wrote this manifest (it holds environment "
+                "variables); a run's settings are now its argv alone"
+            )
+        if not isinstance(doc, dict) or set(doc) != {"argv"}:
+            raise ResultError(f"{path}: a manifest holds exactly the key argv")
+        return cls(doc["argv"])
 
 
 @dataclass
@@ -310,31 +303,34 @@ class ResultSet:
         return lines
 
     @staticmethod
-    def _latency_record(row: dict) -> MeasurementRecord:
+    def _latency_record(row: dict, line: int, path) -> MeasurementRecord:
+        def cell(column, convert):
+            return parse_cell(convert, row, column, line, path)
+
         placement = Placement(
-            requester=_cell(row, "requester", int),
-            owner=_cell(row, "owner", int),
-            home_node=_cell(row, "home", int),
-            forwarder_node=_cell(row, "forwarder", int) if row["forwarder"] else None,
+            requester=cell("requester", int),
+            owner=cell("owner", int),
+            home_node=cell("home", int),
+            forwarder_node=cell("forwarder", int) if row["forwarder"] else None,
             label=row["label"],
         )
         return MeasurementRecord(
             placement=placement,
             state=row["state"],
             level=row["level"],
-            dataset_bytes=_cell(row, "bytes", int),
-            dataset_sizes=_cell(row, "sizes", _ints),
-            latency_cycles=_cell(row, "latency_cycles", float),
-            min_cycles=_cell(row, "min_cycles", float),
-            max_cycles=_cell(row, "max_cycles", float),
-            median_cycles=_cell(row, "median_cycles", float),
-            samples=_cell(row, "samples", _floats),
-            frequency_mhz=_cell(row, "freq_mhz", float),
+            dataset_bytes=cell("bytes", int),
+            dataset_sizes=cell("sizes", _ints),
+            latency_cycles=cell("latency_cycles", float),
+            min_cycles=cell("min_cycles", float),
+            max_cycles=cell("max_cycles", float),
+            median_cycles=cell("median_cycles", float),
+            samples=cell("samples", _floats),
+            frequency_mhz=cell("freq_mhz", float),
             backend=row["backend"],
-            alignment=_cell(row, "alignment", int),
+            alignment=cell("alignment", int),
             huge_pages=row["huge_pages"] == "1",
-            seed=_cell(row, "seed", int),
-            overhead_cycles=_cell(row, "overhead_cycles", float),
+            seed=cell("seed", int),
+            overhead_cycles=cell("overhead_cycles", float),
             reducer=row["reducer"],
         )
 
@@ -358,17 +354,20 @@ class ResultSet:
         ]
 
     @staticmethod
-    def _bandwidth_record(row: dict) -> BandwidthRecord:
+    def _bandwidth_record(row: dict, line: int, path) -> BandwidthRecord:
+        def cell(column, convert):
+            return parse_cell(convert, row, column, line, path)
+
         return BandwidthRecord(
             kernel=row["kernel"],
-            dataset_bytes=_cell(row, "bytes", int),
-            core_set=_cell(row, "cores", _ints),
+            dataset_bytes=cell("bytes", int),
+            core_set=cell("cores", _ints),
             level=row["level"],
-            bytes_moved=_cell(row, "bytes_moved", int),
-            elapsed_cycles=_cell(row, "elapsed_cycles", float),
-            bandwidth_gbps=_cell(row, "bandwidth_gbps", float),
-            bytes_per_cycle=_cell(row, "bytes_per_cycle", float),
-            frequency_mhz=_cell(row, "freq_mhz", float),
+            bytes_moved=cell("bytes_moved", int),
+            elapsed_cycles=cell("elapsed_cycles", float),
+            bandwidth_gbps=cell("bandwidth_gbps", float),
+            bytes_per_cycle=cell("bytes_per_cycle", float),
+            frequency_mhz=cell("freq_mhz", float),
             backend=row["backend"],
             flags=tuple(v for v in row["flags"].split(";") if v),
             degraded_from=row["degraded_from"] or None,
@@ -413,8 +412,8 @@ class ResultSet:
         try:
             for row in reader:
                 if len(row) != len(cols):
-                    raise ResultError(f"{len(row)} fields, the header has {len(cols)}")
-                records.append(build(dict(zip(cols, row))))
-        except (ResultError, csv.Error) as exc:
+                    raise csv.Error(f"{len(row)} fields, the header has {len(cols)}")
+                records.append(build(dict(zip(cols, row)), reader.line_num, path))
+        except csv.Error as exc:
             raise ResultError(f"{path}: line {reader.line_num}: {exc}") from None
         return records

@@ -413,7 +413,13 @@ def _parse_link_costs(doc: dict) -> dict[LinkClass, float]:
             cls = LinkClass(name)
         except ValueError:
             raise SchemaError(f"link_costs: unknown link class '{name}'") from None
-        costs[cls] = float(spec["cycles"])
+        try:
+            costs[cls] = float(spec["cycles"])
+        except (KeyError, TypeError, ValueError):
+            raise SchemaError(
+                f"link_costs entry '{name}' must be an object with a numeric 'cycles', "
+                f"got {spec!r}"
+            ) from None
     return costs
 
 

@@ -5,6 +5,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
 import shutil
@@ -25,9 +26,7 @@ from memchar.bandwidth import BandwidthError, BandwidthRecord, TriadVerification
 from memchar.chain import chain_spec, generate_chain
 from memchar.cli import CliError, main
 from memchar.coherence import LEVELS, CoherenceState, plan_state
-from memchar.harness import (
-    ENV_VARS, MeasurementPolicy, level_dataset_bytes, measure_latency, measure_sweep,
-)
+from memchar.harness import MeasurementPolicy, level_dataset_bytes, measure_latency, measure_sweep
 from memchar.model import load_fixture_model
 from memchar.native import PinningError
 from memchar.plots import PlotError, build_plot_data, emit_plot
@@ -74,7 +73,7 @@ def _write_utf8_inputs(directory: Path) -> None:
     model = {**json.loads(_MODEL_DOC), "comment": "café"}
     (directory / "model.json").write_text(json.dumps(model, ensure_ascii=False),
                                           encoding="utf-8")
-    manifest = {"argv": ["latency", "--out", "café"], "environment": dict.fromkeys(ENV_VARS)}
+    manifest = {"argv": ["latency", "--out", "café"]}
     (directory / "manifest.json").write_text(json.dumps(manifest, ensure_ascii=False),
                                              encoding="utf-8")
 
@@ -382,25 +381,24 @@ class TestResultSet:
         with pytest.raises(ResultError, match="schema"):
             ResultSet.from_csv(p)
 
-    def test_manifest_round_trip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MEMCHAR_ALIGNMENT", "1024")
-        monkeypatch.delenv("MEMCHAR_HUGEPAGES", raising=False)
-        m = RunManifest.record([
+    def test_manifest_round_trip(self, tmp_path):
+        argv = [
             "latency", "--topology", "rome_2s", "--scope", "same_ccx", "--seed", "9",
-            "--outer", "2",
-        ])
+            "--outer", "2", "--alignment", "1024", "--no-huge-pages", "--flush", "",
+        ]
+        m = RunManifest(argv)
         assert m.command == "latency"
-        assert m.environment["MEMCHAR_ALIGNMENT"] == "1024"
-        assert m.environment["MEMCHAR_HUGEPAGES"] is None
         p = tmp_path / "manifest.json"
         m.save(p)
+        # The settings are in the argv; the file holds nothing else.
+        assert json.loads(p.read_text()) == {"argv": argv}
         assert RunManifest.load(p) == m
 
     def test_manifest_command_validated(self, tmp_path):
         # The parser owns the subcommand names: a manifest of any command
         # loads, and replay refuses one it cannot re-run.
         path = tmp_path / "manifest.json"
-        RunManifest(["destroy", "--topology", "x"], dict.fromkeys(ENV_VARS)).save(path)
+        RunManifest(["destroy", "--topology", "x"]).save(path)
         with pytest.raises(ResultError, match="'destroy' cannot be replayed"):
             cli.cmd_replay(argparse.Namespace(manifest=str(path), out=None))
 
@@ -631,15 +629,15 @@ class TestCli:
         ("latency", lambda row: row[:5], "line 3: 5 fields, the header has 21"),
         ("latency", lambda row: row + ["x"], "line 3: 22 fields, the header has 21"),
         ("latency", lambda row: [row[0], "zero", *row[2:]],
-         "line 3: column requester: cannot parse 'zero'"),
+         "line 3, column requester: 'zero' is not a number"),
         ("latency", lambda row: [*row[:8], "1.0;x", *row[9:]],
-         "line 3: column samples: cannot parse '1.0;x'"),
+         "line 3, column samples: '1.0;x' is not a number"),
         ("bandwidth", lambda row: row[:4], "line 3: 4 fields, the header has 12"),
         ("bandwidth", lambda row: row + [""], "line 3: 13 fields, the header has 12"),
         ("bandwidth", lambda row: [*row[:4], "1e3", *row[5:]],
-         "line 3: column bytes: cannot parse '1e3'"),
+         "line 3, column bytes: '1e3' is not a number"),
         ("bandwidth", lambda row: [*row[:2], "0;a", *row[3:]],
-         "line 3: column cores: cannot parse '0;a'"),
+         "line 3, column cores: '0;a' is not a number"),
     ], ids=["latency-short", "latency-long", "latency-requester", "latency-samples",
             "bandwidth-short", "bandwidth-long", "bandwidth-bytes", "bandwidth-cores"])
     def test_malformed_result_row_is_config_error(self, kind, edit, where, rome_records,
@@ -739,12 +737,87 @@ class TestCli:
         assert err.startswith("config error: ") and message in err, err
         assert not (tmp_path / "out").exists()
 
-    def test_bad_alignment_variable_is_config_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("MEMCHAR_ALIGNMENT", "abc")
-        code = main(["latency", "--topology", "rome_2s", "--scope", "local", "--level", "L1",
-                     "--out", str(tmp_path / "run")])
-        assert code == 2
-        assert "MEMCHAR_ALIGNMENT='abc'" in capsys.readouterr().err
+    # (loader, the command that loads it, the fixture whose entry is edited)
+    LINK_COST_LOADERS = {
+        "model": (PREDICT, "rome_2s_latency_model.json"),
+        "topology": (["topo", "--topology", "{file}"], "rome_2s.json"),
+    }
+
+    @pytest.mark.parametrize("loader, entry, message", [
+        ("model", {"unit": "ns"}, "must be an object with a numeric 'value' and a 'unit'"),
+        ("model", {"value": "fast", "unit": "ns"}, "with a numeric 'value'"),
+        ("model", {"value": 61.35}, "with a numeric 'value' and a 'unit'"),
+        ("model", 61.35, "with a numeric 'value' and a 'unit', got 61.35"),
+        ("topology", {"domain": "fclk"}, "must be an object with a numeric 'cycles'"),
+        ("topology", {"cycles": "fast", "domain": "fclk"}, "with a numeric 'cycles'"),
+        ("topology", {"cycles": None, "domain": "fclk"}, "with a numeric 'cycles'"),
+        ("topology", [90.0], "with a numeric 'cycles', got [90.0]"),
+    ], ids=["model-no-value", "model-value-not-a-number", "model-no-unit", "model-not-an-object",
+            "topology-no-cycles", "topology-cycles-not-a-number", "topology-cycles-null",
+            "topology-not-an-object"])
+    def test_malformed_link_cost_entry_is_config_error(self, loader, entry, message, tmp_path,
+                                                       capsys):
+        argv, fixture = self.LINK_COST_LOADERS[loader]
+        doc = json.loads(fixture_path(fixture).read_text())
+        doc["link_costs"]["xgmi"] = entry
+        path = tmp_path / fixture
+        path.write_text(json.dumps(doc))
+        assert main(_argv(argv, path, tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "entry 'xgmi' " in err and message in err, err
+
+    def test_bad_alignment_is_config_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["latency", "--topology", "rome_2s", "--scope", "local", "--level", "L1",
+                  "--alignment", "abc", "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        assert "argument --alignment: invalid int value: 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("levels", [
+        frozenset(c) for n in range(4) for c in itertools.combinations(("L1", "L2", "L3"), n)
+    ], ids=lambda levels: ",".join(sorted(levels)) or "none")
+    def test_flush_flag_sets_the_policy_s_flush_levels(self, levels, tmp_path, monkeypatch):
+        policies = []
+        sweep = harness.measure_sweep
+        monkeypatch.setattr(harness, "measure_sweep",
+                            lambda c, pts, policy, be: policies.append(policy) or sweep(
+                                c, pts, policy, be))
+        assert main(["latency", "--topology", "rome_2s", "--scope", "local", "--level", "L1",
+                     "--flush", ",".join(sorted(levels)), "--out", str(tmp_path / "run")]) == 0
+        assert [p.flush_levels for p in policies] == [levels]
+
+    @pytest.mark.parametrize("value, levels", [
+        ("L4", "['L4']"), ("L1,RAM", "['L1', 'RAM']"), ("l1", "['l1']"),
+        ("L1 L2", "['L1 L2']"),
+    ])
+    def test_unknown_flush_level_is_config_error(self, value, levels, tmp_path, capsys):
+        assert main(["latency", "--topology", "rome_2s", "--flush", value,
+                     "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: flush levels must be within L1/L2/L3, got {levels}\n"
+        )
+        assert not (tmp_path / "run").exists()
+
+    RETIRED = [("MEMCHAR_ALIGNMENT", "--alignment"), ("MEMCHAR_HUGEPAGES", "--no-huge-pages"),
+               ("MEMCHAR_FLUSH_L1", "--flush"), ("MEMCHAR_FLUSH_L2", "--flush"),
+               ("MEMCHAR_FLUSH_L3", "--flush")]
+
+    @pytest.mark.parametrize("variable, flag", RETIRED, ids=[v for v, _ in RETIRED])
+    def test_a_retired_variable_is_refused_with_its_flag(self, variable, flag, tmp_path,
+                                                         monkeypatch, capsys):
+        argv = ["latency", "--topology", "rome_2s", "--scope", "local", "--level", "L1",
+                "--out", str(tmp_path / "run")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        # Set, even to the value that once meant the default, it is refused.
+        monkeypatch.setenv(variable, "1")
+        for command in (argv, ["replay", "--manifest", str(tmp_path / "run" / "manifest.json"),
+                               "--out", str(tmp_path / "again")]):
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert variable in err and f"pass {flag}" in err, err
+        assert not (tmp_path / "again").exists()
 
     @pytest.mark.parametrize("header, missing", [
         ("source_class,cycles", "level"),
@@ -854,23 +927,21 @@ class TestCli:
                      "--out", str(tmp_path / "b")]) == 0
         assert [ns.freq for ns in replayed] == [2250.0]
 
-    def test_replay_runs_under_the_recorded_environment(self, tmp_path, monkeypatch):
+    def test_replay_runs_with_the_recorded_flags(self, tmp_path):
         first, again = tmp_path / "a", tmp_path / "b"
-        monkeypatch.setenv("MEMCHAR_HUGEPAGES", "0")
-        monkeypatch.setenv("MEMCHAR_ALIGNMENT", "1024")
         assert main([
             "latency", "--topology", "rome_2s", "--scope", "same_ccx", "--level", "L3",
-            "--outer", "1", "--inner", "1", "--sizes", "2", "--out", str(first),
+            "--outer", "1", "--inner", "1", "--sizes", "2", "--alignment", "1024",
+            "--no-huge-pages", "--out", str(first),
         ]) == 0
-        monkeypatch.delenv("MEMCHAR_HUGEPAGES")
-        monkeypatch.delenv("MEMCHAR_ALIGNMENT")
+        with open(first / "results.csv", newline="") as fh:
+            cells = {(row["alignment"], row["huge_pages"]) for row in csv.DictReader(fh)}
+        assert cells == {("1024", "0")}
+        environment = dict(os.environ)
         assert main(["replay", "--manifest", str(first / "manifest.json"),
                      "--out", str(again)]) == 0
-        records = ResultSet.from_csv(first / "results.csv").records
-        assert {(r.huge_pages, r.alignment) for r in records} == {(False, 1024)}
         assert (first / "results.csv").read_bytes() == (again / "results.csv").read_bytes()
-        assert "MEMCHAR_HUGEPAGES" not in os.environ
-        assert "MEMCHAR_ALIGNMENT" not in os.environ
+        assert dict(os.environ) == environment
 
     @pytest.mark.parametrize("argv", [
         ["bandwidth", "--topology", "clx_2s", "--kernel", "read512", "--cores", "0,1",
@@ -901,19 +972,25 @@ class TestCli:
         "alignment": 512, "huge_pages": True, "policy": {}, "args": {},
         "schema_version": 1,
     }
-    UNSET = dict.fromkeys(ENV_VARS)
+    # What an older memchar wrote: the argv and the MEMCHAR_* variables.
+    ENVIRONMENT_MANIFEST = {
+        "argv": ["triad", "--topology", "rome_2s", "--bytes", "64"],
+        "environment": {"MEMCHAR_ALIGNMENT": None, "MEMCHAR_HUGEPAGES": "0",
+                        "MEMCHAR_FLUSH_L1": None, "MEMCHAR_FLUSH_L2": None,
+                        "MEMCHAR_FLUSH_L3": None},
+    }
 
     @pytest.mark.parametrize("text", [
         "{not json",
         "[]",
-        json.dumps({"argv": ["latency", "--topology", "rome_2s"]}),
-        json.dumps({"argv": ["triad"], "environment": UNSET, "extra": 1}),
+        json.dumps({}),
+        json.dumps({"argv": ["triad"], "extra": 1}),
         json.dumps(OLD_MANIFEST),
-        json.dumps({"argv": "latency --topology rome_2s", "environment": UNSET}),
-        json.dumps({"argv": [], "environment": UNSET}),
-        json.dumps({"argv": ["latency", 7], "environment": UNSET}),
-        json.dumps({"argv": ["destroy"], "environment": UNSET}),
-        json.dumps({"argv": ["triad", "--bytes", "64", "--bogus"], "environment": UNSET}),
+        json.dumps({"argv": "latency --topology rome_2s"}),
+        json.dumps({"argv": []}),
+        json.dumps({"argv": ["latency", 7]}),
+        json.dumps({"argv": ["destroy"]}),
+        json.dumps({"argv": ["triad", "--bytes", "64", "--bogus"]}),
         json.dumps({"argv": ["triad", "--topology", "rome_2s", "--bytes", "64"],
                     "environment": {"MEMCHAR_HUGEPAGES": "0"}}),
         None,
@@ -926,6 +1003,13 @@ class TestCli:
             path.write_text(text)
         assert main(["replay", "--manifest", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_manifest_holding_an_environment_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(self.ENVIRONMENT_MANIFEST))
+        assert main(["replay", "--manifest", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "an older memchar wrote this manifest" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_only_measurement_manifests_replay(self, tmp_path, capsys):

@@ -33,7 +33,6 @@ from memchar.harness import (
     level_dataset_bytes,
     measure_latency,
     measure_sweep,
-    policy_from_env,
 )
 from memchar.model import load_fixture_model
 from memchar.results import ResultSet
@@ -787,22 +786,22 @@ class TestFlushPlan:
             flush_scratch_bytes(rome, {"L4"})
 
 
-class TestEnvAndLadders:
-    def test_policy_from_env(self, monkeypatch):
-        monkeypatch.setenv("MEMCHAR_ALIGNMENT", "64")
-        monkeypatch.setenv("MEMCHAR_FLUSH_L3", "0")
-        monkeypatch.setenv("MEMCHAR_HUGEPAGES", "0")
-        policy, alignment, huge = policy_from_env()
-        assert alignment == 64
-        assert not huge
+class TestFlagsAndLadders:
+    def test_policy_from_flags(self):
+        args = cli._parser().parse_args([
+            "latency", "--topology", "rome_2s", "--alignment", "64", "--no-huge-pages",
+            "--flush", "L1,L2",
+        ])
+        policy = cli._policy_from_args(args)
+        assert args.alignment == 64
+        assert not args.huge_pages
         assert policy.flush_levels == frozenset({"L1", "L2"})
 
-    def test_env_defaults(self, monkeypatch):
-        for var in ("MEMCHAR_ALIGNMENT", "MEMCHAR_HUGEPAGES", "MEMCHAR_FLUSH_L1"):
-            monkeypatch.delenv(var, raising=False)
-        policy, alignment, huge = policy_from_env()
-        assert alignment == 512
-        assert huge
+    def test_flag_defaults(self):
+        args = cli._parser().parse_args(["latency", "--topology", "rome_2s"])
+        policy = cli._policy_from_args(args)
+        assert args.alignment == 512
+        assert args.huge_pages
         assert policy.flush_levels == frozenset({"L1", "L2", "L3"})
 
     def test_level_ladders_fit_their_level(self, rome):

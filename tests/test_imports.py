@@ -1,9 +1,11 @@
 """Every module-level import in ``src/memchar`` is used or re-exported, every
 module-level def, class and constant there has a reader in ``src/`` or
 ``bench/``, as has every class member, every name a module exports
-resolves, only ``topology.py`` reads a topology's raw ``caches`` sizes, and
-only ``results.write_output`` (and the kernel build) writes files.  Also
-checks the line counter in ``tools/sloc.py``."""
+resolves, only ``topology.py`` reads a topology's raw ``caches`` sizes,
+only ``results.write_output`` (and the kernel build) writes files, and
+nothing reads the environment but the deployment settings and the guard
+against retired variables.  Also checks the line counter in
+``tools/sloc.py``."""
 
 import ast
 import builtins
@@ -177,6 +179,85 @@ def test_scan_flags_each_kind_of_write():
     assert file_writes(source, "results.py") == [
         *(f"results.py:{line} in f" for line in range(2, 13)), "results.py:17 in C.save",
     ]
+
+
+# Where src/ may read the environment.  A run is its argv, so only
+# deployment settings that leave results unchanged are read: the kernel
+# cache's XDG_CACHE_HOME and the compiler's CC.  The guard reads the
+# variables that once set latency options only to refuse them.
+ENV_READERS = {
+    "native.py": {"_cache_dir", "build_kernels"},
+    "cli.py": {"_refuse_retired_variables"},
+}
+_ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _reads_env(node) -> bool:
+    """Whether ``node`` is ``os.environ``/``os.getenv`` (and their bytes
+    forms), or imports one of them from ``os``."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr in _ENV_NAMES and isinstance(node.value, ast.Name)
+                and node.value.id == "os")
+    return (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(alias.name in _ENV_NAMES for alias in node.names))
+
+
+def env_reads(source: str, file: str) -> list[str]:
+    """``file:line in scope`` of each environment read in ``source`` outside
+    the scopes :data:`ENV_READERS` allows in ``file``."""
+    allowed = ENV_READERS.get(file, set())
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if _reads_env(child) and scope.partition(".")[0] not in allowed:
+                found.append(f"{file}:{child.lineno} in {scope or '<module>'}")
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_the_environment_is_read_only_for_deployment_settings(path):
+    assert env_reads(path.read_text(), path.name) == []
+
+
+def test_the_readers_are_where_the_scan_finds_environment_reads():
+    # Under another file name, nothing is exempt.
+    found = {
+        w.partition(" in ")[2]
+        for file in ENV_READERS for w in env_reads((SRC / file).read_text(), "other.py")
+    }
+    assert found == set().union(*ENV_READERS.values())
+
+
+def test_scan_flags_each_kind_of_environment_read():
+    source = (
+        "from os import environ\n"
+        "def f():\n"
+        "    os.environ['A']\n"
+        "    os.environ.get('A', '1')\n"
+        "    os.getenv('A')\n"
+        "    'A' in os.environ\n"
+        "    os.environb.get(b'A')\n"
+        "    environ.get('A')\n"
+        "    env.get('A'), self.environ, os.path.join('a')\n"
+        "class C:\n"
+        "    def run(self):\n"
+        "        os.environ.pop('A', None)\n"
+        "def _cache_dir():\n"
+        "    def inner(): return os.environ.get('XDG_CACHE_HOME')\n"
+        "    return os.environ.get('XDG_CACHE_HOME')\n"
+    )
+    assert env_reads(source, "native.py") == [
+        "native.py:1 in <module>", *(f"native.py:{line} in f" for line in range(3, 8)),
+        "native.py:12 in C.run",
+    ]
+
 
 BENCH = SRC.parent.parent / "bench"
 # Module-level names that nothing in src/ or bench/ calls yet, each kept for
