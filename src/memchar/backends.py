@@ -80,7 +80,7 @@ class SimulatedBackend:
         self.model = model
         self.graph = model.graph
         self.frequency_mhz = model.core_mhz
-        self._protocol_model = ProtocolModel.from_topology(self.graph, model.protocol)
+        self._protocol_model = ProtocolModel.from_topology(self.graph)
         # A number per distinct step tuple, and per step tuple object seen
         # (each kept alive, so its id stays its own): steps are hashed once
         # per object, not once per point.

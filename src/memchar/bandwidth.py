@@ -417,19 +417,22 @@ def scaling_series(
 
     The saturation point is the smallest rung within 5% of the series
     maximum.  Rungs are (label, core id list); either a read kernel plus
-    dataset size or a triad array size selects the workload.
+    dataset size or a triad array size selects the workload.  Each rung is
+    one :func:`run_throughput` (one repeat) or :func:`run_triad`, checked as
+    a single run is; ``allow_cross_socket`` applies to triad rungs too.
     """
     if not ladder:
         raise BandwidthError("empty core ladder")
+    if triad_bytes is None and (kernel is None or dataset_bytes is None):
+        raise BandwidthError("scaling series needs a kernel and dataset size")
     records = []
     for label, cores in ladder:
-        cores = _validate_core_set(backend.topology, cores, allow_cross_socket)
         if triad_bytes is not None:
-            records.append(backend.run_triad(triad_bytes, cores, nontemporal))
+            _validate_core_set(backend.topology, cores, allow_cross_socket)
+            records.append(run_triad(triad_bytes, cores, nontemporal, backend))
         else:
-            if kernel is None or dataset_bytes is None:
-                raise BandwidthError("scaling series needs a kernel and dataset size")
-            records.append(backend.run_read(kernel, dataset_bytes, cores))
+            records.append(run_throughput(kernel, dataset_bytes, cores, 1, backend,
+                                          allow_cross_socket=allow_cross_socket))
     peak = max(r.bandwidth_gbps for r in records)
     sat = next(
         i

@@ -91,20 +91,20 @@ def _resolve_input(name: str) -> Path:
         raise CliError(f"no such topology/model: {name}") from None
 
 
-def _load_graph_and_model(args):
+def _load_graph(args):
+    return load_topology_file(_resolve_input(args.topology))
+
+
+def _load_model(args, graph):
+    """The latency model of ``--model``, or else the one next to the
+    topology file; only the commands that predict load one."""
+    if args.model:
+        return load_model_file(_resolve_input(args.model), graph)
     topo_path = _resolve_input(args.topology)
-    graph = load_topology_file(topo_path)
-    model_name = getattr(args, "model", None)
-    if model_name:
-        model = load_model_file(_resolve_input(model_name), graph)
-    else:
-        candidate = topo_path.with_name(topo_path.stem + "_latency_model.json")
-        if not candidate.exists():
-            raise CliError(
-                f"no latency model given and {candidate.name} not found next to topology"
-            )
-        model = load_model_file(candidate, graph)
-    return graph, model
+    candidate = topo_path.with_name(topo_path.stem + "_latency_model.json")
+    if not candidate.exists():
+        raise CliError(f"no latency model given and {candidate.name} not found next to topology")
+    return load_model_file(candidate, graph)
 
 
 def _input_file(name: str) -> Path:
@@ -133,7 +133,7 @@ def _parse_cores(text: str) -> list[int]:
 
 
 def cmd_topo(args) -> int:
-    graph = load_topology_file(_resolve_input(args.topology))
+    graph = _load_graph(args)
     print(f"kind: {graph.kind.value}")
     print(f"sockets: {graph.socket_count}")
     print(f"numa nodes: {graph.numa_nodes}")
@@ -179,9 +179,10 @@ def _policy_from_args(args) -> MeasurementPolicy:
     return MeasurementPolicy(flush_levels=flush, **overrides)
 
 
-def _latency_points(graph, placements, state: CoherenceState, protocol, level: str) -> list:
-    """One ``(script, placement)`` point per placement, with the helper
-    :func:`harness.auto_helper` picks for the states that need one.
+def _latency_points(graph, placements, state: CoherenceState, level: str) -> list:
+    """One ``(script, placement)`` point per placement under the graph's
+    protocol, with the helper :func:`harness.auto_helper` picks for the
+    states that need one.
 
     ``plan_state`` runs once per pattern of equal cores (requester = owner,
     helper = requester, helper = owner); the other placements with that
@@ -197,9 +198,8 @@ def _latency_points(graph, placements, state: CoherenceState, protocol, level: s
         pattern = (requester == owner, helper == requester, helper == owner)
         script = planned.get(pattern)
         if script is None:
-            script = planned[pattern] = plan_state(
-                state, protocol, owner=owner, helper=helper, level=level, requester=requester
-            )
+            script = planned[pattern] = plan_state(state, graph.protocol, owner=owner,
+                                                   helper=helper, level=level, requester=requester)
         else:
             script = script.on_cores(owner, requester, helper)
         points.append((script, placement))
@@ -208,13 +208,13 @@ def _latency_points(graph, placements, state: CoherenceState, protocol, level: s
 
 def cmd_latency(args) -> int:
     _refuse_retired_variables()
-    graph, model = _load_graph_and_model(args)
+    graph = _load_graph(args)
     policy = _policy_from_args(args)
     if args.reducer is None and args.level == "L1" and args.scope != "local":
         # Remote-L1 samples are noisy; the median coincides with the mode.
         policy = dataclasses.replace(policy, reducer="median")
     if args.backend == "sim":
-        backend = SimulatedBackend(model)
+        backend = SimulatedBackend(_load_model(args, graph))
     else:
         from .native import NativeBackend
 
@@ -232,9 +232,7 @@ def cmd_latency(args) -> int:
     sizes = harness.level_dataset_bytes(graph, args.level, policy.sizes_per_level)
     chains = [chain_mod.chain_spec(sz, args.alignment, args.seed, args.huge_pages)
               for sz in sizes]
-    points = _latency_points(
-        graph, placements, CoherenceState(args.state), model.protocol, args.level
-    )
+    points = _latency_points(graph, placements, CoherenceState(args.state), args.level)
     records = harness.measure_sweep(chains, points, policy, backend)
 
     out = _out_dir(args)
@@ -244,7 +242,7 @@ def cmd_latency(args) -> int:
 
 
 def cmd_bandwidth(args) -> int:
-    graph = load_topology_file(_resolve_input(args.topology))
+    graph = _load_graph(args)
     if args.backend == "sim":
         backend = SimBandwidthBackend(graph)
     else:
@@ -268,7 +266,7 @@ def cmd_bandwidth(args) -> int:
 
 
 def cmd_triad(args) -> int:
-    graph = load_topology_file(_resolve_input(args.topology))
+    graph = _load_graph(args)
     backend = SimBandwidthBackend(graph)
     cores = _parse_cores(args.cores)
     record = run_triad(args.bytes, cores, args.nontemporal, backend)
@@ -329,7 +327,7 @@ def _observations_from_csv(path: Path, graph) -> list[FitObservation]:
 
 
 def cmd_model_fit(args) -> int:
-    graph, _model = _load_graph_and_model(args)
+    graph = _load_graph(args)
     obs = _observations_from_csv(_input_file(args.input), graph)
     result = fit(switch_hop_template(graph, args.template), obs)
     out = _out_dir(args)
@@ -341,7 +339,7 @@ def cmd_model_fit(args) -> int:
 
 
 def cmd_model_predict(args) -> int:
-    _graph, model = _load_graph_and_model(args)
+    model = _load_model(args, _load_graph(args))
     cycles = model.predict(
         args.requester, args.home, args.forwarder, args.state, args.level
     )
@@ -392,7 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, model=True):
         p.add_argument("--topology", required=True, help="topology JSON file or fixture name")
         if model:
-            p.add_argument("--model", help="latency model JSON (defaults to sibling fixture)")
+            p.add_argument("--model", help="latency model JSON, read by the simulated backend "
+                                           "and model-predict (default: the topology's "
+                                           "sibling NAME_latency_model.json)")
         p.add_argument("--out", default="results", help="output directory")
 
     p = sub.add_parser("topo", help="validate and summarize a topology")
@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_triad)
 
     p = sub.add_parser("model-fit", help="least-squares hop-cost fit")
-    common(p)
+    common(p, model=False)
     p.add_argument("--input", required=True, help="anchor or published-table CSV")
     p.add_argument("--template", choices=tuple(SWITCH_HOP_BASES), default="ram_hops")
     p.set_defaults(func=cmd_model_fit)

@@ -18,9 +18,10 @@ Shared/Forward requests).  The Forward designation follows the most recent
 reader.
 
 A :class:`ProtocolModel` comes from a topology
-(:meth:`ProtocolModel.from_topology`: one L3 domain per CCX, or per SNC on
-the mesh).  One model serves every home node: to the simulator, home
-memory is the one agent ``"mem"``, which supplies every RAM read.
+(:meth:`ProtocolModel.from_topology`: the protocol the topology declares,
+and one L3 domain per CCX, or per SNC on the mesh).  One model serves
+every home node: to the simulator, home memory is the one agent ``"mem"``,
+which supplies every RAM read.
 :func:`apply_event` is the one transition function: it returns the new
 state map together with the read's source and the value read or written.
 :func:`simulate` runs a script through it from the all-Invalid map and
@@ -122,7 +123,9 @@ class ProtocolModel:
     protocol, given as a :class:`Protocol` or its name, fixes the L3 policy:
     MOESI runs over a victim-exclusive L3, MESIF over a non-inclusive one.
     Home memory is one agent whatever the home node: a RAM read's supplier
-    is the state map's ``"mem"`` key.
+    is the state map's ``"mem"`` key.  :meth:`from_topology` takes all
+    three from a :class:`~memchar.topology.TopologyGraph`, whose document
+    declares the protocol.
     """
 
     protocol: Protocol
@@ -136,8 +139,8 @@ class ProtocolModel:
             raise CoherenceError(f"cores without an L3 domain: {missing}")
 
     @classmethod
-    def from_topology(cls, graph, protocol: Protocol | str):
-        return cls(protocol, tuple(graph.cores), graph.l3_domains)
+    def from_topology(cls, graph):
+        return cls(graph.protocol, tuple(graph.cores), graph.l3_domains)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,10 @@ coherence-state class, locality class) plus per-hop link costs:
   private-cache (L1/L2) transfers of M/E lines (cost kept natively in uncore
   cycles).
 
-Clock frequencies come from the graph, so a model document carries none: a
-model written for other clocks is rejected, not silently re-clocked.
+The coherence protocol and the clock frequencies come from the graph, so a
+model document carries neither: a model written for another protocol or
+other clocks is rejected, not silently re-read.  A model prices one link
+class, the one its graph's kind charges (see ``_PRICED_LINK``).
 
 State classes collapse the pairs the source tables report jointly (M/E and
 O/S on the chiplet system; S/F on the mesh system, where M and E stay
@@ -69,9 +71,15 @@ RIDGE_LAMBDA = 1e-9
 # state classes of M and E lines.
 MESH_GRADIENT_LEVELS = frozenset({"L1", "L2"})
 MESH_GRADIENT_CLASSES = frozenset({"M", "E", "ME"})
-# Keys a model document may no longer carry: clocks come from the topology,
-# and the mesh gradient's scope is fixed above.
-_RETIRED_KEYS = ("frequencies", "mesh_gradient_levels", "mesh_gradient_classes")
+# Keys a model document may no longer carry: the protocol and the clocks
+# come from the topology, and the mesh gradient's scope is fixed above.
+_RETIRED_KEYS = ("protocol", "frequencies", "mesh_gradient_levels", "mesh_gradient_classes")
+# The one link class a model prices on each graph kind: the switch traversal
+# of remote RAM reads on chiplet graphs, the mesh gradient on mesh graphs.
+_PRICED_LINK = {
+    GraphKind.CHIPLET_IF: LinkClass.IF_SWITCH_HOP.value,
+    GraphKind.MESH_2D: LinkClass.MESH_HOP.value,
+}
 
 
 class ModelError(Exception):
@@ -89,33 +97,46 @@ class LinkCost:
 
 
 class LatencyModel:
-    """Parameter set over a :class:`TopologyGraph` with predict and fit."""
+    """A model document read against a :class:`TopologyGraph`, with predict.
 
-    def __init__(
-        self,
-        graph: TopologyGraph,
-        protocol: Protocol,
-        base: dict[str, float],
-        state_classes: dict[str, dict[str, str]],
-        link_costs: dict[str, LinkCost],
-        numa_class_by_extra_hops: Optional[dict[int, str]] = None,
-        remote_anchor_extra_hops: int = 0,
-        triple_base: Optional[dict[str, float]] = None,
-        ccx_penalty: Optional[list[list[float]]] = None,
-        clean_shared_ram_beyond: Optional[str] = None,
-    ):
+    The constructor is the one reader of a model document.  A key the
+    document may no longer carry, a missing table, an entry of the wrong
+    type, and a link cost the graph's kind does not price are each a
+    :class:`ModelError` naming the key.
+    """
+
+    def __init__(self, doc: dict, graph: TopologyGraph):
+        for key in _RETIRED_KEYS:
+            if key in doc:
+                raise ModelError(f"model document carries '{key}': the protocol and the clocks "
+                                 "come from the topology, and the mesh gradient covers M/E "
+                                 "lines at L1/L2")
+        missing = [k for k in ("base_cycles", "state_classes") if k not in doc]
+        if missing:
+            raise ModelError(f"model document lacks key(s) {', '.join(missing)}")
         self.graph = graph
-        self.protocol = Protocol(protocol)
-        self.base = dict(base)
-        self.state_classes = state_classes
-        self.link_costs = dict(link_costs)
-        self.numa_class_by_extra_hops = {
-            int(k): v for k, v in (numa_class_by_extra_hops or {}).items()
-        }
-        self.remote_anchor_extra_hops = remote_anchor_extra_hops
-        self.triple_base = dict(triple_base or {})
-        self.ccx_penalty = ccx_penalty
-        self.clean_shared_ram_beyond = clean_shared_ram_beyond
+        self.base = _table(doc, "base_cycles", float, "a number")
+        self.state_classes = _table(doc, "state_classes", dict, "an object")
+        self.link_costs = _table(
+            doc, "link_costs", lambda v: LinkCost(float(v["value"]), str(v["unit"])),
+            "an object with a numeric 'value' and a 'unit'",
+        )
+        priced = _PRICED_LINK[graph.kind]
+        for name in self.link_costs:
+            if name != priced:
+                raise ModelError(f"model link_costs entry {name!r} is not priced on a "
+                                 f"{graph.kind.value} graph, which prices only {priced!r}")
+        self.numa_class_by_extra_hops = _table(
+            doc, "numa_class_by_extra_hops", str, "a class name under an integer key", int
+        )
+        try:
+            self.remote_anchor_extra_hops = int(doc.get("remote_anchor_extra_hops", 0))
+        except (TypeError, ValueError):
+            raise ModelError("model remote_anchor_extra_hops must be an integer, got "
+                             f"{doc['remote_anchor_extra_hops']!r}") from None
+        self.triple_base = _table(doc, "triple_base_cycles", float, "a number")
+        self.ccx_penalty = doc.get("ccx_penalty_cycles")
+        self.clean_shared_ram_beyond = doc.get("clean_shared_ram_beyond")
         # Memo of a pure function of the graph and the parameters above:
         # locality class per (requester, owner).  It lives as long as the
         # model, one CLI run.
@@ -124,15 +145,25 @@ class LatencyModel:
             if v < 0:
                 raise ModelError(f"negative base latency for {key}")
 
+    @property
+    def protocol(self) -> Protocol:
+        return self.graph.protocol
+
     # -- unit conversion ---------------------------------------------------
 
     @property
     def core_mhz(self) -> float:
         return self.graph.frequencies["core_mhz"]
 
+    def _link_cost(self, link_class: str) -> LinkCost:
+        try:
+            return self.link_costs[link_class]
+        except KeyError:
+            raise ModelError(f"model has no link_costs entry {link_class!r}") from None
+
     def link_cost_ns(self, link_class: str) -> float:
         """Cost per traversal per direction, in nanoseconds."""
-        lc = self.link_costs[link_class]
+        lc = self._link_cost(link_class)
         if lc.unit == "ns":
             return lc.value
         if lc.unit == "uncore_cycles":
@@ -142,7 +173,7 @@ class LatencyModel:
         raise ModelError(f"unknown link cost unit {lc.unit}")
 
     def link_cost_core_cycles(self, link_class: str) -> float:
-        lc = self.link_costs[link_class]
+        lc = self._link_cost(link_class)
         if lc.unit == "uncore_cycles":
             return lc.value * self.core_mhz / self.graph.frequencies["uncore_mhz"]
         return self.link_cost_ns(link_class) * self.core_mhz / 1000.0
@@ -347,41 +378,20 @@ class LatencyModel:
         return "cache"
 
 
-def load_model(doc: dict, graph: TopologyGraph) -> LatencyModel:
-    for key in _RETIRED_KEYS:
-        if key in doc:
-            raise ModelError(
-                f"model document carries '{key}': clocks come from the topology, "
-                "and the mesh gradient covers M/E lines at L1/L2"
-            )
-    missing = [k for k in ("protocol", "base_cycles", "state_classes") if k not in doc]
-    if missing:
-        raise ModelError(f"model document lacks key(s) {', '.join(missing)}")
-    try:
-        protocol = Protocol(doc["protocol"])
-    except ValueError:
-        raise ModelError(f"model document names unknown protocol {doc['protocol']!r}") from None
-    link_costs = {}
-    for k, v in doc.get("link_costs", {}).items():
+def _table(doc: dict, key: str, value, expected: str, key_type=str) -> dict:
+    """``doc[key]`` (empty when absent), an object whose keys ``key_type``
+    and values ``value`` convert; anything else is a :class:`ModelError`
+    naming the key and the entry."""
+    raw = doc.get(key, {})
+    if not isinstance(raw, dict):
+        raise ModelError(f"model {key} must be an object, got {type(raw).__name__}")
+    table = {}
+    for k, v in raw.items():
         try:
-            link_costs[k] = LinkCost(float(v["value"]), str(v["unit"]))
+            table[key_type(k)] = value(v)
         except (KeyError, TypeError, ValueError):
-            raise ModelError(
-                f"model link_costs entry {k!r} must be an object with a numeric "
-                f"'value' and a 'unit', got {v!r}"
-            ) from None
-    return LatencyModel(
-        graph=graph,
-        protocol=protocol,
-        base={k: float(v) for k, v in doc["base_cycles"].items()},
-        state_classes=doc["state_classes"],
-        link_costs=link_costs,
-        numa_class_by_extra_hops=doc.get("numa_class_by_extra_hops"),
-        remote_anchor_extra_hops=int(doc.get("remote_anchor_extra_hops", 0)),
-        triple_base=doc.get("triple_base_cycles"),
-        ccx_penalty=doc.get("ccx_penalty_cycles"),
-        clean_shared_ram_beyond=doc.get("clean_shared_ram_beyond"),
-    )
+            raise ModelError(f"model {key} entry {k!r} must be {expected}, got {v!r}") from None
+    return table
 
 
 def load_model_file(path: str | Path, graph: TopologyGraph) -> LatencyModel:
@@ -390,7 +400,7 @@ def load_model_file(path: str | Path, graph: TopologyGraph) -> LatencyModel:
             doc = json.load(f)
         except ValueError as exc:
             raise ModelError(f"{path}: not a JSON document: {exc}") from None
-    return load_model(doc, graph)
+    return LatencyModel(doc, graph)
 
 
 def load_fixture_model(name: str) -> LatencyModel:

@@ -17,6 +17,9 @@ The topology document (JSON); its field names are a stable contract.
 Common:
   kind            "chiplet_if" | "mesh_2d"
   name            free-form system name
+  protocol        "MOESI" | "MESIF": the processor's coherence protocol,
+                  which state planning, the protocol simulator and the
+                  latency model all read from the graph
   socket_count    1 or 2
   frequencies     {"core_mhz": F, "fclk_mhz": F?, "uncore_mhz": F?}
   link_costs      {class: {"cycles": C, "domain": "core"|"fclk"|"uncore"}}
@@ -56,6 +59,8 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Optional
+
+from .coherence import Protocol
 
 __all__ = [
     "GraphKind",
@@ -112,7 +117,6 @@ class NodeRole(str, Enum):
     MEMORY_CONTROLLER = "memory_controller"
     XGMI_PORT = "xgmi_port"
     UPI_PORT = "upi_port"
-    MESH_TILE = "mesh_tile"
 
 
 class LinkClass(str, Enum):
@@ -217,6 +221,7 @@ class TopologyGraph:
         edges: list[TopoEdge],
         frequencies: dict[str, float],
         link_costs: dict[LinkClass, float],
+        protocol: Protocol,
         caches: Optional[dict] = None,
         bandwidth: Optional[dict] = None,
         name: str = "",
@@ -227,13 +232,17 @@ class TopologyGraph:
         self.edges = tuple(edges)
         self.frequencies = dict(frequencies)
         self.link_costs = dict(link_costs)
+        self.protocol = protocol
         self.caches = dict(caches) if caches else {}
         self.bandwidth = dict(bandwidth) if bandwidth else {}
         self.name = name
         self._adj: dict[str, list[TopoEdge]] = {n: [] for n in nodes}
         for e in self.edges:
-            self._adj[e.a].append(e)
-            self._adj[e.b].append(e)
+            for end in (e.a, e.b):
+                if end not in self._adj:
+                    raise SchemaError(f"{e.link_class.value} link {e.a} - {e.b} names "
+                                      f"unknown node '{end}'")
+                self._adj[end].append(e)
         self._core_by_id = {
             n.core_index: n for n in nodes.values() if n.role is NodeRole.CORE
         }
@@ -340,7 +349,6 @@ class TopologyGraph:
             raise SchemaError(f"socket_count must be 1 or 2, got {self.socket_count}")
         if not self._core_by_id:
             raise SchemaError("graph has no cores")
-        self._check_roles()
         self._check_coordinates()
         self._check_connectivity()
         sw_cost = self.link_cost_cycles(LinkClass.IF_SWITCH_HOP)
@@ -349,26 +357,12 @@ class TopologyGraph:
                 f"if_switch_hop cost must be >= 2 cycles, got {sw_cost}"
             )
 
-    def _check_roles(self) -> None:
-        for n in self.nodes.values():
-            if self.kind is GraphKind.MESH_2D and n.role in (
-                NodeRole.IF_SWITCH,
-                NodeRole.IF_REPEATER,
-            ):
-                raise SchemaError(f"node {n.id}: {n.role.value} not valid in a mesh graph")
-            if self.kind is GraphKind.CHIPLET_IF and n.role is NodeRole.MESH_TILE:
-                raise SchemaError(f"node {n.id}: mesh_tile not valid in a chiplet graph")
-            if n.role is NodeRole.CORE and n.numa_node is None:
-                raise SchemaError(f"core {n.id} has no NUMA node")
-
     def _check_coordinates(self) -> None:
         if self.kind is not GraphKind.MESH_2D:
             return
         seen: dict[tuple[int, int, int], str] = {}
         for n in self.nodes.values():
             if n.role in (NodeRole.CORE, NodeRole.MEMORY_CONTROLLER, NodeRole.UPI_PORT):
-                if n.row is None or n.col is None:
-                    raise SchemaError(f"mesh node {n.id} lacks a grid coordinate")
                 key = (n.socket, n.row, n.col)
                 if key in seen:
                     raise SchemaError(
@@ -400,10 +394,30 @@ class TopologyGraph:
 # Loading
 
 
-def _req(doc: dict, key: str, ctx: str):
+# What a field converted by _as must be, as its error message says it.
+_KINDS = {
+    int: "an integer", float: "a number", dict: "an object", Protocol: "MOESI or MESIF",
+    GraphKind: "chiplet_if or mesh_2d",
+}
+
+
+def _as(kind, value, what: str):
+    """``value`` converted by ``kind`` (one of :data:`_KINDS`; ``dict``
+    takes only an object); a value it does not take is a
+    :class:`SchemaError` naming ``what``."""
+    try:
+        if kind is not dict or isinstance(value, dict):
+            return kind(value)
+    except (TypeError, ValueError):
+        pass
+    raise SchemaError(f"{what} must be {_KINDS[kind]}, got {value!r}")
+
+
+def _req(doc: dict, key: str, ctx: str, kind=None):
+    """``doc[key]``, converted by ``kind`` when given (see :func:`_as`)."""
     if key not in doc:
         raise SchemaError(f"{ctx}: missing required field '{key}'")
-    return doc[key]
+    return doc[key] if kind is None else _as(kind, doc[key], f"{ctx}: field '{key}'")
 
 
 def _parse_link_costs(doc: dict) -> dict[LinkClass, float]:
@@ -434,24 +448,25 @@ def _load_chiplet(doc: dict) -> tuple[dict[str, TopoNode], list[TopoEdge]]:
         nodes[node.id] = node
 
     for sock in _req(doc, "sockets", "topology"):
-        sid = int(_req(sock, "id", "socket"))
+        sid = _req(sock, "id", "socket", int)
         prefix = f"s{sid}."
         for sw in sock.get("switches", []):
             add(TopoNode(prefix + sw, NodeRole.IF_SWITCH, sid))
         for a, b in sock.get("switch_links", []):
             edges.append(TopoEdge(prefix + a, prefix + b, LinkClass.IF_SWITCH_HOP))
         for rp in sock.get("repeaters", []):
-            rid = prefix + rp["id"]
+            rid = prefix + _req(rp, "id", f"socket {sid} repeater")
             add(TopoNode(rid, NodeRole.IF_REPEATER, sid))
-            a, b = rp["between"]
+            a, b = _req(rp, "between", f"repeater {rid}")
             edges.append(TopoEdge(prefix + a, rid, LinkClass.IF_REPEATER_HOP))
             edges.append(TopoEdge(rid, prefix + b, LinkClass.IF_REPEATER_HOP))
         for port in sock.get("xgmi_ports", []):
-            pid = prefix + port["id"]
+            pid = prefix + _req(port, "id", f"socket {sid} xgmi port")
             add(TopoNode(pid, NodeRole.XGMI_PORT, sid))
-            edges.append(TopoEdge(prefix + port["switch"], pid, LinkClass.LOCAL))
+            edges.append(TopoEdge(prefix + _req(port, "switch", f"xgmi port {pid}"), pid,
+                                  LinkClass.LOCAL))
         for nd in _req(sock, "numa_nodes", f"socket {sid}"):
-            nid = int(_req(nd, "id", "numa_node"))
+            nid = _req(nd, "id", "numa_node", int)
             switch = nd.get("switch")
             sw_id = prefix + switch if switch else None
             mc_id = f"mc{nid}"
@@ -477,7 +492,7 @@ def _load_chiplet(doc: dict) -> tuple[dict[str, TopoNode], list[TopoEdge]]:
                         )
                     )
                     for c in core_ids:
-                        c = int(c)
+                        c = _as(int, c, f"node {nid} ccd {ccd_i} ccx {ccx_i}: core id")
                         if c in seen_cores:
                             raise SchemaError(f"core id {c} appears twice")
                         seen_cores.add(c)
@@ -509,13 +524,14 @@ def _load_mesh(doc: dict) -> tuple[dict[str, TopoNode], list[TopoEdge]]:
     nodes: dict[str, TopoNode] = {}
     seen_cores: set[int] = set()
     for sock in _req(doc, "sockets", "topology"):
-        sid = int(_req(sock, "id", "socket"))
-        grid = _req(sock, "grid", f"socket {sid}")
-        rows, cols = int(grid["rows"]), int(grid["cols"])
+        sid = _req(sock, "id", "socket", int)
+        grid = _req(sock, "grid", f"socket {sid}", dict)
+        rows, cols = (_req(grid, key, f"socket {sid} grid", int) for key in ("rows", "cols"))
         snc_cols = {
-            int(k): set(v) for k, v in _req(sock, "snc_cols", f"socket {sid}").items()
+            _as(int, k, f"socket {sid}: snc_cols key"): set(v)
+            for k, v in _req(sock, "snc_cols", f"socket {sid}", dict).items()
         }
-        numa_base = int(sock.get("numa_base", 2 * sid))
+        numa_base = _as(int, sock.get("numa_base", 2 * sid), f"socket {sid}: numa_base")
 
         def snc_of(col: int) -> int:
             for local, colset in snc_cols.items():
@@ -524,11 +540,12 @@ def _load_mesh(doc: dict) -> tuple[dict[str, TopoNode], list[TopoEdge]]:
             raise SchemaError(f"socket {sid}: column {col} not assigned to an SNC")
 
         for tile in _req(sock, "tiles", f"socket {sid}"):
-            r, c = int(tile["row"]), int(tile["col"])
+            ctx = f"socket {sid} tile {tile}"
+            r, c = _req(tile, "row", ctx, int), _req(tile, "col", ctx, int)
             if not (0 <= r < rows and 0 <= c < cols):
                 raise SchemaError(f"socket {sid}: tile ({r},{c}) outside {rows}x{cols} grid")
             if "core" in tile:
-                core = int(tile["core"])
+                core = _req(tile, "core", ctx, int)
                 if core in seen_cores:
                     raise SchemaError(f"core id {core} appears twice")
                 seen_cores.add(core)
@@ -538,7 +555,7 @@ def _load_mesh(doc: dict) -> tuple[dict[str, TopoNode], list[TopoEdge]]:
                     core_index=core, row=r, col=c,
                 )
             elif "mc" in tile:
-                mc_node = int(tile["mc"])
+                mc_node = _req(tile, "mc", ctx, int)
                 nid = f"mc{mc_node}"
                 node = TopoNode(
                     nid, NodeRole.MEMORY_CONTROLLER, sid, numa_node=mc_node, row=r, col=c,
@@ -560,20 +577,16 @@ def _load_mesh(doc: dict) -> tuple[dict[str, TopoNode], list[TopoEdge]]:
     return nodes, edges
 
 
-def load_topology(doc: dict | str) -> TopologyGraph:
+def load_topology(doc: dict) -> TopologyGraph:
     """Validate a topology document and build the graph.
 
     Raises :class:`SchemaError` naming the offending node/field on schema
     violations, disconnected graphs, and duplicate coordinates.
     """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    kind_raw = _req(doc, "kind", "topology")
-    try:
-        kind = GraphKind(kind_raw)
-    except ValueError:
-        raise SchemaError(f"unknown topology kind '{kind_raw}'") from None
-    freqs = {k: float(v) for k, v in _req(doc, "frequencies", "topology").items()}
+    kind = _req(doc, "kind", "topology", GraphKind)
+    protocol = _req(doc, "protocol", "topology", Protocol)
+    freqs = _req(doc, "frequencies", "topology", dict)
+    freqs = {k: _as(float, v, f"frequencies.{k}") for k, v in freqs.items()}
     if freqs.get("core_mhz", 0) <= 0:
         raise SchemaError("frequencies.core_mhz must be positive")
     if kind is GraphKind.CHIPLET_IF:
@@ -582,11 +595,12 @@ def load_topology(doc: dict | str) -> TopologyGraph:
         nodes, edges = _load_mesh(doc)
     return TopologyGraph(
         kind=kind,
-        socket_count=int(_req(doc, "socket_count", "topology")),
+        socket_count=_req(doc, "socket_count", "topology", int),
         nodes=nodes,
         edges=edges,
         frequencies=freqs,
         link_costs=_parse_link_costs(doc),
+        protocol=protocol,
         caches=doc.get("caches"),
         bandwidth=doc.get("bandwidth"),
         name=doc.get("name", ""),

@@ -289,6 +289,20 @@ class TestScalingSeries:
         with pytest.raises(BandwidthError):
             scaling_series([], rome_bw, kernel="read256", dataset_bytes=1024)
 
+    @pytest.mark.parametrize("dataset_bytes", [0, -1024])
+    def test_a_rung_without_bytes_is_rejected_as_a_single_run_is(self, rome_bw, dataset_bytes):
+        with pytest.raises(BandwidthError, match="dataset must be non-empty"):
+            run_throughput("read256", dataset_bytes, [0], 1, rome_bw)
+        with pytest.raises(BandwidthError, match="dataset must be non-empty"):
+            scaling_series([("1", [0])], rome_bw, kernel="read256", dataset_bytes=dataset_bytes)
+
+    def test_a_single_socket_series_rejects_a_cross_socket_rung(self, rome_bw):
+        for workload in ({"kernel": "read256", "dataset_bytes": 1 << 20},
+                         {"triad_bytes": 1 << 20}):
+            assert len(scaling_series([("2", [0, 64])], rome_bw, **workload).records) == 1
+            with pytest.raises(BandwidthError, match="crossing sockets"):
+                scaling_series([("2", [0, 64])], rome_bw, allow_cross_socket=False, **workload)
+
 
 class TestRecordArithmetic:
     @given(

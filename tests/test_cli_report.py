@@ -113,8 +113,7 @@ def sweep_records():
     chains = [chain_spec(sz, 512, 7) for sz in level_dataset_bytes(model.graph, "L2")]
     placements = enumerate_placements(model.graph, "all_pairs")[:12]
     placements += enumerate_placements(model.graph, "local")[:4]
-    points = cli._latency_points(model.graph, placements, CoherenceState.M, model.protocol,
-                                 "L2")
+    points = cli._latency_points(model.graph, placements, CoherenceState.M, "L2")
     records = measure_sweep(chains, points, MeasurementPolicy(), SimulatedBackend(model))
     values = {r.samples[0] for r in records}
     assert len({id(r.samples) for r in records}) == len(values) > 1
@@ -722,12 +721,13 @@ class TestCli:
          "model.json: not a JSON document"),
         ("topo.json", fixture_path("rome_2s.json").read_text()[:200],
          ["topo", "--topology", "{file}"], "topo.json: not a JSON document"),
-        ("model.json", "{}", PREDICT,
-         "model document lacks key(s) protocol, base_cycles, state_classes"),
-        ("model.json", json.dumps({**json.loads(_MODEL_DOC), "protocol": "XYZ"}), PREDICT,
-         "model document names unknown protocol 'XYZ'"),
+        ("model.json", "{}", PREDICT, "model document lacks key(s) base_cycles, state_classes"),
+        ("topo.json", json.dumps({**json.loads(fixture_path("rome_2s.json").read_text()),
+                                  "protocol": "XYZ"}),
+         ["topo", "--topology", "{file}"],
+         "topology: field 'protocol' must be MOESI or MESIF, got 'XYZ'"),
     ], ids=["truncated-model-predict", "truncated-model-latency", "truncated-topology",
-            "model-empty", "model-protocol"])
+            "model-empty", "topology-protocol"])
     def test_malformed_topology_or_model_file_is_config_error(self, file, text, argv, message,
                                                               tmp_path, capsys):
         path = tmp_path / file
@@ -759,12 +759,13 @@ class TestCli:
                                                        capsys):
         argv, fixture = self.LINK_COST_LOADERS[loader]
         doc = json.loads(fixture_path(fixture).read_text())
-        doc["link_costs"]["xgmi"] = entry
+        doc["link_costs"]["if_switch_hop"] = entry
         path = tmp_path / fixture
         path.write_text(json.dumps(doc))
         assert main(_argv(argv, path, tmp_path / "out")) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "entry 'xgmi' " in err and message in err, err
+        assert err.startswith("config error: ") and "entry 'if_switch_hop' " in err, err
+        assert message in err, err
 
     def test_bad_alignment_is_config_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1108,6 +1109,38 @@ class TestCli:
         params = json.loads((tmp_path / "fit" / "fitted_params.json").read_text())
         assert 2.0 <= params["if_switch_ns"] <= 2.5
         assert (tmp_path / "fit" / "residuals.txt").read_text().startswith("fit template")
+
+    def test_native_latency_loads_no_model(self, tmp_path):
+        # No latency model lies next to this topology: native latency plans
+        # its states under the protocol the topology declares.  No timing is
+        # asserted.
+        from memchar import native
+
+        try:
+            native.load_kernels()
+        except native.BackendUnavailable as exc:
+            pytest.skip(f"native kernels unavailable: {exc}")
+        topo = tmp_path / "host.json"
+        shutil.copy(fixture_path("single_core.json"), topo)
+        assert main(["latency", "--backend", "native", "--topology", str(topo),
+                     "--scope", "local", "--state", "M", "--level", "L1", "--outer", "1",
+                     "--inner", "1", "--sizes", "1", "--out", str(tmp_path / "run")]) == 0
+        records = ResultSet.from_csv(tmp_path / "run" / "results.csv").records
+        assert [r.backend for r in records] == ["native"]
+
+    def test_model_fit_loads_no_model(self, tmp_path, capsys):
+        topo = tmp_path / "rome.json"
+        shutil.copy(fixture_path("rome_2s.json"), topo)
+        assert main(["model-fit", "--topology", str(topo),
+                     "--input", str(fixture_path("fig9a_rome_anchors.csv")),
+                     "--out", str(tmp_path / "fit")]) == 0
+        assert (tmp_path / "fit" / "fitted_params.json").read_text() == (
+            '{\n "base_ram_cycles": 378.0000000000002,\n "if_switch_ns": 2.416666666666655\n}\n')
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["model-fit", "--topology", str(topo), "--model", "rome_2s_latency_model",
+                  "--input", str(fixture_path("fig9a_rome_anchors.csv"))])
+        assert "unrecognized arguments: --model" in capsys.readouterr().err
 
     def test_model_predict_cli(self, capsys):
         code = main([

@@ -516,7 +516,7 @@ class TestRecordsBuiltInOneStep:
 def _replay_fresh(model, script, placement):
     """The simulator's answer for one point on a fresh protocol model: the
     probe read's source kind and the final map before that read."""
-    pmodel = ProtocolModel.from_topology(model.graph, model.protocol)
+    pmodel = ProtocolModel.from_topology(model.graph)
     final = verify_script(script, pmodel).state_map
     _, source, _ = apply_event(pmodel, final, CacheEvent(placement.requester, Action.READ))
     return source.kind, final
@@ -593,8 +593,8 @@ class TestCoherenceClassMemo:
         backend = SimulatedBackend(model)
         chains = [chain_spec(8192, 512, seed=0)]
         placements = enumerate_placements(model.graph, "all_pairs")
-        sweeps = [cli._latency_points(model.graph, placements, CoherenceState(state),
-                                      model.protocol, "L2") for _ in range(2)]
+        sweeps = [cli._latency_points(model.graph, placements, CoherenceState(state), "L2")
+                  for _ in range(2)]
         assert sweeps[0][0][0].steps is not sweeps[1][0][0].steps
         measure_sweep(chains, sweeps[0], ONE, backend)
         assert replays
@@ -687,7 +687,7 @@ class TestPerClassSweep:
         model = load_fixture_model(topology)
         for state, level, placements in _sweeps(model):
             points = cli._latency_points(model.graph, placements, CoherenceState(state),
-                                         model.protocol, level)
+                                         level)
             assert [p for _, p in points] == placements
             for script, p in points:
                 direct = _direct_script(model, state, level, p)
@@ -702,7 +702,7 @@ class TestPerClassSweep:
         counts = [c.element_count for c in self.CHAINS]
         for state, level, placements in _sweeps(model):
             points = cli._latency_points(model.graph, placements, CoherenceState(state),
-                                         model.protocol, level)
+                                         level)
             values, failure = _oracle_per_access(topology, state, level, placements)
             if failure is not None:
                 with pytest.raises(ScriptPlacementError) as err:
@@ -720,7 +720,7 @@ class TestPerClassSweep:
         backend = SimulatedBackend(model)
         placements = [Placement(0, 10, 1), Placement(0, 20, 2)]
         (first, p1), (second, p2) = cli._latency_points(
-            model.graph, placements, CoherenceState.M, model.protocol, "L2")
+            model.graph, placements, CoherenceState.M, "L2")
         assert backend._class_key(first, p1) == backend._class_key(second, p2)
         expected = model.expected_source_kind
         model.expected_source_kind = lambda r, f, s, lv: (

@@ -17,11 +17,13 @@ from memchar.model import (
     classify_values,
     compare,
     fit,
+    LatencyModel,
     load_fixture_model,
-    load_model,
     switch_hop_template,
 )
-from memchar.topology import fixture_path
+from memchar.cli import main
+from memchar.coherence import Protocol
+from memchar.topology import fixture_path, load_topology_file
 from oracles import hop_cost_template
 
 
@@ -33,6 +35,13 @@ def rome():
 @pytest.fixture(scope="module")
 def clx():
     return load_fixture_model("clx_2s")
+
+
+def predict_with(system, doc, tmp_path, *args):
+    """Exit code of ``model-predict`` on ``system`` with ``doc`` as its model."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return main(["model-predict", "--topology", system, "--model", str(path), *args])
 
 
 def read_table(name):
@@ -160,6 +169,7 @@ class TestPredict:
 
 class TestLoadModel:
     RETIRED = {
+        "protocol": "MESIF",
         "frequencies": {"core_mhz": 3000.0, "uncore_mhz": 2400.0},
         "mesh_gradient_levels": ["L1", "L2"],
         "mesh_gradient_classes": ["M", "E", "ME"],
@@ -170,7 +180,7 @@ class TestLoadModel:
         doc = json.loads(fixture_path("clx_2s_latency_model.json").read_text())
         doc[key] = self.RETIRED[key]
         with pytest.raises(ModelError, match=f"'{key}'"):
-            load_model(doc, clx.graph)
+            LatencyModel(doc, clx.graph)
 
     def test_retired_key_exits_2_from_the_cli(self, tmp_path, capsys):
         from memchar.cli import main
@@ -183,6 +193,88 @@ class TestLoadModel:
                      "--requester", "0", "--home", "1"])
         assert code == 2
         assert "config error: model document carries 'frequencies'" in capsys.readouterr().err
+
+
+    def test_protocol_comes_from_the_topology(self, rome, clx, tmp_path, capsys):
+        assert (rome.protocol, clx.protocol) == (Protocol.MOESI, Protocol.MESIF)
+        assert rome.protocol is rome.graph.protocol
+        doc = json.loads(fixture_path("rome_2s_latency_model.json").read_text())
+        doc["protocol"] = "MOESI"
+        assert predict_with("rome_2s", doc, tmp_path, "--requester", "0", "--home", "1") == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: model document carries 'protocol': the protocol and the clocks "
+            "come from the topology")
+
+    def test_every_fixture_model_loads_against_its_sibling_topology(self):
+        fixtures = fixture_path("rome_2s.json").parent
+        models = sorted(fixtures.glob("*_latency_model.json"))
+        topologies = sorted(set(fixtures.glob("*.json")) - set(models))
+        assert [p.name for p in models] == ["clx_2s_latency_model.json",
+                                            "rome_2s_latency_model.json"]
+        for path in topologies:
+            assert json.loads(path.read_text())["protocol"] in ("MOESI", "MESIF"), path
+        for path in models:
+            graph = load_topology_file(path.with_name(path.name.replace("_latency_model", "")))
+            assert LatencyModel(json.loads(path.read_text()), graph).protocol is graph.protocol
+
+    # (key, the value it is given, what the message says)
+    MALFORMED = [
+        ("base_cycles", {"L1/ME/local": "x"},
+         "model base_cycles entry 'L1/ME/local' must be a number, got 'x'"),
+        ("base_cycles", [4.0], "model base_cycles must be an object, got list"),
+        ("numa_class_by_extra_hops", {"a": "numa1"},
+         "model numa_class_by_extra_hops entry 'a' must be a class name under an integer key"),
+        ("remote_anchor_extra_hops", "x",
+         "model remote_anchor_extra_hops must be an integer, got 'x'"),
+        ("state_classes", [{"M": "ME"}], "model state_classes must be an object, got list"),
+        ("triple_base_cycles", [323.0],
+         "model triple_base_cycles must be an object, got list"),
+    ]
+
+    @pytest.mark.parametrize("key, value, message", MALFORMED, ids=[
+        "base-cycles-value", "base-cycles-a-list", "numa-class-key", "remote-anchor",
+        "state-classes-a-list", "triple-base-cycles-a-list",
+    ])
+    def test_malformed_document_is_config_error(self, key, value, message, tmp_path, capsys):
+        doc = json.loads(fixture_path("rome_2s_latency_model.json").read_text())
+        doc[key] = value
+        assert predict_with("rome_2s", doc, tmp_path, "--requester", "0", "--home", "1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}"), err
+
+
+class TestLinkCosts:
+    """A model's link costs are the one class its graph's kind prices."""
+
+    @pytest.mark.parametrize("system, priced, unpriced", [
+        ("rome_2s", "if_switch_hop", "xgmi"),
+        ("rome_2s", "if_switch_hop", "if_repeater_hop"),
+        ("clx_2s", "mesh_hop", "upi"),
+        ("clx_2s", "mesh_hop", "if_switch_hop"),
+    ])
+    def test_an_unpriced_class_is_refused(self, system, priced, unpriced, tmp_path, capsys):
+        doc = json.loads(fixture_path(f"{system}_latency_model.json").read_text())
+        doc["link_costs"][unpriced] = {"value": 50.0, "unit": "ns"}
+        assert predict_with(system, doc, tmp_path, "--requester", "0", "--home", "0") == 2
+        kind = "chiplet_if" if system == "rome_2s" else "mesh_2d"
+        assert capsys.readouterr().err == (
+            f"config error: model link_costs entry '{unpriced}' is not priced on a {kind} "
+            f"graph, which prices only '{priced}'\n")
+
+    def test_a_missing_class_is_config_error(self, clx, tmp_path, capsys):
+        other_snc = clx.graph.first_core_of_node(1)
+        for system, priced, args in (
+            ("rome_2s", "if_switch_hop", ["--home", "7", "--state", "M", "--level", "RAM"]),
+            ("clx_2s", "mesh_hop", ["--home", "1", "--forwarder", str(other_snc),
+                                    "--state", "M", "--level", "L2"]),
+        ):
+            doc = json.loads(fixture_path(f"{system}_latency_model.json").read_text())
+            assert predict_with(system, doc, tmp_path, "--requester", "0", *args) == 0
+            del doc["link_costs"][priced]
+            capsys.readouterr()
+            assert predict_with(system, doc, tmp_path, "--requester", "0", *args) == 2
+            assert capsys.readouterr().err == (
+                f"config error: model has no link_costs entry '{priced}'\n")
 
 
 class TestFit:

@@ -7,6 +7,8 @@ import typing
 import pytest
 
 from memchar import topology as topology_mod
+from memchar.cli import main
+from memchar.coherence import Protocol
 from memchar.topology import (
     GraphKind,
     LinkClass,
@@ -31,6 +33,19 @@ from oracles import route, switch_count
 def fixture_doc(name):
     """A fresh copy of a shipped topology document."""
     return json.loads(fixture_path(f"{name}.json").read_text())
+
+
+def set_field(*path):
+    """An edit that sets the field at ``path`` (keys and list indices) of a
+    document to the edit's value."""
+    *parents, last = path
+
+    def edit(doc, value):
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+
+    return edit
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +154,65 @@ class TestLoad:
         doc["link_costs"]["if_switch_hop"]["cycles"] = 1.0
         with pytest.raises(SchemaError, match=">= 2"):
             load_topology(doc)
+
+
+    def test_fixtures_declare_their_protocol(self, rome, clx, single):
+        assert [g.protocol for g in (rome, clx, single)] == [
+            Protocol.MOESI, Protocol.MESIF, Protocol.MOESI
+        ]
+
+    @pytest.mark.parametrize("protocol, message", [
+        (None, "topology: missing required field 'protocol'"),
+        ("XYZ", "topology: field 'protocol' must be MOESI or MESIF, got 'XYZ'"),
+        (["MOESI"], "topology: field 'protocol' must be MOESI or MESIF, got ['MOESI']"),
+    ], ids=["missing", "unknown", "not-a-name"])
+    def test_protocol_is_required_and_known(self, protocol, message, tmp_path, capsys):
+        doc = fixture_doc("rome_2s")
+        if protocol is None:
+            del doc["protocol"]
+        else:
+            doc["protocol"] = protocol
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps(doc))
+        assert main(["topo", "--topology", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    # (fixture, edit, value, what the message says)
+    MALFORMED = [
+        ("rome_2s", set_field("frequencies", "core_mhz"), "fast",
+         "frequencies.core_mhz must be a number, got 'fast'"),
+        ("clx_2s", set_field("frequencies"), [2500.0],
+         "topology: field 'frequencies' must be an object, got [2500.0]"),
+        ("rome_2s", set_field("sockets", 0, "xgmi_ports", 0), {"id": "xg1"},
+         "xgmi port s0.xg1: missing required field 'switch'"),
+        ("rome_2s", set_field("sockets", 0, "repeaters"), [{"id": "rp"}],
+         "repeater s0.rp: missing required field 'between'"),
+        ("clx_2s", set_field("sockets", 0, "grid"), {"cols": 6},
+         "socket 0 grid: missing required field 'rows'"),
+        ("clx_2s", set_field("sockets", 0, "tiles", 1, "row"), "x",
+         "field 'row' must be an integer, got 'x'"),
+        ("rome_2s", set_field("sockets", 0, "numa_nodes", 0, "ccds", 0, "ccxs", 0, 0), "a",
+         "node 0 ccd 0 ccx 0: core id must be an integer, got 'a'"),
+        ("rome_2s", set_field("socket_count"), "two",
+         "topology: field 'socket_count' must be an integer, got 'two'"),
+        ("rome_2s", set_field("sockets", 0, "switch_links", 0), ["sw_a", "sw_zz"],
+         "if_switch_hop link s0.sw_a - s0.sw_zz names unknown node 's0.sw_zz'"),
+    ]
+
+    @pytest.mark.parametrize("fixture, edit, value, message", MALFORMED, ids=[
+        "core-mhz-not-a-number", "frequencies-a-list", "xgmi-port-without-switch",
+        "repeater-without-between", "grid-without-rows", "tile-row-not-a-number",
+        "core-id-not-a-number", "socket-count-not-a-number", "switch-link-unknown-switch",
+    ])
+    def test_malformed_document_is_config_error(self, fixture, edit, value, message, tmp_path,
+                                                capsys):
+        doc = fixture_doc(fixture)
+        edit(doc, value)
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps(doc))
+        assert main(["topo", "--topology", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err, err
 
 
 class TestMeshRoute:
@@ -250,6 +324,7 @@ class TestFabricRoutes:
         # Synthetic two-node graph with a repeater between the switches.
         doc = {
             "kind": "chiplet_if",
+            "protocol": "MOESI",
             "socket_count": 1,
             "frequencies": {"core_mhz": 2000.0, "fclk_mhz": 1467.0},
             "sockets": [
