@@ -45,6 +45,7 @@ from .topology import Placement
 
 __all__ = [
     "BackendError",
+    "PinningError",
     "ScriptPlacementError",
     "SimulatedBackend",
 ]
@@ -52,6 +53,10 @@ __all__ = [
 
 class BackendError(Exception):
     pass
+
+
+class PinningError(BackendError):
+    """A worker thread could not be pinned to its core (native backend)."""
 
 
 class ScriptPlacementError(BackendError):

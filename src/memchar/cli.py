@@ -28,7 +28,7 @@ from typing import Optional
 
 from . import chain as chain_mod
 from . import harness
-from .backends import BackendError, SimulatedBackend
+from .backends import BackendError, PinningError, SimulatedBackend
 from .bandwidth import (
     BandwidthError,
     SimBandwidthBackend,
@@ -521,8 +521,6 @@ def _run(args, argv: list) -> int:
 
 def main(argv=None) -> int:
     """Run one subcommand."""
-    from .native import PinningError
-
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser().parse_args(argv)
     try:

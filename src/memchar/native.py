@@ -16,7 +16,13 @@ unpinned thread, so first touch places it on that thread's node.
 The C kernels are compiled with the system compiler into a cache directory,
 named after a hash of their inputs, and loaded by :func:`load_kernels`; when
 no compiler or no x86-64 is available every entry point raises
-:class:`BackendUnavailable` so callers can degrade cleanly.
+:class:`BackendUnavailable` so callers can degrade cleanly.  ``kernels.c``
+includes no intrinsics header: parsing ``<x86intrin.h>`` and
+``<immintrin.h>`` was almost all of a cold build (about 0.6 s of gcc 12
+against 0.15 s without them), so it calls the compiler builtins and vector
+types those headers wrap.  ``objdump -d`` of the two builds matched byte for
+byte under gcc 12.2, with ``-mavx2`` and without, and the tests read the
+timed regions' instructions back from ``objdump``.
 
 Orchestration follows the measurement listing.  All native work runs in
 :func:`_on_cores`: one new thread per job, pinned to its core and
@@ -55,7 +61,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .backends import BackendError
+from .backends import BackendError, PinningError
 from .bandwidth import (
     KERNELS, TRIAD_SCALAR, BandwidthError, BandwidthRecord, dataset_level, resolve_kernel,
     triad_operands, verify_triad,
@@ -92,10 +98,6 @@ KERNEL_SIGNATURES = {
 
 
 class BackendUnavailable(BackendError):
-    pass
-
-
-class PinningError(BackendError):
     pass
 
 

@@ -25,9 +25,10 @@ Common:
   link_costs      {class: {"cycles": C, "domain": "core"|"fclk"|"uncore"}}
                   (cycles of the link's clock; "domain" names that clock
                   for the reader and is not read)
-  caches          {"l1_kib": K, "l2_kib": K, "l3_mib": M}   (L1 and L2
-                  per core, L3 per L3 domain; read through
-                  TopologyGraph.cache_bytes, which names a missing size)
+  caches          {"l1_kib": K, "l2_kib": K, "l3_mib": M}   (positive
+                  numbers; L1 and L2 per core, L3 per L3 domain; read
+                  through TopologyGraph.cache_bytes, which names a missing
+                  size)
   bandwidth       optional fixture tables for the simulated bandwidth
                   backend (see bandwidth module docs)
 
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -396,17 +398,19 @@ class TopologyGraph:
 
 # What a field converted by _as must be, as its error message says it.
 _KINDS = {
-    int: "an integer", float: "a number", dict: "an object", Protocol: "MOESI or MESIF",
-    GraphKind: "chiplet_if or mesh_2d",
+    int: "an integer", float: "a number", dict: "an object", list: "a list", str: "a string",
+    Protocol: "MOESI or MESIF", GraphKind: "chiplet_if or mesh_2d",
 }
+# Kinds that take only a value of their own type, not one they could convert.
+_STRICT_KINDS = (dict, list, str)
 
 
 def _as(kind, value, what: str):
-    """``value`` converted by ``kind`` (one of :data:`_KINDS`; ``dict``
-    takes only an object); a value it does not take is a
-    :class:`SchemaError` naming ``what``."""
+    """``value`` converted by ``kind`` (one of :data:`_KINDS`; ``dict``,
+    ``list`` and ``str`` take only their own type); a value it does not
+    take is a :class:`SchemaError` naming ``what``."""
     try:
-        if kind is not dict or isinstance(value, dict):
+        if kind not in _STRICT_KINDS or isinstance(value, kind):
             return kind(value)
     except (TypeError, ValueError):
         pass
@@ -420,9 +424,42 @@ def _req(doc: dict, key: str, ctx: str, kind=None):
     return doc[key] if kind is None else _as(kind, doc[key], f"{ctx}: field '{key}'")
 
 
+def _opt(doc: dict, key: str, ctx: str, kind, default):
+    """``doc[key]`` converted by ``kind`` (see :func:`_as`), or ``default``
+    when the field is absent."""
+    return _as(kind, doc[key], f"{ctx}: field '{key}'") if key in doc else default
+
+
+def _entries(doc: dict, key: str, ctx: str, kind, default=None) -> list:
+    """The entries of the list ``doc[key]``, each converted by ``kind``;
+    without a ``default`` the field is required."""
+    what = f"{ctx}: {key} entry"
+    items = _req(doc, key, ctx, list) if default is None else _opt(doc, key, ctx, list, default)
+    return [_as(kind, item, what) for item in items]
+
+
+def _pair(value, what: str) -> tuple[str, str]:
+    """The two node names of a link entry such as ``["sw_a", "sw_b"]``."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise SchemaError(f"{what} must be a list of two names, got {value!r}")
+    return _as(str, value[0], what), _as(str, value[1], what)
+
+
+def _parse_caches(doc: dict) -> dict[str, float]:
+    """The ``caches`` sizes, each a positive finite number."""
+    caches = {
+        key: _as(float, size, f"caches.{key}")
+        for key, size in _opt(doc, "caches", "topology", dict, {}).items()
+    }
+    for key, size in caches.items():
+        if not 0 < size < math.inf:
+            raise SchemaError(f"caches.{key} must be a positive number, got {size!r}")
+    return caches
+
+
 def _parse_link_costs(doc: dict) -> dict[LinkClass, float]:
     costs = dict(DEFAULT_LINK_COSTS)
-    for name, spec in doc.get("link_costs", {}).items():
+    for name, spec in _opt(doc, "link_costs", "topology", dict, {}).items():
         try:
             cls = LinkClass(name)
         except ValueError:
@@ -447,33 +484,36 @@ def _load_chiplet(doc: dict) -> tuple[dict[str, TopoNode], list[TopoEdge]]:
             raise SchemaError(f"duplicate node id '{node.id}'")
         nodes[node.id] = node
 
-    for sock in _req(doc, "sockets", "topology"):
+    for sock in _entries(doc, "sockets", "topology", dict):
         sid = _req(sock, "id", "socket", int)
         prefix = f"s{sid}."
-        for sw in sock.get("switches", []):
+        ctx = f"socket {sid}"
+        for sw in _entries(sock, "switches", ctx, str, []):
             add(TopoNode(prefix + sw, NodeRole.IF_SWITCH, sid))
-        for a, b in sock.get("switch_links", []):
+        for link in _entries(sock, "switch_links", ctx, list, []):
+            a, b = _pair(link, f"{ctx}: switch_links entry")
             edges.append(TopoEdge(prefix + a, prefix + b, LinkClass.IF_SWITCH_HOP))
-        for rp in sock.get("repeaters", []):
-            rid = prefix + _req(rp, "id", f"socket {sid} repeater")
+        for rp in _entries(sock, "repeaters", ctx, dict, []):
+            rid = prefix + _req(rp, "id", f"{ctx} repeater", str)
             add(TopoNode(rid, NodeRole.IF_REPEATER, sid))
-            a, b = _req(rp, "between", f"repeater {rid}")
+            a, b = _pair(_req(rp, "between", f"repeater {rid}"), f"repeater {rid}: 'between'")
             edges.append(TopoEdge(prefix + a, rid, LinkClass.IF_REPEATER_HOP))
             edges.append(TopoEdge(rid, prefix + b, LinkClass.IF_REPEATER_HOP))
-        for port in sock.get("xgmi_ports", []):
-            pid = prefix + _req(port, "id", f"socket {sid} xgmi port")
+        for port in _entries(sock, "xgmi_ports", ctx, dict, []):
+            pid = prefix + _req(port, "id", f"{ctx} xgmi port", str)
             add(TopoNode(pid, NodeRole.XGMI_PORT, sid))
-            edges.append(TopoEdge(prefix + _req(port, "switch", f"xgmi port {pid}"), pid,
+            edges.append(TopoEdge(prefix + _req(port, "switch", f"xgmi port {pid}", str), pid,
                                   LinkClass.LOCAL))
-        for nd in _req(sock, "numa_nodes", f"socket {sid}"):
+        for nd in _entries(sock, "numa_nodes", ctx, dict):
             nid = _req(nd, "id", "numa_node", int)
             switch = nd.get("switch")
-            sw_id = prefix + switch if switch else None
+            sw_id = None if switch is None else prefix + _as(
+                str, switch, f"numa_node {nid}: field 'switch'"
+            )
             mc_id = f"mc{nid}"
             add(TopoNode(mc_id, NodeRole.MEMORY_CONTROLLER, sid, numa_node=nid))
-            ccds = _req(nd, "ccds", f"numa_node {nid}")
-            for ccd_i, ccd in enumerate(ccds):
-                ccxs = _req(ccd, "ccxs", f"node {nid} ccd {ccd_i}")
+            for ccd_i, ccd in enumerate(_entries(nd, "ccds", f"numa_node {nid}", dict)):
+                ccxs = _entries(ccd, "ccxs", f"node {nid} ccd {ccd_i}", list)
                 if not 1 <= len(ccxs) <= 2:
                     raise SchemaError(
                         f"node {nid} ccd {ccd_i}: a CCD hosts 1-2 CCXs, got {len(ccxs)}"
@@ -512,7 +552,8 @@ def _load_chiplet(doc: dict) -> tuple[dict[str, TopoNode], list[TopoEdge]]:
                         edges.append(TopoEdge(l3_id, mc_id, LinkClass.LOCAL))
             if sw_id is not None:
                 edges.append(TopoEdge(mc_id, sw_id, LinkClass.LOCAL))
-    for a, b in doc.get("xgmi_links", []):
+    for link in _entries(doc, "xgmi_links", "topology", list, []):
+        a, b = _pair(link, "xgmi_links entry")
         for end in (a, b):
             if end not in nodes or nodes[end].role is not NodeRole.XGMI_PORT:
                 raise SchemaError(f"xgmi_links: '{end}' is not an xGMI port")
@@ -523,12 +564,15 @@ def _load_chiplet(doc: dict) -> tuple[dict[str, TopoNode], list[TopoEdge]]:
 def _load_mesh(doc: dict) -> tuple[dict[str, TopoNode], list[TopoEdge]]:
     nodes: dict[str, TopoNode] = {}
     seen_cores: set[int] = set()
-    for sock in _req(doc, "sockets", "topology"):
+    for sock in _entries(doc, "sockets", "topology", dict):
         sid = _req(sock, "id", "socket", int)
         grid = _req(sock, "grid", f"socket {sid}", dict)
         rows, cols = (_req(grid, key, f"socket {sid} grid", int) for key in ("rows", "cols"))
         snc_cols = {
-            _as(int, k, f"socket {sid}: snc_cols key"): set(v)
+            _as(int, k, f"socket {sid}: snc_cols key"): {
+                _as(int, col, f"socket {sid}: snc_cols '{k}' column")
+                for col in _as(list, v, f"socket {sid}: snc_cols '{k}'")
+            }
             for k, v in _req(sock, "snc_cols", f"socket {sid}", dict).items()
         }
         numa_base = _as(int, sock.get("numa_base", 2 * sid), f"socket {sid}: numa_base")
@@ -539,7 +583,7 @@ def _load_mesh(doc: dict) -> tuple[dict[str, TopoNode], list[TopoEdge]]:
                     return numa_base + local
             raise SchemaError(f"socket {sid}: column {col} not assigned to an SNC")
 
-        for tile in _req(sock, "tiles", f"socket {sid}"):
+        for tile in _entries(sock, "tiles", f"socket {sid}", dict):
             ctx = f"socket {sid} tile {tile}"
             r, c = _req(tile, "row", ctx, int), _req(tile, "col", ctx, int)
             if not (0 <= r < rows and 0 <= c < cols):
@@ -583,6 +627,7 @@ def load_topology(doc: dict) -> TopologyGraph:
     Raises :class:`SchemaError` naming the offending node/field on schema
     violations, disconnected graphs, and duplicate coordinates.
     """
+    doc = _as(dict, doc, "topology document")
     kind = _req(doc, "kind", "topology", GraphKind)
     protocol = _req(doc, "protocol", "topology", Protocol)
     freqs = _req(doc, "frequencies", "topology", dict)
@@ -601,7 +646,7 @@ def load_topology(doc: dict) -> TopologyGraph:
         frequencies=freqs,
         link_costs=_parse_link_costs(doc),
         protocol=protocol,
-        caches=doc.get("caches"),
+        caches=_parse_caches(doc),
         bandwidth=doc.get("bandwidth"),
         name=doc.get("name", ""),
     )

@@ -881,6 +881,23 @@ class TestCli:
         assert main(["topo", "--topology", "rome_2s"]) == code
         assert capsys.readouterr().err == f"{prefix}{exc}\n"
 
+    def test_simulated_run_does_not_load_the_native_backend(self, tmp_path):
+        # A fresh interpreter, since this one has loaded every module.
+        script = (
+            "import sys\n"
+            "from memchar.cli import main\n"
+            "code = main(['latency', '--topology', 'rome_2s', '--scope', 'local',\n"
+            "             '--level', 'L1', '--outer', '1', '--inner', '1', '--sizes', '1',\n"
+            "             '--out', sys.argv[1]])\n"
+            "print(code, sorted(m for m in ('memchar.native', 'mmap', 'subprocess')\n"
+            "                   if m in sys.modules))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "run")], env=env,
+                              capture_output=True, text=True)
+        assert done.stderr == ""
+        assert done.stdout.splitlines()[-1] == "0 []"
+
     @pytest.mark.parametrize("argv", [["report"], ["model-fit", "--topology", "rome_2s"]],
                              ids=["report", "model-fit"])
     def test_missing_input_file_is_config_error(self, argv, tmp_path, capsys):

@@ -6,6 +6,8 @@ import errno
 import mmap
 import os
 import re
+import shutil
+import subprocess
 import threading
 import time
 from pathlib import Path
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from memchar import native
-from memchar.bandwidth import BandwidthError, SimBandwidthBackend
+from memchar.bandwidth import TRIAD_SCALAR, BandwidthError, SimBandwidthBackend, triad_operands
 from memchar.chain import chain_spec
 from memchar.coherence import plan_state
 from memchar.harness import MeasurementPolicy, measure_latency
@@ -522,6 +524,175 @@ class TestKernelCache:
         assert len(set(paths)) == 4
         for path in paths:
             assert path.parent == tmp_path / "cache" / "memchar"
+
+
+@pytest.fixture(scope="module")
+def fallback_build(tmp_path_factory):
+    """The library ``build_kernels`` makes in an empty cache when the
+    compiler rejects ``_AVX_CFLAGS``."""
+    try:
+        native.build_kernels()
+    except native.BackendUnavailable as exc:
+        pytest.skip(f"native kernels unavailable: {exc}")
+    cache = tmp_path_factory.mktemp("cache")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(cache))
+        mp.setattr(native, "_AVX_CFLAGS", ("-mno-such-flag",))
+        path = native.build_kernels()
+    assert path.parent == cache / "memchar"
+    return path
+
+
+class TestFallbackBuild:
+    def test_plain_build_exports_all_but_read256_and_runs(self, fallback_build, monkeypatch):
+        native.load_kernels.cache_clear()
+        monkeypatch.setattr(native, "build_kernels", lambda: fallback_build)
+        try:
+            lib = native.load_kernels()
+        finally:
+            native.load_kernels.cache_clear()
+        exported = {name for name in native.KERNEL_SIGNATURES if hasattr(lib, name)}
+        assert exported == set(native.KERNEL_SIGNATURES) - {"mc_read256"}
+
+        region = native._Region(4096, None, None, False)
+        try:
+            words = np.ctypeslib.as_array((ctypes.c_uint64 * 512).from_address(region.addr))
+            # The check ORs the low and the high 8 bytes of every 16-byte load.
+            words[0], words[-1] = 1, 1 << 63
+            check = ctypes.c_uint64()
+            lib.mc_read128(region.addr, 4096, 2, ctypes.byref(check))
+            assert check.value == 1 | 1 << 63
+            # A 16-slot cycle chased 21 times: two unrolled rounds and 5 more.
+            words[:16] = region.addr + 8 * ((np.arange(16) + 1) % 16)
+            sink = ctypes.c_void_p()
+            lib.mc_chase(region.addr, 21, ctypes.byref(sink))
+            assert sink.value == region.addr + 8 * 5
+        finally:
+            region.close()
+        b, c = triad_operands(1001)
+        for nontemporal in (1, 0):
+            a = np.zeros(1001)
+            lib.mc_triad(a.ctypes.data, b.ctypes.data, c.ctypes.data, TRIAD_SCALAR, 1001,
+                         nontemporal)
+            np.testing.assert_array_equal(a, b + TRIAD_SCALAR * c)
+
+
+# How many fenced TSC reads each timed kernel makes.
+TSC_READS = {"mc_tsc": 1, "mc_timer_overhead": 2, "mc_chase": 2, "mc_read128": 2,
+             "mc_read256": 2, "mc_triad": 2}
+MEM = r"-?(?:0x[0-9a-f]+)?\([^)]*\)"  # an AT&T memory operand
+
+
+def disassembly(path) -> dict:
+    """name -> [(address, instruction)] of every function in the library."""
+    objdump = shutil.which("objdump")
+    if objdump is None:
+        pytest.skip("objdump not installed")
+    out = subprocess.run([objdump, "-d", "--no-show-raw-insn", str(path)],
+                         capture_output=True, text=True, check=True).stdout
+    functions, body = {}, None
+    for line in out.splitlines():
+        if m := re.fullmatch(r"[0-9a-f]+ <(\w+)>:", line):
+            body = functions[m.group(1)] = []
+        elif body is not None and (m := re.match(r"\s+([0-9a-f]+):\s+([^#]+)", line)):
+            body.append((int(m.group(1), 16), m.group(2).strip()))
+    return functions
+
+
+def loop_bodies(function) -> list:
+    """The instructions of each loop a backward conditional branch closes,
+    shortest first."""
+    bodies = []
+    for addr, ins in function:
+        m = re.match(r"j(?!mp)\w+\s+([0-9a-f]+) <", ins)
+        if m and int(m.group(1), 16) <= addr:
+            start = int(m.group(1), 16)
+            bodies.append([i for a, i in function if start <= a <= addr])
+    return sorted(bodies, key=len)
+
+
+def loop_with(function, pattern) -> list:
+    """The shortest loop holding an instruction that matches ``pattern``,
+    or ``[]``."""
+    return next(
+        (b for b in loop_bodies(function) if any(re.fullmatch(pattern, i) for i in b)), []
+    )
+
+
+def dependent_loads(body) -> int:
+    """The longest run of ``mov (%a),%b`` in which each load's address is
+    the previous load's result."""
+    best = run = 0
+    prev = None
+    for ins in body:
+        m = re.fullmatch(r"mov\s+\((%\w+)\),(%\w+)", ins)
+        run = 0 if m is None else run + 1 if m.group(1) == prev else 1
+        prev = m and m.group(2)
+        best = max(best, run)
+    return best
+
+
+@pytest.fixture(params=["default", "fallback"])
+def kernel_build(request):
+    """The library from ``build_kernels`` as it is, and from its plain-flags
+    fallback."""
+    if request.param == "fallback":
+        return request.getfixturevalue("fallback_build")
+    try:
+        return native.build_kernels()
+    except native.BackendUnavailable as exc:
+        pytest.skip(f"native kernels unavailable: {exc}")
+
+
+class TestKernelCodegen:
+    """The compiled timed regions run the instructions the kernels claim."""
+
+    def test_source_includes_no_intrinsics_header(self):
+        src = native._SRC.read_text()
+        includes = re.findall(r"^\s*#\s*include\s*[<\"]([^>\"]+)", src, re.M)
+        assert set(includes) == {"stdint.h", "stddef.h"}
+
+    def test_every_tsc_read_is_fenced(self, kernel_build):
+        code = disassembly(kernel_build)
+        for name, reads in TSC_READS.items():
+            if name not in code:
+                assert name == "mc_read256"  # built without AVX
+                continue
+            fences = [
+                op for op in (ins.split()[0] for _, ins in code[name])
+                if op in ("mfence", "lfence", "sfence", "rdtsc")
+            ]
+            at = [i for i, op in enumerate(fences) if op == "rdtsc"]
+            assert len(at) == reads, name
+            for i in at:
+                assert fences[i - 2:i + 2] == ["mfence", "lfence", "rdtsc", "lfence"], name
+
+    def test_chase_unrolls_eight_dependent_loads(self, kernel_build):
+        loops = loop_bodies(disassembly(kernel_build)["mc_chase"])
+        assert sorted(map(dependent_loads, loops)) == [1, 8]
+
+    def test_read128_ors_eight_16_byte_loads_per_iteration(self, kernel_build):
+        load = rf"v?(?:movdq[au]|por)\s+{MEM},(?:%xmm\d+,)?%xmm\d+"
+        body = loop_with(disassembly(kernel_build)["mc_read128"], load)
+        assert sum(bool(re.fullmatch(load, i)) for i in body) == 8
+        assert sum(i.split()[0] in ("por", "vpor") for i in body) == 8
+        assert not any("%ymm" in i or "%zmm" in i for i in body)
+
+    def test_read256_ors_sixteen_32_byte_loads_per_iteration(self, kernel_build):
+        code = disassembly(kernel_build)
+        if "mc_read256" not in code:
+            pytest.skip("built without AVX")
+        load = rf"vorpd\s+{MEM},%ymm\d+,%ymm\d+"
+        body = loop_with(code["mc_read256"], load)
+        assert sum(bool(re.fullmatch(load, i)) for i in body) == 16
+        assert sum(i.startswith("vorpd") for i in body) == 16
+
+    def test_triad_streams_its_stores_and_fences_them(self, kernel_build):
+        triad = disassembly(kernel_build)["mc_triad"]
+        store = rf"v?movntpd\s+%xmm\d+,{MEM}"
+        assert loop_with(triad, store)
+        first = next(k for k, (_, ins) in enumerate(triad) if re.fullmatch(store, ins))
+        assert "sfence" in (ins for _, ins in triad[first:])
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs sched_getaffinity")

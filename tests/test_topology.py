@@ -197,12 +197,37 @@ class TestLoad:
          "topology: field 'socket_count' must be an integer, got 'two'"),
         ("rome_2s", set_field("sockets", 0, "switch_links", 0), ["sw_a", "sw_zz"],
          "if_switch_hop link s0.sw_a - s0.sw_zz names unknown node 's0.sw_zz'"),
+        ("rome_2s", set_field("sockets"), 5,
+         "topology: field 'sockets' must be a list, got 5"),
+        ("clx_2s", set_field("sockets"), 5,
+         "topology: field 'sockets' must be a list, got 5"),
+        ("rome_2s", set_field("sockets", 1), 5,
+         "topology: sockets entry must be an object, got 5"),
+        ("clx_2s", set_field("sockets", 1), 5,
+         "topology: sockets entry must be an object, got 5"),
+        ("rome_2s", set_field("sockets", 0, "switches", 0), 5,
+         "socket 0: switches entry must be a string, got 5"),
+        ("rome_2s", set_field("sockets", 0, "switch_links", 0), ["sw_a", "sw_b", "sw_c"],
+         "socket 0: switch_links entry must be a list of two names, "
+         "got ['sw_a', 'sw_b', 'sw_c']"),
+        ("rome_2s", set_field("sockets", 0, "numa_nodes", 0, "ccds", 0, "ccxs"), 5,
+         "node 0 ccd 0: field 'ccxs' must be a list, got 5"),
+        ("rome_2s", set_field("link_costs"), [1, 2],
+         "topology: field 'link_costs' must be an object, got [1, 2]"),
+        ("clx_2s", set_field("link_costs"), [1, 2],
+         "topology: field 'link_costs' must be an object, got [1, 2]"),
+        ("clx_2s", set_field("sockets", 0, "snc_cols", "0"), 5,
+         "socket 0: snc_cols '0' must be a list, got 5"),
     ]
 
     @pytest.mark.parametrize("fixture, edit, value, message", MALFORMED, ids=[
         "core-mhz-not-a-number", "frequencies-a-list", "xgmi-port-without-switch",
         "repeater-without-between", "grid-without-rows", "tile-row-not-a-number",
         "core-id-not-a-number", "socket-count-not-a-number", "switch-link-unknown-switch",
+        "chiplet-sockets-a-number", "mesh-sockets-a-number", "chiplet-socket-a-number",
+        "mesh-socket-a-number", "switch-a-number", "switch-link-of-three",
+        "ccxs-a-number", "chiplet-link-costs-a-list", "mesh-link-costs-a-list",
+        "snc-cols-value-a-number",
     ])
     def test_malformed_document_is_config_error(self, fixture, edit, value, message, tmp_path,
                                                 capsys):
@@ -213,6 +238,21 @@ class TestLoad:
         assert main(["topo", "--topology", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err, err
+
+
+    @pytest.mark.parametrize("size, message", [
+        ("x", "caches.l2_kib must be a number, got 'x'"),
+        ([512], "caches.l2_kib must be a number, got [512]"),
+        (0, "caches.l2_kib must be a positive number, got 0.0"),
+    ], ids=["a-string", "a-list", "zero"])
+    def test_cache_size_must_be_a_positive_number(self, size, message, tmp_path, capsys):
+        doc = fixture_doc("rome_2s")
+        doc["caches"]["l2_kib"] = size
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["topo"], ["bandwidth", "--level", "L2", "--out", str(tmp_path / "bw")]):
+            assert main([*argv, "--topology", str(path)]) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 class TestMeshRoute:
