@@ -255,7 +255,7 @@ def cmd_bandwidth(args) -> int:
     else:
         raise CliError("bandwidth needs --bytes or --level")
     records = [
-        run_throughput(args.kernel, sz, cores, args.outer or 1, backend,
+        run_throughput(args.kernel, sz, cores, args.outer, backend,
                        allow_cross_socket=args.cross_socket)
         for sz in sizes
     ]
@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", choices=LEVELS, default=None)
     p.add_argument("--bytes", type=int, default=None)
     p.add_argument("--cross-socket", dest="cross_socket", action="store_true")
-    p.add_argument("--outer", type=int, default=None)
+    p.add_argument("--outer", type=int, default=1)
     p.set_defaults(func=cmd_bandwidth)
 
     p = sub.add_parser("triad", help="a[i] = b[i] + s*c[i] bandwidth")

@@ -27,14 +27,20 @@ timed regions' instructions back from ``objdump``.
 Orchestration follows the measurement listing.  All native work runs in
 :func:`_on_cores`: one new thread per job, pinned to its core and
 synchronized by barriers, so the caller's thread is never pinned and no
-affinity needs restoring.  A local point runs as one worker that prepares
-the state and times the chase.  A cross-core point runs a requester and a
-preparer: the preparer steps through the script on the owner (and helper)
-cores while the requester waits, then the requester times the chase.
-A sweep (:meth:`NativeBackend.run_sweep`) runs its points in order, each
-exactly as one point, with its own chain regions.
-Before a point's chases the requester sweeps a scratch region that displaces
-the levels in the policy's ``flush_levels``
+affinity needs restoring.  A sweep (:meth:`NativeBackend.run_sweep`) runs
+its points in order.  Each point materializes its chain regions on the
+caller's thread, starts its workers once, and closes the regions after
+them: a requester alone for a local point, a requester and a preparer for
+a cross-core one.  The workers loop over the outer repeats, the chains and
+the inner repeats themselves, and local and cross-core points share one
+procedure.  Per outer repeat and chain, the requester flushes and touches
+the region.  Per inner repeat, the script prepares the line, on the
+requester itself when every worker of the script is the requester, else on
+the preparer between two barriers while the requester waits, and then the
+requester times one chase.
+
+The requester's flush sweeps a scratch region that displaces the levels in
+the policy's ``flush_levels``
 (:func:`~memchar.harness.flush_scratch_bytes`).  Those levels come from the
 run's argv, ``latency --flush`` (none for ``--flush ""``), not from the
 environment.  The ``EVICT_L1``/``EVICT_L2`` script steps sweep the same way
@@ -48,6 +54,7 @@ from __future__ import annotations
 import ctypes
 import ctypes.util
 import hashlib
+import math
 import mmap
 import os
 import platform
@@ -57,7 +64,7 @@ import threading
 import time
 from functools import cache
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -68,8 +75,8 @@ from .bandwidth import (
 )
 from .chain import ChainBuffer
 from .coherence import Action, CoherenceScript
-from .harness import MeasurementPolicy, flush_scratch_bytes
-from .topology import Placement, TopologyGraph
+from .harness import HarnessError, MeasurementPolicy, flush_scratch_bytes
+from .topology import TopologyGraph
 
 __all__ = ["BackendUnavailable", "PinningError", "NativeBackend", "build_kernels"]
 
@@ -176,6 +183,16 @@ def _tsc_mhz(lib) -> float:
     return (c1 - c0) * 1000.0 / max(1, t1 - t0)
 
 
+def _frequency(lib, frequency_mhz: Optional[float]) -> float:
+    """The operator-pinned frequency, which a backend records and never sets,
+    or the TSC rate when none is given."""
+    if frequency_mhz is None:
+        return _tsc_mhz(lib)
+    if not 0 < frequency_mhz < math.inf:
+        raise HarnessError(f"frequency must be a positive number of MHz, got {frequency_mhz}")
+    return frequency_mhz
+
+
 def _load_libnuma():
     path = ctypes.util.find_library("numa")
     if not path:
@@ -274,8 +291,7 @@ class NativeBackend:
         self.topology = topology
         self.lib = load_kernels()
         self.libnuma = _load_libnuma()
-        # Operator-pinned frequency; the backend never adjusts clocks.
-        self.frequency_mhz = frequency_mhz or _tsc_mhz(self.lib)
+        self.frequency_mhz = _frequency(self.lib, frequency_mhz)
         self._scratch: Optional[_Region] = None
 
     def time_empty(self) -> float:
@@ -307,73 +323,53 @@ class NativeBackend:
 
     # -- measurement ---------------------------------------------------------
 
-    def run_point(
-        self,
-        chains: Sequence[ChainBuffer],
-        script: CoherenceScript,
-        placement: Placement,
-        policy: MeasurementPolicy,
-    ):
-        regions = {
-            c: self.materialize_chain(c, placement.home_node) for c in chains
-        }
-        try:
-            return np.array([
-                [self._measure_one(c, regions[c], script, placement, policy) for c in chains]
-                for _ in range(policy.outer_repeats)
-            ], dtype=np.float64)
-        finally:
-            for r in regions.values():
-                r.close()
-
     def run_sweep(self, chains, points, policy: MeasurementPolicy):
-        """Every point's :meth:`run_point` array, in order, stacked."""
-        return np.stack([
-            self.run_point(chains, script, placement, policy) for script, placement in points
-        ])
+        """The elapsed ticks of every point, shaped (points, outer, sizes, inner)."""
+        ticks = [self._time_point(chains, script, placement, policy)
+                 for script, placement in points]
+        shape = (len(points), policy.outer_repeats, len(chains), policy.inner_repeats)
+        return np.array(ticks, dtype=np.float64).reshape(shape)
 
-    def _measure_one(self, chain, region, script, placement, policy):
+    def _time_point(self, chains, script, placement, policy) -> list:
+        """One point's ticks in (outer, sizes, inner) order, from one set of
+        workers over regions that live as long as the point."""
         requester = placement.requester
-        if all(c == requester for c in script.worker_cores.values()):
-            # Local placement: one worker prepares and measures.
-            def local():
-                self._flush(policy.flush_levels)
-                results = []
-                for rep in range(policy.inner_repeats):
-                    self._apply_script(script, region, chain, requester)
-                    if rep == 0:
-                        self.lib.mc_touch(region.addr, region.nbytes, chain.stride_alignment)
-                        self._chase(region, chain.element_count)
-                        self._apply_script(script, region, chain, requester)
-                    results.append(float(self._chase(region, chain.element_count)))
-                return results
-
-            return _on_cores([(requester, local)])[0]
-
-        # Cross-core placement: the preparer sets the state on the owner and
-        # helper cores while the requester waits, then the requester times.
+        local = all(c == requester for c in script.worker_cores.values())
+        regions = [self.materialize_chain(c, placement.home_node) for c in chains]
+        # Every (outer repeat, chain) in the order the ticks are returned.
+        repeats = policy.outer_repeats * list(zip(chains, regions))
+        # The preparer sets the state between these while the requester waits.
         ready = threading.Barrier(2, timeout=60)
         done = threading.Barrier(2, timeout=60)
 
         def measure():
-            self._flush(policy.flush_levels)
-            self.lib.mc_touch(region.addr, region.nbytes, chain.stride_alignment)
-            results = []
-            for _ in range(policy.inner_repeats):
-                ready.wait()
-                done.wait()
-                results.append(float(self._chase(region, chain.element_count)))
-            return results
+            ticks = []
+            for chain, region in repeats:
+                self._flush(policy.flush_levels)
+                self.lib.mc_touch(region.addr, region.nbytes, chain.stride_alignment)
+                for _ in range(policy.inner_repeats):
+                    if local:
+                        self._apply_script(script, region, chain, requester)
+                    else:
+                        ready.wait()
+                        done.wait()
+                    ticks.append(self._chase(region, chain.element_count))
+            return ticks
 
         def prepare():
             core = placement.owner
-            for _ in range(policy.inner_repeats):
-                ready.wait()
-                core = self._apply_script(script, region, chain, core)
-                done.wait()
+            for chain, region in repeats:
+                for _ in range(policy.inner_repeats):
+                    ready.wait()
+                    core = self._apply_script(script, region, chain, core)
+                    done.wait()
 
-        jobs = [(requester, measure), (placement.owner, prepare)]
-        return _on_cores(jobs, (ready, done))[0]
+        preparer = [] if local else [(placement.owner, prepare)]
+        try:
+            return _on_cores([(requester, measure), *preparer], (ready, done))[0]
+        finally:
+            for r in regions:
+                r.close()
 
     def _chase(self, region, count: int) -> int:
         sink = ctypes.c_void_p()
@@ -421,7 +417,7 @@ class NativeBandwidthBackend:
     def __init__(self, topology: TopologyGraph, frequency_mhz: Optional[float] = None):
         self.topology = topology
         self.lib = load_kernels()
-        self.frequency_mhz = frequency_mhz or _tsc_mhz(self.lib)
+        self.frequency_mhz = _frequency(self.lib, frequency_mhz)
         self.supported = tuple(k for k in KERNELS if hasattr(self.lib, f"mc_{k}"))
 
     def run_read(self, kernel_name: str, dataset_bytes: int, core_set):

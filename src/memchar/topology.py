@@ -407,11 +407,13 @@ _STRICT_KINDS = (dict, list, str)
 
 def _as(kind, value, what: str):
     """``value`` converted by ``kind`` (one of :data:`_KINDS`; ``dict``,
-    ``list`` and ``str`` take only their own type); a value it does not
-    take is a :class:`SchemaError` naming ``what``."""
+    ``list`` and ``str`` take only their own type, no kind takes a boolean,
+    and ``int`` takes no fraction); a value it does not take is a
+    :class:`SchemaError` naming ``what``."""
     try:
-        if kind not in _STRICT_KINDS or isinstance(value, kind):
-            return kind(value)
+        if not isinstance(value, bool) and (kind not in _STRICT_KINDS or isinstance(value, kind)):
+            if kind is not int or not isinstance(value, float) or value.is_integer():
+                return kind(value)
     except (TypeError, ValueError):
         pass
     raise SchemaError(f"{what} must be {_KINDS[kind]}, got {value!r}")
@@ -465,8 +467,8 @@ def _parse_link_costs(doc: dict) -> dict[LinkClass, float]:
         except ValueError:
             raise SchemaError(f"link_costs: unknown link class '{name}'") from None
         try:
-            costs[cls] = float(spec["cycles"])
-        except (KeyError, TypeError, ValueError):
+            costs[cls] = _as(float, spec["cycles"], name)
+        except (KeyError, TypeError, SchemaError):
             raise SchemaError(
                 f"link_costs entry '{name}' must be an object with a numeric 'cycles', "
                 f"got {spec!r}"

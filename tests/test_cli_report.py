@@ -906,11 +906,12 @@ class TestCli:
         assert "no such input file" in capsys.readouterr().err
 
     def test_non_positive_bandwidth_repeats_is_config_error(self, tmp_path, capsys):
-        code = main(["bandwidth", "--topology", "rome_2s", "--level", "L1", "--outer", "-2",
-                     "--out", str(tmp_path / "bw")])
-        assert code == 2
-        assert "repeats must be positive" in capsys.readouterr().err
-        assert not (tmp_path / "bw" / "bandwidth.csv").exists()
+        for outer in ("0", "-2"):
+            code = main(["bandwidth", "--topology", "rome_2s", "--level", "L1",
+                         "--outer", outer, "--out", str(tmp_path / "bw")])
+            assert code == 2
+            assert f"repeats must be positive, got {outer}" in capsys.readouterr().err
+            assert not (tmp_path / "bw" / "bandwidth.csv").exists()
 
     def test_replay_reproduces_csv_byte_identical(self, tmp_path):
         first = tmp_path / "a"

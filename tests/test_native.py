@@ -18,6 +18,7 @@ import pytest
 from memchar import native
 from memchar.bandwidth import TRIAD_SCALAR, BandwidthError, SimBandwidthBackend, triad_operands
 from memchar.chain import chain_spec
+from memchar.cli import main
 from memchar.coherence import plan_state
 from memchar.harness import MeasurementPolicy, measure_latency
 from memchar.topology import Placement, fixture_path, load_topology_file
@@ -175,6 +176,23 @@ class FakeKernels:
         return 1000
 
 
+class TestFrequencyFlag:
+    @pytest.mark.parametrize("freq", ["0", "-1"])
+    def test_non_positive_frequency_is_config_error(self, freq, monkeypatch, tmp_path, capsys):
+        """A ``--freq`` that is not positive is refused, not replaced by the
+        measured TSC rate nor recorded."""
+        monkeypatch.setattr(native, "load_kernels", FakeKernels)
+        monkeypatch.setattr(native, "_load_libnuma", lambda: None)
+        code = main(["latency", "--backend", "native", "--topology", "single_core",
+                     "--scope", "local", "--level", "L1", "--freq", freq,
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: frequency must be a positive number of MHz, got {float(freq)}\n"
+        )
+        assert not (tmp_path / "run" / "results.csv").exists()
+
+
 class TestReadLevel:
     def test_labels_match_the_simulator(self, monkeypatch):
         monkeypatch.setattr(native, "load_kernels", FakeKernels)
@@ -278,7 +296,10 @@ class TestWorkerErrors:
         assert time.monotonic() - start < 5.0
         assert set(threading.enumerate()) == before
 
-    def test_preparer_error_reaches_the_caller(self, monkeypatch):
+    # A local point's requester applies the script itself, so the owner's
+    # write fails on the requester's own thread.
+    @pytest.mark.parametrize("owner", [0, 1], ids=["cross-core", "local"])
+    def test_preparer_error_reaches_the_caller(self, monkeypatch, owner):
         class Failing(FakeKernels):
             def mc_write_touch(self, addr, nbytes, stride, value):
                 raise RuntimeError("owner write failed")
@@ -293,16 +314,16 @@ class TestWorkerErrors:
         policy = MeasurementPolicy(
             inner_repeats=2, outer_repeats=1, sizes_per_level=1, flush_levels=frozenset()
         )
-        script = plan_state("M", "MOESI", owner=0, requester=1, level="L1")
+        script = plan_state("M", "MOESI", owner=owner, requester=1, level="L1")
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="owner write failed"):
-            measure_latency([chain], script, Placement(1, 0, 0, label="x"), policy, backend)
+            measure_latency([chain], script, Placement(1, owner, 0, label="x"), policy, backend)
         assert set(threading.enumerate()) == before
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs sched_getaffinity")
 class TestSweep:
-    def test_sweep_stacks_the_per_point_runs(self, monkeypatch):
+    def test_each_point_starts_its_workers_once(self, monkeypatch):
         class Kernels(FakeKernels):
             def mc_chase(self, addr, count, sink):
                 return 100 + count
@@ -318,6 +339,12 @@ class TestSweep:
                 events.append(("close", self.nbytes))
                 super().close()
 
+        start = threading.Thread.start
+
+        def logged_start(thread):
+            events.append(("start",))
+            start(thread)
+
         chains = [chain_spec(nbytes, 512, seed=1, huge_pages=False)
                   for nbytes in (16 << 10, 32 << 10)]
         for c in chains:
@@ -325,6 +352,7 @@ class TestSweep:
         monkeypatch.setattr(native, "load_kernels", Kernels)
         monkeypatch.setattr(native, "_load_libnuma", lambda: None)
         monkeypatch.setattr(native, "_Region", Logged)
+        monkeypatch.setattr(threading.Thread, "start", logged_start)
         before = os.sched_getaffinity(0)
         threads = set(threading.enumerate())
         # A local point and, where the caller may run on two cores, a cross-core one.
@@ -344,15 +372,16 @@ class TestSweep:
         swept = backend.run_sweep(chains, points, policy)
         assert os.sched_getaffinity(0) == before
         assert set(threading.enumerate()) == threads
-        per_point = [
-            ("open", 16 << 10), ("open", 32 << 10), ("close", 16 << 10), ("close", 32 << 10)
+        opened = [("open", 16 << 10), ("open", 32 << 10)]
+        closed = [("close", 16 << 10), ("close", 32 << 10)]
+        assert events == [
+            *opened, ("start",), *closed,
+            *opened, *[("start",)] * (1 if a == b else 2), *closed,
         ]
-        assert events == 2 * per_point
-        stacked = np.stack([backend.run_point(chains, s, p, policy) for s, p in points])
         assert swept.shape == (2, 3, 2, 2)
         assert swept.dtype == np.float64
-        np.testing.assert_array_equal(swept, stacked)
-        assert swept[0, 0, :, 0].tolist() == [100.0 + c.element_count for c in chains]
+        per_chain = np.array([100.0 + c.element_count for c in chains])
+        np.testing.assert_array_equal(swept, np.broadcast_to(per_chain[:, None], swept.shape))
 
 
 def _resident(addr: int, nbytes: int) -> np.ndarray:

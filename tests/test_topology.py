@@ -254,6 +254,34 @@ class TestLoad:
             assert main([*argv, "--topology", str(path)]) == 2
             assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("fixture, edit, value, message", [
+        ("clx_2s", set_field("sockets", 0, "tiles", 1, "row"), 1.9,
+         "field 'row' must be an integer, got 1.9"),
+        ("rome_2s", set_field("socket_count"), True,
+         "topology: field 'socket_count' must be an integer, got True"),
+        ("rome_2s", set_field("sockets", 0, "numa_nodes", 0, "ccds", 0, "ccxs", 0, 0), False,
+         "node 0 ccd 0 ccx 0: core id must be an integer, got False"),
+        ("rome_2s", set_field("caches", "l1_kib"), True,
+         "caches.l1_kib must be a number, got True"),
+        ("clx_2s", set_field("frequencies", "core_mhz"), True,
+         "frequencies.core_mhz must be a number, got True"),
+        ("rome_2s", set_field("link_costs", "xgmi", "cycles"), True,
+         "link_costs entry 'xgmi' must be an object with a numeric 'cycles'"),
+    ], ids=["tile-row-a-fraction", "socket-count-a-bool", "core-id-a-bool",
+            "cache-size-a-bool", "core-mhz-a-bool", "link-cycles-a-bool"])
+    def test_numbers_are_not_truncated_and_booleans_not_numbers(
+        self, fixture, edit, value, message, tmp_path, capsys
+    ):
+        doc = fixture_doc(fixture)
+        edit(doc, value)
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps(doc))
+        assert main(["topo", "--topology", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err, err
+        # The shipped document, whose snc_cols keys are integer strings, loads.
+        assert load_topology(fixture_doc(fixture)).socket_count == 2
+
 
 class TestMeshRoute:
     def test_identity_is_empty(self, clx):
