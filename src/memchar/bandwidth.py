@@ -2,18 +2,18 @@
 
 Read kernels issue bursts of independent SIMD loads, so the measured figure
 is bandwidth-bound rather than dependency-bound; the burst depth of each
-width lives with the kernels in ``native_src/kernels.c``.  :data:`KERNELS`
+width lives with the kernels in ``native_src/kernels.c``, and a native read
+takes whole bursts only (``native.READ_BURST_BYTES``).  :data:`KERNELS`
 lists the read kernels once, widest first, and both backends pick the widest
 one they support at or below a request through :func:`resolve_kernel`,
 flagging a narrower pick ``width_degraded``.  The triad mode
-computes ``a[i] = b[i] + s*c[i]`` over three arrays and counts all three as
-moved bytes, with optional non-temporal stores.  Both backends take their
-triad inputs in closed form from :func:`triad_operands` (``b[i] = i``,
+is ``a[i] = b[i] + s*c[i]`` over three arrays of a whole number of float64
+elements, counting all three as moved bytes, with optional non-temporal
+stores.  Only the native triad computes: it runs over whole arrays of the
+closed-form operands of :func:`triad_operands` (``b[i] = i``,
 ``c[i] = n - i``), so every expected value ``3n - 2i`` is distinct and
-exact, and an index shift, a dropped tail or an unwritten slot fails
-verification.  The simulated triad builds, computes and verifies every
-element in blocks of :data:`TRIAD_BLOCK` elements; the native triad runs
-over whole arrays and spot-checks 1% of them.
+exact, and spot-checks 1% of them with :func:`verify_triad`.  The simulated
+triad prices its record from the fixture tables and computes nothing.
 
 The simulated backend prices runs from per-level per-core bytes/cycle tables
 plus shared-resource caps (per L3 domain, per memory node/die) carried in
@@ -43,16 +43,13 @@ __all__ = [
     "scaling_series",
     "verify_triad",
     "triad_operands",
+    "triad_elements",
     "bandwidth_dataset_ladder",
     "dataset_level",
     "TRIAD_SCALAR",
-    "TRIAD_BLOCK",
 ]
 
 TRIAD_SCALAR = 3.0
-# Elements per simulated triad block: 256 KiB per array, so a block's
-# operands, result and verification temporaries stay in L2.
-TRIAD_BLOCK = 32 * 1024
 SATURATION_TOLERANCE = 0.05
 
 
@@ -170,25 +167,35 @@ class BandwidthRecord:
 
 
 def triad_operands(n: int):
-    """Triad inputs ``b[i] = i`` and ``c[i] = n - i`` of an ``n``-element
+    """Inputs ``b[i] = i`` and ``c[i] = n - i`` of an ``n``-element native
     triad, as float64 arrays.
 
     Every value is an integer far below 2**53, so ``b + 3c = 3n - 2i`` is
-    exact however it is computed, and no two elements of ``b``, of ``c`` or of the
-    result are equal.
+    exact however the kernel computes it, and no two elements of ``b``, of
+    ``c`` or of the result are equal, so an index shift, a dropped tail or
+    an unwritten slot fails :func:`verify_triad`.
     """
     b = np.arange(n, dtype=np.float64)
     return b, n - b
 
 
+def triad_elements(array_bytes: int) -> int:
+    """Elements of one triad array of ``array_bytes``: a whole, positive
+    number of 8-byte floats, else :class:`BandwidthError`."""
+    n, tail = divmod(array_bytes, 8)
+    if n < 1 or tail:
+        raise BandwidthError(
+            f"triad arrays need a whole number of 8-byte elements, got {array_bytes} bytes"
+        )
+    return n
+
+
 def verify_triad(
     a: np.ndarray, b: np.ndarray, c: np.ndarray, s: float, sample_fraction: float = 1.0,
-    offset: int = 0,
 ) -> int:
     """Elementwise check of a = b + s*c; returns number of checked elements.
 
-    Raises :class:`TriadVerificationError` with the first failing index,
-    plus ``offset`` when the arrays are a block starting there.
+    Raises :class:`TriadVerificationError` with the first failing index.
     """
     n = len(a)
     step = 1 if sample_fraction >= 1.0 else max(1, int(round(1.0 / sample_fraction)))
@@ -198,7 +205,7 @@ def verify_triad(
     mismatch = checked != expected
     if mismatch.any():
         i = int(np.flatnonzero(mismatch)[0]) * step
-        raise TriadVerificationError(offset + i, float(b[i] + s * c[i]), float(a[i]))
+        raise TriadVerificationError(i, float(b[i] + s * c[i]), float(a[i]))
     return len(checked)
 
 
@@ -315,26 +322,9 @@ class SimBandwidthBackend:
         )
 
     def run_triad(self, array_bytes: int, core_set, nontemporal: bool) -> BandwidthRecord:
-        """Triad over closed-form operands, priced from the fixture tables.
-
-        The arithmetic runs in blocks of :data:`TRIAD_BLOCK` elements, in
-        three block buffers allocated once and refilled in place, and every
-        element is verified; a failure names its index in the whole array.
-        """
-        n = array_bytes // 8
-        if n < 1:
-            raise BandwidthError("triad arrays need at least one element")
-        size = min(n, TRIAD_BLOCK)
-        b_buf, c_buf, a_buf = np.arange(size, dtype=np.float64), np.empty(size), np.empty(size)
-        for start in range(0, n, TRIAD_BLOCK):
-            if start:
-                np.add(b_buf, TRIAD_BLOCK, out=b_buf)  # b[i] = i, as triad_operands
-            m = min(size, n - start)
-            b, c, a = b_buf[:m], c_buf[:m], a_buf[:m]
-            np.subtract(n, b, out=c)
-            np.multiply(c, TRIAD_SCALAR, out=a)
-            a += b
-            verify_triad(a, b, c, TRIAD_SCALAR, offset=start)
+        """Triad record priced from the fixture tables; nothing is computed,
+        since no field of the record depends on the arithmetic."""
+        triad_elements(array_bytes)
         gbps = self.triad_rate_gbps(core_set, nontemporal)
         return BandwidthRecord.from_rate(
             kernel="triad-nt" if nontemporal else "triad",
@@ -387,8 +377,6 @@ def run_throughput(
 def run_triad(array_bytes: int, core_set, nontemporal: bool, backend) -> BandwidthRecord:
     """STREAM-style triad over three arrays of ``array_bytes`` each; the
     core set may span sockets."""
-    if array_bytes < 8:
-        raise BandwidthError("triad arrays need at least one 8-byte element")
     cores = _validate_core_set(backend.topology, core_set, allow_cross_socket=True)
     return backend.run_triad(array_bytes, cores, nontemporal)
 

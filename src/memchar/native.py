@@ -71,7 +71,7 @@ import numpy as np
 from .backends import BackendError, PinningError
 from .bandwidth import (
     KERNELS, TRIAD_SCALAR, BandwidthError, BandwidthRecord, dataset_level, resolve_kernel,
-    triad_operands, verify_triad,
+    triad_elements, triad_operands, verify_triad,
 )
 from .chain import ChainBuffer
 from .coherence import Action, CoherenceScript
@@ -102,6 +102,9 @@ KERNEL_SIGNATURES = {
     "mc_chain_walk": (_u64, (_ptr, _u64, _ptr, _ptr)),
     "mc_has_avx512": (ctypes.c_int, ()),
 }
+# Bytes one loop iteration of each read kernel loads; the kernel skips any
+# tail shorter than this, so a read's dataset is a whole number of them.
+READ_BURST_BYTES = {"read128": 8 * 16, "read256": 16 * 32}
 
 
 class BackendUnavailable(BackendError):
@@ -424,6 +427,10 @@ class NativeBandwidthBackend:
         cores = tuple(core_set)
         level = dataset_level(self.topology, dataset_bytes, cores)
         kernel_name, degraded_from = resolve_kernel(kernel_name, self.supported)
+        burst = READ_BURST_BYTES[kernel_name]
+        if dataset_bytes < burst or dataset_bytes % burst:
+            raise BandwidthError(f"{kernel_name} reads whole {burst}-byte bursts, "
+                                 f"got a {dataset_bytes}-byte dataset")
         fn = getattr(self.lib, f"mc_{kernel_name}")
         reps = max(1, (64 << 20) // dataset_bytes)
         start = threading.Barrier(len(cores), timeout=120)
@@ -459,7 +466,7 @@ class NativeBandwidthBackend:
             raise BandwidthError(
                 f"the native triad runs one thread, so it takes one core, got {len(cores)}"
             )
-        n = array_bytes // 8
+        n = triad_elements(array_bytes)
 
         def triad():
             b, c = triad_operands(n)

@@ -358,10 +358,10 @@ def test_10_bandwidth_fixtures():
 
 
 def test_11_triad_verification():
-    """a = b + s*c holds for every element at every simulated size: the
-    simulated triad verifies its closed-form operands block by block, and
-    verify_triad checks arbitrary operands elementwise (native runs
-    spot-check 1% and are covered by the gated smoke test)."""
+    """A simulated triad record counts three arrays' bytes at every size,
+    and verify_triad checks a = b + s*c elementwise on arbitrary operands
+    (native runs spot-check 1% with it and are covered by the gated smoke
+    test)."""
     rome_bw = SimBandwidthBackend(load_topology_file(fixture_path("rome_2s.json")))
     for array_bytes in (8, 512, 4096, 1 << 20):
         rec = run_triad(array_bytes, [0], nontemporal=True, backend=rome_bw)
@@ -371,7 +371,8 @@ def test_11_triad_verification():
     b, c = rng.standard_normal(n), rng.standard_normal(n)
     a = b + 3.0 * c
     assert verify_triad(a, b, c, 3.0) == n
-    note(11, "triad arrays verified elementwise on the simulated backend")
+    note(11, "simulated triad records count 3x the array bytes; verify_triad checks "
+             "a = b + s*c elementwise")
 
 
 @pytest.mark.native

@@ -617,6 +617,12 @@ class TestCli:
         assert main(argv + ["--topology", str(topo), "--out", str(tmp_path / "run")]) == 2
         assert "lacks cache size" in capsys.readouterr().err
 
+    def test_triad_of_a_partial_element_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["triad", "--topology", "rome_2s", "--bytes", "12", "--out", str(out)]) == 2
+        assert "whole number of 8-byte elements, got 12 bytes" in capsys.readouterr().err
+        assert not (out / "bandwidth.csv").exists()
+
     def test_report_unknown_field_is_config_error(self, rome_records, tmp_path, capsys):
         ResultSet(records=list(rome_records)).to_csv(tmp_path / "r.csv")
         code = main(["report", "--input", str(tmp_path / "r.csv"), "--x", "nosuchfield",

@@ -5,6 +5,7 @@ table below is written out by hand from the protocol definitions, then the
 simulator is checked against it configuration by configuration.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -16,6 +17,7 @@ from memchar.coherence import (
     CoherenceError,
     CoherenceState,
     Protocol,
+    ScriptStep,
     WorkerRole,
     initial_state_map,
     plan_state,
@@ -60,6 +62,20 @@ def run_events(model, events, state=None):
     return m
 
 
+def _without(script, action):
+    """``script`` minus its ``action`` steps."""
+    return dataclasses.replace(
+        script, steps=tuple(s for s in script.steps if s.action is not action)
+    )
+
+
+def _with_requester_read(script):
+    """``script`` followed by a read of the requester."""
+    return dataclasses.replace(
+        script, steps=script.steps + (ScriptStep(WorkerRole.REQUESTER_0, Action.READ),)
+    )
+
+
 class TestPlanState:
     def test_exclusive_script_shape(self):
         script = plan_state(E, Protocol.MESIF, owner=1, requester=0)
@@ -87,6 +103,21 @@ class TestPlanState:
         result = verify_script(script, MESIF)
         assert result.entry(1).state is F
         assert result.entry(3).state is S
+
+    @pytest.mark.parametrize("script, error", [
+        (_without(plan_state(I, Protocol.MOESI, owner=1, level="L1", requester=0),
+                  Action.FLUSH),
+         r"I@L1: line still cached at \[\('core', 1\)\]"),
+        (_without(plan_state(M, Protocol.MOESI, owner=1, level="L2", requester=0),
+                  Action.WRITE),
+         "target M@L2 on core 1, simulator says I"),
+        (_with_requester_read(plan_state(S, Protocol.MOESI, owner=1, helper=2, level="L1",
+                                         requester=0)),
+         "line leaked into requester core 0"),
+    ], ids=["still-cached", "wrong-state", "requester-leak"])
+    def test_verify_refuses_a_script_that_misses_its_target(self, script, error):
+        with pytest.raises(CoherenceError, match=error):
+            verify_script(script, MOESI)
 
     def test_helper_required_for_shared_class(self):
         with pytest.raises(CoherenceError, match="helper"):

@@ -248,6 +248,15 @@ class TestReadKernel:
             "read256", "read512", ("width_degraded",)
         )
 
+    def test_dataset_is_a_whole_number_of_bursts(self, monkeypatch):
+        """The kernel skips a tail shorter than its burst, so a dataset with
+        one would be counted as moved without being loaded."""
+        backend, _ = self.read(monkeypatch, FakeKernels, "read256")
+        with pytest.raises(BandwidthError, match="whole 512-byte bursts, got a 511-byte"):
+            backend.run_read("read256", 511, [0])
+        rec = backend.run_read("read256", 512, [0])
+        assert rec.bytes_moved == 512 * ((64 << 20) // 512)
+
 
 class TestReadStart:
     def test_every_worker_waits_at_the_barrier_before_each_run(self, monkeypatch):
@@ -534,6 +543,13 @@ class TestTriad:
         with pytest.raises(BandwidthError, match="one core"):
             backend.run_triad(4096, [0, 1], nontemporal=True)
 
+    def test_partial_element_is_rejected(self, monkeypatch):
+        # 12 bytes would run one element and record 36 bytes moved.
+        monkeypatch.setattr(native, "load_kernels", lambda: None)
+        backend = _triad_backend()
+        with pytest.raises(BandwidthError, match="whole number of 8-byte elements, got 12"):
+            backend.run_triad(12, [0], nontemporal=True)
+
 
 class TestKernelCache:
     def test_path_keyed_on_source_flags_and_compiler(self, tmp_path, monkeypatch):
@@ -703,7 +719,9 @@ class TestKernelCodegen:
     def test_read128_ors_eight_16_byte_loads_per_iteration(self, kernel_build):
         load = rf"v?(?:movdq[au]|por)\s+{MEM},(?:%xmm\d+,)?%xmm\d+"
         body = loop_with(disassembly(kernel_build)["mc_read128"], load)
-        assert sum(bool(re.fullmatch(load, i)) for i in body) == 8
+        loads = sum(bool(re.fullmatch(load, i)) for i in body)
+        assert loads == 8
+        assert loads * 16 == native.READ_BURST_BYTES["read128"]
         assert sum(i.split()[0] in ("por", "vpor") for i in body) == 8
         assert not any("%ymm" in i or "%zmm" in i for i in body)
 
@@ -713,7 +731,9 @@ class TestKernelCodegen:
             pytest.skip("built without AVX")
         load = rf"vorpd\s+{MEM},%ymm\d+,%ymm\d+"
         body = loop_with(code["mc_read256"], load)
-        assert sum(bool(re.fullmatch(load, i)) for i in body) == 16
+        loads = sum(bool(re.fullmatch(load, i)) for i in body)
+        assert loads == 16
+        assert loads * 32 == native.READ_BURST_BYTES["read256"]
         assert sum(i.startswith("vorpd") for i in body) == 16
 
     def test_triad_streams_its_stores_and_fences_them(self, kernel_build):
