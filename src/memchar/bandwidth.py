@@ -18,17 +18,30 @@ triad prices its record from the fixture tables and computes nothing.
 The simulated backend prices runs from per-level per-core bytes/cycle tables
 plus shared-resource caps (per L3 domain, per memory node/die) carried in
 the topology fixture; per-core streams are independent, so aggregate
-bandwidth is the capped sum.
+bandwidth is the capped sum.  The topology's ``bandwidth`` object holds:
+
+  frequency_mhz       clock the rates are counted in
+  supported_kernels   read kernels of :data:`KERNELS` (default: all)
+  read_b_per_cycle    {level: {kernel: bytes per cycle per core}}, a rate
+                      for every supported kernel at every level
+  shared_caps_gbps    {"l3_domain", "ram_node", "ram_ccd"?, "ram_socket"?}
+  triad_gbps          {"per_core", "node_cap", "ccd_cap"?, "socket_cap"?}
+
+Every number is positive and finite.  :class:`SimBandwidthBackend` reads
+the object once, and a malformed field is a ``SchemaError`` naming it.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .topology import GraphKind, TopologyGraph
+from .coherence import LEVELS
+from .topology import GraphKind, SchemaError, TopologyGraph, _entries, _positive, _req
 
 __all__ = [
     "BandwidthError",
@@ -243,32 +256,26 @@ class SimBandwidthBackend:
 
     def __init__(self, topology: TopologyGraph):
         self.topology = topology
-        tables = topology.bandwidth
-        if not tables:
+        if not topology.bandwidth:
             raise BandwidthError(
                 f"topology '{topology.name}' carries no bandwidth fixture tables"
             )
-        self.tables = tables
-        self.frequency_mhz = float(tables["frequency_mhz"])
-        self.supported = tuple(tables.get("supported_kernels", KERNELS))
+        (self.frequency_mhz, self.supported, self.read_b_per_cycle, self.l3_cap, self.ram_caps,
+         self.triad_per_core, self.triad_caps) = _read_tables(topology)
 
     # -- read throughput -------------------------------------------------------
 
     def read_rate_gbps(self, kernel_name: str, level: str, core_set) -> float:
-        per_core_bpc = self.tables["read_b_per_cycle"][level][kernel_name]
+        per_core_bpc = self.read_b_per_cycle[level][kernel_name]
         per_core_gbps = per_core_bpc * self.frequency_mhz / 1000.0
-        caps = self.tables["shared_caps_gbps"]
         if level in ("L1", "L2"):
             return per_core_gbps * len(core_set)
         if level == "L3":
             total = 0.0
             for _domain, n in sorted(_l3_domain_counts(self.topology, core_set).items()):
-                total += min(n * per_core_gbps, caps["l3_domain"])
+                total += min(n * per_core_gbps, self.l3_cap)
             return total
-        return self._memory_gbps(
-            core_set, per_core_gbps, caps.get("ram_ccd"), caps["ram_node"],
-            caps.get("ram_socket", float("inf")),
-        )
+        return self._memory_gbps(core_set, per_core_gbps, *self.ram_caps)
 
     def _memory_gbps(self, core_set, per_core: float, ccd_cap, node_cap, socket_cap) -> float:
         """Capped sum of ``per_core`` GB/s over the memory path: per compute
@@ -314,12 +321,8 @@ class SimBandwidthBackend:
     # -- triad ------------------------------------------------------------------
 
     def triad_rate_gbps(self, core_set, nontemporal: bool) -> float:
-        t = self.tables["triad_gbps"]
-        per_core = t["per_core"] * (1.0 if nontemporal else 0.75)
-        return self._memory_gbps(
-            core_set, per_core, t.get("ccd_cap"), t["node_cap"],
-            t.get("socket_cap", float("inf")),
-        )
+        per_core = self.triad_per_core * (1.0 if nontemporal else 0.75)
+        return self._memory_gbps(core_set, per_core, *self.triad_caps)
 
     def run_triad(self, array_bytes: int, core_set, nontemporal: bool) -> BandwidthRecord:
         """Triad record priced from the fixture tables; nothing is computed,
@@ -336,6 +339,48 @@ class SimBandwidthBackend:
             backend=self.name,
             bytes_moved=3 * array_bytes * len(tuple(core_set)),
         )
+
+
+@functools.lru_cache(maxsize=8)
+def _read_tables(topology: TopologyGraph) -> tuple:
+    """The topology's ``bandwidth`` object as :class:`SimBandwidthBackend`
+    keeps it: the clock, the supported kernels, the read rates by level and
+    kernel, the L3-domain cap, the (CCD, node, socket) caps of RAM reads, the
+    per-core triad rate and the triad's (CCD, node, socket) caps; an absent
+    CCD cap is None and an absent socket cap infinite.  Read once per graph,
+    which is immutable, and :func:`~memchar.topology.load_topology_file`
+    shares one graph per file."""
+    tables = topology.bandwidth
+    frequency_mhz = _positive(_req(tables, "frequency_mhz", "bandwidth"),
+                              "bandwidth.frequency_mhz")
+    supported = tuple(_entries(tables, "supported_kernels", "bandwidth", str, list(KERNELS)))
+    for kernel in supported:
+        if kernel not in KERNELS:
+            raise SchemaError(f"bandwidth.supported_kernels: unknown kernel {kernel!r}, "
+                              f"not one of {', '.join(KERNELS)}")
+    reads = _req(tables, "read_b_per_cycle", "bandwidth", dict)
+    read_b_per_cycle = {
+        level: _rates(reads, level, "bandwidth.read_b_per_cycle", supported) for level in LEVELS
+    }
+    caps = _rates(tables, "shared_caps_gbps", "bandwidth", ("l3_domain", "ram_node"),
+                  ("ram_ccd", "ram_socket"))
+    triad = _rates(tables, "triad_gbps", "bandwidth", ("per_core", "node_cap"),
+                   ("ccd_cap", "socket_cap"))
+    return (
+        frequency_mhz, supported, read_b_per_cycle, caps["l3_domain"],
+        (caps.get("ram_ccd"), caps["ram_node"], caps.get("ram_socket", math.inf)),
+        triad["per_core"],
+        (triad.get("ccd_cap"), triad["node_cap"], triad.get("socket_cap", math.inf)),
+    )
+
+
+def _rates(doc: dict, key: str, ctx: str, required, optional=()) -> dict[str, float]:
+    """The ``required`` entries and the present ``optional`` entries of the
+    object ``doc[key]``, each a positive finite number."""
+    table = _req(doc, key, ctx, dict)
+    where = f"{ctx}.{key}"
+    names = [*required, *(name for name in optional if name in table)]
+    return {name: _positive(_req(table, name, where), f"{where}.{name}") for name in names}
 
 
 # ---------------------------------------------------------------------------

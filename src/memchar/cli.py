@@ -30,6 +30,7 @@ from . import chain as chain_mod
 from . import harness
 from .backends import BackendError, PinningError, SimulatedBackend
 from .bandwidth import (
+    KERNELS,
     BandwidthError,
     SimBandwidthBackend,
     TriadVerificationError,
@@ -45,7 +46,7 @@ from .coherence import (
     CoherenceState,
     plan_state,
 )
-from .harness import MeasurementPolicy
+from .harness import REDUCERS, MeasurementPolicy
 from .model import (
     SWITCH_HOP_BASES,
     FitObservation,
@@ -54,7 +55,7 @@ from .model import (
     load_model_file,
     switch_hop_template,
 )
-from .plots import PlotError, emit_plot
+from .plots import PLOT_KINDS, PlotError, emit_plot
 from .results import ResultError, ResultSet, RunManifest, parse_cell, write_output
 from .topology import (
     PlacementScope,
@@ -418,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outer", type=int, default=None)
     p.add_argument("--inner", type=int, default=None)
     p.add_argument("--sizes", type=int, default=None)
-    p.add_argument("--reducer", choices=("min", "max", "median"), default=None)
+    p.add_argument("--reducer", choices=REDUCERS, default=None)
     p.add_argument("--freq", type=float, default=None,
                    help="operator-pinned core frequency (native backend)")
     p.set_defaults(func=cmd_latency)
@@ -426,8 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bandwidth", help="streaming read throughput")
     common(p, model=False)
     p.add_argument("--backend", choices=("sim", "native"), default="sim")
-    p.add_argument("--kernel", default="read256",
-                   choices=("read128", "read256", "read512"))
+    p.add_argument("--kernel", default="read256", choices=KERNELS[::-1])
     p.add_argument("--cores", default="0")
     p.add_argument("--level", choices=LEVELS, default=None)
     p.add_argument("--bytes", type=int, default=None)
@@ -462,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="render a result CSV as SVG + plot data")
     p.add_argument("--input", required=True)
-    p.add_argument("--kind", choices=("heatmap", "grouped_bars"), default="heatmap")
+    p.add_argument("--kind", choices=PLOT_KINDS, default="heatmap")
     p.add_argument("--x", default="home")
     p.add_argument("--y", default="requester")
     p.add_argument("--value", default="latency_cycles")

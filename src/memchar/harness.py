@@ -65,6 +65,7 @@ __all__ = [
     "PolicyError",
     "MeasurementPolicy",
     "MeasurementRecord",
+    "REDUCERS",
     "calibrate_overhead",
     "cycles_to_ns",
     "flush_scratch_bytes",
@@ -74,6 +75,9 @@ __all__ = [
     "auto_helper",
 ]
 
+# How a point's samples reduce to its reported value, in the order of
+# _order_stats: the minimum, the maximum, the median.
+REDUCERS = ("min", "max", "median")
 # Timings of the empty timing routine whose minimum is a point's overhead.
 CALIBRATION_REPEATS = 10
 
@@ -104,7 +108,7 @@ class MeasurementPolicy:
     def __post_init__(self):
         if min(self.inner_repeats, self.outer_repeats, self.sizes_per_level) < 1:
             raise PolicyError("policy repeat counts must be positive")
-        if self.reducer not in ("min", "max", "median"):
+        if self.reducer not in REDUCERS:
             raise PolicyError(f"unknown reducer {self.reducer!r}")
         if not self.flush_levels <= {"L1", "L2", "L3"}:
             raise PolicyError(
@@ -246,7 +250,7 @@ def measure_sweep(
     # max(0, e - o) / n per sample: np.maximum would keep a -0.0, max() does not.
     samples = (np.where(excess > 0.0, excess, 0.0) / accesses).reshape(len(points), -1)
     lows, highs, mids = (a.tolist() for a in _order_stats(samples))
-    reduced = {"min": lows, "max": highs, "median": mids}[policy.reducer]
+    reduced = dict(zip(REDUCERS, (lows, highs, mids)))[policy.reducer]
     sizes = tuple(c.total_bytes for c in chains)
     # Each record's __dict__ is the one MeasurementRecord(**fields) leaves:
     # the sweep's shared fields, in field order, with the point's own filled

@@ -40,7 +40,9 @@ from .coherence import LEVELS, CoherenceState, Protocol
 from .topology import (
     GraphKind,
     LinkClass,
+    SchemaError,
     TopologyGraph,
+    _as,
     extra_switch_hops,
     load_topology_file,
     mesh_hops,
@@ -80,6 +82,8 @@ _PRICED_LINK = {
     GraphKind.CHIPLET_IF: LinkClass.IF_SWITCH_HOP.value,
     GraphKind.MESH_2D: LinkClass.MESH_HOP.value,
 }
+# The topology clock each link-cost unit counts; nanoseconds need none.
+_UNIT_CLOCKS = {"ns": None, "uncore_cycles": "uncore_mhz", "fclk_cycles": "fclk_mhz"}
 
 
 class ModelError(Exception):
@@ -101,8 +105,11 @@ class LatencyModel:
 
     The constructor is the one reader of a model document.  A key the
     document may no longer carry, a missing table, an entry of the wrong
-    type, and a link cost the graph's kind does not price are each a
-    :class:`ModelError` naming the key.
+    type (numbers convert as the topology reader converts them: no
+    booleans, no fractional integers), a link cost the graph's kind does not
+    price or whose clock the graph lacks, and a CCX penalty table that does
+    not cover the graph's largest CCX are each a :class:`ModelError` naming
+    the key.
     """
 
     def __init__(self, doc: dict, graph: TopologyGraph):
@@ -118,25 +125,36 @@ class LatencyModel:
         self.base = _table(doc, "base_cycles", float, "a number")
         self.state_classes = _table(doc, "state_classes", dict, "an object")
         self.link_costs = _table(
-            doc, "link_costs", lambda v: LinkCost(float(v["value"]), str(v["unit"])),
+            doc, "link_costs",
+            lambda v: LinkCost(_as(float, v["value"], "value"), _as(str, v["unit"], "unit")),
             "an object with a numeric 'value' and a 'unit'",
         )
         priced = _PRICED_LINK[graph.kind]
-        for name in self.link_costs:
+        for name, cost in self.link_costs.items():
             if name != priced:
                 raise ModelError(f"model link_costs entry {name!r} is not priced on a "
                                  f"{graph.kind.value} graph, which prices only {priced!r}")
+            if cost.unit not in _UNIT_CLOCKS:
+                raise ModelError(f"model link_costs entry {name!r} has unknown unit "
+                                 f"{cost.unit!r}, not one of {', '.join(_UNIT_CLOCKS)}")
+            clock = _UNIT_CLOCKS[cost.unit]
+            if clock is not None and clock not in graph.frequencies:
+                raise ModelError(f"model link_costs entry {name!r} counts {cost.unit}, but "
+                                 f"topology '{graph.name}' has no frequencies.{clock}")
         self.numa_class_by_extra_hops = _table(
             doc, "numa_class_by_extra_hops", str, "a class name under an integer key", int
         )
         try:
-            self.remote_anchor_extra_hops = int(doc.get("remote_anchor_extra_hops", 0))
-        except (TypeError, ValueError):
-            raise ModelError("model remote_anchor_extra_hops must be an integer, got "
-                             f"{doc['remote_anchor_extra_hops']!r}") from None
+            self.remote_anchor_extra_hops = _as(
+                int, doc.get("remote_anchor_extra_hops", 0), "model remote_anchor_extra_hops")
+        except SchemaError as exc:
+            raise ModelError(str(exc)) from None
         self.triple_base = _table(doc, "triple_base_cycles", float, "a number")
-        self.ccx_penalty = doc.get("ccx_penalty_cycles")
+        self.ccx_penalty = _ccx_penalty(doc.get("ccx_penalty_cycles"), graph)
         self.clean_shared_ram_beyond = doc.get("clean_shared_ram_beyond")
+        if not isinstance(self.clean_shared_ram_beyond, (str, type(None))):
+            raise ModelError("model clean_shared_ram_beyond must be a locality class name or "
+                             f"null, got {self.clean_shared_ram_beyond!r}")
         # Memo of a pure function of the graph and the parameters above:
         # locality class per (requester, owner).  It lives as long as the
         # model, one CLI run.
@@ -164,13 +182,8 @@ class LatencyModel:
     def link_cost_ns(self, link_class: str) -> float:
         """Cost per traversal per direction, in nanoseconds."""
         lc = self._link_cost(link_class)
-        if lc.unit == "ns":
-            return lc.value
-        if lc.unit == "uncore_cycles":
-            return lc.value * 1000.0 / self.graph.frequencies["uncore_mhz"]
-        if lc.unit == "fclk_cycles":
-            return lc.value * 1000.0 / self.graph.frequencies["fclk_mhz"]
-        raise ModelError(f"unknown link cost unit {lc.unit}")
+        clock = _UNIT_CLOCKS[lc.unit]
+        return lc.value if clock is None else lc.value * 1000.0 / self.graph.frequencies[clock]
 
     def link_cost_core_cycles(self, link_class: str) -> float:
         lc = self._link_cost(link_class)
@@ -380,18 +393,37 @@ class LatencyModel:
 
 def _table(doc: dict, key: str, value, expected: str, key_type=str) -> dict:
     """``doc[key]`` (empty when absent), an object whose keys ``key_type``
-    and values ``value`` convert; anything else is a :class:`ModelError`
-    naming the key and the entry."""
+    and values ``value`` convert (a type converts as the topology reader's
+    ``_as`` does, a function by itself); anything else is a
+    :class:`ModelError` naming the key and the entry."""
     raw = doc.get(key, {})
     if not isinstance(raw, dict):
         raise ModelError(f"model {key} must be an object, got {type(raw).__name__}")
     table = {}
     for k, v in raw.items():
         try:
-            table[key_type(k)] = value(v)
-        except (KeyError, TypeError, ValueError):
+            converted = _as(value, v, key) if isinstance(value, type) else value(v)
+            table[_as(key_type, k, key)] = converted
+        except (KeyError, TypeError, SchemaError):
             raise ModelError(f"model {key} entry {k!r} must be {expected}, got {v!r}") from None
     return table
+
+
+def _ccx_penalty(raw, graph: TopologyGraph) -> Optional[list[list[float]]]:
+    """``ccx_penalty_cycles`` (None when absent): rows of numbers, indexed by
+    the requester's and the forwarder's positions in their CCX, covering
+    every position of the graph's largest CCX."""
+    if raw is None:
+        return None
+    size = max(len(graph.cores_of_ccx(c)) for c in graph.cores)
+    try:
+        rows = [[_as(float, x, "") for x in _as(list, row, "")] for row in _as(list, raw, "")]
+    except SchemaError:
+        rows = []
+    if len(rows) < size or any(len(row) < size for row in rows):
+        raise ModelError(f"model ccx_penalty_cycles must be rows of numbers covering the "
+                         f"{size} core positions of the largest CCX, got {raw!r}")
+    return rows
 
 
 def load_model_file(path: str | Path, graph: TopologyGraph) -> LatencyModel:

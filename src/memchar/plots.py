@@ -21,7 +21,10 @@ from typing import Optional, Sequence
 from .harness import MeasurementRecord
 from .results import write_output
 
-__all__ = ["PlotError", "PlotData", "emit_plot", "build_plot_data"]
+__all__ = ["PlotError", "PlotData", "PLOT_KINDS", "emit_plot", "build_plot_data"]
+
+# The figures emit_plot draws.
+PLOT_KINDS = ("heatmap", "grouped_bars")
 
 _CELL = 64
 _MARGIN_LEFT = 110
@@ -264,7 +267,7 @@ def emit_plot(
     The .txt plot-data file is authoritative: it holds exactly the numbers
     drawn in the figure.
     """
-    if kind not in ("heatmap", "grouped_bars"):
+    if kind not in PLOT_KINDS:
         raise PlotError(f"unknown plot kind {kind!r}")
     data = build_plot_data(records, kind, x=x, y=y, value=value, title=title)
     svg = _heatmap_svg(data) if kind == "heatmap" else _bars_svg(data)

@@ -20,17 +20,21 @@ Common:
   protocol        "MOESI" | "MESIF": the processor's coherence protocol,
                   which state planning, the protocol simulator and the
                   latency model all read from the graph
-  socket_count    1 or 2
   frequencies     {"core_mhz": F, "fclk_mhz": F?, "uncore_mhz": F?}
-  link_costs      {class: {"cycles": C, "domain": "core"|"fclk"|"uncore"}}
-                  (cycles of the link's clock; "domain" names that clock
-                  for the reader and is not read)
+                  (positive numbers)
   caches          {"l1_kib": K, "l2_kib": K, "l3_mib": M}   (positive
                   numbers; L1 and L2 per core, L3 per L3 domain; read
                   through TopologyGraph.cache_bytes, which names a missing
                   size)
-  bandwidth       optional fixture tables for the simulated bandwidth
-                  backend (see bandwidth module docs)
+  bandwidth       optional object of fixture tables, read by the simulated
+                  bandwidth backend (see bandwidth module docs)
+  sockets         1 or 2 entries (below) whose ids are 0..n-1, each once;
+                  the graph's socket count is their number
+
+A document still carrying ``link_costs`` or ``socket_count`` is refused
+(exit 2): route weights are :data:`ROUTE_WEIGHTS`, a link's priced cost is
+the latency model's ``link_costs``, and the socket count is the number of
+``sockets`` entries.
 
 kind=chiplet_if sockets entry:
   {"id": S,
@@ -139,16 +143,21 @@ class PlacementScope(str, Enum):
     ALL_PAIRS = "all_pairs"
 
 
-# Default per-traversal costs in cycles of the link's clock (FCLK for the
-# fabric links, uncore for mesh and UPI, none for local edges).
-# if_switch_hop must be >= 2 FCLK; if_repeater_hop is 1 FCLK.
-DEFAULT_LINK_COSTS = {
+# Weight of each link class a chiplet graph has edges of, for the route
+# search alone: a repeater weighs half a switch, so a path through one ties
+# with a direct switch link, and an xGMI link outweighs any path within a
+# socket.  A link's priced cost is the latency model's ``link_costs``.
+ROUTE_WEIGHTS = {
     LinkClass.IF_SWITCH_HOP: 2.0,
     LinkClass.IF_REPEATER_HOP: 1.0,
-    LinkClass.MESH_HOP: 1.0,
     LinkClass.XGMI: 90.0,
-    LinkClass.UPI: 120.0,
     LinkClass.LOCAL: 0.0,
+}
+# Fields a topology document may no longer carry, and what replaced each.
+_RETIRED_FIELDS = {
+    "link_costs": "route weights are fixed (topology.ROUTE_WEIGHTS) and a link's priced "
+                  "cost is the latency model's link_costs",
+    "socket_count": "the socket count is the number of 'sockets' entries",
 }
 
 
@@ -222,7 +231,6 @@ class TopologyGraph:
         nodes: dict[str, TopoNode],
         edges: list[TopoEdge],
         frequencies: dict[str, float],
-        link_costs: dict[LinkClass, float],
         protocol: Protocol,
         caches: Optional[dict] = None,
         bandwidth: Optional[dict] = None,
@@ -233,7 +241,6 @@ class TopologyGraph:
         self.nodes = nodes
         self.edges = tuple(edges)
         self.frequencies = dict(frequencies)
-        self.link_costs = dict(link_costs)
         self.protocol = protocol
         self.caches = dict(caches) if caches else {}
         self.bandwidth = dict(bandwidth) if bandwidth else {}
@@ -331,9 +338,6 @@ class TopologyGraph:
             raise TopologyError(f"NUMA node {numa_node} has no cores")
         return cores[0]
 
-    def link_cost_cycles(self, link_class: LinkClass) -> float:
-        return self.link_costs.get(link_class, DEFAULT_LINK_COSTS[link_class])
-
     def cache_bytes(self, level: str) -> int:
         """Capacity in bytes of ``level``: per core for L1 and L2, per L3
         domain for L3.  The one reader of the document's ``caches`` sizes."""
@@ -348,16 +352,11 @@ class TopologyGraph:
 
     def _validate(self) -> None:
         if self.socket_count < 1 or self.socket_count > 2:
-            raise SchemaError(f"socket_count must be 1 or 2, got {self.socket_count}")
+            raise SchemaError(f"a topology has 1 or 2 sockets, got {self.socket_count}")
         if not self._core_by_id:
             raise SchemaError("graph has no cores")
         self._check_coordinates()
         self._check_connectivity()
-        sw_cost = self.link_cost_cycles(LinkClass.IF_SWITCH_HOP)
-        if sw_cost < 2.0:
-            raise SchemaError(
-                f"if_switch_hop cost must be >= 2 cycles, got {sw_cost}"
-            )
 
     def _check_coordinates(self) -> None:
         if self.kind is not GraphKind.MESH_2D:
@@ -447,36 +446,30 @@ def _pair(value, what: str) -> tuple[str, str]:
     return _as(str, value[0], what), _as(str, value[1], what)
 
 
-def _parse_caches(doc: dict) -> dict[str, float]:
-    """The ``caches`` sizes, each a positive finite number."""
-    caches = {
-        key: _as(float, size, f"caches.{key}")
-        for key, size in _opt(doc, "caches", "topology", dict, {}).items()
-    }
-    for key, size in caches.items():
-        if not 0 < size < math.inf:
-            raise SchemaError(f"caches.{key} must be a positive number, got {size!r}")
-    return caches
+def _positive(value, what: str) -> float:
+    """``value`` as a positive finite number; anything else is a
+    :class:`SchemaError` naming ``what``."""
+    number = _as(float, value, what)
+    if not 0 < number < math.inf:
+        raise SchemaError(f"{what} must be a positive number, got {number!r}")
+    return number
 
 
-def _parse_link_costs(doc: dict) -> dict[LinkClass, float]:
-    costs = dict(DEFAULT_LINK_COSTS)
-    for name, spec in _opt(doc, "link_costs", "topology", dict, {}).items():
-        try:
-            cls = LinkClass(name)
-        except ValueError:
-            raise SchemaError(f"link_costs: unknown link class '{name}'") from None
-        try:
-            costs[cls] = _as(float, spec["cycles"], name)
-        except (KeyError, TypeError, SchemaError):
-            raise SchemaError(
-                f"link_costs entry '{name}' must be an object with a numeric 'cycles', "
-                f"got {spec!r}"
-            ) from None
-    return costs
+def _sockets(doc: dict) -> list[tuple[int, dict]]:
+    """``(id, entry)`` of each ``sockets`` entry.  The ids are 0..n-1, each
+    once, since scopes address sockets 0 and 1 by id."""
+    entries = _entries(doc, "sockets", "topology", dict)
+    ids = [_req(sock, "id", "socket", int) for sock in entries]
+    for sid in ids:
+        if ids.count(sid) > 1 or not 0 <= sid < len(ids):
+            raise SchemaError(f"socket id {sid}: the ids of {len(ids)} socket entries must be "
+                              f"{list(range(len(ids)))}, each once")
+    return list(zip(ids, entries))
 
 
-def _load_chiplet(doc: dict) -> tuple[dict[str, TopoNode], list[TopoEdge]]:
+def _load_chiplet(
+    doc: dict, sockets: list[tuple[int, dict]]
+) -> tuple[dict[str, TopoNode], list[TopoEdge]]:
     nodes: dict[str, TopoNode] = {}
     edges: list[TopoEdge] = []
     seen_cores: set[int] = set()
@@ -486,8 +479,7 @@ def _load_chiplet(doc: dict) -> tuple[dict[str, TopoNode], list[TopoEdge]]:
             raise SchemaError(f"duplicate node id '{node.id}'")
         nodes[node.id] = node
 
-    for sock in _entries(doc, "sockets", "topology", dict):
-        sid = _req(sock, "id", "socket", int)
+    for sid, sock in sockets:
         prefix = f"s{sid}."
         ctx = f"socket {sid}"
         for sw in _entries(sock, "switches", ctx, str, []):
@@ -563,11 +555,10 @@ def _load_chiplet(doc: dict) -> tuple[dict[str, TopoNode], list[TopoEdge]]:
     return nodes, edges
 
 
-def _load_mesh(doc: dict) -> tuple[dict[str, TopoNode], list[TopoEdge]]:
+def _load_mesh(sockets: list[tuple[int, dict]]) -> tuple[dict[str, TopoNode], list[TopoEdge]]:
     nodes: dict[str, TopoNode] = {}
     seen_cores: set[int] = set()
-    for sock in _entries(doc, "sockets", "topology", dict):
-        sid = _req(sock, "id", "socket", int)
+    for sid, sock in sockets:
         grid = _req(sock, "grid", f"socket {sid}", dict)
         rows, cols = (_req(grid, key, f"socket {sid} grid", int) for key in ("rows", "cols"))
         snc_cols = {
@@ -630,26 +621,30 @@ def load_topology(doc: dict) -> TopologyGraph:
     violations, disconnected graphs, and duplicate coordinates.
     """
     doc = _as(dict, doc, "topology document")
+    for key, replacement in _RETIRED_FIELDS.items():
+        if key in doc:
+            raise SchemaError(f"topology document carries '{key}', which is retired: "
+                              f"{replacement}")
     kind = _req(doc, "kind", "topology", GraphKind)
     protocol = _req(doc, "protocol", "topology", Protocol)
-    freqs = _req(doc, "frequencies", "topology", dict)
-    freqs = {k: _as(float, v, f"frequencies.{k}") for k, v in freqs.items()}
-    if freqs.get("core_mhz", 0) <= 0:
-        raise SchemaError("frequencies.core_mhz must be positive")
+    freqs = {k: _positive(v, f"frequencies.{k}")
+             for k, v in _req(doc, "frequencies", "topology", dict).items()}
+    _req(freqs, "core_mhz", "frequencies")
+    sockets = _sockets(doc)
     if kind is GraphKind.CHIPLET_IF:
-        nodes, edges = _load_chiplet(doc)
+        nodes, edges = _load_chiplet(doc, sockets)
     else:
-        nodes, edges = _load_mesh(doc)
+        nodes, edges = _load_mesh(sockets)
     return TopologyGraph(
         kind=kind,
-        socket_count=_req(doc, "socket_count", "topology", int),
+        socket_count=len(sockets),
         nodes=nodes,
         edges=edges,
         frequencies=freqs,
-        link_costs=_parse_link_costs(doc),
         protocol=protocol,
-        caches=_parse_caches(doc),
-        bandwidth=doc.get("bandwidth"),
+        caches={k: _positive(v, f"caches.{k}")
+                for k, v in _opt(doc, "caches", "topology", dict, {}).items()},
+        bandwidth=_opt(doc, "bandwidth", "topology", dict, {}),
         name=doc.get("name", ""),
     )
 
@@ -742,7 +737,7 @@ def _shortest_path_tree(graph: TopologyGraph, source: str) -> dict[str, tuple[st
         # link class) pair a tree stores, shared by every tree.
         graph._route_adj = {
             u: [
-                (e.other(u), graph.link_cost_cycles(e.link_class), (u, e.link_class))
+                (e.other(u), ROUTE_WEIGHTS[e.link_class], (u, e.link_class))
                 for e in sorted(edges, key=lambda e: e.other(u))
             ]
             for u, edges in graph._adj.items()

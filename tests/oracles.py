@@ -13,7 +13,7 @@ import numpy as np
 from memchar import chain, native
 from memchar.coherence import OWNERSHIP_STATES, CoherenceState, ProtocolModel
 from memchar.model import FitTemplate, FitTerm
-from memchar.topology import LinkClass, NodeRole, extra_switch_hops
+from memchar.topology import ROUTE_WEIGHTS, LinkClass, NodeRole, extra_switch_hops
 
 
 def protocol_model(protocol, cores, cores_per_domain=4) -> ProtocolModel:
@@ -182,7 +182,7 @@ def route(graph, a: str, b: str) -> tuple:
             continue
         for e in sorted(adj[u], key=lambda e: e.other(u)):
             v = e.other(u)
-            nd = d + graph.link_cost_cycles(e.link_class) + 1e-9
+            nd = d + ROUTE_WEIGHTS[e.link_class] + 1e-9
             if nd < dist.get(v, float("inf")) - 1e-12:
                 dist[v] = nd
                 prev[v] = (u, e.link_class)

@@ -1,5 +1,7 @@
 """Throughput kernels, triad, scaling/saturation analysis."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from memchar.bandwidth import (
     triad_operands,
     verify_triad,
 )
+from memchar.cli import main
 from memchar.topology import fixture_path, load_topology_file
 
 
@@ -131,6 +134,60 @@ class TestReadThroughput:
             per_core = 6.5 * 2.0  # B/cycle x GHz
             assert rec.bandwidth_gbps <= per_core * len(picked) + 1e-9
             assert rec.bandwidth_gbps <= 160.0 + 1e-9
+
+
+def set_table(*path):
+    """An edit that sets the field at ``path`` of a topology's ``bandwidth``
+    object to the edit's value (None deletes it)."""
+    *parents, last = path
+
+    def edit(doc, value):
+        table = doc
+        for key in ("bandwidth", *parents):
+            table = table[key]
+        if value is None:
+            del table[last]
+        else:
+            table[last] = value
+
+    return edit
+
+
+class TestTablesReader:
+    @pytest.mark.parametrize("edit, value, message", [
+        (lambda doc, value: doc.update(bandwidth=value), [1],
+         "topology: field 'bandwidth' must be an object, got [1]"),
+        (set_table("triad_gbps"), None, "bandwidth: missing required field 'triad_gbps'"),
+        (set_table("read_b_per_cycle", "L2"), None,
+         "bandwidth.read_b_per_cycle: missing required field 'L2'"),
+        (set_table("read_b_per_cycle", "RAM", "read256"), None,
+         "bandwidth.read_b_per_cycle.RAM: missing required field 'read256'"),
+        (set_table("shared_caps_gbps"), [151.0],
+         "bandwidth: field 'shared_caps_gbps' must be an object, got [151.0]"),
+        (set_table("frequency_mhz"), 0,
+         "bandwidth.frequency_mhz must be a positive number, got 0.0"),
+        (set_table("frequency_mhz"), True, "bandwidth.frequency_mhz must be a number, got True"),
+        (set_table("read_b_per_cycle", "L2", "read256"), -31.4,
+         "bandwidth.read_b_per_cycle.L2.read256 must be a positive number, got -31.4"),
+        (set_table("shared_caps_gbps", "ram_node"), -40.0,
+         "bandwidth.shared_caps_gbps.ram_node must be a positive number, got -40.0"),
+        (set_table("triad_gbps", "socket_cap"), float("inf"),
+         "bandwidth.triad_gbps.socket_cap must be a positive number, got inf"),
+        (set_table("supported_kernels"), ["read1024"],
+         "bandwidth.supported_kernels: unknown kernel 'read1024'"),
+    ], ids=["not-an-object", "no-triad", "no-level", "no-kernel-rate", "caps-a-list",
+            "frequency-zero", "frequency-a-bool", "rate-negative", "cap-negative",
+            "cap-infinite", "unknown-kernel"])
+    def test_malformed_table_fails_bandwidth_and_triad(self, edit, value, message, tmp_path,
+                                                       capsys):
+        doc = json.loads(fixture_path("rome_2s.json").read_text())
+        edit(doc, value)
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["bandwidth", "--level", "L2"], ["triad", "--bytes", str(1 << 20)]):
+            assert main([*argv, "--topology", str(path), "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "out").exists()
 
 
 class TestTriad:

@@ -743,32 +743,18 @@ class TestCli:
         assert err.startswith("config error: ") and message in err, err
         assert not (tmp_path / "out").exists()
 
-    # (loader, the command that loads it, the fixture whose entry is edited)
-    LINK_COST_LOADERS = {
-        "model": (PREDICT, "rome_2s_latency_model.json"),
-        "topology": (["topo", "--topology", "{file}"], "rome_2s.json"),
-    }
-
-    @pytest.mark.parametrize("loader, entry, message", [
-        ("model", {"unit": "ns"}, "must be an object with a numeric 'value' and a 'unit'"),
-        ("model", {"value": "fast", "unit": "ns"}, "with a numeric 'value'"),
-        ("model", {"value": 61.35}, "with a numeric 'value' and a 'unit'"),
-        ("model", 61.35, "with a numeric 'value' and a 'unit', got 61.35"),
-        ("topology", {"domain": "fclk"}, "must be an object with a numeric 'cycles'"),
-        ("topology", {"cycles": "fast", "domain": "fclk"}, "with a numeric 'cycles'"),
-        ("topology", {"cycles": None, "domain": "fclk"}, "with a numeric 'cycles'"),
-        ("topology", [90.0], "with a numeric 'cycles', got [90.0]"),
-    ], ids=["model-no-value", "model-value-not-a-number", "model-no-unit", "model-not-an-object",
-            "topology-no-cycles", "topology-cycles-not-a-number", "topology-cycles-null",
-            "topology-not-an-object"])
-    def test_malformed_link_cost_entry_is_config_error(self, loader, entry, message, tmp_path,
-                                                       capsys):
-        argv, fixture = self.LINK_COST_LOADERS[loader]
-        doc = json.loads(fixture_path(fixture).read_text())
+    @pytest.mark.parametrize("entry, message", [
+        ({"unit": "ns"}, "must be an object with a numeric 'value' and a 'unit'"),
+        ({"value": "fast", "unit": "ns"}, "with a numeric 'value'"),
+        ({"value": 61.35}, "with a numeric 'value' and a 'unit'"),
+        (61.35, "with a numeric 'value' and a 'unit', got 61.35"),
+    ], ids=["model-no-value", "model-value-not-a-number", "model-no-unit", "model-not-an-object"])
+    def test_malformed_link_cost_entry_is_config_error(self, entry, message, tmp_path, capsys):
+        doc = json.loads(fixture_path("rome_2s_latency_model.json").read_text())
         doc["link_costs"]["if_switch_hop"] = entry
-        path = tmp_path / fixture
+        path = tmp_path / "rome_2s_latency_model.json"
         path.write_text(json.dumps(doc))
-        assert main(_argv(argv, path, tmp_path / "out")) == 2
+        assert main(_argv(PREDICT, path, tmp_path / "out")) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "entry 'if_switch_hop' " in err, err
         assert message in err, err

@@ -217,28 +217,56 @@ class TestLoadModel:
             graph = load_topology_file(path.with_name(path.name.replace("_latency_model", "")))
             assert LatencyModel(json.loads(path.read_text()), graph).protocol is graph.protocol
 
-    # (key, the value it is given, what the message says)
+    # (topology, model key, the value it is given, what the message says);
+    # "NAME without CLOCK" is the NAME fixture without frequencies.CLOCK, read
+    # with its own model when the key is None.
     MALFORMED = [
-        ("base_cycles", {"L1/ME/local": "x"},
+        ("rome_2s", "base_cycles", {"L1/ME/local": "x"},
          "model base_cycles entry 'L1/ME/local' must be a number, got 'x'"),
-        ("base_cycles", [4.0], "model base_cycles must be an object, got list"),
-        ("numa_class_by_extra_hops", {"a": "numa1"},
+        ("rome_2s", "base_cycles", [4.0], "model base_cycles must be an object, got list"),
+        ("rome_2s", "numa_class_by_extra_hops", {"a": "numa1"},
          "model numa_class_by_extra_hops entry 'a' must be a class name under an integer key"),
-        ("remote_anchor_extra_hops", "x",
+        ("rome_2s", "remote_anchor_extra_hops", "x",
          "model remote_anchor_extra_hops must be an integer, got 'x'"),
-        ("state_classes", [{"M": "ME"}], "model state_classes must be an object, got list"),
-        ("triple_base_cycles", [323.0],
+        ("rome_2s", "state_classes", [{"M": "ME"}],
+         "model state_classes must be an object, got list"),
+        ("rome_2s", "triple_base_cycles", [323.0],
          "model triple_base_cycles must be an object, got list"),
+        ("rome_2s", "ccx_penalty_cycles", [[0]],
+         "model ccx_penalty_cycles must be rows of numbers covering the 4 core positions of "
+         "the largest CCX, got [[0]]"),
+        ("rome_2s", "ccx_penalty_cycles", "x",
+         "model ccx_penalty_cycles must be rows of numbers covering the 4 core positions of "
+         "the largest CCX, got 'x'"),
+        ("rome_2s", "clean_shared_ram_beyond", 7,
+         "model clean_shared_ram_beyond must be a locality class name or null, got 7"),
+        ("rome_2s", "remote_anchor_extra_hops", True,
+         "model remote_anchor_extra_hops must be an integer, got True"),
+        ("rome_2s", "base_cycles", {"L1/ME/local": True},
+         "model base_cycles entry 'L1/ME/local' must be a number, got True"),
+        ("clx_2s without uncore_mhz", None, None,
+         "model link_costs entry 'mesh_hop' counts uncore_cycles, but topology 'clx_2s' has no "
+         "frequencies.uncore_mhz"),
     ]
 
-    @pytest.mark.parametrize("key, value, message", MALFORMED, ids=[
+    @pytest.mark.parametrize("topology, key, value, message", MALFORMED, ids=[
         "base-cycles-value", "base-cycles-a-list", "numa-class-key", "remote-anchor",
-        "state-classes-a-list", "triple-base-cycles-a-list",
+        "state-classes-a-list", "triple-base-cycles-a-list", "ccx-penalty-too-small",
+        "ccx-penalty-a-string", "clean-shared-a-number", "remote-anchor-a-bool",
+        "base-cycles-a-bool", "priced-clock-missing",
     ])
-    def test_malformed_document_is_config_error(self, key, value, message, tmp_path, capsys):
-        doc = json.loads(fixture_path("rome_2s_latency_model.json").read_text())
-        doc[key] = value
-        assert predict_with("rome_2s", doc, tmp_path, "--requester", "0", "--home", "1") == 2
+    def test_malformed_document_is_config_error(self, topology, key, value, message, tmp_path,
+                                                capsys):
+        system, _, clock = topology.partition(" without ")
+        doc = json.loads(fixture_path(f"{system}_latency_model.json").read_text())
+        if key is not None:
+            doc[key] = value
+        if clock:
+            topo = json.loads(fixture_path(f"{system}.json").read_text())
+            del topo["frequencies"][clock]
+            system = tmp_path / f"{system}.json"
+            system.write_text(json.dumps(topo))
+        assert predict_with(str(system), doc, tmp_path, "--requester", "0", "--home", "1") == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}"), err
 

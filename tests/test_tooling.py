@@ -1,13 +1,17 @@
 """Every function and method the benchmark's span tracer patches by name
-still exists, so a rename cannot crash a traced benchmark run."""
+still exists, so a rename cannot crash a traced benchmark run; and the
+line accounting of ``tools/traffic_lines.py`` is exact on a toy module."""
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def patch_targets(source: str) -> list[tuple[str, str, str]]:
@@ -63,3 +67,47 @@ def test_scan_reads_loops_and_methods():
         ("patch_function", "cli", "cmd_b"),
     ]
 
+
+
+TOY = """\
+def called(n):
+    total = 0
+    for i in range(n):
+        total += i
+    return total + sum([i * i for i in range(n)])
+
+
+def uncalled(x):
+    if x:
+        return 1
+    return (lambda: 2)()
+"""
+
+
+def _tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traffic_lines_accounts_a_toy_module(tmp_path, monkeypatch):
+    traffic = _tool("traffic_lines")
+    path = tmp_path / "toy_traffic.py"
+    path.write_text(TOY)
+    # The def lines are left out; comprehension and lambda lines count
+    # toward the function that holds them.
+    assert traffic.executable_lines(path) == {
+        "called": (1, {2, 3, 4, 5}), "uncalled": (8, {9, 10, 11}),
+    }
+    monkeypatch.syspath_prepend(str(tmp_path))
+    before = sys.gettrace()
+    with traffic.LineRecorder(tmp_path) as recorder:
+        import toy_traffic
+
+        assert toy_traffic.called(3) == 8
+    sys.modules.pop("toy_traffic")
+    report, counts = traffic.unrun_report([path], recorder.ran)
+    assert report == [f"{tmp_path.name}/toy_traffic.py:8 uncalled: NEVER (3 lines)"]
+    assert counts == {"functions": 2, "never": 1, "lines": 7, "unrun": 3}
+    assert sys.gettrace() is before

@@ -123,7 +123,7 @@ class TestLoad:
 
     def test_schema_violation_reports_field(self):
         with pytest.raises(SchemaError, match="kind"):
-            load_topology({"socket_count": 1, "frequencies": {"core_mhz": 1000}})
+            load_topology({"frequencies": {"core_mhz": 1000}})
 
     def test_duplicate_coordinates_rejected(self):
         doc = fixture_doc("clx_2s")
@@ -147,12 +147,6 @@ class TestLoad:
         doc = fixture_doc("rome_2s")
         doc["sockets"][0]["numa_nodes"][0]["ccds"][0]["ccxs"][0] = list(range(200, 206))
         with pytest.raises(SchemaError, match="1-4 cores"):
-            load_topology(doc)
-
-    def test_switch_cost_floor(self):
-        doc = fixture_doc("rome_2s")
-        doc["link_costs"]["if_switch_hop"]["cycles"] = 1.0
-        with pytest.raises(SchemaError, match=">= 2"):
             load_topology(doc)
 
 
@@ -193,8 +187,8 @@ class TestLoad:
          "field 'row' must be an integer, got 'x'"),
         ("rome_2s", set_field("sockets", 0, "numa_nodes", 0, "ccds", 0, "ccxs", 0, 0), "a",
          "node 0 ccd 0 ccx 0: core id must be an integer, got 'a'"),
-        ("rome_2s", set_field("socket_count"), "two",
-         "topology: field 'socket_count' must be an integer, got 'two'"),
+        ("rome_2s", set_field("link_costs"), {"if_switch_hop": {"cycles": 2.0}},
+         "topology document carries 'link_costs', which is retired: route weights are fixed"),
         ("rome_2s", set_field("sockets", 0, "switch_links", 0), ["sw_a", "sw_zz"],
          "if_switch_hop link s0.sw_a - s0.sw_zz names unknown node 's0.sw_zz'"),
         ("rome_2s", set_field("sockets"), 5,
@@ -212,22 +206,25 @@ class TestLoad:
          "got ['sw_a', 'sw_b', 'sw_c']"),
         ("rome_2s", set_field("sockets", 0, "numa_nodes", 0, "ccds", 0, "ccxs"), 5,
          "node 0 ccd 0: field 'ccxs' must be a list, got 5"),
-        ("rome_2s", set_field("link_costs"), [1, 2],
-         "topology: field 'link_costs' must be an object, got [1, 2]"),
-        ("clx_2s", set_field("link_costs"), [1, 2],
-         "topology: field 'link_costs' must be an object, got [1, 2]"),
+        ("clx_2s", set_field("socket_count"), 2,
+         "topology document carries 'socket_count', which is retired: the socket count is "
+         "the number of 'sockets' entries"),
         ("clx_2s", set_field("sockets", 0, "snc_cols", "0"), 5,
          "socket 0: snc_cols '0' must be a list, got 5"),
+        ("clx_2s", set_field("frequencies", "uncore_mhz"), 0,
+         "frequencies.uncore_mhz must be a positive number, got 0.0"),
+        ("clx_2s", set_field("frequencies", "uncore_mhz"), -2400,
+         "frequencies.uncore_mhz must be a positive number, got -2400.0"),
     ]
 
     @pytest.mark.parametrize("fixture, edit, value, message", MALFORMED, ids=[
         "core-mhz-not-a-number", "frequencies-a-list", "xgmi-port-without-switch",
         "repeater-without-between", "grid-without-rows", "tile-row-not-a-number",
-        "core-id-not-a-number", "socket-count-not-a-number", "switch-link-unknown-switch",
+        "core-id-not-a-number", "chiplet-carries-link-costs", "switch-link-unknown-switch",
         "chiplet-sockets-a-number", "mesh-sockets-a-number", "chiplet-socket-a-number",
         "mesh-socket-a-number", "switch-a-number", "switch-link-of-three",
-        "ccxs-a-number", "chiplet-link-costs-a-list", "mesh-link-costs-a-list",
-        "snc-cols-value-a-number",
+        "ccxs-a-number", "mesh-carries-socket-count",
+        "snc-cols-value-a-number", "uncore-mhz-zero", "uncore-mhz-negative",
     ])
     def test_malformed_document_is_config_error(self, fixture, edit, value, message, tmp_path,
                                                 capsys):
@@ -239,6 +236,29 @@ class TestLoad:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err, err
 
+
+    @pytest.mark.parametrize("fixture, edit, value, message", [
+        ("rome_2s", set_field("socket_count"), 1,
+         "topology document carries 'socket_count', which is retired"),
+        ("rome_2s", set_field("link_costs"), {"xgmi": {"cycles": 90.0}},
+         "topology document carries 'link_costs', which is retired"),
+        ("single_core", set_field("sockets", 0, "id"), 1,
+         "socket id 1: the ids of 1 socket entries must be [0], each once"),
+        ("clx_2s", set_field("sockets", 1, "id"), 0,
+         "socket id 0: the ids of 2 socket entries must be [0, 1], each once"),
+    ], ids=["socket-count", "link-costs", "socket-id-out-of-range", "socket-id-twice"])
+    def test_retired_field_or_bad_socket_id_fails_every_command(
+        self, fixture, edit, value, message, tmp_path, capsys
+    ):
+        doc = fixture_doc(fixture)
+        edit(doc, value)
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["topo"], ["latency", "--scope", "all_pairs", "--out", str(tmp_path / "l")],
+                     ["bandwidth", "--level", "L2", "--out", str(tmp_path / "bw")]):
+            assert main([*argv, "--topology", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {message}"), err
 
     @pytest.mark.parametrize("size, message", [
         ("x", "caches.l2_kib must be a number, got 'x'"),
@@ -257,18 +277,13 @@ class TestLoad:
     @pytest.mark.parametrize("fixture, edit, value, message", [
         ("clx_2s", set_field("sockets", 0, "tiles", 1, "row"), 1.9,
          "field 'row' must be an integer, got 1.9"),
-        ("rome_2s", set_field("socket_count"), True,
-         "topology: field 'socket_count' must be an integer, got True"),
         ("rome_2s", set_field("sockets", 0, "numa_nodes", 0, "ccds", 0, "ccxs", 0, 0), False,
          "node 0 ccd 0 ccx 0: core id must be an integer, got False"),
         ("rome_2s", set_field("caches", "l1_kib"), True,
          "caches.l1_kib must be a number, got True"),
         ("clx_2s", set_field("frequencies", "core_mhz"), True,
          "frequencies.core_mhz must be a number, got True"),
-        ("rome_2s", set_field("link_costs", "xgmi", "cycles"), True,
-         "link_costs entry 'xgmi' must be an object with a numeric 'cycles'"),
-    ], ids=["tile-row-a-fraction", "socket-count-a-bool", "core-id-a-bool",
-            "cache-size-a-bool", "core-mhz-a-bool", "link-cycles-a-bool"])
+    ], ids=["tile-row-a-fraction", "core-id-a-bool", "cache-size-a-bool", "core-mhz-a-bool"])
     def test_numbers_are_not_truncated_and_booleans_not_numbers(
         self, fixture, edit, value, message, tmp_path, capsys
     ):
@@ -393,7 +408,6 @@ class TestFabricRoutes:
         doc = {
             "kind": "chiplet_if",
             "protocol": "MOESI",
-            "socket_count": 1,
             "frequencies": {"core_mhz": 2000.0, "fclk_mhz": 1467.0},
             "sockets": [
                 {
