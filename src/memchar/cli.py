@@ -13,7 +13,10 @@ the subcommand's argv as parsed.  ``replay`` re-parses that argv with the
 same parser; on the simulated backend it reproduces the CSVs byte for byte.
 The environment variables that once set latency options are refused by
 name, each pointing at the flag that replaced it.  Exit codes: 0 ok,
-2 configuration, 3 pinning/affinity, 4 backend, 5 verification failure.
+2 configuration, 3 pinning/affinity, 4 backend.  Code 5 (verification
+failure) is kept for a triad whose checked result is wrong, but no
+subcommand reaches it today: only the native triad API verifies, and no
+subcommand runs a native triad.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ explicit rank check and disclosed ridge damping for near-singular systems.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -107,9 +108,10 @@ class LatencyModel:
     document may no longer carry, a missing table, an entry of the wrong
     type (numbers convert as the topology reader converts them: no
     booleans, no fractional integers), a link cost the graph's kind does not
-    price or whose clock the graph lacks, and a CCX penalty table that does
-    not cover the graph's largest CCX are each a :class:`ModelError` naming
-    the key.
+    price or whose clock the graph lacks, a level with neither its own
+    ``state_classes`` entry nor ``state_classes.default``, and a CCX penalty
+    table that does not cover the graph's largest CCX are each a
+    :class:`ModelError` naming the key.
     """
 
     def __init__(self, doc: dict, graph: TopologyGraph):
@@ -124,6 +126,10 @@ class LatencyModel:
         self.graph = graph
         self.base = _table(doc, "base_cycles", float, "a number")
         self.state_classes = _table(doc, "state_classes", dict, "an object")
+        for level in LEVELS:
+            if not (self.state_classes.get(level) or "default" in self.state_classes):
+                raise ModelError(f"model lacks state_classes.default, and state_classes has "
+                                 f"no {level} entry")
         self.link_costs = _table(
             doc, "link_costs",
             lambda v: LinkCost(_as(float, v["value"], "value"), _as(str, v["unit"], "unit")),
@@ -415,7 +421,7 @@ def _ccx_penalty(raw, graph: TopologyGraph) -> Optional[list[list[float]]]:
     every position of the graph's largest CCX."""
     if raw is None:
         return None
-    size = max(len(graph.cores_of_ccx(c)) for c in graph.cores)
+    size = max(Counter(graph.l3_domains.values()).values())
     try:
         rows = [[_as(float, x, "") for x in _as(list, row, "")] for row in _as(list, raw, "")]
     except SchemaError:

@@ -5,6 +5,12 @@ SVG contains exactly the plotted numbers and is the contract downstream
 tooling should parse.  SVG output is deterministic text with no external
 dependencies.
 
+A plot's axes and value are result columns, named by their CSV headers.
+The plottable ones, and how each is read off a record, are marked in the
+``results`` tables (:data:`memchar.results.LATENCY_TABLE` and
+:data:`memchar.results.BANDWIDTH_TABLE`); a bandwidth plot's ``cores`` is
+the core count.
+
 Both files are written with :func:`memchar.results.write_output`, which
 overwrites a file from a previous report in place instead of truncating
 it (on ext4 a truncating rewrite costs about ten times as much; see the
@@ -14,12 +20,13 @@ the new text followed by the tail of the old file.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .harness import MeasurementRecord
-from .results import write_output
+from .results import BANDWIDTH_TABLE, LATENCY_TABLE, write_output
 
 __all__ = ["PlotError", "PlotData", "PLOT_KINDS", "emit_plot", "build_plot_data"]
 
@@ -64,33 +71,22 @@ class PlotData:
         return "\n".join(lines) + "\n"
 
 
+def _plot_getters(table) -> dict:
+    """Each plottable column of a results table -> the getter of its plotted
+    value."""
+    return {name: operator.attrgetter(field) if plot is True else plot
+            for name, field, _, plot, *_ in table if plot}
+
+
+_LATENCY_GETTERS = _plot_getters(LATENCY_TABLE)
+_BANDWIDTH_GETTERS = _plot_getters(BANDWIDTH_TABLE)
+
+
 def _field_of(record, name: str):
-    if isinstance(record, MeasurementRecord):
-        mapping = {
-            "requester": record.placement.requester,
-            "owner": record.placement.owner,
-            "home": record.placement.home_node,
-            "forwarder": record.placement.forwarder_node,
-            "state": record.state,
-            "level": record.level,
-            "label": record.placement.label,
-            "min_cycles": record.min_cycles,
-            "max_cycles": record.max_cycles,
-            "median_cycles": record.median_cycles,
-            "latency_cycles": record.latency_cycles,
-        }
-    else:
-        mapping = {
-            "kernel": record.kernel,
-            "level": record.level,
-            "cores": len(record.core_set),
-            "bandwidth_gbps": record.bandwidth_gbps,
-            "bytes_per_cycle": record.bytes_per_cycle,
-            "bytes": record.dataset_bytes,
-        }
-    if name not in mapping:
+    getters = _LATENCY_GETTERS if isinstance(record, MeasurementRecord) else _BANDWIDTH_GETTERS
+    if name not in getters:
         raise PlotError(f"record has no plottable field {name!r}")
-    return mapping[name]
+    return getters[name](record)
 
 
 def build_plot_data(

@@ -4,6 +4,15 @@ Cycles are the primary unit everywhere; nanoseconds are derived at read
 time, never stored.  Column layouts are fixed per schema version so result
 files diff cleanly across runs; any column change bumps the version.
 
+Each schema is one table, :data:`LATENCY_TABLE` and :data:`BANDWIDTH_TABLE`,
+with a row per column in file order: the header, the record field the
+column holds, how a cell parses and whether (and how) a plot reads it; a
+bandwidth row also writes its cell.  The header lists, both readers, the
+bandwidth row writer and the fields :mod:`memchar.plots` plots all come
+from these tables.  The latency writer is hand-tuned (below) and has no
+writer column; tests hold its bytes to those ``csv.writer`` gives for the
+record's fields.
+
 Every run writes a manifest alongside its results.  A run is its argv:
 every setting comes from a flag, none from the environment, so a manifest
 is the subcommand's argv as parsed and nothing else.  Replay re-parses
@@ -51,9 +60,10 @@ its file is built, so no id is reused; no float is compared.
 Reading a result file checks it: a row whose field count differs from the
 header's, a cell that does not parse, or a row ``csv.reader`` refuses is a
 :class:`ResultError` naming the file, the line and, for a cell, the
-column (:func:`parse_cell`, which the fit-input reader uses too); bytes
-that are not UTF-8, the encoding every file is written in, are one naming
-the file.  Any field the writer writes reads back, however long: the csv
+column; of two bad cells, the first in column order is named
+(:func:`parse_cell`, which the fit-input reader uses too).  Bytes that are
+not UTF-8, the encoding every file is written in, are one naming the file.
+Any field the writer writes reads back, however long: the csv
 module's field limit is raised to the file's size for the read.
 """
 
@@ -76,6 +86,8 @@ __all__ = [
     "ResultError",
     "RunManifest",
     "ResultSet",
+    "LATENCY_TABLE",
+    "BANDWIDTH_TABLE",
     "LATENCY_COLUMNS",
     "BANDWIDTH_COLUMNS",
     "write_output",
@@ -83,46 +95,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-LATENCY_COLUMNS = [
-    "backend",
-    "requester",
-    "owner",
-    "home",
-    "forwarder",
-    "state",
-    "level",
-    "bytes",
-    "samples",
-    "min_cycles",
-    "max_cycles",
-    "median_cycles",
-    "freq_mhz",
-    "latency_cycles",
-    "reducer",
-    "sizes",
-    "alignment",
-    "huge_pages",
-    "seed",
-    "overhead_cycles",
-    "label",
-]
-
-BANDWIDTH_COLUMNS = [
-    "backend",
-    "kernel",
-    "cores",
-    "level",
-    "bytes",
-    "bytes_moved",
-    "elapsed_cycles",
-    "bandwidth_gbps",
-    "bytes_per_cycle",
-    "freq_mhz",
-    "flags",
-    "degraded_from",
-]
-
 
 class ResultError(Exception):
     pass
@@ -199,6 +171,57 @@ def _ints(text: str) -> tuple:
 
 def _floats(text: str) -> tuple:
     return tuple(float(v) for v in text.split(";") if v)
+
+
+# The result schemas, one row per column in file order: (header, record
+# field, cell parser, plotted).  A placement field is "placement.<field>".
+# "plotted" is False, True (a plot reads the field) or the getter of the
+# plotted value.  The latency rows are written by ResultSet._latency_lines.
+LATENCY_TABLE = (
+    ("backend", "backend", str, False),
+    ("requester", "placement.requester", int, True),
+    ("owner", "placement.owner", int, True),
+    ("home", "placement.home_node", int, True),
+    ("forwarder", "placement.forwarder_node", lambda t: int(t) if t else None, True),
+    ("state", "state", str, True),
+    ("level", "level", str, True),
+    ("bytes", "dataset_bytes", int, False),
+    ("samples", "samples", _floats, False),
+    ("min_cycles", "min_cycles", float, True),
+    ("max_cycles", "max_cycles", float, True),
+    ("median_cycles", "median_cycles", float, True),
+    ("freq_mhz", "frequency_mhz", float, False),
+    ("latency_cycles", "latency_cycles", float, True),
+    ("reducer", "reducer", str, False),
+    ("sizes", "dataset_sizes", _ints, False),
+    ("alignment", "alignment", int, False),
+    ("huge_pages", "huge_pages", lambda t: t == "1", False),
+    ("seed", "seed", int, False),
+    ("overhead_cycles", "overhead_cycles", float, False),
+    ("label", "placement.label", str, True),
+)
+
+# As LATENCY_TABLE, plus each cell's writer.  A plot of cores reads the
+# core count.
+BANDWIDTH_TABLE = (
+    ("backend", "backend", str, False, lambda r: r.backend),
+    ("kernel", "kernel", str, True, lambda r: r.kernel),
+    ("cores", "core_set", _ints, lambda r: len(r.core_set), lambda r: _join_i(r.core_set)),
+    ("level", "level", str, True, lambda r: r.level),
+    ("bytes", "dataset_bytes", int, True, lambda r: str(r.dataset_bytes)),
+    ("bytes_moved", "bytes_moved", int, False, lambda r: str(r.bytes_moved)),
+    ("elapsed_cycles", "elapsed_cycles", float, False, lambda r: _f(r.elapsed_cycles)),
+    ("bandwidth_gbps", "bandwidth_gbps", float, True, lambda r: _f(r.bandwidth_gbps)),
+    ("bytes_per_cycle", "bytes_per_cycle", float, True, lambda r: _f(r.bytes_per_cycle)),
+    ("freq_mhz", "frequency_mhz", float, False, lambda r: _f(r.frequency_mhz)),
+    ("flags", "flags", lambda t: tuple(v for v in t.split(";") if v), False,
+     lambda r: ";".join(r.flags)),
+    ("degraded_from", "degraded_from", lambda t: t or None, False,
+     lambda r: r.degraded_from or ""),
+)
+
+LATENCY_COLUMNS = [column[0] for column in LATENCY_TABLE]
+BANDWIDTH_COLUMNS = [column[0] for column in BANDWIDTH_TABLE]
 
 
 def parse_cell(convert, row: dict, column: str, line: int, path):
@@ -302,76 +325,11 @@ class ResultSet:
                          f"{middle}{block}{_csv_field(p.label)}\n")
         return lines
 
-    @staticmethod
-    def _latency_record(row: dict, line: int, path) -> MeasurementRecord:
-        def cell(column, convert):
-            return parse_cell(convert, row, column, line, path)
-
-        placement = Placement(
-            requester=cell("requester", int),
-            owner=cell("owner", int),
-            home_node=cell("home", int),
-            forwarder_node=cell("forwarder", int) if row["forwarder"] else None,
-            label=row["label"],
-        )
-        return MeasurementRecord(
-            placement=placement,
-            state=row["state"],
-            level=row["level"],
-            dataset_bytes=cell("bytes", int),
-            dataset_sizes=cell("sizes", _ints),
-            latency_cycles=cell("latency_cycles", float),
-            min_cycles=cell("min_cycles", float),
-            max_cycles=cell("max_cycles", float),
-            median_cycles=cell("median_cycles", float),
-            samples=cell("samples", _floats),
-            frequency_mhz=cell("freq_mhz", float),
-            backend=row["backend"],
-            alignment=cell("alignment", int),
-            huge_pages=row["huge_pages"] == "1",
-            seed=cell("seed", int),
-            overhead_cycles=cell("overhead_cycles", float),
-            reducer=row["reducer"],
-        )
-
     # -- bandwidth ----------------------------------------------------------
 
     @staticmethod
     def _bandwidth_row(r: BandwidthRecord) -> list[str]:
-        return [
-            r.backend,
-            r.kernel,
-            _join_i(r.core_set),
-            r.level,
-            str(r.dataset_bytes),
-            str(r.bytes_moved),
-            _f(r.elapsed_cycles),
-            _f(r.bandwidth_gbps),
-            _f(r.bytes_per_cycle),
-            _f(r.frequency_mhz),
-            ";".join(r.flags),
-            r.degraded_from or "",
-        ]
-
-    @staticmethod
-    def _bandwidth_record(row: dict, line: int, path) -> BandwidthRecord:
-        def cell(column, convert):
-            return parse_cell(convert, row, column, line, path)
-
-        return BandwidthRecord(
-            kernel=row["kernel"],
-            dataset_bytes=cell("bytes", int),
-            core_set=cell("cores", _ints),
-            level=row["level"],
-            bytes_moved=cell("bytes_moved", int),
-            elapsed_cycles=cell("elapsed_cycles", float),
-            bandwidth_gbps=cell("bandwidth_gbps", float),
-            bytes_per_cycle=cell("bytes_per_cycle", float),
-            frequency_mhz=cell("freq_mhz", float),
-            backend=row["backend"],
-            flags=tuple(v for v in row["flags"].split(";") if v),
-            degraded_from=row["degraded_from"] or None,
-        )
+        return [column[4](r) for column in BANDWIDTH_TABLE]
 
     # -- files ----------------------------------------------------------------
 
@@ -396,24 +354,42 @@ class ResultSet:
             finally:
                 csv.field_size_limit(limit)
 
-    @classmethod
-    def _read_records(cls, reader, path) -> list:
+    @staticmethod
+    def _read_records(reader, path) -> list:
         try:
             header = next(reader)
         except StopIteration:
             raise ResultError(f"{path}: empty result file") from None
         if header == LATENCY_COLUMNS:
-            build, cols = cls._latency_record, LATENCY_COLUMNS
+            table, build = LATENCY_TABLE, _latency_record
         elif header == BANDWIDTH_COLUMNS:
-            build, cols = cls._bandwidth_record, BANDWIDTH_COLUMNS
+            table, build = BANDWIDTH_TABLE, lambda fields: BandwidthRecord(**fields)
         else:
             raise ResultError(f"{path}: unknown result schema (header {header[:4]}...)")
+        _, fields, parsers, *_ = zip(*table)
         records = []
         try:
             for row in reader:
-                if len(row) != len(cols):
-                    raise csv.Error(f"{len(row)} fields, the header has {len(cols)}")
-                records.append(build(dict(zip(cols, row)), reader.line_num, path))
+                if len(row) != len(header):
+                    raise csv.Error(f"{len(row)} fields, the header has {len(header)}")
+                try:
+                    values = [parse(text) for parse, text in zip(parsers, row)]
+                except (TypeError, ValueError):
+                    # Parse again cell by cell: the first bad one raises.
+                    cells = dict(zip(header, row))
+                    for name, parse in zip(header, parsers):
+                        parse_cell(parse, cells, name, reader.line_num, path)
+                records.append(build(dict(zip(fields, values))))
         except csv.Error as exc:
             raise ResultError(f"{path}: line {reader.line_num}: {exc}") from None
         return records
+
+
+def _latency_record(fields: dict) -> MeasurementRecord:
+    """The record of a latency row's parsed ``fields``, keyed as in
+    :data:`LATENCY_TABLE`."""
+    placement = Placement(**{
+        field.removeprefix("placement."): fields.pop(field)
+        for field in list(fields) if field.startswith("placement.")
+    })
+    return MeasurementRecord(placement=placement, **fields)

@@ -213,11 +213,12 @@ class TopologyGraph:
     sound only because it is never mutated:
 
     * at construction, the sorted core list, the cores of each NUMA node and
-      of each L3 domain, each core's L3-domain id and each node's memory
-      controller, so :attr:`cores`, :meth:`cores_of_node`,
-      :meth:`cores_of_ccx`, :meth:`first_core_of_node`,
-      :meth:`l3_domain_of_core`, :attr:`l3_domains` and
-      :meth:`memory_controller` are lookups (list and dict results are
+      of each L3 domain, each core's L3-domain id, each node's memory
+      controller and the sorted NUMA nodes of the graph and of each socket,
+      so :attr:`cores`, :meth:`cores_of_node`, :meth:`cores_of_ccx`,
+      :meth:`first_core_of_node`, :meth:`l3_domain_of_core`,
+      :attr:`l3_domains`, :meth:`memory_controller`, :attr:`numa_nodes` and
+      :meth:`numa_nodes_of_socket` are lookups (list and dict results are
       fresh copies a caller may change);
     * on the first route query, the costed adjacency the route search
       walks, and per source node, the shortest-path tree that
@@ -271,6 +272,12 @@ class TopologyGraph:
                     if nodes[e.other(n.id)].role is NodeRole.L3_DOMAIN
                 )
             self._cores_by_l3.setdefault(self._l3_domain[c], []).append(c)
+        numa_sockets = sorted({(n.numa_node, n.socket) for n in nodes.values()
+                               if n.numa_node is not None})
+        self._numa_nodes = sorted({numa for numa, _ in numa_sockets})
+        self._numa_nodes_by_socket: dict[int, list[int]] = {}
+        for numa, socket in numa_sockets:
+            self._numa_nodes_by_socket.setdefault(socket, []).append(numa)
         self._mc_by_node: dict[int, TopoNode] = {}
         for n in nodes.values():
             if n.role is NodeRole.MEMORY_CONTROLLER:
@@ -301,18 +308,10 @@ class TopologyGraph:
 
     @property
     def numa_nodes(self) -> list[int]:
-        return sorted(
-            {n.numa_node for n in self.nodes.values() if n.numa_node is not None}
-        )
+        return list(self._numa_nodes)
 
     def numa_nodes_of_socket(self, socket: int) -> list[int]:
-        return sorted(
-            {
-                n.numa_node
-                for n in self.nodes.values()
-                if n.socket == socket and n.numa_node is not None
-            }
-        )
+        return list(self._numa_nodes_by_socket.get(socket, ()))
 
     def node_of_core(self, core_id: int) -> int:
         return self.core(core_id).numa_node

@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 
 from memchar import cli, harness
 from memchar.backends import BackendError, ScriptPlacementError, SimulatedBackend
-from memchar.bandwidth import BandwidthError, BandwidthRecord, TriadVerificationError
+from memchar.bandwidth import (
+    BandwidthError, BandwidthRecord, SimBandwidthBackend, TriadVerificationError, run_throughput,
+)
 from memchar.chain import chain_spec, generate_chain
 from memchar.cli import CliError, main
 from memchar.coherence import LEVELS, CoherenceState, plan_state
@@ -40,6 +42,7 @@ from memchar.results import (
 )
 from memchar.topology import (
     Placement, PlacementScope, TopologyError, enumerate_placements, fixture_path,
+    load_topology_file,
 )
 from oracles import ReplayBackend, latency_csv_fields, protocol_states
 
@@ -462,6 +465,32 @@ class TestPlots:
         with pytest.raises(PlotError, match="kind"):
             emit_plot(rome_records, "pie", tmp_path / "p", x="home", y="requester")
 
+    @pytest.mark.parametrize("sweep, args, text", [
+        ("kernels", "--kind grouped_bars --x cores --y kernel --value bandwidth_gbps",
+         "# kind=grouped_bars unit=GB/s title=\ny\\x\t1\t2\n"
+         "read128\t64.0\t128.0\nread256\t128.0\t256.0\n"),
+        ("levels", "--kind heatmap --x level --y cores --value bytes",
+         "# kind=heatmap unit=B/cycle title=\ny\\x\tL1\tL2\n"
+         "1\t16384.0\t262144.0\n3\t16384.0\t262144.0\n"),
+        ("levels", "--kind grouped_bars --x bytes --y cores --value bytes_per_cycle",
+         "# kind=grouped_bars unit=B/cycle title=\ny\\x\t16384\t262144\n"
+         "1\t64.0\t31.4\n3\t192.0\t94.19999999999999\n"),
+    ], ids=["kernel-by-cores", "bytes-by-level", "rate-by-bytes"])
+    def test_report_plots_every_bandwidth_field(self, sweep, args, text, tmp_path):
+        # Between them the three plots put each of the six bandwidth plot
+        # fields on an axis or in the cells; cores plot as the core count.
+        backend = SimBandwidthBackend(load_topology_file(fixture_path("rome_2s.json")))
+        points = (
+            [(k, 16384, c) for k in ("read256", "read128") for c in ((0,), (0, 1))]
+            if sweep == "kernels"
+            else [("read256", b, c) for b in (16384, 262144) for c in ((0,), (0, 1, 2))]
+        )
+        path = tmp_path / "bandwidth.csv"
+        ResultSet([run_throughput(k, b, c, 1, backend) for k, b, c in points]).to_csv(path)
+        assert main(["report", "--input", str(path), *args.split(), "--name", "fig",
+                     "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "fig.txt").read_text() == text
+
 
 class TestCli:
     def test_topo_summary(self, capsys):
@@ -637,6 +666,8 @@ class TestCli:
          "line 3, column requester: 'zero' is not a number"),
         ("latency", lambda row: [*row[:8], "1.0;x", *row[9:]],
          "line 3, column samples: '1.0;x' is not a number"),
+        ("latency", lambda row: [*row[:8], "x", *row[9:15], "y", *row[16:]],
+         "line 3, column samples: 'x' is not a number"),
         ("bandwidth", lambda row: row[:4], "line 3: 4 fields, the header has 12"),
         ("bandwidth", lambda row: row + [""], "line 3: 13 fields, the header has 12"),
         ("bandwidth", lambda row: [*row[:4], "1e3", *row[5:]],
@@ -644,7 +675,7 @@ class TestCli:
         ("bandwidth", lambda row: [*row[:2], "0;a", *row[3:]],
          "line 3, column cores: '0;a' is not a number"),
     ], ids=["latency-short", "latency-long", "latency-requester", "latency-samples",
-            "bandwidth-short", "bandwidth-long", "bandwidth-bytes", "bandwidth-cores"])
+            "latency-first-bad-column", "bandwidth-short", "bandwidth-long", "bandwidth-bytes", "bandwidth-cores"])
     def test_malformed_result_row_is_config_error(self, kind, edit, where, rome_records,
                                                   tmp_path, capsys):
         records = list(rome_records[:3]) if kind == "latency" else [

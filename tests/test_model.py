@@ -244,6 +244,9 @@ class TestLoadModel:
          "model remote_anchor_extra_hops must be an integer, got True"),
         ("rome_2s", "base_cycles", {"L1/ME/local": True},
          "model base_cycles entry 'L1/ME/local' must be a number, got True"),
+        ("rome_2s", "state_classes", {"L1": {"M": "ME", "E": "ME", "O": "OS", "S": "OS",
+                                             "I": "I"}},
+         "model lacks state_classes.default, and state_classes has no L2 entry"),
         ("clx_2s without uncore_mhz", None, None,
          "model link_costs entry 'mesh_hop' counts uncore_cycles, but topology 'clx_2s' has no "
          "frequencies.uncore_mhz"),
@@ -253,7 +256,7 @@ class TestLoadModel:
         "base-cycles-value", "base-cycles-a-list", "numa-class-key", "remote-anchor",
         "state-classes-a-list", "triple-base-cycles-a-list", "ccx-penalty-too-small",
         "ccx-penalty-a-string", "clean-shared-a-number", "remote-anchor-a-bool",
-        "base-cycles-a-bool", "priced-clock-missing",
+        "base-cycles-a-bool", "state-classes-without-default", "priced-clock-missing",
     ])
     def test_malformed_document_is_config_error(self, topology, key, value, message, tmp_path,
                                                 capsys):
