@@ -28,7 +28,8 @@ bandwidth is the capped sum.  The topology's ``bandwidth`` object holds:
   triad_gbps          {"per_core", "node_cap", "ccd_cap"?, "socket_cap"?}
 
 Every number is positive and finite.  :class:`SimBandwidthBackend` reads
-the object once, and a malformed field is a ``SchemaError`` naming it.
+the object once, and a malformed field, or a name in one of these objects
+that the reader does not read, is a ``SchemaError`` naming it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coherence import LEVELS
-from .topology import GraphKind, SchemaError, TopologyGraph, _entries, _positive, _req
+from .topology import GraphKind, SchemaError, TopologyGraph, _entries, _known, _positive, _req
 
 __all__ = [
     "BandwidthError",
@@ -351,6 +352,8 @@ def _read_tables(topology: TopologyGraph) -> tuple:
     which is immutable, and :func:`~memchar.topology.load_topology_file`
     shares one graph per file."""
     tables = topology.bandwidth
+    _known(tables, ("frequency_mhz", "supported_kernels", "read_b_per_cycle",
+                    "shared_caps_gbps", "triad_gbps"), "bandwidth")
     frequency_mhz = _positive(_req(tables, "frequency_mhz", "bandwidth"),
                               "bandwidth.frequency_mhz")
     supported = tuple(_entries(tables, "supported_kernels", "bandwidth", str, list(KERNELS)))
@@ -359,6 +362,7 @@ def _read_tables(topology: TopologyGraph) -> tuple:
             raise SchemaError(f"bandwidth.supported_kernels: unknown kernel {kernel!r}, "
                               f"not one of {', '.join(KERNELS)}")
     reads = _req(tables, "read_b_per_cycle", "bandwidth", dict)
+    _known(reads, LEVELS, "bandwidth.read_b_per_cycle")
     read_b_per_cycle = {
         level: _rates(reads, level, "bandwidth.read_b_per_cycle", supported) for level in LEVELS
     }
@@ -376,9 +380,11 @@ def _read_tables(topology: TopologyGraph) -> tuple:
 
 def _rates(doc: dict, key: str, ctx: str, required, optional=()) -> dict[str, float]:
     """The ``required`` entries and the present ``optional`` entries of the
-    object ``doc[key]``, each a positive finite number."""
+    object ``doc[key]``, each a positive finite number; the object holds no
+    other name."""
     table = _req(doc, key, ctx, dict)
     where = f"{ctx}.{key}"
+    _known(table, (*required, *optional), where)
     names = [*required, *(name for name in optional if name in table)]
     return {name: _positive(_req(table, name, where), f"{where}.{name}") for name in names}
 

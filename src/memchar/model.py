@@ -1,20 +1,21 @@
 """Analytic latency model over a topology graph.
 
 Latency for a placement decomposes into a base term keyed on (memory level,
-coherence-state class, locality class) plus per-hop link costs:
+coherence-state class, locality class) plus one hop cost, the one the
+graph's kind charges:
 
-* chiplet graphs price remote-socket accesses linearly in interconnect
-  switch traversals (costs are ns per traversal per direction; a plain read
-  crosses every hop twice), with intra-socket values carried as calibrated
-  per-distance classes;
+* chiplet graphs price remote-socket RAM reads linearly in I/O-die switch
+  traversals, at ``if_switch_ns`` nanoseconds per traversal per direction
+  (a plain read crosses every switch twice); intra-socket distances are
+  calibrated per-distance classes;
 * mesh graphs add a per-hop gradient between requester and owner tiles for
-  private-cache (L1/L2) transfers of M/E lines (cost kept natively in uncore
-  cycles).
+  private-cache (L1/L2) transfers of M/E lines, at
+  ``mesh_hop_uncore_cycles`` uncore cycles per hop per direction.
 
-The coherence protocol and the clock frequencies come from the graph, so a
-model document carries neither: a model written for another protocol or
-other clocks is rejected, not silently re-read.  A model prices one link
-class, the one its graph's kind charges (see ``_PRICED_LINK``).
+The coherence protocol, the clock frequencies and the rule for clean shared
+lines come from the graph, so a model document carries none of them.  The
+rule is the protocol simulator's: under MOESI a Shared line held outside
+the requester's L3 domain is not forwarded, and home memory answers.
 
 State classes collapse the pairs the source tables report jointly (M/E and
 O/S on the chiplet system; S/F on the mesh system, where M and E stay
@@ -40,10 +41,10 @@ import numpy as np
 from .coherence import LEVELS, CoherenceState, Protocol
 from .topology import (
     GraphKind,
-    LinkClass,
     SchemaError,
     TopologyGraph,
     _as,
+    _known,
     extra_switch_hops,
     load_topology_file,
     mesh_hops,
@@ -77,14 +78,14 @@ MESH_GRADIENT_CLASSES = frozenset({"M", "E", "ME"})
 # Keys a model document may no longer carry: the protocol and the clocks
 # come from the topology, and the mesh gradient's scope is fixed above.
 _RETIRED_KEYS = ("protocol", "frequencies", "mesh_gradient_levels", "mesh_gradient_classes")
-# The one link class a model prices on each graph kind: the switch traversal
-# of remote RAM reads on chiplet graphs, the mesh gradient on mesh graphs.
-_PRICED_LINK = {
-    GraphKind.CHIPLET_IF: LinkClass.IF_SWITCH_HOP.value,
-    GraphKind.MESH_2D: LinkClass.MESH_HOP.value,
+# The keys a model document of each graph kind reads.  The first three are
+# required; the third is the kind's one hop cost, in the unit its name says.
+_KEYS = {
+    GraphKind.CHIPLET_IF: ("base_cycles", "state_classes", "if_switch_ns",
+                           "numa_class_by_extra_hops", "remote_anchor_extra_hops",
+                           "triple_base_cycles", "ccx_penalty_cycles"),
+    GraphKind.MESH_2D: ("base_cycles", "state_classes", "mesh_hop_uncore_cycles"),
 }
-# The topology clock each link-cost unit counts; nanoseconds need none.
-_UNIT_CLOCKS = {"ns": None, "uncore_cycles": "uncore_mhz", "fclk_cycles": "fclk_mhz"}
 
 
 class ModelError(Exception):
@@ -95,20 +96,22 @@ class FitError(ModelError):
     pass
 
 
-@dataclass(frozen=True)
-class LinkCost:
-    value: float
-    unit: str  # "ns" | "uncore_cycles" | "fclk_cycles"
-
-
 class LatencyModel:
     """A model document read against a :class:`TopologyGraph`, with predict.
 
-    The constructor is the one reader of a model document.  A key the
-    document may no longer carry, a missing table, an entry of the wrong
-    type (numbers convert as the topology reader converts them: no
-    booleans, no fractional integers), a link cost the graph's kind does not
-    price or whose clock the graph lacks, a level with neither its own
+    The constructor is the one reader of a model document.  A chiplet
+    document carries ``base_cycles``, ``state_classes`` and ``if_switch_ns``
+    (ns per switch traversal per direction), and may carry
+    ``numa_class_by_extra_hops``, ``remote_anchor_extra_hops``,
+    ``triple_base_cycles`` and ``ccx_penalty_cycles``.  A mesh document
+    carries ``base_cycles``, ``state_classes`` and ``mesh_hop_uncore_cycles``
+    (uncore cycles per mesh hop per direction), and needs the topology's
+    ``frequencies.uncore_mhz``.  The hop cost is kept in core cycles,
+    :attr:`hop_cycles`.
+
+    A key the graph's kind does not read, a retired key, a missing key, an
+    entry of the wrong type (numbers convert as the topology reader converts
+    them: no booleans, no fractional integers), a level with neither its own
     ``state_classes`` entry nor ``state_classes.default``, and a CCX penalty
     table that does not cover the graph's largest CCX are each a
     :class:`ModelError` naming the key.
@@ -120,7 +123,9 @@ class LatencyModel:
                 raise ModelError(f"model document carries '{key}': the protocol and the clocks "
                                  "come from the topology, and the mesh gradient covers M/E "
                                  "lines at L1/L2")
-        missing = [k for k in ("base_cycles", "state_classes") if k not in doc]
+        keys = _KEYS[graph.kind]
+        _known(doc, keys, f"a {graph.kind.value} model document", ModelError)
+        missing = [k for k in keys[:3] if k not in doc]
         if missing:
             raise ModelError(f"model document lacks key(s) {', '.join(missing)}")
         self.graph = graph
@@ -130,37 +135,21 @@ class LatencyModel:
             if not (self.state_classes.get(level) or "default" in self.state_classes):
                 raise ModelError(f"model lacks state_classes.default, and state_classes has "
                                  f"no {level} entry")
-        self.link_costs = _table(
-            doc, "link_costs",
-            lambda v: LinkCost(_as(float, v["value"], "value"), _as(str, v["unit"], "unit")),
-            "an object with a numeric 'value' and a 'unit'",
-        )
-        priced = _PRICED_LINK[graph.kind]
-        for name, cost in self.link_costs.items():
-            if name != priced:
-                raise ModelError(f"model link_costs entry {name!r} is not priced on a "
-                                 f"{graph.kind.value} graph, which prices only {priced!r}")
-            if cost.unit not in _UNIT_CLOCKS:
-                raise ModelError(f"model link_costs entry {name!r} has unknown unit "
-                                 f"{cost.unit!r}, not one of {', '.join(_UNIT_CLOCKS)}")
-            clock = _UNIT_CLOCKS[cost.unit]
-            if clock is not None and clock not in graph.frequencies:
-                raise ModelError(f"model link_costs entry {name!r} counts {cost.unit}, but "
-                                 f"topology '{graph.name}' has no frequencies.{clock}")
+        # Core cycles per hop per direction, converted from the document's unit.
+        hop = _scalar(doc, keys[2], float)
+        if graph.kind is GraphKind.CHIPLET_IF:
+            self.hop_cycles = hop * self.core_mhz / 1000.0
+        elif "uncore_mhz" in graph.frequencies:
+            self.hop_cycles = hop * self.core_mhz / graph.frequencies["uncore_mhz"]
+        else:
+            raise ModelError(f"model {keys[2]} counts uncore cycles, but topology "
+                             f"'{graph.name}' has no frequencies.uncore_mhz")
         self.numa_class_by_extra_hops = _table(
             doc, "numa_class_by_extra_hops", str, "a class name under an integer key", int
         )
-        try:
-            self.remote_anchor_extra_hops = _as(
-                int, doc.get("remote_anchor_extra_hops", 0), "model remote_anchor_extra_hops")
-        except SchemaError as exc:
-            raise ModelError(str(exc)) from None
+        self.remote_anchor_extra_hops = _scalar(doc, "remote_anchor_extra_hops", int, 0)
         self.triple_base = _table(doc, "triple_base_cycles", float, "a number")
         self.ccx_penalty = _ccx_penalty(doc.get("ccx_penalty_cycles"), graph)
-        self.clean_shared_ram_beyond = doc.get("clean_shared_ram_beyond")
-        if not isinstance(self.clean_shared_ram_beyond, (str, type(None))):
-            raise ModelError("model clean_shared_ram_beyond must be a locality class name or "
-                             f"null, got {self.clean_shared_ram_beyond!r}")
         # Memo of a pure function of the graph and the parameters above:
         # locality class per (requester, owner).  It lives as long as the
         # model, one CLI run.
@@ -173,29 +162,9 @@ class LatencyModel:
     def protocol(self) -> Protocol:
         return self.graph.protocol
 
-    # -- unit conversion ---------------------------------------------------
-
     @property
     def core_mhz(self) -> float:
         return self.graph.frequencies["core_mhz"]
-
-    def _link_cost(self, link_class: str) -> LinkCost:
-        try:
-            return self.link_costs[link_class]
-        except KeyError:
-            raise ModelError(f"model has no link_costs entry {link_class!r}") from None
-
-    def link_cost_ns(self, link_class: str) -> float:
-        """Cost per traversal per direction, in nanoseconds."""
-        lc = self._link_cost(link_class)
-        clock = _UNIT_CLOCKS[lc.unit]
-        return lc.value if clock is None else lc.value * 1000.0 / self.graph.frequencies[clock]
-
-    def link_cost_core_cycles(self, link_class: str) -> float:
-        lc = self._link_cost(link_class)
-        if lc.unit == "uncore_cycles":
-            return lc.value * self.core_mhz / self.graph.frequencies["uncore_mhz"]
-        return self.link_cost_ns(link_class) * self.core_mhz / 1000.0
 
     # -- classification ------------------------------------------------------
 
@@ -246,21 +215,19 @@ class LatencyModel:
     ) -> Optional[str]:
         """Locality class of the core holding the line (the requester when
         ``forwarder`` is None), or None when home memory answers: an Invalid
-        line, the RAM level, or a clean shared line beyond
-        ``clean_shared_ram_beyond`` (such lines are not forwarded past the
-        L3 domain)."""
+        line, the RAM level, or, under MOESI, a Shared line held outside the
+        requester's L3 domain (clean lines are not forwarded past it)."""
         if state is CoherenceState.I or level == "RAM":
             return None
-        locality = self.locality_class(
-            requester, requester if forwarder is None else forwarder
-        )
+        holder = requester if forwarder is None else forwarder
+        g = self.graph
         if (
-            self.clean_shared_ram_beyond is not None
-            and state is CoherenceState.S
-            and locality not in ("local", self.clean_shared_ram_beyond)
+            state is CoherenceState.S
+            and g.protocol is Protocol.MOESI
+            and g.l3_domain_of_core(holder) != g.l3_domain_of_core(requester)
         ):
             return None
-        return locality
+        return self.locality_class(requester, holder)
 
     def _remote_snc_class(self, home: int) -> str:
         socket = self.graph.memory_controller(home).socket
@@ -289,10 +256,9 @@ class LatencyModel:
                 )
                 return self._base("RAM", "any", cls)
             extra = extra_switch_hops(self.graph, requester, home)
-            rt_switch = 2.0 * self.link_cost_core_cycles(LinkClass.IF_SWITCH_HOP.value)
             return self._base("RAM", "any", "remote_socket") + (
                 extra - self.remote_anchor_extra_hops
-            ) * rt_switch
+            ) * (2.0 * self.hop_cycles)
         if req_socket == home_socket:
             cls = "local" if home == g.node_of_core(requester) else "other_snc"
             return self._base("RAM", "any", cls)
@@ -300,8 +266,7 @@ class LatencyModel:
 
     def _mesh_gradient(self, requester: int, owner: int) -> float:
         hops = mesh_hops(self.graph, self.graph.core(requester).id, self.graph.core(owner).id)
-        per_direction = self.link_cost_core_cycles(LinkClass.MESH_HOP.value)
-        return 2.0 * hops * per_direction
+        return 2.0 * hops * self.hop_cycles
 
     def _ccx_position(self, core: int) -> int:
         return self.graph.cores_of_ccx(core).index(core)
@@ -399,20 +364,28 @@ class LatencyModel:
 
 def _table(doc: dict, key: str, value, expected: str, key_type=str) -> dict:
     """``doc[key]`` (empty when absent), an object whose keys ``key_type``
-    and values ``value`` convert (a type converts as the topology reader's
-    ``_as`` does, a function by itself); anything else is a
-    :class:`ModelError` naming the key and the entry."""
+    and values ``value`` convert as the topology reader's ``_as`` converts;
+    anything else is a :class:`ModelError` naming the key and the entry."""
     raw = doc.get(key, {})
     if not isinstance(raw, dict):
         raise ModelError(f"model {key} must be an object, got {type(raw).__name__}")
     table = {}
     for k, v in raw.items():
         try:
-            converted = _as(value, v, key) if isinstance(value, type) else value(v)
-            table[_as(key_type, k, key)] = converted
-        except (KeyError, TypeError, SchemaError):
+            table[_as(key_type, k, key)] = _as(value, v, key)
+        except SchemaError:
             raise ModelError(f"model {key} entry {k!r} must be {expected}, got {v!r}") from None
     return table
+
+
+def _scalar(doc: dict, key: str, kind, default=None):
+    """``doc[key]`` (``default`` when absent) converted by ``kind`` as the
+    topology reader's ``_as`` does; a value it does not take is a
+    :class:`ModelError` naming the key."""
+    try:
+        return _as(kind, doc.get(key, default), f"model {key}")
+    except SchemaError as exc:
+        raise ModelError(str(exc)) from None
 
 
 def _ccx_penalty(raw, graph: TopologyGraph) -> Optional[list[list[float]]]:

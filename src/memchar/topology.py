@@ -20,8 +20,9 @@ Common:
   protocol        "MOESI" | "MESIF": the processor's coherence protocol,
                   which state planning, the protocol simulator and the
                   latency model all read from the graph
-  frequencies     {"core_mhz": F, "fclk_mhz": F?, "uncore_mhz": F?}
-                  (positive numbers)
+  frequencies     {"core_mhz": F, "uncore_mhz": F?}   (positive numbers;
+                  a mesh graph's latency model needs uncore_mhz, and any
+                  other key is refused, exit 2)
   caches          {"l1_kib": K, "l2_kib": K, "l3_mib": M}   (positive
                   numbers; L1 and L2 per core, L3 per L3 domain; read
                   through TopologyGraph.cache_bytes, which names a missing
@@ -33,14 +34,13 @@ Common:
 
 A document still carrying ``link_costs`` or ``socket_count`` is refused
 (exit 2): route weights are :data:`ROUTE_WEIGHTS`, a link's priced cost is
-the latency model's ``link_costs``, and the socket count is the number of
+the latency model's hop cost, and the socket count is the number of
 ``sockets`` entries.
 
 kind=chiplet_if sockets entry:
   {"id": S,
    "switches": ["sw_a", ...],
    "switch_links": [["sw_a","sw_b"], ...],
-   "repeaters": [{"id": "rp1", "between": ["sw_a","sw_b"]}, ...]?,
    "xgmi_ports": [{"id": "xg1", "switch": "sw_x"}, ...],
    "numa_nodes": [{"id": N, "switch": "sw_a" | null,
                    "ccds": [{"ccxs": [[core ids], ...]}, ...]}, ...]}
@@ -119,7 +119,6 @@ class NodeRole(str, Enum):
     CORE = "core"
     L3_DOMAIN = "l3_domain"
     IF_SWITCH = "if_switch"
-    IF_REPEATER = "if_repeater"
     MEMORY_CONTROLLER = "memory_controller"
     XGMI_PORT = "xgmi_port"
     UPI_PORT = "upi_port"
@@ -127,8 +126,6 @@ class NodeRole(str, Enum):
 
 class LinkClass(str, Enum):
     IF_SWITCH_HOP = "if_switch_hop"
-    IF_REPEATER_HOP = "if_repeater_hop"
-    MESH_HOP = "mesh_hop"
     XGMI = "xgmi"
     UPI = "upi"
     LOCAL = "local"
@@ -144,19 +141,17 @@ class PlacementScope(str, Enum):
 
 
 # Weight of each link class a chiplet graph has edges of, for the route
-# search alone: a repeater weighs half a switch, so a path through one ties
-# with a direct switch link, and an xGMI link outweighs any path within a
-# socket.  A link's priced cost is the latency model's ``link_costs``.
+# search alone: an xGMI link outweighs any path within a socket.  A link's
+# priced cost is the latency model's hop cost.
 ROUTE_WEIGHTS = {
     LinkClass.IF_SWITCH_HOP: 2.0,
-    LinkClass.IF_REPEATER_HOP: 1.0,
     LinkClass.XGMI: 90.0,
     LinkClass.LOCAL: 0.0,
 }
 # Fields a topology document may no longer carry, and what replaced each.
 _RETIRED_FIELDS = {
     "link_costs": "route weights are fixed (topology.ROUTE_WEIGHTS) and a link's priced "
-                  "cost is the latency model's link_costs",
+                  "cost is the latency model's hop cost",
     "socket_count": "the socket count is the number of 'sockets' entries",
 }
 
@@ -438,6 +433,15 @@ def _entries(doc: dict, key: str, ctx: str, kind, default=None) -> list:
     return [_as(kind, item, what) for item in items]
 
 
+def _known(doc: dict, names, what: str, error=SchemaError) -> None:
+    """An ``error`` naming the first key of ``doc`` not among ``names``, the
+    keys its reader reads."""
+    for key in doc:
+        if key not in names:
+            raise error(f"{what} carries '{key}', which is not read; the keys read are "
+                        f"{', '.join(names)}")
+
+
 def _pair(value, what: str) -> tuple[str, str]:
     """The two node names of a link entry such as ``["sw_a", "sw_b"]``."""
     if not isinstance(value, list) or len(value) != 2:
@@ -486,12 +490,6 @@ def _load_chiplet(
         for link in _entries(sock, "switch_links", ctx, list, []):
             a, b = _pair(link, f"{ctx}: switch_links entry")
             edges.append(TopoEdge(prefix + a, prefix + b, LinkClass.IF_SWITCH_HOP))
-        for rp in _entries(sock, "repeaters", ctx, dict, []):
-            rid = prefix + _req(rp, "id", f"{ctx} repeater", str)
-            add(TopoNode(rid, NodeRole.IF_REPEATER, sid))
-            a, b = _pair(_req(rp, "between", f"repeater {rid}"), f"repeater {rid}: 'between'")
-            edges.append(TopoEdge(prefix + a, rid, LinkClass.IF_REPEATER_HOP))
-            edges.append(TopoEdge(rid, prefix + b, LinkClass.IF_REPEATER_HOP))
         for port in _entries(sock, "xgmi_ports", ctx, dict, []):
             pid = prefix + _req(port, "id", f"{ctx} xgmi port", str)
             add(TopoNode(pid, NodeRole.XGMI_PORT, sid))
@@ -628,6 +626,7 @@ def load_topology(doc: dict) -> TopologyGraph:
     protocol = _req(doc, "protocol", "topology", Protocol)
     freqs = {k: _positive(v, f"frequencies.{k}")
              for k, v in _req(doc, "frequencies", "topology", dict).items()}
+    _known(freqs, ("core_mhz", "uncore_mhz"), "frequencies")
     _req(freqs, "core_mhz", "frequencies")
     sockets = _sockets(doc)
     if kind is GraphKind.CHIPLET_IF:

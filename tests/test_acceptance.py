@@ -8,6 +8,7 @@ MEMCHAR_NATIVE_TESTS=1.
 
 import csv
 import itertools
+import json
 import os
 import random
 
@@ -203,9 +204,11 @@ def test_06_mesh_worst_case(clx):
     tiles = [n for n in g.nodes.values() if n.socket == 0 and n.row is not None]
     worst = max(mesh_hops(g, a.id, b.id) for a in tiles for b in tiles)
     assert worst == 9
-    mesh_hop = clx.link_costs["mesh_hop"]
-    assert (mesh_hop.value, mesh_hop.unit) == (1.0, "uncore_cycles")
-    overhead_uncore = worst * 2.0 * mesh_hop.value
+    doc = json.loads(fixture_path("clx_2s_latency_model.json").read_text())
+    per_hop = doc["mesh_hop_uncore_cycles"]
+    assert per_hop == 1.0
+    assert clx.hop_cycles == per_hop * 2500.0 / 2400.0
+    overhead_uncore = worst * 2.0 * per_hop
     assert overhead_uncore == 18.0
     note(6, "worst-case 9 hops -> 18 uncore cycles, exact")
 

@@ -175,9 +175,25 @@ class TestTablesReader:
          "bandwidth.triad_gbps.socket_cap must be a positive number, got inf"),
         (set_table("supported_kernels"), ["read1024"],
          "bandwidth.supported_kernels: unknown kernel 'read1024'"),
+        (set_table("frequency_hz"), 2e9,
+         "bandwidth carries 'frequency_hz', which is not read; the keys read are "
+         "frequency_mhz, supported_kernels, read_b_per_cycle, shared_caps_gbps, triad_gbps"),
+        (set_table("shared_caps_gbps", "ram_nodes"), 40.0,
+         "bandwidth.shared_caps_gbps carries 'ram_nodes', which is not read; the keys read "
+         "are l3_domain, ram_node, ram_ccd, ram_socket"),
+        (set_table("triad_gbps", "ccd_cp"), 21.7,
+         "bandwidth.triad_gbps carries 'ccd_cp', which is not read; the keys read are "
+         "per_core, node_cap, ccd_cap, socket_cap"),
+        (set_table("read_b_per_cycle", "L1", "read512"), 128.0,
+         "bandwidth.read_b_per_cycle.L1 carries 'read512', which is not read; the keys read "
+         "are read128, read256"),
+        (set_table("read_b_per_cycle", "L4"), {"read128": 1.0, "read256": 1.0},
+         "bandwidth.read_b_per_cycle carries 'L4', which is not read; the keys read are L1, "
+         "L2, L3, RAM"),
     ], ids=["not-an-object", "no-triad", "no-level", "no-kernel-rate", "caps-a-list",
             "frequency-zero", "frequency-a-bool", "rate-negative", "cap-negative",
-            "cap-infinite", "unknown-kernel"])
+            "cap-infinite", "unknown-kernel", "unread-table-name", "unread-cap-name",
+            "unread-triad-name", "unread-kernel-rate", "unread-level"])
     def test_malformed_table_fails_bandwidth_and_triad(self, edit, value, message, tmp_path,
                                                        capsys):
         doc = json.loads(fixture_path("rome_2s.json").read_text())

@@ -73,7 +73,8 @@ def _write_utf8_inputs(directory: Path) -> None:
     ResultSet(records).to_csv(directory / "results.csv")
     (directory / "fit.csv").write_text("requester_node,home_node,cycles,note\n0,1,300,café\n",
                                        encoding="utf-8")
-    model = {**json.loads(_MODEL_DOC), "comment": "café"}
+    model = json.loads(_MODEL_DOC)
+    model["base_cycles"]["L1/ME/café"] = 4.0
     (directory / "model.json").write_text(json.dumps(model, ensure_ascii=False),
                                           encoding="utf-8")
     manifest = {"argv": ["latency", "--out", "café"]}
@@ -775,19 +776,19 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("entry, message", [
-        ({"unit": "ns"}, "must be an object with a numeric 'value' and a 'unit'"),
-        ({"value": "fast", "unit": "ns"}, "with a numeric 'value'"),
-        ({"value": 61.35}, "with a numeric 'value' and a 'unit'"),
-        (61.35, "with a numeric 'value' and a 'unit', got 61.35"),
-    ], ids=["model-no-value", "model-value-not-a-number", "model-no-unit", "model-not-an-object"])
-    def test_malformed_link_cost_entry_is_config_error(self, entry, message, tmp_path, capsys):
+        ({"value": 2.4, "unit": "ns"}, "got {'value': 2.4, 'unit': 'ns'}"),
+        ("fast", "got 'fast'"),
+        (None, "got None"),
+        ([2.4], "got [2.4]"),
+    ], ids=["model-an-object", "model-value-not-a-number", "model-null", "model-a-list"])
+    def test_malformed_hop_cost_is_config_error(self, entry, message, tmp_path, capsys):
         doc = json.loads(fixture_path("rome_2s_latency_model.json").read_text())
-        doc["link_costs"]["if_switch_hop"] = entry
+        doc["if_switch_ns"] = entry
         path = tmp_path / "rome_2s_latency_model.json"
         path.write_text(json.dumps(doc))
         assert main(_argv(PREDICT, path, tmp_path / "out")) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "entry 'if_switch_hop' " in err, err
+        assert err.startswith("config error: model if_switch_ns must be a number, "), err
         assert message in err, err
 
     def test_bad_alignment_is_config_error(self, tmp_path, capsys):

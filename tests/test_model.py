@@ -23,7 +23,7 @@ from memchar.model import (
 )
 from memchar.cli import main
 from memchar.coherence import Protocol
-from memchar.topology import fixture_path, load_topology_file
+from memchar.topology import extra_switch_hops, fixture_path, load_topology_file
 from oracles import hop_cost_template
 
 
@@ -129,9 +129,8 @@ class TestPredict:
             mesh_hops(g, a.id, b.id) for a in tiles for b in tiles
         )
         assert worst == 9
-        mesh_hop = clx.link_costs["mesh_hop"]
-        assert mesh_hop.unit == "uncore_cycles"
-        per_hop_round_trip = 2.0 * mesh_hop.value
+        doc = json.loads(fixture_path("clx_2s_latency_model.json").read_text())
+        per_hop_round_trip = 2.0 * doc["mesh_hop_uncore_cycles"]
         assert worst * per_hop_round_trip == 18.0
 
     def test_class_ordering_matches_published_tables(self, rome, clx):
@@ -162,9 +161,12 @@ class TestPredict:
                         )
                     assert values == sorted(values), (name, state, level, values)
 
-    def test_conversion_factors_reported(self, rome):
+    def test_conversion_factors_reported(self, rome, clx):
+        # Hop costs in core cycles: ns at 2 GHz on rome, uncore cycles at
+        # 2.4 GHz uncore and 2.5 GHz core on clx.
         assert rome.core_mhz == 2000.0
-        assert rome.link_cost_ns("if_switch_hop") == pytest.approx(29 / 12)
+        assert rome.hop_cycles == pytest.approx(29 / 12 * 2.0)
+        assert (clx.core_mhz, clx.hop_cycles) == (2500.0, 1.0 * 2500.0 / 2400.0)
 
 
 class TestLoadModel:
@@ -238,8 +240,11 @@ class TestLoadModel:
         ("rome_2s", "ccx_penalty_cycles", "x",
          "model ccx_penalty_cycles must be rows of numbers covering the 4 core positions of "
          "the largest CCX, got 'x'"),
-        ("rome_2s", "clean_shared_ram_beyond", 7,
-         "model clean_shared_ram_beyond must be a locality class name or null, got 7"),
+        ("rome_2s", "clean_shared_ram_beyond", "same_ccx",
+         "a chiplet_if model document carries 'clean_shared_ram_beyond', which is not read; "
+         "the keys read are base_cycles, state_classes, if_switch_ns, "
+         "numa_class_by_extra_hops, remote_anchor_extra_hops, triple_base_cycles, "
+         "ccx_penalty_cycles"),
         ("rome_2s", "remote_anchor_extra_hops", True,
          "model remote_anchor_extra_hops must be an integer, got True"),
         ("rome_2s", "base_cycles", {"L1/ME/local": True},
@@ -248,8 +253,16 @@ class TestLoadModel:
                                              "I": "I"}},
          "model lacks state_classes.default, and state_classes has no L2 entry"),
         ("clx_2s without uncore_mhz", None, None,
-         "model link_costs entry 'mesh_hop' counts uncore_cycles, but topology 'clx_2s' has no "
+         "model mesh_hop_uncore_cycles counts uncore cycles, but topology 'clx_2s' has no "
          "frequencies.uncore_mhz"),
+        ("rome_2s", "if_switch_ns", "fast", "model if_switch_ns must be a number, got 'fast'"),
+        ("clx_2s", "mesh_hop_uncore_cycles", True,
+         "model mesh_hop_uncore_cycles must be a number, got True"),
+        ("rome_2s", "name", "rome_2s",
+         "a chiplet_if model document carries 'name', which is not read"),
+        ("clx_2s", "name", "clx_2s",
+         "a mesh_2d model document carries 'name', which is not read; the keys read are "
+         "base_cycles, state_classes, mesh_hop_uncore_cycles"),
     ]
 
     @pytest.mark.parametrize("topology, key, value, message", MALFORMED, ids=[
@@ -257,6 +270,7 @@ class TestLoadModel:
         "state-classes-a-list", "triple-base-cycles-a-list", "ccx-penalty-too-small",
         "ccx-penalty-a-string", "clean-shared-a-number", "remote-anchor-a-bool",
         "base-cycles-a-bool", "state-classes-without-default", "priced-clock-missing",
+        "switch-cost-a-string", "mesh-cost-a-bool", "chiplet-name", "mesh-name",
     ])
     def test_malformed_document_is_config_error(self, topology, key, value, message, tmp_path,
                                                 capsys):
@@ -274,38 +288,71 @@ class TestLoadModel:
         assert err.startswith(f"config error: {message}"), err
 
 
-class TestLinkCosts:
-    """A model's link costs are the one class its graph's kind prices."""
+class TestHopCost:
+    """A model's one hop cost is the one its graph's kind prices, in the
+    unit its key names; a key the kind does not read is refused."""
 
-    @pytest.mark.parametrize("system, priced, unpriced", [
-        ("rome_2s", "if_switch_hop", "xgmi"),
-        ("rome_2s", "if_switch_hop", "if_repeater_hop"),
-        ("clx_2s", "mesh_hop", "upi"),
-        ("clx_2s", "mesh_hop", "if_switch_hop"),
+    @pytest.mark.parametrize("system, key, value", [
+        ("rome_2s", "mesh_hop_uncore_cycles", 1.0),
+        ("rome_2s", "link_costs", {"if_switch_hop": {"value": 2.4, "unit": "ns"}}),
+        ("clx_2s", "if_switch_ns", 2.4),
+        ("clx_2s", "ccx_penalty_cycles", [[0.0]]),
     ])
-    def test_an_unpriced_class_is_refused(self, system, priced, unpriced, tmp_path, capsys):
+    def test_a_key_of_another_kind_is_refused(self, system, key, value, tmp_path, capsys):
         doc = json.loads(fixture_path(f"{system}_latency_model.json").read_text())
-        doc["link_costs"][unpriced] = {"value": 50.0, "unit": "ns"}
+        doc[key] = value
         assert predict_with(system, doc, tmp_path, "--requester", "0", "--home", "0") == 2
         kind = "chiplet_if" if system == "rome_2s" else "mesh_2d"
-        assert capsys.readouterr().err == (
-            f"config error: model link_costs entry '{unpriced}' is not priced on a {kind} "
-            f"graph, which prices only '{priced}'\n")
+        assert capsys.readouterr().err.startswith(
+            f"config error: a {kind} model document carries '{key}', which is not read; "
+            "the keys read are base_cycles, state_classes, ")
 
-    def test_a_missing_class_is_config_error(self, clx, tmp_path, capsys):
+    def test_a_missing_cost_is_config_error(self, clx, tmp_path, capsys):
         other_snc = clx.graph.first_core_of_node(1)
-        for system, priced, args in (
-            ("rome_2s", "if_switch_hop", ["--home", "7", "--state", "M", "--level", "RAM"]),
-            ("clx_2s", "mesh_hop", ["--home", "1", "--forwarder", str(other_snc),
-                                    "--state", "M", "--level", "L2"]),
+        for system, key, args in (
+            ("rome_2s", "if_switch_ns", ["--home", "7", "--state", "M", "--level", "RAM"]),
+            ("clx_2s", "mesh_hop_uncore_cycles", ["--home", "1", "--forwarder", str(other_snc),
+                                                  "--state", "M", "--level", "L2"]),
         ):
             doc = json.loads(fixture_path(f"{system}_latency_model.json").read_text())
             assert predict_with(system, doc, tmp_path, "--requester", "0", *args) == 0
-            del doc["link_costs"][priced]
+            del doc[key]
             capsys.readouterr()
             assert predict_with(system, doc, tmp_path, "--requester", "0", *args) == 2
             assert capsys.readouterr().err == (
-                f"config error: model has no link_costs entry '{priced}'\n")
+                f"config error: model document lacks key(s) {key}\n")
+
+    def test_a_misspelled_key_is_refused_not_ignored(self, tmp_path, capsys):
+        doc = json.loads(fixture_path("rome_2s_latency_model.json").read_text())
+        args = ["--requester", "0", "--home", "0", "--forwarder", "3", "--state", "M",
+                "--level", "L1"]
+        assert predict_with("rome_2s", doc, tmp_path, *args) == 0
+        assert capsys.readouterr().out.startswith("84.0 cycles")
+        doc["ccx_penalty_cycle"] = doc.pop("ccx_penalty_cycles")
+        assert predict_with("rome_2s", doc, tmp_path, *args) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: a chiplet_if model document carries 'ccx_penalty_cycle', which is "
+            "not read")
+
+    def test_fitted_switch_cost_is_the_model_input(self, rome, tmp_path, capsys):
+        # model-fit writes if_switch_ns under the name the model reads it by.
+        fit_dir = tmp_path / "fit"
+        assert main(["model-fit", "--topology", "rome_2s",
+                     "--input", str(fixture_path("table2_rome.csv")),
+                     "--template", "ram_hops", "--out", str(fit_dir)]) == 0
+        fitted = json.loads((fit_dir / "fitted_params.json").read_text())["if_switch_ns"]
+        doc = json.loads(fixture_path("rome_2s_latency_model.json").read_text())
+        assert fitted != doc.get("if_switch_ns")
+        doc["if_switch_ns"] = fitted
+        capsys.readouterr()
+        # Core 0 to socket 1's node 7: past the remote anchor's switches.
+        assert predict_with("rome_2s", doc, tmp_path, "--requester", "0", "--home", "7",
+                            "--state", "I", "--level", "RAM") == 0
+        extra = extra_switch_hops(rome.graph, 0, 7) - doc["remote_anchor_extra_hops"]
+        assert extra != 0
+        cycles = doc["base_cycles"]["RAM/any/remote_socket"] + extra * (
+            2.0 * (fitted * 2000.0 / 1000.0))
+        assert capsys.readouterr().out.startswith(f"{cycles!r} cycles")
 
 
 class TestFit:

@@ -81,6 +81,10 @@ def uncalled(x):
     if x:
         return 1
     return (lambda: 2)()
+
+
+twice = lambda x: 2 * x
+unused = lambda x: x - 1
 """
 
 
@@ -96,9 +100,11 @@ def test_traffic_lines_accounts_a_toy_module(tmp_path, monkeypatch):
     path = tmp_path / "toy_traffic.py"
     path.write_text(TOY)
     # The def lines are left out; comprehension and lambda lines count
-    # toward the function that holds them.
+    # toward the function that holds them, and a module-level lambda is
+    # its own entry, named after its line, which is its body.
     assert traffic.executable_lines(path) == {
         "called": (1, {2, 3, 4, 5}), "uncalled": (8, {9, 10, 11}),
+        "<lambda>:14": (14, {14}), "<lambda>:15": (15, {15}),
     }
     monkeypatch.syspath_prepend(str(tmp_path))
     before = sys.gettrace()
@@ -106,8 +112,11 @@ def test_traffic_lines_accounts_a_toy_module(tmp_path, monkeypatch):
         import toy_traffic
 
         assert toy_traffic.called(3) == 8
+        assert toy_traffic.twice(2) == 4
     sys.modules.pop("toy_traffic")
+    # Line 15 runs at import, but the lambda it defines never does.
     report, counts = traffic.unrun_report([path], recorder.ran)
-    assert report == [f"{tmp_path.name}/toy_traffic.py:8 uncalled: NEVER (3 lines)"]
-    assert counts == {"functions": 2, "never": 1, "lines": 7, "unrun": 3}
+    assert report == [f"{tmp_path.name}/toy_traffic.py:8 uncalled: NEVER (3 lines)",
+                      f"{tmp_path.name}/toy_traffic.py:15 <lambda>:15: NEVER (1 lines)"]
+    assert counts == {"functions": 4, "never": 2, "lines": 9, "unrun": 4}
     assert sys.gettrace() is before

@@ -179,8 +179,6 @@ class TestLoad:
          "topology: field 'frequencies' must be an object, got [2500.0]"),
         ("rome_2s", set_field("sockets", 0, "xgmi_ports", 0), {"id": "xg1"},
          "xgmi port s0.xg1: missing required field 'switch'"),
-        ("rome_2s", set_field("sockets", 0, "repeaters"), [{"id": "rp"}],
-         "repeater s0.rp: missing required field 'between'"),
         ("clx_2s", set_field("sockets", 0, "grid"), {"cols": 6},
          "socket 0 grid: missing required field 'rows'"),
         ("clx_2s", set_field("sockets", 0, "tiles", 1, "row"), "x",
@@ -215,16 +213,20 @@ class TestLoad:
          "frequencies.uncore_mhz must be a positive number, got 0.0"),
         ("clx_2s", set_field("frequencies", "uncore_mhz"), -2400,
          "frequencies.uncore_mhz must be a positive number, got -2400.0"),
+        ("rome_2s", set_field("frequencies", "fclk_mhz"), 1467.0,
+         "frequencies carries 'fclk_mhz', which is not read; the keys read are core_mhz, "
+         "uncore_mhz"),
     ]
 
     @pytest.mark.parametrize("fixture, edit, value, message", MALFORMED, ids=[
         "core-mhz-not-a-number", "frequencies-a-list", "xgmi-port-without-switch",
-        "repeater-without-between", "grid-without-rows", "tile-row-not-a-number",
+        "grid-without-rows", "tile-row-not-a-number",
         "core-id-not-a-number", "chiplet-carries-link-costs", "switch-link-unknown-switch",
         "chiplet-sockets-a-number", "mesh-sockets-a-number", "chiplet-socket-a-number",
         "mesh-socket-a-number", "switch-a-number", "switch-link-of-three",
         "ccxs-a-number", "mesh-carries-socket-count",
         "snc-cols-value-a-number", "uncore-mhz-zero", "uncore-mhz-negative",
+        "frequencies-unread-key",
     ])
     def test_malformed_document_is_config_error(self, fixture, edit, value, message, tmp_path,
                                                 capsys):
@@ -402,36 +404,6 @@ class TestFabricRoutes:
             assert mesh_hops(clx, clx.core(a), clx.core(b)) == mesh_hops(
                 clx, clx.core(b), clx.core(a)
             )
-
-    def test_repeater_links_costed(self):
-        # Synthetic two-node graph with a repeater between the switches.
-        doc = {
-            "kind": "chiplet_if",
-            "protocol": "MOESI",
-            "frequencies": {"core_mhz": 2000.0, "fclk_mhz": 1467.0},
-            "sockets": [
-                {
-                    "id": 0,
-                    "switches": ["swl", "swr"],
-                    "switch_links": [],
-                    "repeaters": [{"id": "rp", "between": ["swl", "swr"]}],
-                    "xgmi_ports": [],
-                    "numa_nodes": [
-                        {"id": 0, "switch": "swl", "ccds": [{"ccxs": [[0, 1]]}]},
-                        {"id": 1, "switch": "swr", "ccds": [{"ccxs": [[2, 3]]}]},
-                    ],
-                }
-            ],
-            "xgmi_links": [],
-        }
-        g = load_topology(doc)
-        nodes, classes = route(g, g.core(0).id, g.memory_controller(1).id)
-        assert classes.count(LinkClass.IF_REPEATER_HOP) == 2
-        assert switch_count(g, nodes) == switch_hops_to_memory(g, 0, 1) == 2
-        for c in g.cores:
-            for n in g.numa_nodes:
-                a, b = g.core(c).id, g.memory_controller(n).id
-                assert tree_route(g, a, b) == route(g, a, b), (a, b)
 
     def test_memoized_routes_equal_a_fresh_search(self, rome):
         for c in rome.cores:

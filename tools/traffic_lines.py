@@ -13,8 +13,10 @@ with a summary line.
     python tools/traffic_lines.py --seed 7
 
 A comprehension, generator expression or lambda counts toward the function
-that holds it.  A line counts as run when a trace ``line`` event reports
-it.
+that holds it; one outside any function (a lambda in a module-level table)
+is reported on its own, named after its line.  A line counts as run when a
+trace ``line`` event of a function's frame reports it; module and class
+bodies, which run at import, are not traced.
 """
 
 from __future__ import annotations
@@ -39,21 +41,26 @@ PROBES = ("probe-latency", "probe-read")
 
 def executable_lines(path: Path) -> dict[str, tuple[int, set[int]]]:
     """``{qualified name: (def line, executable lines)}`` of each function
-    and method defined in the file at ``path``.  The ``def`` line itself is
-    left out: a call reaches it before any line of the body runs."""
+    and method defined in the file at ``path``, and of each lambda or
+    generator expression outside any function, named ``<lambda>:LINE``.
+    The ``def`` line itself is left out: a call reaches it before any line
+    of the body runs.  A lambda has no ``def`` line, so its first line is
+    its body; lambdas that share a line share one entry."""
     code = compile(path.read_text(encoding="utf-8"), str(path), "exec")
     functions: dict[str, tuple[int, set[int]]] = {}
 
     def walk(co: types.CodeType, owner: str | None) -> None:
         name = None  # a module or class body, which runs at import
         if co.co_flags & inspect.CO_OPTIMIZED:
-            if co.co_name.startswith("<") and owner is not None:
+            anonymous = co.co_name.startswith("<")
+            if anonymous and owner is not None:
                 name = owner  # a comprehension or lambda: lines of its function
             else:
-                name = co.co_qualname
-                functions[name] = (co.co_firstlineno, set())
-            functions[name][1].update(line for _, line in dis.findlinestarts(co)
-                                      if line is not None and line != co.co_firstlineno)
+                name = f"{co.co_qualname}:{co.co_firstlineno}" if anonymous else co.co_qualname
+                functions.setdefault(name, (co.co_firstlineno, set()))
+            functions[name][1].update(
+                line for _, line in dis.findlinestarts(co)
+                if line is not None and (anonymous or line != co.co_firstlineno))
         for const in co.co_consts:
             if isinstance(const, types.CodeType):
                 walk(const, name)
@@ -63,8 +70,10 @@ def executable_lines(path: Path) -> dict[str, tuple[int, set[int]]]:
 
 
 class LineRecorder:
-    """Records ``(file, line)`` of every line run, in this thread and in
-    threads started while it records, of code under ``prefix``."""
+    """Records ``(file, line)`` of every line run in a function's frame, in
+    this thread and in threads started while it records, of code under
+    ``prefix``.  Module and class bodies are left out: a module-level
+    lambda's line runs at import whether or not the lambda is called."""
 
     def __init__(self, prefix: Path):
         self.prefix = str(prefix)
@@ -77,11 +86,11 @@ class LineRecorder:
         return self._local
 
     def _global(self, frame, event, arg):
-        filename = frame.f_code.co_filename
-        wanted = self._wanted.get(filename)
+        code = frame.f_code
+        wanted = self._wanted.get(code.co_filename)
         if wanted is None:
-            wanted = self._wanted[filename] = filename.startswith(self.prefix)
-        return self._local if wanted else None
+            wanted = self._wanted[code.co_filename] = code.co_filename.startswith(self.prefix)
+        return self._local if wanted and code.co_flags & inspect.CO_OPTIMIZED else None
 
     def __enter__(self) -> "LineRecorder":
         self._before = sys.gettrace(), threading.gettrace()
