@@ -180,17 +180,24 @@ class BandwidthRecord:
         )
 
 
-def triad_operands(n: int):
-    """Inputs ``b[i] = i`` and ``c[i] = n - i`` of an ``n``-element native
-    triad, as float64 arrays.
+def triad_operands(b: np.ndarray, c: np.ndarray) -> None:
+    """Fill the inputs of an ``n``-element native triad in place:
+    ``b[i] = i`` and ``c[i] = n - i``, in float64 arrays of ``n`` elements.
 
     Every value is an integer far below 2**53, so ``b + 3c = 3n - 2i`` is
     exact however the kernel computes it, and no two elements of ``b``, of
     ``c`` or of the result are equal, so an index shift, a dropped tail or
-    an unwritten slot fails :func:`verify_triad`.
+    an unwritten slot fails :func:`verify_triad`.  ``b`` doubles its filled
+    prefix by adding its length, so no ``n``-element temporary is made.
     """
-    b = np.arange(n, dtype=np.float64)
-    return b, n - b
+    n = len(b)
+    b[:1] = 0.0
+    filled = 1
+    while filled < n:
+        m = min(filled, n - filled)
+        np.add(b[:m], filled, out=b[filled:filled + m])
+        filled += m
+    np.subtract(n, b, out=c)
 
 
 def triad_elements(array_bytes: int) -> int:

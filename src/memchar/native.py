@@ -13,6 +13,23 @@ outcomes of those two calls, not the request.  Unbound,
 :meth:`NativeBackend.materialize_chain` writes the chain on the caller's
 unpinned thread, so first touch places it on that thread's node.
 
+Bound mappings are recycled, so a run of requests of one kind faults its
+buffers in once.  Closing a region whose mapping ``mbind`` placed hands the
+mapping to one process-wide idle list, keyed by (NUMA node, huge-page
+request); a new region takes the smallest idle mapping of its key that holds
+it.  Only when none does is a fresh one mapped, advised and bound, and the
+idle mappings of every other key are unmapped first: a sweep that moves to
+another home node holds one node's buffers, not one set per node, and a
+triad's mapping never sits idle beside a chain's.  Idle mappings of the last
+key are held until the process exits.  Unbound mappings (no libnuma, a
+failed bind, read datasets, the flush scratch) are unmapped at close.  A
+recycled mapping still holds what its last user wrote, so
+:meth:`NativeBackend.materialize_chain` clears a recycled region before
+writing the chain, and the chain reads as on a fresh mapping: zero except
+its slots.  The triad's three arrays are views of one such region, advised
+for huge pages like a chain's, bound to the node libnuma gives for the
+triad's core.
+
 The C kernels are compiled with the system compiler into a cache directory,
 named after a hash of their inputs, and loaded by :func:`load_kernels`; when
 no compiler or no x86-64 is available every entry point raises
@@ -196,7 +213,10 @@ def _frequency(lib, frequency_mhz: Optional[float]) -> float:
     return frequency_mhz
 
 
+@cache
 def _load_libnuma():
+    """libnuma with ``mbind`` and ``numa_node_of_cpu`` declared, loaded once
+    per process; None where it is missing or reports NUMA unavailable."""
     path = ctypes.util.find_library("numa")
     if not path:
         return None
@@ -206,12 +226,14 @@ def _load_libnuma():
             return None
         lib.mbind.restype = ctypes.c_long
         lib.mbind.argtypes = (_ptr, _u64, ctypes.c_int, _ptr, _u64, ctypes.c_uint)
+        lib.numa_node_of_cpu.restype = ctypes.c_int
+        lib.numa_node_of_cpu.argtypes = (ctypes.c_int,)
         return lib
     except OSError:
         return None
 
 
-class _Region:
+class _Mapping:
     """Private anonymous mapping, advised and bound before its first touch.
 
     Private, because a shared one is shmem and ignores ``MADV_HUGEPAGE``
@@ -221,12 +243,12 @@ class _Region:
 
     def __init__(self, nbytes: int, numa_node: Optional[int], libnuma, huge: bool):
         self.nbytes = nbytes
-        self._mm = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-        self.addr = ctypes.addressof(ctypes.c_char.from_buffer(self._mm))
+        self.mm = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        self.addr = ctypes.addressof(ctypes.c_char.from_buffer(self.mm))
         self.huge_pages = huge
         if huge:
             try:
-                self._mm.madvise(mmap.MADV_HUGEPAGE)
+                self.mm.madvise(mmap.MADV_HUGEPAGE)
             except OSError:
                 self.huge_pages = False
         self.numa_bound = False
@@ -236,8 +258,55 @@ class _Region:
             bound = libnuma.mbind(self.addr, nbytes, MPOL_BIND, mask, 64 * len(mask) + 1, 0)
             self.numa_bound = bound == 0
 
+
+# Closed bound mappings by (NUMA node, huge-page request), held until a
+# region of another key maps afresh, or the process exits.
+_idle: dict[tuple[int, bool], list[_Mapping]] = {}
+_idle_lock = threading.Lock()
+
+
+class _Region:
+    """The first ``nbytes`` of a :class:`_Mapping`, recycled where one fits.
+
+    A new region takes the smallest idle mapping with its key (NUMA node,
+    huge-page request) and at least its size, and is then ``recycled``.
+    Only when none fits does it map, advise and bind a fresh one, after
+    unmapping the idle mappings of every other key.  ``close()`` hands a
+    mapping that ``mbind`` placed back to the process-wide idle list, once,
+    and unmaps any other at once.  A recycled region holds what the
+    mapping's last user wrote.
+    """
+
+    def __init__(self, nbytes: int, numa_node: Optional[int], libnuma, huge: bool):
+        self.nbytes = nbytes
+        self._key = (numa_node, huge)
+        stale = []
+        with _idle_lock:
+            fits = [m for m in _idle.get(self._key, ()) if m.nbytes >= nbytes]
+            if fits:
+                self.mapping = min(fits, key=lambda m: m.nbytes)
+                _idle[self._key].remove(self.mapping)
+            elif numa_node is not None:
+                for key in [k for k in _idle if k != self._key]:
+                    stale += _idle.pop(key)
+        for mapping in stale:
+            mapping.mm.close()
+        self.recycled = bool(fits)
+        if not fits:
+            self.mapping = _Mapping(nbytes, numa_node, libnuma, huge)
+        self.addr = self.mapping.addr
+        self.huge_pages = self.mapping.huge_pages
+        self.numa_bound = self.mapping.numa_bound
+
     def close(self):
-        self._mm.close()
+        mapping, self.mapping = self.mapping, None
+        if mapping is None:
+            return
+        if self.numa_bound:
+            with _idle_lock:
+                _idle.setdefault(self._key, []).append(mapping)
+        else:
+            mapping.mm.close()
 
 
 def _pin_current_thread(core: int) -> None:
@@ -303,7 +372,13 @@ class NativeBackend:
     # -- memory ------------------------------------------------------------
 
     def materialize_chain(self, chain: ChainBuffer, home_node: int) -> _Region:
+        """A region for ``home_node`` that reads as a fresh mapping with the
+        chain written in: every slot points at its successor, every other
+        word is zero.  A recycled region is cleared first, since the
+        mapping's last user may have written anywhere in it."""
         region = _Region(chain.total_bytes, home_node, self.libnuma, chain.huge_pages)
+        if region.recycled:
+            ctypes.memset(region.addr, 0, region.nbytes)
         align = chain.stride_alignment
         # Built here on a spec's first materialization; viewed, not copied.
         succ = np.frombuffer(chain.successors, dtype=np.int64)
@@ -420,6 +495,7 @@ class NativeBandwidthBackend:
     def __init__(self, topology: TopologyGraph, frequency_mhz: Optional[float] = None):
         self.topology = topology
         self.lib = load_kernels()
+        self.libnuma = _load_libnuma()
         self.frequency_mhz = _frequency(self.lib, frequency_mhz)
         self.supported = tuple(k for k in KERNELS if hasattr(self.lib, f"mc_{k}"))
 
@@ -458,30 +534,44 @@ class NativeBandwidthBackend:
     def run_triad(self, array_bytes: int, core_set, nontemporal: bool):
         """One worker pinned to the one core of ``core_set`` runs the triad
         over the closed-form operands of :func:`~memchar.bandwidth.triad_operands`;
-        1% of ``a`` is verified.  ``a`` is write-touched on that core before the
-        timer, so the kernel times no first-touch faults and the pages land on
-        the core's node."""
+        1% of ``a`` is verified.
+
+        ``a``, ``b`` and ``c`` are three line-aligned views of one region
+        bound to the core's NUMA node, as libnuma's ``numa_node_of_cpu``
+        gives it.  It asks for huge pages, as a chain's does, so the triad
+        and the chains share one key and a later triad or chain reuses the
+        mapping; the record is flagged ``huge_pages`` when the advice took.
+        The worker writes all three before the timer, so the kernel times no
+        first-touch faults, and zeroes ``a``, so a result a recycled mapping
+        still holds cannot pass the check.
+        """
         cores = tuple(core_set)
         if len(cores) != 1:
             raise BandwidthError(
                 f"the native triad runs one thread, so it takes one core, got {len(cores)}"
             )
         n = triad_elements(array_bytes)
+        stride = -(-n // 8) * 8  # elements, a whole number of 64-byte lines
+        node = self.libnuma.numa_node_of_cpu(cores[0]) if self.libnuma else -1
+        region = _Region(3 * 8 * stride, node if node >= 0 else None, self.libnuma, True)
+        words = np.ctypeslib.as_array((ctypes.c_double * (3 * stride)).from_address(region.addr))
+        a, b, c = (words[i * stride:i * stride + n] for i in range(3))
 
         def triad():
-            b, c = triad_operands(n)
-            a = np.empty(n)
+            triad_operands(b, c)
             a.fill(0.0)
-            ticks = self.lib.mc_triad(
+            return self.lib.mc_triad(
                 a.ctypes.data, b.ctypes.data, c.ctypes.data,
                 TRIAD_SCALAR, n, 1 if nontemporal else 0,
             )
-            return a, b, c, ticks
 
-        [(a, b, c, ticks)] = _on_cores([(cores[0], triad)])
-        verify_triad(a, b, c, TRIAD_SCALAR, sample_fraction=0.01)
+        try:
+            [ticks] = _on_cores([(cores[0], triad)])
+            verify_triad(a, b, c, TRIAD_SCALAR, sample_fraction=0.01)
+        finally:
+            region.close()
         return BandwidthRecord.from_raw(
             "triad-nt" if nontemporal else "triad",
             array_bytes, cores, "RAM", 3 * array_bytes, float(ticks),
-            self.frequency_mhz, self.name,
+            self.frequency_mhz, self.name, flags=("huge_pages",) if region.huge_pages else (),
         )

@@ -12,7 +12,10 @@ Graphs are loaded from JSON documents (the schema below, and the fixtures
 shipped under ``memchar/fixtures``), validated, and frozen.  All
 route/placement queries are pure functions over the loaded graph.
 
-The topology document (JSON); its field names are a stable contract.
+The topology document (JSON); its field names are a stable contract.  An
+object of it (the document, a socket, grid, NUMA node, CCD, xGMI port or
+tile entry, or ``frequencies``) that carries a key its reader does not read
+is refused (exit 2), and the message names the key.
 
 Common:
   kind            "chiplet_if" | "mesh_2d"
@@ -153,6 +156,13 @@ _RETIRED_FIELDS = {
     "link_costs": "route weights are fixed (topology.ROUTE_WEIGHTS) and a link's priced "
                   "cost is the latency model's hop cost",
     "socket_count": "the socket count is the number of 'sockets' entries",
+}
+# The top-level keys each graph kind's loader reads; any other is refused.
+_DOCUMENT_KEYS = {
+    GraphKind.CHIPLET_IF: ("kind", "name", "protocol", "frequencies", "caches", "bandwidth",
+                           "sockets", "xgmi_links"),
+    GraphKind.MESH_2D: ("kind", "name", "protocol", "frequencies", "caches", "bandwidth",
+                        "sockets"),
 }
 
 
@@ -485,6 +495,7 @@ def _load_chiplet(
     for sid, sock in sockets:
         prefix = f"s{sid}."
         ctx = f"socket {sid}"
+        _known(sock, ("id", "switches", "switch_links", "xgmi_ports", "numa_nodes"), ctx)
         for sw in _entries(sock, "switches", ctx, str, []):
             add(TopoNode(prefix + sw, NodeRole.IF_SWITCH, sid))
         for link in _entries(sock, "switch_links", ctx, list, []):
@@ -492,11 +503,13 @@ def _load_chiplet(
             edges.append(TopoEdge(prefix + a, prefix + b, LinkClass.IF_SWITCH_HOP))
         for port in _entries(sock, "xgmi_ports", ctx, dict, []):
             pid = prefix + _req(port, "id", f"{ctx} xgmi port", str)
+            _known(port, ("id", "switch"), f"xgmi port {pid}")
             add(TopoNode(pid, NodeRole.XGMI_PORT, sid))
             edges.append(TopoEdge(prefix + _req(port, "switch", f"xgmi port {pid}", str), pid,
                                   LinkClass.LOCAL))
         for nd in _entries(sock, "numa_nodes", ctx, dict):
             nid = _req(nd, "id", "numa_node", int)
+            _known(nd, ("id", "switch", "ccds"), f"numa_node {nid}")
             switch = nd.get("switch")
             sw_id = None if switch is None else prefix + _as(
                 str, switch, f"numa_node {nid}: field 'switch'"
@@ -504,6 +517,7 @@ def _load_chiplet(
             mc_id = f"mc{nid}"
             add(TopoNode(mc_id, NodeRole.MEMORY_CONTROLLER, sid, numa_node=nid))
             for ccd_i, ccd in enumerate(_entries(nd, "ccds", f"numa_node {nid}", dict)):
+                _known(ccd, ("ccxs",), f"node {nid} ccd {ccd_i}")
                 ccxs = _entries(ccd, "ccxs", f"node {nid} ccd {ccd_i}", list)
                 if not 1 <= len(ccxs) <= 2:
                     raise SchemaError(
@@ -556,7 +570,9 @@ def _load_mesh(sockets: list[tuple[int, dict]]) -> tuple[dict[str, TopoNode], li
     nodes: dict[str, TopoNode] = {}
     seen_cores: set[int] = set()
     for sid, sock in sockets:
+        _known(sock, ("id", "grid", "snc_cols", "numa_base", "tiles"), f"socket {sid}")
         grid = _req(sock, "grid", f"socket {sid}", dict)
+        _known(grid, ("rows", "cols"), f"socket {sid} grid")
         rows, cols = (_req(grid, key, f"socket {sid} grid", int) for key in ("rows", "cols"))
         snc_cols = {
             _as(int, k, f"socket {sid}: snc_cols key"): {
@@ -575,6 +591,7 @@ def _load_mesh(sockets: list[tuple[int, dict]]) -> tuple[dict[str, TopoNode], li
 
         for tile in _entries(sock, "tiles", f"socket {sid}", dict):
             ctx = f"socket {sid} tile {tile}"
+            _known(tile, ("row", "col", "core", "mc", "upi"), ctx)
             r, c = _req(tile, "row", ctx, int), _req(tile, "col", ctx, int)
             if not (0 <= r < rows and 0 <= c < cols):
                 raise SchemaError(f"socket {sid}: tile ({r},{c}) outside {rows}x{cols} grid")
@@ -623,6 +640,7 @@ def load_topology(doc: dict) -> TopologyGraph:
             raise SchemaError(f"topology document carries '{key}', which is retired: "
                               f"{replacement}")
     kind = _req(doc, "kind", "topology", GraphKind)
+    _known(doc, _DOCUMENT_KEYS[kind], "topology document")
     protocol = _req(doc, "protocol", "topology", Protocol)
     freqs = {k: _positive(v, f"frequencies.{k}")
              for k, v in _req(doc, "frequencies", "topology", dict).items()}

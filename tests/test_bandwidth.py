@@ -287,7 +287,9 @@ class TestTriad:
 class TestTriadOperands:
     @pytest.mark.parametrize("n", [1, 2, 7, 32769, (1 << 20) - 1, 1 << 20])
     def test_closed_form_is_exact_and_distinct(self, n):
-        b, c = triad_operands(n)
+        # Filled over stale values, as a recycled native mapping holds them.
+        b, c = np.full(n, -1.0), np.full(n, 7.5)
+        triad_operands(b, c)
         i = np.arange(n)
         assert b.dtype == c.dtype == np.float64
         a = b + 3.0 * c

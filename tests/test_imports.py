@@ -423,7 +423,6 @@ RESERVED_MEMBERS = {
     "BandwidthSeries.saturation_label": "item 2: bandwidth --scaling prints the saturation knee",
     "CompareReport.render": "item 3: a table run prints its check against the fixture table",
     "ReadSource.supplier": "item 7: the record names the agent that supplied the data",
-    "_Region.numa_bound": "item 7: the record gives the NUMA binding outcome",
     # Read only as a string by bench/spans.py, which patches it; deleted once
     # the spans wrap run_sweep instead.
     "SimulatedBackend.run_point": "item 1: the spans move to run_sweep, then it is deleted",

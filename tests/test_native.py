@@ -2,12 +2,14 @@
 tests that need the compiled kernels skip where they cannot be built."""
 
 import ctypes
+import ctypes.util
 import errno
 import mmap
 import os
 import re
 import shutil
 import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -16,7 +18,9 @@ import numpy as np
 import pytest
 
 from memchar import native
-from memchar.bandwidth import TRIAD_SCALAR, BandwidthError, SimBandwidthBackend, triad_operands
+from memchar.bandwidth import (
+    TRIAD_SCALAR, BandwidthError, SimBandwidthBackend, TriadVerificationError, triad_operands,
+)
 from memchar.chain import chain_spec
 from memchar.cli import main
 from memchar.coherence import plan_state
@@ -51,6 +55,18 @@ def exported_kernels() -> dict:
         )
         found[name] = (C_TYPES[ret.split()[-1]], args)
     return found
+
+
+@pytest.fixture(autouse=True)
+def idle_mappings(monkeypatch):
+    """Each test starts from an empty idle list of bound mappings and leaves
+    none behind: what its regions hand back is unmapped when it ends."""
+    idle = {}
+    monkeypatch.setattr(native, "_idle", idle)
+    yield idle
+    for mappings in idle.values():
+        for mapping in mappings:
+            mapping.mm.close()
 
 
 class TestKernelTable:
@@ -112,6 +128,27 @@ class TestTscRate:
         assert native.NativeBackend(graph, frequency_mhz=2500.0).frequency_mhz == 2500.0
         assert native.NativeBandwidthBackend(graph, frequency_mhz=2600.0).frequency_mhz == 2600.0
         assert len(reads) == 2
+
+
+class TestLibnuma:
+    def test_two_backends_load_it_once(self, monkeypatch):
+        lookups = []
+
+        def find_library(name):
+            lookups.append(name)
+            return None
+
+        monkeypatch.setattr(ctypes.util, "find_library", find_library)
+        monkeypatch.setattr(native, "load_kernels", FakeKernels)
+        graph = load_topology_file(fixture_path("single_core.json"))
+        native._load_libnuma.cache_clear()
+        try:
+            latency = native.NativeBackend(graph, frequency_mhz=1000.0)
+            bandwidth = native.NativeBandwidthBackend(graph, frequency_mhz=1000.0)
+        finally:
+            native._load_libnuma.cache_clear()
+        assert lookups == ["numa"]
+        assert latency.libnuma is bandwidth.libnuma is None
 
 
 class TestMaterialize:
@@ -431,7 +468,8 @@ def _anon_huge_kb(addr: int) -> int:
 
 class FakeNuma:
     """libnuma stand-in whose ``mbind`` returns ``result`` and records
-    (mode, first mask word, maxnode, flags, region still all zero)."""
+    (mode, first mask word, maxnode, flags, region still all zero), and
+    which puts every CPU on node 0."""
 
     def __init__(self, result: int):
         self.result = result
@@ -441,6 +479,9 @@ class FakeNuma:
         untouched = ctypes.string_at(addr, nbytes) == bytes(nbytes)
         self.calls.append((mode, mask[0], maxnode, flags, untouched))
         return self.result
+
+    def numa_node_of_cpu(self, cpu):
+        return 0
 
 
 class TestRegion:
@@ -497,6 +538,263 @@ class TestRegion:
             _resident(region.addr, region.nbytes)
         assert exc.value.errno == errno.ENOMEM
         region.close()
+
+
+def _assert_reads_fresh(region, chain):
+    """The region holds the chain and zeros only, as a fresh mapping would."""
+    words = np.ctypeslib.as_array(
+        (ctypes.c_uint64 * (region.nbytes // 8)).from_address(region.addr)
+    ).copy()
+    slots = np.arange(chain.element_count) * (chain.stride_alignment // 8)
+    expected = region.addr + chain.stride_alignment * np.asarray(chain.successors)
+    assert words[slots].tolist() == expected.tolist()
+    words[slots] = 0
+    assert not words.any()
+
+
+class TriadKernels(FakeKernels):
+    """Fake kernels whose triad computes ``a = b + s*c`` and records ``a``."""
+
+    def __init__(self):
+        self.outputs = []
+
+    def mc_triad(self, a, b, c, s, n, nontemporal):
+        self.outputs.append(a)
+        view = [np.ctypeslib.as_array((ctypes.c_double * n).from_address(p)) for p in (a, b, c)]
+        np.add(view[1], s * view[2], out=view[0])
+        return 1000
+
+
+class Unwritten(TriadKernels):
+    """A triad that times nothing and writes nothing."""
+
+    def mc_triad(self, a, b, c, s, n, nontemporal):
+        self.outputs.append(a)
+        return 1000
+
+
+class TestRecycling:
+    """Closed bound mappings are handed to later regions of their key."""
+
+    def test_next_fitting_request_of_the_key_takes_it_without_a_second_bind(self):
+        numa = FakeNuma(0)
+        first = native._Region(64 << 10, 1, numa, False)
+        addr = first.addr
+        first.close()
+        again = native._Region(32 << 10, 1, numa, False)
+        assert (again.addr, again.nbytes, again.numa_bound) == (addr, 32 << 10, True)
+        assert (first.recycled, again.recycled) == (False, True)
+        assert len(numa.calls) == 1
+        # Another node, another huge-page request or a larger size maps afresh.
+        others = [native._Region(64 << 10, 0, numa, False),
+                  native._Region(64 << 10, 1, numa, True),
+                  native._Region(128 << 10, 1, numa, False)]
+        assert addr not in {r.addr for r in others}
+        assert len(numa.calls) == 4
+        for r in [again, *others]:
+            r.close()
+
+    def test_smallest_fitting_mapping_is_taken(self):
+        numa = FakeNuma(0)
+        big = native._Region(256 << 10, 0, numa, False)
+        small = native._Region(64 << 10, 0, numa, False)
+        addrs = big.addr, small.addr
+        big.close()
+        small.close()
+        taken = native._Region(48 << 10, 0, numa, False), native._Region(48 << 10, 0, numa, False)
+        assert tuple(r.addr for r in taken) == addrs[::-1]
+        for r in taken:
+            r.close()
+
+    def test_live_regions_never_share_and_a_second_close_returns_once(self, idle_mappings):
+        numa = FakeNuma(0)
+        region = native._Region(64 << 10, 0, numa, False)
+        region.close()
+        region.close()
+        assert len(idle_mappings[(0, False)]) == 1
+        live = native._Region(64 << 10, 0, numa, False), native._Region(64 << 10, 0, numa, False)
+        assert live[0].addr == region.addr != live[1].addr
+        for r in live:
+            r.close()
+        assert len(idle_mappings[(0, False)]) == 2
+
+    def test_threads_never_take_one_mapping_twice(self, monkeypatch, idle_mappings):
+        class Yielding(native._Mapping):
+            """A mapping whose size, read while a region picks one, lets
+            other threads run."""
+
+            @property
+            def nbytes(self):
+                time.sleep(0)
+                return self._nbytes
+
+            @nbytes.setter
+            def nbytes(self, value):
+                self._nbytes = value
+
+        monkeypatch.setattr(native, "_Mapping", Yielding)
+        numa = FakeNuma(0)
+        live, guard, clashes, errors = set(), threading.Lock(), [], []
+
+        def churn():
+            try:
+                churn_regions()
+            except Exception as exc:  # a race may raise as well as clash
+                errors.append(exc)
+
+        def churn_regions():
+            for _ in range(50):
+                regions = [native._Region(4096 * (1 + i), 0, numa, False) for i in range(2)]
+                with guard:
+                    for r in regions:
+                        if r.addr in live:
+                            clashes.append(r.addr)
+                        live.add(r.addr)
+                with guard:
+                    live.difference_update(r.addr for r in regions)
+                for r in regions:
+                    r.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert (clashes, errors) == ([], [])
+        idle = [m for mappings in idle_mappings.values() for m in mappings]
+        assert len({id(m) for m in idle}) == len(idle) == len(numa.calls)
+
+    def test_a_miss_unmaps_the_idle_mappings_of_every_other_key(self, idle_mappings):
+        numa = FakeNuma(0)
+        for r in [native._Region(64 << 10, node, numa, huge)
+                  for node, huge in [(0, False), (0, True), (1, False)]]:
+            r.close()
+        [own], [huge], [remote] = idle_mappings.values()
+        kept = [native._Region(32 << 10, 0, numa, False),  # takes its key's mapping
+                native._Region(64 << 10, None, None, False)]  # unbound: never pooled
+        assert not (own.mm.closed or huge.mm.closed or remote.mm.closed)
+        kept.append(native._Region(128 << 10, 0, numa, False))
+        assert (own.mm.closed, huge.mm.closed, remote.mm.closed) == (False, True, True)
+        assert list(idle_mappings) == [(0, False)]
+        for r in kept:
+            r.close()
+        assert len(idle_mappings[(0, False)]) == 2
+
+    def test_a_sweep_over_two_nodes_leaves_one_points_mappings_idle(self, monkeypatch,
+                                                                     idle_mappings):
+        chains = [self.chain(nbytes, 512) for nbytes in (32 << 10, 64 << 10)]
+        backend = native.NativeBackend(self.fake_host(monkeypatch, FakeKernels()),
+                                       frequency_mhz=1000.0)
+        policy = MeasurementPolicy(
+            inner_repeats=1, outer_repeats=1, sizes_per_level=2, flush_levels=frozenset()
+        )
+        state = plan_state("M", "MOESI", owner=0, requester=0, level="L1")
+        footprint = sorted(c.total_bytes for c in chains)
+        left = {}
+        for home in (0, 1, 1, 0):
+            backend.run_sweep(chains, [(state, Placement(0, 0, home, label="local"))], policy)
+            assert list(idle_mappings) == [(home, True)]
+            idle = idle_mappings[(home, True)]
+            assert sorted(m.nbytes for m in idle) == footprint
+            assert not any(m.mm.closed for m in idle)
+            left.setdefault(home, set(idle))
+        # Each node's first point unmapped what the other node left idle.
+        assert all(m.mm.closed for m in left[0] | left[1])
+
+    def test_unbound_region_is_unmapped_at_close(self, idle_mappings):
+        region = native._Region(64 << 10, 0, FakeNuma(-1), False)
+        region.close()
+        assert idle_mappings == {}
+        with pytest.raises(OSError):
+            _resident(region.addr, region.nbytes)
+
+    @staticmethod
+    def fake_host(monkeypatch, kernels):
+        """The single-core graph on ``kernels``, a libnuma that binds every
+        mapping, and no pinning."""
+        monkeypatch.setattr(native, "load_kernels", lambda: kernels)
+        monkeypatch.setattr(native, "_load_libnuma", lambda: FakeNuma(0))
+        monkeypatch.setattr(native, "_pin_current_thread", lambda core: None)
+        return load_topology_file(fixture_path("single_core.json"))
+
+    @staticmethod
+    def chain(nbytes, align):
+        chain = chain_spec(nbytes, align, seed=7, huge_pages=True)
+        chain.successors  # shuffled by the real kernels, before they are faked
+        return chain
+
+    def test_chain_after_a_triad_has_zero_gaps(self, monkeypatch, idle_mappings):
+        chain = self.chain(64 << 10, 512)
+        kernels = TriadKernels()
+        graph = self.fake_host(monkeypatch, kernels)
+        record = native.NativeBandwidthBackend(graph, frequency_mhz=1000.0).run_triad(
+            24 << 10, [0], nontemporal=False)
+        # The triad's region is bound to its core's node and advised for huge pages.
+        assert list(idle_mappings) == [(0, True)]
+        assert record.flags == ("huge_pages",)
+        region = native.NativeBackend(graph, frequency_mhz=1000.0).materialize_chain(chain, 0)
+        try:
+            assert region.addr == kernels.outputs[0]  # the triad's mapping
+            _assert_reads_fresh(region, chain)
+        finally:
+            region.close()
+
+    @pytest.mark.parametrize("before, after", [(64, 512), (512, 64), (512, 512), (1024, 512)])
+    def test_chain_after_a_chain_of_any_alignment_has_zero_gaps(self, monkeypatch, before,
+                                                                  after):
+        old, chain = self.chain(128 << 10, before), self.chain(64 << 10, after)
+        graph = self.fake_host(monkeypatch, FakeKernels())
+        backend = native.NativeBackend(graph, frequency_mhz=1000.0)
+        first = backend.materialize_chain(old, 0)
+        addr = first.addr
+        first.close()
+        region = backend.materialize_chain(chain, 0)
+        try:
+            assert region.addr == addr
+            _assert_reads_fresh(region, chain)
+        finally:
+            region.close()
+
+    def test_chain_after_a_measured_point_has_zero_gaps(self, monkeypatch):
+        written = []
+
+        class Writing(FakeKernels):
+            def mc_write_touch(self, addr, nbytes, stride, value):
+                written.append(addr - 8)
+                for offset in range(0, nbytes, stride):
+                    ctypes.memset(addr + offset, value[0], 1)
+
+        chain = self.chain(64 << 10, 512)
+        graph = self.fake_host(monkeypatch, Writing())
+        backend = native.NativeBackend(graph, frequency_mhz=1000.0)
+        policy = MeasurementPolicy(
+            inner_repeats=1, outer_repeats=1, sizes_per_level=1, flush_levels=frozenset()
+        )
+        point = (plan_state("M", "MOESI", owner=0, requester=0, level="L1"),
+                 Placement(0, 0, 0, label="local"))
+        backend.run_sweep([chain], [point], policy)
+        region = backend.materialize_chain(chain, 0)
+        try:
+            assert region.addr == written[0]  # the point's mapping
+            _assert_reads_fresh(region, chain)
+        finally:
+            region.close()
+
+    def test_triad_that_writes_nothing_fails_on_a_recycled_mapping(self, monkeypatch):
+        kernels = TriadKernels()
+        backend = native.NativeBandwidthBackend(self.fake_host(monkeypatch, kernels),
+                                                frequency_mhz=1000.0)
+        assert backend.run_triad(8 * 1001, [0], nontemporal=True).bytes_moved == 3 * 8 * 1001
+        backend.lib = Unwritten()
+        with pytest.raises(TriadVerificationError):
+            backend.run_triad(8 * 1001, [0], nontemporal=True)
+        assert backend.lib.outputs == kernels.outputs  # the same mapping, recycled
 
 
 def _triad_backend():
@@ -614,7 +912,8 @@ class TestFallbackBuild:
             assert sink.value == region.addr + 8 * 5
         finally:
             region.close()
-        b, c = triad_operands(1001)
+        b, c = np.empty(1001), np.empty(1001)
+        triad_operands(b, c)
         for nontemporal in (1, 0):
             a = np.zeros(1001)
             lib.mc_triad(a.ctypes.data, b.ctypes.data, c.ctypes.data, TRIAD_SCALAR, 1001,

@@ -48,6 +48,19 @@ def set_field(*path):
     return edit
 
 
+def rename_field(*path):
+    """An edit that renames the field at ``path`` of a document to the
+    edit's value."""
+    *parents, last = path
+
+    def edit(doc, value):
+        for key in parents:
+            doc = doc[key]
+        doc[value] = doc.pop(last)
+
+    return edit
+
+
 @pytest.fixture(scope="module")
 def rome():
     return load_topology_file(fixture_path("rome_2s.json"))
@@ -155,6 +168,20 @@ class TestLoad:
             Protocol.MOESI, Protocol.MESIF, Protocol.MOESI
         ]
 
+    def test_every_fixture_and_the_host_document_load(self):
+        """No shipped topology carries a key its loader does not read, nor
+        does a host document: the single-core fixture with its name and
+        cache sizes rewritten."""
+        shipped = sorted(p.stem for p in fixture_path("rome_2s.json").parent.glob("*.json")
+                         if not p.stem.endswith("_latency_model"))
+        assert shipped == ["clx_2s", "rome_2s", "single_core"]
+        for name in shipped:
+            load_topology(fixture_doc(name))
+        host = fixture_doc("single_core")
+        host["name"] = "host"
+        host["caches"] = {"l1_kib": 48.0, "l2_kib": 2048.0, "l3_mib": 300.0}
+        assert load_topology(host).cache_bytes("L3") == 300 << 20
+
     @pytest.mark.parametrize("protocol, message", [
         (None, "topology: missing required field 'protocol'"),
         ("XYZ", "topology: field 'protocol' must be MOESI or MESIF, got 'XYZ'"),
@@ -216,6 +243,28 @@ class TestLoad:
         ("rome_2s", set_field("frequencies", "fclk_mhz"), 1467.0,
          "frequencies carries 'fclk_mhz', which is not read; the keys read are core_mhz, "
          "uncore_mhz"),
+        ("rome_2s", rename_field("caches"), "caches_x",
+         "topology document carries 'caches_x', which is not read; the keys read are kind, "
+         "name, protocol, frequencies, caches, bandwidth, sockets, xgmi_links"),
+        ("clx_2s", set_field("xgmi_links"), [],
+         "topology document carries 'xgmi_links', which is not read; the keys read are kind, "
+         "name, protocol, frequencies, caches, bandwidth, sockets"),
+        ("rome_2s", rename_field("sockets", 1, "switch_links"), "switch_link",
+         "socket 1 carries 'switch_link', which is not read; the keys read are id, switches, "
+         "switch_links, xgmi_ports, numa_nodes"),
+        ("clx_2s", rename_field("sockets", 1, "numa_base"), "numa_bse",
+         "socket 1 carries 'numa_bse', which is not read; the keys read are id, grid, "
+         "snc_cols, numa_base, tiles"),
+        ("clx_2s", set_field("sockets", 0, "grid", "layers"), 2,
+         "socket 0 grid carries 'layers', which is not read; the keys read are rows, cols"),
+        ("rome_2s", rename_field("sockets", 0, "numa_nodes", 1, "switch"), "swtich",
+         "numa_node 1 carries 'swtich', which is not read; the keys read are id, switch, ccds"),
+        ("rome_2s", set_field("sockets", 0, "numa_nodes", 0, "ccds", 0, "die"), 0,
+         "node 0 ccd 0 carries 'die', which is not read; the keys read are ccxs"),
+        ("rome_2s", rename_field("sockets", 0, "xgmi_ports", 0, "switch"), "sw",
+         "xgmi port s0.xg1 carries 'sw', which is not read; the keys read are id, switch"),
+        ("clx_2s", set_field("sockets", 0, "tiles", 0, "cha"), 1,
+         "carries 'cha', which is not read; the keys read are row, col, core, mc, upi"),
     ]
 
     @pytest.mark.parametrize("fixture, edit, value, message", MALFORMED, ids=[
@@ -226,7 +275,9 @@ class TestLoad:
         "mesh-socket-a-number", "switch-a-number", "switch-link-of-three",
         "ccxs-a-number", "mesh-carries-socket-count",
         "snc-cols-value-a-number", "uncore-mhz-zero", "uncore-mhz-negative",
-        "frequencies-unread-key",
+        "frequencies-unread-key", "chiplet-unread-key", "mesh-unread-key",
+        "chiplet-socket-unread-key", "mesh-socket-unread-key", "grid-unread-key",
+        "numa-node-unread-key", "ccd-unread-key", "xgmi-port-unread-key", "tile-unread-key",
     ])
     def test_malformed_document_is_config_error(self, fixture, edit, value, message, tmp_path,
                                                 capsys):
