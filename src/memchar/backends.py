@@ -20,9 +20,9 @@ their L3 domains), so the backend keeps one memo, the source kind of each
 class it has replayed, and replays a class once; every point's kind is
 still compared with the model's.  The backend then fills the whole array
 with one broadcast of each point's ``model.predict`` times each chain's
-access count; the model memoizes the locality class of each core pair and
-the switch hops of each (core, node) it has priced.  ``run_point`` is the
-one-point sweep.  The native backend lives in :mod:`memchar.native`.
+access count; the model memoizes the locality class of each core pair it
+has priced, and reads switch hops from the topology's table.  ``run_point``
+is the one-point sweep.  The native backend lives in :mod:`memchar.native`.
 """
 
 from __future__ import annotations

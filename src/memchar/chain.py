@@ -20,10 +20,9 @@ Both formulas are pinned so chains are reproducible across implementations
 and languages for equal (size, alignment, seed).
 
 The shuffle runs in C (``mc_sattolo`` in the native kernels), fed the state
-that :func:`_seed_state` scrambles here, so the seeding stays in one place.
-:func:`_sattolo_py` is the same shuffle in Python: the reference the C table
-is checked against byte for byte, and the path taken where the kernels are
-unavailable (no x86-64 or no C compiler).
+that :func:`_seed_state` scrambles here, so the seeding stays in one place;
+the test suite checks its table byte for byte against a Python reference
+(``tests/oracles.py``).
 
 A :class:`ChainBuffer` is a frozen, hashable spec whose successor table is
 built on first read, once per spec, so a caller that needs only the element
@@ -111,36 +110,14 @@ def chain_spec(
 
 
 def _sattolo(n: int, seed: int) -> array:
-    """Sattolo's shuffle of ``range(n)`` driven by the pinned xorshift; in C
-    when the native kernels load, else in Python."""
-    from .native import BackendUnavailable, load_kernels
+    """Sattolo's shuffle of ``range(n)`` driven by the pinned xorshift, in
+    C; :class:`~memchar.native.BackendUnavailable` where the native kernels
+    do not load."""
+    from .native import load_kernels
 
-    try:
-        lib = load_kernels()
-    except BackendUnavailable:
-        return _sattolo_py(n, seed)
     perm = array("q", [0]) * n
-    lib.mc_sattolo(perm.buffer_info()[0], n, _seed_state(seed))
+    load_kernels().mc_sattolo(perm.buffer_info()[0], n, _seed_state(seed))
     return perm
-
-
-def _sattolo_py(n: int, seed: int) -> array:
-    """Reference shuffle: the same table as ``mc_sattolo``, one swap at a
-    time."""
-    perm = list(range(n))
-    if n > 1:
-        # The xorshift step, inlined: this loop dominates generation time.
-        s = _seed_state(seed)
-        mask = _MASK64
-        i = n - 1
-        while i > 0:
-            s = (s ^ (s << 13)) & mask
-            s ^= s >> 7
-            s = (s ^ (s << 17)) & mask
-            j = s % i
-            perm[i], perm[j] = perm[j], perm[i]
-            i -= 1
-    return array("q", perm)
 
 
 def generate_chain(

@@ -142,7 +142,6 @@ def cmd_topo(args) -> int:
     print(f"sockets: {graph.socket_count}")
     print(f"numa nodes: {graph.numa_nodes}")
     print(f"cores: {len(graph.cores)}")
-    print(f"edges: {len(graph.edges)}")
     for scope in PlacementScope:
         try:
             n = len(enumerate_placements(graph, scope))

@@ -187,7 +187,7 @@ uint64_t mc_triad(double *a, const double *b, const double *c, double s,
 
 /* Sattolo's shuffle of 0..n-1 into `perm`, driven by the pinned xorshift
  * from `state` (already seeded by chain.py's splitmix64 scramble).  Produces
- * the same table as chain._sattolo_py. */
+ * the same table as the reference shuffle in tests/oracles.py. */
 void mc_sattolo(int64_t *perm, uint64_t n, uint64_t state) {
     uint64_t s = state;
     for (uint64_t i = 0; i < n; i++)

@@ -1,9 +1,14 @@
-"""Machine topology as an annotated graph.
+"""Machine topology: cores, NUMA nodes, and the distances between them.
 
 Two graph kinds are supported:
 
 * ``chiplet_if`` -- compute dies hang off a central I/O die whose switches
-  form the interconnect; sockets are joined by point-to-point links.
+  form the interconnect; sockets are joined by point-to-point xGMI links.
+  The loader counts, for every (requester NUMA node, home NUMA node) pair,
+  the switches a read crosses (:func:`switch_hops_to_memory`): within a
+  socket, one more than the fewest switch links between the two nodes'
+  switches; across sockets, the same count through the xGMI link that
+  crosses the fewest switches.
 * ``mesh_2d`` -- a per-socket grid of tiles (cores, memory controllers,
   socket-link tiles); a route between two tiles of one socket takes as many
   hops as their Manhattan distance (:func:`mesh_hops`).
@@ -36,9 +41,12 @@ Common:
                   the graph's socket count is their number
 
 A document still carrying ``link_costs`` or ``socket_count`` is refused
-(exit 2): route weights are :data:`ROUTE_WEIGHTS`, a link's priced cost is
+(exit 2): a route counts the switches it crosses, a link's priced cost is
 the latency model's hop cost, and the socket count is the number of
-``sockets`` entries.
+``sockets`` entries.  A chiplet document in which a NUMA node pair has no
+route (a socket's switches must be joined by its own ``switch_links``), or
+a declared switch that no NUMA node's switch reaches, is refused as
+disconnected.
 
 kind=chiplet_if sockets entry:
   {"id": S,
@@ -74,10 +82,8 @@ from .coherence import Protocol
 __all__ = [
     "GraphKind",
     "NodeRole",
-    "LinkClass",
     "PlacementScope",
     "TopoNode",
-    "TopoEdge",
     "TopologyGraph",
     "Placement",
     "TopologyError",
@@ -120,18 +126,8 @@ class GraphKind(str, Enum):
 
 class NodeRole(str, Enum):
     CORE = "core"
-    L3_DOMAIN = "l3_domain"
-    IF_SWITCH = "if_switch"
     MEMORY_CONTROLLER = "memory_controller"
-    XGMI_PORT = "xgmi_port"
     UPI_PORT = "upi_port"
-
-
-class LinkClass(str, Enum):
-    IF_SWITCH_HOP = "if_switch_hop"
-    XGMI = "xgmi"
-    UPI = "upi"
-    LOCAL = "local"
 
 
 class PlacementScope(str, Enum):
@@ -143,18 +139,10 @@ class PlacementScope(str, Enum):
     ALL_PAIRS = "all_pairs"
 
 
-# Weight of each link class a chiplet graph has edges of, for the route
-# search alone: an xGMI link outweighs any path within a socket.  A link's
-# priced cost is the latency model's hop cost.
-ROUTE_WEIGHTS = {
-    LinkClass.IF_SWITCH_HOP: 2.0,
-    LinkClass.XGMI: 90.0,
-    LinkClass.LOCAL: 0.0,
-}
 # Fields a topology document may no longer carry, and what replaced each.
 _RETIRED_FIELDS = {
-    "link_costs": "route weights are fixed (topology.ROUTE_WEIGHTS) and a link's priced "
-                  "cost is the latency model's hop cost",
+    "link_costs": "route weights are fixed (a route counts the switches it crosses) and a "
+                  "link's priced cost is the latency model's hop cost",
     "socket_count": "the socket count is the number of 'sockets' entries",
 }
 # The top-level keys each graph kind's loader reads; any other is refused.
@@ -168,7 +156,7 @@ _DOCUMENT_KEYS = {
 
 @dataclass(frozen=True)
 class TopoNode:
-    """One resource in the machine graph.
+    """A core, a memory controller or a mesh socket-link tile.
 
     ``location`` is (socket, numa_node, ccd, ccx, core_index) for chiplet
     graphs and (socket, row, col) for mesh graphs; unused slots are None.
@@ -186,16 +174,6 @@ class TopoNode:
 
 
 @dataclass(frozen=True)
-class TopoEdge:
-    a: str
-    b: str
-    link_class: LinkClass
-
-    def other(self, node_id: str) -> str:
-        return self.b if node_id == self.a else self.a
-
-
-@dataclass(frozen=True)
 class Placement:
     """One measurement placement: who asks, who holds, where memory lives."""
 
@@ -207,27 +185,25 @@ class Placement:
 
 
 class TopologyGraph:
-    """Immutable annotated machine graph.
+    """Immutable machine graph.
 
     Built by :func:`load_topology`; do not mutate after construction.  Safe
     to share read-only between concurrent workers.  :func:`load_topology_file`
     shares one graph per distinct file content for the life of the process,
-    so its indices and routing trees are paid for once per process.
+    so its indices are paid for once per process.
 
-    Per-graph facts are computed once and memoized on the graph, which is
-    sound only because it is never mutated:
-
-    * at construction, the sorted core list, the cores of each NUMA node and
-      of each L3 domain, each core's L3-domain id, each node's memory
-      controller and the sorted NUMA nodes of the graph and of each socket,
-      so :attr:`cores`, :meth:`cores_of_node`, :meth:`cores_of_ccx`,
-      :meth:`first_core_of_node`, :meth:`l3_domain_of_core`,
-      :attr:`l3_domains`, :meth:`memory_controller`, :attr:`numa_nodes` and
-      :meth:`numa_nodes_of_socket` are lookups (list and dict results are
-      fresh copies a caller may change);
-    * on the first route query, the costed adjacency the route search
-      walks, and per source node, the shortest-path tree that
-      :func:`switch_hops_to_memory` counts switches along.
+    Every per-graph fact is computed once, at construction, which is sound
+    only because the graph is never mutated: the sorted core list, the cores
+    of each NUMA node and of each L3 domain, each core's L3-domain id (as
+    the loader gives it), each node's memory controller, the sorted NUMA
+    nodes of the graph and of each socket, and, on a chiplet graph, the
+    switch table the loader counted: the switches a read crosses from each
+    NUMA node to each node's memory.  So :attr:`cores`,
+    :meth:`cores_of_node`, :meth:`cores_of_ccx`, :meth:`first_core_of_node`,
+    :meth:`l3_domain_of_core`, :attr:`l3_domains`, :meth:`memory_controller`,
+    :attr:`numa_nodes`, :meth:`numa_nodes_of_socket` and
+    :func:`switch_hops_to_memory` are lookups (list and dict results are
+    fresh copies a caller may change).
     """
 
     def __init__(
@@ -235,9 +211,10 @@ class TopologyGraph:
         kind: GraphKind,
         socket_count: int,
         nodes: dict[str, TopoNode],
-        edges: list[TopoEdge],
+        l3_domains: dict[int, str],
         frequencies: dict[str, float],
         protocol: Protocol,
+        switch_hops: Optional[dict[tuple[int, int], int]] = None,
         caches: Optional[dict] = None,
         bandwidth: Optional[dict] = None,
         name: str = "",
@@ -245,37 +222,20 @@ class TopologyGraph:
         self.kind = kind
         self.socket_count = socket_count
         self.nodes = nodes
-        self.edges = tuple(edges)
         self.frequencies = dict(frequencies)
         self.protocol = protocol
         self.caches = dict(caches) if caches else {}
         self.bandwidth = dict(bandwidth) if bandwidth else {}
         self.name = name
-        self._adj: dict[str, list[TopoEdge]] = {n: [] for n in nodes}
-        for e in self.edges:
-            for end in (e.a, e.b):
-                if end not in self._adj:
-                    raise SchemaError(f"{e.link_class.value} link {e.a} - {e.b} names "
-                                      f"unknown node '{end}'")
-                self._adj[end].append(e)
         self._core_by_id = {
             n.core_index: n for n in nodes.values() if n.role is NodeRole.CORE
         }
         self._cores = tuple(sorted(self._core_by_id))
         self._cores_by_node: dict[int, list[int]] = {}
-        self._l3_domain: dict[int, str] = {}
+        self._l3_domain = {c: l3_domains[c] for c in self._cores}
         self._cores_by_l3: dict[str, list[int]] = {}
         for c in self._cores:
-            n = self._core_by_id[c]
-            self._cores_by_node.setdefault(n.numa_node, []).append(c)
-            if kind is GraphKind.MESH_2D:
-                # Mesh L3 slices are shared per NUMA node (per SNC under SNC mode).
-                self._l3_domain[c] = f"l3.snc{n.numa_node}"
-            else:
-                self._l3_domain[c] = next(
-                    e.other(n.id) for e in self._adj[n.id]
-                    if nodes[e.other(n.id)].role is NodeRole.L3_DOMAIN
-                )
+            self._cores_by_node.setdefault(self._core_by_id[c].numa_node, []).append(c)
             self._cores_by_l3.setdefault(self._l3_domain[c], []).append(c)
         numa_sockets = sorted({(n.numa_node, n.socket) for n in nodes.values()
                                if n.numa_node is not None})
@@ -287,9 +247,8 @@ class TopologyGraph:
         for n in nodes.values():
             if n.role is NodeRole.MEMORY_CONTROLLER:
                 self._mc_by_node.setdefault(n.numa_node, n)
-        # Routing memos, built on the first route query (see _route_tree).
-        self._route_adj: Optional[dict[str, list]] = None
-        self._route_trees: dict[str, dict[str, tuple[str, LinkClass]]] = {}
+        # (requester NUMA node, home NUMA node) -> switches crossed.
+        self._switch_hops = switch_hops
         self._validate()
 
     # -- queries ----------------------------------------------------------
@@ -355,44 +314,17 @@ class TopologyGraph:
     # -- validation -------------------------------------------------------
 
     def _validate(self) -> None:
-        if self.socket_count < 1 or self.socket_count > 2:
-            raise SchemaError(f"a topology has 1 or 2 sockets, got {self.socket_count}")
         if not self._core_by_id:
             raise SchemaError("graph has no cores")
-        self._check_coordinates()
-        self._check_connectivity()
-
-    def _check_coordinates(self) -> None:
-        if self.kind is not GraphKind.MESH_2D:
-            return
-        seen: dict[tuple[int, int, int], str] = {}
-        for n in self.nodes.values():
-            if n.role in (NodeRole.CORE, NodeRole.MEMORY_CONTROLLER, NodeRole.UPI_PORT):
+        if self.kind is GraphKind.MESH_2D:
+            seen: dict[tuple[int, int, int], str] = {}
+            for n in self.nodes.values():
                 key = (n.socket, n.row, n.col)
                 if key in seen:
                     raise SchemaError(
                         f"duplicate grid coordinate {key}: nodes {seen[key]} and {n.id}"
                     )
                 seen[key] = n.id
-
-    def _check_connectivity(self) -> None:
-        # Every core must reach every memory controller.  Mesh edges are
-        # implicit (grid neighbours), so only chiplet graphs are walked.
-        if self.kind is GraphKind.MESH_2D:
-            return
-        start = next(iter(self.nodes))
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for e in self._adj[u]:
-                v = e.other(u)
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        missing = sorted(set(self.nodes) - seen)
-        if missing:
-            raise SchemaError(f"graph is disconnected; unreachable nodes: {missing}")
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +404,8 @@ def _sockets(doc: dict) -> list[tuple[int, dict]]:
     """``(id, entry)`` of each ``sockets`` entry.  The ids are 0..n-1, each
     once, since scopes address sockets 0 and 1 by id."""
     entries = _entries(doc, "sockets", "topology", dict)
+    if not 1 <= len(entries) <= 2:
+        raise SchemaError(f"a topology has 1 or 2 sockets, got {len(entries)}")
     ids = [_req(sock, "id", "socket", int) for sock in entries]
     for sid in ids:
         if ids.count(sid) > 1 or not 0 <= sid < len(ids):
@@ -482,41 +416,61 @@ def _sockets(doc: dict) -> list[tuple[int, dict]]:
 
 def _load_chiplet(
     doc: dict, sockets: list[tuple[int, dict]]
-) -> tuple[dict[str, TopoNode], list[TopoEdge]]:
+) -> tuple[dict[str, TopoNode], dict[int, str], dict[tuple[int, int], int]]:
+    """The cores and memory controllers of a chiplet document, each core's
+    L3-domain id, and its switch table (see :func:`_switch_table`)."""
     nodes: dict[str, TopoNode] = {}
-    edges: list[TopoEdge] = []
-    seen_cores: set[int] = set()
+    l3_domains: dict[int, str] = {}
+    links: dict[str, list[str]] = {}  # declared switch -> switches one link away
+    ports: dict[str, tuple[int, str]] = {}  # xGMI port -> (socket, its switch)
+    homes: dict[int, tuple[int, Optional[str]]] = {}  # NUMA node -> (socket, its switch)
 
-    def add(node: TopoNode) -> None:
-        if node.id in nodes:
-            raise SchemaError(f"duplicate node id '{node.id}'")
-        nodes[node.id] = node
+    def add(node_id: str, table: dict, value) -> None:
+        if node_id in nodes or node_id in links or node_id in ports:
+            raise SchemaError(f"duplicate node id '{node_id}'")
+        table[node_id] = value
+
+    def switch(end: str, a: str, b: str, link_class: str) -> str:
+        """``end``, a declared switch of the link ``a - b``."""
+        if end not in links:
+            raise SchemaError(f"{link_class} link {a} - {b} names unknown node '{end}'")
+        return end
 
     for sid, sock in sockets:
         prefix = f"s{sid}."
         ctx = f"socket {sid}"
         _known(sock, ("id", "switches", "switch_links", "xgmi_ports", "numa_nodes"), ctx)
         for sw in _entries(sock, "switches", ctx, str, []):
-            add(TopoNode(prefix + sw, NodeRole.IF_SWITCH, sid))
+            add(prefix + sw, links, [])
         for link in _entries(sock, "switch_links", ctx, list, []):
-            a, b = _pair(link, f"{ctx}: switch_links entry")
-            edges.append(TopoEdge(prefix + a, prefix + b, LinkClass.IF_SWITCH_HOP))
+            a, b = (prefix + end for end in _pair(link, f"{ctx}: switch_links entry"))
+            for end in (a, b):
+                switch(end, a, b, "if_switch_hop")
+            links[a].append(b)
+            links[b].append(a)
         for port in _entries(sock, "xgmi_ports", ctx, dict, []):
             pid = prefix + _req(port, "id", f"{ctx} xgmi port", str)
             _known(port, ("id", "switch"), f"xgmi port {pid}")
-            add(TopoNode(pid, NodeRole.XGMI_PORT, sid))
-            edges.append(TopoEdge(prefix + _req(port, "switch", f"xgmi port {pid}", str), pid,
-                                  LinkClass.LOCAL))
+            sw = prefix + _req(port, "switch", f"xgmi port {pid}", str)
+            add(pid, ports, (sid, switch(sw, sw, pid, "local")))
         for nd in _entries(sock, "numa_nodes", ctx, dict):
             nid = _req(nd, "id", "numa_node", int)
             _known(nd, ("id", "switch", "ccds"), f"numa_node {nid}")
-            switch = nd.get("switch")
-            sw_id = None if switch is None else prefix + _as(
-                str, switch, f"numa_node {nid}: field 'switch'"
+            switch_name = nd.get("switch")
+            sw_id = None if switch_name is None else prefix + _as(
+                str, switch_name, f"numa_node {nid}: field 'switch'"
             )
             mc_id = f"mc{nid}"
-            add(TopoNode(mc_id, NodeRole.MEMORY_CONTROLLER, sid, numa_node=nid))
-            for ccd_i, ccd in enumerate(_entries(nd, "ccds", f"numa_node {nid}", dict)):
+            add(mc_id, nodes, TopoNode(mc_id, NodeRole.MEMORY_CONTROLLER, sid, numa_node=nid))
+            ccds = _entries(nd, "ccds", f"numa_node {nid}", dict)
+            if sw_id is not None:
+                # Each CCX reaches its node's I/O-die switch (IFOP), and so
+                # does the memory controller; CCXs on one CCD are not
+                # connected to each other directly.  An undeclared switch is
+                # named by the first of those links.
+                switch(sw_id, f"l3.n{nid}d0x0" if ccds else mc_id, sw_id, "local")
+            homes[nid] = (sid, sw_id)
+            for ccd_i, ccd in enumerate(ccds):
                 _known(ccd, ("ccxs",), f"node {nid} ccd {ccd_i}")
                 ccxs = _entries(ccd, "ccxs", f"node {nid} ccd {ccd_i}", list)
                 if not 1 <= len(ccxs) <= 2:
@@ -530,45 +484,81 @@ def _load_chiplet(
                             f"a CCX holds 1-4 cores, got {len(core_ids)}"
                         )
                     l3_id = f"l3.n{nid}d{ccd_i}x{ccx_i}"
-                    add(
-                        TopoNode(
-                            l3_id, NodeRole.L3_DOMAIN, sid, numa_node=nid,
-                            ccd=ccd_i, ccx=ccx_i,
-                        )
-                    )
                     for c in core_ids:
                         c = _as(int, c, f"node {nid} ccd {ccd_i} ccx {ccx_i}: core id")
-                        if c in seen_cores:
+                        if c in l3_domains:
                             raise SchemaError(f"core id {c} appears twice")
-                        seen_cores.add(c)
+                        l3_domains[c] = l3_id
                         cid = f"core{c}"
-                        add(
-                            TopoNode(
-                                cid, NodeRole.CORE, sid, numa_node=nid,
-                                ccd=ccd_i, ccx=ccx_i, core_index=c,
-                            )
-                        )
-                        edges.append(TopoEdge(cid, l3_id, LinkClass.LOCAL))
-                    # IFOP: the CCX reaches the I/O die switch; CCXs on one
-                    # CCD are NOT connected to each other directly.
-                    if sw_id is not None:
-                        edges.append(TopoEdge(l3_id, sw_id, LinkClass.LOCAL))
-                    else:
-                        edges.append(TopoEdge(l3_id, mc_id, LinkClass.LOCAL))
-            if sw_id is not None:
-                edges.append(TopoEdge(mc_id, sw_id, LinkClass.LOCAL))
+                        add(cid, nodes, TopoNode(cid, NodeRole.CORE, sid, numa_node=nid,
+                                                 ccd=ccd_i, ccx=ccx_i, core_index=c))
+    crossings = []
     for link in _entries(doc, "xgmi_links", "topology", list, []):
         a, b = _pair(link, "xgmi_links entry")
         for end in (a, b):
-            if end not in nodes or nodes[end].role is not NodeRole.XGMI_PORT:
+            if end not in ports:
                 raise SchemaError(f"xgmi_links: '{end}' is not an xGMI port")
-        edges.append(TopoEdge(a, b, LinkClass.XGMI))
-    return nodes, edges
+        crossings += [(ports[a], ports[b]), (ports[b], ports[a])]
+    return nodes, l3_domains, _switch_table(links, homes, crossings)
 
 
-def _load_mesh(sockets: list[tuple[int, dict]]) -> tuple[dict[str, TopoNode], list[TopoEdge]]:
+def _switch_table(
+    links: dict[str, list[str]],
+    homes: dict[int, tuple[int, Optional[str]]],
+    crossings: list[tuple[tuple[int, str], tuple[int, str]]],
+) -> dict[tuple[int, int], int]:
+    """The switches a read crosses from each NUMA node to each node's memory
+    controller, keyed (requester node, home node).
+
+    ``links`` joins the switches of one socket, ``homes`` gives each node's
+    (socket, switch) and ``crossings`` each xGMI link's (socket, switch)
+    ends, both ways round.  Within a socket a read crosses its node's
+    switch, the fewest switch links to the home node's switch, and that
+    switch; across sockets, the same through the xGMI link that crosses the
+    fewest switches.  A node without a switch reaches only its own memory,
+    crossing none.  A node pair without a route, or a declared switch that
+    no node's switch reaches, is a :class:`SchemaError`.
+    """
+    # Fewest switch links from each switch to each switch it reaches.
+    dist: dict[str, dict[str, int]] = {}
+    for start in links:
+        reach = dist[start] = {start: 0}
+        order = [start]
+        for u in order:  # breadth first: ``order`` grows as switches are reached
+            for v in links[u]:
+                if v not in reach:
+                    reach[v] = reach[u] + 1
+                    order.append(v)
+    reached = {sw for _, home in homes.values() if home is not None for sw in dist[home]}
+    unreached = sorted(set(links) - reached)
+    if unreached:
+        raise SchemaError(f"graph is disconnected; unreachable nodes: {unreached}")
+    table: dict[tuple[int, int], int] = {}
+    for n, (n_socket, n_sw) in homes.items():
+        for m, (m_socket, m_sw) in homes.items():
+            if n_sw is None or m_sw is None:
+                hops = 0 if n == m else math.inf
+            elif n_socket == m_socket:
+                hops = dist[n_sw].get(m_sw, math.inf) + 1
+            else:
+                hops = min((dist[n_sw].get(a, math.inf) + dist[b].get(m_sw, math.inf) + 2
+                            for (a_socket, a), (b_socket, b) in crossings
+                            if (a_socket, b_socket) == (n_socket, m_socket)), default=math.inf)
+            if hops == math.inf:
+                raise SchemaError(f"graph is disconnected; no route from NUMA node {n} to "
+                                  f"NUMA node {m}'s memory")
+            table[n, m] = hops
+    return table
+
+
+def _load_mesh(
+    sockets: list[tuple[int, dict]]
+) -> tuple[dict[str, TopoNode], dict[int, str], None]:
+    """The tiles of a mesh document and each core's L3-domain id: mesh L3
+    slices are shared per NUMA node (per SNC under SNC mode).  A mesh graph
+    has no switch table."""
     nodes: dict[str, TopoNode] = {}
-    seen_cores: set[int] = set()
+    l3_domains: dict[int, str] = {}
     for sid, sock in sockets:
         _known(sock, ("id", "grid", "snc_cols", "numa_base", "tiles"), f"socket {sid}")
         grid = _req(sock, "grid", f"socket {sid}", dict)
@@ -597,13 +587,13 @@ def _load_mesh(sockets: list[tuple[int, dict]]) -> tuple[dict[str, TopoNode], li
                 raise SchemaError(f"socket {sid}: tile ({r},{c}) outside {rows}x{cols} grid")
             if "core" in tile:
                 core = _req(tile, "core", ctx, int)
-                if core in seen_cores:
+                if core in l3_domains:
                     raise SchemaError(f"core id {core} appears twice")
-                seen_cores.add(core)
+                snc = snc_of(c)
+                l3_domains[core] = f"l3.snc{snc}"
                 nid = f"core{core}"
                 node = TopoNode(
-                    nid, NodeRole.CORE, sid, numa_node=snc_of(c),
-                    core_index=core, row=r, col=c,
+                    nid, NodeRole.CORE, sid, numa_node=snc, core_index=core, row=r, col=c,
                 )
             elif "mc" in tile:
                 mc_node = _req(tile, "mc", ctx, int)
@@ -619,13 +609,7 @@ def _load_mesh(sockets: list[tuple[int, dict]]) -> tuple[dict[str, TopoNode], li
             if nid in nodes:
                 raise SchemaError(f"duplicate node id '{nid}'")
             nodes[nid] = node
-    # UPI link between sockets (edges between UPI tiles).
-    edges = []
-    upis = [n for n in nodes.values() if n.role is NodeRole.UPI_PORT]
-    if len(upis) == 2:
-        a, b = sorted(upis, key=lambda n: n.id)
-        edges.append(TopoEdge(a.id, b.id, LinkClass.UPI))
-    return nodes, edges
+    return nodes, l3_domains, None
 
 
 def load_topology(doc: dict) -> TopologyGraph:
@@ -648,16 +632,17 @@ def load_topology(doc: dict) -> TopologyGraph:
     _req(freqs, "core_mhz", "frequencies")
     sockets = _sockets(doc)
     if kind is GraphKind.CHIPLET_IF:
-        nodes, edges = _load_chiplet(doc, sockets)
+        nodes, l3_domains, switch_hops = _load_chiplet(doc, sockets)
     else:
-        nodes, edges = _load_mesh(sockets)
+        nodes, l3_domains, switch_hops = _load_mesh(sockets)
     return TopologyGraph(
         kind=kind,
         socket_count=len(sockets),
         nodes=nodes,
-        edges=edges,
+        l3_domains=l3_domains,
         frequencies=freqs,
         protocol=protocol,
+        switch_hops=switch_hops,
         caches={k: _positive(v, f"caches.{k}")
                 for k, v in _opt(doc, "caches", "topology", dict, {}).items()},
         bandwidth=_opt(doc, "bandwidth", "topology", dict, {}),
@@ -671,8 +656,7 @@ _GRAPHS_BY_SHA256: dict[str, TopologyGraph] = {}
 def load_topology_file(path: str | Path) -> TopologyGraph:
     """The graph of a topology file, one per distinct file content per
     process: the same bytes give the same (immutable) graph, with its
-    indices and route memos; an edited file hashes differently and is
-    loaded fresh."""
+    indices; an edited file hashes differently and is loaded fresh."""
     with open(path, "rb") as f:
         data = f.read()
     key = hashlib.sha256(data).hexdigest()
@@ -715,78 +699,14 @@ def mesh_hops(graph: TopologyGraph, a: TopoNode | str, b: TopoNode | str) -> int
     return abs(na.row - nb.row) + abs(na.col - nb.col)
 
 
-def _route_tree(
-    graph: TopologyGraph, source: str, target: str
-) -> dict[str, tuple[str, LinkClass]]:
-    """The memoized shortest-path tree of ``source``, checked to reach
-    ``target``: the minimum-cost routes through the interconnect fabric from
-    ``source``, searched once per graph and source.
-
-    Uses per-link-class costs; ties broken by lexicographic node id so routes
-    are deterministic.  A route crossing sockets traverses exactly one xGMI
-    edge; CCX-to-CCX routes always pass the I/O die (the graph has no direct
-    CCX-CCX edges by construction).
-    """
+def switch_hops_to_memory(graph: TopologyGraph, core_id: int, numa_node: int) -> int:
+    """Switches a read crosses from a core to a node's memory controller:
+    the entry of the graph's switch table for the core's node and that
+    node."""
     if graph.kind is not GraphKind.CHIPLET_IF:
         raise ScopeError("fabric routes require a chiplet_if graph")
-    prev = graph._route_trees.get(source)
-    if prev is None:
-        prev = graph._route_trees[source] = _shortest_path_tree(graph, source)
-    if target != source and target not in prev:
-        raise RouteError(f"no route from {source} to {target} (malformed graph)")
-    return prev
-
-
-def _shortest_path_tree(graph: TopologyGraph, source: str) -> dict[str, tuple[str, LinkClass]]:
-    """Dijkstra from ``source`` over the whole graph: each reached node's
-    (predecessor, link class).
-
-    A node's predecessor is fixed when the node is settled, and the search
-    settles nodes in the same order whether or not it stops at a target, so
-    every route equals the one a search stopping at its target finds.
-    """
-    import heapq
-
-    if graph._route_adj is None:
-        # Neighbours in lexicographic id order, the tie-break; edge costs
-        # looked up once per graph.  Each entry carries the (predecessor,
-        # link class) pair a tree stores, shared by every tree.
-        graph._route_adj = {
-            u: [
-                (e.other(u), ROUTE_WEIGHTS[e.link_class], (u, e.link_class))
-                for e in sorted(edges, key=lambda e: e.other(u))
-            ]
-            for u, edges in graph._adj.items()
-        }
-    adj = graph._route_adj
-    dist: dict[str, float] = {source: 0.0}
-    prev: dict[str, tuple[str, LinkClass]] = {}
-    heap: list[tuple[float, str]] = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, float("inf")):
-            continue
-        for v, cost, hop in adj[u]:
-            nd = d + cost + 1e-9  # epsilon prefers fewer hops on ties
-            if nd < dist.get(v, float("inf")) - 1e-12:
-                dist[v] = nd
-                prev[v] = hop
-                heapq.heappush(heap, (nd, v))
-    return prev
-
-
-def switch_hops_to_memory(graph: TopologyGraph, core_id: int, numa_node: int) -> int:
-    """Switches traversed from a core to a node's memory controller: the
-    switch nodes on the minimum-cost route, counted along the core's route
-    tree."""
-    source = graph.core(core_id).id
-    cur = graph.memory_controller(numa_node).id
-    prev = _route_tree(graph, source, cur)
-    switches = 0
-    while cur != source:
-        cur = prev[cur][0]
-        switches += graph.nodes[cur].role is NodeRole.IF_SWITCH
-    return switches
+    graph.memory_controller(numa_node)  # an unknown node is a TopologyError
+    return graph._switch_hops[graph.node_of_core(core_id), numa_node]
 
 
 def extra_switch_hops(graph: TopologyGraph, core_id: int, numa_node: int) -> int:

@@ -1,7 +1,8 @@
 """Test oracles: fake clock backends, a synthetic protocol model, each
-protocol's states, the single-owner invariant, the chain walk and its
-generator, fabric routes with their switch count, the three-term hop-cost
-fit template, and a latency record's CSV fields."""
+protocol's states, the single-owner invariant, the chain walk, its generator
+and the reference shuffle, a chiplet document's fabric graph with its routes
+and their switch count, the three-term hop-cost fit template, and a latency
+record's CSV fields."""
 
 import heapq
 from array import array
@@ -13,7 +14,7 @@ import numpy as np
 from memchar import chain, native
 from memchar.coherence import OWNERSHIP_STATES, CoherenceState, ProtocolModel
 from memchar.model import FitTemplate, FitTerm
-from memchar.topology import ROUTE_WEIGHTS, LinkClass, NodeRole, extra_switch_hops
+from memchar.topology import extra_switch_hops
 
 
 def protocol_model(protocol, cores, cores_per_domain=4) -> ProtocolModel:
@@ -90,6 +91,21 @@ class Xorshift64:
         return s
 
 
+def sattolo_py(n: int, seed: int) -> array:
+    """Reference shuffle: the same table as ``mc_sattolo``, one swap at a
+    time, with the xorshift step of :class:`Xorshift64` inlined."""
+    perm = list(range(n))
+    s = chain._seed_state(seed)
+    mask = (1 << 64) - 1
+    for i in range(n - 1, 0, -1):
+        s = (s ^ (s << 13)) & mask
+        s ^= s >> 7
+        s = (s ^ (s << 17)) & mask
+        j = s % i
+        perm[i], perm[j] = perm[j], perm[i]
+    return array("q", perm)
+
+
 @dataclass(frozen=True)
 class ChainReport:
     """Validation result for a chain buffer."""
@@ -159,18 +175,69 @@ def verify_chain_py(buffer) -> ChainReport:
         first_seen[idx] = step
 
 
-def route(graph, a: str, b: str) -> tuple:
-    """``(nodes, link_classes)`` of the minimum-cost fabric route from node
-    ``a`` to node ``b``: a fresh Dijkstra that stops at ``b`` and keeps
-    nothing, with per-link-class costs, ties broken by lexicographic node id
-    and fewer hops preferred on equal cost.  The reference the memoized
-    route trees of ``memchar.topology`` must agree with."""
+# Route weight of each link class: an xGMI link outweighs any path within a
+# socket, and a local link (a core to its L3 domain, anything onto its
+# switch) weighs nothing.
+ROUTE_WEIGHTS = {"if_switch_hop": 2.0, "xgmi": 90.0, "local": 0.0}
+
+
+@dataclass(frozen=True)
+class Fabric:
+    """A chiplet topology document as a node-and-edge graph: ``roles`` maps
+    each node id to its role, and ``adjacency`` each node id to its
+    ``(neighbour, link class)`` pairs in neighbour-id order."""
+
+    roles: dict
+    adjacency: dict
+
+
+def fabric(doc) -> Fabric:
+    """The fabric graph of a ``chiplet_if`` topology document, built from
+    the document alone.  A core hangs off its CCX's L3 domain; an L3 domain
+    and a memory controller hang off their NUMA node's switch (an L3 domain
+    off the memory controller when the node has none); an xGMI port hangs
+    off its switch; switch links and xGMI links join the rest.  Node ids
+    are ``core{c}``, ``mc{n}``, ``l3.n{n}d{ccd}x{ccx}`` and
+    ``s{socket}.{name}``."""
+    roles, edges = {}, []
+    for sock in doc["sockets"]:
+        prefix = f"s{sock['id']}."
+        for sw in sock["switches"]:
+            roles[prefix + sw] = "switch"
+        edges += [(prefix + a, prefix + b, "if_switch_hop") for a, b in sock["switch_links"]]
+        for port in sock["xgmi_ports"]:
+            roles[prefix + port["id"]] = "xgmi_port"
+            edges.append((prefix + port["switch"], prefix + port["id"], "local"))
+        for nd in sock["numa_nodes"]:
+            mc = f"mc{nd['id']}"
+            roles[mc] = "memory_controller"
+            hub = mc if nd.get("switch") is None else prefix + nd["switch"]
+            if hub != mc:
+                edges.append((mc, hub, "local"))
+            for d, ccd in enumerate(nd["ccds"]):
+                for x, cores in enumerate(ccd["ccxs"]):
+                    l3 = f"l3.n{nd['id']}d{d}x{x}"
+                    roles[l3] = "l3_domain"
+                    edges.append((l3, hub, "local"))
+                    for c in cores:
+                        roles[f"core{c}"] = "core"
+                        edges.append((f"core{c}", l3, "local"))
+    edges += [(a, b, "xgmi") for a, b in doc.get("xgmi_links", [])]
+    adjacency = {n: [] for n in roles}
+    for a, b, link_class in edges:
+        adjacency[a].append((b, link_class))
+        adjacency[b].append((a, link_class))
+    return Fabric(roles, {n: sorted(pairs) for n, pairs in adjacency.items()})
+
+
+def route(fabric: Fabric, a: str, b: str) -> tuple:
+    """``(nodes, link_classes)`` of the minimum-cost route from node ``a``
+    to node ``b`` of ``fabric``: a fresh Dijkstra that stops at ``b`` and
+    keeps nothing, with :data:`ROUTE_WEIGHTS`, ties broken by lexicographic
+    node id and fewer hops preferred on equal cost.  The reference the
+    switch table of ``memchar.topology`` must agree with."""
     if a == b:
         return (a,), ()
-    adj = {n: [] for n in graph.nodes}
-    for e in graph.edges:
-        adj[e.a].append(e)
-        adj[e.b].append(e)
     dist = {a: 0.0}
     prev = {}
     heap = [(0.0, a)]
@@ -180,12 +247,11 @@ def route(graph, a: str, b: str) -> tuple:
             break
         if d > dist.get(u, float("inf")):
             continue
-        for e in sorted(adj[u], key=lambda e: e.other(u)):
-            v = e.other(u)
-            nd = d + ROUTE_WEIGHTS[e.link_class] + 1e-9
+        for v, link_class in fabric.adjacency[u]:
+            nd = d + ROUTE_WEIGHTS[link_class] + 1e-9
             if nd < dist.get(v, float("inf")) - 1e-12:
                 dist[v] = nd
-                prev[v] = (u, e.link_class)
+                prev[v] = (u, link_class)
                 heapq.heappush(heap, (nd, v))
     nodes, classes = [b], []
     while nodes[-1] != a:
@@ -195,23 +261,23 @@ def route(graph, a: str, b: str) -> tuple:
     return tuple(reversed(nodes)), tuple(reversed(classes))
 
 
-def switch_count(graph, nodes) -> int:
-    """Interconnect-switch nodes among ``nodes`` (a route's node ids): the
-    reference ``switch_hops_to_memory`` must equal."""
-    return sum(1 for n in nodes if graph.nodes[n].role is NodeRole.IF_SWITCH)
+def switch_count(fabric: Fabric, nodes) -> int:
+    """Switches among ``nodes`` (a route's node ids): the reference
+    ``switch_hops_to_memory`` must equal."""
+    return sum(1 for n in nodes if fabric.roles[n] == "switch")
 
 
-def hop_cost_template(graph) -> FitTemplate:
+def hop_cost_template(graph, fabric: Fabric) -> FitTemplate:
     """Base plus switch and socket-link costs, the socket link counted per
-    crossing of the :func:`route` from the requester to the home memory
-    controller: cycles = base + 2 * (extra switches * switch_ns + xGMI
-    crossings * xgmi_ns) * f_core."""
+    crossing of the :func:`route` through ``fabric`` (``graph``'s document)
+    from the requester to the home memory controller: cycles = base + 2 *
+    (extra switches * switch_ns + xGMI crossings * xgmi_ns) * f_core."""
     ghz = graph.frequencies["core_mhz"] / 1000.0
 
     @lru_cache(maxsize=None)
     def xgmi_crossings(requester: int, home: int) -> int:
-        _, classes = route(graph, graph.core(requester).id, graph.memory_controller(home).id)
-        return classes.count(LinkClass.XGMI)
+        _, classes = route(fabric, graph.core(requester).id, graph.memory_controller(home).id)
+        return classes.count("xgmi")
 
     return FitTemplate(
         name="hop_costs",

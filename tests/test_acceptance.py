@@ -61,6 +61,7 @@ from memchar.topology import (
 from oracles import (
     ReplayBackend,
     check_single_owner,
+    fabric,
     hop_cost_template,
     protocol_model,
     protocol_states,
@@ -308,7 +309,8 @@ def test_09_synthetic_fit_round_trip(rome):
     relative across 100 random parameterizations."""
     rng = np.random.default_rng(20240811)
     g = rome.graph
-    template = hop_cost_template(g)
+    doc = json.loads(fixture_path("rome_2s.json").read_text())
+    template = hop_cost_template(g, fabric(doc))
     pairs = [(i, j) for i in range(8) for j in range(8)]
     base_obs = [
         FitObservation(g.first_core_of_node(i), j, cycles=0.0) for i, j in pairs

@@ -494,11 +494,23 @@ class TestPlots:
 
 
 class TestCli:
-    def test_topo_summary(self, capsys):
-        assert main(["topo", "--topology", "rome_2s"]) == 0
-        out = capsys.readouterr().out
-        assert "cores: 128" in out
-        assert "placements[same_ccx]: 16" in out
+    @pytest.mark.parametrize("topology, summary", [
+        ("rome_2s", ["kind: chiplet_if", "sockets: 2", "numa nodes: [0, 1, 2, 3, 4, 5, 6, 7]",
+                     "cores: 128", "placements[local]: 128", "placements[same_ccx]: 16",
+                     "placements[same_ccd]: 1", "placements[intra_socket]: 6",
+                     "placements[inter_socket]: 16", "placements[all_pairs]: 64"]),
+        ("clx_2s", ["kind: mesh_2d", "sockets: 2", "numa nodes: [0, 1, 2, 3]", "cores: 40",
+                    "placements[local]: 40", "placements[same_ccx]: n/a",
+                    "placements[same_ccd]: n/a", "placements[intra_socket]: 19",
+                    "placements[inter_socket]: 4", "placements[all_pairs]: 16"]),
+        ("single_core", ["kind: chiplet_if", "sockets: 1", "numa nodes: [0]", "cores: 1",
+                         "placements[local]: 1", "placements[same_ccx]: 1",
+                         "placements[same_ccd]: 0", "placements[intra_socket]: 1",
+                         "placements[inter_socket]: n/a", "placements[all_pairs]: 1"]),
+    ], ids=["rome_2s", "clx_2s", "single_core"])
+    def test_topo_summary(self, topology, summary, capsys):
+        assert main(["topo", "--topology", topology]) == 0
+        assert capsys.readouterr().out == "".join(f"{line}\n" for line in summary)
 
     def test_latency_same_ccx_writes_16_rows(self, tmp_path, capsys):
         code = main([

@@ -24,7 +24,7 @@ from memchar.model import (
 from memchar.cli import main
 from memchar.coherence import Protocol
 from memchar.topology import extra_switch_hops, fixture_path, load_topology_file
-from oracles import hop_cost_template
+from oracles import fabric, hop_cost_template
 
 
 @pytest.fixture(scope="module")
@@ -403,7 +403,8 @@ class TestFit:
     def test_synthetic_round_trip(self, rome):
         rng = np.random.default_rng(5)
         g = rome.graph
-        template = hop_cost_template(g)
+        doc = json.loads(fixture_path("rome_2s.json").read_text())
+        template = hop_cost_template(g, fabric(doc))
         pairs = [(i, j) for i in range(8) for j in range(8)]
         for _ in range(10):
             base = float(rng.uniform(150, 300))

@@ -6,12 +6,10 @@ import typing
 
 import pytest
 
-from memchar import topology as topology_mod
 from memchar.cli import main
 from memchar.coherence import Protocol
 from memchar.topology import (
     GraphKind,
-    LinkClass,
     NodeRole,
     PlacementScope,
     RouteError,
@@ -27,7 +25,7 @@ from memchar.topology import (
     mesh_hops,
     switch_hops_to_memory,
 )
-from oracles import route, switch_count
+from oracles import fabric, route, switch_count
 
 
 def fixture_doc(name):
@@ -82,8 +80,7 @@ class TestLoad:
         assert len(rome.cores) == 2 * 64
         assert rome.numa_nodes == list(range(8))
         # 2 sockets x 4 nodes x 2 CCD x 2 CCX
-        l3s = [n for n in rome.nodes.values() if n.role is NodeRole.L3_DOMAIN]
-        assert len(l3s) == 32
+        assert len(set(rome.l3_domains.values())) == 32
 
     def test_file_graph_shared_until_the_file_changes(self, tmp_path):
         path = tmp_path / "topo.json"
@@ -111,13 +108,9 @@ class TestLoad:
         assert isinstance(fixture_path("rome_2s.json"), pathlib.Path)
 
     def test_single_core_degenerate(self, single):
+        # One core on a node without a switch: a read crosses no switch.
         assert len(single.cores) == 1
-        interconnect = [
-            e
-            for e in single.edges
-            if e.link_class in (LinkClass.IF_SWITCH_HOP, LinkClass.XGMI, LinkClass.UPI)
-        ]
-        assert interconnect == []
+        assert switch_hops_to_memory(single, 0, 0) == 0
 
     def test_clx_fixture_counts(self, clx):
         for socket in (0, 1):
@@ -150,11 +143,30 @@ class TestLoad:
         with pytest.raises(SchemaError, match="core id 5"):
             load_topology(doc)
 
-    def test_disconnected_graph_reports_nodes(self):
+    @pytest.mark.parametrize("field, value, message", [
+        (("xgmi_links",), [], "no route from NUMA node 0 to NUMA node 4's memory"),
+        (("sockets", 0, "numa_nodes", 0, "switch"), None,
+         "no route from NUMA node 0 to NUMA node 1's memory"),
+        (("sockets", 0, "switches"), ["sw_a", "sw_b", "sw_c", "sw_d", "sw_x", "sw_y", "sw_q"],
+         "unreachable nodes: ['s0.sw_q']"),
+    ], ids=["no-xgmi-link", "node-without-a-switch", "switch-without-a-link"])
+    def test_disconnected_graph_reports_nodes(self, field, value, message):
         doc = fixture_doc("rome_2s")
-        doc["xgmi_links"] = []
-        with pytest.raises(SchemaError, match="disconnected"):
+        set_field(*field)(doc, value)
+        with pytest.raises(SchemaError, match="disconnected") as raised:
             load_topology(doc)
+        assert message in str(raised.value)
+
+    def test_socket_joined_only_through_the_other_socket_is_refused(self, tmp_path, capsys):
+        # Without sw_x - sw_y, node 0 reaches node 2 only by crossing xGMI
+        # three times; a socket's switches are joined by its own links.
+        doc = fixture_doc("rome_2s")
+        doc["sockets"][0]["switch_links"].remove(["sw_x", "sw_y"])
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps(doc))
+        assert main(["topo", "--topology", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "disconnected" in err, err
 
     def test_ccx_size_bounds(self):
         doc = fixture_doc("rome_2s")
@@ -402,33 +414,36 @@ class TestMeshRoute:
                 assert got == abs(a.row - b.row) + abs(a.col - b.col)
 
 
-def tree_route(graph, a: str, b: str) -> tuple:
-    """``(nodes, link_classes)`` from ``a`` to ``b`` as read off the memoized
-    route tree of ``a``, in the form of :func:`oracles.route`."""
-    prev = topology_mod._route_tree(graph, a, b)
-    nodes, classes = [b], []
-    while nodes[-1] != a:
-        u, link_class = prev[nodes[-1]]
-        nodes.append(u)
-        classes.append(link_class)
-    return tuple(reversed(nodes)), tuple(reversed(classes))
+# (fixture, indices of the xgmi_links entries removed from it, switch hops
+# of core 0 to each node): documents on which the switch table must agree
+# with the oracle's routes.  Without both sw_x links (0 and 1), every
+# crossing is through sw_y.
+ROUTED = [
+    ("rome_2s", (), [1, 2, 4, 5, 5, 6, 4, 5]),
+    ("single_core", (), [0]),
+    *[("rome_2s", (i,), [1, 2, 4, 5, 5, 6, 4, 5]) for i in range(4)],
+    ("rome_2s", (0, 1), [1, 2, 4, 5, 5, 6, 6, 7]),
+]
+
+
+@pytest.fixture(scope="module")
+def rome_fabric():
+    return fabric(fixture_doc("rome_2s"))
 
 
 class TestFabricRoutes:
-    def test_local_ccx_path_has_no_interconnect(self, rome):
-        core = rome.core(0)
-        l3 = rome.l3_domain_of_core(0)
-        nodes, classes = route(rome, core.id, l3)
-        assert switch_count(rome, nodes) == 0
-        assert classes.count(LinkClass.XGMI) == 0
+    def test_local_ccx_path_has_no_interconnect(self, rome, rome_fabric):
+        nodes, classes = route(rome_fabric, rome.core(0).id, rome.l3_domain_of_core(0))
+        assert switch_count(rome_fabric, nodes) == 0
+        assert classes.count("xgmi") == 0
 
     def test_fixture_hop_set(self, rome):
         assert [extra_switch_hops(rome, 0, n) for n in range(4)] == [0, 1, 3, 4]
 
-    def test_cross_socket_uses_one_xgmi(self, rome):
+    def test_cross_socket_uses_one_xgmi(self, rome, rome_fabric):
         for home in range(4, 8):
-            _, classes = route(rome, rome.core(0).id, rome.memory_controller(home).id)
-            assert classes.count(LinkClass.XGMI) == 1
+            _, classes = route(rome_fabric, rome.core(0).id, rome.memory_controller(home).id)
+            assert classes.count("xgmi") == 1
 
     def test_node0_to_node6_is_minimal(self, rome):
         hops = {
@@ -439,52 +454,42 @@ class TestFabricRoutes:
         best = min(hops.values())
         assert {k for k, v in hops.items() if v == best} == {(0, 6), (2, 4)}
 
-    def test_ccx_to_ccx_passes_io_die(self, rome):
+    def test_ccx_to_ccx_passes_io_die(self, rome, rome_fabric):
         # No CCX reaches another CCX without a switch traversal.
         for owner in (4, 8, 16, 48):
-            nodes, _ = route(rome, rome.core(0).id, rome.core(owner).id)
-            assert switch_count(rome, nodes) >= 1
+            nodes, _ = route(rome_fabric, rome.core(0).id, rome.core(owner).id)
+            assert switch_count(rome_fabric, nodes) >= 1
 
-    def test_hop_symmetry(self, rome, clx):
+    def test_hop_symmetry(self, rome, rome_fabric, clx):
         pairs = [(0, 20), (0, 70), (16, 112)]
         for a, b in pairs:
-            ab, _ = route(rome, rome.core(a).id, rome.core(b).id)
-            ba, _ = route(rome, rome.core(b).id, rome.core(a).id)
-            assert switch_count(rome, ab) == switch_count(rome, ba)
+            ab, _ = route(rome_fabric, rome.core(a).id, rome.core(b).id)
+            ba, _ = route(rome_fabric, rome.core(b).id, rome.core(a).id)
+            assert switch_count(rome_fabric, ab) == switch_count(rome_fabric, ba)
         for a, b in ((0, 12), (1, 16), (5, 11)):
             assert mesh_hops(clx, clx.core(a), clx.core(b)) == mesh_hops(
                 clx, clx.core(b), clx.core(a)
             )
 
-    def test_memoized_routes_equal_a_fresh_search(self, rome):
-        for c in rome.cores:
-            for n in rome.numa_nodes:
-                a, b = rome.core(c).id, rome.memory_controller(n).id
-                assert tree_route(rome, a, b) == route(rome, a, b), (a, b)
+    @pytest.mark.parametrize("name, removed, core0_hops", ROUTED, ids=[
+        "-".join([name, *(f"without-xgmi-link-{i}" for i in removed)])
+        for name, removed, _ in ROUTED
+    ])
+    def test_switch_hops_equal_the_route_s_switch_count(self, name, removed, core0_hops):
+        doc = fixture_doc(name)
+        doc["xgmi_links"] = [link for i, link in enumerate(doc["xgmi_links"]) if i not in removed]
+        g, oracle = load_topology(doc), fabric(doc)
+        for c in g.cores:
+            for n in g.numa_nodes:
+                nodes, _ = route(oracle, g.core(c).id, g.memory_controller(n).id)
+                assert switch_hops_to_memory(g, c, n) == switch_count(oracle, nodes), (c, n)
+        assert [switch_hops_to_memory(g, 0, n) for n in g.numa_nodes] == core0_hops
 
-    def test_switch_hops_equal_the_route_s_switch_count(self, rome, clx):
-        for c in rome.cores:
-            for n in rome.numa_nodes:
-                nodes, _ = route(rome, rome.core(c).id, rome.memory_controller(n).id)
-                assert switch_hops_to_memory(rome, c, n) == switch_count(rome, nodes), (c, n)
+    def test_switch_hops_need_a_chiplet_graph_and_a_known_node(self, rome, clx):
         with pytest.raises(ScopeError, match="chiplet_if"):
             switch_hops_to_memory(clx, 0, 0)
-
-    def test_one_tree_search_per_source(self, monkeypatch):
-        g = load_topology(json.loads(fixture_path("rome_2s.json").read_text()))
-        searched = []
-        search = topology_mod._shortest_path_tree
-
-        def counting(graph, source):
-            searched.append(source)
-            return search(graph, source)
-
-        monkeypatch.setattr(topology_mod, "_shortest_path_tree", counting)
-        for _ in range(2):
-            for n in g.numa_nodes:
-                extra_switch_hops(g, 0, n)
-                extra_switch_hops(g, 5, n)
-        assert searched == ["core0", "core5"]
+        with pytest.raises(TopologyError, match="no memory controller for NUMA node 8"):
+            switch_hops_to_memory(rome, 0, 8)
 
 
 class TestIndexedQueries:
@@ -505,11 +510,7 @@ class TestIndexedQueries:
             if g.kind is GraphKind.CHIPLET_IF:
                 def domain(n):
                     return (n.socket, n.numa_node, n.ccd, n.ccx)
-                (l3,) = [
-                    e.other(me.id) for e in g.edges
-                    if me.id in (e.a, e.b)
-                    and g.nodes[e.other(me.id)].role is NodeRole.L3_DOMAIN
-                ]
+                l3 = f"l3.n{me.numa_node}d{me.ccd}x{me.ccx}"
             else:
                 def domain(n):
                     return n.numa_node
