@@ -126,18 +126,15 @@ class SimulatedBackend:
         a core is not in the graph (the replay then reports it).
 
         That is the protocol, steps and target of the script, its worker
-        roles, which of the requester and the workers are the same core,
-        and which of their L3 domains are the same and in what ``str``
-        order: the simulator only compares cores and domains for equality,
-        except that MESIF breaks ties between L3 copies by ``str(domain)``.
-        The simulator does not see the home node, so it is not part of the
-        key.
+        roles, and which of the requester and the workers are the same core
+        and which of their L3 domains are the same: the simulator only
+        compares cores and domains for equality.  The simulator does not see
+        the home node, so it is not part of the key.
         """
         cores = (placement.requester, *script.worker_cores.values())
         domains = tuple(map(self._protocol_model.l3_domain_of.get, cores))
         if None in domains:
             return None
-        ranked = sorted(set(domains))
         return (
             script.protocol,
             self._steps_number(script.steps),
@@ -145,7 +142,7 @@ class SimulatedBackend:
             script.target_level,
             tuple(script.worker_cores),
             tuple(map(cores.index, cores)),
-            tuple(map(ranked.index, domains)),
+            tuple(map(domains.index, domains)),
         )
 
     def _replay(self, script: CoherenceScript, placement: Placement) -> str:

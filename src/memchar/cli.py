@@ -12,16 +12,18 @@ reader of configuration.  Every ``latency``, ``bandwidth``, ``triad`` and
 the subcommand's argv as parsed.  ``replay`` re-parses that argv with the
 same parser; on the simulated backend it reproduces the CSVs byte for byte.
 The environment variables that once set latency options are refused by
-name, each pointing at the flag that replaced it.  Exit codes: 0 ok,
-2 configuration, 3 pinning/affinity, 4 backend.  Code 5 (verification
-failure) is kept for a triad whose checked result is wrong, but no
-subcommand reaches it today: only the native triad API verifies, and no
-subcommand runs a native triad.
+name, each pointing at the flag that replaced it.  Exit codes: 0 ok, also
+when the reader of stdout stops early; 2 configuration, an output
+directory that cannot be made included; 3 pinning/affinity; 4 backend.
+Code 5 (verification failure) is kept for a triad whose checked result is
+wrong, but no subcommand reaches it today: only the native triad API
+verifies, and no subcommand runs a native triad.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -121,7 +123,10 @@ def _input_file(name: str) -> Path:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create output directory {out}: {exc.strerror}") from None
     return out
 
 
@@ -390,13 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True):
+    def common(p, model=True, out=True):
         p.add_argument("--topology", required=True, help="topology JSON file or fixture name")
         if model:
             p.add_argument("--model", help="latency model JSON, read by the simulated backend "
                                            "and model-predict (default: the topology's "
                                            "sibling NAME_latency_model.json)")
-        p.add_argument("--out", default="results", help="output directory")
+        if out:
+            p.add_argument("--out", default="results", help="output directory")
 
     p = sub.add_parser("topo", help="validate and summarize a topology")
     p.add_argument("--topology", required=True)
@@ -453,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_model_fit)
 
     p = sub.add_parser("model-predict", help="one latency prediction")
-    common(p)
+    common(p, out=False)
     p.add_argument("--requester", type=int, required=True)
     p.add_argument("--home", type=int, required=True)
     p.add_argument("--forwarder", type=int, default=None,
@@ -514,10 +520,17 @@ def _parser() -> argparse.ArgumentParser:
 
 def _run(args, argv: list) -> int:
     """Run the parsed subcommand; a recorded one that succeeds saves its
-    manifest."""
-    code = args.func(args)
-    if code == EXIT_OK and args.command in _RECORDED:
-        RunManifest(list(argv)).save(Path(args.out) / "manifest.json")
+    manifest.  A subcommand prints last, once its outputs are written, so
+    one whose reader closed stdout early (BrokenPipeError) succeeded too."""
+    manifest = Path(args.out) / "manifest.json" if args.command in _RECORDED else None
+    try:
+        code = args.func(args)
+    except BrokenPipeError:
+        if manifest is not None:
+            RunManifest(list(argv)).save(manifest)
+        raise
+    if code == EXIT_OK and manifest is not None:
+        RunManifest(list(argv)).save(manifest)
     return code
 
 
@@ -526,7 +539,16 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser().parse_args(argv)
     try:
-        return _run(args, argv)
+        code = _run(args, argv)
+        sys.stdout.flush()  # so that a reader gone early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early, and nothing in the run failed.
+        # Closing stdout drops what it still holds, so that the final flush
+        # at exit does not raise again.
+        with contextlib.suppress(BrokenPipeError):
+            sys.stdout.close()
+        return EXIT_OK
     except TriadVerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
@@ -542,9 +564,6 @@ def main(argv=None) -> int:
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except PermissionError as exc:
-        print(f"pinning/affinity error: {exc}", file=sys.stderr)
-        return EXIT_PINNING
     except OSError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND

@@ -17,6 +17,10 @@ shared lines leave a copy in the supplier's L3, which then answers
 Shared/Forward requests).  The Forward designation follows the most recent
 reader.
 
+A state map's keys are the line's holders: home memory ``"mem"``, each
+core whose private caches hold a valid copy and each L3 domain that does.
+A cache without a key holds the line Invalid, so no entry is ever I.
+
 A :class:`ProtocolModel` comes from a topology
 (:meth:`ProtocolModel.from_topology`: the protocol the topology declares,
 and one L3 domain per CCX, or per SNC on the mesh).  One model serves
@@ -110,7 +114,6 @@ _STATE_STRENGTH = {
     CoherenceState.E: 3,
     CoherenceState.F: 2,
     CoherenceState.S: 1,
-    CoherenceState.I: 0,
 }
 
 
@@ -145,16 +148,9 @@ class ProtocolModel:
 
 @dataclass(frozen=True)
 class CacheEntry:
-    state: CoherenceState
-    levels: frozenset[str]  # subset of {"L1","L2"} for cores, {"L3"} for domains
+    state: CoherenceState  # never I: an Invalid copy has no entry
+    level: str  # the level nearest the core holding it: L1 or L2 (inclusive of L1), or L3
     value: int
-
-    @property
-    def innermost(self) -> str:
-        for lv in ("L1", "L2", "L3"):
-            if lv in self.levels:
-                return lv
-        raise CoherenceError("entry holds no level")
 
 
 @dataclass(frozen=True)
@@ -171,7 +167,12 @@ class ReadSource:
     level: str  # L1 | L2 | L3 | RAM
 
 
-StateMap = dict  # {"mem": int, ("core", c): CacheEntry, ("l3", d): CacheEntry}
+# {"mem": int, ("core", c): CacheEntry, ("l3", d): CacheEntry}: one key per
+# valid copy; a cache without a key holds the line Invalid.
+StateMap = dict
+
+# Home memory answering a read.
+_RAM_SOURCE = ReadSource("ram", "mem", "RAM")
 
 
 def initial_state_map(mem_value: int = 0) -> StateMap:
@@ -195,13 +196,6 @@ def _next_value(state_map: StateMap) -> int:
     return max(vals) + 1
 
 
-def _core_domain(model: ProtocolModel, core: int) -> str:
-    try:
-        return model.l3_domain_of[core]
-    except KeyError:
-        raise CoherenceError(f"event core {core} not in model") from None
-
-
 def _source_for_supplier(model, key, entry: CacheEntry) -> ReadSource:
     if key[0] == "l3":
         return ReadSource("l3", key[1], "L3")
@@ -214,155 +208,102 @@ def _source_for_supplier(model, key, entry: CacheEntry) -> ReadSource:
     elif model.protocol is Protocol.MESIF and entry.state is CoherenceState.E:
         level = "L2"  # clean-exclusive lines are fetched from the inclusive L2
     else:
-        level = entry.innermost
+        level = entry.level
     return ReadSource("cache", core, level)
 
 
-def _install_shared_l3_copy(new: StateMap, model, supplier_core: int, value: int):
-    """A line downgraded to shared leaves a copy in the supplier's L3 domain."""
-    dkey = ("l3", _core_domain(model, supplier_core))
-    cur = new.get(dkey)
-    if cur is None or _STATE_STRENGTH[cur.state] < _STATE_STRENGTH[CoherenceState.S]:
-        new[dkey] = CacheEntry(CoherenceState.S, frozenset({"L3"}), value)
+def _fill(new: StateMap, core: int, state: CoherenceState, source: ReadSource, value: int):
+    """The requester takes the line into its L1 (and so its L2); the read's
+    result."""
+    new[("core", core)] = CacheEntry(state, "L1", value)
+    return new, source, value
 
 
 def _read(model: ProtocolModel, state_map: StateMap, core: int):
-    if model.protocol is Protocol.MOESI:
-        return _read_moesi(model, state_map, core)
-    return _read_mesif(model, state_map, core)
-
-
-def _read_moesi(model: ProtocolModel, state_map: StateMap, core: int):
+    """A hit in the requester's own cache, or a victim hit on an exclusive
+    line in its L3 domain, which moves the line back up; otherwise the
+    protocol decides who answers."""
     new = dict(state_map)
-    own_key = ("core", core)
-    own = new.get(own_key)
-    if own is not None and own.state is not CoherenceState.I:
-        return new, ReadSource("cache", core, own.innermost), own.value
+    own = new.get(("core", core))
+    if own is not None:
+        return new, ReadSource("cache", core, own.level), own.value
+    domain = model.l3_domain_of[core]
+    l3 = new.get(("l3", domain))
+    if l3 is not None and l3.state in (CoherenceState.M, CoherenceState.E):
+        del new[("l3", domain)]
+        return _fill(new, core, l3.state, ReadSource("l3", domain, "L3"), l3.value)
+    if model.protocol is Protocol.MOESI:
+        return _read_moesi(model, new, core, domain)
+    return _read_mesif(model, new, core, domain)
 
-    dkey = ("l3", _core_domain(model, core))
-    l3 = new.get(dkey)
-    if l3 is not None and l3.state is not CoherenceState.I:
-        if l3.state in (CoherenceState.M, CoherenceState.E):
-            # Victim hit on an exclusive line: it moves back up.
-            del new[dkey]
-            new[own_key] = CacheEntry(l3.state, frozenset({"L1", "L2"}), l3.value)
-        else:
-            new[own_key] = CacheEntry(
-                CoherenceState.S, frozenset({"L1", "L2"}), l3.value
-            )
-        return new, ReadSource("l3", dkey[1], "L3"), l3.value
+
+def _read_moesi(model: ProtocolModel, new: StateMap, core: int, domain: str):
+    l3 = new.get(("l3", domain))
+    if l3 is not None:
+        return _fill(new, core, CoherenceState.S, ReadSource("l3", domain, "L3"), l3.value)
 
     owner = _ownership_holder(new)
     if owner is not None:
         key, entry = owner
-        source = _source_for_supplier(model, key, entry)
-        value = entry.value
         if entry.state in (CoherenceState.M, CoherenceState.O):
             # Dirty data stays dirty: the supplier keeps it as Owned.
             new[key] = replace(entry, state=CoherenceState.O)
         else:  # E: clean line; both end up Shared, no L3 copy is made
             new[key] = replace(entry, state=CoherenceState.S)
-        new[own_key] = CacheEntry(CoherenceState.S, frozenset({"L1", "L2"}), value)
-        return new, source, value
+        source = _source_for_supplier(model, key, entry)
+        return _fill(new, core, CoherenceState.S, source, entry.value)
 
     # Only clean shared copies (or nothing) remain.  Sharers inside the
     # requester's L3 domain answer from their inclusive L2; clean copies
     # beyond the domain are not forwarded -- home memory answers.
     for k, v in _holders(new):
-        if (
-            v.state is CoherenceState.S
-            and k[0] == "core"
-            and _core_domain(model, k[1]) == _core_domain(model, core)
-        ):
-            new[own_key] = CacheEntry(CoherenceState.S, frozenset({"L1", "L2"}), v.value)
-            return new, _source_for_supplier(model, k, v), v.value
-    value = new["mem"]
-    shared_somewhere = any(v.state is CoherenceState.S for _, v in _holders(new))
-    fill = CoherenceState.S if shared_somewhere else CoherenceState.E
-    new[own_key] = CacheEntry(fill, frozenset({"L1", "L2"}), value)
-    return new, ReadSource("ram", "mem", "RAM"), value
+        if k[0] == "core" and model.l3_domain_of[k[1]] == domain:
+            source = _source_for_supplier(model, k, v)
+            return _fill(new, core, CoherenceState.S, source, v.value)
+    fill = CoherenceState.S if _holders(new) else CoherenceState.E
+    return _fill(new, core, fill, _RAM_SOURCE, new["mem"])
 
 
-def _read_mesif(model: ProtocolModel, state_map: StateMap, core: int):
-    new = dict(state_map)
-    own_key = ("core", core)
-    own = new.get(own_key)
-    if own is not None and own.state is not CoherenceState.I:
-        return new, ReadSource("cache", core, own.innermost), own.value
-
-    dkey = ("l3", _core_domain(model, core))
-    l3 = new.get(dkey)
-    if l3 is not None and l3.state in (CoherenceState.M, CoherenceState.E):
-        # Victim hit on an exclusive line: it moves back up.
-        del new[dkey]
-        new[own_key] = CacheEntry(l3.state, frozenset({"L1", "L2"}), l3.value)
-        return new, ReadSource("l3", dkey[1], "L3"), l3.value
-
+def _read_mesif(model: ProtocolModel, new: StateMap, core: int, domain: str):
     owner = _ownership_holder(new)
     if owner is not None and owner[1].state in (CoherenceState.M, CoherenceState.E):
         key, entry = owner
-        source = _source_for_supplier(model, key, entry)
-        value = entry.value
         if entry.state is CoherenceState.M:
-            new["mem"] = value  # dirty data written back on downgrade
+            new["mem"] = entry.value  # dirty data written back on downgrade
         new[key] = replace(entry, state=CoherenceState.S)
         if key[0] == "core":
             # Non-inclusive L3 picks up a copy of the now-shared line; it
             # answers subsequent Shared/Forward requests.
-            _install_shared_l3_copy(new, model, key[1], value)
-        new[own_key] = CacheEntry(CoherenceState.F, frozenset({"L1", "L2"}), value)
-        return new, source, value
-
-    # Shared line (level copies in L3, an F holder, or plain S copies).
-    # The Forward designation migrates to the most recent reader.
-    def demote_forward_holder():
-        for k, v in _holders(new):
-            if v.state is CoherenceState.F:
-                new[k] = replace(v, state=CoherenceState.S)
-
-    l3_copies = sorted(
-        (k for k, v in _holders(new) if k[0] == "l3" and v.state is not CoherenceState.I),
-        key=lambda k: (k[1] != _core_domain(model, core), str(k[1])),
-    )
-    if l3_copies:
-        k = l3_copies[0]
-        value = new[k].value
-        if new[k].state is CoherenceState.F:
-            new[k] = replace(new[k], state=CoherenceState.S)
-        demote_forward_holder()
-        new[own_key] = CacheEntry(CoherenceState.F, frozenset({"L1", "L2"}), value)
-        return new, ReadSource("l3", k[1], "L3"), value
+            dkey = ("l3", model.l3_domain_of[key[1]])
+            new.setdefault(dkey, CacheEntry(CoherenceState.S, "L3", entry.value))
+        source = _source_for_supplier(model, key, entry)
+        return _fill(new, core, CoherenceState.F, source, entry.value)
 
     holders = _holders(new)
-    fwd = next((kv for kv in holders if kv[1].state is CoherenceState.F), None)
-    if fwd is not None:
-        key, entry = fwd
-        value = entry.value
-        source = _source_for_supplier(model, key, entry)
-        demote_forward_holder()
-        new[own_key] = CacheEntry(CoherenceState.F, frozenset({"L1", "L2"}), value)
-        return new, source, value
-
-    if any(v.state is CoherenceState.S for _, v in holders):
-        value = new["mem"]
-        new[own_key] = CacheEntry(CoherenceState.F, frozenset({"L1", "L2"}), value)
-        return new, ReadSource("ram", "mem", "RAM"), value
-
-    # Nobody holds it: exclusive fill from home memory.
-    value = new["mem"]
-    new[own_key] = CacheEntry(CoherenceState.E, frozenset({"L1", "L2"}), value)
-    return new, ReadSource("ram", "mem", "RAM"), value
+    if not holders:  # nobody holds it: exclusive fill from home memory
+        return _fill(new, core, CoherenceState.E, _RAM_SOURCE, new["mem"])
+    # Shared line: an L3 copy answers, the requester's own domain's if it
+    # has one, else the F holder, else home memory.  The Forward
+    # designation migrates to the most recent reader.
+    l3_copies = [k for k, _ in holders if k[0] == "l3"]
+    forwarders = [k for k, v in holders if v.state is CoherenceState.F]
+    key = ("l3", domain) if ("l3", domain) in new else next(iter(l3_copies + forwarders), None)
+    source = _RAM_SOURCE if key is None else _source_for_supplier(model, key, new[key])
+    value = new["mem"] if key is None else new[key].value
+    for k in forwarders:
+        new[k] = replace(new[k], state=CoherenceState.S)
+    return _fill(new, core, CoherenceState.F, source, value)
 
 
 def _write(model: ProtocolModel, state_map: StateMap, core: int, value: int):
     new = {"mem": state_map["mem"]}
-    new[("core", core)] = CacheEntry(CoherenceState.M, frozenset({"L1", "L2"}), value)
+    new[("core", core)] = CacheEntry(CoherenceState.M, "L1", value)
     return new
 
 
 def _flush(model: ProtocolModel, state_map: StateMap, core: int):
     new = dict(state_map)
-    for key in (("core", core), ("l3", _core_domain(model, core))):
+    for key in (("core", core), ("l3", model.l3_domain_of[core])):
         entry = new.get(key)
         if entry is None:
             continue
@@ -376,9 +317,9 @@ def _evict_l1(model: ProtocolModel, state_map: StateMap, core: int):
     new = dict(state_map)
     key = ("core", core)
     entry = new.get(key)
-    if entry is not None and "L1" in entry.levels:
+    if entry is not None:
         # L2 is inclusive of L1, so the line survives in L2.
-        new[key] = replace(entry, levels=frozenset({"L2"}))
+        new[key] = replace(entry, level="L2")
     return new
 
 
@@ -390,10 +331,10 @@ def _evict_l2(model: ProtocolModel, state_map: StateMap, core: int):
         return new
     # Both L3 policies install the victim; the non-inclusive L3 "appears as
     # a victim cache" on this path.
-    dkey = ("l3", _core_domain(model, core))
+    dkey = ("l3", model.l3_domain_of[core])
     cur = new.get(dkey)
     if cur is None or _STATE_STRENGTH[cur.state] <= _STATE_STRENGTH[entry.state]:
-        new[dkey] = CacheEntry(entry.state, frozenset({"L3"}), entry.value)
+        new[dkey] = CacheEntry(entry.state, "L3", entry.value)
     return new
 
 
@@ -576,16 +517,15 @@ class SimResult:
         return self.state_map.get(("l3", domain))
 
     def state_at(self, model: ProtocolModel, core: int, level: str) -> CoherenceState:
-        """Line state as seen at (core, level); I when absent."""
-        if level in ("L1", "L2"):
-            e = self.entry(core)
-            if e is not None and level in e.levels:
-                return e.state
-            return CoherenceState.I
+        """Line state as seen at (core, level); I when absent.  A core's copy
+        is in its L2 as well, whichever level it is at."""
         if level == "L3":
             e = self.l3_entry(model.l3_domain_of[core])
-            return e.state if e is not None else CoherenceState.I
-        return CoherenceState.I
+        else:
+            e = self.entry(core)
+            if e is not None and level not in ("L2", e.level):
+                e = None
+        return e.state if e is not None else CoherenceState.I
 
 
 def simulate(script: CoherenceScript, model: ProtocolModel) -> SimResult:

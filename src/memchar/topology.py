@@ -158,8 +158,9 @@ _DOCUMENT_KEYS = {
 class TopoNode:
     """A core, a memory controller or a mesh socket-link tile.
 
-    ``location`` is (socket, numa_node, ccd, ccx, core_index) for chiplet
-    graphs and (socket, row, col) for mesh graphs; unused slots are None.
+    Cores and memory controllers give their NUMA node (an SNC on a mesh),
+    and a core its id.  A chiplet core gives its CCD and CCX, a mesh node
+    its grid row and column.  Fields a node does not use are None.
     """
 
     id: str
@@ -493,11 +494,19 @@ def _load_chiplet(
                         add(cid, nodes, TopoNode(cid, NodeRole.CORE, sid, numa_node=nid,
                                                  ccd=ccd_i, ccx=ccx_i, core_index=c))
     crossings = []
+    linked: set[str] = set()
     for link in _entries(doc, "xgmi_links", "topology", list, []):
         a, b = _pair(link, "xgmi_links entry")
         for end in (a, b):
             if end not in ports:
                 raise SchemaError(f"xgmi_links: '{end}' is not an xGMI port")
+        if ports[a][0] == ports[b][0]:
+            raise SchemaError(f"xgmi_links entry {link}: both ends are ports of socket "
+                              f"{ports[a][0]}; an xGMI link joins the two sockets")
+        for end in (a, b):
+            if end in linked:
+                raise SchemaError(f"xgmi_links entry {link}: port '{end}' is already linked")
+            linked.add(end)
         crossings += [(ports[a], ports[b]), (ports[b], ports[a])]
     return nodes, l3_domains, _switch_table(links, homes, crossings)
 

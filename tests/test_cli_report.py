@@ -903,7 +903,7 @@ class TestCli:
         (ResultError("r"), 2, "config error: "),
         (BackendError("be"), 4, "backend error: "),
         (ScriptPlacementError("sp"), 4, "backend error: "),
-        (PermissionError("perm"), 3, "pinning/affinity error: "),
+        (PermissionError("perm"), 4, "backend error: "),
         (OSError("os"), 4, "backend error: "),
     ]
 
@@ -916,6 +916,40 @@ class TestCli:
         monkeypatch.setattr(cli, "_run", fail)
         assert main(["topo", "--topology", "rome_2s"]) == code
         assert capsys.readouterr().err == f"{prefix}{exc}\n"
+
+    def test_out_below_a_regular_file_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "run"
+        assert main(["bandwidth", "--topology", "rome_2s", "--level", "L1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot create output directory {out}: Not a directory\n")
+
+    def test_model_predict_has_no_out_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["model-predict", "--topology", "rome_2s", "--requester", "0",
+                  "--home", "1", "--out", "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out x" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [["topo"], ["bandwidth", "--level", "L1"]],
+                             ids=["topo", "bandwidth"])
+    def test_reader_closing_stdout_early_is_no_failure(self, unbuffered, argv, tmp_path):
+        # A recorded run still saves its manifest.
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+               "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+        out = ["--out", str(tmp_path)] if argv[0] in cli._RECORDED else []
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "memchar.cli", *argv,
+                                   "--topology", "rome_2s", *out],
+                                  env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (tmp_path / "manifest.json").exists() == bool(out)
 
     def test_simulated_run_does_not_load_the_native_backend(self, tmp_path):
         # A fresh interpreter, since this one has loaded every module.

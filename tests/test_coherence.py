@@ -17,6 +17,8 @@ from memchar.coherence import (
     CoherenceError,
     CoherenceState,
     Protocol,
+    ProtocolModel,
+    ReadSource,
     ScriptStep,
     WorkerRole,
     initial_state_map,
@@ -183,7 +185,7 @@ class TestPlanState:
     def test_level_demotion_places_line(self):
         script = plan_state(M, Protocol.MOESI, owner=1, requester=0, level="L2")
         result = verify_script(script, MOESI)
-        assert result.entry(1).levels == frozenset({"L2"})
+        assert result.entry(1).level == "L2"
         script = plan_state(E, Protocol.MOESI, owner=1, requester=0, level="L3")
         result = verify_script(script, MOESI)
         assert result.entry(1) is None
@@ -231,7 +233,7 @@ class TestProtocolStep:
 
     def test_l1_eviction_keeps_inclusive_l2(self):
         m = run_events(MOESI, [(0, Action.WRITE), (0, Action.EVICT_L1)])
-        assert m[("core", 0)].levels == frozenset({"L2"})
+        assert m[("core", 0)].level == "L2"
         assert m[("core", 0)].state is M
 
     def test_flush_writes_back_dirty(self):
@@ -288,10 +290,10 @@ class TestProtocolStep:
         assert m[("core", 0)].state is O
 
 
-def _entry(state, value, levels=frozenset({"L1", "L2"})):
+def _entry(state, value, level="L1"):
     from memchar.coherence import CacheEntry
 
-    return CacheEntry(state, levels, value)
+    return CacheEntry(state, level, value)
 
 
 class TestSimulate:
@@ -383,3 +385,44 @@ class TestInvariantFuzz:
                 if action is Action.READ:
                     assert value_read == last_write
 
+
+class TestNameIndependence:
+    """The simulator compares cores and L3 domains only for equality, so a
+    run on renamed cores and domains gives the renamed answers.  The
+    simulated backend's coherence-class key relies on this."""
+
+    DOMAINS = ("l3.a", "l3.b", "l3.c")
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_renamed_run_maps_onto_the_original(self, protocol):
+        rng = random.Random(33)
+        cores = tuple(range(6))
+        model = ProtocolModel(protocol, cores, {c: self.DOMAINS[c // 2] for c in cores})
+        actions = list(Action)
+        for _ in range(50):
+            # Domains renamed in reverse str order, core ids permuted.
+            to = dict(zip(self.DOMAINS, ("l3.z", "l3.y", "l3.x")), mem="mem")
+            to.update(zip(cores, rng.sample(range(10, 16), len(cores))))
+            renamed = ProtocolModel(protocol, tuple(to[c] for c in cores),
+                                    {to[c]: to[d] for c, d in model.l3_domain_of.items()})
+            m = m2 = initial_state_map()
+            for _ in range(40):
+                core, action = rng.choice(cores), rng.choice(actions)
+                m, source, value = apply_event(model, m, CacheEvent(core, action))
+                m2, source2, value2 = apply_event(renamed, m2, CacheEvent(to[core], action))
+                if source is not None:
+                    source = dataclasses.replace(source, supplier=to[source.supplier])
+                assert {k if k == "mem" else (k[0], to[k[1]]): v for k, v in m.items()} == m2
+                assert (source2, value2) == (source, value)
+                assert all(v.state is not I for k, v in m.items() if k != "mem")
+
+    def test_mesif_answers_from_the_first_other_domain_copy(self):
+        # Cores 0, 1 and 2 each in their own domain; reads of 0 and 1 leave
+        # L3 copies in core 0's domain, then core 1's.  Whichever names the
+        # domains carry, core 2 is answered from core 0's.
+        events = [(0, Action.READ), (1, Action.READ), (1, Action.EVICT_L2), (2, Action.READ)]
+        for names in (self.DOMAINS, ("l3.b", "l3.a", "l3.c")):
+            model = ProtocolModel(Protocol.MESIF, (0, 1, 2), dict(enumerate(names)))
+            m = run_events(model, events[:-1])
+            source = apply_event(model, m, CacheEvent(2, Action.READ))[1]
+            assert source == ReadSource("l3", names[0], "L3")

@@ -168,6 +168,20 @@ class TestLoad:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "disconnected" in err, err
 
+    @pytest.mark.parametrize("link, message", [
+        (["s0.xg1", "s0.xg2"], "both ends are ports of socket 0"),
+        (["s1.xg3", "s1.xg3"], "both ends are ports of socket 1"),
+        (["s0.xg1", "s1.xg4"], "port 's0.xg1' is already linked"),
+    ], ids=["one-socket", "port-to-itself", "port-linked-twice"])
+    def test_xgmi_link_that_cannot_route_is_refused(self, link, message, tmp_path, capsys):
+        doc = fixture_doc("rome_2s")
+        doc["xgmi_links"].append(link)
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps(doc))
+        assert main(["topo", "--topology", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: xgmi_links entry {link}: {message}"), err
+
     def test_ccx_size_bounds(self):
         doc = fixture_doc("rome_2s")
         doc["sockets"][0]["numa_nodes"][0]["ccds"][0]["ccxs"][0] = list(range(200, 206))
