@@ -23,12 +23,13 @@ another home node holds one node's buffers, not one set per node, and a
 triad's mapping never sits idle beside a chain's.  Idle mappings of the last
 key are held until the process exits.  Unbound mappings (no libnuma, a
 failed bind, read datasets, the flush scratch) are unmapped at close.  A
-recycled mapping still holds what its last user wrote, so
-:meth:`NativeBackend.materialize_chain` clears a recycled region before
-writing the chain, and the chain reads as on a fresh mapping: zero except
-its slots.  The triad's three arrays are views of one such region, advised
-for huge pages like a chain's, bound to the node libnuma gives for the
-triad's core.
+recycled mapping still holds what its last user wrote, so there
+:meth:`NativeBackend.materialize_chain` writes each element whole, slot
+word and zeros, in one pass of non-temporal stores; a fresh mapping gets
+its slot words only.  Either way the chain reads as on a fresh mapping:
+zero except its slots.  The triad's three arrays are views of one such
+region, advised for huge pages like a chain's, bound to the node libnuma
+gives for the triad's core.
 
 The C kernels are compiled with the system compiler into a cache directory,
 named after a hash of their inputs, and loaded by :func:`load_kernels`; when
@@ -116,6 +117,7 @@ KERNEL_SIGNATURES = {
     "mc_read256": (_u64, (_ptr, _u64, _u64, _ptr)),
     "mc_triad": (_u64, (_ptr, _ptr, _ptr, ctypes.c_double, _u64, ctypes.c_int)),
     "mc_sattolo": (None, (_ptr, _u64, _u64)),
+    "mc_chain_write": (None, (_ptr, _ptr, _u64, _u64, ctypes.c_int)),
     "mc_chain_walk": (_u64, (_ptr, _u64, _ptr, _ptr)),
     "mc_has_avx512": (ctypes.c_int, ()),
 }
@@ -374,18 +376,14 @@ class NativeBackend:
     def materialize_chain(self, chain: ChainBuffer, home_node: int) -> _Region:
         """A region for ``home_node`` that reads as a fresh mapping with the
         chain written in: every slot points at its successor, every other
-        word is zero.  A recycled region is cleared first, since the
-        mapping's last user may have written anywhere in it."""
+        word is zero.  ``mc_chain_write`` writes it in one pass.  On a
+        recycled region, whose mapping's last user may have written anywhere
+        in it, the pass writes each element whole with non-temporal stores;
+        a fresh mapping, zero already, gets its slot words only."""
         region = _Region(chain.total_bytes, home_node, self.libnuma, chain.huge_pages)
-        if region.recycled:
-            ctypes.memset(region.addr, 0, region.nbytes)
-        align = chain.stride_alignment
-        # Built here on a spec's first materialization; viewed, not copied.
-        succ = np.frombuffer(chain.successors, dtype=np.int64)
-        words = np.ctypeslib.as_array(
-            (ctypes.c_uint64 * (region.nbytes // 8)).from_address(region.addr)
-        )
-        words[:: align // 8][: chain.element_count] = succ * align + region.addr
+        # Built here on a spec's first materialization; read in place.
+        self.lib.mc_chain_write(region.addr, chain.successors.buffer_info()[0],
+                                chain.element_count, chain.stride_alignment, region.recycled)
         return region
 
     def _flush(self, levels) -> None:

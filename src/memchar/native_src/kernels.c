@@ -16,6 +16,13 @@
  * region keeps its VEX encodings, load widths, vmovntpd and fence order.
  * tests/test_native.py checks the shape of each timed region.  The
  * __clang__ spellings follow clang's own headers and are untested.
+ *
+ * One untimed kernel writes a chain into its region: mc_chain_write.  On a
+ * recycled mapping it streams every element whole with 16-byte
+ * non-temporal stores, slot word and zeros together.  A streamed line is
+ * written without first being read for ownership, and one pass both clears
+ * what the mapping's last user left and writes the chain, where a memset
+ * and a slot scatter took two.
  */
 
 #include <stdint.h>
@@ -37,9 +44,11 @@ static inline v2di or128(v2di a, v2di b) { return (v2di)((v2du)a | (v2du)b); }
 #if defined(__clang__)
 #define OR256(a, b) ((v4df)((v4di)(a) | (v4di)(b)))
 #define STREAM_PD(p, v) __builtin_nontemporal_store((v), (v2df *)(p))
+#define STREAM_SI128(p, v) __builtin_nontemporal_store((v), (v2di *)(p))
 #else
 #define OR256(a, b) __builtin_ia32_orpd256((a), (b))
 #define STREAM_PD(p, v) __builtin_ia32_movntpd((p), (v))
+#define STREAM_SI128(p, v) __builtin_ia32_movntdq((v2di *)(p), (v))
 #endif
 
 static inline uint64_t fenced_tsc(void) {
@@ -200,6 +209,31 @@ void mc_sattolo(int64_t *perm, uint64_t n, uint64_t state) {
         int64_t t = perm[i];
         perm[i] = perm[j];
         perm[j] = t;
+    }
+}
+
+/* Write the chain of `n` elements, `stride` bytes apart, into the region
+ * at `base`: element i's first word becomes base + succ[i] * stride.  With
+ * `clear` (a recycled mapping), every element is written whole in the same
+ * pass by 16-byte non-temporal stores, the slot word and then zeros up to
+ * `stride`, and one sfence follows them, as in mc_triad.  Without it (a
+ * fresh mapping, which the operating system zeroed), only the slot words
+ * are stored.  `base` is 16-byte aligned and `stride` a multiple of 64. */
+void mc_chain_write(char *base, const int64_t *succ, uint64_t n, uint64_t stride,
+                    int clear) {
+    uint64_t b = (uint64_t)(uintptr_t)base;
+    if (clear) {
+        const v2di zero = {0, 0};
+        for (uint64_t i = 0; i < n; i++) {
+            char *p = base + i * stride;
+            STREAM_SI128(p, ((v2di){(long long)(b + (uint64_t)succ[i] * stride), 0}));
+            for (uint64_t off = 16; off < stride; off += 16)
+                STREAM_SI128(p + off, zero);
+        }
+        __builtin_ia32_sfence();
+    } else {
+        for (uint64_t i = 0; i < n; i++)
+            *(uint64_t *)(base + i * stride) = b + (uint64_t)succ[i] * stride;
     }
 }
 

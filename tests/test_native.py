@@ -171,6 +171,52 @@ class TestMaterialize:
         words[slots] = 0
         assert not words.any()
 
+    @staticmethod
+    def bound_backend():
+        """A backend on the real kernels whose libnuma binds every mapping,
+        so closed regions are recycled."""
+        _kernels_or_skip()
+        backend = native.NativeBackend(load_topology_file(fixture_path("single_core.json")),
+                                       frequency_mhz=1000.0)
+        backend.libnuma = FakeNuma(0)
+        return backend
+
+    @pytest.mark.parametrize("align", [64, 512])
+    def test_recycled_region_reads_fresh_and_the_mapping_past_it_is_untouched(self, align):
+        backend = self.bound_backend()
+        idle = native._Region(256 << 10, 0, backend.libnuma, False)
+        ctypes.memset(idle.addr, 0xFF, idle.nbytes)
+        idle.close()
+        chain = chain_spec(64 << 10, align, seed=5, huge_pages=False)
+        region = backend.materialize_chain(chain, home_node=0)
+        try:
+            assert (region.recycled, region.addr) == (True, idle.addr)
+            _assert_reads_fresh(region, chain)
+            past = ctypes.string_at(region.addr + region.nbytes, idle.nbytes - region.nbytes)
+            assert past == b"\xff" * (idle.nbytes - region.nbytes)
+        finally:
+            region.close()
+
+    @pytest.mark.parametrize("align", [64, 512])
+    def test_chain_recycled_onto_itself_after_a_measured_point_reads_fresh(
+            self, align, monkeypatch, idle_mappings):
+        backend = self.bound_backend()
+        monkeypatch.setattr(native, "_pin_current_thread", lambda core: None)
+        chain = chain_spec(64 << 10, align, seed=5, huge_pages=False)
+        policy = MeasurementPolicy(
+            inner_repeats=1, outer_repeats=1, sizes_per_level=1, flush_levels=frozenset()
+        )
+        point = (plan_state("M", "MOESI", owner=0, requester=0, level="L1"),
+                 Placement(0, 0, 0, label="local"))
+        backend.run_sweep([chain], [point], policy)  # its mc_write_touch dirties every element
+        [used] = idle_mappings[(0, False)]
+        region = backend.materialize_chain(chain, home_node=0)
+        try:
+            assert (region.recycled, region.addr) == (True, used.addr)
+            _assert_reads_fresh(region, chain)
+        finally:
+            region.close()
+
 
 class TestFlushLevels:
     @pytest.mark.parametrize("levels, swept", [
@@ -191,8 +237,16 @@ class TestFlushLevels:
         assert (None if scratch is None else scratch.nbytes) == swept
 
 
+# The compiled library's loader, taken before any test replaces it.
+_real_kernels = native.load_kernels
+
+
 class FakeKernels:
-    """Kernel table stand-in: every kernel returns at once."""
+    """Kernel table stand-in: every kernel returns at once, except that a
+    chain is written by the shipped ``mc_chain_write``."""
+
+    def mc_chain_write(self, base, succ, n, stride, clear):
+        _real_kernels().mc_chain_write(base, succ, n, stride, clear)
 
     def mc_timer_overhead(self):
         return 10
@@ -1041,6 +1095,14 @@ class TestKernelCodegen:
         assert loop_with(triad, store)
         first = next(k for k, (_, ins) in enumerate(triad) if re.fullmatch(store, ins))
         assert "sfence" in (ins for _, ins in triad[first:])
+
+    def test_chain_write_streams_whole_elements_and_fences_them(self, kernel_build):
+        write = disassembly(kernel_build)["mc_chain_write"]
+        store = rf"v?movnt(?:dq|ps|pd)\s+%xmm\d+,{MEM}"
+        assert loop_with(write, store)
+        first = next(k for k, (_, ins) in enumerate(write) if re.fullmatch(store, ins))
+        assert "sfence" in (ins for _, ins in write[first:])
+        assert not any(ins.startswith("rdtsc") for _, ins in write)  # untimed
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs sched_getaffinity")
