@@ -61,7 +61,7 @@ from .model import (
     switch_hop_template,
 )
 from .plots import PLOT_KINDS, PlotError, emit_plot
-from .results import ResultError, ResultSet, RunManifest, parse_cell, write_output
+from .results import ResultError, ResultSet, RunManifest, finite_float, parse_cell, write_output
 from .topology import (
     PlacementScope,
     TopologyError,
@@ -312,7 +312,7 @@ def _observations_from_csv(path: Path, graph) -> list[FitObservation]:
                         parse_cell(int, r, "requester_node", line, path)
                     ),
                     home=parse_cell(int, r, "home_node", line, path),
-                    cycles=parse_cell(float, r, "cycles", line, path),
+                    cycles=parse_cell(finite_float, r, "cycles", line, path),
                 )
             )
         return obs
@@ -326,7 +326,7 @@ def _observations_from_csv(path: Path, graph) -> list[FitObservation]:
             FitObservation(
                 requester=req,
                 home=class_to_home[r["source_class"]],
-                cycles=parse_cell(float, r, "cycles", line, path),
+                cycles=parse_cell(finite_float, r, "cycles", line, path),
             )
         )
     if not obs:

@@ -59,7 +59,6 @@ from .coherence import LEVELS, CoherenceScript, WorkerRole
 from .topology import Placement, TopologyGraph
 
 __all__ = [
-    "LEVELS",
     "HarnessError",
     "AggregationError",
     "PolicyError",

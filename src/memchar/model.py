@@ -75,9 +75,6 @@ RIDGE_LAMBDA = 1e-9
 # state classes of M and E lines.
 MESH_GRADIENT_LEVELS = frozenset({"L1", "L2"})
 MESH_GRADIENT_CLASSES = frozenset({"M", "E", "ME"})
-# Keys a model document may no longer carry: the protocol and the clocks
-# come from the topology, and the mesh gradient's scope is fixed above.
-_RETIRED_KEYS = ("protocol", "frequencies", "mesh_gradient_levels", "mesh_gradient_classes")
 # The keys a model document of each graph kind reads.  The first three are
 # required; the third is the kind's one hop cost, in the unit its name says.
 _KEYS = {
@@ -109,20 +106,18 @@ class LatencyModel:
     ``frequencies.uncore_mhz``.  The hop cost is kept in core cycles,
     :attr:`hop_cycles`.
 
-    A key the graph's kind does not read, a retired key, a missing key, an
-    entry of the wrong type (numbers convert as the topology reader converts
-    them: no booleans, no fractional integers), a level with neither its own
+    A key the graph's kind does not read, a missing key, an entry of the
+    wrong type (numbers convert as the topology reader converts them: no
+    booleans, no fractional integers), a level with neither its own
     ``state_classes`` entry nor ``state_classes.default``, and a CCX penalty
     table that does not cover the graph's largest CCX are each a
-    :class:`ModelError` naming the key.
+    :class:`ModelError` naming the key.  ``protocol``, ``frequencies``,
+    ``mesh_gradient_levels`` and ``mesh_gradient_classes`` are unread keys
+    like any other: the protocol and the clocks come from the topology, and
+    the mesh gradient's scope is fixed.
     """
 
     def __init__(self, doc: dict, graph: TopologyGraph):
-        for key in _RETIRED_KEYS:
-            if key in doc:
-                raise ModelError(f"model document carries '{key}': the protocol and the clocks "
-                                 "come from the topology, and the mesh gradient covers M/E "
-                                 "lines at L1/L2")
         keys = _KEYS[graph.kind]
         _known(doc, keys, f"a {graph.kind.value} model document", ModelError)
         missing = [k for k in keys[:3] if k not in doc]

@@ -96,7 +96,7 @@ from .coherence import Action, CoherenceScript
 from .harness import HarnessError, MeasurementPolicy, flush_scratch_bytes
 from .topology import TopologyGraph
 
-__all__ = ["BackendUnavailable", "PinningError", "NativeBackend", "build_kernels"]
+__all__ = ["BackendUnavailable", "NativeBackend", "build_kernels"]
 
 _SRC = Path(__file__).parent / "native_src" / "kernels.c"
 MPOL_BIND = 2
@@ -119,7 +119,6 @@ KERNEL_SIGNATURES = {
     "mc_sattolo": (None, (_ptr, _u64, _u64)),
     "mc_chain_write": (None, (_ptr, _ptr, _u64, _u64, ctypes.c_int)),
     "mc_chain_walk": (_u64, (_ptr, _u64, _ptr, _ptr)),
-    "mc_has_avx512": (ctypes.c_int, ()),
 }
 # Bytes one loop iteration of each read kernel loads; the kernel skips any
 # tail shorter than this, so a read's dataset is a whole number of them.

@@ -171,7 +171,6 @@ uint64_t mc_triad(double *a, const double *b, const double *c, double s,
                   uint64_t n, int nontemporal) {
     uint64_t t0 = fenced_tsc();
     if (nontemporal) {
-#if defined(__SSE2__) || defined(__x86_64__)
         uint64_t i = 0;
         for (; i + 2 <= n; i += 2) {
             v2df vb = *(const v2df_u *)(b + i);
@@ -182,10 +181,6 @@ uint64_t mc_triad(double *a, const double *b, const double *c, double s,
         for (; i < n; i++)
             a[i] = b[i] + s * c[i];
         __builtin_ia32_sfence();
-#else
-        for (uint64_t i = 0; i < n; i++)
-            a[i] = b[i] + s * c[i];
-#endif
     } else {
         for (uint64_t i = 0; i < n; i++)
             a[i] = b[i] + s * c[i];
@@ -259,14 +254,6 @@ uint64_t mc_chain_walk(const int64_t *succ, uint64_t n, int64_t *first_seen,
         }
         first_seen[idx] = (int64_t)step;
     }
-}
-
-int mc_has_avx512(void) {
-#if defined(__AVX512F__)
-    return 1;
-#else
-    return 0;
-#endif
 }
 
 #endif /* x86_64 */

@@ -58,12 +58,13 @@ identical objects format identically, and every record stays alive while
 its file is built, so no id is reused; no float is compared.
 
 Reading a result file checks it: a row whose field count differs from the
-header's, a cell that does not parse, or a row ``csv.reader`` refuses is a
-:class:`ResultError` naming the file, the line and, for a cell, the
-column; of two bad cells, the first in column order is named
-(:func:`parse_cell`, which the fit-input reader uses too).  Bytes that are
-not UTF-8, the encoding every file is written in, are one naming the file.
-Any field the writer writes reads back, however long: the csv
+header's, a cell that does not parse (a float cell holding NaN or an
+infinity does not: no file memchar writes holds one), or a row
+``csv.reader`` refuses is a :class:`ResultError` naming the file, the line
+and, for a cell, the column; of two bad cells, the first in column order
+is named (:func:`parse_cell`, which the fit-input reader uses too).  Bytes
+that are not UTF-8, the encoding every file is written in, are one naming
+the file.  Any field the writer writes reads back, however long: the csv
 module's field limit is raised to the file's size for the read.
 """
 
@@ -72,6 +73,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -79,7 +81,7 @@ from pathlib import Path
 
 from .bandwidth import BandwidthRecord
 from .harness import MeasurementRecord
-from .topology import Placement
+from .topology import Placement, _known
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -92,6 +94,7 @@ __all__ = [
     "BANDWIDTH_COLUMNS",
     "write_output",
     "parse_cell",
+    "finite_float",
 ]
 
 SCHEMA_VERSION = 1
@@ -169,8 +172,17 @@ def _ints(text: str) -> tuple:
     return tuple(int(v) for v in text.split(";") if v)
 
 
+def finite_float(text: str) -> float:
+    """``float(text)``, refusing NaN and the infinities with a
+    ``ValueError``: no file memchar writes holds one."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _floats(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(";") if v)
+    return tuple(finite_float(v) for v in text.split(";") if v)
 
 
 # The result schemas, one row per column in file order: (header, record
@@ -187,17 +199,17 @@ LATENCY_TABLE = (
     ("level", "level", str, True),
     ("bytes", "dataset_bytes", int, False),
     ("samples", "samples", _floats, False),
-    ("min_cycles", "min_cycles", float, True),
-    ("max_cycles", "max_cycles", float, True),
-    ("median_cycles", "median_cycles", float, True),
-    ("freq_mhz", "frequency_mhz", float, False),
-    ("latency_cycles", "latency_cycles", float, True),
+    ("min_cycles", "min_cycles", finite_float, True),
+    ("max_cycles", "max_cycles", finite_float, True),
+    ("median_cycles", "median_cycles", finite_float, True),
+    ("freq_mhz", "frequency_mhz", finite_float, False),
+    ("latency_cycles", "latency_cycles", finite_float, True),
     ("reducer", "reducer", str, False),
     ("sizes", "dataset_sizes", _ints, False),
     ("alignment", "alignment", int, False),
     ("huge_pages", "huge_pages", lambda t: t == "1", False),
     ("seed", "seed", int, False),
-    ("overhead_cycles", "overhead_cycles", float, False),
+    ("overhead_cycles", "overhead_cycles", finite_float, False),
     ("label", "placement.label", str, True),
 )
 
@@ -210,10 +222,10 @@ BANDWIDTH_TABLE = (
     ("level", "level", str, True, lambda r: r.level),
     ("bytes", "dataset_bytes", int, True, lambda r: str(r.dataset_bytes)),
     ("bytes_moved", "bytes_moved", int, False, lambda r: str(r.bytes_moved)),
-    ("elapsed_cycles", "elapsed_cycles", float, False, lambda r: _f(r.elapsed_cycles)),
-    ("bandwidth_gbps", "bandwidth_gbps", float, True, lambda r: _f(r.bandwidth_gbps)),
-    ("bytes_per_cycle", "bytes_per_cycle", float, True, lambda r: _f(r.bytes_per_cycle)),
-    ("freq_mhz", "frequency_mhz", float, False, lambda r: _f(r.frequency_mhz)),
+    ("elapsed_cycles", "elapsed_cycles", finite_float, False, lambda r: _f(r.elapsed_cycles)),
+    ("bandwidth_gbps", "bandwidth_gbps", finite_float, True, lambda r: _f(r.bandwidth_gbps)),
+    ("bytes_per_cycle", "bytes_per_cycle", finite_float, True, lambda r: _f(r.bytes_per_cycle)),
+    ("freq_mhz", "frequency_mhz", finite_float, False, lambda r: _f(r.frequency_mhz)),
     ("flags", "flags", lambda t: tuple(v for v in t.split(";") if v), False,
      lambda r: ";".join(r.flags)),
     ("degraded_from", "degraded_from", lambda t: t or None, False,
@@ -261,13 +273,9 @@ class RunManifest:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise ResultError(f"{path}: unreadable manifest: {exc}") from None
-        if isinstance(doc, dict) and "environment" in doc:
-            raise ResultError(
-                f"{path}: an older memchar wrote this manifest (it holds environment "
-                "variables); a run's settings are now its argv alone"
-            )
-        if not isinstance(doc, dict) or set(doc) != {"argv"}:
+        if not isinstance(doc, dict) or "argv" not in doc:
             raise ResultError(f"{path}: a manifest holds exactly the key argv")
+        _known(doc, ("argv",), f"{path}: the manifest", ResultError)
         return cls(doc["argv"])
 
 

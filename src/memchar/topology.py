@@ -40,13 +40,15 @@ Common:
   sockets         1 or 2 entries (below) whose ids are 0..n-1, each once;
                   the graph's socket count is their number
 
-A document still carrying ``link_costs`` or ``socket_count`` is refused
-(exit 2): a route counts the switches it crosses, a link's priced cost is
-the latency model's hop cost, and the socket count is the number of
-``sockets`` entries.  A chiplet document in which a NUMA node pair has no
-route (a socket's switches must be joined by its own ``switch_links``), or
-a declared switch that no NUMA node's switch reaches, is refused as
-disconnected.
+A document carries no route weights and no socket count, so
+``link_costs`` and ``socket_count`` are refused like any unread key: a
+route counts the switches it crosses, a link's priced cost is the latency
+model's hop cost, and the socket count is the number of ``sockets``
+entries.  A chiplet document in which a NUMA node pair has no route (a
+socket's switches must be joined by its own ``switch_links``), or a
+declared switch that no NUMA node's switch reaches, is refused as
+disconnected; so is a switch-links entry, xGMI port or NUMA node that
+names a switch its socket does not declare.
 
 kind=chiplet_if sockets entry:
   {"id": S,
@@ -139,12 +141,6 @@ class PlacementScope(str, Enum):
     ALL_PAIRS = "all_pairs"
 
 
-# Fields a topology document may no longer carry, and what replaced each.
-_RETIRED_FIELDS = {
-    "link_costs": "route weights are fixed (a route counts the switches it crosses) and a "
-                  "link's priced cost is the latency model's hop cost",
-    "socket_count": "the socket count is the number of 'sockets' entries",
-}
 # The top-level keys each graph kind's loader reads; any other is refused.
 _DOCUMENT_KEYS = {
     GraphKind.CHIPLET_IF: ("kind", "name", "protocol", "frequencies", "caches", "bandwidth",
@@ -431,11 +427,11 @@ def _load_chiplet(
             raise SchemaError(f"duplicate node id '{node_id}'")
         table[node_id] = value
 
-    def switch(end: str, a: str, b: str, link_class: str) -> str:
-        """``end``, a declared switch of the link ``a - b``."""
-        if end not in links:
-            raise SchemaError(f"{link_class} link {a} - {b} names unknown node '{end}'")
-        return end
+    def switch(name: str, entry: str) -> str:
+        """``name``, a switch that ``entry`` names, if the socket declares it."""
+        if name not in links:
+            raise SchemaError(f"{entry} names undeclared switch '{name}'")
+        return name
 
     for sid, sock in sockets:
         prefix = f"s{sid}."
@@ -444,32 +440,25 @@ def _load_chiplet(
         for sw in _entries(sock, "switches", ctx, str, []):
             add(prefix + sw, links, [])
         for link in _entries(sock, "switch_links", ctx, list, []):
-            a, b = (prefix + end for end in _pair(link, f"{ctx}: switch_links entry"))
-            for end in (a, b):
-                switch(end, a, b, "if_switch_hop")
+            a, b = (switch(prefix + end, f"{ctx}: switch_links entry {link}")
+                    for end in _pair(link, f"{ctx}: switch_links entry"))
             links[a].append(b)
             links[b].append(a)
         for port in _entries(sock, "xgmi_ports", ctx, dict, []):
             pid = prefix + _req(port, "id", f"{ctx} xgmi port", str)
             _known(port, ("id", "switch"), f"xgmi port {pid}")
             sw = prefix + _req(port, "switch", f"xgmi port {pid}", str)
-            add(pid, ports, (sid, switch(sw, sw, pid, "local")))
+            add(pid, ports, (sid, switch(sw, f"xgmi port {pid}")))
         for nd in _entries(sock, "numa_nodes", ctx, dict):
             nid = _req(nd, "id", "numa_node", int)
             _known(nd, ("id", "switch", "ccds"), f"numa_node {nid}")
             switch_name = nd.get("switch")
-            sw_id = None if switch_name is None else prefix + _as(
+            sw_id = None if switch_name is None else switch(prefix + _as(
                 str, switch_name, f"numa_node {nid}: field 'switch'"
-            )
+            ), f"numa_node {nid}")
             mc_id = f"mc{nid}"
             add(mc_id, nodes, TopoNode(mc_id, NodeRole.MEMORY_CONTROLLER, sid, numa_node=nid))
             ccds = _entries(nd, "ccds", f"numa_node {nid}", dict)
-            if sw_id is not None:
-                # Each CCX reaches its node's I/O-die switch (IFOP), and so
-                # does the memory controller; CCXs on one CCD are not
-                # connected to each other directly.  An undeclared switch is
-                # named by the first of those links.
-                switch(sw_id, f"l3.n{nid}d0x0" if ccds else mc_id, sw_id, "local")
             homes[nid] = (sid, sw_id)
             for ccd_i, ccd in enumerate(ccds):
                 _known(ccd, ("ccxs",), f"node {nid} ccd {ccd_i}")
@@ -628,10 +617,6 @@ def load_topology(doc: dict) -> TopologyGraph:
     violations, disconnected graphs, and duplicate coordinates.
     """
     doc = _as(dict, doc, "topology document")
-    for key, replacement in _RETIRED_FIELDS.items():
-        if key in doc:
-            raise SchemaError(f"topology document carries '{key}', which is retired: "
-                              f"{replacement}")
     kind = _req(doc, "kind", "topology", GraphKind)
     _known(doc, _DOCUMENT_KEYS[kind], "topology document")
     protocol = _req(doc, "protocol", "topology", Protocol)

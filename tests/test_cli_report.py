@@ -7,6 +7,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import os
 import shutil
 import stat
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memchar import cli, harness
-from memchar.backends import BackendError, ScriptPlacementError, SimulatedBackend
+from memchar.backends import BackendError, PinningError, ScriptPlacementError, SimulatedBackend
 from memchar.bandwidth import (
     BandwidthError, BandwidthRecord, SimBandwidthBackend, TriadVerificationError, run_throughput,
 )
@@ -30,7 +31,6 @@ from memchar.cli import CliError, main
 from memchar.coherence import LEVELS, CoherenceState, plan_state
 from memchar.harness import MeasurementPolicy, level_dataset_bytes, measure_latency, measure_sweep
 from memchar.model import load_fixture_model
-from memchar.native import PinningError
 from memchar.plots import PlotError, build_plot_data, emit_plot
 from memchar.results import (
     BANDWIDTH_COLUMNS,
@@ -51,7 +51,8 @@ ONE = MeasurementPolicy(inner_repeats=1, outer_repeats=1, sizes_per_level=1)
 _AWKWARD = st.lists(st.sampled_from([",", '"', "\r\n", "\n", "a", " "]), max_size=5).map("".join)
 
 # Sample rows: one value repeated, among them values whose reprs are easy to
-# get wrong, or any floats.
+# get wrong, or any floats.  NaN and the infinities are written, and the
+# reader refuses them.
 _ROW_VALUES = st.sampled_from([0.0, -0.0, float("nan"), float("inf"), 5e-324, 220.0])
 _SAMPLE_ROWS = st.one_of(
     st.builds(lambda v, n: (v,) * n, _ROW_VALUES, st.integers(1, 130)),
@@ -299,6 +300,11 @@ class TestResultSet:
         with open(path, newline="") as fh:
             written = [line["samples"] for line in csv.DictReader(fh)]
         assert written == [";".join(map(repr, row)) for row in rows]
+        if not all(map(math.isfinite, itertools.chain(*rows))):
+            # Written as its repr, but refused on reading.
+            with pytest.raises(ResultError, match="column samples: .* is not a number"):
+                ResultSet.from_csv(path)
+            return
         back = ResultSet.from_csv(path).records
         assert [list(map(repr, r.samples)) for r in back] == [list(map(repr, row)) for row in rows]
 
@@ -345,6 +351,10 @@ class TestResultSet:
         path = tmp_path_factory.mktemp("csv") / "r.csv"
         rs = ResultSet(records)
         assert _written_like_csv_writer(rs, path)
+        if not all(math.isfinite(v) for r in records for v in r.samples):
+            with pytest.raises(ResultError, match="column samples: .* is not a number"):
+                ResultSet.from_csv(path)
+            return
         assert list(map(repr, ResultSet.from_csv(path).records)) == list(map(repr, records))
 
     @pytest.mark.parametrize("text", ["\r", "a\rb", "\r,", "x\r\ry"])
@@ -687,8 +697,18 @@ class TestCli:
          "line 3, column bytes: '1e3' is not a number"),
         ("bandwidth", lambda row: [*row[:2], "0;a", *row[3:]],
          "line 3, column cores: '0;a' is not a number"),
+        ("latency", lambda row: [*row[:8], "1.0;nan", *row[9:]],
+         "line 3, column samples: '1.0;nan' is not a number"),
+        ("latency", lambda row: [*row[:13], "-inf", *row[14:]],
+         "line 3, column latency_cycles: '-inf' is not a number"),
+        ("bandwidth", lambda row: [*row[:7], "nan", *row[8:]],
+         "line 3, column bandwidth_gbps: 'nan' is not a number"),
+        ("bandwidth", lambda row: [*row[:7], "inf", *row[8:]],
+         "line 3, column bandwidth_gbps: 'inf' is not a number"),
     ], ids=["latency-short", "latency-long", "latency-requester", "latency-samples",
-            "latency-first-bad-column", "bandwidth-short", "bandwidth-long", "bandwidth-bytes", "bandwidth-cores"])
+            "latency-first-bad-column", "bandwidth-short", "bandwidth-long", "bandwidth-bytes",
+            "bandwidth-cores", "latency-samples-nan", "latency-cycles-inf", "bandwidth-gbps-nan",
+            "bandwidth-gbps-inf"])
     def test_malformed_result_row_is_config_error(self, kind, edit, where, rome_records,
                                                   tmp_path, capsys):
         records = list(rome_records[:3]) if kind == "latency" else [
@@ -875,7 +895,13 @@ class TestCli:
         ("requester_node,home_node,cycles\n0,1,300\n0,x,310\n", "line 3, column home_node: 'x'"),
         ("requester_node,home_node,cycles\n1.5,0,300\n", "line 2, column requester_node: '1.5'"),
         ("requester_node,home_node,cycles\n0,1\n", "line 2, column cycles: None"),
-    ], ids=["table-cycles", "anchor-home", "anchor-requester", "anchor-short-row"])
+        ("level,source_class,cycles\nRAM,local,90\nRAM,numa1,nan\n",
+         "line 3, column cycles: 'nan'"),
+        ("level,source_class,cycles\nRAM,local,-inf\n", "line 2, column cycles: '-inf'"),
+        ("requester_node,home_node,cycles\n0,6,407\n2,4,nan\n", "line 3, column cycles: 'nan'"),
+        ("requester_node,home_node,cycles\n0,6,inf\n", "line 2, column cycles: 'inf'"),
+    ], ids=["table-cycles", "anchor-home", "anchor-requester", "anchor-short-row",
+            "table-cycles-nan", "table-cycles-inf", "anchor-cycles-nan", "anchor-cycles-inf"])
     def test_fit_input_cell_that_is_not_a_number_is_config_error(self, text, where, tmp_path,
                                                                  capsys):
         path = tmp_path / "fit.csv"
@@ -1061,7 +1087,7 @@ class TestCli:
         "alignment": 512, "huge_pages": True, "policy": {}, "args": {},
         "schema_version": 1,
     }
-    # What an older memchar wrote: the argv and the MEMCHAR_* variables.
+    # The argv and the MEMCHAR_* variables, which no run reads any more.
     ENVIRONMENT_MANIFEST = {
         "argv": ["triad", "--topology", "rome_2s", "--bytes", "64"],
         "environment": {"MEMCHAR_ALIGNMENT": None, "MEMCHAR_HUGEPAGES": "0",
@@ -1098,7 +1124,7 @@ class TestCli:
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(self.ENVIRONMENT_MANIFEST))
         assert main(["replay", "--manifest", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert "an older memchar wrote this manifest" in capsys.readouterr().err
+        assert "manifest carries 'environment', which is not read" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_only_measurement_manifests_replay(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Every module-level import in ``src/memchar`` is used or re-exported, every
+"""Every module-level import in ``src/memchar`` is used, no module exports
+a name it imports, the package file holds only its docstring, every
 module-level def, class and constant there has a reader in ``src/`` or
 ``bench/``, as has every class member, every name a module exports
 resolves, only ``topology.py`` reads a topology's raw ``caches`` sizes,
@@ -17,12 +18,14 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "memchar"
-# The package's re-exports are its public surface, not imports to be used.
+# Every name has one home, the module that defines it: the package file
+# holds only its docstring (test_the_package_holds_only_its_docstring).
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
-def unused_imports(source: str) -> list[str]:
-    tree = ast.parse(source)
+def _imports_and_exports(tree) -> tuple[dict, set]:
+    """``{name: line}`` of each name a module-level import of ``tree`` binds,
+    and the names its ``__all__`` lists."""
     bound = {}
     exported = set()
     for node in tree.body:
@@ -36,6 +39,12 @@ def unused_imports(source: str) -> list[str]:
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             exported = set(ast.literal_eval(node.value))
+    return bound, exported
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    bound, exported = _imports_and_exports(tree)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return [f"line {line}: {name}" for name, line in sorted(bound.items(), key=lambda kv: kv[1])
             if name not in used and name not in exported]
@@ -53,6 +62,46 @@ def test_no_unused_module_imports(path):
 def test_scan_flags_an_unused_import():
     source = "import os\nfrom typing import Optional\n__all__ = ['Optional']\n"
     assert unused_imports(source) == ["line 1: os"]
+
+
+def reexported_imports(source: str) -> list[str]:
+    """The names ``__all__`` lists that the module binds by an import."""
+    bound, exported = _imports_and_exports(ast.parse(source))
+    return sorted(exported & set(bound))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_exports_an_imported_name(path):
+    # A name is imported from the module that defines it.
+    assert reexported_imports(path.read_text()) == []
+
+
+def test_scan_flags_an_exported_import():
+    source = (
+        "import os\n"
+        "from .coherence import LEVELS, Protocol as P\n"
+        "__all__ = ['LEVELS', 'P', 'f', 'os']\n"
+        "def f(): return LEVELS, P\n"
+    )
+    assert reexported_imports(source) == ["LEVELS", "P", "os"]
+
+
+def package_statements(source: str) -> list[int]:
+    """The lines of the statements of ``source`` other than its docstring."""
+    tree = ast.parse(source)
+    body = tree.body[1:] if ast.get_docstring(tree) is not None else tree.body
+    return [stmt.lineno for stmt in body]
+
+
+def test_the_package_holds_only_its_docstring():
+    assert package_statements((SRC / "__init__.py").read_text()) == []
+
+
+def test_scan_flags_a_package_statement():
+    source = '"""Doc."""\nfrom .chain import generate_chain\n__version__ = "0.1.0"\n'
+    assert package_statements(source) == [2, 3]
+    assert package_statements("import os\n") == [1]
+    assert package_statements('"""Doc."""\n') == []
 
 
 def caches_reads(source: str) -> list[int]:

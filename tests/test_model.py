@@ -194,7 +194,8 @@ class TestLoadModel:
         code = main(["model-predict", "--topology", "rome_2s", "--model", str(path),
                      "--requester", "0", "--home", "1"])
         assert code == 2
-        assert "config error: model document carries 'frequencies'" in capsys.readouterr().err
+        assert ("config error: a chiplet_if model document carries 'frequencies', which is "
+                "not read" in capsys.readouterr().err)
 
 
     def test_protocol_comes_from_the_topology(self, rome, clx, tmp_path, capsys):
@@ -204,8 +205,7 @@ class TestLoadModel:
         doc["protocol"] = "MOESI"
         assert predict_with("rome_2s", doc, tmp_path, "--requester", "0", "--home", "1") == 2
         assert capsys.readouterr().err.startswith(
-            "config error: model document carries 'protocol': the protocol and the clocks "
-            "come from the topology")
+            "config error: a chiplet_if model document carries 'protocol', which is not read")
 
     def test_every_fixture_model_loads_against_its_sibling_topology(self):
         fixtures = fixture_path("rome_2s.json").parent

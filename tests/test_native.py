@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from memchar import native
+from memchar.backends import PinningError
 from memchar.bandwidth import (
     TRIAD_SCALAR, BandwidthError, SimBandwidthBackend, TriadVerificationError, triad_operands,
 )
@@ -382,7 +383,7 @@ class TestWorkerErrors:
     def test_read_worker_that_cannot_pin_fails_the_read(self, monkeypatch):
         def pin(core):
             if core == 5:
-                raise native.PinningError(f"cannot pin to core {core}")
+                raise PinningError(f"cannot pin to core {core}")
 
         monkeypatch.setattr(native, "load_kernels", FakeKernels)
         monkeypatch.setattr(native, "_pin_current_thread", pin)
@@ -391,7 +392,7 @@ class TestWorkerErrors:
         )
         before = set(threading.enumerate())
         start = time.monotonic()
-        with pytest.raises(native.PinningError, match="core 5"):
+        with pytest.raises(PinningError, match="core 5"):
             backend.run_read("read256", 16 << 10, [0, 5])
         assert time.monotonic() - start < 5.0
         assert set(threading.enumerate()) == before

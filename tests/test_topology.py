@@ -239,9 +239,13 @@ class TestLoad:
         ("rome_2s", set_field("sockets", 0, "numa_nodes", 0, "ccds", 0, "ccxs", 0, 0), "a",
          "node 0 ccd 0 ccx 0: core id must be an integer, got 'a'"),
         ("rome_2s", set_field("link_costs"), {"if_switch_hop": {"cycles": 2.0}},
-         "topology document carries 'link_costs', which is retired: route weights are fixed"),
+         "topology document carries 'link_costs', which is not read; the keys read are kind, "),
         ("rome_2s", set_field("sockets", 0, "switch_links", 0), ["sw_a", "sw_zz"],
-         "if_switch_hop link s0.sw_a - s0.sw_zz names unknown node 's0.sw_zz'"),
+         "socket 0: switch_links entry ['sw_a', 'sw_zz'] names undeclared switch 's0.sw_zz'"),
+        ("rome_2s", set_field("sockets", 0, "numa_nodes", 0, "switch"), "sw_nope",
+         "numa_node 0 names undeclared switch 's0.sw_nope'"),
+        ("rome_2s", set_field("sockets", 0, "xgmi_ports", 0, "switch"), "sw_nope",
+         "xgmi port s0.xg1 names undeclared switch 's0.sw_nope'"),
         ("rome_2s", set_field("sockets"), 5,
          "topology: field 'sockets' must be a list, got 5"),
         ("clx_2s", set_field("sockets"), 5,
@@ -258,8 +262,8 @@ class TestLoad:
         ("rome_2s", set_field("sockets", 0, "numa_nodes", 0, "ccds", 0, "ccxs"), 5,
          "node 0 ccd 0: field 'ccxs' must be a list, got 5"),
         ("clx_2s", set_field("socket_count"), 2,
-         "topology document carries 'socket_count', which is retired: the socket count is "
-         "the number of 'sockets' entries"),
+         "topology document carries 'socket_count', which is not read; the keys read are "
+         "kind, name, protocol, frequencies, caches, bandwidth, sockets"),
         ("clx_2s", set_field("sockets", 0, "snc_cols", "0"), 5,
          "socket 0: snc_cols '0' must be a list, got 5"),
         ("clx_2s", set_field("frequencies", "uncore_mhz"), 0,
@@ -297,6 +301,7 @@ class TestLoad:
         "core-mhz-not-a-number", "frequencies-a-list", "xgmi-port-without-switch",
         "grid-without-rows", "tile-row-not-a-number",
         "core-id-not-a-number", "chiplet-carries-link-costs", "switch-link-unknown-switch",
+        "numa-node-unknown-switch", "xgmi-port-unknown-switch",
         "chiplet-sockets-a-number", "mesh-sockets-a-number", "chiplet-socket-a-number",
         "mesh-socket-a-number", "switch-a-number", "switch-link-of-three",
         "ccxs-a-number", "mesh-carries-socket-count",
@@ -318,9 +323,9 @@ class TestLoad:
 
     @pytest.mark.parametrize("fixture, edit, value, message", [
         ("rome_2s", set_field("socket_count"), 1,
-         "topology document carries 'socket_count', which is retired"),
+         "topology document carries 'socket_count', which is not read"),
         ("rome_2s", set_field("link_costs"), {"xgmi": {"cycles": 90.0}},
-         "topology document carries 'link_costs', which is retired"),
+         "topology document carries 'link_costs', which is not read"),
         ("single_core", set_field("sockets", 0, "id"), 1,
          "socket id 1: the ids of 1 socket entries must be [0], each once"),
         ("clx_2s", set_field("sockets", 1, "id"), 0,
