@@ -9,10 +9,10 @@ one they support at or below a request through :func:`resolve_kernel`,
 flagging a narrower pick ``width_degraded``.  The triad mode
 is ``a[i] = b[i] + s*c[i]`` over three arrays of a whole number of float64
 elements, counting all three as moved bytes, with optional non-temporal
-stores.  Only the native triad computes: it runs over whole arrays of the
-closed-form operands of :func:`triad_operands` (``b[i] = i``,
-``c[i] = n - i``), so every expected value ``3n - 2i`` is distinct and
-exact, and spot-checks 1% of them with :func:`verify_triad`.  The simulated
+stores.  Only the native triad computes: it runs over whole arrays of
+closed-form operands (``b[i] = i``, ``c[i] = n - i``, written by the
+``mc_triad_init`` kernel), so every expected value ``3n - 2i`` is distinct
+and exact, and spot-checks 1% of them with :func:`verify_triad`.  The simulated
 triad prices its record from the fixture tables and computes nothing.
 
 The simulated backend prices runs from per-level per-core bytes/cycle tables
@@ -56,7 +56,6 @@ __all__ = [
     "run_triad",
     "scaling_series",
     "verify_triad",
-    "triad_operands",
     "triad_elements",
     "bandwidth_dataset_ladder",
     "dataset_level",
@@ -178,26 +177,6 @@ class BandwidthRecord:
             flags=tuple(flags),
             degraded_from=degraded_from,
         )
-
-
-def triad_operands(b: np.ndarray, c: np.ndarray) -> None:
-    """Fill the inputs of an ``n``-element native triad in place:
-    ``b[i] = i`` and ``c[i] = n - i``, in float64 arrays of ``n`` elements.
-
-    Every value is an integer far below 2**53, so ``b + 3c = 3n - 2i`` is
-    exact however the kernel computes it, and no two elements of ``b``, of
-    ``c`` or of the result are equal, so an index shift, a dropped tail or
-    an unwritten slot fails :func:`verify_triad`.  ``b`` doubles its filled
-    prefix by adding its length, so no ``n``-element temporary is made.
-    """
-    n = len(b)
-    b[:1] = 0.0
-    filled = 1
-    while filled < n:
-        m = min(filled, n - filled)
-        np.add(b[:m], filled, out=b[filled:filled + m])
-        filled += m
-    np.subtract(n, b, out=c)
 
 
 def triad_elements(array_bytes: int) -> int:

@@ -118,8 +118,13 @@ class LatencyModel:
     """
 
     def __init__(self, doc: dict, graph: TopologyGraph):
+        what = f"a {graph.kind.value} model document"
+        try:
+            _as(dict, doc, what)
+        except SchemaError as exc:
+            raise ModelError(str(exc)) from None
         keys = _KEYS[graph.kind]
-        _known(doc, keys, f"a {graph.kind.value} model document", ModelError)
+        _known(doc, keys, what, ModelError)
         missing = [k for k in keys[:3] if k not in doc]
         if missing:
             raise ModelError(f"model document lacks key(s) {', '.join(missing)}")

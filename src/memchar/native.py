@@ -24,12 +24,20 @@ triad's mapping never sits idle beside a chain's.  Idle mappings of the last
 key are held until the process exits.  Unbound mappings (no libnuma, a
 failed bind, read datasets, the flush scratch) are unmapped at close.  A
 recycled mapping still holds what its last user wrote, so there
-:meth:`NativeBackend.materialize_chain` writes each element whole, slot
-word and zeros, in one pass of non-temporal stores; a fresh mapping gets
-its slot words only.  Either way the chain reads as on a fresh mapping:
-zero except its slots.  The triad's three arrays are views of one such
-region, advised for huge pages like a chain's, bound to the node libnuma
-gives for the triad's core.
+:meth:`NativeBackend.materialize_chain` streams each element's slot word
+and zeros in one pass of non-temporal stores; a fresh mapping gets its slot
+words only.  A mapping remembers one thing about what it holds: the stride
+and element count of the chain last written into it, which left nothing
+but zeros outside each element's first 64-byte line.  A region that takes
+the mapping forgets that, and only ``materialize_chain`` records it again,
+so a triad, a read dataset or any other writer leaves the mapping unknown.
+A chain of that stride and at most that many elements then streams each
+element's first line alone; any other recycled chain streams its elements
+whole.  A measured point keeps the record true: its ``WRITE`` step stores
+at each slot plus 8 bytes, inside the first line.  Either way the chain
+reads as on a fresh mapping: zero except its slots.  The triad's three
+arrays are views of one such region, advised for huge pages like a chain's,
+bound to the node libnuma gives for the triad's core.
 
 The C kernels are compiled with the system compiler into a cache directory,
 named after a hash of their inputs, and loaded by :func:`load_kernels`; when
@@ -89,7 +97,7 @@ import numpy as np
 from .backends import BackendError, PinningError
 from .bandwidth import (
     KERNELS, TRIAD_SCALAR, BandwidthError, BandwidthRecord, dataset_level, resolve_kernel,
-    triad_elements, triad_operands, verify_triad,
+    triad_elements, verify_triad,
 )
 from .chain import ChainBuffer
 from .coherence import Action, CoherenceScript
@@ -117,7 +125,8 @@ KERNEL_SIGNATURES = {
     "mc_read256": (_u64, (_ptr, _u64, _u64, _ptr)),
     "mc_triad": (_u64, (_ptr, _ptr, _ptr, ctypes.c_double, _u64, ctypes.c_int)),
     "mc_sattolo": (None, (_ptr, _u64, _u64)),
-    "mc_chain_write": (None, (_ptr, _ptr, _u64, _u64, ctypes.c_int)),
+    "mc_chain_write": (None, (_ptr, _ptr, _u64, _u64, _u64)),
+    "mc_triad_init": (None, (_ptr, _ptr, _ptr, _u64)),
     "mc_chain_walk": (_u64, (_ptr, _u64, _ptr, _ptr)),
 }
 # Bytes one loop iteration of each read kernel loads; the kernel skips any
@@ -240,10 +249,14 @@ class _Mapping:
     Private, because a shared one is shmem and ignores ``MADV_HUGEPAGE``
     unless ``shmem_enabled`` allows it.  ``huge_pages`` and ``numa_bound``
     are outcomes: each is true only when its own call succeeded.
+    ``heads`` is ``(stride, count)`` when the first ``count * stride``
+    bytes are zero outside the first 64-byte line of each ``stride``-byte
+    element, else None.
     """
 
     def __init__(self, nbytes: int, numa_node: Optional[int], libnuma, huge: bool):
         self.nbytes = nbytes
+        self.heads: Optional[tuple[int, int]] = None
         self.mm = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
         self.addr = ctypes.addressof(ctypes.c_char.from_buffer(self.mm))
         self.huge_pages = huge
@@ -275,7 +288,9 @@ class _Region:
     unmapping the idle mappings of every other key.  ``close()`` hands a
     mapping that ``mbind`` placed back to the process-wide idle list, once,
     and unmaps any other at once.  A recycled region holds what the
-    mapping's last user wrote.
+    mapping's last user wrote.  The region takes the mapping's ``heads``
+    and leaves it None, so the mapping reads as unknown to its next region
+    unless :meth:`NativeBackend.materialize_chain` records it again.
     """
 
     def __init__(self, nbytes: int, numa_node: Optional[int], libnuma, huge: bool):
@@ -295,6 +310,7 @@ class _Region:
         self.recycled = bool(fits)
         if not fits:
             self.mapping = _Mapping(nbytes, numa_node, libnuma, huge)
+        self.heads, self.mapping.heads = self.mapping.heads, None
         self.addr = self.mapping.addr
         self.huge_pages = self.mapping.huge_pages
         self.numa_bound = self.mapping.numa_bound
@@ -375,25 +391,42 @@ class NativeBackend:
     def materialize_chain(self, chain: ChainBuffer, home_node: int) -> _Region:
         """A region for ``home_node`` that reads as a fresh mapping with the
         chain written in: every slot points at its successor, every other
-        word is zero.  ``mc_chain_write`` writes it in one pass.  On a
-        recycled region, whose mapping's last user may have written anywhere
-        in it, the pass writes each element whole with non-temporal stores;
-        a fresh mapping, zero already, gets its slot words only."""
+        word is zero.  ``mc_chain_write`` writes it in one pass, and
+        ``span`` is how many bytes of each element it streams:
+
+        * a fresh mapping, zero already, gets its slot words only (span 0);
+        * a mapping whose ``heads`` record a chain of this stride and at
+          least this many elements is zero outside each element's first
+          line, so that line alone is streamed (span 64);
+        * any other recycled mapping, whose last user may have written
+          anywhere in it, has each element streamed whole (span ``stride``).
+
+        The mapping then records this chain's stride and the elements known
+        to be zero past their first line.  Whoever uses the region writes
+        only inside those first lines, as a measured point's ``WRITE`` step
+        does (slot plus 8 bytes), so the record holds when it is closed."""
+        stride, n = chain.stride_alignment, chain.element_count
         region = _Region(chain.total_bytes, home_node, self.libnuma, chain.huge_pages)
+        span, count = (stride if region.recycled else 0), n
+        if region.heads and region.heads[0] == stride and region.heads[1] >= n:
+            span, count = 64, region.heads[1]
         # Built here on a spec's first materialization; read in place.
-        self.lib.mc_chain_write(region.addr, chain.successors.buffer_info()[0],
-                                chain.element_count, chain.stride_alignment, region.recycled)
+        self.lib.mc_chain_write(region.addr, chain.successors.buffer_info()[0], n, stride, span)
+        region.mapping.heads = (stride, count)
         return region
 
     def _flush(self, levels) -> None:
         """Displace ``levels`` from the calling core's caches by sweeping a
         scratch region sized by :func:`~memchar.harness.flush_scratch_bytes`;
-        no levels, no sweep."""
+        no levels, no sweep.  The scratch is written once, one store per
+        page, when it is mapped: a page never written reads the kernel's one
+        shared zero page, and sweeping that evicts nothing."""
         nbytes = flush_scratch_bytes(self.topology, levels)
         if not nbytes:
             return
         if self._scratch is None or self._scratch.nbytes < nbytes:
             self._scratch = _Region(nbytes, None, None, False)
+            self.lib.mc_write_touch(self._scratch.addr, nbytes, mmap.PAGESIZE, b"\x01")
         self.lib.mc_touch(self._scratch.addr, nbytes, 64)
 
     # -- measurement ---------------------------------------------------------
@@ -530,17 +563,18 @@ class NativeBandwidthBackend:
 
     def run_triad(self, array_bytes: int, core_set, nontemporal: bool):
         """One worker pinned to the one core of ``core_set`` runs the triad
-        over the closed-form operands of :func:`~memchar.bandwidth.triad_operands`;
-        1% of ``a`` is verified.
+        over closed-form operands (``b[i] = i``, ``c[i] = n - i``); 1% of
+        ``a`` is verified.
 
         ``a``, ``b`` and ``c`` are three line-aligned views of one region
         bound to the core's NUMA node, as libnuma's ``numa_node_of_cpu``
         gives it.  It asks for huge pages, as a chain's does, so the triad
         and the chains share one key and a later triad or chain reuses the
         mapping; the record is flagged ``huge_pages`` when the advice took.
-        The worker writes all three before the timer, so the kernel times no
-        first-touch faults, and zeroes ``a``, so a result a recycled mapping
-        still holds cannot pass the check.
+        The worker writes all three before the timer in one untimed C pass,
+        ``mc_triad_init``, so the kernel times no first-touch faults, and
+        zeroes ``a``, so a result a recycled mapping still holds cannot pass
+        the check.
         """
         cores = tuple(core_set)
         if len(cores) != 1:
@@ -555,8 +589,7 @@ class NativeBandwidthBackend:
         a, b, c = (words[i * stride:i * stride + n] for i in range(3))
 
         def triad():
-            triad_operands(b, c)
-            a.fill(0.0)
+            self.lib.mc_triad_init(a.ctypes.data, b.ctypes.data, c.ctypes.data, n)
             return self.lib.mc_triad(
                 a.ctypes.data, b.ctypes.data, c.ctypes.data,
                 TRIAD_SCALAR, n, 1 if nontemporal else 0,

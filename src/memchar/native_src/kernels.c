@@ -17,12 +17,21 @@
  * tests/test_native.py checks the shape of each timed region.  The
  * __clang__ spellings follow clang's own headers and are untested.
  *
- * One untimed kernel writes a chain into its region: mc_chain_write.  On a
- * recycled mapping it streams every element whole with 16-byte
- * non-temporal stores, slot word and zeros together.  A streamed line is
- * written without first being read for ownership, and one pass both clears
- * what the mapping's last user left and writes the chain, where a memset
- * and a slot scatter took two.
+ * Two untimed kernels write what a timed one reads.  mc_chain_write writes
+ * a chain into its region.  On a recycled mapping it streams the first
+ * `span` bytes of every element with 16-byte non-temporal stores, slot word
+ * and zeros together: the first 64-byte line alone when the mapping's last
+ * user was a chain of the same stride and at least as many elements, else
+ * the whole element, since that user may have written anywhere.  Such a
+ * chain left nothing past each element's first line, and neither does a
+ * measured point on it: its WRITE step stores at slot + 8, inside that
+ * line.  A streamed line is written without first being read for
+ * ownership.  The whole line is streamed: a partial line leaves its
+ * write-combining buffer half full.  On an Intel Xeon KVM guest, a 150 MiB
+ * chain at a 512-byte stride took 27 ms streaming 16 or 32 bytes per
+ * element, 9.1 ms streaming elements whole and 2.2 ms streaming first
+ * lines.  mc_triad_init fills the triad's operands with plain stores, so
+ * the timed kernel starts from the cache state they leave.
  */
 
 #include <stdint.h>
@@ -208,21 +217,22 @@ void mc_sattolo(int64_t *perm, uint64_t n, uint64_t state) {
 }
 
 /* Write the chain of `n` elements, `stride` bytes apart, into the region
- * at `base`: element i's first word becomes base + succ[i] * stride.  With
- * `clear` (a recycled mapping), every element is written whole in the same
- * pass by 16-byte non-temporal stores, the slot word and then zeros up to
- * `stride`, and one sfence follows them, as in mc_triad.  Without it (a
- * fresh mapping, which the operating system zeroed), only the slot words
- * are stored.  `base` is 16-byte aligned and `stride` a multiple of 64. */
+ * at `base`: element i's first word becomes base + succ[i] * stride.  A
+ * nonzero `span` (a recycled mapping; 64 or `stride`) writes the first
+ * `span` bytes of every element in the same pass by 16-byte non-temporal
+ * stores, the slot word and then zeros, and one sfence follows them, as in
+ * mc_triad.  A zero `span` (a fresh mapping, which the operating system
+ * zeroed) stores the slot words only.  `base` is 16-byte aligned and
+ * `stride` a multiple of 64. */
 void mc_chain_write(char *base, const int64_t *succ, uint64_t n, uint64_t stride,
-                    int clear) {
+                    uint64_t span) {
     uint64_t b = (uint64_t)(uintptr_t)base;
-    if (clear) {
+    if (span) {
         const v2di zero = {0, 0};
         for (uint64_t i = 0; i < n; i++) {
             char *p = base + i * stride;
             STREAM_SI128(p, ((v2di){(long long)(b + (uint64_t)succ[i] * stride), 0}));
-            for (uint64_t off = 16; off < stride; off += 16)
+            for (uint64_t off = 16; off < span; off += 16)
                 STREAM_SI128(p + off, zero);
         }
         __builtin_ia32_sfence();
@@ -230,6 +240,18 @@ void mc_chain_write(char *base, const int64_t *succ, uint64_t n, uint64_t stride
         for (uint64_t i = 0; i < n; i++)
             *(uint64_t *)(base + i * stride) = b + (uint64_t)succ[i] * stride;
     }
+}
+
+/* The triad's operands, b[i] = i and c[i] = n - i, then a zeroed, so a
+ * result a recycled mapping still holds cannot pass the check.  Every value
+ * is an integer below 2**53, so each is exact.  Untimed, plain stores. */
+void mc_triad_init(double *a, double *b, double *c, uint64_t n) {
+    for (uint64_t i = 0; i < n; i++)
+        b[i] = (double)i;
+    for (uint64_t i = 0; i < n; i++)
+        c[i] = (double)(n - i);
+    for (uint64_t i = 0; i < n; i++)
+        a[i] = 0.0;
 }
 
 /* Walk the successor table `succ` of `n` elements from element 0 until an

@@ -1,8 +1,8 @@
 """Test oracles: fake clock backends, a synthetic protocol model, each
 protocol's states, the single-owner invariant, the chain walk, its generator
 and the reference shuffle, a chiplet document's fabric graph with its routes
-and their switch count, the three-term hop-cost fit template, and a latency
-record's CSV fields."""
+and their switch count, the three-term hop-cost fit template, a latency
+record's CSV fields, and the native triad's operands."""
 
 import heapq
 from array import array
@@ -319,3 +319,18 @@ def latency_csv_fields(r) -> list:
         repr(float(r.overhead_cycles)),
         p.label,
     ]
+
+
+def triad_operands(b: np.ndarray, c: np.ndarray) -> None:
+    """Fill the inputs of an ``n``-element native triad in place, as the
+    ``mc_triad_init`` kernel does: ``b[i] = i`` and ``c[i] = n - i``, in
+    float64 arrays of ``n`` elements.
+
+    Every value is an integer far below 2**53, so ``b + 3c = 3n - 2i`` is
+    exact however the kernel computes it, and no two elements of ``b``, of
+    ``c`` or of the result are equal, so an index shift, a dropped tail or
+    an unwritten slot fails ``verify_triad``.
+    """
+    n = len(b)
+    b[:] = np.arange(n)
+    c[:] = n - b

@@ -19,11 +19,11 @@ from memchar.bandwidth import (
     run_throughput,
     run_triad,
     scaling_series,
-    triad_operands,
     verify_triad,
 )
 from memchar.cli import main
 from memchar.topology import fixture_path, load_topology_file
+from oracles import triad_operands
 
 
 @pytest.fixture(scope="module")

@@ -197,6 +197,11 @@ class TestLoadModel:
         assert ("config error: a chiplet_if model document carries 'frequencies', which is "
                 "not read" in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("doc", [7, [{"a": 1}], "x"], ids=["number", "list", "string"])
+    def test_document_that_is_not_an_object_exits_2_from_the_cli(self, doc, tmp_path, capsys):
+        assert predict_with("rome_2s", doc, tmp_path, "--requester", "0", "--home", "1") == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: a chiplet_if model document must be an object, got {doc!r}")
 
     def test_protocol_comes_from_the_topology(self, rome, clx, tmp_path, capsys):
         assert (rome.protocol, clx.protocol) == (Protocol.MOESI, Protocol.MESIF)

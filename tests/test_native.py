@@ -20,13 +20,14 @@ import pytest
 from memchar import native
 from memchar.backends import PinningError
 from memchar.bandwidth import (
-    TRIAD_SCALAR, BandwidthError, SimBandwidthBackend, TriadVerificationError, triad_operands,
+    TRIAD_SCALAR, BandwidthError, SimBandwidthBackend, TriadVerificationError,
 )
 from memchar.chain import chain_spec
 from memchar.cli import main
 from memchar.coherence import plan_state
 from memchar.harness import MeasurementPolicy, measure_latency
 from memchar.topology import Placement, fixture_path, load_topology_file
+from oracles import triad_operands
 
 C_TYPES = {
     "uint64_t": ctypes.c_uint64,
@@ -237,6 +238,25 @@ class TestFlushLevels:
         scratch = backend._scratch
         assert (None if scratch is None else scratch.nbytes) == swept
 
+    def test_every_scratch_page_is_resident_after_the_first_flush(self):
+        """The scratch is written when it is mapped.  A page only ever read
+        maps the kernel's shared zero page, which ``Rss`` does not count,
+        and a sweep over it evicts nothing."""
+        _kernels_or_skip()
+        backend = native.NativeBackend(load_topology_file(fixture_path("single_core.json")),
+                                       frequency_mhz=1000.0)
+        backend._flush({"L1", "L2"})
+        scratch = backend._scratch
+        try:
+            # A flag of its own keeps the kernel from merging the scratch
+            # with a neighbouring mapping, so its smaps entry is its alone.
+            scratch.mapping.mm.madvise(mmap.MADV_DONTFORK)
+            lo, hi, kb = _smaps_entry(scratch.addr)
+            assert (lo, hi) == (scratch.addr, scratch.addr + scratch.nbytes)
+            assert kb["Rss"] * 1024 == scratch.nbytes
+        finally:
+            scratch.close()
+
 
 # The compiled library's loader, taken before any test replaces it.
 _real_kernels = native.load_kernels
@@ -244,10 +264,14 @@ _real_kernels = native.load_kernels
 
 class FakeKernels:
     """Kernel table stand-in: every kernel returns at once, except that a
-    chain is written by the shipped ``mc_chain_write``."""
+    chain is written by the shipped ``mc_chain_write`` and the triad's
+    operands by the shipped ``mc_triad_init``."""
 
-    def mc_chain_write(self, base, succ, n, stride, clear):
-        _real_kernels().mc_chain_write(base, succ, n, stride, clear)
+    def mc_chain_write(self, base, succ, n, stride, span):
+        _real_kernels().mc_chain_write(base, succ, n, stride, span)
+
+    def mc_triad_init(self, a, b, c, n):
+        _real_kernels().mc_triad_init(a, b, c, n)
 
     def mc_timer_overhead(self):
         return 10
@@ -507,18 +531,24 @@ def _thp_mode():
     return m and m.group(1)
 
 
-def _anon_huge_kb(addr: int) -> int:
-    """``AnonHugePages`` of the ``/proc/self/smaps`` mapping that holds ``addr``."""
-    inside = False
+def _smaps_entry(addr: int) -> tuple[int, int, dict]:
+    """The start, the end and the kB fields (``Rss``, ``AnonHugePages``, ...)
+    of the ``/proc/self/smaps`` entry that holds ``addr``."""
+    entry = None
     with open("/proc/self/smaps") as fh:
         for line in fh:
             field = line.split()[0]
             if re.fullmatch(r"[0-9a-f]+-[0-9a-f]+", field):
+                if entry is not None:
+                    break
                 lo, hi = (int(x, 16) for x in field.split("-"))
-                inside = lo <= addr < hi
-            elif inside and field == "AnonHugePages:":
-                return int(line.split()[1])
-    raise LookupError(f"no mapping holds {addr:#x}")
+                if lo <= addr < hi:
+                    entry = (lo, hi, {})
+            elif entry is not None and line.split()[-1] == "kB":
+                entry[2][field.rstrip(":")] = int(line.split()[1])
+    if entry is None:
+        raise LookupError(f"no mapping holds {addr:#x}")
+    return entry
 
 
 class FakeNuma:
@@ -559,7 +589,7 @@ class TestRegion:
         _, region = self.materialize(monkeypatch, nbytes=4 << 20)
         try:
             assert region.huge_pages
-            assert _anon_huge_kb(region.addr) > 0
+            assert _smaps_entry(region.addr)[2]["AnonHugePages"] > 0
         finally:
             region.close()
 
@@ -841,6 +871,74 @@ class TestRecycling:
         finally:
             region.close()
 
+    # Steps before the 64 KiB, 512-byte-stride chain is materialized again,
+    # and the span of every chain write, the last one that chain's.
+    @pytest.mark.parametrize("steps, spans", [
+        ([("chain", 64, 512)], [0, 64]),
+        ([("point",)], [0, 64]),
+        ([("chain", 64, 512), ("point",), ("point",)], [0, 64, 64, 64]),
+        ([("chain", 128, 512)], [0, 64]),
+        ([("chain", 64, 512), ("chain", 32, 512)], [0, 64, 64]),
+        ([("chain", 64, 512), ("triad",)], [0, 512]),
+        ([("chain", 64, 512), ("raw", 64)], [0, 512]),
+        ([("chain", 64, 512), ("chain", 64, 64)], [0, 64, 512]),
+        ([("chain", 64, 512), ("chain", 64, 1024)], [0, 1024, 512]),
+        ([("raw", 128), ("chain", 32, 512)], [512, 512]),
+    ], ids=["chain-again", "measured-point", "chain-then-points", "longer-chain-of-the-stride",
+            "shorter-chain-of-the-stride", "triad", "raw-region", "chain-of-stride-64",
+            "chain-of-stride-1024", "chain-longer-than-the-record"])
+    def test_chain_streams_first_lines_only_where_its_stride_last_wrote(
+            self, monkeypatch, idle_mappings, steps, spans):
+        """A recycled chain streams each element's first line (span 64) only
+        when, since anything else last wrote the mapping, it has held only
+        chains of this stride, one at least this long, and measured points
+        on them; otherwise it streams whole elements (span 512).  Either
+        way every word of the region is zero except the slots."""
+
+        class Spans(TriadKernels):
+            def __init__(self):
+                super().__init__()
+                self.spans = []
+
+            def mc_chain_write(self, base, succ, n, stride, span):
+                self.spans.append(span)
+                super().mc_chain_write(base, succ, n, stride, span)
+
+            def mc_write_touch(self, addr, nbytes, stride, value):
+                _real_kernels().mc_write_touch(addr, nbytes, stride, value)
+
+        chain = self.chain(64 << 10, 512)
+        others = {tuple(size): self.chain(size[0] << 10, size[1])
+                  for kind, *size in steps if kind == "chain"}
+        kernels = Spans()
+        graph = self.fake_host(monkeypatch, kernels)
+        backend = native.NativeBackend(graph, frequency_mhz=1000.0)
+        policy = MeasurementPolicy(
+            inner_repeats=1, outer_repeats=1, sizes_per_level=1, flush_levels=frozenset()
+        )
+        point = (plan_state("M", "MOESI", owner=0, requester=0, level="L1"),
+                 Placement(0, 0, 0, label="local"))
+        for kind, *size in steps:
+            if kind == "chain":
+                backend.materialize_chain(others[tuple(size)], 0).close()
+            elif kind == "point":  # its WRITE step dirties each element's first line
+                backend.run_sweep([chain], [point], policy)
+            elif kind == "triad":
+                native.NativeBandwidthBackend(graph, frequency_mhz=1000.0).run_triad(
+                    8 * 1001, [0], nontemporal=False)
+            else:
+                raw = native._Region(size[0] << 10, 0, backend.libnuma, True)
+                ctypes.memset(raw.addr, 0xFF, raw.nbytes)
+                raw.close()
+        [used] = idle_mappings[(0, True)]
+        region = backend.materialize_chain(chain, 0)
+        try:
+            assert (region.recycled, region.addr) == (True, used.addr)
+            assert kernels.spans == spans
+            _assert_reads_fresh(region, chain)
+        finally:
+            region.close()
+
     def test_triad_that_writes_nothing_fails_on_a_recycled_mapping(self, monkeypatch):
         kernels = TriadKernels()
         backend = native.NativeBandwidthBackend(self.fake_host(monkeypatch, kernels),
@@ -876,6 +974,18 @@ class TestTriad:
         rec = backend.run_triad(array_bytes, [core], nontemporal)
         assert resident == [True, True, True]
         assert rec.bytes_moved == 3 * array_bytes
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1001, 32769])
+    def test_init_kernel_writes_the_oracle_operands_over_stale_values(self, n):
+        lib = _kernels_or_skip()
+        # Stale values, as a recycled mapping holds them.
+        a, b, c = np.full(n, 5.0), np.full(n, -1.0), np.full(n, 7.5)
+        lib.mc_triad_init(a.ctypes.data, b.ctypes.data, c.ctypes.data, n)
+        want_b, want_c = np.empty(n), np.empty(n)
+        triad_operands(want_b, want_c)
+        np.testing.assert_array_equal(b, want_b)
+        np.testing.assert_array_equal(c, want_c)
+        assert not a.any()
 
     def test_runs_without_random_inputs(self, monkeypatch):
         _kernels_or_skip()
@@ -1104,6 +1214,11 @@ class TestKernelCodegen:
         first = next(k for k, (_, ins) in enumerate(write) if re.fullmatch(store, ins))
         assert "sfence" in (ins for _, ins in write[first:])
         assert not any(ins.startswith("rdtsc") for _, ins in write)  # untimed
+
+    def test_triad_init_is_untimed(self, kernel_build):
+        init = disassembly(kernel_build)["mc_triad_init"]
+        assert init
+        assert not any(ins.startswith("rdtsc") for _, ins in init)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs sched_getaffinity")
