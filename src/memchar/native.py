@@ -26,18 +26,24 @@ failed bind, read datasets, the flush scratch) are unmapped at close.  A
 recycled mapping still holds what its last user wrote, so there
 :meth:`NativeBackend.materialize_chain` streams each element's slot word
 and zeros in one pass of non-temporal stores; a fresh mapping gets its slot
-words only.  A mapping remembers one thing about what it holds: the stride
-and element count of the chain last written into it, which left nothing
-but zeros outside each element's first 64-byte line.  A region that takes
-the mapping forgets that, and only ``materialize_chain`` records it again,
-so a triad, a read dataset or any other writer leaves the mapping unknown.
-A chain of that stride and at most that many elements then streams each
-element's first line alone; any other recycled chain streams its elements
-whole.  A measured point keeps the record true: its ``WRITE`` step stores
-at each slot plus 8 bytes, inside the first line.  Either way the chain
-reads as on a fresh mapping: zero except its slots.  The triad's three
-arrays are views of one such region, advised for huge pages like a chain's,
-bound to the node libnuma gives for the triad's core.
+words only.  A mapping keeps one record of what it holds, tagged by the
+writer that left it: a chain's stride and element count, where nothing but
+zeros lies outside each element's first 64-byte line, or a triad's array
+stride and element count, where its operands ``b`` and ``c`` still lie.  A
+region that takes the mapping forgets the record, and only the writer that
+re-establishes it records it again: ``materialize_chain`` once the chain is
+written, :meth:`NativeBandwidthBackend.run_triad` once its kernel has run
+and its checks have passed.  A read dataset, a failed triad or any other
+writer leaves the mapping unknown.  A chain of the recorded stride and at
+most that many elements then streams each element's first line alone; any
+other recycled chain, after a triad too, streams its elements whole.  A
+measured point keeps a chain's record true: its ``WRITE`` step stores at
+each slot plus 8 bytes, inside the first line.  Either way the chain reads
+as on a fresh mapping: zero except its slots.  The triad's three arrays are
+views of one such region, advised for huge pages like a chain's, bound to
+the node libnuma gives for the triad's core.  A triad of the recorded
+stride and element count zeroes its result array alone before the timer;
+any other writes its operands too.
 
 The C kernels are compiled with the system compiler into a cache directory,
 named after a hash of their inputs, and loaded by :func:`load_kernels`; when
@@ -96,8 +102,8 @@ import numpy as np
 
 from .backends import BackendError, PinningError
 from .bandwidth import (
-    KERNELS, TRIAD_SCALAR, BandwidthError, BandwidthRecord, dataset_level, resolve_kernel,
-    triad_elements, verify_triad,
+    KERNELS, TRIAD_SCALAR, BandwidthError, BandwidthRecord, TriadVerificationError,
+    dataset_level, resolve_kernel, triad_elements, verify_triad,
 )
 from .chain import ChainBuffer
 from .coherence import Action, CoherenceScript
@@ -126,7 +132,7 @@ KERNEL_SIGNATURES = {
     "mc_triad": (_u64, (_ptr, _ptr, _ptr, ctypes.c_double, _u64, ctypes.c_int)),
     "mc_sattolo": (None, (_ptr, _u64, _u64)),
     "mc_chain_write": (None, (_ptr, _ptr, _u64, _u64, _u64)),
-    "mc_triad_init": (None, (_ptr, _ptr, _ptr, _u64)),
+    "mc_triad_init": (None, (_ptr, _ptr, _ptr, _u64, ctypes.c_int)),
     "mc_chain_walk": (_u64, (_ptr, _u64, _ptr, _ptr)),
 }
 # Bytes one loop iteration of each read kernel loads; the kernel skips any
@@ -249,14 +255,17 @@ class _Mapping:
     Private, because a shared one is shmem and ignores ``MADV_HUGEPAGE``
     unless ``shmem_enabled`` allows it.  ``huge_pages`` and ``numa_bound``
     are outcomes: each is true only when its own call succeeded.
-    ``heads`` is ``(stride, count)`` when the first ``count * stride``
-    bytes are zero outside the first 64-byte line of each ``stride``-byte
-    element, else None.
+    ``holds`` is what the mapping is known to hold, else None:
+
+    * ``("chain", stride, count)``: the first ``count * stride`` bytes are
+      zero outside the first 64-byte line of each ``stride``-byte element;
+    * ``("triad", stride, n)``: the ``n`` words from word ``stride`` on are
+      ``b[i] = i``, and the ``n`` from word ``2 * stride`` on ``c[i] = n - i``.
     """
 
     def __init__(self, nbytes: int, numa_node: Optional[int], libnuma, huge: bool):
         self.nbytes = nbytes
-        self.heads: Optional[tuple[int, int]] = None
+        self.holds: Optional[tuple[str, int, int]] = None
         self.mm = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
         self.addr = ctypes.addressof(ctypes.c_char.from_buffer(self.mm))
         self.huge_pages = huge
@@ -288,9 +297,11 @@ class _Region:
     unmapping the idle mappings of every other key.  ``close()`` hands a
     mapping that ``mbind`` placed back to the process-wide idle list, once,
     and unmaps any other at once.  A recycled region holds what the
-    mapping's last user wrote.  The region takes the mapping's ``heads``
+    mapping's last user wrote.  The region takes the mapping's ``holds``
     and leaves it None, so the mapping reads as unknown to its next region
-    unless :meth:`NativeBackend.materialize_chain` records it again.
+    unless the writer that re-establishes a record sets it again:
+    :meth:`NativeBackend.materialize_chain` or
+    :meth:`NativeBandwidthBackend.run_triad`.
     """
 
     def __init__(self, nbytes: int, numa_node: Optional[int], libnuma, huge: bool):
@@ -310,7 +321,7 @@ class _Region:
         self.recycled = bool(fits)
         if not fits:
             self.mapping = _Mapping(nbytes, numa_node, libnuma, huge)
-        self.heads, self.mapping.heads = self.mapping.heads, None
+        self.holds, self.mapping.holds = self.mapping.holds, None
         self.addr = self.mapping.addr
         self.huge_pages = self.mapping.huge_pages
         self.numa_bound = self.mapping.numa_bound
@@ -324,6 +335,22 @@ class _Region:
                 _idle.setdefault(self._key, []).append(mapping)
         else:
             mapping.mm.close()
+
+
+def _mem_available() -> int:
+    """The host's ``MemAvailable`` in bytes, from ``/proc/meminfo``."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    raise BackendUnavailable("cannot read MemAvailable from /proc/meminfo")
+
+
+# The cache level each capacity-eviction step of a script sweeps.
+_EVICTS = {Action.EVICT_L1: "L1", Action.EVICT_L2: "L2"}
 
 
 def _pin_current_thread(core: int) -> None:
@@ -395,11 +422,12 @@ class NativeBackend:
         ``span`` is how many bytes of each element it streams:
 
         * a fresh mapping, zero already, gets its slot words only (span 0);
-        * a mapping whose ``heads`` record a chain of this stride and at
+        * a mapping whose ``holds`` record a chain of this stride and at
           least this many elements is zero outside each element's first
           line, so that line alone is streamed (span 64);
         * any other recycled mapping, whose last user may have written
-          anywhere in it, has each element streamed whole (span ``stride``).
+          anywhere in it (a triad's record says nothing of zeros), has each
+          element streamed whole (span ``stride``).
 
         The mapping then records this chain's stride and the elements known
         to be zero past their first line.  Whoever uses the region writes
@@ -408,11 +436,11 @@ class NativeBackend:
         stride, n = chain.stride_alignment, chain.element_count
         region = _Region(chain.total_bytes, home_node, self.libnuma, chain.huge_pages)
         span, count = (stride if region.recycled else 0), n
-        if region.heads and region.heads[0] == stride and region.heads[1] >= n:
-            span, count = 64, region.heads[1]
+        if region.holds and region.holds[:2] == ("chain", stride) and region.holds[2] >= n:
+            span, count = 64, region.holds[2]
         # Built here on a spec's first materialization; read in place.
         self.lib.mc_chain_write(region.addr, chain.successors.buffer_info()[0], n, stride, span)
-        region.mapping.heads = (stride, count)
+        region.mapping.holds = ("chain", stride, count)
         return region
 
     def _flush(self, levels) -> None:
@@ -432,7 +460,24 @@ class NativeBackend:
     # -- measurement ---------------------------------------------------------
 
     def run_sweep(self, chains, points, policy: MeasurementPolicy):
-        """The elapsed ticks of every point, shaped (points, outer, sizes, inner)."""
+        """The elapsed ticks of every point, shaped (points, outer, sizes, inner).
+
+        A point maps all its chains at once, beside the flush scratch, so
+        before any chain is built or mapped the sweep is refused
+        (:class:`~memchar.harness.HarnessError`) when their sum exceeds the
+        host's ``MemAvailable``.  The scratch is sized for the policy's
+        ``flush_levels`` and every level a script's ``EVICT`` step sweeps."""
+        levels = set(policy.flush_levels)
+        for script, _ in points:
+            levels.update(_EVICTS[s.action] for s in script.steps if s.action in _EVICTS)
+        chain_bytes = sum(c.total_bytes for c in chains)
+        scratch = flush_scratch_bytes(self.topology, levels)
+        available = _mem_available()
+        if chain_bytes + scratch > available:
+            raise HarnessError(
+                f"a native point maps {chain_bytes / 2**20:.1f} MiB of chains and a "
+                f"{scratch / 2**20:.1f} MiB flush scratch, more than the host's "
+                f"MemAvailable of {available / 2**20:.1f} MiB")
         ticks = [self._time_point(chains, script, placement, policy)
                  for script, placement in points]
         shape = (len(points), policy.outer_repeats, len(chains), policy.inner_repeats)
@@ -502,11 +547,26 @@ class NativeBackend:
                 self.lib.mc_write_touch(region.addr + 8, region.nbytes - 8, stride, b"\x01")
             elif step.action is Action.FLUSH:
                 self.lib.mc_clflush(region.addr, region.nbytes, 64)
-            elif step.action is Action.EVICT_L1:
-                self._flush({"L1"})  # capacity eviction of the level being vacated
-            elif step.action is Action.EVICT_L2:
-                self._flush({"L2"})
+            elif step.action in _EVICTS:
+                self._flush({_EVICTS[step.action]})  # capacity eviction of the level vacated
         return core
+
+
+# Every 100th element of a native triad is checked: 1% of ``a``, and ``b``
+# and ``c`` at the same indices.
+_TRIAD_SAMPLE_STEP = 100
+
+
+def _check_operands(b: np.ndarray, c: np.ndarray) -> None:
+    """Raise :class:`TriadVerificationError` at the first sampled index
+    where ``b[i] != i`` or ``c[i] != n - i``."""
+    n, step = len(b), _TRIAD_SAMPLE_STEP
+    i = np.arange(0, n, step, dtype=np.float64)
+    for got, want in ((b[::step], i), (c[::step], n - i)):
+        bad = np.flatnonzero(got != want)
+        if bad.size:
+            k = int(bad[0])
+            raise TriadVerificationError(k * step, float(want[k]), float(got[k]))
 
 
 class NativeBandwidthBackend:
@@ -564,17 +624,23 @@ class NativeBandwidthBackend:
     def run_triad(self, array_bytes: int, core_set, nontemporal: bool):
         """One worker pinned to the one core of ``core_set`` runs the triad
         over closed-form operands (``b[i] = i``, ``c[i] = n - i``); 1% of
-        ``a`` is verified.
+        ``a`` is verified, and ``b`` and ``c`` at the same indices.
 
         ``a``, ``b`` and ``c`` are three line-aligned views of one region
         bound to the core's NUMA node, as libnuma's ``numa_node_of_cpu``
         gives it.  It asks for huge pages, as a chain's does, so the triad
         and the chains share one key and a later triad or chain reuses the
         mapping; the record is flagged ``huge_pages`` when the advice took.
-        The worker writes all three before the timer in one untimed C pass,
-        ``mc_triad_init``, so the kernel times no first-touch faults, and
-        zeroes ``a``, so a result a recycled mapping still holds cannot pass
-        the check.
+        The worker writes before the timer in one untimed C pass,
+        ``mc_triad_init``, so the kernel times no first-touch faults.  It
+        always zeroes ``a``, so a result a recycled mapping still holds
+        cannot pass the check.  It writes ``b`` and ``c`` too unless the
+        mapping's ``holds`` records a triad of this array stride and element
+        count, whose operands are still in place.  The record is set only
+        once the kernel has run and both checks have passed; any error
+        leaves the mapping unknown.  The operand check fails a triad that a
+        stale record let run on other operands, which ``verify_triad``
+        alone would pass when ``a`` agrees with them.
         """
         cores = tuple(core_set)
         if len(cores) != 1:
@@ -587,9 +653,11 @@ class NativeBandwidthBackend:
         region = _Region(3 * 8 * stride, node if node >= 0 else None, self.libnuma, True)
         words = np.ctypeslib.as_array((ctypes.c_double * (3 * stride)).from_address(region.addr))
         a, b, c = (words[i * stride:i * stride + n] for i in range(3))
+        held = ("triad", stride, n)
+        operands = 0 if region.holds == held else 1
 
         def triad():
-            self.lib.mc_triad_init(a.ctypes.data, b.ctypes.data, c.ctypes.data, n)
+            self.lib.mc_triad_init(a.ctypes.data, b.ctypes.data, c.ctypes.data, n, operands)
             return self.lib.mc_triad(
                 a.ctypes.data, b.ctypes.data, c.ctypes.data,
                 TRIAD_SCALAR, n, 1 if nontemporal else 0,
@@ -597,7 +665,9 @@ class NativeBandwidthBackend:
 
         try:
             [ticks] = _on_cores([(cores[0], triad)])
-            verify_triad(a, b, c, TRIAD_SCALAR, sample_fraction=0.01)
+            _check_operands(b, c)
+            verify_triad(a, b, c, TRIAD_SCALAR, sample_fraction=1 / _TRIAD_SAMPLE_STEP)
+            region.mapping.holds = held
         finally:
             region.close()
         return BandwidthRecord.from_raw(

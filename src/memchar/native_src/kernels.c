@@ -30,8 +30,10 @@
  * write-combining buffer half full.  On an Intel Xeon KVM guest, a 150 MiB
  * chain at a 512-byte stride took 27 ms streaming 16 or 32 bytes per
  * element, 9.1 ms streaming elements whole and 2.2 ms streaming first
- * lines.  mc_triad_init fills the triad's operands with plain stores, so
- * the timed kernel starts from the cache state they leave.
+ * lines.  mc_triad_init zeroes the triad's result array and, unless the
+ * mapping still holds them from a triad of the same length and stride,
+ * writes its operands two elements per packed store.  All are plain stores,
+ * so the timed kernel starts from the cache state they leave.
  */
 
 #include <stdint.h>
@@ -242,14 +244,28 @@ void mc_chain_write(char *base, const int64_t *succ, uint64_t n, uint64_t stride
     }
 }
 
-/* The triad's operands, b[i] = i and c[i] = n - i, then a zeroed, so a
- * result a recycled mapping still holds cannot pass the check.  Every value
- * is an integer below 2**53, so each is exact.  Untimed, plain stores. */
-void mc_triad_init(double *a, double *b, double *c, uint64_t n) {
-    for (uint64_t i = 0; i < n; i++)
-        b[i] = (double)i;
-    for (uint64_t i = 0; i < n; i++)
-        c[i] = (double)(n - i);
+/* The triad's operands, b[i] = i and c[i] = n - i, when `operands` is
+ * nonzero, then a zeroed either way, so a result a recycled mapping still
+ * holds cannot pass the check.  b and c take two elements per 16-byte
+ * store from a vector of indices counted up by 2.0, with no integer to
+ * double conversion per element; every value is an integer below 2**53, so
+ * each is exact.  Untimed, plain stores. */
+void mc_triad_init(double *a, double *b, double *c, uint64_t n, int operands) {
+    if (operands) {
+        const double dn = (double)n;
+        const v2df two = {2.0, 2.0}, vn = {dn, dn};
+        v2df v = {0.0, 1.0};
+        uint64_t i = 0;
+        for (; i + 2 <= n; i += 2, v += two)
+            *(v2df_u *)(b + i) = v;
+        if (i < n)
+            b[i] = v[0];
+        v = (v2df){0.0, 1.0};
+        for (i = 0; i + 2 <= n; i += 2, v += two)
+            *(v2df_u *)(c + i) = vn - v;
+        if (i < n)
+            c[i] = dn - v[0];
+    }
     for (uint64_t i = 0; i < n; i++)
         a[i] = 0.0;
 }

@@ -4,6 +4,7 @@ tests that need the compiled kernels skip where they cannot be built."""
 import ctypes
 import ctypes.util
 import errno
+import json
 import mmap
 import os
 import re
@@ -238,6 +239,38 @@ class TestFlushLevels:
         scratch = backend._scratch
         assert (None if scratch is None else scratch.nbytes) == swept
 
+    @pytest.mark.native
+    @pytest.mark.skipif(
+        os.environ.get("MEMCHAR_NATIVE_TESTS") != "1",
+        reason="hardware-gated: set MEMCHAR_NATIVE_TESTS=1 on a quiet x86-64 host",
+    )
+    def test_flush_slows_a_warm_l1_chain(self):
+        """A chase of a warm 16 KiB chain after ``_flush({"L1", "L2"})``
+        takes more than 1.25 times the ticks it takes with no flush, minimum
+        against minimum over 15 repeats each."""
+        backend = native.NativeBackend(load_topology_file(fixture_path("single_core.json")),
+                                       frequency_mhz=1000.0)
+        chain = chain_spec(16 << 10, 64, seed=3, huge_pages=False)
+        region = backend.materialize_chain(chain, home_node=0)
+
+        def fastest(flush):
+            ticks = []
+            for _ in range(15):
+                backend.lib.mc_touch(region.addr, region.nbytes, 64)
+                backend._chase(region, chain.element_count)  # warm
+                if flush:
+                    backend._flush({"L1", "L2"})
+                ticks.append(backend._chase(region, chain.element_count))
+            return min(ticks)
+
+        core = min(os.sched_getaffinity(0))
+        try:
+            [(warm, flushed)] = native._on_cores(
+                [(core, lambda: (fastest(False), fastest(True)))])
+        finally:
+            region.close()
+        assert flushed > 1.25 * warm, (warm, flushed)
+
     def test_every_scratch_page_is_resident_after_the_first_flush(self):
         """The scratch is written when it is mapped.  A page only ever read
         maps the kernel's shared zero page, which ``Rss`` does not count,
@@ -270,8 +303,8 @@ class FakeKernels:
     def mc_chain_write(self, base, succ, n, stride, span):
         _real_kernels().mc_chain_write(base, succ, n, stride, span)
 
-    def mc_triad_init(self, a, b, c, n):
-        _real_kernels().mc_triad_init(a, b, c, n)
+    def mc_triad_init(self, a, b, c, n, operands):
+        _real_kernels().mc_triad_init(a, b, c, n, operands)
 
     def mc_timer_overhead(self):
         return 10
@@ -306,6 +339,34 @@ class TestFrequencyFlag:
         assert capsys.readouterr().err == (
             f"config error: frequency must be a positive number of MHz, got {float(freq)}\n"
         )
+        assert not (tmp_path / "run" / "results.csv").exists()
+
+
+class TestPreflight:
+    def test_point_larger_than_available_memory_exits_2_before_mapping(
+            self, monkeypatch, tmp_path, capsys):
+        """A 1 PiB L3 makes the RAM chain 16 PiB, beyond any host."""
+        doc = json.loads(Path(fixture_path("single_core.json")).read_text())
+        doc["caches"]["l3_mib"] = 1 << 30
+        topo = tmp_path / "huge_l3.json"
+        topo.write_text(json.dumps(doc))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("nothing is built or mapped for a refused point")
+
+        monkeypatch.setattr(native, "load_kernels", FakeKernels)
+        monkeypatch.setattr(native, "_load_libnuma", lambda: None)
+        monkeypatch.setattr(native, "_Mapping", refused)
+        monkeypatch.setattr("memchar.chain._sattolo", refused)
+        code = main(["latency", "--backend", "native", "--topology", str(topo),
+                     "--scope", "local", "--level", "RAM", "--sizes", "1", "--freq", "1000",
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"config error: a native point maps 17179869184\.0 MiB of chains and a "
+            r"\d+\.\d MiB flush scratch, more than the host's MemAvailable of \d+\.\d MiB\n",
+            err), err
         assert not (tmp_path / "run" / "results.csv").exists()
 
 
@@ -949,6 +1010,100 @@ class TestRecycling:
             backend.run_triad(8 * 1001, [0], nontemporal=True)
         assert backend.lib.outputs == kernels.outputs  # the same mapping, recycled
 
+    # Steps before a triad of 1001 elements (array stride 1008) runs on the
+    # same mapping, and the operands flag of every triad's init, the last
+    # one that triad's.
+    @pytest.mark.parametrize("steps, flags", [
+        ([], [1]),
+        ([("triad", 1001, True)], [1, 0]),
+        ([("triad", 1001, False)], [1, 0]),
+        ([("triad", 1001, True), ("triad", 1001, False)], [1, 0, 0]),
+        ([("triad", 1003, True)], [1, 1]),
+        ([("triad", 1001, True), ("triad", 500, True)], [1, 1, 1]),
+        ([("chain", 24)], [1]),
+        ([("triad", 1001, True), ("chain", 23)], [1, 1]),
+        ([("triad", 1001, True), ("raw",)], [1, 1]),
+        ([("triad", 1001, True), ("failed", 1001)], [1, 0, 1]),
+    ], ids=["fresh", "after-nt", "after-no-nt", "after-two", "other-n-same-stride",
+            "other-stride", "after-a-chain", "chain-after-a-triad", "raw-region",
+            "after-a-failed-triad"])
+    def test_triad_writes_operands_unless_its_mapping_holds_them(
+            self, monkeypatch, idle_mappings, steps, flags):
+        """A triad writes ``b`` and ``c`` (flag 1) unless the last writer of
+        its mapping was a triad of the same element count and array stride
+        that passed its checks; either way each timed kernel starts from the
+        oracle operands and a zeroed ``a``."""
+
+        class Checked(FakeKernels):
+            """The shipped init and triad; each timed kernel first checks
+            what the init left, and an ``unwritten`` one writes nothing."""
+
+            def __init__(self):
+                self.flags, self.outputs, self.unwritten = [], [], False
+
+            def mc_triad_init(self, a, b, c, n, operands):
+                self.flags.append(operands)
+                super().mc_triad_init(a, b, c, n, operands)
+
+            def mc_triad(self, a, b, c, s, n, nontemporal):
+                self.outputs.append(a)
+                va, vb, vc = (np.ctypeslib.as_array((ctypes.c_double * n).from_address(p))
+                              for p in (a, b, c))
+                want_b, want_c = np.empty(n), np.empty(n)
+                triad_operands(want_b, want_c)
+                np.testing.assert_array_equal(vb, want_b)
+                np.testing.assert_array_equal(vc, want_c)
+                assert not va.any()
+                if self.unwritten:
+                    return 1000
+                return _real_kernels().mc_triad(a, b, c, s, n, nontemporal)
+
+        chains = {args[0]: self.chain(args[0] << 10, 512)
+                  for kind, *args in steps if kind == "chain"}
+        kernels = Checked()
+        graph = self.fake_host(monkeypatch, kernels)
+        bandwidth = native.NativeBandwidthBackend(graph, frequency_mhz=1000.0)
+        for kind, *args in steps:
+            if kind == "triad":
+                bandwidth.run_triad(8 * args[0], [0], nontemporal=args[1])
+            elif kind == "failed":
+                kernels.unwritten = True
+                with pytest.raises(TriadVerificationError):
+                    bandwidth.run_triad(8 * args[0], [0], nontemporal=True)
+                kernels.unwritten = False
+            elif kind == "chain":
+                native.NativeBackend(graph, frequency_mhz=1000.0).materialize_chain(
+                    chains[args[0]], 0).close()
+            else:
+                [idle] = idle_mappings[(0, True)]
+                raw = native._Region(idle.nbytes, 0, bandwidth.libnuma, True)
+                ctypes.memset(raw.addr, 0xFF, raw.nbytes)
+                raw.close()
+        record = bandwidth.run_triad(8 * 1001, [0], nontemporal=False)
+        assert kernels.flags == flags
+        [used] = idle_mappings[(0, True)]
+        assert set(kernels.outputs) == {used.addr}
+        assert used.holds == ("triad", 1008, 1001)
+        assert record.bytes_moved == 3 * 8 * 1001
+
+    def test_stale_operands_in_a_recorded_mapping_fail_the_triad(self, monkeypatch,
+                                                                 idle_mappings):
+        """``a = b + s*c`` on corrupted operands agrees with them, so only the
+        operand check catches a record that no longer holds."""
+        kernels = TriadKernels()
+        backend = native.NativeBandwidthBackend(self.fake_host(monkeypatch, kernels),
+                                                frequency_mhz=1000.0)
+        backend.run_triad(8 * 1001, [0], nontemporal=True)
+        [idle] = idle_mappings[(0, True)]
+        b = np.ctypeslib.as_array((ctypes.c_double * 1001).from_address(idle.addr + 8 * 1008))
+        b[:] = -1.0
+        with pytest.raises(TriadVerificationError, match="index 0: expected 0.0, got -1.0"):
+            backend.run_triad(8 * 1001, [0], nontemporal=True)
+        assert idle.holds is None
+        # The mapping is unknown now, so the next triad writes its operands.
+        assert backend.run_triad(8 * 1001, [0], nontemporal=True).bytes_moved == 3 * 8 * 1001
+        assert set(kernels.outputs) == {idle.addr}
+
 
 def _triad_backend():
     graph = load_topology_file(fixture_path("single_core.json"))
@@ -980,11 +1135,16 @@ class TestTriad:
         lib = _kernels_or_skip()
         # Stale values, as a recycled mapping holds them.
         a, b, c = np.full(n, 5.0), np.full(n, -1.0), np.full(n, 7.5)
-        lib.mc_triad_init(a.ctypes.data, b.ctypes.data, c.ctypes.data, n)
+        lib.mc_triad_init(a.ctypes.data, b.ctypes.data, c.ctypes.data, n, 1)
         want_b, want_c = np.empty(n), np.empty(n)
         triad_operands(want_b, want_c)
         np.testing.assert_array_equal(b, want_b)
         np.testing.assert_array_equal(c, want_c)
+        assert not a.any()
+        # Without the operands flag, b and c are left as they are.
+        a, b, c = np.full(n, 5.0), np.full(n, -1.0), np.full(n, 7.5)
+        lib.mc_triad_init(a.ctypes.data, b.ctypes.data, c.ctypes.data, n, 0)
+        assert (b == -1.0).all() and (c == 7.5).all()
         assert not a.any()
 
     def test_runs_without_random_inputs(self, monkeypatch):
@@ -1219,6 +1379,14 @@ class TestKernelCodegen:
         init = disassembly(kernel_build)["mc_triad_init"]
         assert init
         assert not any(ins.startswith("rdtsc") for _, ins in init)
+
+    def test_triad_init_writes_packed_plain_stores(self, kernel_build):
+        """The timed triad starts from the cache state plain stores leave,
+        so the init streams nothing past the caches, and it writes the
+        operands two elements per store."""
+        init = disassembly(kernel_build)["mc_triad_init"]
+        assert loop_with(init, rf"v?mov[au]p[sd]\s+%xmm\d+,{MEM}")
+        assert not any(re.match(r"v?movnt|rdtsc", ins) for _, ins in init)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs sched_getaffinity")
