@@ -18,7 +18,9 @@ one protocol model for every point, since the simulator names home memory
 the point's coherence class (the script and the pattern of its cores and
 their L3 domains), so the backend keeps one memo, the source kind of each
 class it has replayed, and replays a class once; every point's kind is
-still compared with the model's.  The backend then fills the whole array
+still compared with the model's.  The memo is keyed by value: a class key
+holds the script's step tuple itself, so equal steps from separately
+planned sweeps share a class.  The backend then fills the whole array
 with one broadcast of each point's ``model.predict`` times each chain's
 access count; the model memoizes the locality class of each core pair it
 has priced, and reads switch hops from the topology's table.  ``run_point``
@@ -86,11 +88,6 @@ class SimulatedBackend:
         self.graph = model.graph
         self.frequency_mhz = model.core_mhz
         self._protocol_model = ProtocolModel.from_topology(self.graph)
-        # A number per distinct step tuple, and per step tuple object seen
-        # (each kept alive, so its id stays its own): steps are hashed once
-        # per object, not once per point.
-        self._step_numbers: dict[tuple, int] = {}
-        self._steps_by_id: dict[int, tuple[tuple, int]] = {}
         # Probe source kind of each coherence class replayed so far; only
         # passing points are remembered.
         self._source_kinds: dict[tuple, str] = {}
@@ -114,22 +111,15 @@ class SimulatedBackend:
             level,
         )
 
-    def _steps_number(self, steps: tuple) -> int:
-        seen = self._steps_by_id.get(id(steps))
-        if seen is None:
-            number = self._step_numbers.setdefault(steps, len(self._step_numbers))
-            seen = self._steps_by_id[id(steps)] = (steps, number)
-        return seen[1]
-
     def _class_key(self, script: CoherenceScript, placement: Placement) -> Optional[tuple]:
         """Everything the replay and the probe read depend on, or None when
         a core is not in the graph (the replay then reports it).
 
-        That is the protocol, steps and target of the script, its worker
-        roles, and which of the requester and the workers are the same core
-        and which of their L3 domains are the same: the simulator only
-        compares cores and domains for equality.  The simulator does not see
-        the home node, so it is not part of the key.
+        That is the protocol, step tuple and target of the script, its
+        worker roles, and which of the requester and the workers are the
+        same core and which of their L3 domains are the same: the simulator
+        only compares cores and domains for equality.  The simulator does
+        not see the home node, so it is not part of the key.
         """
         cores = (placement.requester, *script.worker_cores.values())
         domains = tuple(map(self._protocol_model.l3_domain_of.get, cores))
@@ -137,7 +127,7 @@ class SimulatedBackend:
             return None
         return (
             script.protocol,
-            self._steps_number(script.steps),
+            script.steps,
             script.target_state,
             script.target_level,
             tuple(script.worker_cores),

@@ -71,10 +71,14 @@ class BandwidthError(Exception):
 
 
 class TriadVerificationError(BandwidthError):
-    def __init__(self, index: int, expected: float, got: float):
+    """A sampled element of ``array`` (``a``, the result, unless an operand
+    was found stale) does not hold its expected value."""
+
+    def __init__(self, index: int, expected: float, got: float, array: str = "a"):
         super().__init__(
-            f"triad verification failed at index {index}: expected {expected}, got {got}"
+            f"triad verification failed at {array}[{index}]: expected {expected}, got {got}"
         )
+        self.array = array
         self.index = index
         self.expected = expected
         self.got = got

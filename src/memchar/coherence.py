@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 __all__ = [
     "LEVELS",
@@ -362,8 +362,11 @@ def apply_event(
 # Scripts
 
 
-@dataclass(frozen=True)
-class ScriptStep:
+class ScriptStep(NamedTuple):
+    """One worker action.  A tuple, not a frozen dataclass: the simulated
+    backend keys its class memo by a script's steps, and a tuple hashes
+    without calling a generated ``__hash__`` per step."""
+
     worker: WorkerRole
     action: Action
 

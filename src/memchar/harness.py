@@ -28,14 +28,12 @@ maximum, median and reduced latency are that tuple's float, with no
 per-sample conversion.  That is the only place samples are reduced;
 :func:`measure_latency` is the one-point sweep.
 
-Shared work in a simulated sweep is created in two places and recognised
-in two.  The planner (``cli._latency_points``) gives every placement of
-one core pattern one step tuple, and :func:`measure_sweep` gives every
-point of one value one samples tuple and one float.  The simulated
-backend's class key numbers each step tuple object once, equal tuples
-sharing a number (so separately planned sweeps share classes), and the
-latency CSV writer keys each row's value block by the ids of its samples
-and value objects.
+Shared work in a simulated sweep is made in one place and recognised by
+object identity in one: :func:`measure_sweep` gives every point of one
+value one samples tuple and one float, and the latency CSV writer keys
+each row's value block by the ids of those objects.  Every other memo
+keys its work by value; the simulated backend's class key holds the
+script's step tuple itself.
 
 Records are built in one step each.  The fields every point of a sweep
 shares (sizes, frequency, backend, alignment, huge pages, seed, reducer)

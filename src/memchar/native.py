@@ -22,28 +22,29 @@ idle mappings of every other key are unmapped first: a sweep that moves to
 another home node holds one node's buffers, not one set per node, and a
 triad's mapping never sits idle beside a chain's.  Idle mappings of the last
 key are held until the process exits.  Unbound mappings (no libnuma, a
-failed bind, read datasets, the flush scratch) are unmapped at close.  A
-recycled mapping still holds what its last user wrote, so there
-:meth:`NativeBackend.materialize_chain` streams each element's slot word
-and zeros in one pass of non-temporal stores; a fresh mapping gets its slot
-words only.  A mapping keeps one record of what it holds, tagged by the
-writer that left it: a chain's stride and element count, where nothing but
-zeros lies outside each element's first 64-byte line, or a triad's array
-stride and element count, where its operands ``b`` and ``c`` still lie.  A
-region that takes the mapping forgets the record, and only the writer that
-re-establishes it records it again: ``materialize_chain`` once the chain is
-written, :meth:`NativeBandwidthBackend.run_triad` once its kernel has run
-and its checks have passed.  A read dataset, a failed triad or any other
-writer leaves the mapping unknown.  A chain of the recorded stride and at
-most that many elements then streams each element's first line alone; any
-other recycled chain, after a triad too, streams its elements whole.  A
-measured point keeps a chain's record true: its ``WRITE`` step stores at
-each slot plus 8 bytes, inside the first line.  Either way the chain reads
-as on a fresh mapping: zero except its slots.  The triad's three arrays are
-views of one such region, advised for huge pages like a chain's, bound to
-the node libnuma gives for the triad's core.  A triad of the recorded
-stride and element count zeroes its result array alone before the timer;
-any other writes its operands too.
+failed bind, read datasets, the flush scratch) are unmapped at close.
+
+A recycled mapping still holds what its last user wrote, so a mapping keeps
+one record of what it holds, and a writer reuses what is there only when
+that record is its own exact layout.  A fresh mapping records ``_ZERO``.  A
+chain records ``("chain", stride, n)``: nothing but zeros outside each of
+its ``n`` elements' first 64-byte line.  A triad records ``("triad",
+stride, n)``: its operands ``b`` and ``c`` still lie at that array stride.
+A region that takes the mapping forgets the record, and only the writer
+that re-establishes it records it again:
+:meth:`NativeBackend.materialize_chain` once the chain is written,
+:meth:`NativeBandwidthBackend.run_triad` once its kernel has run and its
+checks have passed.  A read dataset, a failed triad or any other writer
+leaves the mapping unknown.  A chain writes its slot words alone on a zero
+mapping, streams each element's first line with non-temporal stores on its
+own layout, and streams its elements whole on any other mapping, that of a
+chain of another stride or element count or of a triad.  A measured point
+keeps a chain's record true: its ``WRITE`` step stores at each slot plus 8
+bytes, inside the first line.  Either way the chain reads as on a fresh
+mapping: zero except its slots.  The triad's three arrays are views of one
+such region, advised for huge pages like a chain's, bound to the node
+libnuma gives for the triad's core.  A triad on its own layout zeroes its
+result array alone before the timer; any other writes its operands too.
 
 The C kernels are compiled with the system compiler into a cache directory,
 named after a hash of their inputs, and loaded by :func:`load_kernels`; when
@@ -249,23 +250,28 @@ def _load_libnuma():
         return None
 
 
+# The record of a mapping no one has written (see _Mapping.holds).
+_ZERO = ("zero", 0, 0)
+
+
 class _Mapping:
     """Private anonymous mapping, advised and bound before its first touch.
 
     Private, because a shared one is shmem and ignores ``MADV_HUGEPAGE``
     unless ``shmem_enabled`` allows it.  ``huge_pages`` and ``numa_bound``
     are outcomes: each is true only when its own call succeeded.
-    ``holds`` is what the mapping is known to hold, else None:
+    ``holds`` is the exact layout the mapping is known to hold, else None:
 
-    * ``("chain", stride, count)``: the first ``count * stride`` bytes are
-      zero outside the first 64-byte line of each ``stride``-byte element;
+    * ``_ZERO``, as mapped: every byte is zero;
+    * ``("chain", stride, n)``: the first ``n * stride`` bytes are zero
+      outside the first 64-byte line of each ``stride``-byte element;
     * ``("triad", stride, n)``: the ``n`` words from word ``stride`` on are
       ``b[i] = i``, and the ``n`` from word ``2 * stride`` on ``c[i] = n - i``.
     """
 
     def __init__(self, nbytes: int, numa_node: Optional[int], libnuma, huge: bool):
         self.nbytes = nbytes
-        self.holds: Optional[tuple[str, int, int]] = None
+        self.holds: Optional[tuple[str, int, int]] = _ZERO
         self.mm = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
         self.addr = ctypes.addressof(ctypes.c_char.from_buffer(self.mm))
         self.huge_pages = huge
@@ -292,14 +298,14 @@ class _Region:
     """The first ``nbytes`` of a :class:`_Mapping`, recycled where one fits.
 
     A new region takes the smallest idle mapping with its key (NUMA node,
-    huge-page request) and at least its size, and is then ``recycled``.
-    Only when none fits does it map, advise and bind a fresh one, after
-    unmapping the idle mappings of every other key.  ``close()`` hands a
-    mapping that ``mbind`` placed back to the process-wide idle list, once,
-    and unmaps any other at once.  A recycled region holds what the
-    mapping's last user wrote.  The region takes the mapping's ``holds``
-    and leaves it None, so the mapping reads as unknown to its next region
-    unless the writer that re-establishes a record sets it again:
+    huge-page request) and at least its size.  Only when none fits does it
+    map, advise and bind a fresh one, after unmapping the idle mappings of
+    every other key.  ``close()`` hands a mapping that ``mbind`` placed back
+    to the process-wide idle list, once, and unmaps any other at once.  A
+    recycled region holds what the mapping's last user wrote.  The region
+    takes the mapping's ``holds`` (``_ZERO`` when it is fresh) and leaves it
+    None, so the mapping reads as unknown to its next region unless the
+    writer that re-establishes its exact layout records it again:
     :meth:`NativeBackend.materialize_chain` or
     :meth:`NativeBandwidthBackend.run_triad`.
     """
@@ -318,7 +324,6 @@ class _Region:
                     stale += _idle.pop(key)
         for mapping in stale:
             mapping.mm.close()
-        self.recycled = bool(fits)
         if not fits:
             self.mapping = _Mapping(nbytes, numa_node, libnuma, huge)
         self.holds, self.mapping.holds = self.mapping.holds, None
@@ -419,28 +424,27 @@ class NativeBackend:
         """A region for ``home_node`` that reads as a fresh mapping with the
         chain written in: every slot points at its successor, every other
         word is zero.  ``mc_chain_write`` writes it in one pass, and
-        ``span`` is how many bytes of each element it streams:
+        ``span``, one lookup of the region's ``holds``, is how many bytes of
+        each element it streams:
 
-        * a fresh mapping, zero already, gets its slot words only (span 0);
-        * a mapping whose ``holds`` record a chain of this stride and at
-          least this many elements is zero outside each element's first
-          line, so that line alone is streamed (span 64);
-        * any other recycled mapping, whose last user may have written
-          anywhere in it (a triad's record says nothing of zeros), has each
-          element streamed whole (span ``stride``).
+        * a fresh mapping (``_ZERO``) gets its slot words only (span 0);
+        * a mapping that holds this chain's layout, the same stride and
+          element count, is zero outside each element's first line, so that
+          line alone is streamed (span 64);
+        * any other mapping, whose last user may have written anywhere in
+          it, has each element streamed whole (span ``stride``).
 
-        The mapping then records this chain's stride and the elements known
-        to be zero past their first line.  Whoever uses the region writes
-        only inside those first lines, as a measured point's ``WRITE`` step
-        does (slot plus 8 bytes), so the record holds when it is closed."""
+        The mapping then records this chain's layout.  Whoever uses the
+        region writes only inside each element's first line, as a measured
+        point's ``WRITE`` step does (slot plus 8 bytes), so the record holds
+        when it is closed."""
         stride, n = chain.stride_alignment, chain.element_count
         region = _Region(chain.total_bytes, home_node, self.libnuma, chain.huge_pages)
-        span, count = (stride if region.recycled else 0), n
-        if region.holds and region.holds[:2] == ("chain", stride) and region.holds[2] >= n:
-            span, count = 64, region.holds[2]
+        layout = ("chain", stride, n)
+        span = {_ZERO: 0, layout: 64}.get(region.holds, stride)
         # Built here on a spec's first materialization; read in place.
         self.lib.mc_chain_write(region.addr, chain.successors.buffer_info()[0], n, stride, span)
-        region.mapping.holds = ("chain", stride, count)
+        region.mapping.holds = layout
         return region
 
     def _flush(self, levels) -> None:
@@ -558,15 +562,15 @@ _TRIAD_SAMPLE_STEP = 100
 
 
 def _check_operands(b: np.ndarray, c: np.ndarray) -> None:
-    """Raise :class:`TriadVerificationError` at the first sampled index
-    where ``b[i] != i`` or ``c[i] != n - i``."""
+    """Raise :class:`TriadVerificationError`, naming the array, at the
+    first sampled index where ``b[i] != i`` or ``c[i] != n - i``."""
     n, step = len(b), _TRIAD_SAMPLE_STEP
     i = np.arange(0, n, step, dtype=np.float64)
-    for got, want in ((b[::step], i), (c[::step], n - i)):
+    for array, got, want in (("b", b[::step], i), ("c", c[::step], n - i)):
         bad = np.flatnonzero(got != want)
         if bad.size:
             k = int(bad[0])
-            raise TriadVerificationError(k * step, float(want[k]), float(got[k]))
+            raise TriadVerificationError(k * step, float(want[k]), float(got[k]), array)
 
 
 class NativeBandwidthBackend:
@@ -635,9 +639,9 @@ class NativeBandwidthBackend:
         ``mc_triad_init``, so the kernel times no first-touch faults.  It
         always zeroes ``a``, so a result a recycled mapping still holds
         cannot pass the check.  It writes ``b`` and ``c`` too unless the
-        mapping's ``holds`` records a triad of this array stride and element
-        count, whose operands are still in place.  The record is set only
-        once the kernel has run and both checks have passed; any error
+        mapping's ``holds`` is this triad's layout, its array stride and
+        element count, whose operands are still in place.  The record is set
+        only once the kernel has run and both checks have passed; any error
         leaves the mapping unknown.  The operand check fails a triad that a
         stale record let run on other operands, which ``verify_triad``
         alone would pass when ``a`` agrees with them.

@@ -19,21 +19,21 @@
  *
  * Two untimed kernels write what a timed one reads.  mc_chain_write writes
  * a chain into its region.  On a recycled mapping it streams the first
- * `span` bytes of every element with 16-byte non-temporal stores, slot word
- * and zeros together: the first 64-byte line alone when the mapping's last
- * user was a chain of the same stride and at least as many elements, else
- * the whole element, since that user may have written anywhere.  Such a
- * chain left nothing past each element's first line, and neither does a
- * measured point on it: its WRITE step stores at slot + 8, inside that
- * line.  A streamed line is written without first being read for
- * ownership.  The whole line is streamed: a partial line leaves its
- * write-combining buffer half full.  On an Intel Xeon KVM guest, a 150 MiB
- * chain at a 512-byte stride took 27 ms streaming 16 or 32 bytes per
- * element, 9.1 ms streaming elements whole and 2.2 ms streaming first
- * lines.  mc_triad_init zeroes the triad's result array and, unless the
- * mapping still holds them from a triad of the same length and stride,
- * writes its operands two elements per packed store.  All are plain stores,
- * so the timed kernel starts from the cache state they leave.
+ * `span` bytes of every element with 16-byte non-temporal stores, slot
+ * word and zeros together: the first 64-byte line alone when the mapping's
+ * last user was a chain of the same stride and element count, else the
+ * whole element, since that user may have written anywhere.  Such a chain
+ * left nothing past each element's first line, and neither does a measured
+ * point on it: its WRITE step stores at slot + 8, inside that line.  A
+ * streamed line is written without first being read for ownership.  The
+ * whole line is streamed: a partial line leaves its write-combining buffer
+ * half full.  On an Intel Xeon KVM guest, a 150 MiB chain at a 512-byte
+ * stride took 27 ms streaming 16 or 32 bytes per element, 9.1 ms streaming
+ * elements whole and 2.2 ms streaming first lines.  mc_triad_init zeroes
+ * the triad's result array and, unless the mapping still holds them from a
+ * triad of the same length and stride, writes its operands two elements
+ * per packed store.  All are plain stores, so the timed kernel starts from
+ * the cache state they leave.
  */
 
 #include <stdint.h>

@@ -55,7 +55,9 @@ keyed by their ids.  :func:`harness.measure_sweep` gives every point of one
 value one samples tuple and one float, so a simulated sweep's rows are the
 placement's ids, a cached block and the label.  Exact by construction:
 identical objects format identically, and every record stays alive while
-its file is built, so no id is reused; no float is compared.
+its file is built, so no id is reused; no float is compared.  It is the one
+place in the package that recognises work by identity: keyed by value,
+``0.0`` and ``-0.0``, equal and of one hash, would share a block.
 
 Reading a result file checks it: a row whose field count differs from the
 header's, a cell that does not parse (a float cell holding NaN or an

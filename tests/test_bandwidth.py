@@ -219,7 +219,8 @@ class TestTriad:
         a[7] = -1.0
         with pytest.raises(TriadVerificationError) as err:
             verify_triad(a, b, c, 3.0)
-        assert err.value.index == 7
+        assert (err.value.array, err.value.index) == ("a", 7)
+        assert str(err.value) == "triad verification failed at a[7]: expected 10.0, got -1.0"
 
     @pytest.mark.parametrize("fraction,first_bad", [(1.0, 250), (0.01, 700)])
     def test_verify_reports_first_checked_bad_index(self, fraction, first_bad):

@@ -5,7 +5,8 @@ module-level def, class and constant there has a reader in ``src/`` or
 resolves, only ``topology.py`` reads a topology's raw ``caches`` sizes,
 only ``results.write_output`` (and the kernel build) writes files, and
 nothing reads the environment but the deployment settings and the guard
-against retired variables.  Also checks the line counter in
+against retired variables, and nothing but the latency CSV writer
+recognises work by object identity.  Also checks the line counter in
 ``tools/sloc.py``."""
 
 import ast
@@ -128,7 +129,7 @@ def test_scan_flags_a_caches_read():
 # Where src/ may write a file: the one output writer, and the kernel build,
 # which publishes its shared object with an atomic rename so that a
 # half-written library is never loaded.
-WRITERS = {"results.py": "write_output", "native.py": "build_kernels"}
+WRITERS = {"results.py": {"write_output"}, "native.py": {"build_kernels"}}
 # os.open flags that do not write; any other flag, or one the scan cannot
 # name, counts as a write.
 READ_FLAGS = {"O_RDONLY", "O_CLOEXEC", "O_NOFOLLOW", "O_DIRECTORY", "O_NONBLOCK", "O_PATH"}
@@ -168,24 +169,34 @@ def _writes(call: ast.Call) -> bool:
     return False
 
 
-def file_writes(source: str, file: str) -> list[str]:
-    """``file:line in scope`` of each call in ``source`` that writes a file,
-    outside the writer :data:`WRITERS` allows in ``file``."""
-    allowed = WRITERS.get(file)
-    found = []
+def _scoped_nodes(source: str):
+    """``(node, scope)`` for every node of ``source``; ``scope`` is the
+    dotted name of the defs and classes that enclose it, "" at module
+    level."""
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
+            yield child, scope
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            if isinstance(child, ast.Call) and _writes(child):
-                if not (allowed and (scope == allowed or scope.startswith(allowed + "."))):
-                    found.append(f"{file}:{child.lineno} in {scope or '<module>'}")
-            visit(child, inner)
+            yield from visit(child, inner)
 
-    visit(ast.parse(source), "")
-    return found
+    return visit(ast.parse(source), "")
+
+
+def _within(scope: str, allowed) -> bool:
+    """Whether ``scope`` is one of ``allowed`` or nested in one."""
+    return any(scope == a or scope.startswith(a + ".") for a in allowed)
+
+
+def file_writes(source: str, file: str) -> list[str]:
+    """``file:line in scope`` of each call in ``source`` that writes a file,
+    outside the writer :data:`WRITERS` allows in ``file``."""
+    allowed = WRITERS.get(file, set())
+    return [f"{file}:{node.lineno} in {scope or '<module>'}"
+            for node, scope in _scoped_nodes(source)
+            if isinstance(node, ast.Call) and _writes(node) and not _within(scope, allowed)]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -255,19 +266,9 @@ def env_reads(source: str, file: str) -> list[str]:
     """``file:line in scope`` of each environment read in ``source`` outside
     the scopes :data:`ENV_READERS` allows in ``file``."""
     allowed = ENV_READERS.get(file, set())
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = f"{scope}.{child.name}" if scope else child.name
-            if _reads_env(child) and scope.partition(".")[0] not in allowed:
-                found.append(f"{file}:{child.lineno} in {scope or '<module>'}")
-            visit(child, inner)
-
-    visit(ast.parse(source), "")
-    return found
+    return [f"{file}:{node.lineno} in {scope or '<module>'}"
+            for node, scope in _scoped_nodes(source)
+            if _reads_env(node) and not _within(scope, allowed)]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -305,6 +306,62 @@ def test_scan_flags_each_kind_of_environment_read():
     assert env_reads(source, "native.py") == [
         "native.py:1 in <module>", *(f"native.py:{line} in f" for line in range(3, 8)),
         "native.py:12 in C.run",
+    ]
+
+
+# Where src/ may recognise work by object identity.  The latency CSV
+# writer keys its value blocks by the ids of a record's samples and value
+# objects: keyed by value, 0.0 and -0.0 (equal, and of one hash) would
+# share a block.  Every other memo keys its work by value.
+IDENTITY_READERS = {"results.py": {"ResultSet._latency_lines"}}
+
+
+def identity_reads(source: str, file: str) -> list[str]:
+    """``file:line in scope`` of each use of the builtin ``id`` in
+    ``source``, a call or a reference, outside the scopes
+    :data:`IDENTITY_READERS` allows in ``file``."""
+    allowed = IDENTITY_READERS.get(file, set())
+    return [f"{file}:{node.lineno} in {scope or '<module>'}"
+            for node, scope in _scoped_nodes(source)
+            if isinstance(node, ast.Name) and node.id == "id"
+            and isinstance(node.ctx, ast.Load) and not _within(scope, allowed)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_work_is_recognised_by_identity_only_in_the_latency_writer(path):
+    assert identity_reads(path.read_text(), path.name) == []
+
+
+def test_the_writer_is_where_the_scan_finds_identity_reads():
+    # Under another file name, nothing is exempt.
+    found = {
+        w.partition(" in ")[2]
+        for file in IDENTITY_READERS
+        for w in identity_reads((SRC / file).read_text(), "other.py")
+    }
+    assert found == set().union(*IDENTITY_READERS.values())
+
+
+def test_scan_flags_each_use_of_id():
+    source = (
+        "seen = {id(x) for x in xs}\n"
+        "class Memo:\n"
+        "    def key(self, steps):\n"
+        "        return id(steps)\n"
+        "    def keys(self, xs):\n"
+        "        return list(map(id, xs)), self.id(xs), xs.id\n"
+        "class ResultSet:\n"
+        "    def _latency_lines(records):\n"
+        "        key = [id(r) for r in records]\n"
+        "        def inner(r): return id(r)\n"
+        "    def _bandwidth_row(r):\n"
+        "        return id(r)\n"
+        "def f(id):\n"
+        "    id = 1\n"
+    )
+    assert identity_reads(source, "results.py") == [
+        "results.py:1 in <module>", "results.py:4 in Memo.key", "results.py:6 in Memo.keys",
+        "results.py:12 in ResultSet._bandwidth_row",
     ]
 
 

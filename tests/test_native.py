@@ -193,7 +193,7 @@ class TestMaterialize:
         chain = chain_spec(64 << 10, align, seed=5, huge_pages=False)
         region = backend.materialize_chain(chain, home_node=0)
         try:
-            assert (region.recycled, region.addr) == (True, idle.addr)
+            assert (region.holds, region.addr) == (None, idle.addr)
             _assert_reads_fresh(region, chain)
             past = ctypes.string_at(region.addr + region.nbytes, idle.nbytes - region.nbytes)
             assert past == b"\xff" * (idle.nbytes - region.nbytes)
@@ -215,7 +215,8 @@ class TestMaterialize:
         [used] = idle_mappings[(0, False)]
         region = backend.materialize_chain(chain, home_node=0)
         try:
-            assert (region.recycled, region.addr) == (True, used.addr)
+            assert region.addr == used.addr
+            assert region.holds == ("chain", align, chain.element_count)
             _assert_reads_fresh(region, chain)
         finally:
             region.close()
@@ -711,6 +712,22 @@ class TriadKernels(FakeKernels):
         return 1000
 
 
+class SpanKernels(TriadKernels):
+    """Triad kernels that also record the span of every chain write, with
+    the shipped write-touch of a measured point's ``WRITE`` step."""
+
+    def __init__(self):
+        super().__init__()
+        self.spans = []
+
+    def mc_chain_write(self, base, succ, n, stride, span):
+        self.spans.append(span)
+        super().mc_chain_write(base, succ, n, stride, span)
+
+    def mc_write_touch(self, addr, nbytes, stride, value):
+        _real_kernels().mc_write_touch(addr, nbytes, stride, value)
+
+
 class Unwritten(TriadKernels):
     """A triad that times nothing and writes nothing."""
 
@@ -729,7 +746,7 @@ class TestRecycling:
         first.close()
         again = native._Region(32 << 10, 1, numa, False)
         assert (again.addr, again.nbytes, again.numa_bound) == (addr, 32 << 10, True)
-        assert (first.recycled, again.recycled) == (False, True)
+        assert (first.holds, again.holds) == (native._ZERO, None)
         assert len(numa.calls) == 1
         # Another node, another huge-page request or a larger size maps afresh.
         others = [native._Region(64 << 10, 0, numa, False),
@@ -938,8 +955,8 @@ class TestRecycling:
         ([("chain", 64, 512)], [0, 64]),
         ([("point",)], [0, 64]),
         ([("chain", 64, 512), ("point",), ("point",)], [0, 64, 64, 64]),
-        ([("chain", 128, 512)], [0, 64]),
-        ([("chain", 64, 512), ("chain", 32, 512)], [0, 64, 64]),
+        ([("chain", 128, 512)], [0, 512]),
+        ([("chain", 64, 512), ("chain", 32, 512)], [0, 512, 512]),
         ([("chain", 64, 512), ("triad",)], [0, 512]),
         ([("chain", 64, 512), ("raw", 64)], [0, 512]),
         ([("chain", 64, 512), ("chain", 64, 64)], [0, 64, 512]),
@@ -951,27 +968,15 @@ class TestRecycling:
     def test_chain_streams_first_lines_only_where_its_stride_last_wrote(
             self, monkeypatch, idle_mappings, steps, spans):
         """A recycled chain streams each element's first line (span 64) only
-        when, since anything else last wrote the mapping, it has held only
-        chains of this stride, one at least this long, and measured points
-        on them; otherwise it streams whole elements (span 512).  Either
-        way every word of the region is zero except the slots."""
-
-        class Spans(TriadKernels):
-            def __init__(self):
-                super().__init__()
-                self.spans = []
-
-            def mc_chain_write(self, base, succ, n, stride, span):
-                self.spans.append(span)
-                super().mc_chain_write(base, succ, n, stride, span)
-
-            def mc_write_touch(self, addr, nbytes, stride, value):
-                _real_kernels().mc_write_touch(addr, nbytes, stride, value)
+        when its mapping's last writer was a chain of this stride and
+        element count, measured points on it aside; otherwise it streams
+        whole elements (span ``stride``).  Either way every word of the
+        region is zero except the slots."""
 
         chain = self.chain(64 << 10, 512)
         others = {tuple(size): self.chain(size[0] << 10, size[1])
                   for kind, *size in steps if kind == "chain"}
-        kernels = Spans()
+        kernels = SpanKernels()
         graph = self.fake_host(monkeypatch, kernels)
         backend = native.NativeBackend(graph, frequency_mhz=1000.0)
         policy = MeasurementPolicy(
@@ -994,11 +999,40 @@ class TestRecycling:
         [used] = idle_mappings[(0, True)]
         region = backend.materialize_chain(chain, 0)
         try:
-            assert (region.recycled, region.addr) == (True, used.addr)
-            assert kernels.spans == spans
+            assert (region.addr, kernels.spans) == (used.addr, spans)
+            assert region.holds != native._ZERO
             _assert_reads_fresh(region, chain)
         finally:
             region.close()
+
+    def test_two_bench_like_passes_stream_first_lines_on_their_own_layouts(
+            self, monkeypatch, idle_mappings):
+        """Two passes of a scaled-down ``native-host`` benchmark pass: three
+        chains at a 512-byte stride materialized at four placements, then
+        triads of two sizes with and without NT stores.  The smaller triad's
+        region (96 KiB) is larger than the middle chain's mapping (64 KiB),
+        so both triads take the largest chain's.  Every chain write streams
+        nothing on a fresh mapping (span 0) and first lines on its own
+        layout (span 64), except the largest chain's first write of the
+        second pass, which follows the triads and streams whole elements."""
+        chains = [self.chain(kib << 10, 512) for kib in (16, 64, 256)]
+        kernels = SpanKernels()
+        graph = self.fake_host(monkeypatch, kernels)
+        latency = native.NativeBackend(graph, frequency_mhz=1000.0)
+        bandwidth = native.NativeBandwidthBackend(graph, frequency_mhz=1000.0)
+        largest = set()
+        for _ in range(2):
+            for _ in range(4):
+                for chain in chains:
+                    region = latency.materialize_chain(chain, 0)
+                    _assert_reads_fresh(region, chain)
+                    region.close()
+                largest.add(region.addr)
+            for array_bytes in (32 << 10, 64 << 10):
+                for nontemporal in (True, False):
+                    bandwidth.run_triad(array_bytes, [0], nontemporal)
+        assert set(kernels.outputs) == largest and len(largest) == 1
+        assert kernels.spans == [0, 0, 0] + 3 * [64, 64, 64] + [64, 64, 512] + 3 * [64, 64, 64]
 
     def test_triad_that_writes_nothing_fails_on_a_recycled_mapping(self, monkeypatch):
         kernels = TriadKernels()
@@ -1086,19 +1120,25 @@ class TestRecycling:
         assert used.holds == ("triad", 1008, 1001)
         assert record.bytes_moved == 3 * 8 * 1001
 
+    @pytest.mark.parametrize("array, expected", [("b", 0.0), ("c", 1001.0)], ids=["b", "c"])
     def test_stale_operands_in_a_recorded_mapping_fail_the_triad(self, monkeypatch,
-                                                                 idle_mappings):
+                                                                 idle_mappings, array,
+                                                                 expected):
         """``a = b + s*c`` on corrupted operands agrees with them, so only the
-        operand check catches a record that no longer holds."""
+        operand check catches a record that no longer holds, and it names
+        the stale array."""
         kernels = TriadKernels()
         backend = native.NativeBandwidthBackend(self.fake_host(monkeypatch, kernels),
                                                 frequency_mhz=1000.0)
         backend.run_triad(8 * 1001, [0], nontemporal=True)
         [idle] = idle_mappings[(0, True)]
-        b = np.ctypeslib.as_array((ctypes.c_double * 1001).from_address(idle.addr + 8 * 1008))
-        b[:] = -1.0
-        with pytest.raises(TriadVerificationError, match="index 0: expected 0.0, got -1.0"):
+        offset = 8 * 1008 * "abc".index(array)
+        stale = np.ctypeslib.as_array((ctypes.c_double * 1001).from_address(idle.addr + offset))
+        stale[:] = -1.0
+        message = rf"at {array}\[0\]: expected {expected}, got -1.0"
+        with pytest.raises(TriadVerificationError, match=message) as err:
             backend.run_triad(8 * 1001, [0], nontemporal=True)
+        assert err.value.array == array
         assert idle.holds is None
         # The mapping is unknown now, so the next triad writes its operands.
         assert backend.run_triad(8 * 1001, [0], nontemporal=True).bytes_moved == 3 * 8 * 1001
