@@ -175,9 +175,9 @@ StateMap = dict
 _RAM_SOURCE = ReadSource("ram", "mem", "RAM")
 
 
-def initial_state_map(mem_value: int = 0) -> StateMap:
+def initial_state_map() -> StateMap:
     """All-Invalid map: the line exists only in home memory."""
-    return {"mem": mem_value}
+    return {"mem": 0}
 
 
 def _holders(state_map: StateMap):

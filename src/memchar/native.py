@@ -48,14 +48,18 @@ result array alone before the timer; any other writes its operands too.
 
 The C kernels are compiled with the system compiler into a cache directory,
 named after a hash of their inputs, and loaded by :func:`load_kernels`; when
-no compiler or no x86-64 is available every entry point raises
-:class:`BackendUnavailable` so callers can degrade cleanly.  ``kernels.c``
-includes no intrinsics header: parsing ``<x86intrin.h>`` and
-``<immintrin.h>`` was almost all of a cold build (about 0.6 s of gcc 12
-against 0.15 s without them), so it calls the compiler builtins and vector
-types those headers wrap.  ``objdump -d`` of the two builds matched byte for
-byte under gcc 12.2, with ``-mavx2`` and without, and the tests read the
-timed regions' instructions back from ``objdump``.
+no compiler or no x86-64 is available, or the library lacks a declared
+kernel, every entry point raises :class:`BackendUnavailable` so callers can
+degrade cleanly.  There is one build, with no ``-m`` flag: every kernel
+keeps to the x86-64 baseline except ``mc_read256``, which ``kernels.c``
+compiles under ``target("avx")`` and which runs only where
+``mc_cpu_has_avx`` says the CPU can.  ``kernels.c`` includes no intrinsics
+header: parsing ``<x86intrin.h>`` and ``<immintrin.h>`` was almost all of a
+cold build (about 0.6 s of gcc 12 against 0.15 s without them), so it calls
+the compiler builtins and vector types those headers wrap.  When the
+headers went, ``objdump -d`` of the two spellings matched byte for byte
+under gcc 12.2; the tests read the timed regions' instructions back from
+``objdump``.
 
 Orchestration follows the measurement listing.  All native work runs in
 :func:`_on_cores`: one new thread per job, pinned to its core and
@@ -103,7 +107,7 @@ import numpy as np
 
 from .backends import BackendError, PinningError
 from .bandwidth import (
-    KERNELS, TRIAD_SCALAR, BandwidthError, BandwidthRecord, TriadVerificationError,
+    TRIAD_SCALAR, BandwidthError, BandwidthRecord, TriadVerificationError,
     dataset_level, resolve_kernel, triad_elements, verify_triad,
 )
 from .chain import ChainBuffer
@@ -115,9 +119,7 @@ __all__ = ["BackendUnavailable", "NativeBackend", "build_kernels"]
 
 _SRC = Path(__file__).parent / "native_src" / "kernels.c"
 MPOL_BIND = 2
-_CFLAGS = ("-O2", "-shared", "-fPIC", "-msse2")
-# Tried first; dropped when the compiler rejects it (mc_read256 is then absent).
-_AVX_CFLAGS = ("-mavx2",)
+_CFLAGS = ("-O2", "-shared", "-fPIC")
 
 _u64, _ptr = ctypes.c_uint64, ctypes.c_void_p
 # (restype, argtypes) of every exported kernel in kernels.c.
@@ -129,6 +131,7 @@ KERNEL_SIGNATURES = {
     "mc_write_touch": (None, (_ptr, _u64, _u64, ctypes.c_char)),
     "mc_clflush": (None, (_ptr, _u64, _u64)),
     "mc_read128": (_u64, (_ptr, _u64, _u64, _ptr)),
+    "mc_cpu_has_avx": (ctypes.c_int, ()),
     "mc_read256": (_u64, (_ptr, _u64, _u64, _ptr)),
     "mc_triad": (_u64, (_ptr, _ptr, _ptr, ctypes.c_double, _u64, ctypes.c_int)),
     "mc_sattolo": (None, (_ptr, _u64, _u64)),
@@ -159,7 +162,7 @@ def _compiler_identity(cc: str) -> str:
 
 def _kernel_path(cc: str) -> Path:
     """Cache path named after a sha256 of everything the build depends on."""
-    inputs = (_SRC.read_bytes(), _AVX_CFLAGS + _CFLAGS, _compiler_identity(cc))
+    inputs = (_SRC.read_bytes(), _CFLAGS, _compiler_identity(cc))
     key = hashlib.sha256(repr(inputs).encode()).hexdigest()
     return _cache_dir() / f"memchar_kernels-{key[:16]}.so"
 
@@ -178,11 +181,8 @@ def build_kernels() -> Path:
             return out
         # Compile beside the target and rename, so a partial build is never loaded.
         tmp = out.with_name(f"{out.name}.{os.getpid()}.tmp")
-        for flags in (_AVX_CFLAGS + _CFLAGS, _CFLAGS):
-            cmd = [cc, *flags, str(_SRC), "-o", str(tmp)]
-            res = subprocess.run(cmd, capture_output=True, text=True)
-            if res.returncode == 0:
-                break
+        res = subprocess.run([cc, *_CFLAGS, str(_SRC), "-o", str(tmp)],
+                             capture_output=True, text=True)
     except OSError as exc:
         raise BackendUnavailable(f"cannot build the native kernels: {exc}") from exc
     if res.returncode != 0:
@@ -195,16 +195,19 @@ def build_kernels() -> Path:
 @cache
 def load_kernels() -> ctypes.CDLL:
     """Build (or reuse) the kernels and declare every signature, once per
-    process; a failed build raises and is tried again on the next call."""
+    process.  A failed build, or a library that lacks a declared kernel,
+    raises :class:`BackendUnavailable` and is tried again on the next call."""
     try:
         lib = ctypes.CDLL(str(build_kernels()))
     except OSError as exc:
         raise BackendUnavailable(f"cannot load the native kernels: {exc}") from exc
     for name, (restype, argtypes) in KERNEL_SIGNATURES.items():
-        fn = getattr(lib, name, None)  # absent when built without AVX
-        if fn is not None:
-            fn.restype = restype
-            fn.argtypes = argtypes
+        try:
+            fn = getattr(lib, name)
+        except AttributeError:
+            raise BackendUnavailable(f"the native kernels lack {name}") from None
+        fn.restype = restype
+        fn.argtypes = argtypes
     return lib
 
 
@@ -579,9 +582,9 @@ class NativeBandwidthBackend:
     Reports TSC-tick cycle counts; the bandwidth derives from the
     operator-pinned frequency, which this backend records but never sets.
     Used by the hardware-gated smoke checks; the simulated backend is the
-    regression surface.  ``supported`` holds the read kernels the loaded
-    library exports (``mc_<kernel>``); ``mc_read256`` is absent from a build
-    without AVX.
+    regression surface.  ``supported`` holds the read kernels this CPU
+    runs: ``read128`` always, and ``read256`` where ``mc_cpu_has_avx``
+    reports AVX.
     """
 
     name = "native"
@@ -591,7 +594,7 @@ class NativeBandwidthBackend:
         self.lib = load_kernels()
         self.libnuma = _load_libnuma()
         self.frequency_mhz = _frequency(self.lib, frequency_mhz)
-        self.supported = tuple(k for k in KERNELS if hasattr(self.lib, f"mc_{k}"))
+        self.supported = ("read256", "read128") if self.lib.mc_cpu_has_avx() else ("read128",)
 
     def run_read(self, kernel_name: str, dataset_bytes: int, core_set):
         cores = tuple(core_set)

@@ -2,8 +2,11 @@
  *
  * Timing uses rdtsc serialized with mfence+lfence on both sides; the chase
  * loop is a dependent-load walk (mov (%rbx),%rbx equivalent) unrolled 8x.
- * Built by native.build_kernels with cc -O2 -shared -fPIC, and cached under
- * a hash of this file, the flags and the compiler.
+ * Built once by native.build_kernels with cc -O2 -shared -fPIC, and cached
+ * under a hash of this file, the flags and the compiler.  No -m flag widens
+ * the build: every kernel keeps to the x86-64 baseline (SSE2) except
+ * mc_read256, which is compiled under target("avx") and runs only where
+ * mc_cpu_has_avx reports the CPU can run it.
  *
  * No intrinsics header is included: <x86intrin.h> and <immintrin.h> expand
  * to some 64,000 lines, and parsing them was almost all of a cold build
@@ -11,11 +14,12 @@
  * and clflush are the compiler builtins those headers wrap, and the SIMD
  * code uses vector types with the headers' definitions of __m128i, __m128d
  * and __m256d.
- * Checked with objdump -d against the header build under gcc 12.2, with
- * and without -mavx2: every function came out byte-identical, so each timed
- * region keeps its VEX encodings, load widths, vmovntpd and fence order.
- * tests/test_native.py checks the shape of each timed region.  The
- * __clang__ spellings follow clang's own headers and are untested.
+ * When the headers went, objdump -d of the header build under gcc 12.2
+ * matched every function byte for byte, so each timed region kept its load
+ * widths, non-temporal stores and fence order.  tests/test_native.py checks
+ * the shape of each timed region, and that no function but mc_read256
+ * holds a VEX or EVEX instruction.  The __clang__ spellings follow clang's
+ * own headers and are untested.
  *
  * Two untimed kernels write what a timed one reads.  mc_chain_write writes
  * a chain into its region.  On a recycled mapping it streams the first
@@ -119,7 +123,8 @@ void mc_clflush(volatile char *buf, uint64_t bytes, uint64_t stride) {
 /* Streaming read kernels: `burst` registers worth of loads per iteration,
  * ORed into 4 independent accumulators so the loop is bound by the loads,
  * not by one OR dependency chain.  Returns elapsed ticks for `reps` sweeps
- * over `bytes`. */
+ * over `bytes`, and stores in *check the XOR of the 64-bit lanes of the ORed
+ * accumulators, their bits folded as they are. */
 uint64_t mc_read128(const char *buf, uint64_t bytes, uint64_t reps, uint64_t *check) {
     v2di a0 = {0, 0}, a1 = a0, a2 = a0, a3 = a0;
     uint64_t t0 = fenced_tsc();
@@ -144,7 +149,12 @@ uint64_t mc_read128(const char *buf, uint64_t bytes, uint64_t reps, uint64_t *ch
     return t1 - t0;
 }
 
-#if defined(__AVX2__) || defined(__AVX__)
+/* 1 where the CPU runs AVX, and so mc_read256, else 0.  The builtin reads
+ * the CPU model that libgcc fills in at load, before any kernel is called. */
+int mc_cpu_has_avx(void) {
+    return __builtin_cpu_supports("avx") != 0;
+}
+
 __attribute__((target("avx")))
 uint64_t mc_read256(const char *buf, uint64_t bytes, uint64_t reps, uint64_t *check) {
     v4df a0 = {0.0, 0.0, 0.0, 0.0}, a1 = a0, a2 = a0, a3 = a0;
@@ -172,10 +182,11 @@ uint64_t mc_read256(const char *buf, uint64_t bytes, uint64_t reps, uint64_t *ch
     }
     uint64_t t1 = fenced_tsc();
     v4df acc = OR256(OR256(a0, a1), OR256(a2, a3));
-    *check = (uint64_t)acc[0] ^ (uint64_t)acc[3];
+    uint64_t tmp[4];
+    __builtin_memcpy(tmp, &acc, sizeof tmp);
+    *check = tmp[0] ^ tmp[1] ^ tmp[2] ^ tmp[3];
     return t1 - t0;
 }
-#endif
 
 /* STREAM triad: a[i] = b[i] + s*c[i]; optional non-temporal stores. */
 uint64_t mc_triad(double *a, const double *b, const double *c, double s,

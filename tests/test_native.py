@@ -109,6 +109,37 @@ class TestLoader:
                 native.load_kernels()
         assert len(builds) == 2
 
+    def test_a_missing_kernel_is_a_backend_error(self, tmp_path, monkeypatch, capsys):
+        """A library that lacks a declared kernel exits 4, naming it."""
+        _kernels_or_skip()
+        src = tmp_path / "kernels.c"
+        src.write_text("".join(f"void {name}(void) {{}}\n" for name in native.KERNEL_SIGNATURES
+                               if name != "mc_read256"))
+        monkeypatch.setattr(native, "_SRC", src)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        native.load_kernels.cache_clear()
+        with pytest.raises(native.BackendUnavailable, match="lack mc_read256$"):
+            native.load_kernels()
+        assert main(["latency", "--backend", "native", "--topology", "single_core",
+                     "--scope", "local", "--level", "L1", "--freq", "1000",
+                     "--out", str(tmp_path / "run")]) == 4
+        assert capsys.readouterr().err == "backend error: the native kernels lack mc_read256\n"
+
+    def test_one_compiler_call_builds_the_kernels(self, tmp_path, monkeypatch):
+        _kernels_or_skip()
+        runs, run = [], subprocess.run
+
+        def spy(cmd, **kwargs):
+            runs.append(cmd)
+            return run(cmd, **kwargs)
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(subprocess, "run", spy)
+        native.build_kernels()
+        cc = runs[0][0]
+        assert runs == [[cc, "--version"],
+                        [cc, *native._CFLAGS, str(native._SRC), "-o", runs[1][-1]]]
+
 
 class TestTscRate:
     def test_backends_share_one_measurement(self, monkeypatch):
@@ -118,6 +149,9 @@ class TestTscRate:
             def mc_tsc(self):
                 reads.append(True)
                 return 1000 * len(reads)
+
+            def mc_cpu_has_avx(self):
+                return 1
 
         kernels = Kernels()
         monkeypatch.setattr(native, "load_kernels", lambda: kernels)
@@ -322,6 +356,9 @@ class FakeKernels:
     def mc_chase(self, addr, count, sink):
         return 1000
 
+    def mc_cpu_has_avx(self):
+        return 1
+
     def mc_read256(self, addr, nbytes, reps, check):
         return 1000
 
@@ -387,8 +424,8 @@ class TestReadLevel:
 
 
 class TestReadKernel:
-    """A native read runs the widest kernel the library exports at or below
-    the request, and flags a narrower one, as the simulator does."""
+    """A native read runs the widest kernel the CPU runs at or below the
+    request, and flags a narrower one, as the simulator does."""
 
     @staticmethod
     def read(monkeypatch, kernels, kernel):
@@ -399,14 +436,19 @@ class TestReadKernel:
         )
         return backend, backend.run_read(kernel, 16 << 10, [0])
 
-    def test_build_without_avx_degrades_read256_to_read128(self, monkeypatch):
-        class NoAvx:
-            """The kernels of a build without AVX: no ``mc_read256``."""
+    def test_cpu_without_avx_degrades_read256_to_read128(self, monkeypatch):
+        class NoAvx(FakeKernels):
+            """The kernels on a CPU without AVX, where ``mc_read256`` would
+            die with SIGILL."""
 
-            mc_write_touch = FakeKernels.mc_write_touch
+            def mc_cpu_has_avx(self):
+                return 0
 
             def mc_read128(self, addr, nbytes, reps, check):
                 return 1000
+
+            def mc_read256(self, addr, nbytes, reps, check):
+                raise AssertionError("mc_read256 runs only where the CPU has AVX")
 
         backend, rec = self.read(monkeypatch, NoAvx, "read256")
         assert (rec.kernel, rec.degraded_from, rec.flags) == (
@@ -421,10 +463,11 @@ class TestReadKernel:
         for name in native.KERNEL_SIGNATURES:
             if not hasattr(Declared, name):
                 setattr(Declared, name, lambda self, *args: 1000)
-        _, rec = self.read(monkeypatch, Declared, "read512")
+        backend, rec = self.read(monkeypatch, Declared, "read512")
         assert (rec.kernel, rec.degraded_from, rec.flags) == (
             "read256", "read512", ("width_degraded",)
         )
+        assert backend.supported == ("read256", "read128")  # mc_cpu_has_avx gives 1
 
     def test_dataset_is_a_whole_number_of_bursts(self, monkeypatch):
         """The kernel skips a tail shorter than its burst, so a dataset with
@@ -1201,14 +1244,14 @@ class TestTriad:
 
     def test_more_than_one_core_is_rejected(self, monkeypatch):
         # One thread runs the kernel, so a wider core set would be mislabelled.
-        monkeypatch.setattr(native, "load_kernels", lambda: None)
+        monkeypatch.setattr(native, "load_kernels", FakeKernels)
         backend = _triad_backend()
         with pytest.raises(BandwidthError, match="one core"):
             backend.run_triad(4096, [0, 1], nontemporal=True)
 
     def test_partial_element_is_rejected(self, monkeypatch):
         # 12 bytes would run one element and record 36 bytes moved.
-        monkeypatch.setattr(native, "load_kernels", lambda: None)
+        monkeypatch.setattr(native, "load_kernels", FakeKernels)
         backend = _triad_backend()
         with pytest.raises(BandwidthError, match="whole number of 8-byte elements, got 12"):
             backend.run_triad(12, [0], nontemporal=True)
@@ -1234,42 +1277,31 @@ class TestKernelCache:
             assert path.parent == tmp_path / "cache" / "memchar"
 
 
-@pytest.fixture(scope="module")
-def fallback_build(tmp_path_factory):
-    """The library ``build_kernels`` makes in an empty cache when the
-    compiler rejects ``_AVX_CFLAGS``."""
-    try:
-        native.build_kernels()
-    except native.BackendUnavailable as exc:
-        pytest.skip(f"native kernels unavailable: {exc}")
-    cache = tmp_path_factory.mktemp("cache")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("XDG_CACHE_HOME", str(cache))
-        mp.setattr(native, "_AVX_CFLAGS", ("-mno-such-flag",))
-        path = native.build_kernels()
-    assert path.parent == cache / "memchar"
-    return path
+class TestKernelRuns:
+    """The compiled kernels compute what they claim, on this host."""
 
-
-class TestFallbackBuild:
-    def test_plain_build_exports_all_but_read256_and_runs(self, fallback_build, monkeypatch):
-        native.load_kernels.cache_clear()
-        monkeypatch.setattr(native, "build_kernels", lambda: fallback_build)
-        try:
-            lib = native.load_kernels()
-        finally:
-            native.load_kernels.cache_clear()
-        exported = {name for name in native.KERNEL_SIGNATURES if hasattr(lib, name)}
-        assert exported == set(native.KERNEL_SIGNATURES) - {"mc_read256"}
-
+    @pytest.mark.parametrize("kernel", ["mc_read128", "mc_read256"])
+    def test_read_check_folds_every_lane_bit_for_bit(self, kernel):
+        lib = _kernels_or_skip()
+        if kernel == "mc_read256" and not lib.mc_cpu_has_avx():
+            pytest.skip("this CPU has no AVX")
         region = native._Region(4096, None, None, False)
         try:
             words = np.ctypeslib.as_array((ctypes.c_uint64 * 512).from_address(region.addr))
-            # The check ORs the low and the high 8 bytes of every 16-byte load.
-            words[0], words[-1] = 1, 1 << 63
+            # Word i lies in lane i of a 256-bit load and lane i % 2 of a
+            # 128-bit one; the check XORs the lanes of the ORed loads.
+            words[0], words[1], words[-1] = 1, 2, 1 << 63
             check = ctypes.c_uint64()
-            lib.mc_read128(region.addr, 4096, 2, ctypes.byref(check))
-            assert check.value == 1 | 1 << 63
+            getattr(lib, kernel)(region.addr, 4096, 2, ctypes.byref(check))
+            assert check.value == 1 << 63 | 3
+        finally:
+            region.close()
+
+    def test_chase_follows_the_chain(self):
+        lib = _kernels_or_skip()
+        region = native._Region(4096, None, None, False)
+        try:
+            words = np.ctypeslib.as_array((ctypes.c_uint64 * 512).from_address(region.addr))
             # A 16-slot cycle chased 21 times: two unrolled rounds and 5 more.
             words[:16] = region.addr + 8 * ((np.arange(16) + 1) % 16)
             sink = ctypes.c_void_p()
@@ -1277,13 +1309,16 @@ class TestFallbackBuild:
             assert sink.value == region.addr + 8 * 5
         finally:
             region.close()
+
+    @pytest.mark.parametrize("nontemporal", [1, 0])
+    def test_triad_computes_every_element(self, nontemporal):
+        lib = _kernels_or_skip()
         b, c = np.empty(1001), np.empty(1001)
         triad_operands(b, c)
-        for nontemporal in (1, 0):
-            a = np.zeros(1001)
-            lib.mc_triad(a.ctypes.data, b.ctypes.data, c.ctypes.data, TRIAD_SCALAR, 1001,
-                         nontemporal)
-            np.testing.assert_array_equal(a, b + TRIAD_SCALAR * c)
+        a = np.zeros(1001)
+        lib.mc_triad(a.ctypes.data, b.ctypes.data, c.ctypes.data, TRIAD_SCALAR, 1001,
+                     nontemporal)
+        np.testing.assert_array_equal(a, b + TRIAD_SCALAR * c)
 
 
 # How many fenced TSC reads each timed kernel makes.
@@ -1341,14 +1376,11 @@ def dependent_loads(body) -> int:
     return best
 
 
-@pytest.fixture(params=["default", "fallback"])
-def kernel_build(request):
-    """The library from ``build_kernels`` as it is, and from its plain-flags
-    fallback."""
-    if request.param == "fallback":
-        return request.getfixturevalue("fallback_build")
+@pytest.fixture(scope="module")
+def code():
+    """The disassembly of the library ``build_kernels`` makes."""
     try:
-        return native.build_kernels()
+        return disassembly(native.build_kernels())
     except native.BackendUnavailable as exc:
         pytest.skip(f"native kernels unavailable: {exc}")
 
@@ -1361,12 +1393,21 @@ class TestKernelCodegen:
         includes = re.findall(r"^\s*#\s*include\s*[<\"]([^>\"]+)", src, re.M)
         assert set(includes) == {"stdint.h", "stddef.h"}
 
-    def test_every_tsc_read_is_fenced(self, kernel_build):
-        code = disassembly(kernel_build)
+    def test_only_read256_holds_vex_or_wider_registers(self, code):
+        """The build is for any x86-64 CPU: every function but the AVX read
+        kernel, which runs only where ``mc_cpu_has_avx`` allows, keeps to
+        the baseline, with no VEX or EVEX instruction and no 256- or 512-bit
+        register."""
+        wide = {
+            name: [ins for _, ins in body
+                   if ins.startswith("v") or "%ymm" in ins or "%zmm" in ins]
+            for name, body in code.items() if name != "mc_read256"
+        }
+        assert {name: ins for name, ins in wide.items() if ins} == {}
+        assert any("%ymm" in ins for _, ins in code["mc_read256"])
+
+    def test_every_tsc_read_is_fenced(self, code):
         for name, reads in TSC_READS.items():
-            if name not in code:
-                assert name == "mc_read256"  # built without AVX
-                continue
             fences = [
                 op for op in (ins.split()[0] for _, ins in code[name])
                 if op in ("mfence", "lfence", "sfence", "rdtsc")
@@ -1376,23 +1417,20 @@ class TestKernelCodegen:
             for i in at:
                 assert fences[i - 2:i + 2] == ["mfence", "lfence", "rdtsc", "lfence"], name
 
-    def test_chase_unrolls_eight_dependent_loads(self, kernel_build):
-        loops = loop_bodies(disassembly(kernel_build)["mc_chase"])
+    def test_chase_unrolls_eight_dependent_loads(self, code):
+        loops = loop_bodies(code["mc_chase"])
         assert sorted(map(dependent_loads, loops)) == [1, 8]
 
-    def test_read128_ors_eight_16_byte_loads_per_iteration(self, kernel_build):
+    def test_read128_ors_eight_16_byte_loads_per_iteration(self, code):
         load = rf"v?(?:movdq[au]|por)\s+{MEM},(?:%xmm\d+,)?%xmm\d+"
-        body = loop_with(disassembly(kernel_build)["mc_read128"], load)
+        body = loop_with(code["mc_read128"], load)
         loads = sum(bool(re.fullmatch(load, i)) for i in body)
         assert loads == 8
         assert loads * 16 == native.READ_BURST_BYTES["read128"]
         assert sum(i.split()[0] in ("por", "vpor") for i in body) == 8
         assert not any("%ymm" in i or "%zmm" in i for i in body)
 
-    def test_read256_ors_sixteen_32_byte_loads_per_iteration(self, kernel_build):
-        code = disassembly(kernel_build)
-        if "mc_read256" not in code:
-            pytest.skip("built without AVX")
+    def test_read256_ors_sixteen_32_byte_loads_per_iteration(self, code):
         load = rf"vorpd\s+{MEM},%ymm\d+,%ymm\d+"
         body = loop_with(code["mc_read256"], load)
         loads = sum(bool(re.fullmatch(load, i)) for i in body)
@@ -1400,31 +1438,31 @@ class TestKernelCodegen:
         assert loads * 32 == native.READ_BURST_BYTES["read256"]
         assert sum(i.startswith("vorpd") for i in body) == 16
 
-    def test_triad_streams_its_stores_and_fences_them(self, kernel_build):
-        triad = disassembly(kernel_build)["mc_triad"]
+    def test_triad_streams_its_stores_and_fences_them(self, code):
+        triad = code["mc_triad"]
         store = rf"v?movntpd\s+%xmm\d+,{MEM}"
         assert loop_with(triad, store)
         first = next(k for k, (_, ins) in enumerate(triad) if re.fullmatch(store, ins))
         assert "sfence" in (ins for _, ins in triad[first:])
 
-    def test_chain_write_streams_whole_elements_and_fences_them(self, kernel_build):
-        write = disassembly(kernel_build)["mc_chain_write"]
+    def test_chain_write_streams_whole_elements_and_fences_them(self, code):
+        write = code["mc_chain_write"]
         store = rf"v?movnt(?:dq|ps|pd)\s+%xmm\d+,{MEM}"
         assert loop_with(write, store)
         first = next(k for k, (_, ins) in enumerate(write) if re.fullmatch(store, ins))
         assert "sfence" in (ins for _, ins in write[first:])
         assert not any(ins.startswith("rdtsc") for _, ins in write)  # untimed
 
-    def test_triad_init_is_untimed(self, kernel_build):
-        init = disassembly(kernel_build)["mc_triad_init"]
+    def test_triad_init_is_untimed(self, code):
+        init = code["mc_triad_init"]
         assert init
         assert not any(ins.startswith("rdtsc") for _, ins in init)
 
-    def test_triad_init_writes_packed_plain_stores(self, kernel_build):
+    def test_triad_init_writes_packed_plain_stores(self, code):
         """The timed triad starts from the cache state plain stores leave,
         so the init streams nothing past the caches, and it writes the
         operands two elements per store."""
-        init = disassembly(kernel_build)["mc_triad_init"]
+        init = code["mc_triad_init"]
         assert loop_with(init, rf"v?mov[au]p[sd]\s+%xmm\d+,{MEM}")
         assert not any(re.match(r"v?movnt|rdtsc", ins) for _, ins in init)
 

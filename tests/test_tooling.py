@@ -120,3 +120,29 @@ def test_traffic_lines_accounts_a_toy_module(tmp_path, monkeypatch):
                       f"{tmp_path.name}/toy_traffic.py:15 <lambda>:15: NEVER (1 lines)"]
     assert counts == {"functions": 4, "never": 2, "lines": 9, "unrun": 4}
     assert sys.gettrace() is before
+
+
+TOY_C = """\
+/* A block comment
+ * over two lines. */
+int a; /* a trailing comment */
+// a line comment
+
+const char *s = "/* not a comment */";
+char c = '/'; /* one */ /* and one that
+ends */ int b;
+    /* only */  // comments
+"""
+
+
+def test_sloc_counts_c_code_lines(tmp_path, capsys):
+    sloc = _tool("sloc")
+    # Code stands on lines 3, 6, 7 and 8; the string holds no comment.
+    assert sloc.c_sloc(TOY_C) == 4
+    (tmp_path / "toy.py").write_text('"""Docstring."""\n\nx = 1  # comment\n')
+    (tmp_path / "native_src").mkdir()
+    (tmp_path / "native_src" / "kernels.c").write_text(TOY_C)
+    assert sloc.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (
+        "     1 toy.py\n     1 total\n     4 native_src/kernels.c (C, not in the total)\n"
+    )

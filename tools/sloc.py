@@ -1,17 +1,23 @@
-"""Source lines of code of each ``src/memchar`` module and their total.
+"""Source lines of code of each ``src/memchar`` module and their total,
+then those of the C kernels, ``native_src/kernels.c``, on a line of their
+own, outside the total.
 
-A line counts when a token other than a comment or a line break covers it
-and it is not part of a docstring (the leading string of a module, class
-or function body).  Blank lines, comment lines and docstrings do not count.
+A Python line counts when a token other than a comment or a line break
+covers it and it is not part of a docstring (the leading string of a
+module, class or function body).  Blank lines, comment lines and docstrings
+do not count.  A C line counts when something other than blanks and
+comments is on it; a block comment may span lines.
 
     python tools/sloc.py            # src/memchar of this checkout
-    python tools/sloc.py DIR        # every *.py directly under DIR
+    python tools/sloc.py DIR        # every *.py directly under DIR, and
+                                    # DIR/native_src/kernels.c if present
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import re
 import sys
 import tokenize
 from pathlib import Path
@@ -21,6 +27,10 @@ _LAYOUT = {
     tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER,
 }
 _BODIES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+# A C string or character literal, which may hold comment markers, or a
+# comment: a block comment (across lines) or a line comment.
+_C_TOKEN = re.compile(r'"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\'|/\*.*?\*/|//[^\n]*', re.S)
+_C_SOURCE = Path("native_src") / "kernels.c"
 
 
 def _docstring_lines(tree: ast.AST) -> set[int]:
@@ -43,6 +53,15 @@ def sloc(source: str) -> int:
     return len(code - _docstring_lines(ast.parse(source)))
 
 
+def c_sloc(source: str) -> int:
+    """Lines of C ``source`` that are neither blank nor only comment."""
+    def blank(m: re.Match) -> str:
+        text = m.group()
+        return text if text[0] in "\"'" else "\n" * text.count("\n")
+
+    return sum(bool(line.strip()) for line in _C_TOKEN.sub(blank, source).splitlines())
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "memchar"
     total = 0
@@ -51,6 +70,9 @@ def main(argv: list[str]) -> int:
         total += n
         print(f"{n:6d} {path.name}")
     print(f"{total:6d} total")
+    kernels = root / _C_SOURCE
+    if kernels.is_file():
+        print(f"{c_sloc(kernels.read_text()):6d} {_C_SOURCE.as_posix()} (C, not in the total)")
     return 0
 
 
