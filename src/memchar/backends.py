@@ -11,8 +11,9 @@ Every backend exposes the same narrow surface the harness drives:
 
 The simulated backend checks every point, in order, raising at the first
 point that fails: the point's coherence script must reach its target state
-on the protocol simulator, and the data source of one read by the
-requester must be the kind the latency model expects.  The backend holds
+on the protocol simulator, and one read by the requester on the state map
+the script leaves must be supplied by the kind of agent (a core's cache,
+an L3 domain or home memory) the latency model expects.  The backend holds
 one protocol model for every point, since the simulator names home memory
 ``"mem"`` whatever the home node.  The simulator's answer depends only on
 the point's coherence class (the script and the pattern of its cores and
@@ -35,7 +36,6 @@ import numpy as np
 
 from .coherence import (
     Action,
-    CacheEvent,
     CoherenceScript,
     ProtocolModel,
     apply_event,
@@ -70,10 +70,10 @@ class SimulatedBackend:
 
     For each point the backend (1) replays the flush + state-preparation
     script from an all-Invalid line on its one protocol model and verifies the
-    target state, (2) has the requester perform one read to learn which
-    kind of agent supplies the data, cross-checking the latency model's
-    expectation, and (3) charges every chase access
-    ``model.predict(...)`` cycles.  The zero-cost timer makes calibration
+    target state, (2) has the requester perform one read on the resulting
+    state map to learn which kind of agent supplies the data,
+    cross-checking the latency model's expectation, and (3) charges every
+    chase access ``model.predict(...)`` cycles.  The zero-cost timer makes calibration
     return 0, so the harness algebra returns the prediction bit-for-bit.
 
     Step (1) and the read of step (2) run once per coherence class for the
@@ -138,12 +138,13 @@ class SimulatedBackend:
     def _replay(self, script: CoherenceScript, placement: Placement) -> str:
         """Source kind of the requester's read after ``script``."""
         try:
-            result = verify_script(script, self._protocol_model)
+            state_map = verify_script(script, self._protocol_model)
         except Exception as exc:
             raise ScriptPlacementError(f"state preparation failed: {exc}") from exc
         # One probe read by the requester: which agent answers?
-        probe = CacheEvent(placement.requester, Action.READ)
-        _, source, _ = apply_event(self._protocol_model, result.state_map, probe)
+        _, source, _ = apply_event(
+            self._protocol_model, state_map, placement.requester, Action.READ
+        )
         return source.kind
 
     def prepare(self, script: CoherenceScript, placement: Placement) -> None:

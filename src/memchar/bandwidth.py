@@ -194,15 +194,13 @@ def triad_elements(array_bytes: int) -> int:
     return n
 
 
-def verify_triad(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, s: float, sample_fraction: float = 1.0,
-) -> int:
-    """Elementwise check of a = b + s*c; returns number of checked elements.
+def verify_triad(a: np.ndarray, b: np.ndarray, c: np.ndarray, s: float, step: int = 1) -> int:
+    """Check of a = b + s*c at every ``step``-th element from the first;
+    returns the number of checked elements.
 
     Raises :class:`TriadVerificationError` with the first failing index.
     """
     n = len(a)
-    step = 1 if sample_fraction >= 1.0 else max(1, int(round(1.0 / sample_fraction)))
     checked = a[::step]
     expected = s * c[:n:step]
     expected += b[:n:step]

@@ -71,9 +71,12 @@ class ChainBuffer:
 
     element_count: int
     stride_alignment: int
-    total_bytes: int
     seed: int
     huge_pages: bool
+
+    @property
+    def total_bytes(self) -> int:
+        return self.element_count * self.stride_alignment
 
     @cached_property
     def successors(self) -> array:
@@ -103,7 +106,6 @@ def chain_spec(
     return ChainBuffer(
         element_count=total_bytes // stride_alignment,
         stride_alignment=stride_alignment,
-        total_bytes=total_bytes,
         seed=seed,
         huge_pages=huge_pages,
     )

@@ -7,8 +7,8 @@ two roles:
 * oracle for :func:`plan_state` -- every generated access script is proven
   to leave the line in the requested state at the requested level;
 * data-source model for the simulated measurement backend -- each read
-  returns which agent (core, L3 domain or home memory) and which level
-  supplied the data.
+  returns the agent that supplied the data: a core's private caches, an
+  L3 domain or home memory.
 
 Two protocols are modeled: MOESI over a victim-exclusive L3 (writebacks
 populate L3, dirty-shared lines stay dirty under Owned) and MESIF over a
@@ -23,14 +23,16 @@ A cache without a key holds the line Invalid, so no entry is ever I.
 
 A :class:`ProtocolModel` comes from a topology
 (:meth:`ProtocolModel.from_topology`: the protocol the topology declares,
-and one L3 domain per CCX, or per SNC on the mesh).  One model serves
-every home node: to the simulator, home memory is the one agent ``"mem"``,
-which supplies every RAM read.
-:func:`apply_event` is the one transition function: it returns the new
-state map together with the read's source and the value read or written.
-:func:`simulate` runs a script through it from the all-Invalid map and
-keeps only the final map, and :func:`verify_script` checks that the
-script reached its target.
+and one L3 domain per CCX, or per SNC on the mesh, for each core).  One
+model serves every home node: to the simulator, home memory is the one
+agent ``"mem"``, which supplies every RAM read.
+
+The state map is the simulator's interface.  :func:`apply_event` is the
+one transition function: it returns the new state map together with the
+read's source and the value read or written.  :func:`simulate` runs a
+script through it from the all-Invalid map and returns the final map,
+:func:`verify_script` also checks that the map holds the script's target,
+and :func:`state_at` reads the state a core sees at a level.
 """
 
 from __future__ import annotations
@@ -49,14 +51,13 @@ __all__ = [
     "CoherenceError",
     "ProtocolModel",
     "CacheEntry",
-    "CacheEvent",
     "ReadSource",
-    "SimResult",
     "CoherenceScript",
     "ScriptStep",
     "initial_state_map",
     "apply_event",
     "simulate",
+    "state_at",
     "plan_state",
 ]
 
@@ -121,29 +122,26 @@ _STATE_STRENGTH = {
 class ProtocolModel:
     """Protocol plus the cache hierarchy it runs over.
 
-    ``l3_domain_of`` maps core id to its shared-L3 domain id (a CCX on the
-    chiplet design, an SNC on the mesh).  The L2 is inclusive of L1, and the
-    protocol, given as a :class:`Protocol` or its name, fixes the L3 policy:
-    MOESI runs over a victim-exclusive L3, MESIF over a non-inclusive one.
+    ``l3_domain_of`` maps each core id of the model to its shared-L3 domain
+    id (a CCX on the chiplet design, an SNC on the mesh); its keys are the
+    model's cores.  The L2 is inclusive of L1, and the protocol, given as a
+    :class:`Protocol` or its name, fixes the L3 policy: MOESI runs over a
+    victim-exclusive L3, MESIF over a non-inclusive one.
     Home memory is one agent whatever the home node: a RAM read's supplier
-    is the state map's ``"mem"`` key.  :meth:`from_topology` takes all
-    three from a :class:`~memchar.topology.TopologyGraph`, whose document
+    is the state map's ``"mem"`` key.  :meth:`from_topology` takes both
+    from a :class:`~memchar.topology.TopologyGraph`, whose document
     declares the protocol.
     """
 
     protocol: Protocol
-    cores: tuple[int, ...]
     l3_domain_of: dict[int, str]
 
     def __post_init__(self):
         object.__setattr__(self, "protocol", Protocol(self.protocol))
-        missing = [c for c in self.cores if c not in self.l3_domain_of]
-        if missing:
-            raise CoherenceError(f"cores without an L3 domain: {missing}")
 
     @classmethod
     def from_topology(cls, graph):
-        return cls(graph.protocol, tuple(graph.cores), graph.l3_domains)
+        return cls(graph.protocol, graph.l3_domains)
 
 
 @dataclass(frozen=True)
@@ -154,17 +152,9 @@ class CacheEntry:
 
 
 @dataclass(frozen=True)
-class CacheEvent:
-    core: int
-    action: Action
-    value: Optional[int] = None  # only writes carry a value
-
-
-@dataclass(frozen=True)
 class ReadSource:
     kind: str  # "cache" | "l3" | "ram"
     supplier: object  # core id, domain id, or "mem" (home memory)
-    level: str  # L1 | L2 | L3 | RAM
 
 
 # {"mem": int, ("core", c): CacheEntry, ("l3", d): CacheEntry}: one key per
@@ -172,7 +162,7 @@ class ReadSource:
 StateMap = dict
 
 # Home memory answering a read.
-_RAM_SOURCE = ReadSource("ram", "mem", "RAM")
+_RAM_SOURCE = ReadSource("ram", "mem")
 
 
 def initial_state_map() -> StateMap:
@@ -196,20 +186,9 @@ def _next_value(state_map: StateMap) -> int:
     return max(vals) + 1
 
 
-def _source_for_supplier(model, key, entry: CacheEntry) -> ReadSource:
-    if key[0] == "l3":
-        return ReadSource("l3", key[1], "L3")
-    core = key[1]
-    if model.protocol is Protocol.MOESI and entry.state in (
-        CoherenceState.O,
-        CoherenceState.S,
-    ):
-        level = "L2"  # dirty-shared / shared lines answer from the inclusive L2
-    elif model.protocol is Protocol.MESIF and entry.state is CoherenceState.E:
-        level = "L2"  # clean-exclusive lines are fetched from the inclusive L2
-    else:
-        level = entry.level
-    return ReadSource("cache", core, level)
+def _source(key) -> ReadSource:
+    """The read source of the holder at state-map ``key``."""
+    return ReadSource("cache" if key[0] == "core" else "l3", key[1])
 
 
 def _fill(new: StateMap, core: int, state: CoherenceState, source: ReadSource, value: int):
@@ -226,12 +205,12 @@ def _read(model: ProtocolModel, state_map: StateMap, core: int):
     new = dict(state_map)
     own = new.get(("core", core))
     if own is not None:
-        return new, ReadSource("cache", core, own.level), own.value
+        return new, ReadSource("cache", core), own.value
     domain = model.l3_domain_of[core]
     l3 = new.get(("l3", domain))
     if l3 is not None and l3.state in (CoherenceState.M, CoherenceState.E):
         del new[("l3", domain)]
-        return _fill(new, core, l3.state, ReadSource("l3", domain, "L3"), l3.value)
+        return _fill(new, core, l3.state, ReadSource("l3", domain), l3.value)
     if model.protocol is Protocol.MOESI:
         return _read_moesi(model, new, core, domain)
     return _read_mesif(model, new, core, domain)
@@ -240,7 +219,7 @@ def _read(model: ProtocolModel, state_map: StateMap, core: int):
 def _read_moesi(model: ProtocolModel, new: StateMap, core: int, domain: str):
     l3 = new.get(("l3", domain))
     if l3 is not None:
-        return _fill(new, core, CoherenceState.S, ReadSource("l3", domain, "L3"), l3.value)
+        return _fill(new, core, CoherenceState.S, ReadSource("l3", domain), l3.value)
 
     owner = _ownership_holder(new)
     if owner is not None:
@@ -250,16 +229,14 @@ def _read_moesi(model: ProtocolModel, new: StateMap, core: int, domain: str):
             new[key] = replace(entry, state=CoherenceState.O)
         else:  # E: clean line; both end up Shared, no L3 copy is made
             new[key] = replace(entry, state=CoherenceState.S)
-        source = _source_for_supplier(model, key, entry)
-        return _fill(new, core, CoherenceState.S, source, entry.value)
+        return _fill(new, core, CoherenceState.S, _source(key), entry.value)
 
     # Only clean shared copies (or nothing) remain.  Sharers inside the
     # requester's L3 domain answer from their inclusive L2; clean copies
     # beyond the domain are not forwarded -- home memory answers.
     for k, v in _holders(new):
         if k[0] == "core" and model.l3_domain_of[k[1]] == domain:
-            source = _source_for_supplier(model, k, v)
-            return _fill(new, core, CoherenceState.S, source, v.value)
+            return _fill(new, core, CoherenceState.S, _source(k), v.value)
     fill = CoherenceState.S if _holders(new) else CoherenceState.E
     return _fill(new, core, fill, _RAM_SOURCE, new["mem"])
 
@@ -276,8 +253,7 @@ def _read_mesif(model: ProtocolModel, new: StateMap, core: int, domain: str):
             # answers subsequent Shared/Forward requests.
             dkey = ("l3", model.l3_domain_of[key[1]])
             new.setdefault(dkey, CacheEntry(CoherenceState.S, "L3", entry.value))
-        source = _source_for_supplier(model, key, entry)
-        return _fill(new, core, CoherenceState.F, source, entry.value)
+        return _fill(new, core, CoherenceState.F, _source(key), entry.value)
 
     holders = _holders(new)
     if not holders:  # nobody holds it: exclusive fill from home memory
@@ -288,7 +264,7 @@ def _read_mesif(model: ProtocolModel, new: StateMap, core: int, domain: str):
     l3_copies = [k for k, _ in holders if k[0] == "l3"]
     forwarders = [k for k, v in holders if v.state is CoherenceState.F]
     key = ("l3", domain) if ("l3", domain) in new else next(iter(l3_copies + forwarders), None)
-    source = _RAM_SOURCE if key is None else _source_for_supplier(model, key, new[key])
+    source = _RAM_SOURCE if key is None else _source(key)
     value = new["mem"] if key is None else new[key].value
     for k in forwarders:
         new[k] = replace(new[k], state=CoherenceState.S)
@@ -339,23 +315,29 @@ def _evict_l2(model: ProtocolModel, state_map: StateMap, core: int):
 
 
 def apply_event(
-    model: ProtocolModel, state_map: StateMap, event: CacheEvent
+    model: ProtocolModel,
+    state_map: StateMap,
+    core: int,
+    action: Action,
+    value: Optional[int] = None,
 ) -> tuple[StateMap, Optional[ReadSource], Optional[int]]:
-    """One transition; returns (new map, read source, value read/written)."""
-    if event.core not in model.l3_domain_of:
-        raise CoherenceError(f"event core {event.core} not in model")
-    if event.action is Action.READ:
-        return _read(model, state_map, event.core)
-    if event.action is Action.WRITE:
-        value = event.value if event.value is not None else _next_value(state_map)
-        return _write(model, state_map, event.core, value), None, value
-    if event.action is Action.FLUSH:
-        return _flush(model, state_map, event.core), None, None
-    if event.action is Action.EVICT_L1:
-        return _evict_l1(model, state_map, event.core), None, None
-    if event.action is Action.EVICT_L2:
-        return _evict_l2(model, state_map, event.core), None, None
-    raise CoherenceError(f"unknown action {event.action}")
+    """``core`` performs ``action``, a write storing ``value`` (by default
+    one above every value the line holds); returns (new map, read source,
+    value read/written)."""
+    if core not in model.l3_domain_of:
+        raise CoherenceError(f"event core {core} not in model")
+    if action is Action.READ:
+        return _read(model, state_map, core)
+    if action is Action.WRITE:
+        value = value if value is not None else _next_value(state_map)
+        return _write(model, state_map, core, value), None, value
+    if action is Action.FLUSH:
+        return _flush(model, state_map, core), None, None
+    if action is Action.EVICT_L1:
+        return _evict_l1(model, state_map, core), None, None
+    if action is Action.EVICT_L2:
+        return _evict_l2(model, state_map, core), None, None
+    raise CoherenceError(f"unknown action {action}")
 
 
 # ---------------------------------------------------------------------------
@@ -507,31 +489,21 @@ def plan_state(
     )
 
 
-@dataclass(frozen=True)
-class SimResult:
-    """The line's state map after a script."""
-
-    state_map: StateMap
-
-    def entry(self, core: int) -> Optional[CacheEntry]:
-        return self.state_map.get(("core", core))
-
-    def l3_entry(self, domain: str) -> Optional[CacheEntry]:
-        return self.state_map.get(("l3", domain))
-
-    def state_at(self, model: ProtocolModel, core: int, level: str) -> CoherenceState:
-        """Line state as seen at (core, level); I when absent.  A core's copy
-        is in its L2 as well, whichever level it is at."""
-        if level == "L3":
-            e = self.l3_entry(model.l3_domain_of[core])
-        else:
-            e = self.entry(core)
-            if e is not None and level not in ("L2", e.level):
-                e = None
-        return e.state if e is not None else CoherenceState.I
+def state_at(
+    model: ProtocolModel, state_map: StateMap, core: int, level: str
+) -> CoherenceState:
+    """Line state as seen at (core, level); I when absent.  A core's copy
+    is in its L2 as well, whichever level it is at."""
+    if level == "L3":
+        e = state_map.get(("l3", model.l3_domain_of[core]))
+    else:
+        e = state_map.get(("core", core))
+        if e is not None and level not in ("L2", e.level):
+            e = None
+    return e.state if e is not None else CoherenceState.I
 
 
-def simulate(script: CoherenceScript, model: ProtocolModel) -> SimResult:
+def simulate(script: CoherenceScript, model: ProtocolModel) -> StateMap:
     """Run a script on the model from the all-I map; empty scripts leave it."""
     for role, core in script.worker_cores.items():
         if core not in model.l3_domain_of:
@@ -545,32 +517,32 @@ def simulate(script: CoherenceScript, model: ProtocolModel) -> SimResult:
         core = script.worker_cores.get(step.worker)
         if core is None:
             raise CoherenceError(f"script references unmapped worker {step.worker.value}")
-        state = apply_event(model, state, CacheEvent(core, step.action))[0]
-    return SimResult(state)
+        state = apply_event(model, state, core, step.action)[0]
+    return state
 
 
-def verify_script(script: CoherenceScript, model: ProtocolModel) -> SimResult:
+def verify_script(script: CoherenceScript, model: ProtocolModel) -> StateMap:
     """Oracle check: the script reaches its target on a fresh model.
 
     Raises :class:`CoherenceError` when the final map disagrees with the
     script's target state/level or the line leaked into the requester cache.
     """
-    result = simulate(script, model)
+    state_map = simulate(script, model)
     owner = script.owner
     target, level = script.target_state, script.target_level
     if target is CoherenceState.I or level == "RAM":
-        leftovers = [k for k, _ in _holders(result.state_map)]
+        leftovers = [k for k, _ in _holders(state_map)]
         if leftovers:
             raise CoherenceError(
                 f"{target.value}@{level}: line still cached at {leftovers}"
             )
     else:
-        got = result.state_at(model, owner, level)
+        got = state_at(model, state_map, owner, level)
         if got is not target:
             raise CoherenceError(
                 f"target {target.value}@{level} on core {owner}, simulator says {got.value}"
             )
     req = script.worker_cores.get(WorkerRole.REQUESTER_0)
-    if req is not None and req != owner and result.entry(req) is not None:
+    if req is not None and req != owner and ("core", req) in state_map:
         raise CoherenceError(f"line leaked into requester core {req}")
-    return result
+    return state_map

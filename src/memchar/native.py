@@ -673,7 +673,7 @@ class NativeBandwidthBackend:
         try:
             [ticks] = _on_cores([(cores[0], triad)])
             _check_operands(b, c)
-            verify_triad(a, b, c, TRIAD_SCALAR, sample_fraction=1 / _TRIAD_SAMPLE_STEP)
+            verify_triad(a, b, c, TRIAD_SCALAR, _TRIAD_SAMPLE_STEP)
             region.mapping.holds = held
         finally:
             region.close()

@@ -19,9 +19,8 @@ from memchar.topology import extra_switch_hops
 
 def protocol_model(protocol, cores, cores_per_domain=4) -> ProtocolModel:
     """Synthetic model: consecutive cores grouped into L3 domains."""
-    cores = tuple(cores)
     domains = {c: f"d{i // cores_per_domain}" for i, c in enumerate(cores)}
-    return ProtocolModel(protocol, cores, domains)
+    return ProtocolModel(protocol, domains)
 
 
 class SyntheticBackend:

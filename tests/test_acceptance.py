@@ -27,12 +27,12 @@ from memchar.chain import chain_spec, generate_chain
 from memchar.cli import main
 from memchar.coherence import (
     Action,
-    CacheEvent,
     CoherenceState,
     Protocol,
     apply_event,
     initial_state_map,
     plan_state,
+    state_at,
     verify_script,
 )
 from memchar.harness import (
@@ -101,7 +101,7 @@ def test_01_coherence_oracle_completeness(rome, clx):
                 )
                 result = verify_script(script, model)  # raises on mismatch
                 if state is not CoherenceState.I and level != "RAM":
-                    assert result.state_at(model, 1, level) is state
+                    assert state_at(model, result, 1, level) is state
                 checked += 1
     assert checked == (5 + 5) * 4
     note(1, f"{checked} (state, protocol, level) scripts all reach their target")
@@ -127,7 +127,7 @@ def test_02_protocol_invariant_fuzzing():
                     last_write += 1
                     value = last_write
                 state, _source, value_read = apply_event(
-                    model, state, CacheEvent(core, action, value)
+                    model, state, core, action, value
                 )
                 assert check_single_owner(state), (protocol, state)
                 if action is Action.READ:

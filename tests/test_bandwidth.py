@@ -222,15 +222,15 @@ class TestTriad:
         assert (err.value.array, err.value.index) == ("a", 7)
         assert str(err.value) == "triad verification failed at a[7]: expected 10.0, got -1.0"
 
-    @pytest.mark.parametrize("fraction,first_bad", [(1.0, 250), (0.01, 700)])
-    def test_verify_reports_first_checked_bad_index(self, fraction, first_bad):
+    @pytest.mark.parametrize("step,first_bad", [(1, 250), (100, 700)])
+    def test_verify_reports_first_checked_bad_index(self, step, first_bad):
         # A sampled check reads every 100th element: 250 and 301 are skipped.
         b = np.arange(1000.0)
         c = np.ones(1000)
         a = b + 3.0 * c
         a[[250, 301, 700, 900]] = -1.0
         with pytest.raises(TriadVerificationError, match="expected") as err:
-            verify_triad(a, b, c, 3.0, sample_fraction=fraction)
+            verify_triad(a, b, c, 3.0, step)
         assert err.value.index == first_bad
         assert f"expected {b[first_bad] + 3.0}, got -1.0" in str(err.value)
 
@@ -239,7 +239,7 @@ class TestTriad:
         b = np.zeros(n)
         c = np.zeros(n)
         a = np.zeros(n)
-        checked = verify_triad(a, b, c, 3.0, sample_fraction=0.01)
+        checked = verify_triad(a, b, c, 3.0, step=100)
         assert checked == 10
 
     def test_rome_node_plateau(self, rome_bw):

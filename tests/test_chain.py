@@ -49,7 +49,7 @@ class TestGenerate:
 
     def test_total_bytes_invariant(self):
         c = generate_chain(8192, 128, seed=5)
-        assert c.total_bytes == c.element_count * c.stride_alignment
+        assert c.total_bytes == 8192 == c.element_count * c.stride_alignment
 
     def test_offsets_are_aligned(self):
         c = generate_chain(32768, 256, seed=8)

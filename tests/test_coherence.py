@@ -6,14 +6,16 @@ simulator is checked against it configuration by configuration.
 """
 
 import dataclasses
+import functools
 import itertools
 import random
 
 import pytest
 
 from memchar.coherence import (
+    HELPER_STATES,
+    LEVELS,
     Action,
-    CacheEvent,
     CoherenceError,
     CoherenceState,
     Protocol,
@@ -25,6 +27,7 @@ from memchar.coherence import (
     plan_state,
     apply_event,
     simulate,
+    state_at,
     verify_script,
 )
 from oracles import check_single_owner, protocol_model, protocol_states
@@ -60,7 +63,7 @@ def uses_helper(script):
 def run_events(model, events, state=None):
     m = state if state is not None else initial_state_map()
     for core, action in events:
-        m = apply_event(model, m, CacheEvent(core, action))[0]
+        m = apply_event(model, m, core, action)[0]
     return m
 
 
@@ -85,26 +88,26 @@ class TestPlanState:
         # flush everywhere first, then the owner read
         assert actions[-1] == (WorkerRole.OWNER_N, Action.READ)
         assert all(a is Action.FLUSH for _, a in actions[:-1])
-        result = verify_script(script, MESIF_SPLIT)
-        assert result.entry(1).state is E
+        m = verify_script(script, MESIF_SPLIT)
+        assert m.get(("core", 1)).state is E
 
     def test_modified_is_one_write(self):
         script = plan_state(M, Protocol.MOESI, owner=2, requester=0)
         prep = [s for s in script.steps if s.action is not Action.FLUSH]
         assert [(s.worker, s.action) for s in prep] == [(WorkerRole.OWNER_N, Action.WRITE)]
-        assert verify_script(script, MOESI).entry(2).state is M
+        assert verify_script(script, MOESI)[("core", 2)].state is M
 
     def test_owned_leaves_helper_shared(self):
         script = plan_state(O, Protocol.MOESI, owner=1, helper=3, requester=0)
-        result = verify_script(script, MOESI)
-        assert result.entry(1).state is O
-        assert result.entry(3).state is S
+        m = verify_script(script, MOESI)
+        assert m.get(("core", 1)).state is O
+        assert m.get(("core", 3)).state is S
 
     def test_forward_goes_to_most_recent_reader(self):
         script = plan_state(F, Protocol.MESIF, owner=1, helper=3, requester=0)
-        result = verify_script(script, MESIF)
-        assert result.entry(1).state is F
-        assert result.entry(3).state is S
+        m = verify_script(script, MESIF)
+        assert m.get(("core", 1)).state is F
+        assert m.get(("core", 3)).state is S
 
     @pytest.mark.parametrize("script, error", [
         (_without(plan_state(I, Protocol.MOESI, owner=1, level="L1", requester=0),
@@ -151,12 +154,12 @@ class TestPlanState:
             helper = 3 if state in (O, S, F) else None
             script = plan_state(state, protocol, owner=1, helper=helper,
                                 requester=0, level=level)
-            result = verify_script(script, model)
+            m = verify_script(script, model)
             if state is I or level == "RAM":
-                assert all(k == "mem" for k in result.state_map)
+                assert all(k == "mem" for k in m)
             else:
-                assert result.state_at(model, 1, level) is state
-            assert result.entry(0) is None  # absent from requester caches
+                assert state_at(model, m, 1, level) is state
+            assert m.get(("core", 0)) is None  # absent from requester caches
 
     @pytest.mark.parametrize("protocol", [Protocol.MOESI, Protocol.MESIF])
     @pytest.mark.parametrize("helper", [1, 2], ids=["helper_same_l3", "helper_other_l3"])
@@ -170,26 +173,26 @@ class TestPlanState:
                                 helper=helper if state in (O, S, F) else None,
                                 level=level)
             try:
-                result = verify_script(script, model)
+                m = verify_script(script, model)
             except CoherenceError as exc:
                 failures.append((state.value, level, str(exc)))
                 continue
             if state is I or level == "RAM":
-                reached = all(k == "mem" for k in result.state_map)
+                reached = all(k == "mem" for k in m)
             else:
-                reached = result.state_at(model, 0, level) is state
+                reached = state_at(model, m, 0, level) is state
             if not reached:
                 failures.append((state.value, level, "target not reached"))
         assert failures == []
 
     def test_level_demotion_places_line(self):
         script = plan_state(M, Protocol.MOESI, owner=1, requester=0, level="L2")
-        result = verify_script(script, MOESI)
-        assert result.entry(1).level == "L2"
+        m = verify_script(script, MOESI)
+        assert m.get(("core", 1)).level == "L2"
         script = plan_state(E, Protocol.MOESI, owner=1, requester=0, level="L3")
-        result = verify_script(script, MOESI)
-        assert result.entry(1) is None
-        assert result.l3_entry(MOESI.l3_domain_of[1]).state is E
+        m = verify_script(script, MOESI)
+        assert m.get(("core", 1)) is None
+        assert m.get(("l3", MOESI.l3_domain_of[1])).state is E
 
 
 class TestProtocolStep:
@@ -209,7 +212,7 @@ class TestProtocolStep:
             ("core", 0): _entry(F, 7),
             ("core", 1): _entry(S, 7),
         }
-        m = apply_event(MESIF_SPLIT, state, CacheEvent(2, Action.READ))[0]
+        m = apply_event(MESIF_SPLIT, state, 2, Action.READ)[0]
         assert states_of(m, (0, 1, 2)) == (S, S, F)
 
     def test_total_over_event_alphabet(self):
@@ -217,14 +220,14 @@ class TestProtocolStep:
         for model in (MOESI, MESIF):
             m = initial_state_map()
             for _ in range(200):
-                core = random.choice(model.cores)
+                core = random.choice(list(model.l3_domain_of))
                 action = random.choice(list(Action))
-                m = apply_event(model, m, CacheEvent(core, action))[0]
+                m = apply_event(model, m, core, action)[0]
                 assert check_single_owner(m)
 
     def test_unknown_core_rejected(self):
         with pytest.raises(CoherenceError, match="core 9"):
-            apply_event(MOESI, initial_state_map(), CacheEvent(9, Action.READ))[0]
+            apply_event(MOESI, initial_state_map(), 9, Action.READ)[0]
 
     def test_victim_eviction_moves_line_to_l3(self):
         m = run_events(MOESI, [(0, Action.READ), (0, Action.EVICT_L2)])
@@ -239,7 +242,7 @@ class TestProtocolStep:
     def test_flush_writes_back_dirty(self):
         m = run_events(MOESI, [(0, Action.WRITE)])
         value = m[("core", 0)].value
-        m = apply_event(MOESI, m, CacheEvent(0, Action.FLUSH))[0]
+        m = apply_event(MOESI, m, 0, Action.FLUSH)[0]
         assert m == {"mem": value}
 
     def test_two_cache_transitions_match_hand_table(self):
@@ -260,7 +263,7 @@ class TestProtocolStep:
         ]
         for seed, (core, action), expected in cases_moesi:
             m = run_events(MOESI_SPLIT, seed)
-            m = apply_event(MOESI_SPLIT, m, CacheEvent(core, action))[0]
+            m = apply_event(MOESI_SPLIT, m, core, action)[0]
             assert states_of(m) == expected, (seed, action)
         cases_mesif = [
             ([], (0, R), (E, I)),
@@ -273,19 +276,19 @@ class TestProtocolStep:
         ]
         for seed, (core, action), expected in cases_mesif:
             m = run_events(MESIF_SPLIT, seed)
-            m = apply_event(MESIF_SPLIT, m, CacheEvent(core, action))[0]
+            m = apply_event(MESIF_SPLIT, m, core, action)[0]
             assert states_of(m) == expected, (seed, action)
 
     def test_mesif_read_of_modified_updates_memory(self):
         m = run_events(MESIF_SPLIT, [(0, Action.WRITE)])
         value = m[("core", 0)].value
-        m = apply_event(MESIF_SPLIT, m, CacheEvent(1, Action.READ))[0]
+        m = apply_event(MESIF_SPLIT, m, 1, Action.READ)[0]
         assert m["mem"] == value
 
     def test_moesi_read_of_modified_keeps_memory_stale(self):
         m = run_events(MOESI_SPLIT, [(0, Action.WRITE)])
         value = m[("core", 0)].value
-        m = apply_event(MOESI_SPLIT, m, CacheEvent(1, Action.READ))[0]
+        m = apply_event(MOESI_SPLIT, m, 1, Action.READ)[0]
         assert m["mem"] != value
         assert m[("core", 0)].state is O
 
@@ -304,58 +307,59 @@ class TestSimulate:
             steps=(), target_state=I, target_level="RAM",
             protocol=Protocol.MOESI, worker_cores={WorkerRole.OWNER_N: 0},
         )
-        result = simulate(script, MOESI)
-        assert result.state_map == {"mem": 0}
+        m = simulate(script, MOESI)
+        assert m == {"mem": 0}
 
     def test_victim_read_then_capacity_evict(self):
         script = plan_state(E, Protocol.MOESI, owner=0, level="L3")
-        result = verify_script(script, MOESI)
-        assert result.entry(0) is None
-        assert result.l3_entry(MOESI.l3_domain_of[0]).state is E
+        m = verify_script(script, MOESI)
+        assert m.get(("core", 0)) is None
+        assert m.get(("l3", MOESI.l3_domain_of[0])).state is E
 
     def test_trace_records_data_source(self):
         script = plan_state(M, Protocol.MOESI, owner=1, requester=0)
-        result = simulate(script, MOESI)
-        final = dict(result.state_map)
-        new, source, value = apply_event(MOESI, final, CacheEvent(0, Action.READ))
+        m = simulate(script, MOESI)
+        new, source, value = apply_event(MOESI, m, 0, Action.READ)
         assert source.kind == "cache"
         assert source.supplier == 1
 
     def test_mesif_shared_lines_supplied_by_l3(self):
         for st, helper_first in ((S, False), (F, True)):
             script = plan_state(st, Protocol.MESIF, owner=1, helper=3, requester=0)
-            result = simulate(script, MESIF)
-            new, source, _ = apply_event(
-                MESIF, dict(result.state_map), CacheEvent(0, Action.READ)
-            )
+            m = simulate(script, MESIF)
+            new, source, _ = apply_event(MESIF, m, 0, Action.READ)
             assert source.kind == "l3", st
 
     def test_moesi_clean_shared_cross_domain_reads_ram(self):
         # Cores 0,1 share domain d0; 2,3 share d1.  Shared line held only in
         # d1 is served by memory for a d0 requester.
         script = plan_state(S, Protocol.MOESI, owner=2, helper=3, requester=0)
-        result = simulate(script, MOESI)
-        _, source, _ = apply_event(
-            MOESI, dict(result.state_map), CacheEvent(0, Action.READ)
-        )
+        m = simulate(script, MOESI)
+        _, source, _ = apply_event(MOESI, m, 0, Action.READ)
         assert source.kind == "ram"
 
     def test_moesi_shared_same_domain_from_l2(self):
         script = plan_state(S, Protocol.MOESI, owner=1, helper=0, requester=2)
-        result = simulate(script, MOESI)
+        m = simulate(script, MOESI)
         # Requester core 2 shares no domain with 0/1 -> RAM; core 1's
         # domain-mate (core 0) holds the line too, so ask from core 1 side.
-        _, source, _ = apply_event(
-            MOESI, dict(result.state_map), CacheEvent(2, Action.READ)
-        )
+        _, source, _ = apply_event(MOESI, m, 2, Action.READ)
         assert source.kind == "ram"
         script = plan_state(S, Protocol.MOESI, owner=1, helper=3, requester=0)
-        result = simulate(script, MOESI)
-        _, source, _ = apply_event(
-            MOESI, dict(result.state_map), CacheEvent(0, Action.READ)
-        )
+        m = simulate(script, MOESI)
+        _, source, _ = apply_event(MOESI, m, 0, Action.READ)
         assert source.kind == "cache"
-        assert source.level == "L2"
+
+    @pytest.mark.parametrize("protocol,model", [(Protocol.MOESI, MOESI), (Protocol.MESIF, MESIF)])
+    def test_simulate_folds_apply_event_over_the_steps(self, protocol, model):
+        for state, level in itertools.product(protocol_states(protocol), LEVELS):
+            script = plan_state(state, protocol, owner=1, requester=0, level=level,
+                                helper=3 if state in HELPER_STATES else None)
+            folded = functools.reduce(
+                lambda m, step: apply_event(
+                    model, m, script.worker_cores[step.worker], step.action)[0],
+                script.steps, initial_state_map())
+            assert simulate(script, model) == folded, (state, level)
 
     def test_script_worker_must_exist(self):
         script = plan_state(M, Protocol.MOESI, owner=77)
@@ -379,7 +383,7 @@ class TestInvariantFuzz:
                     last_write += 1
                     value = last_write
                 m, source, value_read = apply_event(
-                    model, m, CacheEvent(core, action, value)
+                    model, m, core, action, value
                 )
                 assert check_single_owner(m)
                 if action is Action.READ:
@@ -397,19 +401,19 @@ class TestNameIndependence:
     def test_renamed_run_maps_onto_the_original(self, protocol):
         rng = random.Random(33)
         cores = tuple(range(6))
-        model = ProtocolModel(protocol, cores, {c: self.DOMAINS[c // 2] for c in cores})
+        model = ProtocolModel(protocol, {c: self.DOMAINS[c // 2] for c in cores})
         actions = list(Action)
         for _ in range(50):
             # Domains renamed in reverse str order, core ids permuted.
             to = dict(zip(self.DOMAINS, ("l3.z", "l3.y", "l3.x")), mem="mem")
             to.update(zip(cores, rng.sample(range(10, 16), len(cores))))
-            renamed = ProtocolModel(protocol, tuple(to[c] for c in cores),
+            renamed = ProtocolModel(protocol,
                                     {to[c]: to[d] for c, d in model.l3_domain_of.items()})
             m = m2 = initial_state_map()
             for _ in range(40):
                 core, action = rng.choice(cores), rng.choice(actions)
-                m, source, value = apply_event(model, m, CacheEvent(core, action))
-                m2, source2, value2 = apply_event(renamed, m2, CacheEvent(to[core], action))
+                m, source, value = apply_event(model, m, core, action)
+                m2, source2, value2 = apply_event(renamed, m2, to[core], action)
                 if source is not None:
                     source = dataclasses.replace(source, supplier=to[source.supplier])
                 assert {k if k == "mem" else (k[0], to[k[1]]): v for k, v in m.items()} == m2
@@ -422,7 +426,7 @@ class TestNameIndependence:
         # domains carry, core 2 is answered from core 0's.
         events = [(0, Action.READ), (1, Action.READ), (1, Action.EVICT_L2), (2, Action.READ)]
         for names in (self.DOMAINS, ("l3.b", "l3.a", "l3.c")):
-            model = ProtocolModel(Protocol.MESIF, (0, 1, 2), dict(enumerate(names)))
+            model = ProtocolModel(Protocol.MESIF, dict(enumerate(names)))
             m = run_events(model, events[:-1])
-            source = apply_event(model, m, CacheEvent(2, Action.READ))[1]
-            assert source == ReadSource("l3", names[0], "L3")
+            source = apply_event(model, m, 2, Action.READ)[1]
+            assert source == ReadSource("l3", names[0])

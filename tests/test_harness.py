@@ -15,7 +15,7 @@ from memchar import cli, harness
 from memchar.backends import ScriptPlacementError, SimulatedBackend
 from memchar.chain import chain_spec, generate_chain
 from memchar.coherence import (
-    Action, CacheEvent, CoherenceState, ProtocolModel, WorkerRole, apply_event, plan_state,
+    Action, CoherenceState, ProtocolModel, WorkerRole, apply_event, plan_state,
     verify_script,
 )
 from memchar.harness import (
@@ -517,8 +517,8 @@ def _replay_fresh(model, script, placement):
     """The simulator's answer for one point on a fresh protocol model: the
     probe read's source kind and the final map before that read."""
     pmodel = ProtocolModel.from_topology(model.graph)
-    final = verify_script(script, pmodel).state_map
-    _, source, _ = apply_event(pmodel, final, CacheEvent(placement.requester, Action.READ))
+    final = verify_script(script, pmodel)
+    _, source, _ = apply_event(pmodel, final, placement.requester, Action.READ)
     return source.kind, final
 
 

@@ -1,6 +1,7 @@
 """Every function and method the benchmark's span tracer patches by name
 still exists, so a rename cannot crash a traced benchmark run; and the
-line accounting of ``tools/traffic_lines.py`` is exact on a toy module."""
+line and data-member accounting of ``tools/traffic_lines.py`` is exact on
+toy modules."""
 
 import ast
 import importlib
@@ -120,6 +121,57 @@ def test_traffic_lines_accounts_a_toy_module(tmp_path, monkeypatch):
                       f"{tmp_path.name}/toy_traffic.py:15 <lambda>:15: NEVER (1 lines)"]
     assert counts == {"functions": 4, "never": 2, "lines": 9, "unrun": 4}
     assert sys.gettrace() is before
+
+
+TOY_MEMBERS = """\
+from dataclasses import dataclass
+from enum import Enum
+
+
+@dataclass(frozen=True)
+class Point:
+    x: int
+    unread_field: int
+
+    def norm(self):
+        return self.x
+
+
+class Box:
+    def __init__(self):
+        self.size = 1
+        self.unread_attr = 2
+
+
+class Colour(Enum):
+    RED = 1
+
+
+class Oops(ValueError):
+    code: int = 2
+"""
+
+
+def test_traffic_lines_reports_unread_data_members(tmp_path, monkeypatch):
+    traffic = _tool("traffic_lines")
+    path = tmp_path / "toy_members.py"
+    path.write_text(TOY_MEMBERS)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    import toy_members
+
+    try:
+        classes = traffic.member_classes(toy_members)
+        assert {cls.__name__ for cls in classes} == {"Point", "Box"}
+        point, box = toy_members.Point(1, 2), toy_members.Box()
+        with traffic.AttributeRecorder(classes) as recorder:
+            assert point.norm() == 1 and box.size == 1
+        assert box.unread_attr == 2  # read after recording stopped
+        assert {("Point", "x"), ("Point", "norm"), ("Box", "size")} <= recorder.reads
+        assert "__getattribute__" not in vars(toy_members.Point)
+        assert traffic.unread_members([toy_members], recorder.reads) == [
+            "toy_members.py: Point.unread_field", "toy_members.py: Box.unread_attr"]
+    finally:
+        sys.modules.pop("toy_members")
 
 
 TOY_C = """\

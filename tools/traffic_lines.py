@@ -1,4 +1,5 @@
-"""Executable lines of ``src/memchar`` that the benchmark's traffic never runs.
+"""Executable lines and data members of ``src/memchar`` that the benchmark's
+traffic never runs or reads.
 
 The traffic is what ``bench/workload.py`` runs: for each of its workloads,
 ``Workload.setup()`` and one pass of ``run_op`` over the workload's ops,
@@ -7,7 +8,8 @@ then both native probes.  Each runs in a child process under
 directory and ``XDG_CACHE_HOME``; nothing under ``bench/`` is written.  The
 report lists, per function of ``src/memchar``, the executable lines that no
 run reached, marks a function none of whose lines ran ``NEVER``, and ends
-with a summary line.
+with a summary line.  Then it lists each data member that no run read,
+and their count.
 
     python tools/traffic_lines.py             # seed 1
     python tools/traffic_lines.py --seed 7
@@ -17,12 +19,20 @@ that holds it; one outside any function (a lambda in a module-level table)
 is reported on its own, named after its line.  A line counts as run when a
 trace ``line`` event of a function's frame reports it; module and class
 bodies, which run at import, are not traced.
+
+A data member is an annotated field of a class, or a ``self.`` attribute
+its ``__init__`` sets; dunder names are left out.  The classes are the
+module-level classes of ``src/memchar`` that are neither Enums nor
+exceptions.  A member counts as read when an instance of its class, or of
+a subclass, looks the name up.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import dis
+import importlib
 import inspect
 import json
 import os
@@ -31,6 +41,7 @@ import sys
 import tempfile
 import threading
 import types
+from enum import Enum
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -103,6 +114,86 @@ class LineRecorder:
         threading.settrace(self._before[1])
 
 
+class AttributeRecorder:
+    """Records ``(class name, attribute)`` of every attribute an instance of
+    ``classes``, or of a subclass, looks up, by wrapping each class's
+    ``__getattribute__`` while it records."""
+
+    def __init__(self, classes):
+        self.classes = set(classes)
+        self.reads: set[tuple[str, str]] = set()
+
+    def __enter__(self) -> "AttributeRecorder":
+        classes, reads = self.classes, self.reads
+
+        def getattribute(obj, name, get=object.__getattribute__):
+            for cls in type(obj).__mro__:
+                if cls in classes:
+                    reads.add((cls.__name__, name))
+            return get(obj, name)
+
+        for cls in classes:
+            cls.__getattribute__ = getattribute
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for cls in self.classes:
+            del cls.__getattribute__
+
+
+def member_classes(module: types.ModuleType) -> list[type]:
+    """The classes ``module`` defines at module level that are neither Enums
+    nor exceptions."""
+    return [
+        obj for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__module__ == module.__name__
+        and not issubclass(obj, (Enum, BaseException))
+    ]
+
+
+def data_members(path: Path) -> dict[str, list[str]]:
+    """``{class name: data members}`` of the module-level classes of the
+    file at ``path``: annotated fields, then the ``self.`` attributes that
+    ``__init__`` sets, without dunder names."""
+    out = {}
+    for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names = []
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                names.append(stmt.target.id)
+            elif isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+                names += [
+                    n.attr for n in ast.walk(stmt)
+                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.value, ast.Name) and n.value.id == "self"
+                ]
+        out[cls.name] = [n for n in dict.fromkeys(names) if not n.startswith("__")]
+    return out
+
+
+def unread_members(modules: list[types.ModuleType], reads: set[tuple[str, str]]) -> list[str]:
+    """``file: Class.member`` of each data member of the classes of
+    ``modules`` that :func:`member_classes` keeps and ``reads`` lacks."""
+    out = []
+    for module in modules:
+        path = Path(module.__file__)
+        members = data_members(path)
+        for cls in member_classes(module):
+            out += [f"{path.name}: {cls.__name__}.{name}"
+                    for name in members.get(cls.__name__, ())
+                    if (cls.__name__, name) not in reads]
+    return out
+
+
+def package_modules() -> list[types.ModuleType]:
+    """The modules of ``src/memchar``, imported."""
+    sys.path.insert(0, str(ROOT / "src"))
+    return [importlib.import_module(f"memchar.{p.stem}")
+            for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"]
+
+
 def unrun_report(files: list[Path], ran: set[tuple[str, int]]) -> tuple[list[str], dict]:
     """Report lines for each function of ``files`` with a line not in
     ``ran``, and the counts of the summary."""
@@ -137,12 +228,14 @@ def _ranges(lines: list[int]) -> str:
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
 
 
-def run_unit(unit: str, seed: int, work: Path) -> set[tuple[str, int]]:
-    """The lines one workload or probe runs, in this process."""
+def run_unit(unit: str, seed: int, work: Path) -> tuple[set, set]:
+    """The lines one workload or probe runs, and the data members it reads,
+    in this process."""
     sys.path.insert(0, str(ROOT / "bench"))
     import workload
 
-    with LineRecorder(PACKAGE) as recorder:
+    classes = [cls for module in package_modules() for cls in member_classes(module)]
+    with LineRecorder(PACKAGE) as recorder, AttributeRecorder(classes) as attributes:
         if unit in PROBES:
             code = workload.probe(ROOT, unit, work)
             if code:
@@ -155,7 +248,7 @@ def run_unit(unit: str, seed: int, work: Path) -> set[tuple[str, int]]:
             if w.failed:
                 print(f"{unit}: {w.failed} of {w.attempted} ops failed: {w.failures}",
                       file=sys.stderr)
-    return recorder.ran
+    return recorder.ran, attributes.reads
 
 
 def main(argv=None) -> int:
@@ -165,10 +258,11 @@ def main(argv=None) -> int:
     ap.add_argument("--lines-out", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.unit:
-        ran = run_unit(args.unit, args.seed, Path.cwd())
-        args.lines_out.write_text(json.dumps(sorted(ran)))
+        ran, reads = run_unit(args.unit, args.seed, Path.cwd())
+        args.lines_out.write_text(json.dumps({"lines": sorted(ran), "reads": sorted(reads)}))
         return 0
     ran: set[tuple[str, int]] = set()
+    reads: set[tuple[str, str]] = set()
     failed = []
     with tempfile.TemporaryDirectory() as tmp:
         for unit in WORKLOADS + PROBES:
@@ -182,12 +276,17 @@ def main(argv=None) -> int:
             if proc.returncode != 0 or not lines_out.exists():
                 failed.append(f"{unit} (exit {proc.returncode})")
                 continue
-            ran.update((f, line) for f, line in json.loads(lines_out.read_text()))
+            unit_out = json.loads(lines_out.read_text())
+            ran.update((f, line) for f, line in unit_out["lines"])
+            reads.update((cls, name) for cls, name in unit_out["reads"])
     lines, counts = unrun_report(sorted(PACKAGE.glob("*.py")), ran)
     print("\n".join(lines))
     print(f"{counts['unrun']} of {counts['lines']} executable lines in "
           f"{counts['functions']} functions never ran; {counts['never']} functions "
           f"never ran at all" + (f"; failed: {', '.join(failed)}" if failed else ""))
+    unread = unread_members(package_modules(), reads)
+    print("\n".join(unread))
+    print(f"{len(unread)} data members never read")
     return 1 if failed else 0
 
 
